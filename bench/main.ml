@@ -283,10 +283,10 @@ type sat_measure = {
 }
 
 (* One full pipeline run over the NMM chain at [scale].  The measured axes:
-   [engine] selects row storage (arena vs legacy), [seminaive] the matching
-   regime (false reproduces the seed engine: full re-matching, no
-   scheduler), [jobs] the number of search domains. *)
-let sat_run ~scale ~engine ~seminaive ~jobs : sat_measure =
+   [seminaive] the matching regime (false = every due rule searches the
+   full join each iteration, with no scheduler), [jobs] the number of
+   search domains. *)
+let sat_run ~scale ~seminaive ~jobs : sat_measure =
   let src = Workloads.Matmul_chain.source ~scale in
   let m = Mlir.Parser.parse_module src in
   let config =
@@ -296,12 +296,11 @@ let sat_run ~scale ~engine ~seminaive ~jobs : sat_measure =
       max_iterations = 400;
       max_nodes = 400_000;
       timeout = Some 300.0;
-      engine;
       jobs;
       seminaive;
       backoff = seminaive;
       (* no anytime checkpoints: each one is an extraction inside the
-         timed saturation loop, which would blur the engine comparison *)
+         timed saturation loop, which would blur the matcher comparison *)
       checkpoint_every = 0;
       (* large chains may hit the node budget: take the best extraction
          within it rather than aborting the whole run *)
@@ -333,49 +332,38 @@ let json_of_measure (s : sat_measure) =
 (* best-of-[reps] to damp scheduler/GC noise: saturation wall-clock is the
    min across repetitions (standard practice for sub-100ms measurements);
    counters (iterations, matches, nodes) are identical across reps *)
-let sat_best ~reps ~scale ~engine ~seminaive ?(jobs = 1) () : sat_measure =
-  let best = ref (sat_run ~scale ~engine ~seminaive ~jobs) in
+let sat_best ~reps ~scale ~seminaive ?(jobs = 1) () : sat_measure =
+  let best = ref (sat_run ~scale ~seminaive ~jobs) in
   for _ = 2 to reps do
     Gc.full_major ();
-    let m = sat_run ~scale ~engine ~seminaive ~jobs in
+    let m = sat_run ~scale ~seminaive ~jobs in
     if m.sm_sat_time < !best.sm_sat_time then best := m
   done;
   !best
 
 let saturation ~max_chain ~json_path () =
-  fprintf "== Saturation engine: NMM scaling, arena vs legacy storage ==\n";
+  fprintf "== Saturation: NMM scaling, seminaive vs naive matching on the generic join ==\n";
   fprintf
-    "(all three configurations must extract the identical program; speedups\n\
-    \ are legacy saturation wall-clock over arena, best of 5 runs)\n\n";
-  fprintf "%-7s %9s %12s | %12s %8s | %12s %8s | %5s\n" "chain" "a-matches"
-    "arena(ms)" "l-semi(ms)" "spd" "l-naive(ms)" "spd" "same";
+    "(both regimes must extract the identical program; the speedup is naive\n\
+    \ saturation wall-clock over seminaive, best of 5 runs)\n\n";
+  fprintf "%-7s %9s %12s | %12s %9s %8s | %5s\n" "chain" "matches" "semi(ms)"
+    "naive(ms)" "n-matches" "spd" "same";
   let lengths =
     List.filter (fun n -> n <= max_chain) [ 2; 3; 4; 5; 6; 8; 10; 12; 14 ]
   in
   let rows =
     List.map
       (fun n ->
-        let a =
-          sat_best ~reps:5 ~scale:n ~engine:Egglog.Egraph.Arena ~seminaive:true ()
-        in
-        let ls =
-          sat_best ~reps:5 ~scale:n ~engine:Egglog.Egraph.Legacy ~seminaive:true ()
-        in
-        let ln =
-          sat_best ~reps:5 ~scale:n ~engine:Egglog.Egraph.Legacy ~seminaive:false ()
-        in
-        let same =
-          String.equal a.sm_output ls.sm_output
-          && String.equal a.sm_output ln.sm_output
-        in
-        let spd_semi = ls.sm_sat_time /. Float.max 1e-6 a.sm_sat_time in
-        let spd_naive = ln.sm_sat_time /. Float.max 1e-6 a.sm_sat_time in
-        fprintf "%-7s %9d %12.2f | %12.2f %7.2fx | %12.2f %7.2fx | %5s\n"
+        let s = sat_best ~reps:5 ~scale:n ~seminaive:true () in
+        let nv = sat_best ~reps:5 ~scale:n ~seminaive:false () in
+        let same = String.equal s.sm_output nv.sm_output in
+        let spd = nv.sm_sat_time /. Float.max 1e-6 s.sm_sat_time in
+        fprintf "%-7s %9d %12.2f | %12.2f %9d %7.2fx | %5s\n"
           (Printf.sprintf "%dMM" n)
-          a.sm_matches (a.sm_sat_time *. 1000.) (ls.sm_sat_time *. 1000.)
-          spd_semi (ln.sm_sat_time *. 1000.) spd_naive
+          s.sm_matches (s.sm_sat_time *. 1000.) (nv.sm_sat_time *. 1000.)
+          nv.sm_matches spd
           (if same then "yes" else "NO");
-        (n, a, ls, ln, same, spd_semi, spd_naive))
+        (n, s, nv, same, spd))
       lengths
   in
   (* -j sweep: the search phase partitioned across OCaml domains on the
@@ -383,16 +371,11 @@ let saturation ~max_chain ~json_path () =
   let sweep_chain = List.fold_left max 2 lengths in
   let sweep =
     List.map
-      (fun j ->
-        let m =
-          sat_best ~reps:5 ~scale:sweep_chain ~engine:Egglog.Egraph.Arena
-            ~seminaive:true ~jobs:j ()
-        in
-        (j, m))
+      (fun j -> (j, sat_best ~reps:5 ~scale:sweep_chain ~seminaive:true ~jobs:j ()))
       [ 1; 2; 4 ]
   in
   let j1_out = snd (List.hd sweep) in
-  fprintf "\n-- arena -j sweep on %dMM (search domains; output must not vary) --\n"
+  fprintf "\n-- -j sweep on %dMM (search domains; output must not vary) --\n"
     sweep_chain;
   List.iter
     (fun (j, (m : sat_measure)) ->
@@ -401,16 +384,14 @@ let saturation ~max_chain ~json_path () =
         (if String.equal m.sm_output j1_out.sm_output then "identical" else "DIVERGED"))
     sweep;
   let json =
-    let row_json (n, a, ls, ln, same, spd_semi, spd_naive) =
+    let row_json (n, s, nv, same, spd) =
       Printf.sprintf
         "    {\"chain\": %d,\n\
-        \     \"arena\": %s,\n\
-        \     \"legacy_seminaive\": %s,\n\
-        \     \"legacy_naive\": %s,\n\
-        \     \"speedup_vs_legacy_seminaive\": %.3f,\n\
-        \     \"speedup_vs_legacy_naive\": %.3f,\n\
-        \     \"identical_extraction\": %b}" n (json_of_measure a)
-        (json_of_measure ls) (json_of_measure ln) spd_semi spd_naive same
+        \     \"seminaive\": %s,\n\
+        \     \"naive\": %s,\n\
+        \     \"speedup_vs_naive\": %.3f,\n\
+        \     \"identical_extraction\": %b}" n (json_of_measure s)
+        (json_of_measure nv) spd same
     in
     let sweep_json (j, (m : sat_measure)) =
       Printf.sprintf
@@ -423,7 +404,8 @@ let saturation ~max_chain ~json_path () =
       "{\n\
       \  \"benchmark\": \"nmm-saturation\",\n\
       \  \"rules\": \"matmul_assoc\",\n\
-      \  \"engines\": [\"arena\", \"legacy\"],\n\
+      \  \"matcher\": \"generic join\",\n\
+      \  \"regimes\": [\"seminaive\", \"naive\"],\n\
       \  \"lengths\": [\n%s\n  ],\n\
       \  \"jobs_sweep_chain\": %d,\n\
       \  \"jobs_sweep\": [\n%s\n  ]\n}\n"
@@ -435,8 +417,8 @@ let saturation ~max_chain ~json_path () =
   output_string oc json;
   close_out oc;
   fprintf "\nwrote %s\n\n" json_path;
-  if List.exists (fun (_, _, _, _, same, _, _) -> not same) rows then begin
-    prerr_endline "FAIL: arena and legacy engines extracted different programs";
+  if List.exists (fun (_, _, _, same, _) -> not same) rows then begin
+    prerr_endline "FAIL: seminaive and naive matching extracted different programs";
     exit 1
   end;
   if List.exists (fun (_, m) -> not (String.equal m.sm_output j1_out.sm_output)) sweep

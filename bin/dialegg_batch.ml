@@ -16,7 +16,7 @@ let read_file path =
 
 let run input egg_file output jobs retries job_timeout grace backoff_ms resume
     faults iterations max_nodes timeout max_memory_mb on_limit no_vet no_audit
-    show_stats quiet verbose engine =
+    show_stats quiet verbose =
   try
     let rules = match egg_file with Some f -> read_file f | None -> "" in
     if egg_file = None then
@@ -35,7 +35,6 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
         on_limit;
         vet = not no_vet;
         audit = not no_audit;
-        engine;
       }
     in
     (* vet and audit once in the supervisor and fail fast before any worker
@@ -287,17 +286,6 @@ let verbose =
     & info [ "verbose" ]
         ~doc:"Narrate dispatches, kills and retries on stderr")
 
-let engine =
-  let engines = Egglog.Egraph.[ ("arena", Arena); ("legacy", Legacy) ] in
-  Arg.(
-    value
-    & opt (enum engines) Egglog.Egraph.Arena
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "E-graph storage engine used by every worker: $(b,arena) (flat int \
-           arrays with indexed generic joins, default) or $(b,legacy) (boxed \
-           hashtables)")
-
 let cmd =
   let doc = "supervised multi-process batch driver for dialegg-opt" in
   Cmd.v
@@ -307,6 +295,6 @@ let cmd =
         (const run $ input $ egg_file $ output $ jobs $ retries $ job_timeout
         $ grace $ backoff_ms $ resume $ faults $ iterations $ max_nodes
         $ timeout $ max_memory_mb $ on_limit $ no_vet $ no_audit $ show_stats
-        $ quiet $ verbose $ engine))
+        $ quiet $ verbose))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

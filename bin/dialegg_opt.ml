@@ -15,7 +15,7 @@ let read_file path =
 let run input egg_file output iterations max_nodes timeout timeout_ms
     max_memory_mb on_limit inject_fault no_dce funcs show_timings dump_egg
     lint_only vet_only no_vet audit_only no_audit show_stats no_backoff
-    naive_matching no_validate analyze engine jobs =
+    naive_matching no_validate analyze jobs =
   try
     Serve.Atomic_io.install_signal_cleanup ();
     let rules = match egg_file with Some f -> read_file f | None -> "" in
@@ -112,7 +112,6 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
         audit = not no_audit;
         seminaive = not naive_matching;
         backoff = not no_backoff;
-        engine;
         jobs;
       }
     in
@@ -334,7 +333,7 @@ let naive_matching =
   Arg.(
     value & flag
     & info [ "naive-matching" ]
-      ~doc:"Disable seminaive e-matching: re-match rules against the full e-graph every iteration")
+      ~doc:"Disable seminaive e-matching: search every due rule against the full e-graph every iteration (same join, same output, slower)")
 
 let no_validate =
   Arg.(
@@ -343,15 +342,6 @@ let no_validate =
       ~doc:
         "Skip translation validation (the post-extraction check that types, \
          shapes and result value ranges still refine the input's)")
-
-let engine =
-  let engines = Egglog.Egraph.[ ("arena", Arena); ("legacy", Legacy) ] in
-  Arg.(
-    value
-    & opt (enum engines) Egglog.Egraph.Arena
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "E-graph storage engine: $(b,arena) (flat int arrays with indexed            generic joins, default) or $(b,legacy) (boxed hashtables).  Both            extract identical programs")
 
 let jobs =
   Arg.(
@@ -379,6 +369,6 @@ let cmd =
         $ timeout_ms $ max_memory_mb $ on_limit $ inject_fault $ no_dce $ funcs
         $ show_timings $ dump_egg $ lint_only $ vet_only $ no_vet $ audit_only
         $ no_audit $ show_stats $ no_backoff $ naive_matching $ no_validate
-        $ analyze $ engine $ jobs))
+        $ analyze $ jobs))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

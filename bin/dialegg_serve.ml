@@ -13,7 +13,7 @@ let read_file path =
 
 let run socket egg_file pool max_queue retries job_timeout grace heartbeat
     recycle_jobs recycle_rss_mb cache_dir cache_capacity iterations max_nodes
-    timeout on_limit engine no_dce no_validate fault verbose =
+    timeout on_limit no_dce no_validate fault verbose =
   try
     let rules = match egg_file with Some f -> read_file f | None -> "" in
     let pipeline =
@@ -24,7 +24,6 @@ let run socket egg_file pool max_queue retries job_timeout grace heartbeat
         max_nodes;
         timeout = Some timeout;
         on_limit;
-        engine;
         run_dce = not no_dce;
         validate = not no_validate;
         vet_cache_dir = cache_dir;
@@ -153,13 +152,6 @@ let on_limit =
     & info [ "on-limit" ] ~docv:"POLICY"
         ~doc:"Degradation policy: $(b,fail), $(b,best-effort) or $(b,identity)")
 
-let engine =
-  let engines = Egglog.Egraph.[ ("arena", Arena); ("legacy", Legacy) ] in
-  Arg.(
-    value
-    & opt (enum engines) Egglog.Egraph.Arena
-    & info [ "engine" ] ~docv:"ENGINE" ~doc:"E-graph storage engine")
-
 let no_dce = Arg.(value & flag & info [ "no-dce" ] ~doc:"Skip dead-code elimination after extraction")
 
 let no_validate =
@@ -195,6 +187,6 @@ let cmd =
         (const run $ socket $ egg_file $ pool $ max_queue $ retries
         $ job_timeout $ grace $ heartbeat $ recycle_jobs $ recycle_rss_mb
         $ cache_dir $ cache_capacity $ iterations $ max_nodes $ timeout
-        $ on_limit $ engine $ no_dce $ no_validate $ fault $ verbose))
+        $ on_limit $ no_dce $ no_validate $ fault $ verbose))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

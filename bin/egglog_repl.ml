@@ -111,8 +111,8 @@ let repl engine check_env =
      turns them into a non-zero exit *)
   interactive || ok
 
-let run files max_nodes timeout stats engine jobs =
-  let engine = Egglog.Interp.create ~max_nodes ~timeout ~engine ~jobs () in
+let run files max_nodes timeout stats jobs =
+  let engine = Egglog.Interp.create ~max_nodes ~timeout ~jobs () in
   let check_env = Egglog.Check.create_env () in
   try
     (* file mode: an error in one file is reported (located) and does not
@@ -153,14 +153,6 @@ let timeout =
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print e-graph statistics at the end")
 
-let engine =
-  let engines = Egglog.Egraph.[ ("arena", Arena); ("legacy", Legacy) ] in
-  Arg.(
-    value
-    & opt (enum engines) Egglog.Egraph.Arena
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"E-graph storage engine: $(b,arena) (default) or $(b,legacy)")
-
 let jobs =
   Arg.(
     value & opt int 1
@@ -171,6 +163,6 @@ let cmd =
   let doc = "equality saturation engine (Egglog-subset interpreter)" in
   Cmd.v
     (Cmd.info "egglog" ~version:"1.0.0" ~doc)
-    Term.(ret (const run $ files $ max_nodes $ timeout $ stats $ engine $ jobs))
+    Term.(ret (const run $ files $ max_nodes $ timeout $ stats $ jobs))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

@@ -72,15 +72,16 @@ type config = {
       (** on-disk vet/audit cache override (default [$DIALEGG_VET_CACHE]
           or the system temporary directory) *)
   engine : Egglog.Egraph.engine;
-      (** e-graph storage engine: [Arena] (flat int arrays + generic join,
-          default) or [Legacy] (boxed hashtables) — [--engine] *)
+      (** e-graph storage engine; [Arena] is the only one (see
+          {!Egglog.Egraph.engine}) *)
   jobs : int;
       (** rule-search parallelism: partitions the due rules across this
           many OCaml domains each iteration ([1] = sequential; results are
           merged in registration order, so output is identical) — [-j] *)
   seminaive : bool;
       (** seminaive e-matching: rules scan only rows created since they
-          last fired (default); off = full re-matching every iteration *)
+          last fired (default); off = every due rule searches the full
+          join each iteration — same output, slower *)
   backoff : bool;  (** egg-style backoff rule scheduler (default on) *)
   match_limit : int;  (** scheduler: base per-rule match budget *)
   ban_length : int;  (** scheduler: base ban duration in iterations *)
@@ -317,11 +318,18 @@ let pp_timings ppf t =
     t.n_nodes t.n_classes t.extracted_cost t.extracted_dag_cost
 
 (** Per-rule statistics table ([dialegg-opt --stats]): one row per rule,
-    sorted by total time descending. *)
+    most matches first, ties by rule name — never by time, so the row
+    order is the same on every run. *)
 let pp_rule_stats ppf (stats : Egglog.Interp.rule_stat list) =
   let open Egglog.Interp in
-  let total s = s.rs_search_time +. s.rs_apply_time in
-  let stats = List.sort (fun a b -> compare (total b) (total a)) stats in
+  let stats =
+    List.stable_sort
+      (fun a b ->
+        match compare b.rs_matches a.rs_matches with
+        | 0 -> String.compare a.rs_name b.rs_name
+        | c -> c)
+      stats
+  in
   Fmt.pf ppf "%-40s %9s %9s %9s %5s %11s %11s@." "rule" "searches" "matches"
     "applied" "bans" "search(ms)" "apply(ms)";
   List.iter

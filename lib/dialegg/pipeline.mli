@@ -59,15 +59,17 @@ type config = {
           or the system temporary directory; [DIALEGG_VET_CACHE=""]
           disables) *)
   engine : Egglog.Egraph.engine;
-      (** e-graph storage engine: [Arena] (flat int arrays + generic join,
-          default) or [Legacy] (boxed hashtables) — [dialegg-opt --engine] *)
+      (** e-graph storage engine; [Arena] is the only one (see
+          {!Egglog.Egraph.engine}) *)
   jobs : int;
       (** rule-search parallelism: due rules are partitioned across this
           many OCaml domains each iteration ([1] = sequential; results
           merge in registration order, so output is identical) — [-j] *)
   seminaive : bool;
       (** seminaive e-matching: rules scan only rows created since they
-          last fired (default); off = full re-matching every iteration *)
+          last fired (default); off = every due rule searches the full
+          join each iteration — same output, slower
+          ([dialegg-opt --naive-matching]) *)
   backoff : bool;  (** egg-style backoff rule scheduler (default on) *)
   match_limit : int;  (** scheduler: base per-rule match budget *)
   ban_length : int;  (** scheduler: base ban duration in iterations *)
@@ -132,7 +134,9 @@ val zero_timings : timings
 val add_timings : timings -> timings -> timings
 val pp_timings : Format.formatter -> timings -> unit
 
-(** Per-rule statistics table, one row per rule, busiest first. *)
+(** Per-rule statistics table, one row per rule, most matches first, ties
+    by rule name — a total order on the counts, so the rows come out in
+    the same order on every run whatever the timings. *)
 val pp_rule_stats : Format.formatter -> Egglog.Interp.rule_stat list -> unit
 
 (** {1 Per-function outcomes and fault isolation} *)

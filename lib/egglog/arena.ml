@@ -11,8 +11,8 @@
     column is monotonically increasing: a seminaive delta ("rows newer
     than stamp [s]") is a binary search plus a suffix walk, and the old
     rows ("stamp ≤ [s]") are a prefix.  Rewriting a row's output kills the
-    old row and appends a fresh copy, which keeps the invariant and doubles
-    as the journal the hashtable engine maintains separately.  Congruence
+    old row and appends a fresh copy, which keeps the invariant and makes
+    the table its own seminaive journal.  Congruence
     lookups go through a single open-addressing hash over the key ints.
     {!compact} drops dead rows in place (order-preserving, so stamps stay
     sorted) and bumps [version], which invalidates any column indexes

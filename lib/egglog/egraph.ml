@@ -12,13 +12,10 @@
     that all keys and outputs are canonical, merging rows that collide
     (congruence closure) until a fixed point is reached.
 
-    Two storage {!engine}s implement the table contract:
-    - [Legacy]: rows in a hashtable keyed by boxed [Value.t array]s, with a
-      separate append-only journal for seminaive deltas;
-    - [Arena] (the default): rows as flat int arrays of codes (see
-      {!Arena}), appended in stamp order so the table {e is} the journal,
-      with congruence lookups through one open-addressing int hash.  The
-      arena is what the matcher's column indexes and generic join run on. *)
+    Every table is a flat {!Arena} of int codes, appended in stamp order so
+    the table {e is} its own seminaive journal, with congruence lookups
+    through one open-addressing int hash.  The matcher's column indexes
+    and generic join run on these arrays directly. *)
 
 exception Error of string
 
@@ -50,27 +47,10 @@ let pp_sort_kind ppf = function
 (* Function tables                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type engine = Legacy | Arena
-
-let engine_of_string = function
-  | "legacy" -> Some Legacy
-  | "arena" -> Some Arena
-  | _ -> None
-
-let engine_to_string = function Legacy -> "legacy" | Arena -> "arena"
-
-type row = { mutable out : Value.t; mutable stamp : int }
-
-(** One journal entry (legacy store only): the key and row as they were
-    when the entry was appended, plus the stamp at append time.  An entry
-    is {e live} iff the table still maps that exact key to that exact row
-    record and the row's stamp still equals the recorded one (a later
-    rewrite of the same row appends a fresh entry and retires this one). *)
-type log_entry = { le_args : Value.t array; le_row : row; le_stamp : int }
-
-(** Row storage: boxed hashtable + journal, or a flat arena (which is its
-    own journal — rows are appended in stamp order). *)
-type store = S_hash of row Value.Args_tbl.t | S_arena of Arena.table
+(** The storage engine.  The flat arena is the only one; the type is kept
+    so that callers written against the old two-engine API, such as
+    [perfbench/replica.ml] passing [Interp.create ~engine], still build. *)
+type engine = Arena
 
 type func = {
   sym : Symbol.t;
@@ -81,29 +61,22 @@ type func = {
   merge : (Value.t -> Value.t -> Value.t) option;
       (** how to reconcile two outputs for the same key (primitives only);
           [None] means: error on conflicting primitive outputs *)
-  mutable store : store;
+  store : Arena.table;
   mutable last_modified : int;
       (** stamp of the last insertion, output change, deletion, or
           canonicalization touching this table — drives the scheduler's
           dirty-table rule skipping and the matcher's index invalidation *)
-  mutable log : log_entry array;
-      (** legacy journal of row insertions and rewrites, in stamp order;
-          seminaive e-matching scans the suffix newer than a rule's
-          last-scan stamp instead of the whole table *)
-  mutable log_len : int;
 }
 
 let is_constructor f = match f.ret_sort with S_eq _ -> true | _ -> false
-let arena_of f = match f.store with S_arena a -> Some a | S_hash _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The e-graph                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  engine : engine;
   uf : Union_find.t;
-  pool : Arena.pool;  (** value interning for arena codes (arena engine) *)
+  pool : Arena.pool;  (** value interning for arena codes *)
   funcs : func Symbol.Tbl.t;
   mutable func_order : Symbol.t list;  (** declaration order, for printing *)
   sorts : (string, sort_kind) Hashtbl.t;
@@ -123,10 +96,9 @@ type t = {
           instead of a fold over every table *)
 }
 
-let create ?(engine = Arena) () =
+let create () =
   let t =
     {
-      engine;
       uf = Union_find.create ();
       pool = Arena.create_pool ();
       funcs = Symbol.Tbl.create 64;
@@ -151,7 +123,6 @@ let create ?(engine = Arena) () =
     ];
   t
 
-let engine t = t.engine
 let pool t = t.pool
 let uf t = t.uf
 let clock t = t.clock
@@ -164,44 +135,6 @@ let touched t = t.clock <- t.clock + 1
 let next_stamp t =
   t.clock <- t.clock + 1;
   t.clock
-
-(* --- per-table journal (legacy store) --------------------------------- *)
-
-let dummy_log_entry =
-  { le_args = [||]; le_row = { out = Value.Unit; stamp = -1 }; le_stamp = -1 }
-
-let log_entry_live (f : func) (e : log_entry) =
-  e.le_row.stamp = e.le_stamp
-  &&
-  match f.store with
-  | S_arena _ -> false
-  | S_hash tbl -> (
-    match Value.Args_tbl.find_opt tbl e.le_args with
-    | Some r -> r == e.le_row
-    | None -> false)
-
-(** Append a journal entry for [(args -> row)], retiring any earlier entry
-    for the same row (liveness is checked via the row's current stamp).
-    Compacts the journal when more than half of it is dead. *)
-let log_append (f : func) args (row : row) =
-  let cap = Array.length f.log in
-  if f.log_len = cap then begin
-    let live = Array.sub f.log 0 f.log_len |> Array.to_list |> List.filter (log_entry_live f) in
-    let n_live = List.length live in
-    if n_live * 2 <= f.log_len && f.log_len >= 32 then begin
-      (* mostly dead: compact in place, preserving stamp order *)
-      List.iteri (fun i e -> f.log.(i) <- e) live;
-      Array.fill f.log n_live (f.log_len - n_live) dummy_log_entry;
-      f.log_len <- n_live
-    end
-    else begin
-      let log' = Array.make (max 32 (cap * 2)) dummy_log_entry in
-      Array.blit f.log 0 log' 0 f.log_len;
-      f.log <- log'
-    end
-  end;
-  f.log.(f.log_len) <- { le_args = args; le_row = row; le_stamp = row.stamp };
-  f.log_len <- f.log_len + 1
 
 (** Look up a declared sort by name. *)
 let find_sort t name =
@@ -230,11 +163,6 @@ let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
   let sym = Symbol.intern name in
   if Symbol.Tbl.mem t.funcs sym then error "function %s already declared" name;
   let arg_sorts = Array.of_list (List.map (find_sort t) args) in
-  let store =
-    match t.engine with
-    | Legacy -> S_hash (Value.Args_tbl.create 16)
-    | Arena -> S_arena (Arena.create ~arity:(Array.length arg_sorts))
-  in
   let f =
     {
       sym;
@@ -243,10 +171,8 @@ let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
       cost;
       unextractable;
       merge;
-      store;
+      store = Arena.create ~arity:(Array.length arg_sorts);
       last_modified = 0;
-      log = [||];
-      log_len = 0;
     }
   in
   Symbol.Tbl.replace t.funcs sym f;
@@ -322,29 +248,9 @@ let decode_row_args t (a : Arena.table) ~arity r : Value.t array =
 (** [lookup t f args] finds the output for [args] if the row exists. *)
 let lookup t f args =
   let args = canon_args t args in
-  match f.store with
-  | S_hash tbl -> (
-    match Value.Args_tbl.find_opt tbl args with
-    | Some row -> Some (canon t row.out)
-    | None -> None)
-  | S_arena a ->
-    let r = Arena.find a (encode_args t args) in
-    if r < 0 then None
-    else Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
-
-(** [insert t f args out] unconditionally inserts a row (caller must have
-    resolved conflicts; [args] and [out] are canonical).  Internal. *)
-let insert_row t f args out =
-  let stamp = next_stamp t in
-  (match f.store with
-  | S_hash tbl ->
-    let row = { out; stamp } in
-    Value.Args_tbl.replace tbl args row;
-    log_append f args row
-  | S_arena a ->
-    ignore (Arena.append a (encode_args t args) (Arena.encode t.pool out) stamp));
-  f.last_modified <- stamp;
-  t.n_rows_cache <- t.n_rows_cache + 1
+  let a = f.store in
+  let r = Arena.find a (encode_args t args) in
+  if r < 0 then None else Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
 
 (** Number of rows (e-nodes) across all tables.  O(1): the count is
     maintained incrementally on insert / delete / congruence merges, since
@@ -352,67 +258,37 @@ let insert_row t f args out =
 let n_nodes t = t.n_rows_cache
 
 (** Recount rows from the tables (consistency checks in tests). *)
-let recount_nodes t =
-  Symbol.Tbl.fold
-    (fun _ f acc ->
-      acc
-      +
-      match f.store with
-      | S_hash tbl -> Value.Args_tbl.length tbl
-      | S_arena a -> Arena.n_live a)
-    t.funcs 0
+let recount_nodes t = Symbol.Tbl.fold (fun _ f acc -> acc + Arena.n_live f.store) t.funcs 0
 
-(** Approximate e-graph footprint in words, for memory budgets: per row we
-    charge the key array, the row record and the hash-table slot; the
-    journal charges its entries; the union-find charges one word per
-    class.  A deliberate under-estimate is fine — the budget is a
-    guard-rail against runaway growth, not an accountant. *)
+(** Approximate e-graph footprint in words, for memory budgets: the arena
+    tables, the cost overrides, the value pool, and one word per
+    union-find class.  A deliberate under-estimate is fine — the budget is
+    a guard-rail against runaway growth, not an accountant. *)
 let approx_memory_words t =
-  let per_func acc f =
-    match f.store with
-    | S_hash tbl ->
-      let arity = Array.length f.arg_sorts in
-      let rows = Value.Args_tbl.length tbl in
-      (* key array (arity+1 header), row record (3), table slot (3) *)
-      acc + (rows * (arity + 7)) + (f.log_len * (arity + 4))
-    | S_arena a -> acc + Arena.memory_words a
-  in
-  let tables = Symbol.Tbl.fold (fun _ f acc -> per_func acc f) t.funcs 0 in
+  let tables = Symbol.Tbl.fold (fun _ f acc -> acc + Arena.memory_words f.store) t.funcs 0 in
   let costs =
     Symbol.Tbl.fold
       (fun _ tbl acc -> acc + (Value.Args_tbl.length tbl * 6))
       t.costs 0
   in
-  let pool = match t.engine with Arena -> Arena.pool_memory_words t.pool | Legacy -> 0 in
-  tables + costs + pool + Union_find.size t.uf
+  tables + costs + Arena.pool_memory_words t.pool + Union_find.size t.uf
 
 (* ------------------------------------------------------------------ *)
 (* Iteration (used by the matcher, extraction and statistics)          *)
 (* ------------------------------------------------------------------ *)
 
-(** Iterate over all rows of [f] as (canonical args, canonical output,
-    stamp).  When the graph is clean (no unions since the last rebuild)
-    every stored row is already canonical, so no per-row canonicalization
-    or copying happens. *)
-let iter_rows_stamped t f (k : Value.t array -> Value.t -> int -> unit) =
+(** Iterate over all rows of [f] as (canonical args, canonical output).
+    When the graph is clean (no unions since the last rebuild) every
+    stored row is already canonical, so no per-row canonicalization
+    happens. *)
+let iter_rows t f (k : Value.t array -> Value.t -> unit) =
   let clean = not t.pending_unions in
-  match f.store with
-  | S_hash tbl ->
-    if clean then Value.Args_tbl.iter (fun args row -> k args row.out row.stamp) tbl
-    else
-      Value.Args_tbl.iter
-        (fun args row -> k (canon_args t args) (canon t row.out) row.stamp)
-        tbl
-  | S_arena a ->
-    let arity = Array.length f.arg_sorts in
-    Arena.iter_live a (fun r ->
-        let args = decode_row_args t a ~arity r in
-        let out = Arena.decode t.pool (Arena.out_code a r) in
-        if clean then k args out (Arena.stamp a r)
-        else k (canon_args t args) (canon t out) (Arena.stamp a r))
-
-(** Iterate rows as (canonical args, canonical output). *)
-let iter_rows t f k = iter_rows_stamped t f (fun args out _ -> k args out)
+  let a = f.store in
+  let arity = Array.length f.arg_sorts in
+  Arena.iter_live a (fun r ->
+      let args = decode_row_args t a ~arity r in
+      let out = Arena.decode t.pool (Arena.out_code a r) in
+      if clean then k args out else k (canon_args t args) (canon t out))
 
 (** Fold over rows of [f]. *)
 let fold_rows t f init k =
@@ -456,50 +332,11 @@ let merge_outputs t f a b =
         error "merge conflict in %s: %a vs %a (no :merge declared)"
           (Symbol.name f.sym) Value.pp a Value.pp b)
 
-(* one re-canonicalization pass over a legacy (hashtable) store *)
-let rebuild_pass_hash t f tbl =
-  let stale =
-    (* find rows whose key or output is stale *)
-    Value.Args_tbl.fold
-      (fun args row acc ->
-        if
-          Array.for_all (Value.is_canonical t.uf) args
-          && Value.is_canonical t.uf row.out
-        then acc
-        else (args, row) :: acc)
-      tbl []
-  in
-  if stale = [] then false
-  else begin
-    List.iter (fun (args, _) -> Value.Args_tbl.remove tbl args) stale;
-    List.iter
-      (fun (args, row) ->
-        let args' = canon_args t args in
-        let out' = canon t row.out in
-        (* canonicalization rewrote this row: it gets a fresh stamp and a
-           fresh journal entry so seminaive matching sees it as new —
-           class merges are exactly what enables new joins over it *)
-        match Value.Args_tbl.find_opt tbl args' with
-        | None ->
-          let row' = { out = out'; stamp = next_stamp t } in
-          Value.Args_tbl.replace tbl args' row';
-          f.last_modified <- row'.stamp;
-          log_append f args' row'
-        | Some existing ->
-          (* congruence: two rows collapsed onto the same key *)
-          existing.out <- merge_outputs t f existing.out out';
-          existing.stamp <- next_stamp t;
-          f.last_modified <- existing.stamp;
-          log_append f args' existing;
-          t.n_rows_cache <- t.n_rows_cache - 1)
-      stale;
-    true
-  end
-
 (* one re-canonicalization pass over an arena store: stale rows are killed
    and re-appended with canonical codes and fresh stamps; key collisions
    merge outputs (congruence) *)
-let rebuild_pass_arena t f (a : Arena.table) =
+let rebuild_pass_arena t f =
+  let a = f.store in
   let uf = t.uf and pool = t.pool in
   let arity = Array.length f.arg_sorts in
   let stale = ref [] in
@@ -554,12 +391,7 @@ let rebuild_pass t (fs : func array) ~limit =
   for i = 0 to limit do
     let f = fs.(i) in
     let u0 = t.n_unions in
-    let c =
-      match f.store with
-      | S_hash tbl -> rebuild_pass_hash t f tbl
-      | S_arena a -> rebuild_pass_arena t f a
-    in
-    if c then changed := true;
+    if rebuild_pass_arena t f then changed := true;
     if t.n_unions <> u0 then last_union := i
   done;
   (!changed, !last_union)
@@ -616,10 +448,7 @@ let rebuild t =
     rebuild_costs t;
     t.pending_unions <- false
   end;
-  if t.engine = Arena then
-    Symbol.Tbl.iter
-      (fun _ f -> match f.store with S_arena a -> Arena.compact a | S_hash _ -> ())
-      t.funcs
+  Symbol.Tbl.iter (fun _ f -> Arena.compact f.store) t.funcs
 
 (** [union t a b] asserts that classes [a] and [b] are equal.  Deferred:
     congruence is only restored at the next {!rebuild} (unless the
@@ -649,41 +478,25 @@ let union_values t a b =
 let apply t f args =
   check_args t f args;
   let args = canon_args t args in
-  match f.store with
-  | S_hash tbl -> (
-    match Value.Args_tbl.find_opt tbl args with
-    | Some row -> Some (canon t row.out)
-    | None ->
-      if is_constructor f then begin
-        let id = fresh_class t in
-        let out = Value.Eclass id in
-        insert_row t f args out;
-        Some out
-      end
-      else if f.ret_sort = S_unit then begin
-        (* relations: applying one in an action asserts the fact *)
-        insert_row t f args Value.Unit;
-        Some Value.Unit
-      end
-      else None)
-  | S_arena a ->
-    (* the key codes are computed once and shared by the probe and the
-       miss-path insert (the miss path is the common one while a rule is
-       still growing the graph) *)
-    let key = encode_args t args in
-    let r = Arena.find a key in
-    if r >= 0 then Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
-    else
-      let insert out =
-        let stamp = next_stamp t in
-        ignore (Arena.append a key (Arena.encode t.pool out) stamp);
-        f.last_modified <- stamp;
-        t.n_rows_cache <- t.n_rows_cache + 1;
-        Some out
-      in
-      if is_constructor f then insert (Value.Eclass (fresh_class t))
-      else if f.ret_sort = S_unit then insert Value.Unit
-      else None
+  let a = f.store in
+  (* the key codes are computed once and shared by the probe and the
+     miss-path insert (the miss path is the common one while a rule is
+     still growing the graph) *)
+  let key = encode_args t args in
+  let r = Arena.find a key in
+  if r >= 0 then Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
+  else
+    let insert out =
+      let stamp = next_stamp t in
+      ignore (Arena.append a key (Arena.encode t.pool out) stamp);
+      f.last_modified <- stamp;
+      t.n_rows_cache <- t.n_rows_cache + 1;
+      Some out
+    in
+    if is_constructor f then insert (Value.Eclass (fresh_class t))
+    else if f.ret_sort = S_unit then (* relations: applying one asserts the fact *)
+      insert Value.Unit
+    else None
 
 (** [set t f args out] inserts or merges a row ([(set (f args) out)]). *)
 let set t f args out =
@@ -693,96 +506,80 @@ let set t f args out =
       pp_sort_kind f.ret_sort Value.pp out;
   let args = canon_args t args in
   let out = canon t out in
-  (match f.store with
-  | S_hash tbl -> (
-    match Value.Args_tbl.find_opt tbl args with
-    | None -> insert_row t f args out
-    | Some row ->
-      let merged = merge_outputs t f row.out out in
-      if not (Value.equal merged row.out) then begin
-        row.out <- merged;
-        row.stamp <- next_stamp t;
-        f.last_modified <- row.stamp;
-        log_append f args row
-      end)
-  | S_arena a -> (
-    let key = encode_args t args in
-    match Arena.find a key with
-    | -1 ->
+  let a = f.store in
+  let key = encode_args t args in
+  (match Arena.find a key with
+  | -1 ->
+    let stamp = next_stamp t in
+    ignore (Arena.append a key (Arena.encode t.pool out) stamp);
+    f.last_modified <- stamp;
+    t.n_rows_cache <- t.n_rows_cache + 1
+  | r ->
+    let old_out = Arena.decode t.pool (Arena.out_code a r) in
+    let merged = merge_outputs t f old_out out in
+    if not (Value.equal merged old_out) then begin
       let stamp = next_stamp t in
-      ignore (Arena.append a key (Arena.encode t.pool out) stamp);
-      f.last_modified <- stamp;
-      t.n_rows_cache <- t.n_rows_cache + 1
-    | r ->
-      let old_out = Arena.decode t.pool (Arena.out_code a r) in
-      let merged = merge_outputs t f old_out out in
-      if not (Value.equal merged old_out) then begin
-        let stamp = next_stamp t in
-        ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
-        f.last_modified <- stamp
-      end));
+      ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
+      f.last_modified <- stamp
+    end);
   if t.immediate_rebuild then rebuild t
 
 (* ------------------------------------------------------------------ *)
-(* Code-level operations (compiled appliers, arena engine only)        *)
+(* Code-level operations (compiled appliers)                           *)
 (* ------------------------------------------------------------------ *)
 
 let canon_code t c = Arena.canon_code t.uf t.pool c
 let code_matches_sort t k c = value_matches_sort t k (Arena.decode t.pool c)
 
-(** Code-level {!apply} for compiled appliers (arena store only): [key]'s
-    codes are canonicalized {e in place}, and the result is the output
-    code, or [-1] when the function has no defined output for [key].
-    Identical semantics to {!apply} — misses insert for constructors and
-    relations — minus every intermediate [Value.t]. *)
+(** Code-level {!apply} for compiled appliers: [key]'s codes are
+    canonicalized {e in place}, and the result is the output code, or [-1]
+    when the function has no defined output for [key].  Identical
+    semantics to {!apply} — misses insert for constructors and relations —
+    minus every intermediate [Value.t]. *)
 let apply_codes t f (key : int array) : int =
-  match f.store with
-  | S_hash _ -> invalid_arg "Egraph.apply_codes: legacy store"
-  | S_arena a ->
-    for i = 0 to Array.length key - 1 do
-      key.(i) <- Arena.canon_code t.uf t.pool key.(i)
-    done;
-    let r = Arena.find a key in
-    if r >= 0 then Arena.canon_code t.uf t.pool (Arena.out_code a r)
-    else
-      let insert out =
-        let stamp = next_stamp t in
-        ignore (Arena.append a key out stamp);
-        f.last_modified <- stamp;
-        t.n_rows_cache <- t.n_rows_cache + 1;
-        out
-      in
-      if is_constructor f then insert (Arena.code_of_class (fresh_class t))
-      else if f.ret_sort = S_unit then insert (Arena.encode t.pool Value.Unit)
-      else -1
-
-(** Code-level {!set} (arena store only); [key] canonicalized in place. *)
-let set_codes t f (key : int array) (out : int) =
-  match f.store with
-  | S_hash _ -> invalid_arg "Egraph.set_codes: legacy store"
-  | S_arena a -> (
-    for i = 0 to Array.length key - 1 do
-      key.(i) <- Arena.canon_code t.uf t.pool key.(i)
-    done;
-    let out = Arena.canon_code t.uf t.pool out in
-    match Arena.find a key with
-    | -1 ->
+  let a = f.store in
+  for i = 0 to Array.length key - 1 do
+    key.(i) <- Arena.canon_code t.uf t.pool key.(i)
+  done;
+  let r = Arena.find a key in
+  if r >= 0 then Arena.canon_code t.uf t.pool (Arena.out_code a r)
+  else
+    let insert out =
       let stamp = next_stamp t in
       ignore (Arena.append a key out stamp);
       f.last_modified <- stamp;
-      t.n_rows_cache <- t.n_rows_cache + 1
-    | r ->
-      let old_code = Arena.out_code a r in
-      if old_code <> out then begin
-        (* merge functions are value-level; only conflicts pay the decode *)
-        let old_out = Arena.decode t.pool old_code in
-        let merged = merge_outputs t f old_out (Arena.decode t.pool out) in
-        if not (Value.equal merged old_out) then begin
-          let stamp = next_stamp t in
-          ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
-          f.last_modified <- stamp
-        end
-      end)
+      t.n_rows_cache <- t.n_rows_cache + 1;
+      out
+    in
+    if is_constructor f then insert (Arena.code_of_class (fresh_class t))
+    else if f.ret_sort = S_unit then insert (Arena.encode t.pool Value.Unit)
+    else -1
+
+(** Code-level {!set}; [key] canonicalized in place. *)
+let set_codes t f (key : int array) (out : int) =
+  let a = f.store in
+  for i = 0 to Array.length key - 1 do
+    key.(i) <- Arena.canon_code t.uf t.pool key.(i)
+  done;
+  let out = Arena.canon_code t.uf t.pool out in
+  match Arena.find a key with
+  | -1 ->
+    let stamp = next_stamp t in
+    ignore (Arena.append a key out stamp);
+    f.last_modified <- stamp;
+    t.n_rows_cache <- t.n_rows_cache + 1
+  | r ->
+    let old_code = Arena.out_code a r in
+    if old_code <> out then begin
+      (* merge functions are value-level; only conflicts pay the decode *)
+      let old_out = Arena.decode t.pool old_code in
+      let merged = merge_outputs t f old_out (Arena.decode t.pool out) in
+      if not (Value.equal merged old_out) then begin
+        let stamp = next_stamp t in
+        ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
+        f.last_modified <- stamp
+      end
+    end
 
 (** Code-level {!union_values}. *)
 let union_codes t a b =
@@ -793,21 +590,9 @@ let union_codes t a b =
 (** [delete t f args] removes a row if present. *)
 let delete t f args =
   let args = canon_args t args in
-  let removed =
-    match f.store with
-    | S_hash tbl ->
-      if Value.Args_tbl.mem tbl args then begin
-        Value.Args_tbl.remove tbl args;
-        true
-      end
-      else false
-    | S_arena a -> Arena.remove a (encode_args t args)
-  in
-  if removed then begin
+  if Arena.remove f.store (encode_args t args) then begin
     f.last_modified <- next_stamp t;
     t.n_rows_cache <- t.n_rows_cache - 1
-    (* the journal entry for the removed row goes dead automatically: its
-       key no longer resolves to its row *)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -868,57 +653,8 @@ let cost_override t f args =
     | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Seminaive deltas and output queries                                 *)
+(* Output queries                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(** [iter_rows_since t f ~since k] iterates only the rows of [f] inserted
-    or rewritten strictly after stamp [since], as
-    (canonical args, canonical output, stamp) — the seminaive delta.
-    Cost is proportional to the number of rows newer than [since], not the
-    table size.  The legacy store scans its journal suffix; the arena
-    store {e is} its own journal (rows are appended in stamp order), so
-    the delta is a binary search plus a suffix walk. *)
-let iter_rows_since t f ~since k =
-  match f.store with
-  | S_hash _ ->
-    (* journal entries are in stamp order: scan the suffix *)
-    let lo =
-      (* binary search for the first entry with stamp > since *)
-      let lo = ref 0 and hi = ref f.log_len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if f.log.(mid).le_stamp > since then hi := mid else lo := mid + 1
-      done;
-      !lo
-    in
-    for i = lo to f.log_len - 1 do
-      let e = f.log.(i) in
-      if log_entry_live f e then
-        k (canon_args t e.le_args) (canon t e.le_row.out) e.le_stamp
-    done
-  | S_arena a ->
-    let arity = Array.length f.arg_sorts in
-    let lo = Arena.delta_start a ~since in
-    for r = lo to Arena.n_rows a - 1 do
-      if not (Arena.is_dead a r) then begin
-        let args = decode_row_args t a ~arity r in
-        let out = Arena.decode t.pool (Arena.out_code a r) in
-        k (canon_args t args) (canon t out) (Arena.stamp a r)
-      end
-    done
-
-(** [lookup_row t f args] is {!lookup} plus the row's stamp. *)
-let lookup_row t f args =
-  let args = canon_args t args in
-  match f.store with
-  | S_hash tbl -> (
-    match Value.Args_tbl.find_opt tbl args with
-    | Some row -> Some (canon t row.out, row.stamp)
-    | None -> None)
-  | S_arena a ->
-    let r = Arena.find a (encode_args t args) in
-    if r < 0 then None
-    else Some (canon t (Arena.decode t.pool (Arena.out_code a r)), Arena.stamp a r)
 
 (** [rows_with_output t f cls] lists rows of [f] whose output is in class
     [cls] — the e-nodes of [cls] built by [f]. *)
@@ -935,32 +671,14 @@ let rows_with_output t f cls =
 (* ------------------------------------------------------------------ *)
 
 (** Deep copy of the whole e-graph (tables, union-find, cost overrides).
-    Used by the interpreter's [push]/[pop].  Key arrays are {e shared}
-    with the original, not copied: no operation ever mutates a stored key
-    array in place (canonicalization removes rows and inserts fresh
-    arrays), so the copy only needs fresh row records and table spines.
-    Arena tables copy flat int arrays, which is the cheap case.  The value
-    pool is shared too — it is append-only, and codes stay valid across
-    snapshots. *)
+    Used by the interpreter's [push]/[pop].  Arena tables copy flat int
+    arrays.  The value pool is shared — it is append-only, and codes stay
+    valid across snapshots. *)
 let copy t : t =
-  let copy_func (f : func) =
-    let store =
-      match f.store with
-      | S_hash tbl ->
-        let tbl' = Value.Args_tbl.create (Value.Args_tbl.length tbl) in
-        Value.Args_tbl.iter
-          (fun k (row : row) ->
-            Value.Args_tbl.replace tbl' k { out = row.out; stamp = row.stamp })
-          tbl;
-        S_hash tbl'
-      | S_arena a -> S_arena (Arena.copy a)
-    in
-    (* the journal restarts empty: a restored snapshot forces full rescans
-       anyway (the interpreter resets every rule's scan horizon on pop) *)
-    { f with store; log = [||]; log_len = 0 }
-  in
   let funcs = Symbol.Tbl.create (Symbol.Tbl.length t.funcs) in
-  Symbol.Tbl.iter (fun sym f -> Symbol.Tbl.replace funcs sym (copy_func f)) t.funcs;
+  Symbol.Tbl.iter
+    (fun sym f -> Symbol.Tbl.replace funcs sym { f with store = Arena.copy f.store })
+    t.funcs;
   let costs = Symbol.Tbl.create (Symbol.Tbl.length t.costs) in
   Symbol.Tbl.iter
     (fun sym tbl ->
@@ -969,7 +687,6 @@ let copy t : t =
       Symbol.Tbl.replace costs sym tbl')
     t.costs;
   {
-    engine = t.engine;
     uf = Union_find.copy t.uf;
     pool = t.pool;
     funcs;

@@ -7,9 +7,8 @@
     a table row; congruence closure is table re-canonicalization
     ({!rebuild}) after unions.
 
-    Two storage {!engine}s implement the table contract: [Legacy] (boxed
-    hashtables + a separate journal) and [Arena] (flat int arrays of codes,
-    appended in stamp order — see {!Arena}).  [Arena] is the default. *)
+    Every table is a flat {!Arena} of int codes, appended in stamp order
+    so the table doubles as its own seminaive journal. *)
 
 exception Error of string
 
@@ -26,18 +25,10 @@ type sort_kind =
 
 val pp_sort_kind : Format.formatter -> sort_kind -> unit
 
-(** Row storage backend. *)
-type engine = Legacy | Arena
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
-
-type row = { mutable out : Value.t; mutable stamp : int }
-
-type log_entry = { le_args : Value.t array; le_row : row; le_stamp : int }
-
-(** Row storage: boxed hashtable + journal, or a flat arena. *)
-type store = S_hash of row Value.Args_tbl.t | S_arena of Arena.table
+(** The storage engine.  The flat arena is the only one; the type is kept
+    so that callers written against the old two-engine API, such as
+    [perfbench/replica.ml] passing [Interp.create ~engine], still build. *)
+type engine = Arena
 
 (** A function table.  [cost] and [unextractable] drive extraction;
     [merge] reconciles conflicting primitive outputs for one key. *)
@@ -48,27 +39,18 @@ type func = private {
   cost : int option;
   unextractable : bool;
   merge : (Value.t -> Value.t -> Value.t) option;
-  mutable store : store;
+  store : Arena.table;
   mutable last_modified : int;
       (** stamp of the last change to this table (insert, output change,
           delete, canonicalization) — drives dirty-table rule skipping and
           matcher index invalidation *)
-  mutable log : log_entry array;
-      (** legacy journal of insertions and rewrites in stamp order;
-          {!iter_rows_since} scans its suffix for seminaive deltas.  Arena
-          tables are their own journal and leave this empty. *)
-  mutable log_len : int;
 }
 
 (** Is the function's output an equivalence sort (i.e. is it a
     constructor)? *)
 val is_constructor : func -> bool
 
-(** The arena table behind [f], when the arena engine is in use. *)
-val arena_of : func -> Arena.table option
-
 type t = {
-  engine : engine;
   uf : Union_find.t;
   pool : Arena.pool;
   funcs : func Symbol.Tbl.t;
@@ -86,10 +68,9 @@ type t = {
       (** exact live row count, maintained incrementally — {!n_nodes} *)
 }
 
-(** [create ?engine ()] makes an empty e-graph.  Default engine: [Arena]. *)
-val create : ?engine:engine -> unit -> t
+(** An empty e-graph. *)
+val create : unit -> t
 
-val engine : t -> engine
 val pool : t -> Arena.pool
 val uf : t -> Union_find.t
 
@@ -136,10 +117,6 @@ val fresh_class : t -> int
 (** Output for the given key, if the row exists. *)
 val lookup : t -> func -> Value.t array -> Value.t option
 
-(** {!lookup} plus the row's stamp (when it was inserted or last
-    rewritten) — used by seminaive delta checks. *)
-val lookup_row : t -> func -> Value.t array -> (Value.t * int) option
-
 (** Constructor/table application: look up; on a miss, constructors
     allocate a fresh class, relations assert the fact, other functions
     return [None]. *)
@@ -157,7 +134,7 @@ val union : t -> int -> int -> unit
 (** Union two values: e-class refs are merged; distinct primitives error. *)
 val union_values : t -> Value.t -> Value.t -> unit
 
-(** {2 Code-level operations (arena engine only)}
+(** {2 Code-level operations}
 
     Used by the compiled (packed) apply path: arguments and results are
     arena codes, so the hot path performs no [Value.t] allocation. *)
@@ -170,10 +147,10 @@ val code_matches_sort : t -> sort_kind -> int -> bool
 
 (** Code-level {!apply}: the key codes are canonicalized {e in place};
     returns the output code, or [-1] when the function has no defined
-    output.  Raises [Invalid_argument] on a legacy store. *)
+    output. *)
 val apply_codes : t -> func -> int array -> int
 
-(** Code-level {!set}; key canonicalized in place.  Arena store only. *)
+(** Code-level {!set}; key canonicalized in place. *)
 val set_codes : t -> func -> int array -> int -> unit
 
 (** Code-level {!union_values}. *)
@@ -209,7 +186,7 @@ val recount_nodes : t -> int
 
 val n_classes : t -> int
 
-(** Approximate footprint in words (tables + journals + cost overrides +
+(** Approximate footprint in words (tables + cost overrides +
     union-find + value pool) — the gauge for {!Limits} memory budgets.
     An estimate, not an accounting: proportional to e-graph size, cheap to
     compute. *)
@@ -217,28 +194,17 @@ val approx_memory_words : t -> int
 
 (** Iterate rows as (canonical args, canonical output).  When the graph is
     clean (no pending unions) rows are served as stored, with no per-row
-    canonicalization or copying. *)
+    canonicalization. *)
 val iter_rows : t -> func -> (Value.t array -> Value.t -> unit) -> unit
 
-(** {!iter_rows} plus each row's stamp. *)
-val iter_rows_stamped :
-  t -> func -> (Value.t array -> Value.t -> int -> unit) -> unit
-
 val fold_rows : t -> func -> 'a -> ('a -> Value.t array -> Value.t -> 'a) -> 'a
-
-(** Iterate only the rows inserted or rewritten strictly after stamp
-    [since], as (canonical args, canonical output, stamp).  Cost scales
-    with the delta, not the table. *)
-val iter_rows_since :
-  t -> func -> since:int -> (Value.t array -> Value.t -> int -> unit) -> unit
 
 (** Rows of [f] whose output is in the given class — its e-nodes built by
     [f]. *)
 val rows_with_output : t -> func -> int -> (Value.t array * Value.t) list
 
-(** Deep copy of the whole e-graph (for push/pop).  Key arrays and the
-    value pool are shared with the original (neither is ever mutated in
-    place), so snapshots cost O(rows), not O(rows × arity). *)
+(** Deep copy of the whole e-graph (for push/pop).  The append-only value
+    pool is shared with the original; the arena tables are copied flat. *)
 val copy : t -> t
 
 val pp_stats : Format.formatter -> t -> unit

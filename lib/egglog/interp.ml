@@ -45,16 +45,18 @@ type rule = {
   r_actions : Ast.action list;
   r_ruleset : string option;  (** [None] = the default ruleset *)
   r_refs : Symbol.t list;  (** function tables the premises read *)
-  r_plan : Matcher.plan;  (** compiled premises for seminaive matching *)
-  mutable r_gplan : Matcher.gplan option option;
-      (** generic-join compilation of [r_plan], resolved lazily at first
-          search ([None] = not yet attempted; [Some None] = falls back to
-          the env-list matcher) *)
+  r_plan : Matcher.plan;  (** flattened premises *)
+  mutable r_gplan : Matcher.gplan option;
+      (** generic-join compilation of [r_plan], made at the first search
+          (and again after a [pop], which restores older globals) *)
   mutable r_capply : capply option option;
       (** slot-compiled actions for the packed apply path, resolved lazily
           with [r_gplan] ([Some None] = action shape needs the env
           interpreter) *)
   mutable r_last_scan : int;  (** e-graph clock at the last match scan *)
+  mutable r_pins : int array;
+      (** canonical codes of the globals the premises name, as of the last
+          match scan ({!Matcher.pins}) *)
   (* backoff scheduler state (egg's BackoffScheduler) *)
   mutable r_times_banned : int;
   mutable r_banned_until : int;  (** absolute iteration number; banned while
@@ -147,7 +149,8 @@ type t = {
   mutable disable_dirty_skip : bool;
       (** testing/ablation: always rescan every rule *)
   mutable naive_matching : bool;
-      (** fall back to full re-matching instead of seminaive deltas *)
+      (** search every due rule in full ([since = -1]) instead of
+          seminaive deltas *)
   mutable jobs : int;
       (** search-phase parallelism: rules are partitioned across this many
           OCaml domains; 1 = fully sequential *)
@@ -180,7 +183,7 @@ and snapshot = {
   s_rulesets : string list;
 }
 
-let create ?(max_nodes = 200_000) ?timeout ?limits ?(engine = Egraph.Arena)
+let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine option)
     ?(jobs = 1) () =
   let limits =
     match limits with
@@ -191,7 +194,7 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?(engine = Egraph.Arena)
         ()
   in
   {
-    eg = Egraph.create ~engine ();
+    eg = Egraph.create ();
     globals = Hashtbl.create 64;
     rules = [];
     rulesets = [];
@@ -220,7 +223,6 @@ let limits t = t.limits
 let set_naive_matching t b = t.naive_matching <- b
 let set_jobs t n = t.jobs <- max 1 n
 let jobs t = t.jobs
-let engine t = Egraph.engine t.eg
 let set_backoff t b = t.backoff <- b
 let set_match_limit t n = t.match_limit <- n
 let set_ban_length t n = t.ban_length <- n
@@ -626,6 +628,29 @@ let action_vars (actions : Ast.action list) : string list =
     actions;
   !acc
 
+(* the generic-join plan of [r], compiled on first use *)
+let gplan_of idx r =
+  match r.r_gplan with
+  | Some gp -> gp
+  | None ->
+    let gp = Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan in
+    r.r_gplan <- Some gp;
+    gp
+
+(* has a global the premises name changed class since the last scan?  Old
+   rows can match it now, so the rule is due even if its tables are not *)
+let pins_moved idx r =
+  match r.r_gplan with Some gp -> Matcher.pins idx gp <> r.r_pins | None -> false
+
+(* one due rule, ready to search *)
+type prepared = {
+  s_rule : rule;
+  s_gplan : Matcher.gplan;
+  s_packed : capply option;  (* [Some] = packed matches, compiled applier *)
+  s_since : int;
+  s_pins : int array;
+}
+
 let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   (* cheap when the previous iteration left the graph clean: rebuild is a
      no-op unless unions are pending (the e-graph's dirty flag) *)
@@ -651,61 +676,48 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
           ban_skipped := true;
           false
         end
-        else rule_dirty t r)
+        else rule_dirty t r || pins_moved idx r)
       t.rules
   in
-  (* resolve each rule's search path up front (compiling generic-join
-     plans on first use): the search phase itself must not write any
-     shared state when it runs on several domains *)
-  let path r =
-    if t.naive_matching then `Naive
-    else begin
-      let gp =
-        match r.r_gplan with
-        | Some gp -> gp
+  (* resolve each rule's search up front (compiling generic-join plans
+     and packed appliers on first use): the search phase itself must not
+     write any shared state when it runs on several domains *)
+  let prepare r =
+    let gp = gplan_of idx r in
+    let pins = Matcher.pins idx gp in
+    (* naive matching, and a rule whose globals' classes merged since its
+       last scan, search in full *)
+    let since = if t.naive_matching || pins <> r.r_pins then -1 else r.r_last_scan in
+    let packed =
+      if not (Matcher.gp_packed_ok gp) then None
+      else
+        match r.r_capply with
+        | Some ca -> ca
         | None ->
-          let gp = Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan in
-          r.r_gplan <- Some gp;
-          gp
-      in
-      match gp with
-      | Some gp when Matcher.gp_packed_ok gp -> (
-        (* handles the first scan too: since = -1 *)
-        let ca =
-          match r.r_capply with
-          | Some ca -> ca
-          | None ->
-            let ca =
-              compile_actions t.eg (Matcher.gp_slot_names gp)
-                (Matcher.gp_slot_sorts idx gp) r.r_actions
-            in
-            r.r_capply <- Some ca;
-            ca
-        in
-        match ca with Some ca -> `Packed (gp, ca) | None -> `Generic gp)
-      | Some gp -> `Generic gp
-      | None ->
-        if r.r_last_scan >= 0 && Matcher.eligible r.r_plan then `Plan else `Naive
-    end
+          let ca =
+            compile_actions t.eg (Matcher.gp_slot_names gp)
+              (Matcher.gp_slot_sorts idx gp) r.r_actions
+          in
+          r.r_capply <- Some ca;
+          ca
+    in
+    { s_rule = r; s_gplan = gp; s_packed = packed; s_since = since; s_pins = pins }
   in
-  let paths = List.map (fun r -> (r, path r)) due in
-  let search (r, p) =
+  let prepared = List.map prepare due in
+  let search s =
     let t0 = Unix.gettimeofday () in
     let ms =
-      match p with
-      | `Packed (gp, ca) ->
-        M_packed (ca, Matcher.gsolve_packed idx gp ~since:r.r_last_scan)
-      | `Generic gp -> M_envs (Matcher.gsolve idx gp ~since:r.r_last_scan)
-      | `Plan -> M_envs (Matcher.solve_plan_legacy idx r.r_plan ~since:r.r_last_scan)
-      | `Naive -> M_envs (Matcher.solve_facts idx r.r_facts)
+      match s.s_packed with
+      | Some ca -> M_packed (ca, Matcher.gsolve_packed idx s.s_gplan ~since:s.s_since)
+      | None -> M_envs (Matcher.gsolve idx s.s_gplan ~since:s.s_since)
     in
     (ms, Unix.gettimeofday () -. t0)
   in
   (* search phase: all rules match against the same snapshot *)
   let searched =
-    let n_due = List.length paths in
+    let n_due = List.length prepared in
     let nd = min t.jobs n_due in
-    if nd <= 1 then List.map (fun rp -> (fst rp, search rp)) paths
+    if nd <= 1 then List.map (fun s -> (s, search s)) prepared
     else begin
       (* parallel search across rule partitions.  The e-graph is strictly
          read-only here: the union-find is frozen (fully compressed, then
@@ -715,14 +727,8 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
          back in registration order and all scheduling (budgets, bans,
          scan horizons) stays sequential, so [-jN] computes exactly what
          [-j1] does. *)
-      List.iter
-        (fun (r, p) ->
-          Matcher.prewarm idx r.r_plan
-            (match p with
-            | `Packed (gp, _) | `Generic gp -> Some gp
-            | `Plan | `Naive -> None))
-        paths;
-      let arr = Array.of_list paths in
+      List.iter (fun s -> Matcher.prewarm idx s.s_gplan) prepared;
+      let arr = Array.of_list prepared in
       let results = Array.make (Array.length arr) (M_envs [], 0.) in
       Union_find.freeze (Egraph.uf t.eg) true;
       Arena.set_threadsafe (Egraph.pool t.eg) true;
@@ -748,13 +754,14 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
       Arena.set_threadsafe (Egraph.pool t.eg) false;
       Union_find.freeze (Egraph.uf t.eg) false;
       (match !exns with e :: _ -> raise e | [] -> ());
-      Array.to_list (Array.mapi (fun i (r, _) -> (r, results.(i))) arr)
+      Array.to_list (Array.mapi (fun i s -> (s, results.(i))) arr)
     end
   in
   (* sequential bookkeeping: budgets, bans, scan horizons *)
   let batches =
     List.filter_map
-      (fun (r, (ms, dt)) ->
+      (fun (s, (ms, dt)) ->
+        let r = s.s_rule in
         r.r_n_searches <- r.r_n_searches + 1;
         r.r_search_time <- r.r_search_time +. dt;
         stats.search_time <- stats.search_time +. dt;
@@ -773,6 +780,7 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
         end
         else begin
           r.r_last_scan <- scan_clock;
+          r.r_pins <- s.s_pins;
           Some (r, ms)
         end)
       searched
@@ -997,6 +1005,7 @@ let add_rule t ?name ?ruleset facts actions =
           r_gplan = None;
           r_capply = None;
           r_last_scan = -1;
+          r_pins = [||];
           r_times_banned = 0;
           r_banned_until = 0;
           r_n_searches = 0;
@@ -1016,6 +1025,15 @@ let add_rewrite t ?ruleset ~(lhs : Ast.expr) ~(rhs : Ast.expr) ~(conds : Ast.fac
     [ Ast.A_union (Var root, rhs) ]
 
 let emit t o = t.outputs <- o :: t.outputs
+
+(** Every binding of [facts]' own variables in the current e-graph,
+    through the full join. *)
+let query t facts =
+  Egraph.rebuild t.eg;
+  Matcher.query (get_index t) facts
+
+(** Each rule's name and premises, in registration order. *)
+let premises t = List.map (fun r -> (r.r_name, r.r_facts)) t.rules
 
 let run_command t (c : Ast.command) : unit =
   match c with
@@ -1083,9 +1101,7 @@ let run_command t (c : Ast.command) : unit =
       | prim -> emit t (O_variants [ (Extract.prim prim, 0) ])
     end
   | C_check facts ->
-    Egraph.rebuild t.eg;
-    let envs = Matcher.solve_facts (get_index t) facts in
-    if envs = [] then
+    if query t facts = [] then
       error "check failed: %a" Fmt.(list ~sep:sp Ast.pp_fact) facts
     else emit t O_checked
   | C_print_function (name, n) ->
@@ -1126,9 +1142,11 @@ let run_command t (c : Ast.command) : unit =
       List.iter
         (fun r ->
           r.r_last_scan <- -1;
+          r.r_pins <- [||];
           r.r_banned_until <- 0;
-          (* compiled appliers hold function records of the discarded
-             graph — recompile against the restored one *)
+          (* compiled plans and appliers hold function records and globals
+             of the discarded graph — recompile against the restored one *)
+          r.r_gplan <- None;
           r.r_capply <- None)
         t.rules;
       (* applied-cost memo refers to the discarded graph's codes *)

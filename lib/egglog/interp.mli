@@ -7,7 +7,7 @@
 exception Error of string
 
 (** Actions compiled against a packed-match slot layout (opaque): the
-    arena engine's fast apply path, with no per-match name lookups. *)
+    fast apply path, with no per-match name lookups. *)
 type capply
 
 type rule = {
@@ -16,11 +16,10 @@ type rule = {
   r_actions : Ast.action list;
   r_ruleset : string option;  (** [None] = the default ruleset *)
   r_refs : Symbol.t list;  (** function tables the premises read *)
-  r_plan : Matcher.plan;  (** compiled premises for seminaive matching *)
-  mutable r_gplan : Matcher.gplan option option;
-      (** generic-join compilation of [r_plan], resolved lazily at first
-          search ([None] = not yet attempted; [Some None] = env-list
-          fallback) *)
+  r_plan : Matcher.plan;  (** flattened premises *)
+  mutable r_gplan : Matcher.gplan option;
+      (** generic-join compilation of [r_plan], made at the first search
+          (and again after a [pop], which restores older globals) *)
   mutable r_capply : capply option option;
       (** slot-compiled actions for the packed apply path, resolved lazily
           with [r_gplan] ([Some None] = action shape needs the env
@@ -29,6 +28,9 @@ type rule = {
       (** e-graph clock at the last match scan; seminaive matching scans
           only rows stamped after this, and rules none of whose referenced
           tables changed since are skipped outright *)
+  mutable r_pins : int array;
+      (** canonical codes of the globals the premises name, as of the last
+          match scan: when they move, the next search is a full one *)
   mutable r_times_banned : int;
   mutable r_banned_until : int;
       (** backoff scheduler: skipped while [iteration < r_banned_until] *)
@@ -99,9 +101,10 @@ type t
     instead of dirty-table skipping. *)
 val set_disable_dirty_skip : t -> bool -> unit
 
-(** Fall back to full (naive) re-matching instead of seminaive deltas.
-    Observationally identical, asymptotically slower — for ablation and
-    the [--naive-matching] CLI escape hatch. *)
+(** Naive matching: search every due rule in full ([since = -1], the
+    whole join) instead of its seminaive delta.  Same join, same fixpoint,
+    asymptotically slower — for ablation and the [--naive-matching] CLI
+    escape hatch. *)
 val set_naive_matching : t -> bool -> unit
 
 (** Search-phase parallelism: partition due rules across [n] OCaml domains
@@ -111,9 +114,6 @@ val set_naive_matching : t -> bool -> unit
 val set_jobs : t -> int -> unit
 
 val jobs : t -> int
-
-(** Storage engine of the underlying e-graph. *)
-val engine : t -> Egraph.engine
 
 (** Enable/disable the backoff rule scheduler (default: enabled).  When
     disabled every due rule fires every iteration and saturation detection
@@ -135,8 +135,8 @@ val rule_stats : t -> rule_stat list
 (** Fresh engine.  [limits] sets the full resource budget; the legacy
     [max_nodes] (default 200k) and [timeout] (seconds) are shorthands for
     a node-and-time-only budget and are ignored when [limits] is given.
-    [engine] picks the e-graph storage backend (default [Arena]); [jobs]
-    the search-phase parallelism (default 1). *)
+    [engine] is accepted and ignored: the arena is the only storage
+    engine.  [jobs] is the search-phase parallelism (default 1). *)
 val create :
   ?max_nodes:int ->
   ?timeout:float ->
@@ -179,6 +179,14 @@ val eval : t -> Matcher.env -> Ast.expr -> Value.t
 
 (** Execute one action; returns the (possibly extended) environment. *)
 val run_action : t -> Matcher.env -> Ast.action -> Matcher.env
+
+(** Every binding of the premises' own variables in the current e-graph
+    (rebuilt first), through the full generic join — what [(check ...)]
+    asks. *)
+val query : t -> Ast.fact list -> Matcher.env list
+
+(** Each registered rule's name and premises, in registration order. *)
+val premises : t -> (string * Ast.fact list) list
 
 (** Register a rule programmatically. *)
 val add_rule :

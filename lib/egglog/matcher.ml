@@ -1,24 +1,19 @@
 (** E-matching: finding all substitutions under which a rule's premises hold
     in the current e-graph.
 
-    The matcher works on a snapshot {!index} of the e-graph, built once per
-    saturation iteration after {!Egraph.rebuild}: for every function we
-    collect its canonical rows and index them by output e-class, so that
-    nested patterns ([(Div (Mul ?x ?y) ?z)]) can look up the candidate child
-    e-nodes in O(1).
-
-    Premises (facts) are solved left to right over a list of candidate
-    environments:
-    - an application whose head is a declared function is a {e pattern}: it
-      is matched against the function's rows (a relational join);
-    - an application whose head is a primitive is {e evaluated}; in guard
-      position it must produce [true];
-    - [(= e1 e2 ...)] unifies the value of all [ei], binding variables that
-      are still free.
+    There is one matcher, the generic join.  A rule's premises are
+    flattened once ({!compile}) and then compiled against the e-graph
+    ({!gcompile}) into flat table atoms — every column a variable, a
+    literal, a global, or a wildcard — plus {e residual} facts that only
+    involve primitives.  {!gsolve} joins the atoms variable by variable
+    over per-(function, column) indexes of the arena tables, seminaively
+    (only matches involving a row newer than a given stamp), and then runs
+    the residuals over the decoded environments, each once what it
+    evaluates is bound.
 
     Variable conventions: [?x] is always a pattern variable; a bare name is
-    resolved as a rule-local or global binding if one exists, and is
-    otherwise treated as a pattern variable (Egglog "new syntax"). *)
+    a global when one of that name exists, and is otherwise a pattern
+    variable (Egglog "new syntax"). *)
 
 exception Error of string
 
@@ -31,21 +26,6 @@ type env = Value.t Env.t
 (* ------------------------------------------------------------------ *)
 (* Persistent index                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Cached indexes for one function table, over entries of (canonical args,
-   canonical output, row stamp): [by_output] buckets rows by output e-class
-   (joining a pattern whose result class is known), [by_arg] buckets rows
-   by (argument position, argument e-class) (joining a pattern any of whose
-   arguments is known).  Buckets are mutable list refs so construction is a
-   single linear pass (one hash lookup + cons per row per key).  The cache
-   is invalidated by the table's [last_modified] stamp, so across
-   saturation iterations only the tables that actually changed are
-   re-indexed — untouched tables keep their index verbatim. *)
-type fcache = {
-  mutable by_output : (int, (Value.t array * Value.t * int) list ref) Hashtbl.t;
-  mutable by_arg : (int * int, (Value.t array * Value.t * int) list ref) Hashtbl.t;
-  mutable built_at : int;  (* the table's last_modified when built *)
-}
 
 (* Growable ascending row-id vector: one column-index bucket.  Kept as
    (buffer, length) so appending new rows between iterations never copies
@@ -81,83 +61,24 @@ type colindex = {
 type index = {
   eg : Egraph.t;
   globals : (string, Value.t) Hashtbl.t;
-  caches : fcache Symbol.Tbl.t;
   colindexes : colindex Symbol.Tbl.t;
 }
 
 (** Build a matching index over [eg].  [globals] are the interpreter's
     top-level let-bindings.  The index is cheap to create and {e persistent}:
-    per-function structures are built lazily on first use and reused across
-    saturation iterations until the underlying table changes.  Matching
-    requires the e-graph to be rebuilt (congruence restored). *)
-let make_index eg globals : index =
-  { eg; globals; caches = Symbol.Tbl.create 64; colindexes = Symbol.Tbl.create 64 }
-
-let func_of idx sym : Egraph.func =
-  match Egraph.find_func_opt idx.eg sym with
-  | Some f -> f
-  | None -> error "unknown function %s in pattern" (Symbol.name sym)
-
-let bucket_add tbl key entry =
-  match Hashtbl.find_opt tbl key with
-  | Some bucket -> bucket := entry :: !bucket
-  | None -> Hashtbl.add tbl key (ref [ entry ])
-
-let fcache_of idx (f : Egraph.func) : fcache =
-  let c =
-    match Symbol.Tbl.find_opt idx.caches f.sym with
-    | Some c -> c
-    | None ->
-      let c = { by_output = Hashtbl.create 8; by_arg = Hashtbl.create 8; built_at = min_int } in
-      Symbol.Tbl.replace idx.caches f.sym c;
-      c
-  in
-  if c.built_at < f.Egraph.last_modified then begin
-    let n =
-      max 8
-        (match f.Egraph.store with
-        | Egraph.S_hash tbl -> Value.Args_tbl.length tbl
-        | Egraph.S_arena a -> Arena.n_live a)
-    in
-    let out_tbl = Hashtbl.create n in
-    let arg_tbl = Hashtbl.create n in
-    Egraph.iter_rows_stamped idx.eg f (fun cargs out stamp ->
-        let entry = (cargs, out, stamp) in
-        (match out with
-        | Value.Eclass id -> bucket_add out_tbl id entry
-        | _ -> ());
-        Array.iteri
-          (fun i a ->
-            match a with Value.Eclass id -> bucket_add arg_tbl (i, id) entry | _ -> ())
-          cargs);
-    c.by_output <- out_tbl;
-    c.by_arg <- arg_tbl;
-    c.built_at <- f.Egraph.last_modified
-  end;
-  c
-
-(** Rows of [f] whose output is in class [cls], with their stamps. *)
-let rows_of_output idx (f : Egraph.func) cls : (Value.t array * Value.t * int) list =
-  let c = fcache_of idx f in
-  match Hashtbl.find_opt c.by_output (Egraph.find_class idx.eg cls) with
-  | Some bucket -> !bucket
-  | None -> []
-
-let rows_with_output idx sym cls : (Value.t array * Value.t * int) list =
-  rows_of_output idx (func_of idx sym) cls
-
-(** Rows of [f] whose [pos]-th argument is in class [cls]. *)
-let rows_with_arg idx (f : Egraph.func) pos cls : (Value.t array * Value.t * int) list =
-  let c = fcache_of idx f in
-  match Hashtbl.find_opt c.by_arg (pos, Egraph.find_class idx.eg cls) with
-  | Some bucket -> !bucket
-  | None -> []
+    column indexes are built lazily on first probe and kept up to date
+    incrementally across saturation iterations.  Matching requires the
+    e-graph to be rebuilt (congruence restored). *)
+let make_index eg globals : index = { eg; globals; colindexes = Symbol.Tbl.create 64 }
 
 (* ------------------------------------------------------------------ *)
 (* Variable resolution                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let is_pattern_var name = String.length name > 0 && name.[0] = '?'
+
+(* a bare name that currently names a global *)
+let is_global idx x = (not (is_pattern_var x)) && Hashtbl.mem idx.globals x
 
 (** Resolve name [x] under [env]: rule-local binding first, then globals. *)
 let resolve idx env x =
@@ -169,20 +90,30 @@ let values_equal idx a b =
   Value.equal a b || Value.equal (Egraph.canon idx.eg a) (Egraph.canon idx.eg b)
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation (ground expressions inside premises)          *)
+(* Residual facts: primitive evaluation over decoded environments      *)
 (* ------------------------------------------------------------------ *)
 
-(** Try to evaluate [e] to a value under [env].  Returns [None] when the
-    expression mentions an unbound variable, a missing table row, or a
-    primitive error — all of which mean "this premise does not (yet) hold".
-    Constructor applications are {e looked up}, never created: premises must
-    not mutate the e-graph. *)
+let value_of_lit : Ast.lit -> Value.t = function
+  | L_i64 n -> I64 n
+  | L_f64 f -> F64 f
+  | L_string s -> Str s
+  | L_bool b -> Bool b
+  | L_unit -> Unit
+
+(* {!gcompile} hoists every table application out of the residuals, so
+   these only ever see variables, literals and primitive calls *)
+let table_in_residual f = error "table application %s in a residual fact" f
+
+(** Try to evaluate [e] to a value under [env].  [None] when the
+    expression mentions an unbound variable or a primitive fails — both
+    mean "this premise does not hold". *)
 let rec eval_opt idx env (e : Ast.expr) : Value.t option =
   match e with
   | Var x -> resolve idx env x
   | Wildcard -> None
   | Lit l -> Some (value_of_lit l)
-  | Call (f, args) -> (
+  | Call (f, args) ->
+    if not (Primitives.is_primitive f) then table_in_residual f;
     let rec eval_args acc = function
       | [] -> Some (List.rev acc)
       | a :: rest -> (
@@ -190,26 +121,8 @@ let rec eval_opt idx env (e : Ast.expr) : Value.t option =
         | Some v -> eval_args (v :: acc) rest
         | None -> None)
     in
-    match eval_args [] args with
-    | None -> None
-    | Some vals -> (
-      if Primitives.is_primitive f then
-        try Some (Primitives.apply f vals) with Primitives.Error _ -> None
-      else
-        match Egraph.find_func_opt idx.eg (Symbol.intern f) with
-        | Some fn -> Egraph.lookup idx.eg fn (Array.of_list vals)
-        | None -> error "unknown function or primitive %s" f))
-
-and value_of_lit : Ast.lit -> Value.t = function
-  | L_i64 n -> I64 n
-  | L_f64 f -> F64 f
-  | L_string s -> Str s
-  | L_bool b -> Bool b
-  | L_unit -> Unit
-
-(* ------------------------------------------------------------------ *)
-(* Pattern matching                                                    *)
-(* ------------------------------------------------------------------ *)
+    Option.bind (eval_args [] args) (fun vals ->
+        try Some (Primitives.apply f vals) with Primitives.Error _ -> None)
 
 (** [match_value idx env pat v] extends [env] in all ways that make [pat]
     match the (canonical) value [v]. *)
@@ -231,167 +144,19 @@ let rec match_value idx env (pat : Ast.expr) (v : Value.t) : env list =
         [ env ]
         (List.mapi (fun i p -> (i, p)) pats)
     | _ -> [])
-  | Call (f, _) when Primitives.is_primitive f -> (
+  | Call (f, _) -> (
+    if not (Primitives.is_primitive f) then table_in_residual f;
     (* computed sub-expression: evaluate and compare *)
     match eval_opt idx env pat with
     | Some pv -> if values_equal idx pv v then [ env ] else []
     | None -> [])
-  | Call (f, arg_pats) -> (
-    (* child e-node pattern: v must be an e-class containing an f-node *)
-    match v with
-    | Eclass cls -> (
-      let sym = Symbol.intern f in
-      match Egraph.find_func_opt idx.eg sym with
-      | None -> error "unknown function or primitive %s" f
-      | Some fn ->
-        List.concat_map
-          (fun (args, _, _) -> match_args idx env arg_pats args)
-          (rows_of_output idx fn cls))
-    | _ -> [])
-
-and match_args idx env (pats : Ast.expr list) (args : Value.t array) : env list =
-  if List.length pats <> Array.length args then []
-  else
-    let rec go envs i = function
-      | [] -> envs
-      | p :: rest ->
-        let envs = List.concat_map (fun env -> match_value idx env p args.(i)) envs in
-        if envs = [] then [] else go envs (i + 1) rest
-    in
-    go [ env ] 0 pats
-
-(** How one table occurrence is restricted in a seminaive delta term.
-    [Δ(R₁⋈…⋈Rₖ) = Σₜ (R₁ᵒˡᵈ ⋈ … ⋈ ΔRₜ ⋈ … ⋈ Rₖᶠᵘˡˡ)]: the [t]-th term
-    takes the delta at occurrence [t], {e old} rows (stamp ≤ since) at
-    occurrences before it and the full table after it, so each combination
-    of rows is produced by exactly one term — no cross-term duplicates. *)
-type occ_mode =
-  | M_full
-  | M_delta of int  (** only rows with stamp > since *)
-  | M_old of int  (** only rows with stamp ≤ since *)
-
-let occ_admits occ stamp =
-  match occ with
-  | M_full -> true
-  | M_delta ts -> stamp > ts
-  | M_old ts -> stamp <= ts
-
-(** First argument pattern already bound to an e-class under [env] (an
-    entry point into the by-arg index). *)
-let find_bound_arg idx env (arg_pats : Ast.expr list) : (int * int) option =
-  let rec go i = function
-    | [] -> None
-    | p :: rest -> (
-      match eval_opt idx env p with
-      | Some v -> (
-        match Egraph.canon idx.eg v with
-        | Value.Eclass id -> Some (i, id)
-        | _ -> go (i + 1) rest)
-      | None -> go (i + 1) rest)
-  in
-  go 0 arg_pats
-
-(** Match a top-level pattern [(f pats)] against rows of [f], yielding
-    [(env, output)] pairs; [occ] restricts which rows participate.  If some
-    argument pattern already has a known e-class value under [env], only
-    the rows sharing that argument are scanned (via the by-arg index); a
-    delta occurrence scans the journal suffix; otherwise the whole table is
-    folded directly — no per-iteration row-list snapshot is materialized. *)
-let match_rooted_occ idx env (f : string) (arg_pats : Ast.expr list)
-    ~(occ : occ_mode) : (env * Value.t) list =
-  let fn = func_of idx (Symbol.intern f) in
-  match occ with
-  | M_delta ts ->
-    let acc = ref [] in
-    Egraph.iter_rows_since idx.eg fn ~since:ts (fun args out _stamp ->
-        List.iter
-          (fun env -> acc := (env, out) :: !acc)
-          (match_args idx env arg_pats args));
-    !acc
-  | M_full | M_old _ -> (
-    match find_bound_arg idx env arg_pats with
-    | Some (pos, cls) ->
-      List.fold_left
-        (fun acc (args, out, stamp) ->
-          if occ_admits occ stamp then
-            List.fold_left
-              (fun acc env -> (env, out) :: acc)
-              acc
-              (match_args idx env arg_pats args)
-          else acc)
-        []
-        (rows_with_arg idx fn pos cls)
-    | None ->
-      let acc = ref [] in
-      Egraph.iter_rows_stamped idx.eg fn (fun args out stamp ->
-          if occ_admits occ stamp then
-            List.iter
-              (fun env -> acc := (env, out) :: !acc)
-              (match_args idx env arg_pats args));
-      !acc)
-
-let match_rooted idx env f arg_pats = match_rooted_occ idx env f arg_pats ~occ:M_full
-
-(* ------------------------------------------------------------------ *)
-(* Fact solving                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Can [e] be evaluated directly (no free variables)? *)
-let rec is_ground idx env (e : Ast.expr) =
-  match e with
-  | Var x -> resolve idx env x <> None
-  | Wildcard -> false
-  | Lit _ -> true
-  | Call (_, args) -> List.for_all (is_ground idx env) args
-
-let eval_args_opt idx env (args : Ast.expr list) : Value.t list option =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | a :: rest -> (
-      match eval_opt idx env a with Some v -> go (v :: acc) rest | None -> None)
-  in
-  go [] args
 
 (** [solve_expr idx env e target] produces environments under which [e]
     holds.  With [target = Some v], [e] must match/evaluate to [v]; the
-    returned value component is the value of [e].
-
-    [~occ] restricts the expression's {e root} table operation to a stamp
-    range (see {!occ_mode}) — the seminaive old/delta designation.  Only
-    declared-function applications are ever restricted (the compiler only
-    designates those as delta atoms). *)
-let solve_expr ?(occ : occ_mode = M_full) idx env (e : Ast.expr)
-    ~(target : Value.t option) : (env * Value.t) list =
+    returned value component is the value of [e]. *)
+let solve_expr idx env (e : Ast.expr) ~(target : Value.t option) :
+    (env * Value.t) list =
   match (e, target) with
-  | Call (f, arg_pats), Some v when (not (Primitives.is_primitive f)) && occ <> M_full -> (
-    match Egraph.canon idx.eg v with
-    | Eclass cls ->
-      let sym = Symbol.intern f in
-      ignore (func_of idx sym);
-      List.concat_map
-        (fun (args, _, stamp) ->
-          if occ_admits occ stamp then
-            List.map (fun env -> (env, v)) (match_args idx env arg_pats args)
-          else [])
-        (rows_with_output idx sym cls)
-    | v ->
-      (* primitive-output table: no by-output index; scan the admitted
-         rows and keep those whose output equals the target *)
-      List.filter_map
-        (fun (env, out) -> if values_equal idx out v then Some (env, v) else None)
-        (match_rooted_occ idx env f arg_pats ~occ))
-  | Call (f, arg_pats), None when (not (Primitives.is_primitive f)) && occ <> M_full ->
-    if is_ground idx env e then
-      (* ground table application: the lookup only counts if the row's
-         stamp falls in the occurrence's range *)
-      match eval_args_opt idx env arg_pats with
-      | None -> []
-      | Some vals -> (
-        let fn = func_of idx (Symbol.intern f) in
-        match Egraph.lookup_row idx.eg fn (Array.of_list vals) with
-        | Some (v, stamp) when occ_admits occ stamp -> [ (env, v) ]
-        | _ -> [])
-    else match_rooted_occ idx env f arg_pats ~occ
   | Var x, Some v -> (
     match resolve idx env x with
     | Some bound -> if values_equal idx bound v then [ (env, v) ] else []
@@ -407,120 +172,65 @@ let solve_expr ?(occ : occ_mode = M_full) idx env (e : Ast.expr)
     match target with
     | Some tv -> if values_equal idx v tv then [ (env, v) ] else []
     | None -> [ (env, v) ])
-  | Call (f, _), _ when Primitives.is_primitive f -> (
+  | Call (f, _), _ -> (
     match eval_opt idx env e with
-    | None ->
-      (* special case: destructuring (vec-of ?a ?b) against a known target *)
-      if f = "vec-of" then
-        match target with
-        | Some v -> List.map (fun env -> (env, v)) (match_value idx env e v)
-        | None -> []
-      else []
+    | None -> (
+      (* destructuring (vec-of ?a ?b) against a known target *)
+      match target with
+      | Some v when f = "vec-of" -> List.map (fun env -> (env, v)) (match_value idx env e v)
+      | _ -> [])
     | Some v -> (
       match target with
       | Some tv -> if values_equal idx v tv then [ (env, v) ] else []
       | None -> [ (env, v) ]))
-  | Call (f, arg_pats), Some v ->
-    List.map (fun env -> (env, v)) (match_value idx env (Call (f, arg_pats)) v)
-  | Call (f, arg_pats), None ->
-    if is_ground idx env e then
-      (* ground table application: lookup *)
-      match eval_opt idx env e with Some v -> [ (env, v) ] | None -> []
-    else match_rooted idx env f arg_pats
 
-(** [solve_fact_occs occ_for idx envs fact] filters/extends candidate
-    environments; [occ_for j] is the stamp restriction on the [j]-th
-    conjunct's root table operation (0 for an [F_expr]). *)
-let solve_fact_occs (occ_for : int -> occ_mode) idx (envs : env list)
-    (fact : Ast.fact) : env list =
+(** [solve_fact idx envs fact] filters/extends candidate environments by
+    one residual fact. *)
+let solve_fact idx (envs : env list) (fact : Ast.fact) : env list =
   match fact with
   | F_expr e ->
     List.concat_map
       (fun env ->
-        let results = solve_expr ~occ:(occ_for 0) idx env e ~target:None in
         (* guard position: a primitive producing a boolean must be true *)
         List.filter_map
           (fun (env, v) ->
             match v with Value.Bool b -> if b then Some env else None | _ -> Some env)
-          results)
+          (solve_expr idx env e ~target:None))
       envs
   | F_eq exprs ->
-    (* process conjuncts left to right, sharing one target value; a bare
-       variable seen before the target is known is deferred and bound at
-       the end *)
-    let exprs = List.mapi (fun i e -> (i, e)) exprs in
+    (* the first conjunct that evaluates gives the shared value; every
+       conjunct is then matched against it, binding what it can (bare
+       variables, [vec-of] elements) *)
     List.concat_map
       (fun env ->
-        let rec go env (target : Value.t option) pending = function
-          | [] -> (
-            match target with
-            | None -> error "unconstrained (=) fact"
-            | Some v ->
-              let envs =
-                List.fold_left
-                  (fun envs p ->
-                    List.concat_map
-                      (fun env ->
-                        List.map fst (solve_expr idx env p ~target:(Some v)))
-                      envs)
-                  [ env ] pending
-              in
-              envs)
-          | (i, e) :: rest -> (
-            match e with
-            | Ast.Var x when resolve idx env x = None && target = None ->
-              go env target (e :: pending) rest
-            | _ ->
-              let results = solve_expr ~occ:(occ_for i) idx env e ~target in
-              List.concat_map (fun (env, v) -> go env (Some v) pending rest) results)
-        in
-        go env None [] exprs)
+        match
+          List.find_map (fun e -> Option.map (fun v -> (e, v)) (eval_opt idx env e)) exprs
+        with
+        | Some (known, v) ->
+          List.fold_left
+            (fun envs e ->
+              if e == known then envs
+              else
+                List.concat_map
+                  (fun env -> List.map fst (solve_expr idx env e ~target:(Some v)))
+                  envs)
+            [ env ] exprs
+        | None ->
+          if List.for_all (function Ast.Var _ | Ast.Wildcard -> true | _ -> false) exprs
+          then error "unconstrained (=) fact"
+          else [])
       envs
 
-(** [solve_fact idx envs fact] filters/extends candidate environments.
-    [?restrict] is the seminaive delta designation: [(j, ts)] restricts the
-    [j]-th conjunct's root table operation (0 for an [F_expr]) to rows
-    newer than stamp [ts]. *)
-let solve_fact ?(restrict : (int * int) option) idx (envs : env list)
-    (fact : Ast.fact) : env list =
-  let occ_for j =
-    match restrict with Some (c, ts) when c = j -> M_delta ts | _ -> M_full
-  in
-  solve_fact_occs occ_for idx envs fact
-
-(** Solve all premises of a rule; returns the satisfying environments. *)
-let solve_facts idx (facts : Ast.fact list) : env list =
-  List.fold_left (fun envs f -> if envs = [] then [] else solve_fact idx envs f) [ Env.empty ] facts
-
 (* ------------------------------------------------------------------ *)
-(* Seminaive plans                                                     *)
+(* Premise flattening                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** One delta candidate: the [a_conj]-th conjunct of the [a_fact]-th
-    (flattened) fact is an application of table [a_sym].  [a_order] is the
-    join order used when this atom takes the delta: the atom's fact first
-    (its small delta scan drives the join), then the remaining facts
-    greedily by variable connectivity, so each subsequent fact joins
-    through an index instead of enumerating its table. *)
-type atom = { a_fact : int; a_conj : int; a_sym : Symbol.t; a_order : int array }
-
-(** A compiled rule body.  [p_facts] is the flattened premise list: every
-    declared-function application nested inside another pattern has been
-    hoisted into its own [(= ?aux (f ...))] fact (inserted right after its
-    parent, so later guards still see its variables bound).  [p_atoms] are
-    the table-application occurrences; seminaive matching unions over which
-    single atom reads the delta.  [p_eligible] is false when some table
-    application hides where the delta cannot reach it (inside a primitive
-    application, e.g. under [vec-of]) — such rules fall back to naive
-    matching. *)
-type plan = {
-  p_facts : Ast.fact list;
-  p_atoms : atom list;
-  p_eligible : bool;
-}
-
-let eligible p = p.p_eligible
-let plan_facts p = p.p_facts
+(** A flattened rule body.  [p_facts] is the premise list with every
+    declared-function application nested inside another pattern hoisted
+    into its own [(= ?aux (f ...))] fact, placed next to its parent so
+    later guards still see its variables bound.  The fact order and the
+    aux-variable names fix the join's atom and variable order. *)
+type plan = { p_facts : Ast.fact list }
 
 (** Hoist nested declared-function applications out of pattern positions.
 
@@ -533,10 +243,9 @@ let plan_facts p = p.p_facts
       of [(linalg_matmul (linalg_matmul ...) ...)]) goes {e after} the
       parent fact, outermost first, so each child's aux var is already
       bound (by the parent's args) and its rows are found through the
-      by-output index rather than a full table scan. *)
+      output column's index rather than a full table scan. *)
 let compile (facts : Ast.fact list) : plan =
   let counter = ref 0 in
-  let eligible = ref true in
   let fresh () =
     incr counter;
     Printf.sprintf "?__sn%d" !counter
@@ -560,21 +269,10 @@ let compile (facts : Ast.fact list) : plan =
     | Ast.Lit _ -> true
     | Ast.Call (_, args) -> List.for_all is_ground_subtree args
   in
-  (* inside a primitive application the matcher evaluates, it cannot
-     delta-restrict: a table call there makes the rule ineligible *)
-  let rec scan_prim_args (e : Ast.expr) =
-    match e with
-    | Ast.Call (f, args) ->
-      if not (Primitives.is_primitive f) then eligible := false;
-      List.iter scan_prim_args args
-    | Var _ | Wildcard | Lit _ -> ()
-  in
   (* ground regime: child facts accumulate onto [pre], innermost first *)
   let rec flatten_ground pre (e : Ast.expr) : Ast.expr =
     match e with
-    | Ast.Call (f, args) when Primitives.is_primitive f ->
-      List.iter scan_prim_args args;
-      e
+    | Ast.Call (f, _) when Primitives.is_primitive f -> e
     | Ast.Call (f, args) ->
       let args' =
         List.map
@@ -599,9 +297,7 @@ let compile (facts : Ast.fact list) : plan =
      [suf], each parent before its own children *)
   let rec flatten_pat pre suf (e : Ast.expr) : Ast.expr =
     match e with
-    | Ast.Call (f, args) when Primitives.is_primitive f ->
-      List.iter scan_prim_args args;
-      e
+    | Ast.Call (f, _) when Primitives.is_primitive f -> e
     | Ast.Call (f, args) ->
       let args' =
         List.map
@@ -644,160 +340,26 @@ let compile (facts : Ast.fact list) : plan =
       group;
     group
   in
-  let p_facts = List.concat_map flatten_fact facts in
-  let facts_arr = Array.of_list p_facts in
-  let n_facts = Array.length facts_arr in
-  (* --- static join-order analysis -------------------------------------
-     [vars.(i)]: every variable fact [i] mentions (all are bound once it is
-     solved).  [requires.(i)]: variables that must already be bound when
-     fact [i] runs, or the matcher would silently drop environments (vars
-     inside evaluated primitive applications) or error (a bare-var fact):
-     reordering must never schedule a fact before its requirements. *)
-  let exprs_of = function Ast.F_expr e -> [ e ] | Ast.F_eq es -> es in
-  let vars_of_fact fact =
-    let acc = ref [] in
-    let add x = if not (List.mem x !acc) then acc := x :: !acc in
-    let rec go e =
-      match e with
-      | Ast.Var x -> add x
-      | Ast.Call (_, args) -> List.iter go args
-      | Ast.Wildcard | Ast.Lit _ -> ()
-    in
-    List.iter go (exprs_of fact);
-    !acc
-  in
-  let requires_of_fact fact =
-    let acc = ref [] in
-    let add x = if not (List.mem x !acc) then acc := x :: !acc in
-    let rec all_vars e =
-      match e with
-      | Ast.Var x -> add x
-      | Ast.Call (_, args) -> List.iter all_vars args
-      | Ast.Wildcard | Ast.Lit _ -> ()
-    in
-    (* [pattern] = this position is matched against a row value (can bind);
-       evaluated positions require their variables *)
-    let rec go ~pattern e =
-      match e with
-      | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
-      | Ast.Call ("vec-of", args) when pattern ->
-        (* destructuring: elements are again pattern positions *)
-        List.iter (go ~pattern:true) args
-      | Ast.Call (f, args) when Primitives.is_primitive f -> List.iter all_vars args
-      | Ast.Call (_, args) -> List.iter (go ~pattern:true) args
-    in
-    (match fact with
-    | Ast.F_expr (Ast.Var x) -> add x  (* bare-var fact errors when unbound *)
-    | Ast.F_expr e -> go ~pattern:false e
-    | Ast.F_eq es ->
-      List.iter (function Ast.Var _ | Ast.Wildcard -> () | e -> go ~pattern:false e) es;
-      (* an all-variables (=) errors with nothing bound: require the first *)
-      if
-        List.for_all (function Ast.Var _ | Ast.Wildcard -> true | _ -> false) es
-      then
-        match es with Ast.Var x :: _ -> add x | _ -> ());
-    !acc
-  in
-  let fact_vars = Array.map vars_of_fact facts_arr in
-  let fact_requires = Array.map requires_of_fact facts_arr in
-  let has_table_call fact =
-    let rec go e =
-      match e with
-      | Ast.Call (f, args) ->
-        (not (Primitives.is_primitive f)) || List.exists go args
-      | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> false
-    in
-    List.exists go (exprs_of fact)
-  in
-  let fact_has_table = Array.map has_table_call facts_arr in
-  (* greedy schedule starting from [first]: among facts whose requirements
-     are met, prefer fully-bound ones (pure filters), then table facts
-     sharing a bound variable (indexed joins); facts sharing nothing are
-     deferred (cartesian products).  Deadlock-free: the earliest remaining
-     fact in the original order always has its requirements met. *)
-  let schedule ~first : int array =
-    let bound = Hashtbl.create 16 in
-    let bind i = List.iter (fun x -> Hashtbl.replace bound x ()) fact_vars.(i) in
-    let scheduled = Array.make n_facts false in
-    let order = Array.make n_facts 0 in
-    scheduled.(first) <- true;
-    order.(0) <- first;
-    bind first;
-    for k = 1 to n_facts - 1 do
-      let best = ref (-1) and best_score = ref (-1) in
-      for i = 0 to n_facts - 1 do
-        if not scheduled.(i) then begin
-          let ok = List.for_all (Hashtbl.mem bound) fact_requires.(i) in
-          let score =
-            if not ok then -1
-            else if List.for_all (Hashtbl.mem bound) fact_vars.(i) then 3
-            else if fact_has_table.(i) && List.exists (Hashtbl.mem bound) fact_vars.(i)
-            then 2
-            else if List.exists (Hashtbl.mem bound) fact_vars.(i) then 1
-            else 0
-          in
-          if score > !best_score then begin
-            best := i;
-            best_score := score
-          end
-        end
-      done;
-      let pick =
-        if !best_score >= 0 then !best
-        else begin
-          (* no requirements met anywhere: fall back to the earliest
-             remaining fact, whose requirements the original order meets *)
-          let rec earliest i = if scheduled.(i) then earliest (i + 1) else i in
-          earliest 0
-        end
-      in
-      scheduled.(pick) <- true;
-      order.(k) <- pick;
-      bind pick
-    done;
-    order
-  in
-  let original_order = Array.init n_facts (fun i -> i) in
-  let p_atoms =
-    List.concat
-      (List.mapi
-         (fun i (fact : Ast.fact) ->
-           let order =
-             (* the delta scan can only drive the join if nothing the
-                atom's fact requires is missing at the start *)
-             if fact_requires.(i) = [] then schedule ~first:i else original_order
-           in
-           let atom_of j (e : Ast.expr) =
-             match e with
-             | Ast.Call (f, _) when not (Primitives.is_primitive f) ->
-               Some { a_fact = i; a_conj = j; a_sym = Symbol.intern f; a_order = order }
-             | _ -> None
-           in
-           match fact with
-           | Ast.F_expr e -> Option.to_list (atom_of 0 e)
-           | Ast.F_eq es -> List.filter_map Fun.id (List.mapi atom_of es))
-         p_facts)
-  in
-  { p_facts; p_atoms; p_eligible = !eligible }
+  { p_facts = List.concat_map flatten_fact facts }
 
-(** Compiler-generated auxiliary variable? (see [fresh] in {!compile}) *)
+(** Compiler-generated auxiliary variable? ({!compile} and {!gcompile}
+    name theirs [?__sn...]) *)
 let is_aux_var x = String.length x >= 5 && String.sub x 0 5 = "?__sn"
 
-(** Remove duplicate environments (seminaive delta terms overlap when a
-    match involves more than one new row).  Environments are compared on
-    the rule's own variables only: actions never mention the compiler's
-    aux vars, so environments differing only there are interchangeable
-    and keeping one of them also avoids re-applying the same action. *)
-let dedupe_envs (envs : env list) : env list =
+(** The bindings of the rule's own variables: actions never mention the
+    compiler's aux vars, so environments that differ only there are
+    interchangeable. *)
+let own_bindings env = List.filter (fun (x, _) -> not (is_aux_var x)) (Env.bindings env)
+
+(** Remove environments equal on [key] to an earlier one. *)
+let dedupe_by key (envs : env list) : env list =
   match envs with
   | [] | [ _ ] -> envs
   | _ ->
     let seen = Hashtbl.create (List.length envs) in
     List.filter
       (fun env ->
-        let key =
-          List.filter (fun (x, _) -> not (is_aux_var x)) (Env.bindings env)
-        in
+        let key = key env in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.add seen key ();
@@ -805,65 +367,8 @@ let dedupe_envs (envs : env list) : env list =
         end)
       envs
 
-(** Seminaive solve: environments satisfying the plan's premises that
-    involve at least one row newer than stamp [since].  Unions, over every
-    atom, the term where that atom takes the delta, occurrences before it
-    take only old rows and occurrences after it the full table (see
-    {!occ_mode}) — each combination of rows is derived by exactly one
-    term.  Atoms whose table did not change since [since] have an empty
-    delta and are skipped outright, so a rule with no new relevant rows
-    costs O(atoms). *)
-let solve_plan_legacy idx (p : plan) ~(since : int) : env list =
-  let facts = Array.of_list p.p_facts in
-  let atoms = Array.of_list p.p_atoms in
-  let n_facts = Array.length facts in
-  let solve_term t =
-    let a = atoms.(t) in
-    (* per-fact conjunct→mode map for this term's occurrence restrictions *)
-    let fact_occs : (int * occ_mode) list array = Array.make n_facts [] in
-    Array.iteri
-      (fun u (b : atom) ->
-        let mode =
-          if u < t then M_old since else if u = t then M_delta since else M_full
-        in
-        fact_occs.(b.a_fact) <- (b.a_conj, mode) :: fact_occs.(b.a_fact))
-      atoms;
-    (* follow the atom's precomputed join order: its (small) delta scan
-       drives the join, so the remaining facts — greedily ordered by
-       variable connectivity — join through the indexes instead of
-       enumerating tables *)
-    let envs = ref [ Env.empty ] in
-    Array.iter
-      (fun i ->
-        if !envs <> [] then begin
-          let occs = fact_occs.(i) in
-          let occ_for j =
-            match List.assq_opt j occs with Some m -> m | None -> M_full
-          in
-          envs := solve_fact_occs occ_for idx !envs facts.(i)
-        end)
-      a.a_order;
-    !envs
-  in
-  let terms = ref [] in
-  Array.iteri
-    (fun t (a : atom) ->
-      match Egraph.find_func_opt idx.eg a.a_sym with
-      | Some f when f.Egraph.last_modified > since -> (
-        match solve_term t with [] -> () | r -> terms := r :: !terms)
-      | Some _ -> ()  (* table untouched since the rule's last scan *)
-      | None -> error "unknown function %s in pattern" (Symbol.name a.a_sym))
-    atoms;
-  match !terms with
-  | [] -> []
-  | [ r ] -> r
-  | rs ->
-    (* terms are disjoint by construction; duplicates can still arise
-       within one term (distinct rows binding the same rule variables) *)
-    dedupe_envs (List.concat rs)
-
 (* ------------------------------------------------------------------ *)
-(* Column indexes and the generic join (arena engine)                  *)
+(* Column indexes and the generic join                                *)
 (* ------------------------------------------------------------------ *)
 
 (** Column index for [f]'s arena table.  Appends rows indexed since the
@@ -1053,13 +558,15 @@ let bsearch_ge (a : int array) lo hi x =
 
 (* --- compiled generic-join plans ------------------------------------- *)
 
-(** One column of a flat atom: a join variable, a pinned code, or
-    unconstrained (wildcard / don't-care output). *)
-type gslot = G_var of int | G_lit of int | G_free
+(** One column of a flat atom: a join variable, a pinned literal code, a
+    global (pinned to its canonical code afresh at every search, since the
+    global's class can merge mid-run), or unconstrained (wildcard /
+    don't-care output). *)
+type gslot = G_var of int | G_lit of int | G_global of int | G_free
 
-(** A flat table atom [(f c\u2080 \u2026 c\u2099\u208b\u2081) \u21a6 c\u2099]: every column is a variable,
-    literal, or wildcard — no nested patterns (the plan compiler already
-    hoisted those into aux facts). *)
+(** A flat table atom [(f c₀ … cₙ₋₁) ↦ cₙ]: every column is a variable,
+    literal, global, or wildcard — no nested patterns ({!gcompile}
+    hoists those into atoms and residuals of their own). *)
 type gatom = { g_sym : Symbol.t; g_slots : gslot array }
 
 (** A rule body compiled for the generic join: flat atoms joined
@@ -1067,13 +574,19 @@ type gatom = { g_sym : Symbol.t; g_slots : gslot array }
     facts evaluated on the decoded environments. *)
 type gplan = {
   gp_atoms : gatom array;
-  gp_residuals : Ast.fact list;  (* original premise order preserved *)
+  gp_residuals : Ast.fact list;  (* in the order they run *)
   gp_var_names : string array;
+  gp_globals : string array;
+      (* every global the premises name (pinned columns index into it);
+         {!pins} reads their canonical codes *)
   gp_occs : (int * int) array array;  (* var id -> (atom, column) occurrences *)
   gp_touched : int array array;  (* var id -> distinct atoms it occurs in *)
   gp_may_dup : bool;
       (* some atom has a wildcard column, so distinct witnessing rows can
          yield the same environment and results need deduplication *)
+  gp_aux_emitted : bool;
+      (* some emitted variable is a compiler aux var (a residual reads it,
+         or the consumer asked for everything) *)
   gp_emit : int array;
       (* var ids to decode into result environments: only what the rule's
          residuals and actions read (all vars when the consumer is unknown) *)
@@ -1086,11 +599,13 @@ type gplan = {
       (* per atom: (emit slot, column) of its emitted single-occurrence vars *)
   gp_lits : (int * int * int) array;
       (* (atom, column, code) of every pinned literal column *)
+  gp_pins : (int * int * int) array;
+      (* (atom, column, global) of every column pinned to a global *)
   gp_slot : int array;  (* var -> its position in gp_emit (-1 not emitted) *)
   gp_join_list : int array;  (* var ids with >= 2 occurrences, ascending *)
   gp_probed : (int * int) array;
-      (* (atom, column) pairs the join can probe through [bucket] — literal
-         pins and join-variable occurrences; prewarmed before parallel
+      (* (atom, column) pairs the join can probe through [bucket] — pinned
+         columns and join-variable occurrences; prewarmed before parallel
          search so domains never write to the shared column indexes *)
   mutable gp_scratch : gscratch option;
       (* per-plan working state reused across searches (a rule is searched
@@ -1126,258 +641,337 @@ and gscratch = {
   gs_out : int array;  (* emitted codes, gp_emit order *)
 }
 
-(** Try to compile [p] for the generic join.  [None] falls back to the
-    env-list matcher: non-arena engine, nested or destructuring patterns,
-    multi-pattern equations, global references inside patterns, or
-    residuals whose evaluation order the flat join cannot honor. *)
-let gcompile ?(keep : string list option) idx (p : plan) : gplan option =
-  if Egraph.engine idx.eg <> Egraph.Arena then None
-  else begin
-    let pool = Egraph.pool idx.eg in
-    let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let var_names = ref [] in
-    let n_vars = ref 0 in
-    let var_id x =
-      match Hashtbl.find_opt vars x with
-      | Some v -> v
-      | None ->
-        let v = !n_vars in
-        Hashtbl.add vars x v;
-        var_names := x :: !var_names;
-        incr n_vars;
-        v
-    in
-    (* a name in a pattern slot is a join variable unless it resolves to a
-       global (then its value would have to be re-canonicalized every
-       iteration — leave those rules to the legacy matcher) *)
-    let exception Bail in
-    let slot_of (e : Ast.expr) : gslot =
-      match e with
-      | Ast.Wildcard -> G_free
-      | Ast.Lit l -> G_lit (Arena.encode pool (value_of_lit l))
-      | Ast.Var x ->
-        if (not (is_pattern_var x)) && Hashtbl.mem idx.globals x then raise Bail
-        else G_var (var_id x)
-      | Ast.Call _ -> raise Bail
-    in
-    let rec has_declared_call (e : Ast.expr) =
-      match e with
-      | Ast.Call (f, args) ->
-        (not (Primitives.is_primitive f)) || List.exists has_declared_call args
-      | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> false
-    in
-    let exprs_of = function Ast.F_expr e -> [ e ] | Ast.F_eq es -> es in
-    let atom_of f args (out : gslot) =
+(* [l] without its first element physically equal to [x] *)
+let rec remove_first x = function
+  | [] -> []
+  | y :: l -> if y == x then l else y :: remove_first x l
+
+(** Compile a flattened plan for the generic join.  Every premise shape
+    compiles:
+    - a table application is an atom whose columns hold variables,
+      literals, globals or wildcards;
+    - a primitive call or [vec-of] in a column is hoisted into a residual
+      [(= ?aux e)] on a fresh variable;
+    - a table application inside a primitive call is hoisted into an atom
+      on a fresh output variable;
+    - an equality over several table applications becomes one atom each,
+      all sharing one output column;
+    - a fact with no table application is a residual, run after the join
+      once what it evaluates is bound.
+    [keep] names the variables the consumer reads (default: all).  Raises
+    {!Error} on an unknown function or an arity mismatch. *)
+let gcompile ?(keep : string list option) idx (p : plan) : gplan =
+  let pool = Egraph.pool idx.eg in
+  let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let var_names = ref [] in
+  let n_vars = ref 0 in
+  let var_id x =
+    match Hashtbl.find_opt vars x with
+    | Some v -> v
+    | None ->
+      let v = !n_vars in
+      Hashtbl.add vars x v;
+      var_names := x :: !var_names;
+      incr n_vars;
+      v
+  in
+  let exprs_of = function Ast.F_expr e -> [ e ] | Ast.F_eq es -> es in
+  let is_table f = not (Primitives.is_primitive f) in
+  (* every global the premises name, numbered in order of appearance *)
+  let globals : (string, int) Hashtbl.t = Hashtbl.create 4 in
+  let global_names = ref [] in
+  let rec scan_globals (e : Ast.expr) =
+    match e with
+    | Ast.Var x when is_global idx x && not (Hashtbl.mem globals x) ->
+      Hashtbl.add globals x (Hashtbl.length globals);
+      global_names := x :: !global_names
+    | Ast.Call (_, args) -> List.iter scan_globals args
+    | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
+  in
+  List.iter (fun f -> List.iter scan_globals (exprs_of f)) p.p_facts;
+  let n_aux = ref 0 in
+  let fresh_aux () =
+    incr n_aux;
+    Printf.sprintf "?__snj%d" !n_aux
+  in
+  let atoms = ref [] and residuals = ref [] in
+  let rec has_table_call (e : Ast.expr) =
+    match e with
+    | Ast.Call (f, args) -> is_table f || List.exists has_table_call args
+    | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> false
+  in
+  (* the column slot for [e], hoisting what a column cannot hold *)
+  let rec slot_of (e : Ast.expr) : gslot =
+    match e with
+    | Ast.Wildcard -> G_free
+    | Ast.Lit l -> G_lit (Arena.encode pool (value_of_lit l))
+    | Ast.Var x -> (
+      match Hashtbl.find_opt globals x with
+      | Some g -> G_global g
+      | None -> G_var (var_id x))
+    | Ast.Call (f, args) when is_table f ->
+      let out = G_var (var_id (fresh_aux ())) in
+      add_atom f args out;
+      out
+    | Ast.Call _ ->
+      let aux = fresh_aux () in
+      let out = G_var (var_id aux) in
+      residuals := Ast.F_eq [ Ast.Var aux; hoist e ] :: !residuals;
+      out
+  and add_atom f args (out : gslot) =
+    let fn =
       match Egraph.find_func_opt idx.eg (Symbol.intern f) with
-      | None -> raise Bail
-      | Some fn ->
-        if List.length args <> Array.length fn.Egraph.arg_sorts then raise Bail;
-        let slots = Array.make (List.length args + 1) G_free in
-        List.iteri (fun i a -> slots.(i) <- slot_of a) args;
-        slots.(List.length args) <- out;
-        { g_sym = fn.Egraph.sym; g_slots = slots }
+      | Some fn -> fn
+      | None -> error "unknown function %s in pattern" f
     in
-    try
-      let atoms = ref [] and residuals = ref [] in
-      List.iter
-        (fun (fact : Ast.fact) ->
-          if not (List.exists has_declared_call (exprs_of fact)) then
-            residuals := fact :: !residuals
-          else
-            match fact with
-            | Ast.F_expr (Ast.Call (f, args)) when not (Primitives.is_primitive f) ->
-              (* bare table application: a bool-returning table is a guard
-                 (output pinned to true); anything else is unconstrained *)
-              let out =
-                match Egraph.find_func_opt idx.eg (Symbol.intern f) with
-                | Some fn when fn.Egraph.ret_sort = Egraph.S_bool ->
-                  G_lit (Arena.encode pool (Value.Bool true))
-                | _ -> G_free
-              in
-              atoms := atom_of f args out :: !atoms
-            | Ast.F_eq [ a; b ] -> (
-              let pick call other =
-                match call with
-                | Ast.Call (f, args) when not (Primitives.is_primitive f) ->
-                  atoms := atom_of f args (slot_of other) :: !atoms
-                | _ -> raise Bail
-              in
-              match (a, b) with
-              | Ast.Call (f, _), (Ast.Var _ | Ast.Wildcard | Ast.Lit _)
-                when not (Primitives.is_primitive f) ->
-                pick a b
-              | (Ast.Var _ | Ast.Wildcard | Ast.Lit _), Ast.Call (f, _)
-                when not (Primitives.is_primitive f) ->
-                pick b a
-              | _ -> raise Bail)
-            | _ -> raise Bail)
-        p.p_facts;
-      let gp_atoms = Array.of_list (List.rev !atoms) in
-      let gp_residuals = List.rev !residuals in
-      let gp_var_names = Array.of_list (List.rev !var_names) in
-      (* every residual must be runnable after the join, in premise order:
-         its evaluated positions may only mention variables bound by atoms
-         or by earlier residuals *)
-      let bound = Hashtbl.create 16 in
-      Array.iter (fun x -> Hashtbl.replace bound x ()) gp_var_names;
-      let vars_in e =
-        let acc = ref [] in
-        let rec go = function
-          | Ast.Var x -> acc := x :: !acc
-          | Ast.Call (_, args) -> List.iter go args
-          | Ast.Wildcard | Ast.Lit _ -> ()
-        in
-        go e;
-        !acc
-      in
-      List.iter
-        (fun (fact : Ast.fact) ->
-          let required =
-            match fact with
-            | Ast.F_expr (Ast.Var x) -> [ x ]
-            | Ast.F_expr e -> (
-              match e with Ast.Call (_, args) -> List.concat_map vars_in args | _ -> [])
-            | Ast.F_eq es ->
-              let from_calls =
-                List.concat_map
-                  (function Ast.Call (_, args) -> List.concat_map vars_in args | _ -> [])
-                  es
-              in
-              if List.for_all (function Ast.Var _ | Ast.Wildcard -> true | _ -> false) es
-              then
-                match es with Ast.Var x :: _ -> x :: from_calls | _ -> from_calls
-              else from_calls
+    let arity = Array.length fn.Egraph.arg_sorts in
+    if List.length args <> arity then
+      error "%s expects %d arguments in a pattern, got %d" f arity (List.length args);
+    let slots = Array.make (arity + 1) G_free in
+    List.iteri (fun i a -> slots.(i) <- slot_of a) args;
+    slots.(arity) <- out;
+    atoms := { g_sym = fn.Egraph.sym; g_slots = slots } :: !atoms
+  (* an evaluated expression: its table applications become atoms *)
+  and hoist (e : Ast.expr) : Ast.expr =
+    match e with
+    | Ast.Call (f, args) when is_table f ->
+      let aux = fresh_aux () in
+      add_atom f args (G_var (var_id aux));
+      Ast.Var aux
+    | Ast.Call (f, args) -> Ast.Call (f, List.map hoist args)
+    | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> e
+  in
+  List.iter
+    (fun (fact : Ast.fact) ->
+      if not (List.exists has_table_call (exprs_of fact)) then
+        residuals := fact :: !residuals
+      else
+        match fact with
+        | Ast.F_expr (Ast.Call (f, args)) when is_table f ->
+          (* bare table application: a bool-returning table is a guard
+             (output pinned to true); anything else is unconstrained *)
+          let out =
+            match Egraph.find_func_opt idx.eg (Symbol.intern f) with
+            | Some fn when fn.Egraph.ret_sort = Egraph.S_bool ->
+              G_lit (Arena.encode pool (Value.Bool true))
+            | _ -> G_free
           in
-          if not (List.for_all (Hashtbl.mem bound) required) then raise Bail;
+          add_atom f args out
+        | Ast.F_expr e -> residuals := Ast.F_expr (hoist e) :: !residuals
+        | Ast.F_eq es ->
+          let calls, others =
+            List.partition (function Ast.Call (f, _) -> is_table f | _ -> false) es
+          in
+          (* one output column shared by every application: the first
+             variable or literal conjunct, else nothing for a lone
+             application among wildcards, else a fresh variable; every
+             other conjunct must equal it *)
+          let binder, out, rest =
+            match
+              List.find_opt (function Ast.Var _ | Ast.Lit _ -> true | _ -> false) others
+            with
+            | Some b ->
+              let out = slot_of b in
+              (Some b, out, remove_first b others)
+            | None when List.length calls = 1 && List.for_all (( = ) Ast.Wildcard) others ->
+              (None, G_free, [])
+            | None ->
+              let b = Ast.Var (fresh_aux ()) in
+              let out = slot_of b in
+              (Some b, out, others)
+          in
           List.iter
-            (fun e -> List.iter (fun x -> Hashtbl.replace bound x ()) (vars_in e))
-            (exprs_of fact))
-        gp_residuals;
-      let occs = Array.make (Array.length gp_var_names) [] in
+            (function Ast.Call (f, args) -> add_atom f args out | _ -> ())
+            calls;
+          List.iter
+            (fun e ->
+              match (e, binder) with
+              | Ast.Wildcard, _ | _, None -> ()
+              | e, Some b -> residuals := Ast.F_eq [ b; hoist e ] :: !residuals)
+            rest)
+    p.p_facts;
+  let gp_atoms = Array.of_list (List.rev !atoms) in
+  let gp_var_names = Array.of_list (List.rev !var_names) in
+  let gp_globals = Array.of_list (List.rev !global_names) in
+  let vars_in e =
+    let acc = ref [] in
+    let rec go = function
+      | Ast.Var x -> acc := x :: !acc
+      | Ast.Call (_, args) -> List.iter go args
+      | Ast.Wildcard | Ast.Lit _ -> ()
+    in
+    go e;
+    !acc
+  in
+  (* residuals run after the join, each once what it evaluates is bound
+     (by the atoms or by an earlier residual): one that binds variables,
+     such as [(= ?x e)] or a [vec-of] destructuring, runs before those
+     that read them; otherwise premise order *)
+  let gp_residuals =
+    let bound = Hashtbl.create 16 in
+    let bind f = List.iter (fun e -> List.iter (fun x -> Hashtbl.replace bound x ()) (vars_in e)) (exprs_of f) in
+    Array.iter (fun x -> Hashtbl.replace bound x ()) gp_var_names;
+    let rec evaluable (e : Ast.expr) =
+      match e with
+      | Ast.Var x -> Hashtbl.mem bound x || Hashtbl.mem globals x
+      | Ast.Lit _ -> true
+      | Ast.Wildcard -> false
+      | Ast.Call (_, args) -> List.for_all evaluable args
+    in
+    (* matched against a known value, [e] can bind what it lacks *)
+    let rec bindable (e : Ast.expr) =
+      match e with
+      | Ast.Var _ | Ast.Wildcard -> true
+      | Ast.Call ("vec-of", args) -> List.for_all bindable args
+      | Ast.Lit _ | Ast.Call _ -> evaluable e
+    in
+    let ready = function
+      | Ast.F_expr e -> evaluable e
+      | Ast.F_eq es -> List.exists evaluable es && List.for_all bindable es
+    in
+    let rec order acc = function
+      | [] -> List.rev acc
+      | pending ->
+        let next = Option.value (List.find_opt ready pending) ~default:(List.hd pending) in
+        bind next;
+        order (next :: acc) (remove_first next pending)
+    in
+    order [] (List.rev !residuals)
+  in
+  let occs = Array.make (Array.length gp_var_names) [] in
+  Array.iteri
+    (fun ai ga ->
       Array.iteri
-        (fun ai ga ->
-          Array.iteri
-            (fun c slot ->
-              match slot with
-              | G_var v -> occs.(v) <- (ai, c) :: occs.(v)
-              | _ -> ())
-            ga.g_slots)
-        gp_atoms;
-      let gp_occs = Array.map (fun l -> Array.of_list (List.rev l)) occs in
-      let gp_touched =
-        Array.map
-          (fun o ->
-            Array.of_list
-              (List.sort_uniq compare (List.map fst (Array.to_list o))))
-          gp_occs
-      in
-      let gp_may_dup =
-        Array.exists
-          (fun ga -> Array.exists (fun s -> s = G_free) ga.g_slots)
-          gp_atoms
-      in
-      let is_join = Array.map (fun o -> Array.length o >= 2) gp_occs in
-      let gp_join_vars =
-        Array.fold_left (fun n j -> if j then n + 1 else n) 0 is_join
-      in
-      let gp_emit =
-        match keep with
-        | None -> Array.init (Array.length gp_var_names) Fun.id
-        | Some keep ->
-          let needed = Hashtbl.create 16 in
-          List.iter (fun x -> Hashtbl.replace needed x ()) keep;
+        (fun c slot ->
+          match slot with
+          | G_var v -> occs.(v) <- (ai, c) :: occs.(v)
+          | _ -> ())
+        ga.g_slots)
+    gp_atoms;
+  let gp_occs = Array.map (fun l -> Array.of_list (List.rev l)) occs in
+  let gp_touched =
+    Array.map
+      (fun o ->
+        Array.of_list
+          (List.sort_uniq compare (List.map fst (Array.to_list o))))
+      gp_occs
+  in
+  let gp_may_dup =
+    Array.exists
+      (fun ga -> Array.exists (fun s -> s = G_free) ga.g_slots)
+      gp_atoms
+  in
+  let is_join = Array.map (fun o -> Array.length o >= 2) gp_occs in
+  let gp_join_vars =
+    Array.fold_left (fun n j -> if j then n + 1 else n) 0 is_join
+  in
+  let gp_emit =
+    match keep with
+    | None -> Array.init (Array.length gp_var_names) Fun.id
+    | Some keep ->
+      let needed = Hashtbl.create 16 in
+      List.iter (fun x -> Hashtbl.replace needed x ()) keep;
+      List.iter
+        (fun f ->
           List.iter
-            (fun f ->
-              List.iter
-                (fun e -> List.iter (fun x -> Hashtbl.replace needed x ()) (vars_in e))
-                (exprs_of f))
-            gp_residuals;
-          let out = ref [] in
-          Array.iteri
-            (fun i x -> if Hashtbl.mem needed x then out := i :: !out)
-            gp_var_names;
-          Array.of_list (List.rev !out)
-      in
-      let emitted = Array.make (Array.length gp_var_names) false in
-      Array.iter (fun v -> emitted.(v) <- true) gp_emit;
-      let gp_slot = Array.make (Array.length gp_var_names) (-1) in
-      Array.iteri (fun i v -> gp_slot.(v) <- i) gp_emit;
-      let gp_emit_join = Array.of_list
-          (List.map (fun v -> (v, gp_slot.(v)))
-             (List.filter (fun v -> is_join.(v)) (Array.to_list gp_emit)))
-      in
-      let gp_read =
-        Array.map
-          (fun ga ->
-            let acc = ref [] in
-            Array.iteri
-              (fun c slot ->
-                match slot with
-                | G_var v when (not is_join.(v)) && emitted.(v) ->
-                  acc := (gp_slot.(v), c) :: !acc
-                | _ -> ())
-              ga.g_slots;
-            Array.of_list (List.rev !acc))
-          gp_atoms
-      in
-      let gp_lits =
+            (fun e -> List.iter (fun x -> Hashtbl.replace needed x ()) (vars_in e))
+            (exprs_of f))
+        gp_residuals;
+      let out = ref [] in
+      Array.iteri
+        (fun i x -> if Hashtbl.mem needed x then out := i :: !out)
+        gp_var_names;
+      Array.of_list (List.rev !out)
+  in
+  let emitted = Array.make (Array.length gp_var_names) false in
+  Array.iter (fun v -> emitted.(v) <- true) gp_emit;
+  let gp_slot = Array.make (Array.length gp_var_names) (-1) in
+  Array.iteri (fun i v -> gp_slot.(v) <- i) gp_emit;
+  let gp_emit_join = Array.of_list
+      (List.map (fun v -> (v, gp_slot.(v)))
+         (List.filter (fun v -> is_join.(v)) (Array.to_list gp_emit)))
+  in
+  let gp_read =
+    Array.map
+      (fun ga ->
         let acc = ref [] in
         Array.iteri
-          (fun ai ga ->
-            Array.iteri
-              (fun c slot ->
-                match slot with
-                | G_lit code -> acc := (ai, c, code) :: !acc
-                | _ -> ())
-              ga.g_slots)
-          gp_atoms;
-        Array.of_list (List.rev !acc)
-      in
-      let gp_join_list =
-        let acc = ref [] in
-        Array.iteri (fun v j -> if j then acc := v :: !acc) is_join;
-        Array.of_list (List.rev !acc)
-      in
-      let gp_probed =
-        let acc = ref [] in
+          (fun c slot ->
+            match slot with
+            | G_var v when (not is_join.(v)) && emitted.(v) ->
+              acc := (gp_slot.(v), c) :: !acc
+            | _ -> ())
+          ga.g_slots;
+        Array.of_list (List.rev !acc))
+      gp_atoms
+  in
+  (* every (atom, column, x) whose slot passes [pick] *)
+  let columns pick =
+    let acc = ref [] in
+    Array.iteri
+      (fun ai ga ->
         Array.iteri
-          (fun ai ga ->
-            Array.iteri
-              (fun c slot ->
-                match slot with
-                | G_lit _ -> acc := (ai, c) :: !acc
-                | G_var v when is_join.(v) -> acc := (ai, c) :: !acc
-                | _ -> ())
-              ga.g_slots)
-          gp_atoms;
-        Array.of_list (List.rev !acc)
-      in
-      Some
-        {
-          gp_atoms;
-          gp_residuals;
-          gp_var_names;
-          gp_occs;
-          gp_touched;
-          gp_may_dup;
-          gp_emit;
-          gp_join_vars;
-          gp_emit_join;
-          gp_read;
-          gp_lits;
-          gp_slot;
-          gp_join_list;
-          gp_probed;
-          gp_scratch = None;
-        }
-    with Bail -> None
-  end
+          (fun c slot ->
+            match pick slot with Some x -> acc := (ai, c, x) :: !acc | None -> ())
+          ga.g_slots)
+      gp_atoms;
+    Array.of_list (List.rev !acc)
+  in
+  let gp_lits = columns (function G_lit code -> Some code | _ -> None) in
+  let gp_pins = columns (function G_global g -> Some g | _ -> None) in
+  let gp_join_list =
+    let acc = ref [] in
+    Array.iteri (fun v j -> if j then acc := v :: !acc) is_join;
+    Array.of_list (List.rev !acc)
+  in
+  let gp_probed =
+    Array.map
+      (fun (ai, c, ()) -> (ai, c))
+      (columns (function
+        | G_lit _ | G_global _ -> Some ()
+        | G_var v when is_join.(v) -> Some ()
+        | G_var _ | G_free -> None))
+  in
+  {
+    gp_atoms;
+    gp_residuals;
+    gp_var_names;
+    gp_globals;
+    gp_occs;
+    gp_touched;
+    gp_may_dup;
+    gp_aux_emitted = Array.exists (fun v -> is_aux_var gp_var_names.(v)) gp_emit;
+    gp_emit;
+    gp_join_vars;
+    gp_emit_join;
+    gp_read;
+    gp_lits;
+    gp_pins;
+    gp_slot;
+    gp_join_list;
+    gp_probed;
+    gp_scratch = None;
+  }
+
+(** The canonical codes of the globals [gp]'s premises name, in
+    [gp_globals] order: a rule whose pins moved since its last search can
+    have new matches among old rows. *)
+let pins idx (gp : gplan) : int array =
+  Array.map
+    (fun x ->
+      match Hashtbl.find_opt idx.globals x with
+      | Some v -> Arena.encode (Egraph.pool idx.eg) (Egraph.canon idx.eg v)
+      | None -> error "unbound global %s" x)
+    gp.gp_globals
+
 
 (** Shared generic-join driver: runs every seminaive term of [gp] against
     the snapshot and calls [flush] once per satisfying assignment, with the
     emitted variables' arena {e codes} filled into a scratch row in
     [gp_emit] order ([flush] must copy what it keeps — and decode).  Deterministic:
-    terms in atom order, candidates in row order. *)
+    terms in atom order, candidates in row order.  A plan with no atoms
+    has exactly one (empty) assignment, reported by the full search
+    ([since < 0]) only. *)
 let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
     unit =
   let eg = idx.eg in
@@ -1388,14 +982,7 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
     | Some gs when gs.gs_eg == eg -> gs
     | _ ->
       let funcs = Array.map (fun ga -> Egraph.find_func eg ga.g_sym) gp.gp_atoms in
-      let tables =
-        Array.map
-          (fun (f : Egraph.func) ->
-            match Egraph.arena_of f with
-            | Some a -> a
-            | None -> error "generic join requires the arena engine")
-          funcs
-      in
+      let tables = Array.map (fun (f : Egraph.func) -> f.Egraph.store) funcs in
       let range_mark = Array.make 1 0 in
       let gs =
         {
@@ -1427,6 +1014,7 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
       gs
   in
   let funcs = gs.gs_funcs and tables = gs.gs_tables and cidxs = gs.gs_cidxs in
+  let pin_codes = pins idx gp in
   (* columns sync lazily on first probe (the records are mutated in place
      and shared through [idx.colindexes], so one sync serves every rule);
      under parallel search [prewarm] has already synced every probed
@@ -1541,11 +1129,18 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
         end;
         if rs_size u <= 0 then ok := false
       done;
-      (* pin literal columns first: cheap, and it shrinks the driver sets *)
-      (let lits = gp.gp_lits in
+      (* pin literal and global columns first: cheap, and it shrinks the
+         driver sets *)
+      (let lits = gp.gp_lits and gpins = gp.gp_pins in
+       let n_lits = Array.length lits in
        let i = ref 0 in
-       while !ok && !i < Array.length lits do
-         let u, c, code = lits.(!i) in
+       while !ok && !i < n_lits + Array.length gpins do
+         let u, c, code =
+           if !i < n_lits then lits.(!i)
+           else
+             let u, c, g = gpins.(!i - n_lits) in
+             (u, c, pin_codes.(g))
+         in
          if not (restrict u (bucket u c code) gs.gs_lbuf u) then ok := false;
          incr i
        done);
@@ -1734,16 +1329,18 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
       end
     end
   in
-  for t = 0 to n_atoms - 1 do
-    if funcs.(t).Egraph.last_modified > since then solve_term t
-  done
+  if n_atoms = 0 then (if since < 0 then flush out)
+  else
+    for t = 0 to n_atoms - 1 do
+      if funcs.(t).Egraph.last_modified > since then solve_term t
+    done
 
 (** Generic-join solve: environments satisfying the plan that involve at
     least one row newer than stamp [since] ([~since:-1] is the full naive
     join).  Per delta atom [t], the term joins [t]'s delta {e suffix}
-    against old {e prefixes} (atoms before [t]) and full tables (after) —
-    the same disjoint decomposition as {!solve_plan_legacy}, but executed
-    variable-by-variable over column indexes, so no intermediate
+    against old {e prefixes} (atoms before [t]) and full tables (after), so
+    every combination of rows is derived by exactly one term.  The join
+    runs variable-by-variable over column indexes, so no intermediate
     environment lists are materialized. *)
 let gsolve idx (gp : gplan) ~(since : int) : env list =
   let results = ref [] in
@@ -1759,12 +1356,18 @@ let gsolve idx (gp : gplan) ~(since : int) : env list =
   (* terms are disjoint and within-term assignments unique, so duplicates
      only arise through wildcard columns: rows differing in an unbound
      column witness the same environment *)
-  let envs = if gp.gp_may_dup then dedupe_envs envs else envs in
+  let envs = if gp.gp_may_dup then dedupe_by Env.bindings envs else envs in
   (* residual pure-primitive facts filter (or extend) the decoded
-     environments, in premise order *)
-  List.fold_left
-    (fun envs f -> if envs = [] then [] else solve_fact idx envs f)
-    envs gp.gp_residuals
+     environments *)
+  let envs =
+    List.fold_left
+      (fun envs f -> if envs = [] then [] else solve_fact idx envs f)
+      envs gp.gp_residuals
+  in
+  (* aux variables stay apart until the residuals that read them have run;
+     keep one environment per binding of the rule's own variables, so an
+     action is not applied twice to the same match *)
+  if gp.gp_aux_emitted then dedupe_by own_bindings envs else envs
 
 (** Can [gp]'s matches be consumed as packed rows?  Requires no residual
     facts (they extend environments) and no wildcard columns (they require
@@ -1808,52 +1411,28 @@ let gsolve_packed idx (gp : gplan) ~(since : int) : packed =
       incr n);
   { pk_buf = !buf; pk_rows = !n; pk_width = width }
 
-(** [solve_plan idx p ~since] — seminaive solve through the generic join
-    when [p] compiles for it (arena engine, flat atoms), else through the
-    env-list matcher. *)
-let solve_plan ?(gplan : gplan option option = None) idx (p : plan) ~(since : int) :
-    env list =
-  match gplan with
-  | Some (Some gp) -> gsolve idx gp ~since
-  | Some None -> solve_plan_legacy idx p ~since
-  | None -> (
-    match gcompile idx p with
-    | Some gp -> gsolve idx gp ~since
-    | None -> solve_plan_legacy idx p ~since)
 
-(** Build every per-function structure a rule's search will need —
-    column indexes for generic-join rules, row caches for legacy-path
-    rules — so the parallel search phase never writes to the shared
-    index. *)
-let prewarm idx (p : plan) (gp : gplan option) =
-  match gp with
-  | Some gp ->
-    Array.iter
-      (fun (ai, col) ->
-        let ga = gp.gp_atoms.(ai) in
-        match Egraph.find_func_opt idx.eg ga.g_sym with
-        | Some f -> (
-          match Egraph.arena_of f with
-          | Some a ->
-            let c = colindex_of idx f a in
-            let cm = c.ci_cols.(col) in
-            if not (cm_fresh cm a) then cm_sync cm a col
-          | None -> ())
-        | None -> ())
-      gp.gp_probed
-  | None ->
-    let touch name =
-      match Egraph.find_func_opt idx.eg (Symbol.intern name) with
-      | Some fn -> ignore (fcache_of idx fn)
-      | None -> ()
-    in
-    let rec go (e : Ast.expr) =
-      match e with
-      | Ast.Call (f, args) ->
-        if not (Primitives.is_primitive f) then touch f;
-        List.iter go args
-      | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
-    in
-    List.iter
-      (function Ast.F_expr e -> go e | Ast.F_eq es -> List.iter go es)
-      p.p_facts
+(** Column indexes every probe of [gp]'s search will read — pinned columns
+    and join-variable occurrences — brought up to date, so a parallel
+    search phase never writes to the shared index. *)
+let prewarm idx (gp : gplan) =
+  let cidx ai =
+    let f = Egraph.find_func idx.eg gp.gp_atoms.(ai).g_sym in
+    (f.Egraph.store, colindex_of idx f f.Egraph.store)
+  in
+  (* every atom's index record exists before the search builds its
+     scratch, so no domain inserts into the shared table *)
+  Array.iteri (fun ai _ -> ignore (cidx ai)) gp.gp_atoms;
+  Array.iter
+    (fun (ai, col) ->
+      let a, c = cidx ai in
+      let cm = c.ci_cols.(col) in
+      if not (cm_fresh cm a) then cm_sync cm a col)
+    gp.gp_probed
+
+(** Every binding of the premises' own variables (aux variables dropped,
+    duplicates removed): the full join ([since = -1]) of a fresh plan. *)
+let query idx (facts : Ast.fact list) : env list =
+  List.map
+    (Env.filter (fun x _ -> not (is_aux_var x)))
+    (gsolve idx (gcompile idx (compile facts)) ~since:(-1))

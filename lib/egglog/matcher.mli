@@ -1,24 +1,17 @@
 (** E-matching: finding all substitutions under which a rule's premises
     hold in the current e-graph.
 
-    The matcher works against a persistent {!index}: per-function
-    by-output buckets are (re)built lazily only when the function's table
-    changed since the bucket was last built, so repeated iterations over a
-    mostly-quiescent database cost almost nothing.  Rows are indexed by
-    output e-class so nested patterns join in O(1) per candidate.
-
-    Premises are solved left to right over a list of candidate
-    environments: declared-function applications are patterns (relational
-    joins over their tables), primitive applications are evaluated (and
-    must be [true] in guard position), and [(= e1 e2 ...)] unifies the
-    values of all conjuncts, binding still-free variables.
-
-    Seminaive matching ({!compile} / {!solve_plan}) unions one term per
-    table-application atom: the term's atom scans only the rows stamped
-    after a given timestamp (the delta), atoms before it only older rows
-    and atoms after it the full table, so every row combination is derived
-    by exactly one term — a rule whose tables saw no new rows since its
-    last scan is dismissed in O(atoms). *)
+    There is one matcher, the generic join.  {!compile} flattens a rule's
+    premises once; {!gcompile} turns the flattened premises into flat
+    table atoms — each column a variable, a literal, a global, or a
+    wildcard — plus residual facts over primitives only.  {!gsolve} joins
+    the atoms variable by variable over per-(function, column) indexes of
+    the arena tables, seminaively: one term per atom, the term's atom
+    scans only the rows stamped after a given timestamp (the delta), atoms
+    before it only older rows and atoms after it the full table, so every
+    row combination is derived by exactly one term.  The residuals then
+    run over the decoded environments, each once what it evaluates is
+    bound (premise order unless one binds what an earlier one reads). *)
 
 exception Error of string
 
@@ -28,50 +21,23 @@ type env = Value.t Env.t
 
 type index
 
-(** Build a matching index over the e-graph.  O(1); per-function buckets
-    are built lazily on first use and cached until the function's table
-    changes.  [globals] are the interpreter's top-level let-bindings. *)
+(** Build a matching index over the e-graph.  O(1); column indexes are
+    built lazily on first probe and kept up to date incrementally.
+    [globals] are the interpreter's top-level let-bindings. *)
 val make_index : Egraph.t -> (string, Value.t) Hashtbl.t -> index
 
 (** Value of an {!Ast.lit}. *)
 val value_of_lit : Ast.lit -> Value.t
 
-(** Try to evaluate a ground expression under an environment; [None] when
-    it mentions an unbound variable, a missing table row, or a primitive
-    error.  Never mutates the e-graph. *)
-val eval_opt : index -> env -> Ast.expr -> Value.t option
+(** {1 Plans} *)
 
-(** Extend [env] in all ways that make the pattern match the value. *)
-val match_value : index -> env -> Ast.expr -> Value.t -> env list
-
-(** Solve one fact against candidate environments.  [restrict], when
-    given as [(conj, since)], limits the [conj]-th conjunct (0 for
-    [F_expr]) to rows stamped strictly after [since] — the seminaive
-    delta restriction. *)
-val solve_fact : ?restrict:int * int -> index -> env list -> Ast.fact -> env list
-
-(** Solve all premises of a rule; the satisfying environments. *)
-val solve_facts : index -> Ast.fact list -> env list
-
-(** {1 Seminaive plans} *)
-
-(** A compiled rule body: premises flattened so every declared-function
-    application is its own atom, plus the list of delta candidates. *)
+(** A flattened rule body: nested table applications hoisted into facts
+    of their own.  The fact order and aux-variable names fix the join's
+    term order. *)
 type plan
 
-(** Flatten and analyse a premise list.  Total per rule, done once. *)
+(** Flatten a premise list.  Total per rule, done once. *)
 val compile : Ast.fact list -> plan
-
-(** Whether the plan supports seminaive matching (false when a table
-    application is nested inside a primitive application, where the delta
-    restriction cannot reach it — callers fall back to naive matching). *)
-val eligible : plan -> bool
-
-(** The flattened premises (for naive matching of the same plan, keeping
-    both paths observationally identical). *)
-val plan_facts : plan -> Ast.fact list
-
-(** {1 Generic join (arena engine)} *)
 
 (** A rule body compiled for the worst-case-optimal generic join: flat
     table atoms joined variable-by-variable over per-(function, column)
@@ -79,15 +45,27 @@ val plan_facts : plan -> Ast.fact list
     evaluated on the decoded environments afterwards. *)
 type gplan
 
-(** Try to compile a plan for the generic join.  [None] when the rule
-    needs the env-list matcher: non-arena engine, nested or destructuring
-    patterns, multi-pattern equations, globals referenced in patterns. *)
-val gcompile : ?keep:string list -> index -> plan -> gplan option
+(** Compile a plan for the generic join.  Every premise shape compiles:
+    globals in pattern slots are pinned per search, primitive calls and
+    [vec-of] in slots become residuals on fresh variables, table
+    applications under primitives become atoms, and an equality over
+    several table applications shares one output column.  [keep] names
+    the variables the consumer reads (default: all).  Raises {!Error} on
+    an unknown function or an arity mismatch. *)
+val gcompile : ?keep:string list -> index -> plan -> gplan
 
-(** Generic-join seminaive solve ([~since:-1] degenerates to the full
-    naive join).  Same disjoint old/delta/full decomposition as the
-    env-list path, executed over sorted row-id columns. *)
+(** {1 Search} *)
+
+(** Seminaive solve: environments satisfying the plan that involve at
+    least one row stamped strictly after [since] ([~since:-1] is the full
+    join).  A plan with no atoms yields one environment for its residuals
+    to test, on the full search only. *)
 val gsolve : index -> gplan -> since:int -> env list
+
+(** Canonical codes of the globals the plan's premises name, as of now.
+    A rule whose pins changed since its last search must search in full:
+    rows that did not change can match a global whose class merged. *)
+val pins : index -> gplan -> int array
 
 (** Whether {!gsolve_packed} may be used for this plan: no residual facts
     and no wildcard columns (those need env-level dedupe). *)
@@ -110,19 +88,12 @@ type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
     {!gp_packed_ok}. *)
 val gsolve_packed : index -> gplan -> since:int -> packed
 
-(** Build every per-function structure the rule's search needs (column
-    indexes or row caches), so a subsequent parallel search phase never
-    writes to the shared index. *)
-val prewarm : index -> plan -> gplan option -> unit
+(** Bring every column index the plan's search will probe up to date, so
+    a subsequent parallel search phase never writes to the shared
+    index. *)
+val prewarm : index -> gplan -> unit
 
-(** Environments satisfying the plan that involve at least one row
-    stamped strictly after [since].  Requires [eligible].  Results are
-    deduplicated.  [?gplan] short-circuits plan dispatch: [Some (Some g)]
-    uses the generic join with [g], [Some None] forces the env-list path,
-    [None] (default) compiles and dispatches on the fly. *)
-val solve_plan :
-  ?gplan:gplan option option -> index -> plan -> since:int -> env list
-
-(** The env-list (legacy) solver, regardless of engine. *)
-val solve_plan_legacy : index -> plan -> since:int -> env list
-
+(** Every binding of the premises' own variables (compiler aux variables
+    dropped, duplicates removed), through the full join of a fresh plan —
+    what [(check ...)] and the match-set oracles ask. *)
+val query : index -> Ast.fact list -> env list

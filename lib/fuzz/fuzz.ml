@@ -166,6 +166,28 @@ let interp_values m func args =
   | r -> Ok r.Mlir.Interp.values
   | exception Mlir.Interp.Runtime_error e -> Error e
 
+(* Saturate the case's function the way the pipeline does, then compare
+   every rule's full match set through the generic join with the
+   reference matcher's: [(rule, join matches, reference matches)] for each
+   rule where they differ. *)
+let match_diff (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
+  let m = Mlir.Parser.parse_module case.Gen.c_mlir in
+  match Mlir.Ir.find_function m case.Gen.c_func with
+  | None -> []
+  | Some func ->
+    let limits = Egglog.Limits.make ~max_nodes:cfg.Dialegg.Pipeline.max_nodes () in
+    let engine = Egglog.Interp.create ~limits () in
+    Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
+    Egglog.Interp.run_string engine cfg.Dialegg.Pipeline.rules;
+    let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
+    Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
+    let eggify =
+      Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
+    in
+    ignore (Dialegg.Eggify.translate_function eggify func : string);
+    ignore (Egglog.Interp.run engine cfg.Dialegg.Pipeline.max_iterations);
+    Reference.disagreements engine
+
 (* Has this process ever spawned a domain?  Set by the [-jN] oracle;
    gates the fork-based batch oracle (see below). *)
 let domains_spawned = ref false
@@ -213,8 +235,17 @@ let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
           (failure ~oracle Differential
              ("variant raised: " ^ Printexc.to_string e))
     in
-    compare_run "engine-diff"
-      { base_cfg with Dialegg.Pipeline.engine = Egglog.Egraph.Legacy };
+    compare_run "naive-diff" { base_cfg with Dialegg.Pipeline.seminaive = false };
+    (* -- the join against the reference matcher ----------------------- *)
+    (match match_diff base_cfg case with
+    | [] -> ()
+    | (rule, join, reference) :: _ as bad ->
+      add
+        (failure ~oracle:"match-diff" Differential
+           (Printf.sprintf "%d rule(s) disagree; %s: join %d matches, reference %d"
+              (List.length bad) rule join reference))
+    | exception e ->
+      add (failure ~oracle:"match-diff" Crash ("match check raised: " ^ Printexc.to_string e)));
     (* -- batch ≡ sequential ------------------------------------------ *)
     (* OCaml 5 forbids [Unix.fork] once any domain has ever been spawned
        in the process, so this fork-based oracle must run before the

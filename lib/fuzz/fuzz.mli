@@ -14,11 +14,14 @@
     - {e nondeterminism}: two runs under one config produced different
       bytes — invalidates every cache key and batch-equivalence claim;
     - {e differential mismatch}: two configurations that promise
-      byte-identical output disagreed (arena ≡ legacy engine, [-j1] ≡
-      [-jN], batch ≡ sequential, warm cache ≡ cold run), or the
-      optimized program computes different results than the input on
-      concrete data (the interpreter-differential, which is what catches
-      silent miscompilations like the PR 4 aliasing bug);
+      byte-identical output disagreed (seminaive ≡ naive matching,
+      [-j1] ≡ [-jN], batch ≡ sequential, warm cache ≡ cold run); after
+      saturating the case's function, some rule's full match set through
+      the generic join differs from the brute-force {!Reference} matcher's
+      ([match-diff]); or the optimized program computes different results
+      than the input on concrete data (the interpreter-differential, which
+      is what catches silent miscompilations like the destination-aliasing
+      bug [--inject-fault deeggify:alias] re-arms);
     - {e validator rejection}: the translation validator refused the
       extraction — the most informative failure, it names the broken
       refinement.

@@ -13,7 +13,7 @@
 open Egglog
 
 let () =
-  let eg = Egraph.create ~engine:Egraph.Arena () in
+  let eg = Egraph.create () in
   Egraph.declare_sort eg "E";
   let decl name =
     Egraph.declare_function eg ~name ~args:[ "E" ] ~ret:"E" ~cost:None

@@ -153,15 +153,17 @@ dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
   --egg rules/matmul_assoc.egg | grep -q 'tensor<10x8xf64>'
 echo ok
 
-echo "== dialegg-opt: arena and legacy engines extract identical programs =="
-dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
-  --egg rules/matmul_assoc.egg --engine arena > /tmp/dialegg_arena.mlir
-dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
-  --egg rules/matmul_assoc.egg --engine legacy > /tmp/dialegg_legacy.mlir
-cmp /tmp/dialegg_arena.mlir /tmp/dialegg_legacy.mlir
-dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
-  --egg rules/matmul_assoc.egg --engine arena -j 2 > /tmp/dialegg_arena_j2.mlir
-cmp /tmp/dialegg_arena.mlir /tmp/dialegg_arena_j2.mlir
+echo "== dialegg-opt: seminaive, naive and -j 2 matching extract identical programs =="
+for mm in 2mm 3mm; do
+  dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
+    --egg rules/matmul_assoc.egg > /tmp/dialegg_semi.mlir
+  dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
+    --egg rules/matmul_assoc.egg --naive-matching > /tmp/dialegg_naive.mlir
+  cmp /tmp/dialegg_semi.mlir /tmp/dialegg_naive.mlir
+  dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
+    --egg rules/matmul_assoc.egg -j 2 > /tmp/dialegg_j2.mlir
+  cmp /tmp/dialegg_semi.mlir /tmp/dialegg_j2.mlir
+done
 echo ok
 
 echo "== dialegg-opt: --dump-egg round-trips through the egglog CLI =="

@@ -1,11 +1,16 @@
-(* Property tests for the arena storage engine (ISSUE 7).
+(* Property tests for the arena e-graph and its one matcher, the generic
+   join.
 
-   The flat struct-of-arrays arena engine must be observationally
-   identical to the legacy boxed engine: same saturated partition, same
-   extraction (byte-identical term), on arbitrary rewriting systems —
-   including programs that delete rows and push/pop snapshots, which
-   exercise the lazy column-index sync and compaction remapping paths.
-   Parallel search (-jN) must likewise be invisible in the results. *)
+   The join is checked against a brute-force reference matcher
+   (Fuzzing.Reference): after every (run) of random rewrite systems, and
+   of programs that delete rows and push/pop snapshots (which exercise
+   the lazy column-index sync and compaction remapping paths), every
+   rule's full match set through the join must equal the reference's,
+   compared as sets of bindings of the rule's own variables.  One
+   hand-written program per premise shape the join compiles beyond flat
+   patterns gets the same check.  Seminaive matching must reach the same
+   fixpoint as naive matching on the same join, and parallel search
+   (-jN) must be invisible in the results. *)
 
 open Egglog
 
@@ -20,7 +25,7 @@ let checki = Alcotest.(check int)
 (* Same shape as the scheduler-equivalence generator in test_egglog: a
    few depth-bounded rewrite rules over Add/Mul/Neg/Num plus a random
    seed term.  Deterministic programs only — no randomness at runtime,
-   so two engines given the same source must agree exactly. *)
+   so two matching regimes given the same source must agree exactly. *)
 let random_trs_gen : string QCheck.Gen.t =
   let open QCheck.Gen in
   let rec pat depth vars =
@@ -86,14 +91,39 @@ let random_trs_gen : string QCheck.Gen.t =
 |}
        (String.concat "\n" rules) seed_expr)
 
-(* Run [src] and return everything an engine choice could possibly
-   leak into: the saturated partition and the extracted term + cost.
-   Budget faults abort the run identically in every engine, so a raised
-   [Interp.Error] is folded into the observation rather than a failure. *)
-let observe ?(engine = Egraph.Arena) ?(jobs = 1) src =
-  let t = Interp.create ~engine ~jobs ~max_nodes:3_000 () in
+exception Mismatch of string
+
+(* Run [src] command by command; after every (run), every rule's full
+   match set through the join must equal the reference matcher's.  The
+   result is everything a matching regime could leak into: the saturated
+   partition and the extracted term + cost.  Budget faults abort the run
+   identically in every regime, so a raised [Interp.Error] is folded into
+   the observation rather than a failure. *)
+let observe ?(naive = false) ?(jobs = 1) ?(reference = true) src =
+  let t = Interp.create ~jobs ~max_nodes:3_000 () in
   Interp.set_backoff t false;
-  let err = try Interp.run_string t src; "" with Interp.Error e -> e in
+  Interp.set_naive_matching t naive;
+  let check_matches () =
+    match Fuzzing.Reference.disagreements t with
+    | [] -> ()
+    | bad ->
+      raise
+        (Mismatch
+           (String.concat "; "
+              (List.map
+                 (fun (rule, j, r) -> Printf.sprintf "%s: join %d, reference %d" rule j r)
+                 bad)))
+  in
+  let err =
+    try
+      List.iter
+        (fun (c : Ast.command) ->
+          Interp.run_command t c;
+          match c with C_run _ when reference -> check_matches () | _ -> ())
+        (Parser.parse_program src);
+      ""
+    with Interp.Error e -> e
+  in
   Egraph.rebuild (Interp.egraph t);
   let extracted =
     match Interp.last_extracted t with
@@ -105,43 +135,212 @@ let observe ?(engine = Egraph.Arena) ?(jobs = 1) src =
     extracted,
     err )
 
+let agrees src =
+  match observe src with
+  | _ -> true
+  | exception Mismatch m -> QCheck.Test.fail_report m
+
 (* ------------------------------------------------------------------ *)
-(* Arena = legacy                                                       *)
+(* The join against the reference matcher                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_arena_legacy_equivalence () =
+let test_join_reference () =
   QCheck.Test.check_exn
     (QCheck.Test.make
-       ~name:"arena = legacy (partition + extraction) on random TRS" ~count:80
-       (QCheck.make random_trs_gen)
-       (fun src ->
-         observe ~engine:Egraph.Arena src = observe ~engine:Egraph.Legacy src))
+       ~name:"join = reference after every run on random TRS" ~count:80
+       (QCheck.make random_trs_gen) agrees)
 
-let test_arena_naive_equivalence () =
-  (* the generic join's seminaive decomposition vs the legacy engine
-     running full naive re-matching: still the same fixpoint *)
+let test_seminaive_naive () =
+  (* the seminaive decomposition vs a full search of every due rule, both
+     through the one join: the same fixpoint *)
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"arena seminaive = legacy naive matching" ~count:40
+    (QCheck.Test.make ~name:"seminaive = naive matching" ~count:40
        (QCheck.make random_trs_gen)
        (fun src ->
-         let naive src =
-           let t = Interp.create ~engine:Egraph.Legacy ~max_nodes:3_000 () in
-           Interp.set_backoff t false;
-           Interp.set_naive_matching t true;
-           let err = try Interp.run_string t src; "" with Interp.Error e -> e in
-           Egraph.rebuild (Interp.egraph t);
-           let extracted =
-             match Interp.last_extracted t with
-             | Some (term, cost) ->
-               Printf.sprintf "%s @%d" (Extract.term_to_string term) cost
-             | None -> "<none>"
-           in
-           ( Egraph.n_nodes (Interp.egraph t),
-             Egraph.n_classes (Interp.egraph t),
-             extracted,
-             err )
-         in
-         observe ~engine:Egraph.Arena src = naive src))
+         observe ~reference:false src = observe ~reference:false ~naive:true src))
+
+(* One program per premise shape the join compiles beyond flat patterns;
+   each ends with a check that the shape actually matched. *)
+let shape_programs =
+  [
+    ( "global in a pattern slot",
+      {|
+(sort E)
+(function Num (i64) E)
+(function Neg (E) E)
+(relation hit (E))
+(let g (Num 1))
+(let a (Neg (Num 1)))
+(let b (Neg (Num 2)))
+(rule ((= ?e (Neg g))) ((hit ?e)))
+(run 3)
+(check (hit a))
+|} );
+    ( "primitive call in a pattern slot",
+      {|
+(sort E)
+(function Num (i64) E)
+(function Pair (E i64) E)
+(relation hit (E))
+(let a (Pair (Num 3) 4))
+(let b (Pair (Num 3) 5))
+(rule ((= ?e (Pair (Num ?n) (+ ?n 1)))) ((hit ?e)))
+(run 3)
+(check (hit a))
+|} );
+    ( "vec-of in a pattern slot",
+      {|
+(sort E)
+(sort EV (Vec E))
+(function Num (i64) E)
+(function Sum (EV) E)
+(relation hit (E E))
+(let s (Sum (vec-of (Num 1) (Num 2))))
+(rule ((!= ?a ?b) (= ?e (Sum (vec-of ?a ?b)))) ((hit ?a ?b)))
+(run 3)
+(check (hit (Num 1) (Num 2)))
+|} );
+    ( "table call under a primitive",
+      {|
+(sort E)
+(function Num (i64) E)
+(function size (E) i64)
+(relation big (E))
+(let a (Num 1))
+(let b (Num 2))
+(set (size a) 10)
+(set (size b) 1)
+(rule ((> (size ?e) 5)) ((big ?e)))
+(run 3)
+(check (big a))
+|} );
+    ( "equality over two table calls",
+      {|
+(sort E)
+(function Num (i64) E)
+(function Neg (E) E)
+(function Abs (E) E)
+(relation same (E))
+(let x (Num 1))
+(union (Neg x) (Abs x))
+(let y (Num 2))
+(let ny (Neg y))
+(let ay (Abs y))
+(rule ((= (Neg ?x) (Abs ?x))) ((same ?x)))
+(run 3)
+(check (same x))
+|} );
+    ( "no table atom at all",
+      {|
+(sort E)
+(function Num (i64) E)
+(let a (Num 1))
+(let b (Num 1))
+(check (= a b))
+(relation fired ())
+(rule ((= 1 1)) ((fired)))
+(run 2)
+(check (fired))
+|} );
+  ]
+
+(* Random rules whose premises mix those shapes — and guards and
+   residual bindings in any order — over a small e-graph in which a
+   global's class merges mid-run. *)
+let random_shapes_gen : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let facts =
+    [
+      "(= ?a (Num ?n))"; "(= ?a (Add ?b ?c))"; "(= ?a (Add (Num ?n) ?c))";
+      "(= ?a (Neg g))"; "(= ?b (Num (+ ?n 1)))"; "(= (Add ?b ?c) (Neg ?d))";
+      "(> ?n 0)"; "(= ?m (+ ?n 1))"; "(= ?v (val ?a))"; "(< (val ?a) 3)";
+      "(= ?a g)"; "(Neg ?b)"; "(= (Neg ?a) (Neg ?b) ?c)"; "(!= ?a ?b)";
+      "(= ?u (Pair (vec-of ?a ?b)))"; "(= (vec-of ?a ?b) ?w)";
+      "(= (val ?b) (+ (val ?a) 1))"; "(= 3 (val ?a))"; "(= _ (Neg ?a))";
+      "(Add ?a _)"; "(= ?a (Add ?b (Num (* ?n 2))))"; "(= ?k (val (Neg ?a)))";
+      "(< (val (Add ?a ?b)) 5)"; "(= ?n 1)"; "(= g (Num ?n))";
+    ]
+  in
+  let rule =
+    let* k = int_range 1 4 in
+    let* fs = list_repeat k (oneofl facts) in
+    return (Printf.sprintf "(rule (%s) ())" (String.concat " " fs))
+  in
+  let* n = int_range 1 3 in
+  let* rules = list_repeat n rule in
+  return
+    (Printf.sprintf
+       {|
+(sort E)
+(sort EV (Vec E))
+(function Num (i64) E)
+(function Add (E E) E)
+(function Neg (E) E)
+(function Pair (EV) E)
+(function val (E) i64 :merge (min old new))
+(let g (Num 1))
+(rewrite (Add ?x ?y) (Add ?y ?x))
+(rewrite (Neg (Neg ?x)) ?x)
+(rule ((= ?e (Num ?k))) ((set (val ?e) ?k)))
+(rule ((= ?e (Add ?x ?y)) (= ?p (val ?x)) (= ?q (val ?y))) ((set (val ?e) (+ ?p ?q))))
+%s
+(let r1 (Add (Num 1) (Neg (Num 2))))
+(let r2 (Neg (Neg (Add g (Num 0)))))
+(let r3 (Pair (vec-of (Num 1) (Num 2))))
+(union (Neg g) (Num 2))
+(run 3)
+(union (Num 0) (Neg (Num 1)))
+(run 3)
+|}
+       (String.concat "\n" rules))
+
+let test_random_shapes () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"join = reference on random premise shapes" ~count:500
+       (QCheck.make ~print:Fun.id random_shapes_gen) agrees)
+
+let test_shapes () =
+  List.iter
+    (fun (name, src) ->
+      match observe src with
+      | _, _, _, "" -> ()
+      | _, _, _, err -> Alcotest.failf "%s: %s" name err
+      | exception Mismatch m -> Alcotest.failf "%s: %s" name m)
+    shape_programs
+
+(* A global's class can merge with another mid-run: the join must pin the
+   global's canonical code afresh at each search, and a rule whose global
+   moved must search old rows again.  Both union directions, so one of
+   them leaves the global's original class non-canonical. *)
+let test_global_merge () =
+  List.iter
+    (fun (first, second) ->
+      let src =
+        Printf.sprintf
+          {|
+(sort E)
+(function Num (i64) E)
+(function Neg (E) E)
+(relation hit (E))
+(let g (Num 1))
+(let old (Neg (Num 2)))
+(rule ((= ?e (Neg g))) ((hit ?e)))
+(run 3)
+(union %s %s)
+(run 3)
+(check (hit old))
+(let fresh (Neg (Num 3)))
+(union (Num 3) g)
+(run 3)
+(check (hit fresh))
+|}
+          first second
+      in
+      match observe src with
+      | _, _, _, "" -> ()
+      | _, _, _, err -> Alcotest.failf "(union %s %s): %s" first second err
+      | exception Mismatch m -> Alcotest.failf "(union %s %s): %s" first second m)
+    [ ("g", "(Num 2)"); ("(Num 2)", "g") ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel search determinism                                          *)
@@ -152,7 +351,8 @@ let test_jobs_determinism () =
     (QCheck.Test.make ~name:"-j1 = -j4 (partition + extraction) on random TRS"
        ~count:25
        (QCheck.make random_trs_gen)
-       (fun src -> observe ~jobs:1 src = observe ~jobs:4 src))
+       (fun src ->
+         observe ~reference:false ~jobs:1 src = observe ~reference:false ~jobs:4 src))
 
 (* ------------------------------------------------------------------ *)
 (* Delete and push/pop paths                                            *)
@@ -176,10 +376,16 @@ let delete_src =
 (extract root)
 |}
 
-let test_delete_equivalence () =
-  checkb "delete: arena = legacy" true
-    (observe ~engine:Egraph.Arena delete_src
-    = observe ~engine:Egraph.Legacy delete_src);
+let test_delete () =
+  (* join = reference after each run, in both regimes (seminaive matching
+     does not re-derive a deleted row whose premises did not change, so
+     the two regimes may end in different fixpoints here) *)
+  List.iter
+    (fun naive ->
+      match observe ~naive delete_src with
+      | _, _, _, err -> checks "delete: no error" "" err
+      | exception Mismatch m -> Alcotest.failf "delete (naive=%b): %s" naive m)
+    [ false; true ];
   (* the deleted row must actually be gone, then re-derivable *)
   let t = Interp.create () in
   Interp.run_string t delete_src;
@@ -203,13 +409,12 @@ let pushpop_src =
 (extract root)
 |}
 
-let test_pushpop_equivalence () =
-  checkb "push/pop: arena = legacy" true
-    (observe ~engine:Egraph.Arena pushpop_src
-    = observe ~engine:Egraph.Legacy pushpop_src);
+let test_pushpop () =
+  checkb "push/pop: join = reference, seminaive = naive" true
+    (observe pushpop_src = observe ~naive:true pushpop_src);
   (* after a pop the snapshot's commutativity closure must be gone and
      the original association must still win extraction on cost ties *)
-  let _, _, extracted, err = observe ~engine:Egraph.Arena pushpop_src in
+  let _, _, extracted, err = observe pushpop_src in
   checks "no error" "" err;
   checks "post-pop extraction" "(Add (Num 1) (Add (Num 2) (Num 3))) @5" extracted
 
@@ -241,11 +446,16 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "arena = legacy" `Slow test_arena_legacy_equivalence;
-          Alcotest.test_case "arena = legacy naive" `Slow
-            test_arena_naive_equivalence;
-          Alcotest.test_case "delete" `Quick test_delete_equivalence;
-          Alcotest.test_case "push/pop" `Quick test_pushpop_equivalence;
+          Alcotest.test_case "join = reference" `Slow test_join_reference;
+          Alcotest.test_case "seminaive = naive" `Slow test_seminaive_naive;
+          Alcotest.test_case "delete" `Quick test_delete;
+          Alcotest.test_case "push/pop" `Quick test_pushpop;
+        ] );
+      ( "shapes",
+        [
+          Alcotest.test_case "each compiled shape matches" `Quick test_shapes;
+          Alcotest.test_case "global merged mid-run" `Quick test_global_merge;
+          Alcotest.test_case "random premise shapes" `Slow test_random_shapes;
         ] );
       ( "parallel",
         [ Alcotest.test_case "-j determinism" `Slow test_jobs_determinism ] );

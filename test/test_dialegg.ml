@@ -885,6 +885,47 @@ func.func @f(%x: i64) -> i64 {
   checkb "parses back" true (List.length (Egglog.Parser.parse_program src) > 0);
   checkb "mentions arith_addi" true (contains src "arith_addi")
 
+(* --stats must print the rule table in the same order on every run: two
+   stat lists that differ only in their timings print the same rows, most
+   matches first, ties broken by rule name. *)
+let test_rule_stats_order () =
+  let stat name matches search apply =
+    {
+      Egglog.Interp.rs_name = name;
+      rs_ruleset = None;
+      rs_searches = 3;
+      rs_matches = matches;
+      rs_applied = matches;
+      rs_bans = 0;
+      rs_search_time = search;
+      rs_apply_time = apply;
+    }
+  in
+  let stats times =
+    List.map2
+      (fun (name, matches) (search, apply) -> stat name matches search apply)
+      [ ("zeta", 4); ("alpha", 4); ("mid", 9); ("beta", 0); ("gamma", 4) ]
+      times
+  in
+  (* the rows without their two time columns *)
+  let rows l =
+    Fmt.str "%a" Dialegg.Pipeline.pp_rule_stats l
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+           | name :: searches :: matches :: applied :: bans :: _ ->
+             String.concat " " [ name; searches; matches; applied; bans ]
+           | _ -> line)
+  in
+  let a = rows (stats [ (0.5, 0.1); (0.001, 0.); (0.2, 0.3); (0.9, 0.9); (0.01, 0.02) ]) in
+  let b = rows (stats [ (0.001, 0.); (0.7, 0.2); (0.002, 0.); (0., 0.); (0.3, 0.3) ]) in
+  Alcotest.(check (list string)) "times do not reorder rows" a b;
+  Alcotest.(check (list string))
+    "most matches first, ties by name"
+    [ "mid"; "alpha"; "gamma"; "zeta"; "beta" ]
+    (List.map (fun r -> List.hd (String.split_on_char ' ' r)) (List.tl a))
+
 let () =
   Alcotest.run "dialegg"
     [
@@ -943,6 +984,7 @@ let () =
           Alcotest.test_case "cmpf attrs round-trip" `Quick test_cmpf_predicate_roundtrip;
           Alcotest.test_case "opaque type survives" `Quick test_opaque_type_survives;
           Alcotest.test_case "eggify deterministic" `Quick test_eggify_deterministic;
+          Alcotest.test_case "stats rule order" `Quick test_rule_stats_order;
         ] );
       ( "properties",
         [

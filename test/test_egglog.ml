@@ -610,7 +610,7 @@ let test_rulesets () =
 |};
   Egraph.rebuild (Interp.egraph t);
   let idx = Matcher.make_index (Interp.egraph t) (Interp.globals t) in
-  let holds src = Matcher.solve_facts idx (facts_of src) <> [] in
+  let holds src = Matcher.query idx (facts_of src) <> [] in
   checkb "default ruleset ran" true (holds "((= x (B)))");
   checkb "phase2 did not run" false (holds "((= x (C)))");
   Interp.run_string t "(run 10 phase2)";

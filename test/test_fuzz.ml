@@ -81,7 +81,7 @@ let test_signature_stability () =
     (sig_of "Outputs  Differ\n badly")
     (sig_of "outputs differ badly");
   checkb "different oracles are different buckets" true
-    (Fuzzing.Fuzz.signature ~oracle:"engine-diff" Fuzzing.Fuzz.Differential
+    (Fuzzing.Fuzz.signature ~oracle:"naive-diff" Fuzzing.Fuzz.Differential
        ~detail:"x"
     <> Fuzzing.Fuzz.signature ~oracle:"jobs-diff" Fuzzing.Fuzz.Differential
          ~detail:"x");

@@ -636,12 +636,6 @@ let test_cache_key_sensitivity () =
     = Serve.Cache.key
         ~config:{ pipeline_config with Dialegg.Pipeline.max_iterations = 3 }
         ~src);
-  checkb "engine participates" false
-    (k
-    = Serve.Cache.key
-        ~config:
-          { pipeline_config with Dialegg.Pipeline.engine = Egglog.Egraph.Legacy }
-        ~src);
   checkb "degradation policy participates" false
     (k
     = Serve.Cache.key
