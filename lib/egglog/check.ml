@@ -26,6 +26,8 @@
     - [bad-pattern] — a rewrite LHS that is not a table application;
     - [bad-action] — a malformed [set]/[delete]/[unstable-cost];
     - [bad-merge] — a [:merge] expression the engine cannot evaluate;
+    - [negative-cost] — a [:cost] below zero (extraction needs costs
+      ≥ 0 to terminate);
     - [unconstrained-fact] — a fact that can never bind or test anything;
     - [shadowed-binding] (warning) — a rule-local [let] reusing a name;
     - [non-boolean-guard] (warning) — a guard whose sort is not [bool]
@@ -629,6 +631,13 @@ let declare_func ctx span name args ret cost =
   | Some _ -> errf ctx span "redeclared" "function %s redeclared with a different signature" name
   | None -> Hashtbl.replace ctx.env.funcs name { fs_args = args; fs_ret = ret; fs_cost = cost }
 
+(* extraction's cost fixpoint terminates only on costs >= 0 *)
+let check_cost ctx loc name = function
+  | Some c when c < 0 ->
+    let sp = match find_option_loc loc ":cost" with Some v -> v.Sexp.span | None -> loc.span in
+    errf ctx sp "negative-cost" "%s has a negative :cost %d; extraction needs costs >= 0" name c
+  | _ -> ()
+
 (* :merge expressions are evaluated by a tiny interpreter that only
    knows [old], [new], literals and primitives — anything else is
    rejected here instead of mid-saturation. *)
@@ -680,11 +689,9 @@ let check_located ctx (cmd : Ast.command) (cloc : Sexp.located) =
     List.iteri
       (fun i (v : Ast.variant) ->
         (* children of the command are [datatype; name; variant...] *)
-        let vspan =
-          match List.nth_opt (children cloc) (i + 2) with
-          | Some l -> l.Sexp.span
-          | None -> span
-        in
+        let vloc = Option.value (List.nth_opt (children cloc) (i + 2)) ~default:cloc in
+        let vspan = vloc.Sexp.span in
+        check_cost ctx vloc v.v_name v.v_cost;
         if Hashtbl.mem seen v.v_name then
           errf ctx vspan "duplicate-constructor"
             "constructor %s declared twice in datatype %s — the second declaration shadows the first"
@@ -693,6 +700,7 @@ let check_located ctx (cmd : Ast.command) (cloc : Sexp.located) =
         declare_func ctx vspan v.v_name v.v_args name v.v_cost)
       variants
   | C_function d ->
+    check_cost ctx cloc d.f_name d.f_cost;
     declare_func ctx span d.f_name d.f_args d.f_ret d.f_cost;
     if d.f_merge <> None then check_merge ctx cloc d.f_ret
   | C_relation (name, args) -> declare_func ctx span name args "Unit" None

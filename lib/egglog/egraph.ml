@@ -162,6 +162,9 @@ let declare_vec_sort t name elem =
 let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
   let sym = Symbol.intern name in
   if Symbol.Tbl.mem t.funcs sym then error "function %s already declared" name;
+  (match cost with
+  | Some c when c < 0 -> error "function %s: negative :cost %d" name c
+  | _ -> ());
   let arg_sorts = Array.of_list (List.map (find_sort t) args) in
   let f =
     {
@@ -289,12 +292,6 @@ let iter_rows t f (k : Value.t array -> Value.t -> unit) =
       let args = decode_row_args t a ~arity r in
       let out = Arena.decode t.pool (Arena.out_code a r) in
       if clean then k args out else k (canon_args t args) (canon t out))
-
-(** Fold over rows of [f]. *)
-let fold_rows t f init k =
-  let acc = ref init in
-  iter_rows t f (fun args out -> acc := k !acc args out);
-  !acc
 
 (** Number of canonical e-classes that appear as some row's output. *)
 let n_classes t =
@@ -599,9 +596,17 @@ let delete t f args =
 (* unstable-cost overrides                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* extraction's cost fixpoint terminates only on costs >= 0; a negative
+   override (e.g. an i64 product that overflowed in a cost rule) would
+   make it spin *)
+let check_cost f cost =
+  if cost < 0 then
+    error "unstable-cost: negative cost %d for (%s ...)" cost (Symbol.name f.sym)
+
 (** [set_cost t f args cost] overrides the extraction cost of the e-node
     [(f args)] — the paper's [unstable-cost] command.  The node must exist. *)
 let set_cost t f args cost =
+  check_cost f cost;
   let args = canon_args t args in
   let out =
     match lookup t f args with
@@ -628,6 +633,7 @@ let set_cost t f args cost =
     {!apply_codes}), so the canonicalization and existence lookup of
     {!set_cost} can be skipped. *)
 let set_cost_codes t f (key : int array) (out : int) cost =
+  check_cost f cost;
   let args = Array.map (fun c -> Arena.decode t.pool c) key in
   let tbl =
     match Symbol.Tbl.find_opt t.costs f.sym with
@@ -651,20 +657,6 @@ let cost_override t f args =
     match Value.Args_tbl.find_opt tbl (canon_args t args) with
     | Some (c, _) -> Some c
     | None -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Output queries                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** [rows_with_output t f cls] lists rows of [f] whose output is in class
-    [cls] — the e-nodes of [cls] built by [f]. *)
-let rows_with_output t f cls =
-  let cls = find_class t cls in
-  List.rev
-    (fold_rows t f [] (fun acc args out ->
-         match out with
-         | Value.Eclass id when find_class t id = cls -> (args, out) :: acc
-         | _ -> acc))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (push/pop)                                                *)

@@ -86,6 +86,8 @@ val declare_sort : t -> string -> unit
 (** [(sort name (Vec elem))] *)
 val declare_vec_sort : t -> string -> string -> unit
 
+(** Declare a function table; [args] and [ret] are sort names.
+    @raise Error if [cost] is negative. *)
 val declare_function :
   t ->
   name:string ->
@@ -164,12 +166,14 @@ val rebuild : t -> unit
 (** {1 unstable-cost overrides (paper §6.2)} *)
 
 (** Override the extraction cost of the e-node [(f args)]; the node must
-    exist.  Cheaper overrides win on conflict. *)
+    exist.  Cheaper overrides win on conflict.
+    @raise Error if the cost is negative. *)
 val set_cost : t -> func -> Value.t array -> int -> unit
 
 (** Code-level {!set_cost}: [key]/[out] must be canonical codes of a row
     already in the table (as returned by {!apply_codes}), skipping the
-    existence lookup. *)
+    existence lookup.
+    @raise Error if the cost is negative. *)
 val set_cost_codes : t -> func -> int array -> int -> int -> unit
 
 val cost_override : t -> func -> Value.t array -> int option
@@ -196,12 +200,6 @@ val approx_memory_words : t -> int
     clean (no pending unions) rows are served as stored, with no per-row
     canonicalization. *)
 val iter_rows : t -> func -> (Value.t array -> Value.t -> unit) -> unit
-
-val fold_rows : t -> func -> 'a -> ('a -> Value.t array -> Value.t -> 'a) -> 'a
-
-(** Rows of [f] whose output is in the given class — its e-nodes built by
-    [f]. *)
-val rows_with_output : t -> func -> int -> (Value.t array * Value.t) list
 
 (** Deep copy of the whole e-graph (for push/pop).  The append-only value
     pool is shared with the original; the arena tables are copied flat. *)

@@ -2,18 +2,29 @@
 
     The cost of an e-node [(f a1 ... an)] is
 
-    {v node_cost(f, args) + sum of the costs of every e-class referenced by
+    {v base(f, args) + sum of the costs of every e-class referenced by
        the arguments (including e-classes nested inside vector values) v}
 
-    where [node_cost] is the [unstable-cost] override for that exact e-node
-    if one was set (the paper's §6.2 variable cost models), otherwise the
+    where [base] is the [unstable-cost] override for that exact e-node if
+    one was set (the paper's §6.2 variable cost models), otherwise the
     [:cost] of the constructor, otherwise 1.  Primitive leaf values cost 0.
-    Like egg/egglog, shared sub-DAGs are counted once per reference (tree
-    cost), which is the standard extraction approximation.
+    Every sum saturates at [infinity_cost], so no number of infinite
+    children can wrap around to a cheap-looking cost.  Like egg/egglog,
+    shared sub-DAGs are counted once per reference (tree cost), which is
+    the standard extraction approximation.
 
-    Costs per class are computed by a fixpoint iteration from ⊤ (infinite);
-    e-classes with no finite derivation (purely cyclic) keep infinite cost,
-    and extracting them is an error.
+    {!make} walks each extractable table once.  Every live row becomes an
+    e-node record — head declaration index, arguments, base cost (override
+    looked up once), child classes with vectors flattened — filed under
+    its output class.  Class costs are then a fixpoint from ⊤ (infinite)
+    over an array indexed by class id: passes over the e-nodes repeat
+    until no class gets cheaper.  Base costs are never negative (a
+    negative [:cost] or [unstable-cost] is rejected where it is declared
+    or set), so an optimal derivation never repeats a class along a path
+    and the passes stop after at most one more than the number of
+    classes.  E-classes with no finite derivation (purely cyclic) keep
+    infinite cost, and extracting them is an error.  Extracting a class
+    reads only that class's own e-nodes.
 
     Every extracted constructor term records the e-class it was extracted
     from ([t_class]); terms are memoized per class, so shared sub-terms are
@@ -101,9 +112,28 @@ let children t =
 
 let infinity_cost = max_int / 4
 
+(* [a + b] for costs [a, b >= 0], saturating at [infinity_cost] *)
+let add_cost a b = if a >= infinity_cost - b then infinity_cost else a + b
+
+(** One e-node: a live row of an extractable constructor table. *)
+type enode = {
+  n_fi : int;  (** declaration index of the head function (tie-break key) *)
+  n_func : Egraph.func;
+  n_args : Value.t array;  (** canonical arguments *)
+  n_base : int;  (** the [unstable-cost] override, else [:cost], else 1 *)
+  n_kids : int array;
+      (** canonical child classes, vectors flattened, one entry per
+          reference (order irrelevant: they are only summed) *)
+  n_class : int;  (** canonical output class *)
+}
+
 type t = {
   eg : Egraph.t;
-  class_cost : (int, int) Hashtbl.t;  (** canonical class id -> best known cost *)
+  cost : int array;  (** canonical class id -> best cost *)
+  nodes : enode list array;
+      (** canonical class id -> its e-nodes, last row first: functions in
+          reverse declaration order, rows in reverse [Arena.iter_live]
+          order — the order candidates reach the tie-break in *)
   memo : (int, term) Hashtbl.t;  (** canonical class id -> extracted term *)
   chosen : (int, int) Hashtbl.t;
       (** canonical class id -> base cost of the e-node extraction picked
@@ -114,63 +144,93 @@ type t = {
 }
 
 let class_cost st cls =
-  match Hashtbl.find_opt st.class_cost (Egraph.find_class st.eg cls) with
-  | Some c -> c
-  | None -> infinity_cost
+  let cls = Egraph.find_class st.eg cls in
+  if cls < Array.length st.cost then st.cost.(cls) else infinity_cost
+
+let nodes_of st cls = if cls < Array.length st.nodes then st.nodes.(cls) else []
 
 (** Sum of costs of every e-class referenced inside [v]. *)
 let rec value_cost st (v : Value.t) =
   match v with
   | Eclass id -> class_cost st id
-  | Vec elems ->
-    Array.fold_left (fun acc e -> min infinity_cost (acc + value_cost st e)) 0 elems
+  | Vec elems -> Array.fold_left (fun acc e -> add_cost acc (value_cost st e)) 0 elems
   | _ -> 0
 
-let node_base_cost st (f : Egraph.func) args =
-  match Egraph.cost_override st.eg f args with
-  | Some c -> c
-  | None -> Option.value f.cost ~default:1
+let node_cost (cost : int array) n =
+  let c = ref (min n.n_base infinity_cost) in
+  for i = 0 to Array.length n.n_kids - 1 do
+    c := add_cost !c cost.(n.n_kids.(i))
+  done;
+  !c
 
-let node_cost st (f : Egraph.func) args =
-  let base = node_base_cost st f args in
-  let children = Array.fold_left (fun acc v -> acc + value_cost st v) 0 args in
-  min infinity_cost (base + children)
+let child_classes eg (args : Value.t array) =
+  let acc = ref [] in
+  let rec go (v : Value.t) =
+    match v with
+    | Eclass id -> acc := Egraph.find_class eg id :: !acc
+    | Vec elems -> Array.iter go elems
+    | _ -> ()
+  in
+  Array.iter go args;
+  Array.of_list !acc
 
-(** Build an extractor: computes the best cost of every e-class by fixpoint
-    iteration over all constructor tables.  The e-graph must be rebuilt. *)
+(** Build an extractor: index every e-node under its class, then compute
+    the best cost of every e-class by fixpoint.  The e-graph must be
+    rebuilt. *)
 let make eg : t =
-  let st =
-    {
-      eg;
-      class_cost = Hashtbl.create 64;
-      memo = Hashtbl.create 64;
-      chosen = Hashtbl.create 64;
-      extracting = Hashtbl.create 16;
-    }
-  in
-  let funcs =
-    List.filter
-      (fun (f : Egraph.func) -> Egraph.is_constructor f && not f.unextractable)
-      (Egraph.functions eg)
-  in
+  let size = Union_find.size (Egraph.uf eg) in
+  let nodes = Array.make size [] in
+  let walk = ref [] in
+  List.iteri
+    (fun fi (f : Egraph.func) ->
+      if Egraph.is_constructor f && not f.unextractable then
+        Egraph.iter_rows eg f (fun args out ->
+            match out with
+            | Eclass id ->
+              let cls = Egraph.find_class eg id in
+              let base =
+                match Egraph.cost_override eg f args with
+                | Some c -> c
+                | None -> Option.value f.cost ~default:1
+              in
+              let n =
+                {
+                  n_fi = fi;
+                  n_func = f;
+                  n_args = args;
+                  n_base = base;
+                  n_kids = child_classes eg args;
+                  n_class = cls;
+                }
+              in
+              nodes.(cls) <- n :: nodes.(cls);
+              walk := n :: !walk
+            | _ -> ()))
+    (Egraph.functions eg);
+  (* passes in walk order, which is roughly bottom-up: rows are appended
+     after the rows their children came from *)
+  let walk = Array.of_list (List.rev !walk) in
+  let cost = Array.make size infinity_cost in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (f : Egraph.func) ->
-        Egraph.iter_rows eg f (fun args out ->
-            match out with
-            | Eclass cls ->
-              let cls = Egraph.find_class eg cls in
-              let c = node_cost st f args in
-              if c < class_cost st cls then begin
-                Hashtbl.replace st.class_cost cls c;
-                changed := true
-              end
-            | _ -> ()))
-      funcs
+    Array.iter
+      (fun n ->
+        let c = node_cost cost n in
+        if c < cost.(n.n_class) then begin
+          cost.(n.n_class) <- c;
+          changed := true
+        end)
+      walk
   done;
-  st
+  {
+    eg;
+    cost;
+    nodes;
+    memo = Hashtbl.create 64;
+    chosen = Hashtbl.create 64;
+    extracting = Hashtbl.create 16;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Term extraction                                                     *)
@@ -185,43 +245,29 @@ let rec extract_class st cls : term =
   | None ->
     if Hashtbl.mem st.extracting cls then
       error "e-class %d is cyclic through zero-cost e-nodes" cls;
-    if class_cost st cls >= infinity_cost then
+    let best_cost = class_cost st cls in
+    if best_cost >= infinity_cost then
       error "e-class %d has no finite-cost term (cyclic with no base case)" cls;
     Hashtbl.replace st.extracting cls ();
-    (* Collect every minimal-cost candidate with its function's declaration
-       index.  Keeping just the first winner would make the choice depend on
-       row iteration order, which differs between storage engines. *)
-    let best_cost = ref infinity_cost in
-    let cands = ref [] in
-    List.iteri
-      (fun fi (f : Egraph.func) ->
-        if Egraph.is_constructor f && not f.unextractable then
-          List.iter
-            (fun (args, _) ->
-              let c = node_cost st f args in
-              if c < !best_cost then begin
-                best_cost := c;
-                cands := [ (fi, f, args) ]
-              end
-              else if c = !best_cost then cands := (fi, f, args) :: !cands)
-            (Egraph.rows_with_output st.eg f cls))
-      (Egraph.functions st.eg);
-    let f, args, sub =
-      match !cands with
+    (* Every minimal-cost candidate, keyed by its function's declaration
+       index.  Keeping just the first winner would make the choice depend
+       on row iteration order. *)
+    let cands = List.filter (fun n -> node_cost st.cost n = best_cost) (nodes_of st cls) in
+    let n, sub =
+      match cands with
       | [] -> error "e-class %d has no e-nodes to extract" cls
-      | [ (_, f, args) ] ->
-        (f, args, Array.to_list args |> List.map (extract_value st))
+      | [ n ] -> (n, extract_args st n)
       | cands ->
         (* Deterministic tie-break: declaration order of the head function,
            then the extracted argument terms compared structurally.  Both
-           keys are independent of e-class numbering and row order, so every
-           engine extracts the same bytes.  Candidates whose extraction
-           cycles back into this class are discarded. *)
+           keys are independent of e-class numbering and row order.
+           Candidates whose extraction cycles back into this class are
+           discarded. *)
         let keyed =
           List.filter_map
-            (fun (fi, (f : Egraph.func), args) ->
-              match Array.to_list args |> List.map (extract_value st) with
-              | sub -> Some ((fi, sub), (f, args, sub))
+            (fun n ->
+              match extract_args st n with
+              | sub -> Some ((n.n_fi, sub), (n, sub))
               | exception Error _ -> None)
             cands
         in
@@ -240,14 +286,16 @@ let rec extract_class st cls : term =
         | None -> error "e-class %d has no acyclic minimal e-node" cls)
     in
     Hashtbl.remove st.extracting cls;
-    Hashtbl.replace st.chosen cls (node_base_cost st f args);
-    let term = node ~cls f.Egraph.sym sub in
+    Hashtbl.replace st.chosen cls n.n_base;
+    let term = node ~cls n.n_func.Egraph.sym sub in
     Hashtbl.replace st.memo cls term;
     term
 
 and compare_keys (fi1, sub1) (fi2, sub2) =
   let c = Int.compare fi1 fi2 in
   if c <> 0 then c else term_list_compare sub1 sub2
+
+and extract_args st n = Array.to_list n.n_args |> List.map (extract_value st)
 
 and extract_value st (v : Value.t) : term =
   match v with
@@ -262,11 +310,6 @@ let extract eg (v : Value.t) : term * int =
   let v = Egraph.canon eg v in
   (extract_value st v, value_cost st v)
 
-(** Cost of the best term in [v]'s class without building the term. *)
-let best_cost eg (v : Value.t) : int =
-  let st = make eg in
-  value_cost st (Egraph.canon eg v)
-
 (** [variants st cls n] extracts up to [n] distinct terms of class [cls],
     cheapest first: one per e-node of the class, ordered by cost (children
     always extract optimally; only the root node varies — egglog's
@@ -274,39 +317,28 @@ let best_cost eg (v : Value.t) : int =
 let variants (st : t) cls n : (term * int) list =
   let cls = Egraph.find_class st.eg cls in
   let candidates =
-    List.concat
-      (List.mapi
-         (fun fi (f : Egraph.func) ->
-           if Egraph.is_constructor f && not f.unextractable then
-             List.filter_map
-               (fun (args, _) ->
-                 let c = node_cost st f args in
-                 if c >= infinity_cost then None
-                 else
-                   match Array.to_list args |> List.map (extract_value st) with
-                   | sub -> Some (c, fi, f, args, sub)
-                   | exception Error _ -> None)
-               (Egraph.rows_with_output st.eg f cls)
-           else [])
-         (Egraph.functions st.eg))
+    List.filter_map
+      (fun nd ->
+        let c = node_cost st.cost nd in
+        if c >= infinity_cost then None
+        else
+          match extract_args st nd with
+          | sub -> Some (c, nd, sub)
+          | exception Error _ -> None)
+      (List.rev (nodes_of st cls))
   in
-  (* cheapest first; ties broken like {!extract_class}, so the listing is
-     identical whichever storage engine produced the rows *)
+  (* cheapest first; ties broken like {!extract_class} *)
   let sorted =
     List.sort
-      (fun (c1, fi1, _, _, s1) (c2, fi2, _, _, s2) ->
+      (fun (c1, n1, s1) (c2, n2, s2) ->
         let c = Int.compare c1 c2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare fi1 fi2 in
-          if c <> 0 then c else term_list_compare s1 s2)
+        if c <> 0 then c else compare_keys (n1.n_fi, s1) (n2.n_fi, s2))
       candidates
   in
   let rec take k = function
     | [] -> []
     | _ when k = 0 -> []
-    | (c, _, f, _, sub) :: rest ->
-      (node ~cls f.Egraph.sym sub, c) :: take (k - 1) rest
+    | (c, nd, sub) :: rest -> (node ~cls nd.n_func.Egraph.sym sub, c) :: take (k - 1) rest
   in
   take n sorted
 

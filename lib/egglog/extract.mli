@@ -3,14 +3,19 @@
     The cost of an e-node is its base cost (its [unstable-cost] override if
     set, else the constructor's [:cost], else 1) plus the costs of every
     referenced e-class — including classes nested inside vector values.
-    Shared sub-DAGs are counted once per reference (tree cost), the
-    standard equality-saturation approximation; {!dag_cost} reports the
-    SSA-form cost with sharing.
+    Sums saturate at an internal infinity.  Shared sub-DAGs are counted
+    once per reference (tree cost), the standard equality-saturation
+    approximation; {!dag_cost} reports the SSA-form cost with sharing.
 
-    Per-class costs are computed by fixpoint from ⊤; classes with no finite
-    derivation keep infinite cost and extracting them errors.  Extracted
-    constructor terms record their e-class ([t_class]) and are memoized per
-    class, so shared sub-terms are physically shared — DialEgg's
+    {!make} decodes each live row of each extractable table once into a
+    per-class e-node index, then computes per-class costs by fixpoint from
+    ⊤ over an array indexed by class id.  The fixpoint terminates because
+    base costs are never negative (negative [:cost] and [unstable-cost]
+    values are rejected where they are declared or set).  Classes with no
+    finite derivation keep infinite cost and extracting them errors;
+    extracting a class reads only that class's own e-nodes.  Extracted
+    constructor terms record their e-class ([t_class]) and are memoized
+    per class, so shared sub-terms are physically shared — DialEgg's
     de-eggifier relies on both properties. *)
 
 exception Error of string
@@ -30,6 +35,11 @@ val pp_term : Format.formatter -> term -> unit
 val term_to_string : term -> string
 val term_equal : term -> term -> bool
 
+(** Total order on terms by structure only (symbol names and primitive
+    payloads, never e-class ids) — the order the tie-break between
+    equal-cost e-nodes compares extracted argument lists in. *)
+val term_compare : term -> term -> int
+
 (** Head symbol name of a constructor term. *)
 val head : term -> string option
 
@@ -39,7 +49,8 @@ val children : term -> term list
 (** An extractor: per-class best costs plus the extraction memo table. *)
 type t
 
-(** Build an extractor for a rebuilt e-graph (runs the cost fixpoint). *)
+(** Build an extractor for a rebuilt e-graph: index every e-node under its
+    class and run the cost fixpoint. *)
 val make : Egraph.t -> t
 
 (** Lowest-cost term of the e-class (memoized; shared sub-terms are
@@ -53,9 +64,6 @@ val extract_value : t -> Value.t -> term
 (** One-shot: build an extractor and extract [v]; returns the term and its
     tree cost. *)
 val extract : Egraph.t -> Value.t -> term * int
-
-(** Cost of the best term without building it. *)
-val best_cost : Egraph.t -> Value.t -> int
 
 (** Best known cost of a class under this extractor. *)
 val cost_of_class : t -> int -> int

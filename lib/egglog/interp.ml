@@ -537,8 +537,10 @@ let run_caction t (vals : int array) (a : caction) : unit =
     (match Hashtbl.find_opt t.costs_applied ck with
     | Some c0 when c0 <= cost -> ()  (* set_cost would keep the cheaper *)
     | _ ->
-      Hashtbl.replace t.costs_applied ck cost;
-      Egraph.set_cost_codes t.eg fn key out cost)
+      (* recorded only once applied: a rejected (negative) cost must be
+         rejected again when the rule re-fires *)
+      Egraph.set_cost_codes t.eg fn key out cost;
+      Hashtbl.replace t.costs_applied ck cost)
   | KA_delete (fn, args, key) ->
     let pool = Egraph.pool t.eg in
     for i = 0 to Array.length args - 1 do

@@ -166,14 +166,13 @@ let interp_values m func args =
   | r -> Ok r.Mlir.Interp.values
   | exception Mlir.Interp.Runtime_error e -> Error e
 
-(* Saturate the case's function the way the pipeline does, then compare
-   every rule's full match set through the generic join with the
-   reference matcher's: [(rule, join matches, reference matches)] for each
-   rule where they differ. *)
-let match_diff (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
+(* Saturate the case's function the way the pipeline does; [None] when
+   the case has no such function.  The [match-diff] and [extract-diff]
+   oracles check the join and the extractor on the saturated graph. *)
+let saturate (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
   let m = Mlir.Parser.parse_module case.Gen.c_mlir in
   match Mlir.Ir.find_function m case.Gen.c_func with
-  | None -> []
+  | None -> None
   | Some func ->
     let limits = Egglog.Limits.make ~max_nodes:cfg.Dialegg.Pipeline.max_nodes () in
     let engine = Egglog.Interp.create ~limits () in
@@ -186,7 +185,7 @@ let match_diff (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
     in
     ignore (Dialegg.Eggify.translate_function eggify func : string);
     ignore (Egglog.Interp.run engine cfg.Dialegg.Pipeline.max_iterations);
-    Reference.disagreements engine
+    Some engine
 
 (* Has this process ever spawned a domain?  Set by the [-jN] oracle;
    gates the fork-based batch oracle (see below). *)
@@ -236,14 +235,39 @@ let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
              ("variant raised: " ^ Printexc.to_string e))
     in
     compare_run "naive-diff" { base_cfg with Dialegg.Pipeline.seminaive = false };
-    (* -- the join against the reference matcher ----------------------- *)
-    (match match_diff base_cfg case with
-    | [] -> ()
-    | (rule, join, reference) :: _ as bad ->
-      add
-        (failure ~oracle:"match-diff" Differential
-           (Printf.sprintf "%d rule(s) disagree; %s: join %d matches, reference %d"
-              (List.length bad) rule join reference))
+    (* -- the join and the extractor against their references --------- *)
+    (match saturate base_cfg case with
+    | None -> ()
+    | Some engine ->
+      (match Reference.disagreements engine with
+      | [] -> ()
+      | (rule, join, reference) :: _ as bad ->
+        add
+          (failure ~oracle:"match-diff" Differential
+             (Printf.sprintf "%d rule(s) disagree; %s: join %d matches, reference %d"
+                (List.length bad) rule join reference))
+      | exception e ->
+        add
+          (failure ~oracle:"match-diff" Crash
+             ("match check raised: " ^ Printexc.to_string e)));
+      (match Reference.extract_disagreements (Egglog.Interp.egraph engine) with
+      | [] -> ()
+      | (cls, kind, detail) :: _ as bad ->
+        (* bucketed by what differs: the terms in the detail vary with
+           every case a single extractor bug shows up in *)
+        let oracle = "extract-diff" in
+        add
+          {
+            (failure ~oracle Differential
+               (Printf.sprintf "%d class(es) disagree; e-class %d, %s: %s" (List.length bad)
+                  cls kind detail))
+            with
+            f_signature = signature ~oracle Differential ~detail:kind;
+          }
+      | exception e ->
+        add
+          (failure ~oracle:"extract-diff" Crash
+             ("extract check raised: " ^ Printexc.to_string e)))
     | exception e ->
       add (failure ~oracle:"match-diff" Crash ("match check raised: " ^ Printexc.to_string e)));
     (* -- batch ≡ sequential ------------------------------------------ *)

@@ -18,7 +18,9 @@
       [-j1] ≡ [-jN], batch ≡ sequential, warm cache ≡ cold run); after
       saturating the case's function, some rule's full match set through
       the generic join differs from the brute-force {!Reference} matcher's
-      ([match-diff]); or the optimized program computes different results
+      ([match-diff]), or some class extracts differently through
+      {!Egglog.Extract} than through the reference extractor
+      ([extract-diff]); or the optimized program computes different results
       than the input on concrete data (the interpreter-differential, which
       is what catches silent miscompilations like the destination-aliasing
       bug [--inject-fault deeggify:alias] re-arms);
@@ -31,7 +33,9 @@
     by lowercasing, collapsing digit runs and whitespace, and
     truncating — so two repros of one bug bucket together even when SSA
     names, sizes, or addresses differ, and a reduced repro keeps its
-    original bucket. *)
+    original bucket.  [extract-diff] hashes what differs (cost, term, DAG
+    cost or error) in place of its detail, whose extracted terms vary with
+    every case. *)
 
 type severity = Crash | Hang | Nondet | Differential | Validator
 

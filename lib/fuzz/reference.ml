@@ -1,5 +1,6 @@
-(* The brute-force reference matcher; see the interface for the model.
-   Slow on purpose, and sharing none of the generic join's code. *)
+(* The brute-force reference matcher and extractor; see the interface for
+   the models.  Slow on purpose, sharing none of the generic join's code
+   and none of the extractor's index. *)
 
 open Egglog
 
@@ -242,3 +243,228 @@ let disagreements (t : Interp.t) : (string * int * int) list =
       if join = reference then None
       else Some (name, List.length join, List.length reference))
     (Interp.premises t)
+
+(* ------------------------------------------------------------------ *)
+(* The reference extractor                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* what [Extract.cost_of_class] reports for a class with no finite term *)
+let infinity_cost = max_int / 4
+
+type extractor = {
+  x_eg : Egraph.t;
+  x_rows : (int * Egraph.func * (Value.t array * int) list) list;
+      (* every extractable table with its declaration index, and its rows
+         as (canonical args, canonical output class) in iteration order *)
+  x_cost : (int, int) Hashtbl.t;
+  x_memo : (int, Extract.term) Hashtbl.t;
+  x_chosen : (int, int) Hashtbl.t;
+  x_busy : (int, unit) Hashtbl.t;
+}
+
+let fail fmt = Fmt.kstr (fun s -> raise (Extract.Error s)) fmt
+let sum a b = min infinity_cost (min a infinity_cost + min b infinity_cost)
+
+let cost_of x cls =
+  Option.value (Hashtbl.find_opt x.x_cost (Egraph.find_class x.x_eg cls)) ~default:infinity_cost
+
+let rec value_cost x (v : Value.t) =
+  match v with
+  | Eclass id -> cost_of x id
+  | Vec vs -> Array.fold_left (fun acc v -> sum acc (value_cost x v)) 0 vs
+  | _ -> 0
+
+let base_cost x (f : Egraph.func) args =
+  match Egraph.cost_override x.x_eg f args with
+  | Some c -> c
+  | None -> Option.value f.cost ~default:1
+
+let node_cost x f args =
+  Array.fold_left
+    (fun acc v -> sum acc (value_cost x v))
+    (min infinity_cost (base_cost x f args))
+    args
+
+(** The naive extractor: class costs by passes over every row until none
+    gets cheaper. *)
+let extractor eg =
+  let x_rows =
+    List.concat
+      (List.mapi
+         (fun fi (f : Egraph.func) ->
+           if Egraph.is_constructor f && not f.unextractable then begin
+             let rows = ref [] in
+             Egraph.iter_rows eg f (fun args out ->
+                 match out with
+                 | Value.Eclass id -> rows := (args, Egraph.find_class eg id) :: !rows
+                 | _ -> ());
+             [ (fi, f, List.rev !rows) ]
+           end
+           else [])
+         (Egraph.functions eg))
+  in
+  let x =
+    {
+      x_eg = eg;
+      x_rows;
+      x_cost = Hashtbl.create 64;
+      x_memo = Hashtbl.create 64;
+      x_chosen = Hashtbl.create 64;
+      x_busy = Hashtbl.create 16;
+    }
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (_, f, rows) ->
+        List.iter
+          (fun (args, cls) ->
+            let c = node_cost x f args in
+            if c < cost_of x cls then begin
+              Hashtbl.replace x.x_cost cls c;
+              changed := true
+            end)
+          rows)
+      x_rows
+  done;
+  x
+
+let compare_keys (fi1, sub1) (fi2, sub2) =
+  match Int.compare fi1 fi2 with
+  | 0 -> List.compare Extract.term_compare sub1 sub2
+  | c -> c
+
+(** The cheapest term of [cls], found by scanning every table for the
+    class's e-nodes.  Equal-cost e-nodes are tried last row first
+    (functions in reverse declaration order); the winner is the first with
+    the smallest (declaration index, extracted arguments), skipping those
+    whose extraction cycles back into a class being extracted. *)
+let rec extract_class x cls : Extract.term =
+  let cls = Egraph.find_class x.x_eg cls in
+  match Hashtbl.find_opt x.x_memo cls with
+  | Some t -> t
+  | None ->
+    if Hashtbl.mem x.x_busy cls then fail "e-class %d is cyclic through zero-cost e-nodes" cls;
+    let best = cost_of x cls in
+    if best >= infinity_cost then
+      fail "e-class %d has no finite-cost term (cyclic with no base case)" cls;
+    Hashtbl.replace x.x_busy cls ();
+    let enodes =
+      List.concat_map
+        (fun (fi, f, rows) ->
+          List.filter_map
+            (fun (args, out) -> if out = cls then Some (fi, f, args) else None)
+            rows)
+        x.x_rows
+    in
+    let cands = List.rev (List.filter (fun (_, f, args) -> node_cost x f args = best) enodes) in
+    let args_of args = List.map (extract_value x) (Array.to_list args) in
+    let _, (f : Egraph.func), args, sub =
+      match cands with
+      | [] -> fail "e-class %d has no e-nodes to extract" cls
+      | [ (fi, f, args) ] -> (fi, f, args, args_of args)
+      | cands -> (
+        let ok =
+          List.filter_map
+            (fun (fi, f, args) ->
+              match args_of args with
+              | sub -> Some (fi, f, args, sub)
+              | exception Extract.Error _ -> None)
+            cands
+        in
+        match ok with
+        | [] -> fail "e-class %d has no acyclic minimal e-node" cls
+        | first :: rest ->
+          List.fold_left
+            (fun ((bfi, _, _, bsub) as b) ((fi, _, _, sub) as c) ->
+              if compare_keys (fi, sub) (bfi, bsub) < 0 then c else b)
+            first rest)
+    in
+    Hashtbl.remove x.x_busy cls;
+    Hashtbl.replace x.x_chosen cls (base_cost x f args);
+    let t = Extract.node ~cls f.sym sub in
+    Hashtbl.replace x.x_memo cls t;
+    t
+
+and extract_value x (v : Value.t) : Extract.term =
+  match v with
+  | Eclass id -> extract_class x id
+  | Vec vs -> Extract.t_vec (List.map (extract_value x) (Array.to_list vs))
+  | p -> Extract.prim p
+
+(* every distinct class of the term counted once, at its chosen base cost *)
+let dag_cost x (t : Extract.term) =
+  let seen = Hashtbl.create 64 in
+  let rec go acc (t : Extract.term) =
+    match t.t_class with
+    | Some c when Hashtbl.mem seen c -> acc
+    | Some c ->
+      Hashtbl.replace seen c ();
+      let acc = acc + Option.value ~default:1 (Hashtbl.find_opt x.x_chosen c) in
+      List.fold_left go acc (Extract.children t)
+    | None -> List.fold_left go acc (Extract.children t)
+  in
+  go 0 t
+
+(* same structure and the same [t_class] at every node *)
+let rec same_term (a : Extract.term) (b : Extract.term) =
+  a.t_class = b.t_class
+  &&
+  match (a.t_kind, b.t_kind) with
+  | Node (s1, l1), Node (s2, l2) -> Symbol.equal s1 s2 && List.equal same_term l1 l2
+  | T_vec l1, T_vec l2 -> List.equal same_term l1 l2
+  | Prim v1, Prim v2 -> Value.equal v1 v2
+  | _ -> false
+
+(** Every canonical class of [eg] whose extraction through {!Extract}
+    differs from the reference's: cost, term (printed and with its
+    [t_class] at every node), DAG cost, or error. *)
+let extract_disagreements eg : (int * string * string) list =
+  Egraph.rebuild eg;
+  let ex = Extract.make eg and x = extractor eg in
+  let show = function
+    | Ok (t, dag) -> Printf.sprintf "%s dag %d" (Extract.term_to_string t) dag
+    | Error m -> "error: " ^ m
+  in
+  let attempt f = try Ok (f ()) with Extract.Error m -> Error m in
+  let uf = Egraph.uf eg in
+  let bad = ref [] in
+  (* newest class first: roots are built after their sub-terms, and what a
+     class extracts to can depend on which classes are being extracted
+     when it is reached, so this is the order that exercises it *)
+  for c = Union_find.size uf - 1 downto 0 do
+    if Union_find.is_canonical uf c then begin
+      let got =
+        attempt (fun () ->
+            let t = Extract.extract_class ex c in
+            (t, Extract.dag_cost ex t))
+      in
+      let want =
+        attempt (fun () ->
+            let t = extract_class x c in
+            (t, dag_cost x t))
+      in
+      let c1 = Extract.cost_of_class ex c and c2 = cost_of x c in
+      let kind =
+        if c1 <> c2 then Some "cost"
+        else
+          match (got, want) with
+          | Ok (t1, d1), Ok (t2, d2) ->
+            if not (same_term t1 t2) then Some "term"
+            else if d1 <> d2 then Some "dag-cost"
+            else None
+          | Error m1, Error m2 when m1 = m2 -> None
+          | _ -> Some "error"
+      in
+      Option.iter
+        (fun kind ->
+          bad :=
+            ( c,
+              kind,
+              Printf.sprintf "index %s @%d, reference %s @%d" (show got) c1 (show want) c2 )
+            :: !bad)
+        kind
+    end
+  done;
+  !bad

@@ -1,9 +1,18 @@
-(** A reference e-matcher: what a premise list means, computed by brute
-    force, with no indexes, stamps or plans.  Every table application, at
-    any depth, is an atom enumerated by a nested loop over all rows of its
-    table ([Egraph.iter_rows]); everything else is a constraint run once
-    the atoms have bound what they can.  The tests and the fuzzer compare
-    the generic join ({!Egglog.Matcher}) against it. *)
+(** A reference e-matcher and a reference extractor, computed by brute
+    force.
+
+    The matcher says what a premise list means, with no indexes, stamps or
+    plans.  Every table application, at any depth, is an atom enumerated
+    by a nested loop over all rows of its table ([Egraph.iter_rows]);
+    everything else is a constraint run once the atoms have bound what
+    they can.  The tests and the fuzzer compare the generic join
+    ({!Egglog.Matcher}) against it.
+
+    The extractor is the naive algorithm {!Egglog.Extract} replaced: class
+    costs by whole passes over every row until none gets cheaper, and each
+    class's e-nodes found by scanning every table, with no per-class
+    index.  The tests and the fuzzer compare {!Egglog.Extract} against
+    it. *)
 
 (** Every binding of the premises' own variables (globals resolved in the
     given table) in an e-graph that has been rebuilt, as a sorted,
@@ -23,3 +32,12 @@ val of_envs :
     differs from the reference's, as (rule name, join matches, reference
     matches). *)
 val disagreements : Egglog.Interp.t -> (string * int * int) list
+
+(** Every canonical class of the e-graph (rebuilt first) whose extraction
+    through {!Egglog.Extract} differs from the reference extractor's, as
+    (class, what differs first — ["cost"], ["term"], ["dag-cost"] or
+    ["error"] — and both sides' term, DAG cost and cost, or error).
+    Classes are extracted newest first through one extractor of each
+    kind; agreement means the same cost, the same term with the same
+    [t_class] at every node, the same DAG cost, or the same error. *)
+val extract_disagreements : Egglog.Egraph.t -> (int * string * string) list

@@ -127,6 +127,26 @@ fi
 echo '(datatype Num (N i64))' | dune exec bin/egglog_repl.exe >/dev/null
 echo ok
 
+echo "== egglog: extraction terminates on the cost edge cases =="
+# Each run is bounded, so a reintroduced hang in the cost fixpoint fails
+# here in seconds.  SIGKILL on timeout exits 137, which no error exit of
+# the tool can be mistaken for.
+dune build bin/egglog_repl.exe
+EGGLOG=_build/default/bin/egglog_repl.exe
+timeout -s KILL 10 $EGGLOG test/fixtures/extract_overflow.egg > /tmp/dialegg_overflow.out
+grep -q '^(B)  ; cost 1$' /tmp/dialegg_overflow.out
+for probe in negative_cost:negative-cost negative_unstable_cost:'negative cost'; do
+  fixture=${probe%%:*}; msg=${probe#*:}
+  status=0
+  timeout -s KILL 10 $EGGLOG "test/fixtures/$fixture.egg" >/dev/null \
+    2>/tmp/dialegg_negcost.err || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
+    echo "expected an error exit from $fixture.egg, got status $status" >&2; exit 1
+  fi
+  grep -q "$msg" /tmp/dialegg_negcost.err
+done
+echo ok
+
 echo "== translation validator: unsound fold is rejected =="
 if dune exec bin/dialegg_opt.exe -- test/fixtures/unsound_demo.mlir \
   --egg test/fixtures/unsound_fold.egg >/dev/null 2>/tmp/dialegg_validate.err; then

@@ -10,7 +10,9 @@
    hand-written program per premise shape the join compiles beyond flat
    patterns gets the same check.  Seminaive matching must reach the same
    fixpoint as naive matching on the same join, and parallel search
-   (-jN) must be invisible in the results. *)
+   (-jN) must be invisible in the results.  Extraction through the
+   per-class e-node index must match the reference extractor's naive
+   fixpoint and table scans on every class. *)
 
 open Egglog
 
@@ -26,7 +28,7 @@ let checki = Alcotest.(check int)
    few depth-bounded rewrite rules over Add/Mul/Neg/Num plus a random
    seed term.  Deterministic programs only — no randomness at runtime,
    so two matching regimes given the same source must agree exactly. *)
-let random_trs_gen : string QCheck.Gen.t =
+let random_trs_parts_gen : (string * string) QCheck.Gen.t =
   let open QCheck.Gen in
   let rec pat depth vars =
     if depth <= 0 then
@@ -76,9 +78,13 @@ let random_trs_gen : string QCheck.Gen.t =
   let* n_rules = int_range 1 4 in
   let* rules = list_repeat n_rules rule in
   let* seed_expr = pat 2 [ "(Num 7)" ] in
-  return
-    (Printf.sprintf
-       {|
+  return (String.concat "\n" rules, seed_expr)
+
+let random_trs_gen : string QCheck.Gen.t =
+  QCheck.Gen.map
+    (fun (rules, seed_expr) ->
+      Printf.sprintf
+        {|
 (sort E)
 (function Num (i64) E)
 (function Add (E E) E)
@@ -89,7 +95,35 @@ let random_trs_gen : string QCheck.Gen.t =
 (run 6)
 (extract root)
 |}
-       (String.concat "\n" rules) seed_expr)
+        rules seed_expr)
+    random_trs_parts_gen
+
+(* The same systems with every constructor's :cost drawn from 0..2 (zero
+   makes cycles through free e-nodes and cost ties), plus a constructor
+   over a vector of terms unioned with an Add, so that vector children
+   count towards a class's cost. *)
+let costed_trs_gen : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* rules, seed_expr = random_trs_parts_gen in
+  let* costs = list_repeat 5 (int_bound 2) in
+  let* n = int_bound 3 in
+  let c i = List.nth costs i in
+  return
+    (Printf.sprintf
+       {|
+(sort E)
+(sort Es (Vec E))
+(function Num (i64) E :cost %d)
+(function Add (E E) E :cost %d)
+(function Mul (E E) E :cost %d)
+(function Neg (E) E :cost %d)
+(function Sum (Es) E :cost %d)
+%s
+(let root %s)
+(union (Sum (vec-of (Num %d) root)) (Add (Num %d) root))
+(run 6)
+|}
+       (c 0) (c 1) (c 2) (c 3) (c 4) rules seed_expr n n)
 
 exception Mismatch of string
 
@@ -419,6 +453,58 @@ let test_pushpop () =
   checks "post-pop extraction" "(Add (Num 1) (Add (Num 2) (Num 3))) @5" extracted
 
 (* ------------------------------------------------------------------ *)
+(* The indexed extractor against the reference extractor                *)
+(* ------------------------------------------------------------------ *)
+
+(* Three classes at cost 1 reaching each other through free e-nodes: what
+   each extracts to depends on the order candidates are tried in (see the
+   same program in test_egglog). *)
+let candidate_order_src =
+  {|
+(datatype T (X :cost 1) (R T :cost 0) (H T :cost 0) (Q T :cost 0) (K T :cost 0)
+            (P T :cost 0) (F T :cost 0) (G T :cost 0))
+(let x (X))
+(let d (Q x))
+(let e (K x))
+(union d (R e))
+(union e (H d))
+(let c (F d))
+(union c (G e))
+(union d (P c))
+|}
+
+(* Run [src] (budget faults fold into the graph as it stands), then every
+   class must extract the same way through the per-class index as through
+   the reference's naive fixpoint and table scans: same cost, same term,
+   same [t_class] at every node, same DAG cost. *)
+let extraction_mismatch src =
+  let t = Interp.create ~max_nodes:3_000 () in
+  Interp.set_backoff t false;
+  (try Interp.run_string t src with Interp.Error _ -> ());
+  match Fuzzing.Reference.extract_disagreements (Interp.egraph t) with
+  | [] -> None
+  | (cls, kind, detail) :: _ as bad ->
+    Some
+      (Printf.sprintf "%d class(es) disagree; e-class %d, %s: %s" (List.length bad) cls kind
+         detail)
+
+let extracts_like_reference src =
+  match extraction_mismatch src with None -> true | Some m -> QCheck.Test.fail_report m
+
+let test_extract_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"index = reference extraction on random TRS" ~count:60
+       (QCheck.make random_trs_gen) extracts_like_reference);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"index = reference extraction, random costs and vectors"
+       ~count:150
+       (QCheck.make ~print:Fun.id costed_trs_gen)
+       extracts_like_reference);
+  List.iter
+    (fun src -> Option.iter Alcotest.fail (extraction_mismatch src))
+    [ delete_src; pushpop_src; candidate_order_src ]
+
+(* ------------------------------------------------------------------ *)
 (* n_nodes cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -457,6 +543,8 @@ let () =
           Alcotest.test_case "global merged mid-run" `Quick test_global_merge;
           Alcotest.test_case "random premise shapes" `Slow test_random_shapes;
         ] );
+      ( "extraction",
+        [ Alcotest.test_case "index = reference" `Slow test_extract_reference ] );
       ( "parallel",
         [ Alcotest.test_case "-j determinism" `Slow test_jobs_determinism ] );
       ( "stats",

@@ -516,6 +516,94 @@ let test_extract_cost_value () =
   | Some c -> checki "cost 5+1+1" 7 c
   | None -> Alcotest.fail "no extraction"
 
+(* Five children of infinite cost must not wrap the sum around to a
+   negative cost that beats the class's real base case. *)
+let overflow_src arity =
+  Printf.sprintf
+    {|
+(datatype E (A) (B) (Loop E) (Big %s))
+(function Hid () E :unextractable ())
+(let h (Hid))
+(union h (Loop h))
+(let big (Big %s))
+(union big (B))
+(extract big)
+|}
+    (String.concat " " (List.init arity (fun _ -> "E")))
+    (String.concat " " (List.init arity (fun _ -> "h")))
+
+let test_extract_cost_saturates () =
+  List.iter
+    (fun arity ->
+      let _, outs = run_ok (overflow_src arity) in
+      match List.find_map (function Interp.O_extracted (t, c) -> Some (t, c) | _ -> None) outs with
+      | Some (t, c) ->
+        checks (Printf.sprintf "%d-ary Big: the base case" arity) "(B)" (Extract.term_to_string t);
+        checki "cost" 1 c
+      | None -> Alcotest.fail "no extraction")
+    [ 3; 5 ]
+
+(* c, d and e all cost 1 and reach each other through free e-nodes, so
+   what a class extracts to depends on which classes are being extracted
+   at the time (a candidate that cycles back into one is dropped), and
+   therefore on the order c's two candidates are tried in: G(e) before
+   F(d), the last row first.  F(d) first would give (F (R (K (X)))). *)
+let candidate_order_src =
+  {|
+(datatype T (X :cost 1) (R T :cost 0) (H T :cost 0) (Q T :cost 0) (K T :cost 0)
+            (P T :cost 0) (F T :cost 0) (G T :cost 0))
+(let x (X))
+(let d (Q x))
+(let e (K x))
+(union d (R e))
+(union e (H d))
+(let c (F d))
+(union c (G e))
+(union d (P c))
+|}
+
+let test_extract_candidate_order () =
+  List.iter
+    (fun (root, want) ->
+      checks root want (extract_str (candidate_order_src ^ "(extract " ^ root ^ ")")))
+    [ ("c", "(F (Q (X)))"); ("d", "(R (K (X)))"); ("e", "(H (Q (X)))") ]
+
+(* A negative cost on a cyclic class would let the cost fixpoint lower the
+   class forever; each form must be an error instead. *)
+let cyclic_src = {|
+(let a (A))
+(union a (F a))
+|}
+
+let test_negative_cost_rejected () =
+  let neg_decl = "(datatype E (A) (F E :cost -5))" ^ cyclic_src ^ "(extract a)" in
+  (match Interp.run_program neg_decl with
+  | _ -> Alcotest.fail "negative :cost accepted"
+  | exception Egraph.Error m -> checkb "names the cost" true (String.length m > 0));
+  (match Check.check_program ~env:(Check.create_env ()) neg_decl with
+  | [ { code = "negative-cost"; span = Some { sp_start; _ }; _ } ] ->
+    checki "located at the cost: line" 1 sp_start.line;
+    checki "column" 28 sp_start.col
+  | ds -> Alcotest.failf "expected one negative-cost diagnostic, got %a" Diag.pp_list ds);
+  let decl = "(datatype E (A) (F E))" ^ cyclic_src in
+  (match Interp.run_program (decl ^ "(unstable-cost (F a) -5) (extract a)") with
+  | _ -> Alcotest.fail "negative unstable-cost accepted"
+  | exception Egraph.Error _ -> ());
+  (* from a cost rule: an i64 product that wraps to a negative cost
+     (2^32 * (2^32 - 1) = -2^32 mod 2^64) is a saturation fault, and
+     extraction still terminates *)
+  let t = Interp.create () in
+  Interp.run_string t
+    (decl
+   ^ "(rule ((= ?e (F ?x))) ((unstable-cost (F ?x) (* 4294967296 4294967295))))");
+  (match (Interp.run t 3).stop with
+  | Fault d -> checks "saturation fault" "saturation-fault" d.code
+  | stop -> Alcotest.failf "expected a fault, got %a" Interp.pp_stop_reason stop);
+  Interp.run_string t "(extract a)";
+  match Interp.last_extracted t with
+  | Some (term, _) -> checks "base case" "(A)" (Extract.term_to_string term)
+  | None -> Alcotest.fail "no extraction"
+
 let test_rule_creates_nodes () =
   (* actions instantiating new terms must grow the e-graph *)
   let t = Interp.create () in
@@ -982,6 +1070,9 @@ let () =
           Alcotest.test_case "extraction shares subterms" `Quick test_extract_shared_physical;
           Alcotest.test_case "extraction avoids cycles" `Quick test_extract_cycle;
           Alcotest.test_case "extraction cost arithmetic" `Quick test_extract_cost_value;
+          Alcotest.test_case "extraction cost sums saturate" `Quick test_extract_cost_saturates;
+          Alcotest.test_case "negative costs rejected" `Quick test_negative_cost_rejected;
+          Alcotest.test_case "extraction candidate order" `Quick test_extract_candidate_order;
           Alcotest.test_case "rules create nodes" `Quick test_rule_creates_nodes;
           Alcotest.test_case "no variable capture by globals" `Quick test_global_shadowing_safe;
           Alcotest.test_case "wildcard patterns" `Quick test_wildcard_pattern;
