@@ -282,11 +282,10 @@ type sat_measure = {
   sm_output : string;  (* the optimized MLIR, for cross-mode comparison *)
 }
 
-(* One full pipeline run over the NMM chain at [scale].  The measured axes:
-   [seminaive] the matching regime (false = every due rule searches the
-   full join each iteration, with no scheduler), [jobs] the number of
-   search domains. *)
-let sat_run ~scale ~seminaive ~jobs : sat_measure =
+(* One full pipeline run over the NMM chain at [scale].  The measured axis
+   is [seminaive], the matching regime (false = every due rule searches
+   the full join each iteration, with no scheduler). *)
+let sat_run ~scale ~seminaive : sat_measure =
   let src = Workloads.Matmul_chain.source ~scale in
   let m = Mlir.Parser.parse_module src in
   let config =
@@ -296,7 +295,6 @@ let sat_run ~scale ~seminaive ~jobs : sat_measure =
       max_iterations = 400;
       max_nodes = 400_000;
       timeout = Some 300.0;
-      jobs;
       seminaive;
       backoff = seminaive;
       (* no anytime checkpoints: each one is an extraction inside the
@@ -332,11 +330,11 @@ let json_of_measure (s : sat_measure) =
 (* best-of-[reps] to damp scheduler/GC noise: saturation wall-clock is the
    min across repetitions (standard practice for sub-100ms measurements);
    counters (iterations, matches, nodes) are identical across reps *)
-let sat_best ~reps ~scale ~seminaive ?(jobs = 1) () : sat_measure =
-  let best = ref (sat_run ~scale ~seminaive ~jobs) in
+let sat_best ~reps ~scale ~seminaive : sat_measure =
+  let best = ref (sat_run ~scale ~seminaive) in
   for _ = 2 to reps do
     Gc.full_major ();
-    let m = sat_run ~scale ~seminaive ~jobs in
+    let m = sat_run ~scale ~seminaive in
     if m.sm_sat_time < !best.sm_sat_time then best := m
   done;
   !best
@@ -354,8 +352,8 @@ let saturation ~max_chain ~json_path () =
   let rows =
     List.map
       (fun n ->
-        let s = sat_best ~reps:5 ~scale:n ~seminaive:true () in
-        let nv = sat_best ~reps:5 ~scale:n ~seminaive:false () in
+        let s = sat_best ~reps:5 ~scale:n ~seminaive:true in
+        let nv = sat_best ~reps:5 ~scale:n ~seminaive:false in
         let same = String.equal s.sm_output nv.sm_output in
         let spd = nv.sm_sat_time /. Float.max 1e-6 s.sm_sat_time in
         fprintf "%-7s %9d %12.2f | %12.2f %9d %7.2fx | %5s\n"
@@ -366,23 +364,6 @@ let saturation ~max_chain ~json_path () =
         (n, s, nv, same, spd))
       lengths
   in
-  (* -j sweep: the search phase partitioned across OCaml domains on the
-     largest measured chain; every j must extract the identical program *)
-  let sweep_chain = List.fold_left max 2 lengths in
-  let sweep =
-    List.map
-      (fun j -> (j, sat_best ~reps:5 ~scale:sweep_chain ~seminaive:true ~jobs:j ()))
-      [ 1; 2; 4 ]
-  in
-  let j1_out = snd (List.hd sweep) in
-  fprintf "\n-- -j sweep on %dMM (search domains; output must not vary) --\n"
-    sweep_chain;
-  List.iter
-    (fun (j, (m : sat_measure)) ->
-      fprintf "  -j%d  sat %8.2fms  search %8.2fms  %s\n" j
-        (m.sm_sat_time *. 1000.) (m.sm_search_time *. 1000.)
-        (if String.equal m.sm_output j1_out.sm_output then "identical" else "DIVERGED"))
-    sweep;
   let json =
     let row_json (n, s, nv, same, spd) =
       Printf.sprintf
@@ -393,25 +374,14 @@ let saturation ~max_chain ~json_path () =
         \     \"identical_extraction\": %b}" n (json_of_measure s)
         (json_of_measure nv) spd same
     in
-    let sweep_json (j, (m : sat_measure)) =
-      Printf.sprintf
-        "    {\"jobs\": %d, \"sat_time_s\": %.6f, \"search_time_s\": %.6f, \
-         \"identical_extraction\": %b}"
-        j m.sm_sat_time m.sm_search_time
-        (String.equal m.sm_output j1_out.sm_output)
-    in
     Printf.sprintf
       "{\n\
       \  \"benchmark\": \"nmm-saturation\",\n\
       \  \"rules\": \"matmul_assoc\",\n\
       \  \"matcher\": \"generic join\",\n\
       \  \"regimes\": [\"seminaive\", \"naive\"],\n\
-      \  \"lengths\": [\n%s\n  ],\n\
-      \  \"jobs_sweep_chain\": %d,\n\
-      \  \"jobs_sweep\": [\n%s\n  ]\n}\n"
+      \  \"lengths\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.map row_json rows))
-      sweep_chain
-      (String.concat ",\n" (List.map sweep_json sweep))
   in
   let oc = open_out json_path in
   output_string oc json;
@@ -419,11 +389,6 @@ let saturation ~max_chain ~json_path () =
   fprintf "\nwrote %s\n\n" json_path;
   if List.exists (fun (_, _, _, same, _) -> not same) rows then begin
     prerr_endline "FAIL: seminaive and naive matching extracted different programs";
-    exit 1
-  end;
-  if List.exists (fun (_, m) -> not (String.equal m.sm_output j1_out.sm_output)) sweep
-  then begin
-    prerr_endline "FAIL: -j sweep extracted different programs";
     exit 1
   end
 

@@ -37,9 +37,9 @@ let first_line s =
 
 let reduce_repro ~config ~quiet case (f : Fuzzing.Fuzz.failure) prefix =
   let target = f.Fuzzing.Fuzz.f_signature in
-  (* each candidate probes in a fresh forked subprocess: hangs stay
-     bounded, and the fork-based batch oracle keeps working (OCaml 5
-     forbids fork once this process spawns domains) *)
+  (* each candidate probes in a fresh forked subprocess: a hang stays
+     bounded by the timeout, and a crash ends the probe instead of the
+     campaign *)
   let pred (i : Fuzzing.Reduce.input) =
     let candidate =
       {

@@ -15,7 +15,7 @@ let read_file path =
 let run input egg_file output iterations max_nodes timeout timeout_ms
     max_memory_mb on_limit inject_fault no_dce funcs show_timings dump_egg
     lint_only vet_only no_vet audit_only no_audit show_stats no_backoff
-    naive_matching no_validate analyze jobs =
+    naive_matching no_validate analyze =
   try
     Serve.Atomic_io.install_signal_cleanup ();
     let rules = match egg_file with Some f -> read_file f | None -> "" in
@@ -112,7 +112,6 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
         audit = not no_audit;
         seminaive = not naive_matching;
         backoff = not no_backoff;
-        jobs;
       }
     in
     let only = match funcs with [] -> None | fs -> Some fs in
@@ -183,7 +182,7 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
   | Mlir.Typ.Parse_error e -> `Error (false, "type parse error: " ^ e)
   | Dialegg.Pipeline.Error e -> `Error (false, "pipeline error: " ^ e)
   | Egglog.Parser.Error e -> `Error (false, "egglog parse error: " ^ e)
-  | Egglog.Interp.Error e -> `Error (false, "egglog error: " ^ e)
+  | Egglog.Interp.Error e | Egglog.Egraph.Error e -> `Error (false, "egglog error: " ^ e)
   | Failure e -> `Error (false, e)
   | Stack_overflow -> `Error (false, "stack overflow")
 
@@ -343,13 +342,6 @@ let no_validate =
         "Skip translation validation (the post-extraction check that types, \
          shapes and result value ranges still refine the input's)")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Search rules on $(docv) OCaml domains per iteration (1 =            sequential).  Matches are merged in rule order and applied            sequentially, so the output is identical for every $(docv)")
-
 let analyze =
   Arg.(
     value & flag
@@ -369,6 +361,6 @@ let cmd =
         $ timeout_ms $ max_memory_mb $ on_limit $ inject_fault $ no_dce $ funcs
         $ show_timings $ dump_egg $ lint_only $ vet_only $ no_vet $ audit_only
         $ no_audit $ show_stats $ no_backoff $ naive_matching $ no_validate
-        $ analyze $ jobs))
+        $ analyze))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

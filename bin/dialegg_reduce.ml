@@ -76,9 +76,8 @@ let internal_pred ~inject ~sem_checks ~seed ~func ~signature ~timeout_ms mlir
       fz_sem_checks = sem_checks;
     }
   in
-  (* fresh forked subprocess per probe: hangs stay bounded, and the
-     fork-based batch oracle keeps working (OCaml 5 forbids fork once
-     this process spawns domains) *)
+  (* fresh forked subprocess per probe: a hang stays bounded by the
+     timeout, and a crash ends the probe instead of the reducer *)
   let battery m e =
     match
       Fuzzing.Fuzz.run_case ~config { case with Gen.c_mlir = m; c_egg = e }

@@ -111,8 +111,8 @@ let repl engine check_env =
      turns them into a non-zero exit *)
   interactive || ok
 
-let run files max_nodes timeout stats jobs =
-  let engine = Egglog.Interp.create ~max_nodes ~timeout ~jobs () in
+let run files max_nodes timeout stats =
+  let engine = Egglog.Interp.create ~max_nodes ~timeout () in
   let check_env = Egglog.Check.create_env () in
   try
     (* file mode: an error in one file is reported (located) and does not
@@ -153,16 +153,10 @@ let timeout =
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print e-graph statistics at the end")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Search rules on $(docv) OCaml domains per iteration (1 = sequential)")
-
 let cmd =
   let doc = "equality saturation engine (Egglog-subset interpreter)" in
   Cmd.v
     (Cmd.info "egglog" ~version:"1.0.0" ~doc)
-    Term.(ret (const run $ files $ max_nodes $ timeout $ stats $ jobs))
+    Term.(ret (const run $ files $ max_nodes $ timeout $ stats))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

@@ -75,9 +75,9 @@ type config = {
       (** e-graph storage engine; [Arena] is the only one (see
           {!Egglog.Egraph.engine}) *)
   jobs : int;
-      (** rule-search parallelism: partitions the due rules across this
-          many OCaml domains each iteration ([1] = sequential; results are
-          merged in registration order, so output is identical) — [-j] *)
+      (** accepted and ignored, like [engine]: saturation runs on one
+          domain.  The field stays only so that [perfbench/replica.ml],
+          which passes it to {!Egglog.Interp.create}, still builds. *)
   seminaive : bool;
       (** seminaive e-matching: rules scan only rows created since they
           last fired (default); off = every due rule searches the full
@@ -511,7 +511,7 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
               ?max_memory_mb:config.max_memory_mb ()
           in
           let engine =
-            Egglog.Interp.create ~limits ~engine:config.engine ~jobs:config.jobs ()
+            Egglog.Interp.create ~limits ~engine:config.engine ()
           in
           Egglog.Interp.set_naive_matching engine (not config.seminaive);
           Egglog.Interp.set_backoff engine config.backoff;
@@ -519,7 +519,8 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
           Egglog.Interp.set_ban_length engine config.ban_length;
           Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
           (try Egglog.Interp.run_string engine config.rules
-           with Egglog.Parser.Error msg -> raise (Error ("rules: " ^ msg)));
+           with Egglog.Parser.Error msg | Egglog.Interp.Error msg | Egglog.Egraph.Error msg ->
+             raise (Error ("rules: " ^ msg)));
           let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
           Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
           let eggify = Eggify.create ~engine ~sigs ~hooks in

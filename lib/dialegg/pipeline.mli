@@ -62,9 +62,9 @@ type config = {
       (** e-graph storage engine; [Arena] is the only one (see
           {!Egglog.Egraph.engine}) *)
   jobs : int;
-      (** rule-search parallelism: due rules are partitioned across this
-          many OCaml domains each iteration ([1] = sequential; results
-          merge in registration order, so output is identical) — [-j] *)
+      (** accepted and ignored, like [engine]: saturation runs on one
+          domain.  The field stays only so that [perfbench/replica.ml],
+          which passes it to {!Egglog.Interp.create}, still builds. *)
   seminaive : bool;
       (** seminaive e-matching: rules scan only rows created since they
           last fired (default); off = every due rule searches the full

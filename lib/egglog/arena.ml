@@ -22,40 +22,23 @@
 (* Value pool: primitive interning                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* the backing arrays, published as one immutable-pointer bundle so that
-   growth can be made visible to concurrent readers with a single atomic
-   store (filled first, then published: release/acquire via [Atomic]) *)
-type slab = {
-  vals : Value.t array;
-  has_class : Bytes.t;
+type pool = {
+  mutable vals : Value.t array;
+  mutable has_class : Bytes.t;
       (* per pooled value: does it embed an e-class id (a Vec containing
          Eclass elements)?  Those are the only pooled codes that can go
          stale after a union. *)
-}
-
-type pool = {
-  slab : slab Atomic.t;
   mutable n_vals : int;
   intern_tbl : int Value.Tbl.t;
-  lock : Mutex.t;
-  mutable threadsafe : bool;
-      (* when set (parallel search phase), intern takes the lock: several
-         domains may pool new primitive results concurrently.  A domain can
-         only hold a code it interned itself (under the lock) or read from a
-         row written before the phase started, so lock + atomic slab
-         publication covers every cross-domain access. *)
 }
 
 let create_pool () =
   {
-    slab = Atomic.make { vals = Array.make 64 Value.Unit; has_class = Bytes.make 64 '\000' };
+    vals = Array.make 64 Value.Unit;
+    has_class = Bytes.make 64 '\000';
     n_vals = 0;
     intern_tbl = Value.Tbl.create 64;
-    lock = Mutex.create ();
-    threadsafe = false;
   }
-
-let set_threadsafe pool on = pool.threadsafe <- on
 
 let rec value_has_class (v : Value.t) =
   match v with
@@ -68,22 +51,16 @@ let pool_add pool v =
   | Some p -> p
   | None ->
     let p = pool.n_vals in
-    let s = Atomic.get pool.slab in
-    let s =
-      if p = Array.length s.vals then begin
-        (* grow: fill the new slab completely before publishing it *)
-        let vals = Array.make (2 * p) Value.Unit in
-        Array.blit s.vals 0 vals 0 p;
-        let hc = Bytes.make (2 * p) '\000' in
-        Bytes.blit s.has_class 0 hc 0 p;
-        let s' = { vals; has_class = hc } in
-        Atomic.set pool.slab s';
-        s'
-      end
-      else s
-    in
-    s.vals.(p) <- v;
-    if value_has_class v then Bytes.set s.has_class p '\001';
+    if p = Array.length pool.vals then begin
+      let vals = Array.make (2 * p) Value.Unit in
+      Array.blit pool.vals 0 vals 0 p;
+      let hc = Bytes.make (2 * p) '\000' in
+      Bytes.blit pool.has_class 0 hc 0 p;
+      pool.vals <- vals;
+      pool.has_class <- hc
+    end;
+    pool.vals.(p) <- v;
+    if value_has_class v then Bytes.set pool.has_class p '\001';
     pool.n_vals <- p + 1;
     Value.Tbl.replace pool.intern_tbl v p;
     p
@@ -94,19 +71,10 @@ let pool_add pool v =
 let encode pool (v : Value.t) =
   match v with
   | Value.Eclass id -> id * 2
-  | v ->
-    if pool.threadsafe then begin
-      Mutex.lock pool.lock;
-      let p = try pool_add pool v with e -> Mutex.unlock pool.lock; raise e in
-      Mutex.unlock pool.lock;
-      (2 * p) + 1
-    end
-    else (2 * pool_add pool v) + 1
+  | v -> (2 * pool_add pool v) + 1
 
 (** [decode pool c] is the value of code [c]. *)
-let decode pool c =
-  if c land 1 = 0 then Value.Eclass (c lsr 1)
-  else (Atomic.get pool.slab).vals.(c lsr 1)
+let decode pool c = if c land 1 = 0 then Value.Eclass (c lsr 1) else pool.vals.(c lsr 1)
 
 let is_class_code c = c land 1 = 0
 let code_of_class id = id * 2
@@ -116,17 +84,14 @@ let class_of_code c = c lsr 1
 let code_canonical uf pool c =
   if c land 1 = 0 then Union_find.is_canonical uf (c lsr 1)
   else
-    let s = Atomic.get pool.slab in
-    Bytes.get s.has_class (c lsr 1) = '\000'
-    || Value.is_canonical uf s.vals.(c lsr 1)
+    Bytes.get pool.has_class (c lsr 1) = '\000'
+    || Value.is_canonical uf pool.vals.(c lsr 1)
 
 (** Canonicalize code [c] under [uf]. *)
 let canon_code uf pool c =
   if c land 1 = 0 then Union_find.find uf (c lsr 1) * 2
-  else
-    let s = Atomic.get pool.slab in
-    if Bytes.get s.has_class (c lsr 1) = '\000' then c
-    else encode pool (Value.canonicalize uf s.vals.(c lsr 1))
+  else if Bytes.get pool.has_class (c lsr 1) = '\000' then c
+  else encode pool (Value.canonicalize uf pool.vals.(c lsr 1))
 
 let pool_memory_words pool = pool.n_vals * 4
 

@@ -10,10 +10,6 @@ type pool
 
 val create_pool : unit -> pool
 
-(** When on, {!encode} takes the pool's mutex around interning — required
-    while several domains search in parallel. *)
-val set_threadsafe : pool -> bool -> unit
-
 (** Code of a value (the caller canonicalizes first). *)
 val encode : pool -> Value.t -> int
 

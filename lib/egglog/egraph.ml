@@ -144,44 +144,59 @@ let find_sort t name =
 
 let sort_declared t name = Hashtbl.mem t.sorts name
 
+(* Redeclarations follow {!Check}: repeating a declaration is a no-op (a
+   rules file may repeat the prelude), declaring a name again as
+   something else is an error. *)
+let redeclared what name = error "%s %s redeclared with a different definition" what name
+
 (** [declare_sort t name] declares a new equivalence sort. *)
 let declare_sort t name =
-  if Hashtbl.mem t.sorts name then error "sort %s already declared" name;
-  Hashtbl.replace t.sorts name (S_eq name);
-  touched t
+  match Hashtbl.find_opt t.sorts name with
+  | Some (S_eq _) -> ()
+  | Some _ -> redeclared "sort" name
+  | None ->
+    Hashtbl.replace t.sorts name (S_eq name);
+    touched t
 
 (** [declare_vec_sort t name elem] declares [(sort name (Vec elem))]. *)
 let declare_vec_sort t name elem =
-  if Hashtbl.mem t.sorts name then error "sort %s already declared" name;
-  ignore (find_sort t elem);
-  Hashtbl.replace t.sorts name (S_vec elem);
-  touched t
+  match Hashtbl.find_opt t.sorts name with
+  | Some (S_vec e) when e = elem -> ()
+  | Some _ -> redeclared "sort" name
+  | None ->
+    ignore (find_sort t elem);
+    Hashtbl.replace t.sorts name (S_vec elem);
+    touched t
 
 (** [declare_function t ~name ~args ~ret ~cost ~merge ~unextractable]
     declares a function table.  [args] and [ret] are sort names. *)
 let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
   let sym = Symbol.intern name in
-  if Symbol.Tbl.mem t.funcs sym then error "function %s already declared" name;
   (match cost with
   | Some c when c < 0 -> error "function %s: negative :cost %d" name c
   | _ -> ());
   let arg_sorts = Array.of_list (List.map (find_sort t) args) in
-  let f =
-    {
-      sym;
-      arg_sorts;
-      ret_sort = find_sort t ret;
-      cost;
-      unextractable;
-      merge;
-      store = Arena.create ~arity:(Array.length arg_sorts);
-      last_modified = 0;
-    }
-  in
-  Symbol.Tbl.replace t.funcs sym f;
-  t.func_order <- t.func_order @ [ sym ];
-  touched t;
-  f
+  let ret_sort = find_sort t ret in
+  match Symbol.Tbl.find_opt t.funcs sym with
+  | Some f when f.arg_sorts = arg_sorts && f.ret_sort = ret_sort -> f
+  | Some _ -> redeclared "function" name
+  | None ->
+    let f =
+      {
+        sym;
+        arg_sorts;
+        ret_sort;
+        cost;
+        unextractable;
+        merge;
+        store = Arena.create ~arity:(Array.length arg_sorts);
+        last_modified = 0;
+      }
+    in
+    Symbol.Tbl.replace t.funcs sym f;
+    t.func_order <- t.func_order @ [ sym ];
+    touched t;
+    f
 
 let find_func t sym =
   match Symbol.Tbl.find_opt t.funcs sym with
@@ -345,53 +360,34 @@ let rebuild_pass_arena t f =
         incr i
       done;
       if not !ok then stale := r :: !stale);
-  match !stale with
-  | [] -> false
-  | stale ->
-    List.iter
-      (fun r ->
-        (* a row in the stale list may have been killed already by an
-           earlier collision rewrite in this same pass *)
-        if not (Arena.is_dead a r) then begin
-          let key' =
-            Array.init arity (fun i -> Arena.canon_code uf pool (Arena.arg_code a r i))
+  List.iter
+    (fun r ->
+      (* a row in the stale list may have been killed already by an
+         earlier collision rewrite in this same pass *)
+      if not (Arena.is_dead a r) then begin
+        let key' =
+          Array.init arity (fun i -> Arena.canon_code uf pool (Arena.arg_code a r i))
+        in
+        let out' = Arena.canon_code uf pool (Arena.out_code a r) in
+        Arena.kill a r;
+        match Arena.find a key' with
+        | -1 ->
+          let stamp = next_stamp t in
+          ignore (Arena.append a key' out' stamp);
+          f.last_modified <- stamp
+        | r2 ->
+          (* congruence: two rows collapsed onto the same key *)
+          let merged =
+            merge_outputs t f
+              (Arena.decode pool (Arena.out_code a r2))
+              (Arena.decode pool out')
           in
-          let out' = Arena.canon_code uf pool (Arena.out_code a r) in
-          Arena.kill a r;
-          match Arena.find a key' with
-          | -1 ->
-            let stamp = next_stamp t in
-            ignore (Arena.append a key' out' stamp);
-            f.last_modified <- stamp
-          | r2 ->
-            (* congruence: two rows collapsed onto the same key *)
-            let merged =
-              merge_outputs t f
-                (Arena.decode pool (Arena.out_code a r2))
-                (Arena.decode pool out')
-            in
-            let stamp = next_stamp t in
-            ignore (Arena.rewrite a r2 (Arena.encode pool merged) stamp);
-            f.last_modified <- stamp;
-            t.n_rows_cache <- t.n_rows_cache - 1
-        end)
-      (List.rev stale);
-    true
-
-(** One pass of table re-canonicalization over [fs.(0..limit)].  Returns
-    (changed, last function index whose scan performed a union, or -1).
-    Functions after that index were scanned under the final union-find of
-    the pass, so the next pass can skip them. *)
-let rebuild_pass t (fs : func array) ~limit =
-  let changed = ref false in
-  let last_union = ref (-1) in
-  for i = 0 to limit do
-    let f = fs.(i) in
-    let u0 = t.n_unions in
-    if rebuild_pass_arena t f then changed := true;
-    if t.n_unions <> u0 then last_union := i
-  done;
-  (!changed, !last_union)
+          let stamp = next_stamp t in
+          ignore (Arena.rewrite a r2 (Arena.encode pool merged) stamp);
+          f.last_modified <- stamp;
+          t.n_rows_cache <- t.n_rows_cache - 1
+      end)
+    (List.rev !stale)
 
 (* canonicalize unstable-cost overrides; keep the cheapest on collision.
    Runs once per rebuild, against the final union-find. *)
@@ -427,20 +423,26 @@ let rebuild t =
     let fs =
       Array.of_list (Symbol.Tbl.fold (fun _ f acc -> f :: acc) t.funcs [])
     in
+    (* [scanned.(i)] is the union count when table [i]'s last scan
+       began.  A scan lists its stale rows up front, so any union made
+       since then, by this scan or a later one, can leave the table stale
+       again: a table is scanned until no union happened since its last
+       scan began. *)
+    let scanned = Array.make (Array.length fs) (-1) in
     let passes = ref 0 in
-    let limit = ref (Array.length fs - 1) in
-    let continue_ = ref true in
-    while !continue_ do
-      (* a pass that rewrote rows without performing any union left every
-         row it touched canonical under the final union-find, so the
-         fixpoint is already reached: only new unions (congruence
-         collisions merging outputs) can invalidate earlier tables — and
-         only those scanned at or before the last union *)
-      let changed, last_union = rebuild_pass t fs ~limit:!limit in
+    let stale = ref true in
+    while !stale do
+      stale := false;
+      Array.iteri
+        (fun i f ->
+          if scanned.(i) <> t.n_unions then begin
+            stale := true;
+            scanned.(i) <- t.n_unions;
+            rebuild_pass_arena t f
+          end)
+        fs;
       incr passes;
-      if !passes > 100_000 then error "rebuild did not converge";
-      limit := last_union;
-      continue_ := changed && last_union >= 0
+      if !passes > 100_000 then error "rebuild did not converge"
     done;
     rebuild_costs t;
     t.pending_unions <- false

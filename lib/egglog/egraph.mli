@@ -81,12 +81,19 @@ val clock : t -> int
 
 val find_sort : t -> string -> sort_kind
 val sort_declared : t -> string -> bool
+
+(** Declare an equivalence sort.  Like {!Check}, the declaration functions
+    treat a repeated declaration (same kind of sort, same element sort,
+    same argument and return sorts) as a no-op, so a rules file may
+    repeat the prelude.
+    @raise Error if the name is already declared as something else. *)
 val declare_sort : t -> string -> unit
 
 (** [(sort name (Vec elem))] *)
 val declare_vec_sort : t -> string -> string -> unit
 
-(** Declare a function table; [args] and [ret] are sort names.
+(** Declare a function table; [args] and [ret] are sort names.  A
+    redeclaration returns the existing table unchanged.
     @raise Error if [cost] is negative. *)
 val declare_function :
   t ->

@@ -151,9 +151,6 @@ type t = {
   mutable naive_matching : bool;
       (** search every due rule in full ([since = -1]) instead of
           seminaive deltas *)
-  mutable jobs : int;
-      (** search-phase parallelism: rules are partitioned across this many
-          OCaml domains; 1 = fully sequential *)
   mutable backoff : bool;  (** enable the backoff rule scheduler *)
   mutable match_limit : int;  (** scheduler: base per-rule match budget *)
   mutable ban_length : int;  (** scheduler: base ban duration (iterations) *)
@@ -184,7 +181,7 @@ and snapshot = {
 }
 
 let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine option)
-    ?(jobs = 1) () =
+    ?jobs:(_ : int option) () =
   let limits =
     match limits with
     | Some l -> l
@@ -205,7 +202,6 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
     snapshots = [];
     disable_dirty_skip = false;
     naive_matching = false;
-    jobs = max 1 jobs;
     backoff = true;
     match_limit = 1000;
     ban_length = 5;
@@ -221,8 +217,6 @@ let set_disable_dirty_skip t b = t.disable_dirty_skip <- b
 let set_limits t l = t.limits <- l
 let limits t = t.limits
 let set_naive_matching t b = t.naive_matching <- b
-let set_jobs t n = t.jobs <- max 1 n
-let jobs t = t.jobs
 let set_backoff t b = t.backoff <- b
 let set_match_limit t n = t.match_limit <- n
 let set_ban_length t n = t.ban_length <- n
@@ -266,6 +260,33 @@ let global_opt t x = Hashtbl.find_opt t.globals x
 (* Expression evaluation in action position (may create e-nodes)       *)
 (* ------------------------------------------------------------------ *)
 
+(* A primitive call.  Inside an [unstable-cost] expression ([cost] is the
+   costed function) i64 [+], [-] and [*] are checked: a product that
+   wrapped past 2^63 could come back as a small positive cost. *)
+let apply_prim ?(cost : Egraph.func option) f vals =
+  match cost with
+  | None -> (
+    try Primitives.apply f vals with Primitives.Error msg -> error "primitive error: %s" msg)
+  | Some fn -> (
+    try Primitives.apply_checked f vals with
+    | Primitives.Error msg -> error "primitive error: %s" msg
+    | Primitives.Overflow ->
+      error "cost-overflow: the unstable-cost of (%s ...) overflows i64 at %s"
+        (Symbol.name fn.Egraph.sym) f)
+
+(* The int cost of an evaluated [unstable-cost] of [fn], range-checked
+   instead of truncated by [Int64.to_int]. *)
+let cost_of_value (fn : Egraph.func) (v : Value.t) =
+  match v with
+  | I64 n
+    when Int64.compare n (Int64.of_int min_int) >= 0
+         && Int64.compare n (Int64.of_int max_int) <= 0 ->
+    Int64.to_int n
+  | I64 n ->
+    error "cost-overflow: the unstable-cost of (%s ...) is %Ld, out of range"
+      (Symbol.name fn.Egraph.sym) n
+  | v -> error "unstable-cost expects an i64 cost, got %a" Value.pp v
+
 let rec eval t (env : Matcher.env) (e : Ast.expr) : Value.t =
   match e with
   | Var x -> (
@@ -279,9 +300,7 @@ let rec eval t (env : Matcher.env) (e : Ast.expr) : Value.t =
   | Lit l -> Matcher.value_of_lit l
   | Call (f, args) ->
     let vals = List.map (eval t env) args in
-    if Primitives.is_primitive f then
-      try Primitives.apply f vals
-      with Primitives.Error msg -> error "primitive error: %s" msg
+    if Primitives.is_primitive f then apply_prim f vals
     else begin
       let fn = Egraph.find_func t.eg (Symbol.intern f) in
       match Egraph.apply t.eg fn (Array.of_list vals) with
@@ -289,6 +308,13 @@ let rec eval t (env : Matcher.env) (e : Ast.expr) : Value.t =
       | None ->
         error "(%s ...) has no defined output (use set before reading it)" f
     end
+
+(* an [unstable-cost] expression of [fn]: its primitive calls are checked *)
+let rec eval_cost t env fn (e : Ast.expr) : Value.t =
+  match e with
+  | Call (f, args) when Primitives.is_primitive f ->
+    apply_prim ~cost:fn f (List.map (eval_cost t env fn) args)
+  | e -> eval t env e
 
 (* ------------------------------------------------------------------ *)
 (* Actions                                                             *)
@@ -318,11 +344,7 @@ let rec run_action t (env : Matcher.env) (a : Ast.action) : Matcher.env =
     let vals = List.map (eval t env) args in
     (* make sure the e-node exists, then attach the cost override *)
     ignore (Egraph.apply t.eg fn (Array.of_list vals));
-    let cost =
-      match eval t env c with
-      | I64 n -> Int64.to_int n
-      | v -> error "unstable-cost expects an i64 cost, got %a" Value.pp v
-    in
+    let cost = cost_of_value fn (eval_cost t env fn c) in
     Egraph.set_cost t.eg fn (Array.of_list vals) cost;
     env
   | A_cost (e, _) -> error "unstable-cost expects an e-node application, got %a" Ast.pp_expr e
@@ -484,17 +506,15 @@ let rec ceval t (vals : int array) (cv : cval) : int =
         (Arena.decode (Egraph.pool t.eg) c)
         Egraph.pp_sort_kind k
 
-(* evaluate in value space; prim trees never touch the pool hash table *)
-and ceval_value t (vals : int array) (cv : cval) : Value.t =
+(* evaluate in value space; prim trees never touch the pool hash table.
+   [cost] marks an [unstable-cost] expression (see {!apply_prim}) *)
+and ceval_value ?cost t (vals : int array) (cv : cval) : Value.t =
   match cv with
-  | K_prim (f, args) -> (
+  | K_prim (f, args) ->
     let rec loop i acc =
-      if i < 0 then acc else loop (i - 1) (ceval_value t vals args.(i) :: acc)
+      if i < 0 then acc else loop (i - 1) (ceval_value ?cost t vals args.(i) :: acc)
     in
-    let vargs = loop (Array.length args - 1) [] in
-    match Primitives.apply f vargs with
-    | v -> v
-    | exception Primitives.Error msg -> error "primitive error: %s" msg)
+    apply_prim ?cost f (loop (Array.length args - 1) [])
   | K_global x -> (
     match Hashtbl.find_opt t.globals x with
     | Some v -> v
@@ -526,11 +546,7 @@ let run_caction t (vals : int array) (a : caction) : unit =
     if out = -1 then
       error "(%s ...) has no defined output (use set before reading it)"
         (Symbol.name fn.Egraph.sym);
-    let cost =
-      match ceval_value t vals c with
-      | I64 n -> Int64.to_int n
-      | v -> error "unstable-cost expects an i64 cost, got %a" Value.pp v
-    in
+    let cost = cost_of_value fn (ceval_value ~cost:fn t vals c) in
     let n = Array.length key in
     let ck = Array.make (n + 1) (Symbol.id fn.Egraph.sym) in
     Array.blit key 0 ck 1 n;
@@ -682,8 +698,8 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
       t.rules
   in
   (* resolve each rule's search up front (compiling generic-join plans
-     and packed appliers on first use): the search phase itself must not
-     write any shared state when it runs on several domains *)
+     and packed appliers on first use), so the search timers measure the
+     joins alone *)
   let prepare r =
     let gp = gplan_of idx r in
     let pins = Matcher.pins idx gp in
@@ -715,51 +731,10 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
     in
     (ms, Unix.gettimeofday () -. t0)
   in
-  (* search phase: all rules match against the same snapshot *)
-  let searched =
-    let n_due = List.length prepared in
-    let nd = min t.jobs n_due in
-    if nd <= 1 then List.map (fun s -> (s, search s)) prepared
-    else begin
-      (* parallel search across rule partitions.  The e-graph is strictly
-         read-only here: the union-find is frozen (fully compressed, then
-         lock-free walks), the value pool interns new primitives under its
-         mutex, and every per-function cache a search could touch is built
-         by prewarm before the first domain spawns.  Matches are merged
-         back in registration order and all scheduling (budgets, bans,
-         scan horizons) stays sequential, so [-jN] computes exactly what
-         [-j1] does. *)
-      List.iter (fun s -> Matcher.prewarm idx s.s_gplan) prepared;
-      let arr = Array.of_list prepared in
-      let results = Array.make (Array.length arr) (M_envs [], 0.) in
-      Union_find.freeze (Egraph.uf t.eg) true;
-      Arena.set_threadsafe (Egraph.pool t.eg) true;
-      let exns = ref [] in
-      let workers =
-        Array.init nd (fun w ->
-            Domain.spawn (fun () ->
-                (* round-robin partition: worker [w] takes rules w, w+nd, … *)
-                let out = ref [] in
-                let i = ref w in
-                while !i < Array.length arr do
-                  out := (!i, search arr.(!i)) :: !out;
-                  i := !i + nd
-                done;
-                !out))
-      in
-      Array.iter
-        (fun d ->
-          match Domain.join d with
-          | res -> List.iter (fun (i, r) -> results.(i) <- r) res
-          | exception e -> exns := e :: !exns)
-        workers;
-      Arena.set_threadsafe (Egraph.pool t.eg) false;
-      Union_find.freeze (Egraph.uf t.eg) false;
-      (match !exns with e :: _ -> raise e | [] -> ());
-      Array.to_list (Array.mapi (fun i s -> (s, results.(i))) arr)
-    end
-  in
-  (* sequential bookkeeping: budgets, bans, scan horizons *)
+  (* search phase: every due rule matches against the same snapshot
+     before any match is applied *)
+  let searched = List.map (fun s -> (s, search s)) prepared in
+  (* bookkeeping in registration order: budgets, bans, scan horizons *)
   let batches =
     List.filter_map
       (fun (s, (ms, dt)) ->
@@ -1043,7 +1018,7 @@ let run_command t (c : Ast.command) : unit =
   | C_sort (name, Some ("Vec", [ elem ])) -> Egraph.declare_vec_sort t.eg name elem
   | C_sort (_, Some (container, _)) -> error "unsupported container sort %s" container
   | C_datatype (name, variants) ->
-    if not (Egraph.sort_declared t.eg name) then Egraph.declare_sort t.eg name;
+    Egraph.declare_sort t.eg name;
     List.iter
       (fun (v : Ast.variant) ->
         declare_function t

@@ -107,14 +107,6 @@ val set_disable_dirty_skip : t -> bool -> unit
     escape hatch. *)
 val set_naive_matching : t -> bool -> unit
 
-(** Search-phase parallelism: partition due rules across [n] OCaml domains
-    per iteration (default 1 = sequential).  Matches are merged back in
-    registration order and applied sequentially, so results and statistics
-    are independent of [n]. *)
-val set_jobs : t -> int -> unit
-
-val jobs : t -> int
-
 (** Enable/disable the backoff rule scheduler (default: enabled).  When
     disabled every due rule fires every iteration and saturation detection
     never waits on bans. *)
@@ -135,8 +127,10 @@ val rule_stats : t -> rule_stat list
 (** Fresh engine.  [limits] sets the full resource budget; the legacy
     [max_nodes] (default 200k) and [timeout] (seconds) are shorthands for
     a node-and-time-only budget and are ignored when [limits] is given.
-    [engine] is accepted and ignored: the arena is the only storage
-    engine.  [jobs] is the search-phase parallelism (default 1). *)
+    [engine] and [jobs] are accepted and ignored, so that callers written
+    against the older API, such as [perfbench/replica.ml], still build:
+    the arena is the only storage engine, and saturation runs on one
+    domain. *)
 val create :
   ?max_nodes:int ->
   ?timeout:float ->

@@ -603,14 +603,9 @@ type gplan = {
       (* (atom, column, global) of every column pinned to a global *)
   gp_slot : int array;  (* var -> its position in gp_emit (-1 not emitted) *)
   gp_join_list : int array;  (* var ids with >= 2 occurrences, ascending *)
-  gp_probed : (int * int) array;
-      (* (atom, column) pairs the join can probe through [bucket] — pinned
-         columns and join-variable occurrences; prewarmed before parallel
-         search so domains never write to the shared column indexes *)
   mutable gp_scratch : gscratch option;
-      (* per-plan working state reused across searches (a rule is searched
-         by at most one domain at a time, so this is race-free); rebuilt
-         when the e-graph it was built against is swapped out *)
+      (* per-plan working state reused across searches; rebuilt when the
+         e-graph it was built against is swapped out *)
 }
 
 (* All the allocations a generic-join search needs, hoisted out of the
@@ -924,14 +919,6 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan =
     Array.iteri (fun v j -> if j then acc := v :: !acc) is_join;
     Array.of_list (List.rev !acc)
   in
-  let gp_probed =
-    Array.map
-      (fun (ai, c, ()) -> (ai, c))
-      (columns (function
-        | G_lit _ | G_global _ -> Some ()
-        | G_var v when is_join.(v) -> Some ()
-        | G_var _ | G_free -> None))
-  in
   {
     gp_atoms;
     gp_residuals;
@@ -949,7 +936,6 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan =
     gp_pins;
     gp_slot;
     gp_join_list;
-    gp_probed;
     gp_scratch = None;
   }
 
@@ -1016,9 +1002,8 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
   let funcs = gs.gs_funcs and tables = gs.gs_tables and cidxs = gs.gs_cidxs in
   let pin_codes = pins idx gp in
   (* columns sync lazily on first probe (the records are mutated in place
-     and shared through [idx.colindexes], so one sync serves every rule);
-     under parallel search [prewarm] has already synced every probed
-     column, making this a read-only fast path *)
+     and shared through [idx.colindexes], so one sync serves every rule,
+     and a column no rule probes is never built) *)
   let bucket ai col code : ivec =
     let a = Array.unsafe_get tables ai in
     let cm = (Array.unsafe_get cidxs ai).ci_cols.(col) in
@@ -1411,24 +1396,6 @@ let gsolve_packed idx (gp : gplan) ~(since : int) : packed =
       incr n);
   { pk_buf = !buf; pk_rows = !n; pk_width = width }
 
-
-(** Column indexes every probe of [gp]'s search will read — pinned columns
-    and join-variable occurrences — brought up to date, so a parallel
-    search phase never writes to the shared index. *)
-let prewarm idx (gp : gplan) =
-  let cidx ai =
-    let f = Egraph.find_func idx.eg gp.gp_atoms.(ai).g_sym in
-    (f.Egraph.store, colindex_of idx f f.Egraph.store)
-  in
-  (* every atom's index record exists before the search builds its
-     scratch, so no domain inserts into the shared table *)
-  Array.iteri (fun ai _ -> ignore (cidx ai)) gp.gp_atoms;
-  Array.iter
-    (fun (ai, col) ->
-      let a, c = cidx ai in
-      let cm = c.ci_cols.(col) in
-      if not (cm_fresh cm a) then cm_sync cm a col)
-    gp.gp_probed
 
 (** Every binding of the premises' own variables (aux variables dropped,
     duplicates removed): the full join ([since = -1]) of a fresh plan. *)

@@ -88,11 +88,6 @@ type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
     {!gp_packed_ok}. *)
 val gsolve_packed : index -> gplan -> since:int -> packed
 
-(** Bring every column index the plan's search will probe up to date, so
-    a subsequent parallel search phase never writes to the shared
-    index. *)
-val prewarm : index -> gplan -> unit
-
 (** Every binding of the premises' own variables (compiler aux variables
     dropped, duplicates removed), through the full join of a fresh plan —
     what [(check ...)] and the match-set oracles ask. *)

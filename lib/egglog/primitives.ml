@@ -124,3 +124,31 @@ let apply name (args : Value.t list) : Value.t =
   | "str-concat", [ Str a; Str b ] -> Str (a ^ b)
   | "str-length", [ Str s ] -> I64 (Int64.of_int (String.length s))
   | _, _ -> error "primitive %s: invalid arguments (%a)" name Fmt.(list ~sep:comma Value.pp) args
+
+exception Overflow
+
+let neg_sign x = Int64.compare x 0L < 0
+
+(** [apply_checked name args] is [apply name args], except that i64 [+],
+    [-] and [*] raise {!Overflow} instead of wrapping. *)
+let apply_checked name (args : Value.t list) : Value.t =
+  match (name, args) with
+  | "+", [ I64 a; I64 b ] ->
+    let s = Int64.add a b in
+    (* overflow iff both operands have the sign the sum lacks *)
+    if neg_sign (Int64.logand (Int64.logxor a s) (Int64.logxor b s)) then raise Overflow;
+    I64 s
+  | "-", [ I64 a; I64 b ] ->
+    let d = Int64.sub a b in
+    if neg_sign (Int64.logand (Int64.logxor a b) (Int64.logxor a d)) then raise Overflow;
+    I64 d
+  | "-", [ I64 a ] when Int64.equal a Int64.min_int -> raise Overflow
+  | "*", [ I64 a; I64 b ] ->
+    let p = Int64.mul a b in
+    if
+      (not (Int64.equal a 0L))
+      && ((not (Int64.equal (Int64.div p a) b))
+         || (Int64.equal a (-1L) && Int64.equal b Int64.min_int))
+    then raise Overflow;
+    I64 p
+  | _ -> apply name args

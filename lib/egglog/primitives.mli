@@ -13,3 +13,11 @@ val is_primitive : string -> bool
     out-of-bounds [vec-get], [log2] of a non-positive number); the rule
     engine treats such errors as a failed premise. *)
 val apply : string -> Value.t list -> Value.t
+
+(** An i64 result that does not fit in 64 bits. *)
+exception Overflow
+
+(** {!apply}, except that i64 [+], [-] and [*] raise {!Overflow} instead
+    of wrapping.  Cost expressions are evaluated this way: a cost that
+    wrapped could come back small. *)
+val apply_checked : string -> Value.t list -> Value.t

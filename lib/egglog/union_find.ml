@@ -8,11 +8,6 @@ type t = {
   mutable parent : int array;
   mutable rank : int array;
   mutable size : int; (* number of allocated ids *)
-  mutable frozen : bool;
-      (* while frozen, [find] must not path-halve: the structure is being
-         read concurrently from several domains (parallel rule search) and
-         any write to [parent] would be a data race.  Unions are forbidden
-         while frozen. *)
 }
 
 let create ?(capacity = 64) () =
@@ -20,7 +15,6 @@ let create ?(capacity = 64) () =
     parent = Array.init capacity Fun.id;
     rank = Array.make capacity 0;
     size = 0;
-    frozen = false;
   }
 
 (** Number of ids allocated so far. *)
@@ -50,43 +44,21 @@ let fresh t =
     Raises [Invalid_argument] if [x] was never allocated. *)
 let find t x =
   if x < 0 || x >= t.size then invalid_arg "Union_find.find: id out of range";
-  if t.frozen then begin
-    (* read-only walk: no path halving while other domains may be reading *)
-    let rec ro x =
-      let p = t.parent.(x) in
-      if p = x then x else ro p
-    in
-    ro x
-  end
-  else
-    let rec go x =
-      let p = t.parent.(x) in
-      if p = x then x
-      else begin
-        (* path halving *)
-        let gp = t.parent.(p) in
-        t.parent.(x) <- gp;
-        go gp
-      end
-    in
-    go x
-
-(** [freeze t on] toggles read-only mode: while frozen, {!find} walks
-    parent chains without path halving (safe for concurrent readers) and
-    {!union}/{!fresh} are rejected.  Before freezing, every chain is fully
-    compressed so the concurrent walks stay O(1). *)
-let freeze t on =
-  if on && not t.frozen then
-    (* full path compression: point every id directly at its root *)
-    for x = 0 to t.size - 1 do
-      t.parent.(x) <- find t x
-    done;
-  t.frozen <- on
+  let rec go x =
+    let p = t.parent.(x) in
+    if p = x then x
+    else begin
+      (* path halving *)
+      let gp = t.parent.(p) in
+      t.parent.(x) <- gp;
+      go gp
+    end
+  in
+  go x
 
 (** [union t a b] merges the sets of [a] and [b] and returns the canonical
     representative of the merged set. *)
 let union t a b =
-  if t.frozen then invalid_arg "Union_find.union: structure is frozen";
   let ra = find t a and rb = find t b in
   if ra = rb then ra
   else begin
@@ -102,14 +74,10 @@ let same t a b = find t a = find t b
 (** [is_canonical t x] is true iff [x] is the representative of its set. *)
 let is_canonical t x = find t x = x
 
-(** [fresh] guard: allocating while frozen would race with readers. *)
-let fresh t = if t.frozen then invalid_arg "Union_find.fresh: structure is frozen" else fresh t
-
 (** Deep copy (for [push]/[pop] snapshots). *)
 let copy t =
   {
     parent = Array.copy t.parent;
     rank = Array.copy t.rank;
     size = t.size;
-    frozen = false;
   }

@@ -26,11 +26,5 @@ val same : t -> int -> int -> bool
 (** Is [x] the representative of its set? *)
 val is_canonical : t -> int -> bool
 
-(** [freeze t on] toggles read-only mode.  Freezing first compresses every
-    parent chain, then {!find} stops path-halving (safe to call from
-    several domains concurrently) and {!union}/{!fresh} raise
-    [Invalid_argument] until thawed with [freeze t false]. *)
-val freeze : t -> bool -> unit
-
 (** Deep copy (for push/pop snapshots). *)
 val copy : t -> t

@@ -187,10 +187,6 @@ let saturate (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
     ignore (Egglog.Interp.run engine cfg.Dialegg.Pipeline.max_iterations);
     Some engine
 
-(* Has this process ever spawned a domain?  Set by the [-jN] oracle;
-   gates the fork-based batch oracle (see below). *)
-let domains_spawned = ref false
-
 (* Run the full battery in-process.  [mlir]/[egg] override the case's
    sources so the reducer can probe candidate shrinks. *)
 let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
@@ -271,12 +267,7 @@ let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
     | exception e ->
       add (failure ~oracle:"match-diff" Crash ("match check raised: " ^ Printexc.to_string e)));
     (* -- batch ≡ sequential ------------------------------------------ *)
-    (* OCaml 5 forbids [Unix.fork] once any domain has ever been spawned
-       in the process, so this fork-based oracle must run before the
-       domain-spawning [-jN] oracle below, and is skipped on any later
-       in-process battery call (the forked-subprocess paths are
-       unaffected: each child starts domain-free). *)
-    if not !domains_spawned then (try
+    (try
        let tmp =
          Filename.temp_file "dialegg-fuzz-" ".mlir"
        in
@@ -313,8 +304,6 @@ let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
        add
          (failure ~oracle:"batch-diff" Differential
             ("batch run raised: " ^ Printexc.to_string e)));
-    compare_run "jobs-diff" { base_cfg with Dialegg.Pipeline.jobs = 4 };
-    domains_spawned := true;
     (* -- warm cache ≡ cold run (the daemon's serving unit) ----------- *)
     (try
        let dir = Filename.temp_file "dialegg-fuzz-cache" "" in

@@ -15,7 +15,7 @@
       bytes — invalidates every cache key and batch-equivalence claim;
     - {e differential mismatch}: two configurations that promise
       byte-identical output disagreed (seminaive ≡ naive matching,
-      [-j1] ≡ [-jN], batch ≡ sequential, warm cache ≡ cold run); after
+      batch ≡ sequential, warm cache ≡ cold run); after
       saturating the case's function, some rule's full match set through
       the generic join differs from the brute-force {!Reference} matcher's
       ([match-diff]), or some class extracts differently through

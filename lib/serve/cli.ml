@@ -45,9 +45,11 @@ let eval cmd =
     let msg = captured () in
     if is_cli_error msg then usage_exit name msg
     else begin
+      (* a runtime error: 1, never cmdliner's 124, which is also what
+         timeout(1) reports for a hang *)
       prerr_string msg;
       flush stderr;
-      Cmdliner.Cmd.Exit.cli_error
+      1
     end
   | exception Usage_error m ->
     ignore (captured ());

@@ -24,13 +24,13 @@ exception Usage_error of string
 val usage_error : ('a, unit, string, 'b) format4 -> 'a
 
 (** [eval cmd] evaluates a cmdliner command with uniform error
-    handling: argument parse errors (unknown flag, bad value, missing
-    required operand) and {!Usage_error} print a single
+    handling, the exit contract every executable shares: 0 on success;
+    argument parse errors (unknown flag, bad value, missing required
+    operand) and {!Usage_error} print a single
     ["name: reason. Try 'name --help' for more information."] line on
-    stderr and return 2 — never a backtrace; term-evaluation errors
-    print cmdliner's diagnostic and return
-    [Cmdliner.Cmd.Exit.cli_error]; other exceptions propagate to
-    {!main}'s backstop. *)
+    stderr and return 2 — never a backtrace; runtime errors (a term
+    returning [`Error]) print their diagnostic and return 1; other
+    exceptions propagate to {!main}'s backstop, which exits 125. *)
 val eval : unit Cmdliner.Cmd.t -> int
 
 (** Is this exception a broken-pipe error ([Unix.EPIPE], or the

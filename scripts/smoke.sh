@@ -129,19 +129,18 @@ echo ok
 
 echo "== egglog: extraction terminates on the cost edge cases =="
 # Each run is bounded, so a reintroduced hang in the cost fixpoint fails
-# here in seconds.  SIGKILL on timeout exits 137, which no error exit of
-# the tool can be mistaken for.
+# here in seconds: a hang exits 124 (timeout), a runtime error exits 1.
 dune build bin/egglog_repl.exe
 EGGLOG=_build/default/bin/egglog_repl.exe
-timeout -s KILL 10 $EGGLOG test/fixtures/extract_overflow.egg > /tmp/dialegg_overflow.out
+timeout 10 $EGGLOG test/fixtures/extract_overflow.egg > /tmp/dialegg_overflow.out
 grep -q '^(B)  ; cost 1$' /tmp/dialegg_overflow.out
 for probe in negative_cost:negative-cost negative_unstable_cost:'negative cost'; do
   fixture=${probe%%:*}; msg=${probe#*:}
   status=0
-  timeout -s KILL 10 $EGGLOG "test/fixtures/$fixture.egg" >/dev/null \
+  timeout 10 $EGGLOG "test/fixtures/$fixture.egg" >/dev/null \
     2>/tmp/dialegg_negcost.err || status=$?
-  if [ "$status" -eq 0 ] || [ "$status" -eq 137 ]; then
-    echo "expected an error exit from $fixture.egg, got status $status" >&2; exit 1
+  if [ "$status" -ne 1 ]; then
+    echo "expected exit 1 from $fixture.egg, got status $status" >&2; exit 1
   fi
   grep -q "$msg" /tmp/dialegg_negcost.err
 done
@@ -173,16 +172,13 @@ dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
   --egg rules/matmul_assoc.egg | grep -q 'tensor<10x8xf64>'
 echo ok
 
-echo "== dialegg-opt: seminaive, naive and -j 2 matching extract identical programs =="
+echo "== dialegg-opt: seminaive and naive matching extract identical programs =="
 for mm in 2mm 3mm; do
   dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
     --egg rules/matmul_assoc.egg > /tmp/dialegg_semi.mlir
   dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
     --egg rules/matmul_assoc.egg --naive-matching > /tmp/dialegg_naive.mlir
   cmp /tmp/dialegg_semi.mlir /tmp/dialegg_naive.mlir
-  dune exec bin/dialegg_opt.exe -- benchmarks/$mm.mlir \
-    --egg rules/matmul_assoc.egg -j 2 > /tmp/dialegg_j2.mlir
-  cmp /tmp/dialegg_semi.mlir /tmp/dialegg_j2.mlir
 done
 echo ok
 

@@ -604,6 +604,31 @@ let test_negative_cost_rejected () =
   | Some (term, _) -> checks "base case" "(A)" (Extract.term_to_string term)
   | None -> Alcotest.fail "no extraction"
 
+(* Cost arithmetic is checked: a product that wraps past 2^63, or an i64
+   cost too large for an int, is a [cost-overflow] error instead of a
+   small or negative cost. *)
+let test_cost_overflow () =
+  let mentions_overflow m =
+    let needle = "cost-overflow" in
+    let n = String.length needle in
+    let rec at i = i + n <= String.length m && (String.sub m i n = needle || at (i + 1)) in
+    at 0
+  in
+  let decl = "(datatype E (A) (F E))" ^ cyclic_src in
+  (* 3037000500^2 wraps to 145474192 *)
+  let t = Interp.create () in
+  Interp.run_string t
+    (decl ^ "(rule ((= ?e (F ?x))) ((unstable-cost (F ?x) (* 3037000500 3037000500))))");
+  (match (Interp.run t 3).stop with
+  | Fault d ->
+    checks "saturation fault" "saturation-fault" d.code;
+    checkb "names cost-overflow" true (mentions_overflow d.message)
+  | stop -> Alcotest.failf "expected a fault, got %a" Interp.pp_stop_reason stop);
+  (* 2^62 is a valid i64 but not an OCaml int *)
+  match Interp.run_program (decl ^ "(unstable-cost (F a) 4611686018427387904)") with
+  | _ -> Alcotest.fail "out-of-range unstable-cost accepted"
+  | exception Interp.Error m -> checkb "names cost-overflow" true (mentions_overflow m)
+
 let test_rule_creates_nodes () =
   (* actions instantiating new terms must grow the e-graph *)
   let t = Interp.create () in
@@ -1018,7 +1043,40 @@ let test_parser_rejects_garbage () =
   fails "(sort)";
   fails "(let x (UnknownFn 1))";
   fails "(rewrite)";
-  fails "(sort S) (sort S)"
+  fails "(sort S) (sort S (Vec i64))"
+
+(* The engine accepts what Check accepts: repeating a declaration is a
+   no-op, declaring a name again as something else raises. *)
+let test_redeclaration () =
+  let accepts s =
+    match Interp.run_program s with
+    | _ -> ()
+    | exception Egraph.Error m -> Alcotest.failf "%s: %s" s m
+  in
+  let rejects s =
+    match Interp.run_program s with
+    | exception Egraph.Error _ -> ()
+    | _ -> Alcotest.fail ("should reject: " ^ s)
+  in
+  accepts "(sort S) (sort S)";
+  accepts "(sort V (Vec i64)) (sort V (Vec i64))";
+  accepts "(datatype S (A)) (sort S) (datatype S (B))";
+  accepts "(sort S) (function f (S i64) S) (function f (S i64) S)";
+  accepts "(sort S) (relation r (S)) (relation r (S))";
+  rejects "(sort S (Vec i64)) (sort S)";
+  rejects "(sort V (Vec i64)) (sort V (Vec String))";
+  rejects "(sort S) (function f (S) S) (function f (S S) S)";
+  rejects "(sort S) (function f (S) S) (function f (S) i64)";
+  rejects "(datatype i64 (A))";
+  (* a repeated table is the same table: rows and costs survive *)
+  let t = Interp.create () in
+  Interp.run_string t
+    "(datatype E (A :cost 7)) (let a (A)) (datatype E (A :cost 1)) (extract a)";
+  match Interp.last_extracted t with
+  | Some (term, cost) ->
+    checks "term" "(A)" (Extract.term_to_string term);
+    checki "first declaration's cost" 7 cost
+  | None -> Alcotest.fail "no extraction"
 
 let () =
   Alcotest.run "egglog"
@@ -1072,12 +1130,14 @@ let () =
           Alcotest.test_case "extraction cost arithmetic" `Quick test_extract_cost_value;
           Alcotest.test_case "extraction cost sums saturate" `Quick test_extract_cost_saturates;
           Alcotest.test_case "negative costs rejected" `Quick test_negative_cost_rejected;
+          Alcotest.test_case "cost arithmetic overflow" `Quick test_cost_overflow;
           Alcotest.test_case "extraction candidate order" `Quick test_extract_candidate_order;
           Alcotest.test_case "rules create nodes" `Quick test_rule_creates_nodes;
           Alcotest.test_case "no variable capture by globals" `Quick test_global_shadowing_safe;
           Alcotest.test_case "wildcard patterns" `Quick test_wildcard_pattern;
           Alcotest.test_case "rebuild-strategy ablation agrees" `Quick test_immediate_rebuild_ablation;
           Alcotest.test_case "parser rejects garbage" `Quick test_parser_rejects_garbage;
+          Alcotest.test_case "redeclaration" `Quick test_redeclaration;
         ] );
       ( "rulesets-and-snapshots",
         [

@@ -83,7 +83,7 @@ let test_signature_stability () =
   checkb "different oracles are different buckets" true
     (Fuzzing.Fuzz.signature ~oracle:"naive-diff" Fuzzing.Fuzz.Differential
        ~detail:"x"
-    <> Fuzzing.Fuzz.signature ~oracle:"jobs-diff" Fuzzing.Fuzz.Differential
+    <> Fuzzing.Fuzz.signature ~oracle:"batch-diff" Fuzzing.Fuzz.Differential
          ~detail:"x");
   checkb "different severities are different buckets" true
     (Fuzzing.Fuzz.signature ~oracle:"o" Fuzzing.Fuzz.Crash ~detail:"x"
