@@ -242,17 +242,18 @@ let ablation () =
       let run immediate =
         let m = Mlir.Parser.parse_module src in
         let f = Option.get (Mlir.Ir.find_function m "mm_chain") in
-        (* run the pipeline manually so we can flip the e-graph flag *)
-        let engine = Egglog.Interp.create ~max_nodes:200_000 ~timeout:120.0 () in
-        (Egglog.Interp.egraph engine).Egglog.Egraph.immediate_rebuild <- immediate;
-        Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
-        Egglog.Interp.run_string engine Dialegg.Rules.matmul_assoc;
-        let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-        Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
-        let eggify =
-          Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
+        (* set up the engine as the pipeline does, then flip the e-graph
+           flag for the saturation the ablation times *)
+        let config =
+          {
+            Dialegg.Pipeline.default_config with
+            rules = Dialegg.Rules.matmul_assoc;
+            max_nodes = 200_000;
+            timeout = Some 120.0;
+          }
         in
-        ignore (Dialegg.Eggify.translate_function eggify f);
+        let engine, _, _, _ = Dialegg.Pipeline.setup_function config f in
+        (Egglog.Interp.egraph engine).Egglog.Egraph.immediate_rebuild <- immediate;
         let stats = Egglog.Interp.run engine 64 in
         stats.Egglog.Interp.sat_time *. 1000.
       in

@@ -182,7 +182,8 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
   | Mlir.Typ.Parse_error e -> `Error (false, "type parse error: " ^ e)
   | Dialegg.Pipeline.Error e -> `Error (false, "pipeline error: " ^ e)
   | Egglog.Parser.Error e -> `Error (false, "egglog parse error: " ^ e)
-  | Egglog.Interp.Error e | Egglog.Egraph.Error e -> `Error (false, "egglog error: " ^ e)
+  | Egglog.Interp.Error e | Egglog.Egraph.Error e | Egglog.Matcher.Error e | Egglog.Extract.Error e ->
+    `Error (false, "egglog error: " ^ e)
   | Failure e -> `Error (false, e)
   | Stack_overflow -> `Error (false, "stack overflow")
 

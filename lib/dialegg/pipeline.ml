@@ -217,6 +217,36 @@ let diags_exn what diags =
             (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
             (List.filter Egglog.Diag.is_error diags)))
 
+(* The per-function engine set-up (see the interface).  A rules file
+   that fails to load, in a declaration, an action, a [check] or an
+   [extract], is a [rules:] error. *)
+let setup_function ?(hooks = Translate.make_hooks ()) (config : config) (func : Mlir.Ir.op) =
+  let limits =
+    Egglog.Limits.make ~max_nodes:config.max_nodes
+      ?max_time_ms:(Option.map (fun s -> s *. 1000.) config.timeout)
+      ?max_memory_mb:config.max_memory_mb ()
+  in
+  let engine = Egglog.Interp.create ~limits () in
+  Egglog.Interp.set_naive_matching engine (not config.seminaive);
+  Egglog.Interp.set_backoff engine config.backoff;
+  Egglog.Interp.set_match_limit engine config.match_limit;
+  Egglog.Interp.set_ban_length engine config.ban_length;
+  Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
+  (try Egglog.Interp.run_string engine config.rules
+   with
+   | Egglog.Parser.Error msg
+   | Egglog.Interp.Error msg
+   | Egglog.Egraph.Error msg
+   | Egglog.Matcher.Error msg
+   | Egglog.Extract.Error msg
+   ->
+     raise (Error ("rules: " ^ msg)));
+  let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
+  Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
+  let eggify = Eggify.create ~engine ~sigs ~hooks in
+  let root = Eggify.translate_function eggify func in
+  (engine, eggify, sigs, root)
+
 (** Per-function timing breakdown (Table 2 columns). *)
 type timings = {
   t_mlir_to_egg : float;  (** prelude + rules load + eggify *)
@@ -504,28 +534,7 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
     (* ---- MLIR -> Egglog ---- *)
     let t0 = now () in
     let engine, eggify, sigs, root =
-      stage ~strict Faults.Eggify config.inject (fun () ->
-          let limits =
-            Egglog.Limits.make ~max_nodes:config.max_nodes
-              ?max_time_ms:(Option.map (fun s -> s *. 1000.) config.timeout)
-              ?max_memory_mb:config.max_memory_mb ()
-          in
-          let engine =
-            Egglog.Interp.create ~limits ~engine:config.engine ()
-          in
-          Egglog.Interp.set_naive_matching engine (not config.seminaive);
-          Egglog.Interp.set_backoff engine config.backoff;
-          Egglog.Interp.set_match_limit engine config.match_limit;
-          Egglog.Interp.set_ban_length engine config.ban_length;
-          Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
-          (try Egglog.Interp.run_string engine config.rules
-           with Egglog.Parser.Error msg | Egglog.Interp.Error msg | Egglog.Egraph.Error msg ->
-             raise (Error ("rules: " ^ msg)));
-          let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
-          Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
-          let eggify = Eggify.create ~engine ~sigs ~hooks in
-          let root = Eggify.translate_function eggify func in
-          (engine, eggify, sigs, root))
+      stage ~strict Faults.Eggify config.inject (fun () -> setup_function ~hooks config func)
     in
     let t1 = now () in
     (* anytime checkpoints: track the root's best extraction so a limit or

@@ -109,6 +109,20 @@ val audit_rules_exn : config -> (Audit.report * Audit.cache_status) option
     @raise Error if the rules fail any static tier. *)
 val prewarmed : config -> config
 
+(** The engine set-up {!optimize_func_report} runs for each function: a
+    fresh engine under [config]'s limits (nodes, wall clock, memory) and
+    scheduler settings ([seminaive], [backoff], [match_limit],
+    [ban_length]), then the prelude, [config.rules], the signature scan,
+    the generated [type-of] rules, and [func] eggified.  Returns the
+    engine, the translation state, the signatures and the name of the
+    global holding [func]'s root.
+    @raise Error ["rules: …"] when [config.rules] fails to load. *)
+val setup_function :
+  ?hooks:Translate.hooks ->
+  config ->
+  Mlir.Ir.op ->
+  Egglog.Interp.t * Eggify.t * Sigs.t * string
+
 type timings = {
   t_mlir_to_egg : float;  (** prelude + rules load + eggify *)
   t_egglog : float;  (** total engine time: saturation + extraction *)

@@ -28,6 +28,8 @@
     - [bad-merge] — a [:merge] expression the engine cannot evaluate;
     - [negative-cost] — a [:cost] below zero (extraction needs costs
       ≥ 0 to terminate);
+    - [cost-overflow] — a [:cost] at or above {!Egraph.cost_cap}, where
+      extraction's saturating sums read it as "no finite term";
     - [unconstrained-fact] — a fact that can never bind or test anything;
     - [shadowed-binding] (warning) — a rule-local [let] reusing a name;
     - [non-boolean-guard] (warning) — a guard whose sort is not [bool]
@@ -631,11 +633,17 @@ let declare_func ctx span name args ret cost =
   | Some _ -> errf ctx span "redeclared" "function %s redeclared with a different signature" name
   | None -> Hashtbl.replace ctx.env.funcs name { fs_args = args; fs_ret = ret; fs_cost = cost }
 
-(* extraction's cost fixpoint terminates only on costs >= 0 *)
-let check_cost ctx loc name = function
+(* extraction's cost fixpoint terminates only on costs >= 0, and reads a
+   cost at the cap as "no finite term" *)
+let check_cost ctx loc name cost =
+  let sp () = match find_option_loc loc ":cost" with Some v -> v.Sexp.span | None -> loc.span in
+  match cost with
   | Some c when c < 0 ->
-    let sp = match find_option_loc loc ":cost" with Some v -> v.Sexp.span | None -> loc.span in
-    errf ctx sp "negative-cost" "%s has a negative :cost %d; extraction needs costs >= 0" name c
+    errf ctx (sp ()) "negative-cost" "%s has a negative :cost %d; extraction needs costs >= 0"
+      name c
+  | Some c when c >= Egraph.cost_cap ->
+    errf ctx (sp ()) "cost-overflow" "%s has a :cost %d at or above the extraction cap %d" name
+      c Egraph.cost_cap
   | _ -> ()
 
 (* :merge expressions are evaluated by a tiny interpreter that only

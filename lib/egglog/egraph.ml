@@ -78,7 +78,7 @@ type t = {
   uf : Union_find.t;
   pool : Arena.pool;  (** value interning for arena codes *)
   funcs : func Symbol.Tbl.t;
-  mutable func_order : Symbol.t list;  (** declaration order, for printing *)
+  mutable funcs_rev : Symbol.t list;  (** newest declaration first *)
   sorts : (string, sort_kind) Hashtbl.t;
   costs : (int * Value.t) Value.Args_tbl.t Symbol.Tbl.t;
       (** unstable-cost overrides: per function, canonical args -> (cost, output value at set time) *)
@@ -102,7 +102,7 @@ let create () =
       uf = Union_find.create ();
       pool = Arena.create_pool ();
       funcs = Symbol.Tbl.create 64;
-      func_order = [];
+      funcs_rev = [];
       sorts = Hashtbl.create 32;
       costs = Symbol.Tbl.create 16;
       clock = 0;
@@ -168,12 +168,20 @@ let declare_vec_sort t name elem =
     Hashtbl.replace t.sorts name (S_vec elem);
     touched t
 
+(** Extraction sums costs saturating at this cap, so a cost at or above
+    it reads as "no finite term"; a base cost that high is rejected as
+    [cost-overflow] where it is declared or set. *)
+let cost_cap = max_int / 4
+
 (** [declare_function t ~name ~args ~ret ~cost ~merge ~unextractable]
     declares a function table.  [args] and [ret] are sort names. *)
 let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
   let sym = Symbol.intern name in
   (match cost with
   | Some c when c < 0 -> error "function %s: negative :cost %d" name c
+  | Some c when c >= cost_cap ->
+    error "cost-overflow: function %s: :cost %d is at or above the extraction cap %d" name
+      c cost_cap
   | _ -> ());
   let arg_sorts = Array.of_list (List.map (find_sort t) args) in
   let ret_sort = find_sort t ret in
@@ -194,7 +202,7 @@ let declare_function t ~name ~args ~ret ~cost ~merge ~unextractable =
       }
     in
     Symbol.Tbl.replace t.funcs sym f;
-    t.func_order <- t.func_order @ [ sym ];
+    t.funcs_rev <- sym :: t.funcs_rev;
     touched t;
     f
 
@@ -207,7 +215,7 @@ let find_func_opt t sym = Symbol.Tbl.find_opt t.funcs sym
 let has_func t name = Symbol.Tbl.mem t.funcs (Symbol.intern name)
 
 (** All declared functions in declaration order. *)
-let functions t = List.map (find_func t) t.func_order
+let functions t = List.rev_map (find_func t) t.funcs_rev
 
 (* ------------------------------------------------------------------ *)
 (* Sort checking                                                       *)
@@ -600,10 +608,13 @@ let delete t f args =
 
 (* extraction's cost fixpoint terminates only on costs >= 0; a negative
    override (e.g. an i64 product that overflowed in a cost rule) would
-   make it spin *)
+   make it spin, and one at the cap would read as "no finite term" *)
 let check_cost f cost =
   if cost < 0 then
     error "unstable-cost: negative cost %d for (%s ...)" cost (Symbol.name f.sym)
+  else if cost >= cost_cap then
+    error "cost-overflow: the unstable-cost %d of (%s ...) is at or above the extraction cap %d"
+      cost (Symbol.name f.sym) cost_cap
 
 (** [set_cost t f args cost] overrides the extraction cost of the e-node
     [(f args)] — the paper's [unstable-cost] command.  The node must exist. *)
@@ -684,7 +695,7 @@ let copy t : t =
     uf = Union_find.copy t.uf;
     pool = t.pool;
     funcs;
-    func_order = t.func_order;
+    funcs_rev = t.funcs_rev;
     sorts = Hashtbl.copy t.sorts;
     costs;
     clock = t.clock;

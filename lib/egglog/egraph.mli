@@ -54,7 +54,7 @@ type t = {
   uf : Union_find.t;
   pool : Arena.pool;
   funcs : func Symbol.Tbl.t;
-  mutable func_order : Symbol.t list;
+  mutable funcs_rev : Symbol.t list;  (** newest declaration first *)
   sorts : (string, sort_kind) Hashtbl.t;
   costs : (int * Value.t) Value.Args_tbl.t Symbol.Tbl.t;
   mutable clock : int;
@@ -92,9 +92,14 @@ val declare_sort : t -> string -> unit
 (** [(sort name (Vec elem))] *)
 val declare_vec_sort : t -> string -> string -> unit
 
+(** The extractor's cost cap: costs sum saturating here, and a base cost
+    at or above it ([:cost] or [unstable-cost]) is rejected as
+    [cost-overflow]. *)
+val cost_cap : int
+
 (** Declare a function table; [args] and [ret] are sort names.  A
     redeclaration returns the existing table unchanged.
-    @raise Error if [cost] is negative. *)
+    @raise Error if [cost] is negative or at least {!cost_cap}. *)
 val declare_function :
   t ->
   name:string ->
@@ -174,13 +179,13 @@ val rebuild : t -> unit
 
 (** Override the extraction cost of the e-node [(f args)]; the node must
     exist.  Cheaper overrides win on conflict.
-    @raise Error if the cost is negative. *)
+    @raise Error if the cost is negative or at least {!cost_cap}. *)
 val set_cost : t -> func -> Value.t array -> int -> unit
 
 (** Code-level {!set_cost}: [key]/[out] must be canonical codes of a row
     already in the table (as returned by {!apply_codes}), skipping the
     existence lookup.
-    @raise Error if the cost is negative. *)
+    @raise Error if the cost is negative or at least {!cost_cap}. *)
 val set_cost_codes : t -> func -> int array -> int -> int -> unit
 
 val cost_override : t -> func -> Value.t array -> int option

@@ -8,10 +8,10 @@
     where [base] is the [unstable-cost] override for that exact e-node if
     one was set (the paper's §6.2 variable cost models), otherwise the
     [:cost] of the constructor, otherwise 1.  Primitive leaf values cost 0.
-    Every sum saturates at [infinity_cost], so no number of infinite
-    children can wrap around to a cheap-looking cost.  Like egg/egglog,
-    shared sub-DAGs are counted once per reference (tree cost), which is
-    the standard extraction approximation.
+    Every sum saturates at [infinity_cost] ({!Egraph.cost_cap}), so no
+    number of infinite children can wrap around to a cheap-looking cost.
+    Like egg/egglog, shared sub-DAGs are counted once per reference (tree
+    cost), which is the standard extraction approximation.
 
     {!make} walks each extractable table once.  Every live row becomes an
     e-node record — head declaration index, arguments, base cost (override
@@ -23,8 +23,9 @@
     or set), so an optimal derivation never repeats a class along a path
     and the passes stop after at most one more than the number of
     classes.  E-classes with no finite derivation (purely cyclic) keep
-    infinite cost, and extracting them is an error.  Extracting a class
-    reads only that class's own e-nodes.
+    infinite cost, and extracting them is an error; so is extracting a
+    class whose every term sums to the cap ([cost-overflow]).  Extracting
+    a class reads only that class's own e-nodes.
 
     Every extracted constructor term records the e-class it was extracted
     from ([t_class]); terms are memoized per class, so shared sub-terms are
@@ -110,7 +111,7 @@ let children t =
 (* Cost computation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let infinity_cost = max_int / 4
+let infinity_cost = Egraph.cost_cap
 
 (* [a + b] for costs [a, b >= 0], saturating at [infinity_cost] *)
 let add_cost a b = if a >= infinity_cost - b then infinity_cost else a + b
@@ -232,6 +233,25 @@ let make eg : t =
     extracting = Hashtbl.create 16;
   }
 
+(* Does class [cls] have a term at all, whatever it costs?  Asked only
+   when its cost reached the cap, to tell an overflowing sum from a
+   cycle with no base case. *)
+let has_term st cls =
+  let ok = Array.make (Array.length st.nodes) false in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun c ns ->
+        if (not ok.(c)) && List.exists (fun n -> Array.for_all (Array.get ok) n.n_kids) ns
+        then begin
+          ok.(c) <- true;
+          changed := true
+        end)
+      st.nodes
+  done;
+  cls < Array.length ok && ok.(cls)
+
 (* ------------------------------------------------------------------ *)
 (* Term extraction                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -247,7 +267,10 @@ let rec extract_class st cls : term =
       error "e-class %d is cyclic through zero-cost e-nodes" cls;
     let best_cost = class_cost st cls in
     if best_cost >= infinity_cost then
-      error "e-class %d has no finite-cost term (cyclic with no base case)" cls;
+      if has_term st cls then
+        error "cost-overflow: every term of e-class %d costs at least the cap %d" cls
+          infinity_cost
+      else error "e-class %d has no finite-cost term (cyclic with no base case)" cls;
     Hashtbl.replace st.extracting cls ();
     (* Every minimal-cost candidate, keyed by its function's declaration
        index.  Keeping just the first winner would make the choice depend

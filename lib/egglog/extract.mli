@@ -11,8 +11,10 @@
     per-class e-node index, then computes per-class costs by fixpoint from
     ⊤ over an array indexed by class id.  The fixpoint terminates because
     base costs are never negative (negative [:cost] and [unstable-cost]
-    values are rejected where they are declared or set).  Classes with no
-    finite derivation keep infinite cost and extracting them errors;
+    values are rejected where they are declared or set, and so are values
+    at or above {!Egraph.cost_cap}).  Classes with no finite derivation
+    keep infinite cost and extracting them errors, as does extracting a
+    class whose every term sums to the cap ([cost-overflow]);
     extracting a class reads only that class's own e-nodes.  Extracted
     constructor terms record their e-class ([t_class]) and are memoized
     per class, so shared sub-terms are physically shared — DialEgg's

@@ -45,10 +45,15 @@ type rule = {
   r_actions : Ast.action list;
   r_ruleset : string option;  (** [None] = the default ruleset *)
   r_refs : Symbol.t list;  (** function tables the premises read *)
-  r_plan : Matcher.plan;  (** flattened premises *)
+  r_calls : (Symbol.t * int) list;
+      (** each table the premises call, with the argument count of the call *)
+  r_bare : bool;
+      (** some premise variable is a bare name rather than a [?]-pattern
+          variable: it may name a global now, or after a later [let] *)
   mutable r_gplan : Matcher.gplan option;
-      (** generic-join compilation of [r_plan], made at the first search
-          (and again after a [pop], which restores older globals) *)
+      (** the premises flattened and compiled for the generic join, made
+          at the first search (and again after a [pop], which restores
+          older globals) *)
   mutable r_capply : capply option option;
       (** slot-compiled actions for the packed apply path, resolved lazily
           with [r_gplan] ([Some None] = action shape needs the env
@@ -136,10 +141,15 @@ type output =
     fault still yields a result. *)
 type checkpoint = { ck_term : Extract.term; ck_cost : int; ck_iteration : int }
 
+(** A rule as registered: its own name (if any), premises, actions and
+    ruleset.  Registering an equal rule again is a no-op. *)
+type rule_key = string option * Ast.fact list * Ast.action list * string option
+
 type t = {
   mutable eg : Egraph.t;
   mutable globals : (string, Value.t) Hashtbl.t;
-  mutable rules : rule list;  (** in registration order *)
+  mutable rules_rev : rule list;  (** newest registration first *)
+  mutable rule_keys : (rule_key, unit) Hashtbl.t;  (** the rules in [rules_rev] *)
   mutable rulesets : string list;  (** declared ruleset names *)
   mutable rule_counter : int;
   mutable limits : Limits.t;  (** resource budgets for saturation *)
@@ -176,7 +186,8 @@ type t = {
 and snapshot = {
   s_eg : Egraph.t;
   s_globals : (string, Value.t) Hashtbl.t;
-  s_rules : rule list;
+  s_rules_rev : rule list;
+  s_rule_keys : (rule_key, unit) Hashtbl.t;
   s_rulesets : string list;
 }
 
@@ -193,7 +204,8 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
   {
     eg = Egraph.create ();
     globals = Hashtbl.create 64;
-    rules = [];
+    rules_rev = [];
+    rule_keys = Hashtbl.create 64;
     rulesets = [];
     rule_counter = 0;
     limits;
@@ -233,6 +245,11 @@ let get_index t =
     t.idx <- Some idx;
     idx
 
+(* the registered rules satisfying [p], in registration order *)
+let filter_rules t p = List.fold_left (fun acc r -> if p r then r :: acc else acc) [] t.rules_rev
+
+let all_rules t = List.rev t.rules_rev
+
 let rule_stats t : rule_stat list =
   List.map
     (fun r ->
@@ -246,7 +263,7 @@ let rule_stats t : rule_stat list =
         rs_search_time = r.r_search_time;
         rs_apply_time = r.r_apply_time;
       })
-    t.rules
+    (all_rules t)
 
 (** Value of global let-binding [x]. *)
 let global t x =
@@ -646,28 +663,52 @@ let action_vars (actions : Ast.action list) : string list =
     actions;
   !acc
 
-(* the generic-join plan of [r], compiled on first use *)
+(* the generic-join plan of [r], flattened and compiled on first use *)
 let gplan_of idx r =
   match r.r_gplan with
   | Some gp -> gp
   | None ->
-    let gp = Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan in
+    let gp =
+      Matcher.gcompile ~keep:(action_vars r.r_actions) idx (Matcher.compile r.r_facts)
+    in
     r.r_gplan <- Some gp;
     gp
+
+(* Can [r]'s search be settled as "no matches" without compiling it?
+   Only where compiling would succeed and the join would find nothing:
+   every table the premises call is declared with the arity of the call,
+   no premise variable can name a global (so compiling later sees the
+   same plan as compiling now), and one of the tables has no live row —
+   every match needs a row of each.  The graph is rebuilt, hence
+   compacted, when this is asked. *)
+let idle t r =
+  (not r.r_bare)
+  && List.for_all
+       (fun (sym, n) ->
+         match Egraph.find_func_opt t.eg sym with
+         | Some f -> Array.length f.Egraph.arg_sorts = n
+         | None -> false)
+       r.r_calls
+  && List.exists
+       (fun sym -> Arena.n_live (Egraph.find_func t.eg sym).Egraph.store = 0)
+       r.r_refs
 
 (* has a global the premises name changed class since the last scan?  Old
    rows can match it now, so the rule is due even if its tables are not *)
 let pins_moved idx r =
   match r.r_gplan with Some gp -> Matcher.pins idx gp <> r.r_pins | None -> false
 
+(* how a due rule searches *)
+type search =
+  | Idle  (* {!idle}: no matches, and nothing compiled *)
+  | Join of {
+      gplan : Matcher.gplan;
+      packed : capply option;  (* [Some] = packed matches, compiled applier *)
+      since : int;
+    }
+
 (* one due rule, ready to search *)
-type prepared = {
-  s_rule : rule;
-  s_gplan : Matcher.gplan;
-  s_packed : capply option;  (* [Some] = packed matches, compiled applier *)
-  s_since : int;
-  s_pins : int array;
-}
+type prepared = { s_rule : rule; s_search : search; s_pins : int array }
 
 let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   (* cheap when the previous iteration left the graph clean: rebuild is a
@@ -685,8 +726,7 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   let ban_skipped = ref false in
   (* which rules are due this iteration *)
   let due =
-    List.filter
-      (fun r ->
+    filter_rules t (fun r ->
         if r.r_ruleset <> ruleset then false
         else if t.backoff && iter < r.r_banned_until then begin
           (* banned: no search; r_last_scan stays put, so the delta it will
@@ -695,41 +735,46 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
           false
         end
         else rule_dirty t r || pins_moved idx r)
-      t.rules
   in
   (* resolve each rule's search up front (compiling generic-join plans
      and packed appliers on first use), so the search timers measure the
-     joins alone *)
+     joins alone.  An idle rule compiles nothing: it is compiled at the
+     first search that can find something. *)
   let prepare r =
-    let gp = gplan_of idx r in
-    let pins = Matcher.pins idx gp in
-    (* naive matching, and a rule whose globals' classes merged since its
-       last scan, search in full *)
-    let since = if t.naive_matching || pins <> r.r_pins then -1 else r.r_last_scan in
-    let packed =
-      if not (Matcher.gp_packed_ok gp) then None
-      else
-        match r.r_capply with
-        | Some ca -> ca
-        | None ->
-          let ca =
-            compile_actions t.eg (Matcher.gp_slot_names gp)
-              (Matcher.gp_slot_sorts idx gp) r.r_actions
-          in
-          r.r_capply <- Some ca;
-          ca
-    in
-    { s_rule = r; s_gplan = gp; s_packed = packed; s_since = since; s_pins = pins }
+    if Option.is_none r.r_gplan && idle t r then { s_rule = r; s_search = Idle; s_pins = [||] }
+    else
+      let gp = gplan_of idx r in
+      let pins = Matcher.pins idx gp in
+      (* naive matching, and a rule whose globals' classes merged since its
+         last scan, search in full *)
+      let since = if t.naive_matching || pins <> r.r_pins then -1 else r.r_last_scan in
+      let packed =
+        if not (Matcher.gp_packed_ok gp) then None
+        else
+          match r.r_capply with
+          | Some ca -> ca
+          | None ->
+            let ca =
+              compile_actions t.eg (Matcher.gp_slot_names gp)
+                (Matcher.gp_slot_sorts idx gp) r.r_actions
+            in
+            r.r_capply <- Some ca;
+            ca
+      in
+      { s_rule = r; s_search = Join { gplan = gp; packed; since }; s_pins = pins }
   in
   let prepared = List.map prepare due in
   let search s =
-    let t0 = Unix.gettimeofday () in
-    let ms =
-      match s.s_packed with
-      | Some ca -> M_packed (ca, Matcher.gsolve_packed idx s.s_gplan ~since:s.s_since)
-      | None -> M_envs (Matcher.gsolve idx s.s_gplan ~since:s.s_since)
-    in
-    (ms, Unix.gettimeofday () -. t0)
+    match s.s_search with
+    | Idle -> (M_envs [], 0.)
+    | Join { gplan; packed; since } ->
+      let t0 = Unix.gettimeofday () in
+      let ms =
+        match packed with
+        | Some ca -> M_packed (ca, Matcher.gsolve_packed idx gplan ~since)
+        | None -> M_envs (Matcher.gsolve idx gplan ~since)
+      in
+      (ms, Unix.gettimeofday () -. t0)
   in
   (* search phase: every due rule matches against the same snapshot
      before any match is applied *)
@@ -888,9 +933,8 @@ let run ?ruleset t n : run_stats =
                   budgets have doubled, so this terminates *)
                let next_iter = t.iter_counter + 1 in
                let banned =
-                 List.filter
-                   (fun r -> r.r_ruleset = ruleset && next_iter < r.r_banned_until)
-                   t.rules
+                 filter_rules t (fun r ->
+                     r.r_ruleset = ruleset && next_iter < r.r_banned_until)
                in
                match banned with
                | [] -> ()  (* a ban expires next iteration by itself *)
@@ -939,60 +983,73 @@ let declare_function t (d : Ast.func_decl) =
        ~merge:(Option.map make_merge_fn d.f_merge)
        ~unextractable:d.f_unextractable)
 
-(* function tables referenced by a rule's premises: a rule can only gain
-   new matches after one of these tables changes (insert, output change,
-   delete, or canonicalization after a union) *)
-let fact_refs (facts : Ast.fact list) : Symbol.t list =
-  let acc = ref [] in
+(* What a rule's premises read: the function tables (a rule can only
+   gain new matches after one of these changes: insert, output change,
+   delete, or canonicalization after a union), each table call with its
+   argument count, and whether some variable is a bare name. *)
+let premise_reads (facts : Ast.fact list) =
+  let refs = ref [] and calls = ref [] and bare = ref false in
   let rec go_expr (e : Ast.expr) =
     match e with
     | Call (f, args) ->
       if not (Primitives.is_primitive f) then begin
         let sym = Symbol.intern f in
-        if not (List.exists (Symbol.equal sym) !acc) then acc := sym :: !acc
+        if not (List.exists (Symbol.equal sym) !refs) then refs := sym :: !refs;
+        let n = List.length args in
+        if not (List.exists (fun (s, m) -> Symbol.equal s sym && m = n) !calls) then
+          calls := (sym, n) :: !calls
       end;
       List.iter go_expr args
-    | Var _ | Wildcard | Lit _ -> ()
+    | Var x -> if not (Matcher.is_pattern_var x) then bare := true
+    | Wildcard | Lit _ -> ()
   in
   List.iter
     (function Ast.F_eq es -> List.iter go_expr es | Ast.F_expr e -> go_expr e)
     facts;
-  !acc
+  (!refs, !calls, !bare)
 
 let check_ruleset t = function
   | None -> ()
   | Some rs -> if not (List.mem rs t.rulesets) then error "unknown ruleset %s" rs
 
+(* Registration is O(1) in the number of rules, and compiles nothing: a
+   rule is compiled at its first search that can find something
+   ({!idle}).  An identical rule registered again is a no-op and takes no
+   [rule-N] number. *)
 let add_rule t ?name ?ruleset facts actions =
   check_ruleset t ruleset;
-  t.rule_counter <- t.rule_counter + 1;
-  let r_name =
-    match name with Some n -> n | None -> Printf.sprintf "rule-%d" t.rule_counter
-  in
-  t.rules <-
-    t.rules
-    @ [
-        {
-          r_name;
-          r_facts = facts;
-          r_actions = actions;
-          r_ruleset = ruleset;
-          r_refs = fact_refs facts;
-          r_plan = Matcher.compile facts;
-          r_gplan = None;
-          r_capply = None;
-          r_last_scan = -1;
-          r_pins = [||];
-          r_times_banned = 0;
-          r_banned_until = 0;
-          r_n_searches = 0;
-          r_n_matches = 0;
-          r_n_applied = 0;
-          r_n_bans = 0;
-          r_search_time = 0.;
-          r_apply_time = 0.;
-        };
-      ]
+  let key = (name, facts, actions, ruleset) in
+  if not (Hashtbl.mem t.rule_keys key) then begin
+    t.rule_counter <- t.rule_counter + 1;
+    let r_name =
+      match name with Some n -> n | None -> Printf.sprintf "rule-%d" t.rule_counter
+    in
+    let refs, calls, bare = premise_reads facts in
+    Hashtbl.replace t.rule_keys key ();
+    t.rules_rev <-
+      {
+        r_name;
+        r_facts = facts;
+        r_actions = actions;
+        r_ruleset = ruleset;
+        r_refs = refs;
+        r_calls = calls;
+        r_bare = bare;
+        r_gplan = None;
+        r_capply = None;
+        r_last_scan = -1;
+        r_pins = [||];
+        r_times_banned = 0;
+        r_banned_until = 0;
+        r_n_searches = 0;
+        r_n_matches = 0;
+        r_n_applied = 0;
+        r_n_bans = 0;
+        r_search_time = 0.;
+        r_apply_time = 0.;
+      }
+      :: t.rules_rev
+  end
 
 (** Desugar [(rewrite lhs rhs :when conds)] into a rule. *)
 let add_rewrite t ?ruleset ~(lhs : Ast.expr) ~(rhs : Ast.expr) ~(conds : Ast.fact list) () =
@@ -1010,7 +1067,7 @@ let query t facts =
   Matcher.query (get_index t) facts
 
 (** Each rule's name and premises, in registration order. *)
-let premises t = List.map (fun r -> (r.r_name, r.r_facts)) t.rules
+let premises t = List.map (fun r -> (r.r_name, r.r_facts)) (all_rules t)
 
 let run_command t (c : Ast.command) : unit =
   match c with
@@ -1100,7 +1157,8 @@ let run_command t (c : Ast.command) : unit =
       {
         s_eg = Egraph.copy t.eg;
         s_globals = Hashtbl.copy t.globals;
-        s_rules = t.rules;
+        s_rules_rev = t.rules_rev;
+        s_rule_keys = Hashtbl.copy t.rule_keys;
         s_rulesets = t.rulesets;
       }
       :: t.snapshots
@@ -1110,7 +1168,8 @@ let run_command t (c : Ast.command) : unit =
     | s :: rest ->
       t.eg <- s.s_eg;
       t.globals <- s.s_globals;
-      t.rules <- s.s_rules;
+      t.rules_rev <- s.s_rules_rev;
+      t.rule_keys <- s.s_rule_keys;
       t.rulesets <- s.s_rulesets;
       t.snapshots <- rest;
       (* the restored graph has an older clock: scan horizons and ban
@@ -1125,7 +1184,7 @@ let run_command t (c : Ast.command) : unit =
              of the discarded graph — recompile against the restored one *)
           r.r_gplan <- None;
           r.r_capply <- None)
-        t.rules;
+        t.rules_rev;
       (* applied-cost memo refers to the discarded graph's codes *)
       Hashtbl.reset t.costs_applied)
 

@@ -6,42 +6,6 @@
 
 exception Error of string
 
-(** Actions compiled against a packed-match slot layout (opaque): the
-    fast apply path, with no per-match name lookups. *)
-type capply
-
-type rule = {
-  r_name : string;
-  r_facts : Ast.fact list;
-  r_actions : Ast.action list;
-  r_ruleset : string option;  (** [None] = the default ruleset *)
-  r_refs : Symbol.t list;  (** function tables the premises read *)
-  r_plan : Matcher.plan;  (** flattened premises *)
-  mutable r_gplan : Matcher.gplan option;
-      (** generic-join compilation of [r_plan], made at the first search
-          (and again after a [pop], which restores older globals) *)
-  mutable r_capply : capply option option;
-      (** slot-compiled actions for the packed apply path, resolved lazily
-          with [r_gplan] ([Some None] = action shape needs the env
-          interpreter) *)
-  mutable r_last_scan : int;
-      (** e-graph clock at the last match scan; seminaive matching scans
-          only rows stamped after this, and rules none of whose referenced
-          tables changed since are skipped outright *)
-  mutable r_pins : int array;
-      (** canonical codes of the globals the premises name, as of the last
-          match scan: when they move, the next search is a full one *)
-  mutable r_times_banned : int;
-  mutable r_banned_until : int;
-      (** backoff scheduler: skipped while [iteration < r_banned_until] *)
-  mutable r_n_searches : int;
-  mutable r_n_matches : int;
-  mutable r_n_applied : int;
-  mutable r_n_bans : int;
-  mutable r_search_time : float;
-  mutable r_apply_time : float;
-}
-
 (** Immutable snapshot of one rule's lifetime saturation statistics. *)
 type rule_stat = {
   rs_name : string;

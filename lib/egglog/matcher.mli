@@ -29,6 +29,10 @@ val make_index : Egraph.t -> (string, Value.t) Hashtbl.t -> index
 (** Value of an {!Ast.lit}. *)
 val value_of_lit : Ast.lit -> Value.t
 
+(** Is [name] a pattern variable ([?x])?  Only a bare name can resolve to
+    a global. *)
+val is_pattern_var : string -> bool
+
 (** {1 Plans} *)
 
 (** A flattened rule body: nested table applications hoisted into facts
@@ -36,7 +40,8 @@ val value_of_lit : Ast.lit -> Value.t
     term order. *)
 type plan
 
-(** Flatten a premise list.  Total per rule, done once. *)
+(** Flatten a premise list.  Total; the interpreter flattens a rule
+    when it first compiles it. *)
 val compile : Ast.fact list -> plan
 
 (** A rule body compiled for the worst-case-optimal generic join: flat

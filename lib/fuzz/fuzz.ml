@@ -174,16 +174,7 @@ let saturate (cfg : Dialegg.Pipeline.config) (case : Gen.case) =
   match Mlir.Ir.find_function m case.Gen.c_func with
   | None -> None
   | Some func ->
-    let limits = Egglog.Limits.make ~max_nodes:cfg.Dialegg.Pipeline.max_nodes () in
-    let engine = Egglog.Interp.create ~limits () in
-    Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
-    Egglog.Interp.run_string engine cfg.Dialegg.Pipeline.rules;
-    let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-    Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
-    let eggify =
-      Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
-    in
-    ignore (Dialegg.Eggify.translate_function eggify func : string);
+    let engine, _, _, _ = Dialegg.Pipeline.setup_function cfg func in
     ignore (Egglog.Interp.run engine cfg.Dialegg.Pipeline.max_iterations);
     Some engine
 

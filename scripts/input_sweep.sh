@@ -22,8 +22,8 @@ fail=0
 fixture_status() {
   case $1 in
   expansive_cycle|extract_overflow|shadowed_rule|unsound_fold) echo 0 ;;
-  arity_mismatch|audit_arity_mismatch|costless_reachable|expansion_no_cost|\
-  impure_rule|negative_cost|negative_unstable_cost|sort_mismatch|\
+  arity_mismatch|audit_arity_mismatch|cost_cap|costless_reachable|\
+  expansion_no_cost|impure_rule|negative_cost|negative_unstable_cost|sort_mismatch|\
   unbound_rhs|undeclared_ruleset|unknown_constructor|unsound_rule) echo 1 ;;
   *) echo unpinned ;;
   esac

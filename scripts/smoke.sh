@@ -134,7 +134,8 @@ dune build bin/egglog_repl.exe
 EGGLOG=_build/default/bin/egglog_repl.exe
 timeout 10 $EGGLOG test/fixtures/extract_overflow.egg > /tmp/dialegg_overflow.out
 grep -q '^(B)  ; cost 1$' /tmp/dialegg_overflow.out
-for probe in negative_cost:negative-cost negative_unstable_cost:'negative cost'; do
+for probe in negative_cost:negative-cost negative_unstable_cost:'negative cost' \
+  cost_cap:cost-overflow; do
   fixture=${probe%%:*}; msg=${probe#*:}
   status=0
   timeout 10 $EGGLOG "test/fixtures/$fixture.egg" >/dev/null \

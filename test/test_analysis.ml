@@ -611,14 +611,11 @@ let test_egg_ocaml_intervals_agree () =
       \  func.return %sum : i64\n\
        }"
   in
-  let engine = Egglog.Interp.create () in
-  Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
-  Egglog.Interp.run_string engine interval_egg_rules;
-  let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-  Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
-  let hooks = Dialegg.Translate.make_hooks () in
-  let eggify = Dialegg.Eggify.create ~engine ~sigs ~hooks in
-  ignore (Dialegg.Eggify.translate_function eggify func);
+  let engine, eggify, _, _ =
+    Dialegg.Pipeline.setup_function
+      { Dialegg.Pipeline.default_config with rules = interval_egg_rules }
+      func
+  in
   ignore (Egglog.Interp.run engine 10);
   let eg = Egglog.Interp.egraph engine in
   let lo_f = Egglog.Egraph.find_func eg (Egglog.Symbol.intern "lo") in

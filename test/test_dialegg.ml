@@ -721,14 +721,8 @@ func.func @f(%x: i64) -> i64 {
 }|}
   in
   let dump () =
-    let engine = engine_with_prelude () in
-    let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-    Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
     let f = Option.get (Mlir.Ir.find_function (Mlir.Parser.parse_module src) "f") in
-    let eggify =
-      Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
-    in
-    ignore (Dialegg.Eggify.translate_function eggify f);
+    let _, eggify, _, _ = Dialegg.Pipeline.setup_function Dialegg.Pipeline.default_config f in
     Dialegg.Eggify.to_source eggify
   in
   checks "translation is deterministic" (dump ()) (dump ())
@@ -860,9 +854,6 @@ let test_saturation_budget_respected () =
 
 let test_eggify_source_dump () =
   (* the .egg dump of a translation is itself parseable Egglog *)
-  let engine = engine_with_prelude () in
-  let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-  Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
   let m =
     Mlir.Parser.parse_module
       {|
@@ -872,10 +863,7 @@ func.func @f(%x: i64) -> i64 {
 }|}
   in
   let f = Option.get (Mlir.Ir.find_function m "f") in
-  let eggify =
-    Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
-  in
-  ignore (Dialegg.Eggify.translate_function eggify f);
+  let _, eggify, _, _ = Dialegg.Pipeline.setup_function Dialegg.Pipeline.default_config f in
   let src = Dialegg.Eggify.to_source eggify in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in

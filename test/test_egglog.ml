@@ -629,6 +629,50 @@ let test_cost_overflow () =
   | _ -> Alcotest.fail "out-of-range unstable-cost accepted"
   | exception Interp.Error m -> checkb "names cost-overflow" true (mentions_overflow m)
 
+(* Extraction sums costs saturating at [Egraph.cost_cap]: a base cost at
+   the cap is rejected where it is declared or set, and a class whose
+   every term sums to the cap is a [cost-overflow], not a cycle. *)
+let test_cost_cap () =
+  let mentions needle m =
+    let n = String.length needle in
+    let rec at i = i + n <= String.length m && (String.sub m i n = needle || at (i + 1)) in
+    at 0
+  in
+  let cap = Egraph.cost_cap in
+  let decl = "(datatype E (A) (F E)) (let a (A))" in
+  List.iter
+    (fun c ->
+      match
+        Interp.run_program (Printf.sprintf "%s (unstable-cost (F a) %d) (extract (F a))" decl c)
+      with
+      | _ -> Alcotest.failf "unstable-cost %d accepted" c
+      | exception Egraph.Error m -> checkb "names cost-overflow" true (mentions "cost-overflow" m))
+    [ cap; max_int ];
+  let at_cap = Printf.sprintf "(datatype E (A :cost %d))" cap in
+  (match Check.check_program ~env:(Check.create_env ()) at_cap with
+  | [ { code = "cost-overflow"; _ } ] -> ()
+  | ds -> Alcotest.failf "expected one cost-overflow diagnostic, got %a" Diag.pp_list ds);
+  (match Interp.run_program at_cap with
+  | _ -> Alcotest.fail ":cost at the cap accepted"
+  | exception Egraph.Error m -> checkb "names cost-overflow" true (mentions "cost-overflow" m));
+  (* just below the cap is accepted, and with its child's cost 1 the
+     term's sum reaches the cap: an acyclic graph, so not "cyclic" *)
+  (match
+     Interp.run_program (Printf.sprintf "%s (unstable-cost (F a) %d) (extract (F a))" decl (cap - 1))
+   with
+  | _ -> Alcotest.fail "a term summing to the cap extracted"
+  | exception Extract.Error m ->
+    checkb "names cost-overflow" true (mentions "cost-overflow" m);
+    checkb "not called cyclic" false (mentions "cyclic" m));
+  (* a class with no term at all keeps the cycle message *)
+  match
+    Interp.run_program
+      "(datatype E (F E)) (function Hid () E :unextractable ()) (let h (Hid)) (union h (F h)) \
+       (extract h)"
+  with
+  | _ -> Alcotest.fail "a cyclic class extracted"
+  | exception Extract.Error m -> checkb "cyclic" true (mentions "cyclic" m)
+
 let test_rule_creates_nodes () =
   (* actions instantiating new terms must grow the e-graph *)
   let t = Interp.create () in
@@ -1075,8 +1119,127 @@ let test_redeclaration () =
   match Interp.last_extracted t with
   | Some (term, cost) ->
     checks "term" "(A)" (Extract.term_to_string term);
-    checki "first declaration's cost" 7 cost
+    checki "first declaration's cost" 7 cost;
+    (* an identical rule is a no-op and takes no [rule-N] number; one that
+       differs in name, premises, actions or ruleset is a rule of its own *)
+    let t = Interp.create () in
+    Interp.run_string t
+      {|(datatype E (A) (F E) (G E))
+(ruleset r)
+(rule ((= ?e (F ?x))) ((G ?x)))
+(rule ((= ?e (F ?x))) ((G ?x)))
+(rewrite (F ?x) ?x)
+(rewrite (F ?x) ?x)
+(rule ((= ?e (F ?x))) ((G ?x)) :name "named")
+(rule ((= ?e (F ?x))) ((G ?x)) :name "named")
+(rule ((= ?e (F ?x))) ((G ?x)) :ruleset r)
+(rule ((= ?e (G ?x))) ((G ?x)))
+(let a (F (A)))
+(run 3)|};
+    let rows =
+      List.map
+        (fun s -> Printf.sprintf "%s %d %d" s.Interp.rs_name s.rs_searches s.rs_matches)
+        (Interp.rule_stats t)
+    in
+    Alcotest.(check (list string))
+      "registered once each"
+      [ "rule-1 2 2"; "rule-2 2 2"; "named 2 2"; "rule-4 0 0"; "rule-5 2 1" ]
+      rows;
+    (* a rule a [pop] dropped can be registered again *)
+    let t = Interp.create () in
+    Interp.run_string t
+      "(datatype E (A) (F E)) (push) (rule ((= ?e (F ?x))) ((A))) (pop) (rule ((= ?e (F ?x))) \
+       ((A)))";
+    checki "registered again after the pop" 1 (List.length (Interp.rule_stats t))
   | None -> Alcotest.fail "no extraction"
+
+(* A rule is compiled at its first search that can find something: until
+   every table its premises read has a row, it is settled as a search with
+   no matches.  These pin that to the behaviour of compiling every rule at
+   its first search; the counts are what the eager engine reports. *)
+let stat_rows t =
+  List.map
+    (fun s ->
+      Printf.sprintf "%s %d %d %d %d" s.Interp.rs_name s.rs_searches s.rs_matches s.rs_applied
+        s.rs_bans)
+    (Interp.rule_stats t)
+
+let test_lazy_rule_older_rows () =
+  (* rule-4 joins B, empty until rule-3 fills it in iteration 3, with rows
+     of A made in iteration 1 *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (Z) (S E))
+(relation A (E))
+(relation D (E))
+(relation B (E))
+(relation C (E))
+(rule ((= ?e (S ?x))) ((A ?e)))
+(rule ((A ?e)) ((D ?e)))
+(rule ((D ?e)) ((B ?e)))
+(rule ((A ?e) (B ?e)) ((C ?e)))
+(let z (Z))
+(let s1 (S z))
+(let s2 (S s1))
+(run 10)
+(check (C s1) (C s2))|};
+  Alcotest.(check (list string))
+    "per-rule counts"
+    [ "rule-1 1 2 2 0"; "rule-2 2 2 2 0"; "rule-3 2 2 2 0"; "rule-4 3 2 2 0" ]
+    (stat_rows t)
+
+let test_lazy_rule_malformed () =
+  (* a malformed premise over an empty table faults as it did when every
+     rule was compiled at its first search *)
+  List.iter
+    (fun (premise, msg) ->
+      let t = Interp.create () in
+      Interp.run_string t
+        (Printf.sprintf "(datatype E (A)) (relation B (E)) (rule (%s) ((A))) (run 5)" premise);
+      match Interp.last_stats t with
+      | Some { iterations; stop = Fault d; _ } ->
+        checki "stopped at iteration 0" 0 iterations;
+        checks "code" "saturation-fault" d.code;
+        checks "message" msg d.message
+      | Some s -> Alcotest.failf "expected a fault, got %a" Interp.pp_stop_reason s.stop
+      | None -> Alcotest.fail "no run")
+    [
+      ("(B ?x ?y)", "match: B expects 1 arguments in a pattern, got 2");
+      ("(Nope ?x)", "match: unknown function Nope in pattern");
+    ]
+
+let test_lazy_rule_global () =
+  (* the premise names global g and reads Q, empty at the first run; it
+     matches once g's class merged with h and Q has a row *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (W E))
+(relation R (E))
+(relation Q (E))
+(let g (A))
+(let h (B))
+(rule ((R g) (Q ?x)) ((W ?x)))
+(R h)
+(run 2)
+(Q h)
+(union g h)
+(run 3)
+(check (W h))|};
+  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t);
+  (* a bare name is a pattern variable if the rule is first searched
+     before a global of that name exists, so a rule with one is compiled
+     at once even over an empty table *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (W E))
+(relation Q (E))
+(rule ((Q x)) ((W x)))
+(run 1)
+(let x (A))
+(Q (B))
+(run 2)
+(check (W (B)))|};
+  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t)
 
 let () =
   Alcotest.run "egglog"
@@ -1131,6 +1294,7 @@ let () =
           Alcotest.test_case "extraction cost sums saturate" `Quick test_extract_cost_saturates;
           Alcotest.test_case "negative costs rejected" `Quick test_negative_cost_rejected;
           Alcotest.test_case "cost arithmetic overflow" `Quick test_cost_overflow;
+          Alcotest.test_case "costs at the extraction cap" `Quick test_cost_cap;
           Alcotest.test_case "extraction candidate order" `Quick test_extract_candidate_order;
           Alcotest.test_case "rules create nodes" `Quick test_rule_creates_nodes;
           Alcotest.test_case "no variable capture by globals" `Quick test_global_shadowing_safe;
@@ -1162,6 +1326,10 @@ let () =
           Alcotest.test_case "backoff saturation is exact" `Quick
             test_backoff_saturation_exact;
           Alcotest.test_case "rule stats populated" `Quick test_rule_stats_populated;
+          Alcotest.test_case "lazy rule fires on older rows" `Quick test_lazy_rule_older_rows;
+          Alcotest.test_case "lazy rule: malformed premises fault" `Quick
+            test_lazy_rule_malformed;
+          Alcotest.test_case "lazy rule naming a global" `Quick test_lazy_rule_global;
           Alcotest.test_case "saturated state is stable" `Quick test_saturated_stays_stable;
         ] );
     ]
