@@ -8,13 +8,13 @@ exception Error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
-(* Slot-compiled actions for the packed apply path: when a rule's matches
-   arrive as flat rows of arena codes (Matcher.gsolve_packed), its actions
-   are compiled once against the row's slot layout — variable names
-   resolved to slot indexes, table names interned, sorts checked
-   statically — so applying a match is array indexing and code-level
-   e-graph operations, with no Env maps, string hashing, or Value boxing
-   on the hot path. *)
+(* Slot-compiled rules: a rule's matches arrive as flat rows of arena
+   codes (Matcher.gsolve_packed), and its residual facts and actions are
+   compiled once against the row's slot layout — variable names resolved
+   to slot indexes, table names interned, sorts checked statically — so
+   filtering and applying a match is array indexing and code-level
+   e-graph operations, with no environment maps or string hashing on the
+   hot path.  Top-level actions run on the same evaluator. *)
 type cval =
   | K_slot of int  (* read a packed-row / let slot *)
   | K_global of string  (* resolved in [t.globals] at apply time *)
@@ -23,7 +23,18 @@ type cval =
   | K_table of Egraph.func * cval array * int array  (* + per-node key scratch *)
   | K_check of Egraph.sort_kind * cval
       (* runtime sort check, only where the sort isn't known statically
-         (primitive results and globals) *)
+         (primitive results, globals and residual-bound slots) *)
+  | K_apply of string * cval array
+      (* a table call that did not check when the rule was compiled (its
+         table undeclared then, a wrong arity or a statically mis-sorted
+         argument): resolved and applied on decoded values when evaluated,
+         so the e-graph reports what is wrong, or the call succeeds once
+         the table is declared *)
+  | K_wildcard  (* raises: a wildcard has no value *)
+
+(* [set], [unstable-cost] or [delete] of a table call that did not check
+   when the rule was compiled, resolved when it runs (see [K_apply]) *)
+type late = L_set of cval | L_cost of cval | L_delete
 
 type caction =
   | KA_let of int * cval  (* evaluate, then write the slot *)
@@ -32,11 +43,31 @@ type caction =
   | KA_expr of cval
   | KA_cost of Egraph.func * cval array * int array * cval
   | KA_delete of Egraph.func * cval array * int array
-  | KA_panic of string
+  | KA_late of late * string * cval array
+  | KA_fail of string  (* a panic, or an action on a non-application *)
+
+(* A residual fact compiled against the packed row.  Its conjuncts are
+   classified when the rule is compiled, from which variables are bound
+   at that point; at run time a primitive that fails means the fact does
+   not hold. *)
+type cstep =
+  | KS_guard of cval  (* holds unless it fails or is [false] *)
+  | KS_eq of cval * cmatch list
+      (* the first conjunct that can be evaluated gives a value, which the
+         others match in order *)
+  | KS_never  (* some conjunct can never be evaluated *)
+  | KS_unconstrained of string  (* raised at the first row that gets here *)
+
+and cmatch =
+  | KM_equal of cval  (* evaluates to an equal value (canonically) *)
+  | KM_bind of int  (* writes the value's canonical code to the slot *)
+  | KM_vec of cmatch array  (* a vector of this length, matched elementwise *)
+  | KM_any
 
 type capply = {
+  ca_steps : cstep list;  (* the residual facts, in the order they run *)
   ca_acts : caction array;
-  ca_slots : int;  (* scratch row width: emitted vars + let bindings *)
+  ca_slots : int;  (* scratch row width: packed row + let bindings *)
 }
 
 type rule = {
@@ -47,17 +78,17 @@ type rule = {
   r_refs : Symbol.t list;  (** function tables the premises read *)
   r_calls : (Symbol.t * int) list;
       (** each table the premises call, with the argument count of the call *)
-  r_bare : bool;
-      (** some premise variable is a bare name rather than a [?]-pattern
-          variable: it may name a global now, or after a later [let] *)
+  r_pinned : string list;
+      (** the bare premise names that were globals when the rule was
+          registered: these denote the globals, every other name is a
+          pattern variable *)
   mutable r_gplan : Matcher.gplan option;
       (** the premises flattened and compiled for the generic join, made
-          at the first search (and again after a [pop], which restores
-          older globals) *)
-  mutable r_capply : capply option option;
-      (** slot-compiled actions for the packed apply path, resolved lazily
-          with [r_gplan] ([Some None] = action shape needs the env
-          interpreter) *)
+          at the first search (and again after a [pop], which restores an
+          older e-graph) *)
+  mutable r_capply : capply option;
+      (** the residuals and actions slot-compiled against [r_gplan]'s
+          packed rows, made with it *)
   mutable r_last_scan : int;  (** e-graph clock at the last match scan *)
   mutable r_pins : int array;
       (** canonical codes of the globals the premises name, as of the last
@@ -141,9 +172,11 @@ type output =
     fault still yields a result. *)
 type checkpoint = { ck_term : Extract.term; ck_cost : int; ck_iteration : int }
 
-(** A rule as registered: its own name (if any), premises, actions and
-    ruleset.  Registering an equal rule again is a no-op. *)
-type rule_key = string option * Ast.fact list * Ast.action list * string option
+(** A rule as registered: its own name (if any), premises, actions,
+    ruleset and the bare premise names it pins to globals.  Registering an
+    equal rule again is a no-op. *)
+type rule_key =
+  string option * Ast.fact list * Ast.action list * string option * string list
 
 type t = {
   mutable eg : Egraph.t;
@@ -233,7 +266,6 @@ let set_backoff t b = t.backoff <- b
 let set_match_limit t n = t.match_limit <- n
 let set_ban_length t n = t.ban_length <- n
 let egraph t = t.eg
-let globals t = t.globals
 
 (** The persistent matcher index for the current e-graph (created lazily,
     reused across iterations and runs). *)
@@ -304,99 +336,53 @@ let cost_of_value (fn : Egraph.func) (v : Value.t) =
       (Symbol.name fn.Egraph.sym) n
   | v -> error "unstable-cost expects an i64 cost, got %a" Value.pp v
 
-let rec eval t (env : Matcher.env) (e : Ast.expr) : Value.t =
+(* A table call resolved by name when it runs and applied on values, so
+   the e-graph checks its arity and argument sorts. *)
+let apply_named t f (vals : Value.t array) : Value.t =
+  match Egraph.apply t.eg (Egraph.find_func t.eg (Symbol.intern f)) vals with
+  | Some v -> v
+  | None -> error "(%s ...) has no defined output (use set before reading it)" f
+
+(* A ground top-level expression, evaluated directly: a name is a global. *)
+let rec eval t (e : Ast.expr) : Value.t =
   match e with
   | Var x -> (
-    match Matcher.Env.find_opt x env with
+    match Hashtbl.find_opt t.globals x with
     | Some v -> v
-    | None -> (
-      match Hashtbl.find_opt t.globals x with
-      | Some v -> v
-      | None -> error "unbound name %s" x))
+    | None -> error "unbound name %s" x)
   | Wildcard -> error "wildcard in expression position"
   | Lit l -> Matcher.value_of_lit l
   | Call (f, args) ->
-    let vals = List.map (eval t env) args in
-    if Primitives.is_primitive f then apply_prim f vals
-    else begin
-      let fn = Egraph.find_func t.eg (Symbol.intern f) in
-      match Egraph.apply t.eg fn (Array.of_list vals) with
-      | Some v -> v
-      | None ->
-        error "(%s ...) has no defined output (use set before reading it)" f
-    end
-
-(* an [unstable-cost] expression of [fn]: its primitive calls are checked *)
-let rec eval_cost t env fn (e : Ast.expr) : Value.t =
-  match e with
-  | Call (f, args) when Primitives.is_primitive f ->
-    apply_prim ~cost:fn f (List.map (eval_cost t env fn) args)
-  | e -> eval t env e
+    let vals = List.map (eval t) args in
+    if Primitives.is_primitive f then apply_prim f vals else apply_named t f (Array.of_list vals)
 
 (* ------------------------------------------------------------------ *)
-(* Actions                                                             *)
+(* Slot-compiled rules                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_action t (env : Matcher.env) (a : Ast.action) : Matcher.env =
-  match a with
-  | A_let (x, e) ->
-    let v = eval t env e in
-    Matcher.Env.add x v env
-  | A_union (a, b) ->
-    let va = eval t env a and vb = eval t env b in
-    Egraph.union_values t.eg va vb;
-    env
-  | A_set (Call (f, args), rhs) ->
-    let fn = Egraph.find_func t.eg (Symbol.intern f) in
-    let vals = List.map (eval t env) args in
-    let out = eval t env rhs in
-    Egraph.set t.eg fn (Array.of_list vals) out;
-    env
-  | A_set (e, _) -> error "set expects a function application, got %a" Ast.pp_expr e
-  | A_expr e ->
-    ignore (eval t env e);
-    env
-  | A_cost (Call (f, args), c) ->
-    let fn = Egraph.find_func t.eg (Symbol.intern f) in
-    let vals = List.map (eval t env) args in
-    (* make sure the e-node exists, then attach the cost override *)
-    ignore (Egraph.apply t.eg fn (Array.of_list vals));
-    let cost = cost_of_value fn (eval_cost t env fn c) in
-    Egraph.set_cost t.eg fn (Array.of_list vals) cost;
-    env
-  | A_cost (e, _) -> error "unstable-cost expects an e-node application, got %a" Ast.pp_expr e
-  | A_delete (Call (f, args)) ->
-    let fn = Egraph.find_func t.eg (Symbol.intern f) in
-    let vals = List.map (eval t env) args in
-    Egraph.delete t.eg fn (Array.of_list vals);
-    env
-  | A_delete e -> error "delete expects a function application, got %a" Ast.pp_expr e
-  | A_panic msg -> error "panic: %s" msg
+(** Compile a rule's residual facts and [actions] against the packed-row
+    slot layout [names] / [slot_sorts] (one slot per variable the join
+    emits or a residual binds, in row order).  Total: a shape that cannot
+    be checked now compiles to code that fails, or resolves the table,
+    when it runs.  [ground] compiles a top-level action (no slots): every
+    table call is then resolved and sort-checked by the e-graph as it
+    runs.
 
-and run_actions t env actions = ignore (List.fold_left (run_action t) env actions)
+    Residuals: [pinned] are the bare names that denote globals; a
+    conjunct is evaluable when every variable in it is a pinned global, a
+    join slot, or a slot an earlier residual (or conjunct) binds.
 
-(* ------------------------------------------------------------------ *)
-(* Slot-compiled actions (packed apply path)                           *)
-(* ------------------------------------------------------------------ *)
-
-exception Bail
-
-(** Compile [actions] against the packed-row slot layout [names] /
-    [slot_sorts] (one slot per emitted pattern variable, in row order).
-    [let]s get fresh slots after the emitted ones — shadowing an emitted
-    name reuses its slot, which is safe because each match is applied on
+    Actions: [let]s get fresh slots after the packed row's — shadowing a
+    slot's name reuses it, which is safe because each match is applied on
     a freshly blitted scratch row.  Names bound by neither compile to
-    global references resolved at apply time, exactly like the env
-    interpreter's fallback.  Sorts are tracked during compilation:
-    a static argument-sort mismatch bails to the env interpreter (which
-    reports the proper error at apply time), and only positions whose
-    sort cannot be known statically get a runtime [K_check].  [None]
-    when an action shape needs the env interpreter (wildcards,
-    [set]/[delete]/[cost] on non-applications, primitive literals the
-    pool cannot host). *)
-let compile_actions eg (names : string array)
-    (slot_sorts : Egraph.sort_kind array) (actions : Ast.action list) :
-    capply option =
+    global references resolved at apply time.  Sorts are tracked during
+    compilation; a table call with a statically mis-sorted argument or
+    the wrong arity is applied on decoded values (so the e-graph reports
+    it), and only positions whose sort cannot be known statically get a
+    runtime [K_check]. *)
+let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string array)
+    (slot_sorts : Egraph.sort_kind option array) (residuals : Ast.fact list)
+    (actions : Ast.action list) : capply =
   let pool = Egraph.pool eg in
   let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri (fun i x -> Hashtbl.replace slots x i) names;
@@ -405,24 +391,15 @@ let compile_actions eg (names : string array)
      unknown sort *)
   let let_sorts : (int, Egraph.sort_kind option) Hashtbl.t = Hashtbl.create 8 in
   let slot_sort i =
-    if i < Array.length slot_sorts then Some slot_sorts.(i)
+    if i < Array.length slot_sorts then slot_sorts.(i)
     else Option.join (Hashtbl.find_opt let_sorts i)
   in
-  (* a table must already be declared when the rule first fires, so
-     resolve it once here; an unknown name bails to the env interpreter
-     (which reports the same error at apply time) *)
-  let func f =
-    match Egraph.find_func_opt eg (Symbol.intern f) with
-    | Some fn -> fn
-    | None -> raise Bail
-  in
-  let lit_sort : Value.t -> Egraph.sort_kind = function
-    | Value.I64 _ -> Egraph.S_i64
-    | Value.F64 _ -> Egraph.S_f64
-    | Value.Str _ -> Egraph.S_string
-    | Value.Bool _ -> Egraph.S_bool
-    | Value.Unit -> Egraph.S_unit
-    | Value.Vec _ | Value.Eclass _ -> raise Bail  (* not literal shapes *)
+  let lit_sort : Ast.lit -> Egraph.sort_kind = function
+    | L_i64 _ -> S_i64
+    | L_f64 _ -> S_f64
+    | L_string _ -> S_string
+    | L_bool _ -> S_bool
+    | L_unit -> S_unit
   in
   let rec cexpr (e : Ast.expr) : cval * Egraph.sort_kind option =
     match e with
@@ -430,32 +407,80 @@ let compile_actions eg (names : string array)
       match Hashtbl.find_opt slots x with
       | Some i -> (K_slot i, slot_sort i)
       | None -> (K_global x, None))
-    | Wildcard -> raise Bail
-    | Lit l ->
-      let v = Matcher.value_of_lit l in
-      (K_const (Arena.encode pool v), Some (lit_sort v))
-    | Call (f, args) ->
-      if Primitives.is_primitive f then
-        (K_prim (f, Array.of_list (List.map (fun a -> fst (cexpr a)) args)), None)
-      else
-        let fn = func f in
-        (K_table (fn, cargs fn args, Array.make (Array.length fn.Egraph.arg_sorts) 0),
-         Some fn.Egraph.ret_sort)
-  and coerce (expected : Egraph.sort_kind) (e : Ast.expr) : cval =
-    let cv, so = cexpr e in
-    match so with
-    | Some s -> if s = expected then cv else raise Bail
-    | None -> K_check (expected, cv)
-  and cargs (fn : Egraph.func) (args : Ast.expr list) : cval array =
-    let sorts = fn.Egraph.arg_sorts in
-    if List.length args <> Array.length sorts then raise Bail;
-    Array.of_list (List.mapi (fun i a -> coerce sorts.(i) a) args)
+    | Wildcard -> (K_wildcard, None)
+    | Lit l -> (K_const (Arena.encode pool (Matcher.value_of_lit l)), Some (lit_sort l))
+    | Call (f, args) when Primitives.is_primitive f ->
+      (K_prim (f, Array.of_list (List.map (fun a -> fst (cexpr a)) args)), None)
+    | Call (f, args) -> (
+      let cargs = List.map cexpr args in
+      match checked f cargs with
+      | Some (fn, cvs) ->
+        (K_table (fn, cvs, Array.make (Array.length cvs) 0), Some fn.Egraph.ret_sort)
+      | None -> (K_apply (f, Array.of_list (List.map fst cargs)), None))
+  (* the call of [f] on [cargs], if [f] is a declared table of that arity
+     and no argument's static sort is wrong *)
+  and checked f cargs : (Egraph.func * cval array) option =
+    match Egraph.find_func_opt eg (Symbol.intern f) with
+    | Some fn when (not ground) && List.length cargs = Array.length fn.Egraph.arg_sorts -> (
+      let sorts = fn.Egraph.arg_sorts in
+      let coerce i (cv, so) =
+        match so with
+        | None -> K_check (sorts.(i), cv)
+        | Some s -> if s = sorts.(i) then cv else raise Exit
+      in
+      match List.mapi coerce cargs with
+      | cvs -> Some (fn, Array.of_list cvs)
+      | exception Exit -> None)
+    | _ -> None
   in
-  let capp f args =
-    if Primitives.is_primitive f then raise Bail
-    else
-      let fn = func f in
-      (fn, cargs fn args, Array.make (Array.length fn.Egraph.arg_sorts) 0)
+  let steps =
+    if residuals = [] then []
+    else begin
+      (* which names are bound, as the steps run *)
+      let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+      List.iter (fun x -> Hashtbl.replace bound x ()) pinned;
+      Array.iteri
+        (fun i x -> if slot_sorts.(i) <> None then Hashtbl.replace bound x ())
+        names;
+      let rec evaluable (e : Ast.expr) =
+        match e with
+        | Var x -> Hashtbl.mem bound x
+        | Lit _ -> true
+        | Wildcard -> false
+        | Call (_, args) -> List.for_all evaluable args
+      in
+      let all l = if List.exists Option.is_none l then None else Some (List.filter_map Fun.id l) in
+      (* [e] matched against a known value; [None] when it never can be *)
+      let rec cmatch (e : Ast.expr) : cmatch option =
+        match e with
+        | Wildcard -> Some KM_any
+        | Var x when not (Hashtbl.mem bound x) ->
+          Hashtbl.replace bound x ();
+          Some (KM_bind (Hashtbl.find slots x))
+        | Call ("vec-of", elems) when not (evaluable e) ->
+          Option.map (fun ms -> KM_vec (Array.of_list ms)) (all (List.map cmatch elems))
+        | _ -> if evaluable e then Some (KM_equal (fst (cexpr e))) else None
+      in
+      let cstep (f : Ast.fact) : cstep =
+        match f with
+        | F_expr (Var _ as e) when not (evaluable e) ->
+          KS_unconstrained (Fmt.str "unconstrained variable in fact: %a" Ast.pp_expr e)
+        | F_expr Wildcard -> KS_unconstrained "unconstrained wildcard in fact"
+        | F_expr e -> if evaluable e then KS_guard (fst (cexpr e)) else KS_never
+        | F_eq es -> (
+          match List.find_opt evaluable es with
+          | None ->
+            if List.for_all (function Ast.Var _ | Ast.Wildcard -> true | _ -> false) es then
+              KS_unconstrained "unconstrained (=) fact"
+            else KS_never
+          | Some known ->
+            let kv = fst (cexpr known) in
+            match all (List.map (fun e -> if e == known then Some KM_any else cmatch e) es) with
+            | Some ms -> KS_eq (kv, ms)
+            | None -> KS_never)
+      in
+      List.map cstep residuals
+    end
   in
   let cact (a : Ast.action) : caction =
     match a with
@@ -474,22 +499,34 @@ let compile_actions eg (names : string array)
       Hashtbl.replace let_sorts slot so;
       KA_let (slot, cv)
     | A_union (a, b) -> KA_union (fst (cexpr a), fst (cexpr b))
-    | A_set (Call (f, args), rhs) ->
-      let fn, cargs, key = capp f args in
-      KA_set (fn, cargs, key, coerce fn.Egraph.ret_sort rhs)
     | A_expr e -> KA_expr (fst (cexpr e))
-    | A_cost (Call (f, args), c) ->
-      let fn, cargs, key = capp f args in
-      KA_cost (fn, cargs, key, fst (cexpr c))
-    | A_delete (Call (f, args)) ->
-      let fn, cargs, key = capp f args in
-      KA_delete (fn, cargs, key)
-    | A_panic msg -> KA_panic msg
-    | A_set _ | A_cost _ | A_delete _ -> raise Bail
+    | A_set (Call (f, args), rhs) -> (
+      let cargs = List.map cexpr args in
+      let rv, rs = cexpr rhs in
+      match checked f cargs with
+      | Some (fn, cvs) when rs = None || rs = Some fn.Egraph.ret_sort ->
+        let rv = if rs = None then K_check (fn.Egraph.ret_sort, rv) else rv in
+        KA_set (fn, cvs, Array.make (Array.length cvs) 0, rv)
+      | _ -> KA_late (L_set rv, f, Array.of_list (List.map fst cargs)))
+    | A_cost (Call (f, args), c) -> (
+      let cargs = List.map cexpr args in
+      let cv = fst (cexpr c) in
+      match checked f cargs with
+      | Some (fn, cvs) -> KA_cost (fn, cvs, Array.make (Array.length cvs) 0, cv)
+      | None -> KA_late (L_cost cv, f, Array.of_list (List.map fst cargs)))
+    | A_delete (Call (f, args)) -> (
+      let cargs = List.map cexpr args in
+      match checked f cargs with
+      | Some (fn, cvs) -> KA_delete (fn, cvs, Array.make (Array.length cvs) 0)
+      | None -> KA_late (L_delete, f, Array.of_list (List.map fst cargs)))
+    | A_set (e, _) -> KA_fail (Fmt.str "set expects a function application, got %a" Ast.pp_expr e)
+    | A_cost (e, _) ->
+      KA_fail (Fmt.str "unstable-cost expects an e-node application, got %a" Ast.pp_expr e)
+    | A_delete e -> KA_fail (Fmt.str "delete expects a function application, got %a" Ast.pp_expr e)
+    | A_panic msg -> KA_fail ("panic: " ^ msg)
   in
-  match List.map cact actions with
-  | acts -> Some { ca_acts = Array.of_list acts; ca_slots = !next }
-  | exception Bail -> None
+  let acts = List.map cact actions in
+  { ca_steps = steps; ca_acts = Array.of_list acts; ca_slots = !next }
 
 let rec ceval t (vals : int array) (cv : cval) : int =
   match cv with
@@ -522,6 +559,8 @@ let rec ceval t (vals : int array) (cv : cval) : int =
       error "value %a does not inhabit sort %a" Value.pp
         (Arena.decode (Egraph.pool t.eg) c)
         Egraph.pp_sort_kind k
+  | K_apply _ -> Arena.encode (Egraph.pool t.eg) (ceval_value t vals cv)
+  | K_wildcard -> error "wildcard in expression position"
 
 (* evaluate in value space; prim trees never touch the pool hash table.
    [cost] marks an [unstable-cost] expression (see {!apply_prim}) *)
@@ -536,10 +575,11 @@ and ceval_value ?cost t (vals : int array) (cv : cval) : Value.t =
     match Hashtbl.find_opt t.globals x with
     | Some v -> v
     | None -> error "unbound name %s" x)
+  | K_apply (f, args) -> apply_named t f (Array.map (ceval_value t vals) args)
   | _ -> Arena.decode (Egraph.pool t.eg) (ceval t vals cv)
 
-(* each arm sequences sub-evaluations with [let] to keep the env
-   interpreter's left-to-right effect order (e-node creation) *)
+(* each arm sequences sub-evaluations with [let] to keep a left-to-right
+   effect order (e-node creation) *)
 let run_caction t (vals : int array) (a : caction) : unit =
   match a with
   | KA_let (slot, cv) -> vals.(slot) <- ceval t vals cv
@@ -558,7 +598,7 @@ let run_caction t (vals : int array) (a : caction) : unit =
     for i = 0 to Array.length args - 1 do
       key.(i) <- ceval t vals args.(i)
     done;
-    (* mirror the env interpreter: reading the node creates it *)
+    (* reading the node creates it, as on the late path below *)
     let out = Egraph.apply_codes t.eg fn key in
     if out = -1 then
       error "(%s ...) has no defined output (use set before reading it)"
@@ -580,16 +620,55 @@ let run_caction t (vals : int array) (a : caction) : unit =
       key.(i) <- ceval t vals args.(i)
     done;
     Egraph.delete t.eg fn (Array.map (Arena.decode pool) key)
-  | KA_panic msg -> error "panic: %s" msg
+  | KA_late (op, f, args) -> (
+    let fn = Egraph.find_func t.eg (Symbol.intern f) in
+    let vs = Array.map (ceval_value t vals) args in
+    match op with
+    | L_set rhs -> Egraph.set t.eg fn vs (ceval_value t vals rhs)
+    | L_cost c ->
+      ignore (Egraph.apply t.eg fn vs);
+      Egraph.set_cost t.eg fn vs (cost_of_value fn (ceval_value ~cost:fn t vals c))
+    | L_delete -> Egraph.delete t.eg fn vs)
+  | KA_fail msg -> error "%s" msg
 
-(** One rule's matches from a search, in the applier's native shape. *)
-type matches =
-  | M_envs of Matcher.env list
-  | M_packed of capply * Matcher.packed
+(* A top-level action runs on the rules' evaluator, over an empty row:
+   every name is a global, and each table call is resolved and
+   sort-checked by the e-graph as it runs. *)
+let run_action t (a : Ast.action) : unit =
+  let ca = compile_rule ~ground:true t.eg ~pinned:[] [||] [||] [] [ a ] in
+  Array.iter (run_caction t (Array.make ca.ca_slots 0)) ca.ca_acts
 
-let n_found = function
-  | M_envs l -> List.length l
-  | M_packed (_, pk) -> pk.Matcher.pk_rows
+(* The residual steps on one packed row: false drops the row.  A residual
+   expression's value is [None] when a primitive in it fails. *)
+let residual_holds t (ca : capply) (row : int array) : bool =
+  let value cv = try Some (ceval_value t row cv) with Error _ -> None in
+  let same a b = Value.equal (Egraph.canon t.eg a) (Egraph.canon t.eg b) in
+  let rec matches v = function
+    | KM_any -> true
+    | KM_bind s ->
+      row.(s) <- Arena.encode (Egraph.pool t.eg) (Egraph.canon t.eg v);
+      true
+    | KM_equal cv -> ( match value cv with Some w -> same w v | None -> false)
+    | KM_vec ms -> (
+      match v with
+      | Value.Vec elems when Array.length elems = Array.length ms ->
+        let ok = ref true and i = ref 0 in
+        while !ok && !i < Array.length ms do
+          ok := matches elems.(!i) ms.(!i);
+          incr i
+        done;
+        !ok
+      | _ -> false)
+  in
+  List.for_all
+    (function
+      | KS_guard cv -> (
+        match value cv with Some (Value.Bool false) | None -> false | Some _ -> true)
+      | KS_eq (known, ms) -> (
+        match value known with Some v -> List.for_all (matches v) ms | None -> false)
+      | KS_never -> false
+      | KS_unconstrained msg -> raise (Matcher.Error msg))
+    ca.ca_steps
 
 (* ------------------------------------------------------------------ *)
 (* Anytime checkpoints                                                 *)
@@ -644,8 +723,8 @@ let rule_dirty t r =
     Returns [(matches_applied, ban_skipped)] — [ban_skipped] is true when
     the backoff scheduler banned a rule or skipped a banned one, in which
     case a quiescent clock does {e not} mean saturation. *)
-(* every variable name a rule's actions mention: the matcher only needs to
-   decode these (plus residual-fact vars) into result environments *)
+(* every variable name a rule's actions mention: the join only needs to
+   emit these (plus residual-fact vars) into packed rows *)
 let action_vars (actions : Ast.action list) : string list =
   let acc = ref [] in
   let rec expr = function
@@ -663,27 +742,36 @@ let action_vars (actions : Ast.action list) : string list =
     actions;
   !acc
 
-(* the generic-join plan of [r], flattened and compiled on first use *)
-let gplan_of idx r =
-  match r.r_gplan with
-  | Some gp -> gp
-  | None ->
-    let gp =
-      Matcher.gcompile ~keep:(action_vars r.r_actions) idx (Matcher.compile r.r_facts)
+(* the generic-join plan of [facts] and its slot-compiled residuals and
+   [actions] *)
+let compile_plan t idx ?keep ~pinned facts actions =
+  let gp = Matcher.gcompile ?keep ~pinned idx (Matcher.compile facts) in
+  ( gp,
+    compile_rule t.eg ~pinned (Matcher.gp_slot_names gp) (Matcher.gp_slot_sorts idx gp)
+      (Matcher.gp_residuals gp) actions )
+
+(* [r]'s plan and applier, made on first use *)
+let compiled t idx r =
+  match (r.r_gplan, r.r_capply) with
+  | Some gp, Some ca -> (gp, ca)
+  | _ ->
+    let gp, ca =
+      compile_plan t idx ~keep:(action_vars r.r_actions) ~pinned:r.r_pinned r.r_facts
+        r.r_actions
     in
     r.r_gplan <- Some gp;
-    gp
+    r.r_capply <- Some ca;
+    (gp, ca)
 
 (* Can [r]'s search be settled as "no matches" without compiling it?
    Only where compiling would succeed and the join would find nothing:
    every table the premises call is declared with the arity of the call,
-   no premise variable can name a global (so compiling later sees the
-   same plan as compiling now), and one of the tables has no live row —
-   every match needs a row of each.  The graph is rebuilt, hence
-   compacted, when this is asked. *)
+   and one of the tables has no live row — every match needs a row of
+   each.  The globals a rule pins are fixed when it is registered, so
+   compiling later sees the same plan as compiling now.  The graph is
+   rebuilt, hence compacted, when this is asked. *)
 let idle t r =
-  (not r.r_bare)
-  && List.for_all
+  List.for_all
        (fun (sym, n) ->
          match Egraph.find_func_opt t.eg sym with
          | Some f -> Array.length f.Egraph.arg_sorts = n
@@ -701,11 +789,7 @@ let pins_moved idx r =
 (* how a due rule searches *)
 type search =
   | Idle  (* {!idle}: no matches, and nothing compiled *)
-  | Join of {
-      gplan : Matcher.gplan;
-      packed : capply option;  (* [Some] = packed matches, compiled applier *)
-      since : int;
-    }
+  | Join of { gplan : Matcher.gplan; capply : capply; since : int }
 
 (* one due rule, ready to search *)
 type prepared = { s_rule : rule; s_search : search; s_pins : int array }
@@ -743,38 +827,21 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   let prepare r =
     if Option.is_none r.r_gplan && idle t r then { s_rule = r; s_search = Idle; s_pins = [||] }
     else
-      let gp = gplan_of idx r in
+      let gp, ca = compiled t idx r in
       let pins = Matcher.pins idx gp in
       (* naive matching, and a rule whose globals' classes merged since its
          last scan, search in full *)
       let since = if t.naive_matching || pins <> r.r_pins then -1 else r.r_last_scan in
-      let packed =
-        if not (Matcher.gp_packed_ok gp) then None
-        else
-          match r.r_capply with
-          | Some ca -> ca
-          | None ->
-            let ca =
-              compile_actions t.eg (Matcher.gp_slot_names gp)
-                (Matcher.gp_slot_sorts idx gp) r.r_actions
-            in
-            r.r_capply <- Some ca;
-            ca
-      in
-      { s_rule = r; s_search = Join { gplan = gp; packed; since }; s_pins = pins }
+      { s_rule = r; s_search = Join { gplan = gp; capply = ca; since }; s_pins = pins }
   in
   let prepared = List.map prepare due in
   let search s =
     match s.s_search with
-    | Idle -> (M_envs [], 0.)
-    | Join { gplan; packed; since } ->
+    | Idle -> (None, 0.)
+    | Join { gplan; capply; since } ->
       let t0 = Unix.gettimeofday () in
-      let ms =
-        match packed with
-        | Some ca -> M_packed (ca, Matcher.gsolve_packed idx gplan ~since)
-        | None -> M_envs (Matcher.gsolve idx gplan ~since)
-      in
-      (ms, Unix.gettimeofday () -. t0)
+      let pk = Matcher.gsolve_packed idx gplan ~since ~residual:(residual_holds t capply) in
+      (Some (capply, pk), Unix.gettimeofday () -. t0)
   in
   (* search phase: every due rule matches against the same snapshot
      before any match is applied *)
@@ -787,7 +854,7 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
         r.r_n_searches <- r.r_n_searches + 1;
         r.r_search_time <- r.r_search_time +. dt;
         stats.search_time <- stats.search_time +. dt;
-        let n = n_found ms in
+        let n = match ms with Some (_, pk) -> pk.Matcher.pk_rows | None -> 0 in
         r.r_n_matches <- r.r_n_matches + n;
         let threshold = t.match_limit lsl r.r_times_banned in
         if t.backoff && n > threshold then begin
@@ -814,10 +881,8 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
         let t0 = Unix.gettimeofday () in
         let k =
           match ms with
-          | M_envs envs ->
-            List.iter (fun env -> run_actions t env r.r_actions) envs;
-            List.length envs
-          | M_packed (ca, pk) ->
+          | None -> 0
+          | Some (ca, pk) ->
             (* each match applies on a scratch row blitted from the packed
                search buffer; let slots beyond the blit are always written
                before any read (reads before the let compile to globals) *)
@@ -986,9 +1051,9 @@ let declare_function t (d : Ast.func_decl) =
 (* What a rule's premises read: the function tables (a rule can only
    gain new matches after one of these changes: insert, output change,
    delete, or canonicalization after a union), each table call with its
-   argument count, and whether some variable is a bare name. *)
+   argument count, and the bare (non-[?]) names, each once. *)
 let premise_reads (facts : Ast.fact list) =
-  let refs = ref [] and calls = ref [] and bare = ref false in
+  let refs = ref [] and calls = ref [] and bare = ref [] in
   let rec go_expr (e : Ast.expr) =
     match e with
     | Call (f, args) ->
@@ -1000,13 +1065,13 @@ let premise_reads (facts : Ast.fact list) =
           calls := (sym, n) :: !calls
       end;
       List.iter go_expr args
-    | Var x -> if not (Matcher.is_pattern_var x) then bare := true
+    | Var x -> if not (Matcher.is_pattern_var x || List.mem x !bare) then bare := x :: !bare
     | Wildcard | Lit _ -> ()
   in
   List.iter
     (function Ast.F_eq es -> List.iter go_expr es | Ast.F_expr e -> go_expr e)
     facts;
-  (!refs, !calls, !bare)
+  (!refs, !calls, List.rev !bare)
 
 let check_ruleset t = function
   | None -> ()
@@ -1014,17 +1079,20 @@ let check_ruleset t = function
 
 (* Registration is O(1) in the number of rules, and compiles nothing: a
    rule is compiled at its first search that can find something
-   ({!idle}).  An identical rule registered again is a no-op and takes no
-   [rule-N] number. *)
+   ({!idle}).  A bare premise name denotes the global of that name if one
+   exists now, whenever the rule is compiled (as [Check], which checks
+   commands in order, assumes).  An identical rule registered again is a
+   no-op and takes no [rule-N] number. *)
 let add_rule t ?name ?ruleset facts actions =
   check_ruleset t ruleset;
-  let key = (name, facts, actions, ruleset) in
+  let refs, calls, bare = premise_reads facts in
+  let pinned = List.filter (Hashtbl.mem t.globals) bare in
+  let key = (name, facts, actions, ruleset, pinned) in
   if not (Hashtbl.mem t.rule_keys key) then begin
     t.rule_counter <- t.rule_counter + 1;
     let r_name =
       match name with Some n -> n | None -> Printf.sprintf "rule-%d" t.rule_counter
     in
-    let refs, calls, bare = premise_reads facts in
     Hashtbl.replace t.rule_keys key ();
     t.rules_rev <-
       {
@@ -1034,7 +1102,7 @@ let add_rule t ?name ?ruleset facts actions =
         r_ruleset = ruleset;
         r_refs = refs;
         r_calls = calls;
-        r_bare = bare;
+        r_pinned = pinned;
         r_gplan = None;
         r_capply = None;
         r_last_scan = -1;
@@ -1060,14 +1128,32 @@ let add_rewrite t ?ruleset ~(lhs : Ast.expr) ~(rhs : Ast.expr) ~(conds : Ast.fac
 
 let emit t o = t.outputs <- o :: t.outputs
 
-(** Every binding of [facts]' own variables in the current e-graph,
-    through the full join. *)
-let query t facts =
+(** Every match of [facts] in the current e-graph, through the full join
+    and the compiled residuals: the bindings of the premises' own
+    variables, sorted by name, with canonical values.  [pinned] (default:
+    the bare names that are globals now) are the names that denote
+    globals. *)
+let query ?pinned t facts =
   Egraph.rebuild t.eg;
-  Matcher.query (get_index t) facts
+  let idx = get_index t in
+  let pinned =
+    match pinned with
+    | Some p -> p
+    | None ->
+      let _, _, bare = premise_reads facts in
+      List.filter (Hashtbl.mem t.globals) bare
+  in
+  let gp, ca = compile_plan t idx ~pinned facts [] in
+  let pk = Matcher.gsolve_packed idx gp ~since:(-1) ~residual:(residual_holds t ca) in
+  let names = Matcher.gp_slot_names gp and own = Array.to_list (Matcher.gp_own_slots gp) in
+  let value i s =
+    Egraph.canon t.eg (Arena.decode (Egraph.pool t.eg) pk.pk_buf.((i * pk.pk_width) + s))
+  in
+  List.init pk.pk_rows (fun i -> List.sort compare (List.map (fun s -> (names.(s), value i s)) own))
 
-(** Each rule's name and premises, in registration order. *)
-let premises t = List.map (fun r -> (r.r_name, r.r_facts)) (all_rules t)
+(** Each rule's name, premises and the bare names it pins to globals, in
+    registration order. *)
+let premises t = List.map (fun r -> (r.r_name, r.r_facts, r.r_pinned)) (all_rules t)
 
 let run_command t (c : Ast.command) : unit =
   match c with
@@ -1104,7 +1190,7 @@ let run_command t (c : Ast.command) : unit =
       }
   | C_let (x, e) ->
     if Hashtbl.mem t.globals x then error "global %s already defined" x;
-    let v = eval t Matcher.Env.empty e in
+    let v = eval t e in
     Hashtbl.replace t.globals x v
   | C_ruleset name ->
     if List.mem name t.rulesets then error "ruleset %s already declared" name;
@@ -1115,14 +1201,14 @@ let run_command t (c : Ast.command) : unit =
     if bidirectional then add_rewrite t ?ruleset ~lhs:rhs ~rhs:lhs ~conds ()
   | C_rule { name; facts; actions; ruleset } -> add_rule t ?name ?ruleset facts actions
   | C_action a ->
-    ignore (run_action t Matcher.Env.empty a);
+    run_action t a;
     Egraph.rebuild t.eg
   | C_run (n, ruleset) ->
     check_ruleset t ruleset;
     let stats = run ?ruleset t n in
     emit t (O_ran stats)
   | C_extract (e, n) ->
-    let v = eval t Matcher.Env.empty e in
+    let v = eval t e in
     Egraph.rebuild t.eg;
     if n <= 1 then begin
       let term, cost = Extract.extract t.eg v in

@@ -125,26 +125,30 @@ val set_checkpoint_root : ?every:int -> t -> Value.t -> unit
 val best_checkpoint : t -> checkpoint option
 
 val egraph : t -> Egraph.t
-val globals : t -> (string, Value.t) Hashtbl.t
 
 (** Value of a global let-binding.  @raise Error if unknown. *)
 val global : t -> string -> Value.t
 
 val global_opt : t -> string -> Value.t option
 
-(** Evaluate an expression in action position (may create e-nodes). *)
-val eval : t -> Matcher.env -> Ast.expr -> Value.t
+(** Evaluate a ground expression, as top-level commands do: a name is a
+    global (may create e-nodes). *)
+val eval : t -> Ast.expr -> Value.t
 
-(** Execute one action; returns the (possibly extended) environment. *)
-val run_action : t -> Matcher.env -> Ast.action -> Matcher.env
+(** Execute one top-level action. *)
+val run_action : t -> Ast.action -> unit
 
-(** Every binding of the premises' own variables in the current e-graph
-    (rebuilt first), through the full generic join — what [(check ...)]
-    asks. *)
-val query : t -> Ast.fact list -> Matcher.env list
+(** Every match of the premises in the current e-graph (rebuilt first),
+    through the full generic join and the compiled residual facts — what
+    [(check ...)] asks: per match, the premises' own variables with their
+    canonical values, sorted by name.  [pinned] are the bare names that
+    denote globals (default: those that are globals now). *)
+val query : ?pinned:string list -> t -> Ast.fact list -> (string * Value.t) list list
 
-(** Each registered rule's name and premises, in registration order. *)
-val premises : t -> (string * Ast.fact list) list
+(** Each registered rule's name, premises, and the bare premise names it
+    pins to globals (those that were globals when it was registered), in
+    registration order. *)
+val premises : t -> (string * Ast.fact list * string list) list
 
 (** Register a rule programmatically. *)
 val add_rule :

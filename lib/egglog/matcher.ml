@@ -5,23 +5,20 @@
     flattened once ({!compile}) and then compiled against the e-graph
     ({!gcompile}) into flat table atoms — every column a variable, a
     literal, a global, or a wildcard — plus {e residual} facts that only
-    involve primitives.  {!gsolve} joins the atoms variable by variable
-    over per-(function, column) indexes of the arena tables, seminaively
-    (only matches involving a row newer than a given stamp), and then runs
-    the residuals over the decoded environments, each once what it
-    evaluates is bound.
+    involve primitives.  {!gsolve_packed} joins the atoms variable by
+    variable over per-(function, column) indexes of the arena tables,
+    seminaively (only matches involving a row newer than a given stamp),
+    into rows of arena codes; the caller's compiled residuals then filter
+    each row and fill the slots they bind.
 
     Variable conventions: [?x] is always a pattern variable; a bare name is
-    a global when one of that name exists, and is otherwise a pattern
-    variable (Egglog "new syntax"). *)
+    a global when the caller pins it (the interpreter pins the bare names
+    that were globals when the rule was registered), and is otherwise a
+    pattern variable (Egglog "new syntax"). *)
 
 exception Error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
-
-module Env = Map.Make (String)
-
-type env = Value.t Env.t
 
 (* ------------------------------------------------------------------ *)
 (* Persistent index                                                    *)
@@ -71,27 +68,7 @@ type index = {
     e-graph to be rebuilt (congruence restored). *)
 let make_index eg globals : index = { eg; globals; colindexes = Symbol.Tbl.create 64 }
 
-(* ------------------------------------------------------------------ *)
-(* Variable resolution                                                 *)
-(* ------------------------------------------------------------------ *)
-
 let is_pattern_var name = String.length name > 0 && name.[0] = '?'
-
-(* a bare name that currently names a global *)
-let is_global idx x = (not (is_pattern_var x)) && Hashtbl.mem idx.globals x
-
-(** Resolve name [x] under [env]: rule-local binding first, then globals. *)
-let resolve idx env x =
-  match Env.find_opt x env with
-  | Some v -> Some v
-  | None -> if is_pattern_var x then None else Hashtbl.find_opt idx.globals x
-
-let values_equal idx a b =
-  Value.equal a b || Value.equal (Egraph.canon idx.eg a) (Egraph.canon idx.eg b)
-
-(* ------------------------------------------------------------------ *)
-(* Residual facts: primitive evaluation over decoded environments      *)
-(* ------------------------------------------------------------------ *)
 
 let value_of_lit : Ast.lit -> Value.t = function
   | L_i64 n -> I64 n
@@ -99,127 +76,6 @@ let value_of_lit : Ast.lit -> Value.t = function
   | L_string s -> Str s
   | L_bool b -> Bool b
   | L_unit -> Unit
-
-(* {!gcompile} hoists every table application out of the residuals, so
-   these only ever see variables, literals and primitive calls *)
-let table_in_residual f = error "table application %s in a residual fact" f
-
-(** Try to evaluate [e] to a value under [env].  [None] when the
-    expression mentions an unbound variable or a primitive fails — both
-    mean "this premise does not hold". *)
-let rec eval_opt idx env (e : Ast.expr) : Value.t option =
-  match e with
-  | Var x -> resolve idx env x
-  | Wildcard -> None
-  | Lit l -> Some (value_of_lit l)
-  | Call (f, args) ->
-    if not (Primitives.is_primitive f) then table_in_residual f;
-    let rec eval_args acc = function
-      | [] -> Some (List.rev acc)
-      | a :: rest -> (
-        match eval_opt idx env a with
-        | Some v -> eval_args (v :: acc) rest
-        | None -> None)
-    in
-    Option.bind (eval_args [] args) (fun vals ->
-        try Some (Primitives.apply f vals) with Primitives.Error _ -> None)
-
-(** [match_value idx env pat v] extends [env] in all ways that make [pat]
-    match the (canonical) value [v]. *)
-let rec match_value idx env (pat : Ast.expr) (v : Value.t) : env list =
-  match pat with
-  | Wildcard -> [ env ]
-  | Lit l -> if values_equal idx (value_of_lit l) v then [ env ] else []
-  | Var x -> (
-    match resolve idx env x with
-    | Some bound -> if values_equal idx bound v then [ env ] else []
-    | None -> [ Env.add x (Egraph.canon idx.eg v) env ])
-  | Call ("vec-of", pats) -> (
-    (* destructuring vector pattern *)
-    match v with
-    | Vec elems when Array.length elems = List.length pats ->
-      List.fold_left
-        (fun envs (i, p) ->
-          List.concat_map (fun env -> match_value idx env p elems.(i)) envs)
-        [ env ]
-        (List.mapi (fun i p -> (i, p)) pats)
-    | _ -> [])
-  | Call (f, _) -> (
-    if not (Primitives.is_primitive f) then table_in_residual f;
-    (* computed sub-expression: evaluate and compare *)
-    match eval_opt idx env pat with
-    | Some pv -> if values_equal idx pv v then [ env ] else []
-    | None -> [])
-
-(** [solve_expr idx env e target] produces environments under which [e]
-    holds.  With [target = Some v], [e] must match/evaluate to [v]; the
-    returned value component is the value of [e]. *)
-let solve_expr idx env (e : Ast.expr) ~(target : Value.t option) :
-    (env * Value.t) list =
-  match (e, target) with
-  | Var x, Some v -> (
-    match resolve idx env x with
-    | Some bound -> if values_equal idx bound v then [ (env, v) ] else []
-    | None -> [ (Env.add x (Egraph.canon idx.eg v) env, v) ])
-  | Wildcard, Some v -> [ (env, v) ]
-  | Var x, None -> (
-    match resolve idx env x with
-    | Some v -> [ (env, v) ]
-    | None -> error "unconstrained variable in fact: %a" Ast.pp_expr e)
-  | Wildcard, None -> error "unconstrained wildcard in fact"
-  | Lit l, _ -> (
-    let v = value_of_lit l in
-    match target with
-    | Some tv -> if values_equal idx v tv then [ (env, v) ] else []
-    | None -> [ (env, v) ])
-  | Call (f, _), _ -> (
-    match eval_opt idx env e with
-    | None -> (
-      (* destructuring (vec-of ?a ?b) against a known target *)
-      match target with
-      | Some v when f = "vec-of" -> List.map (fun env -> (env, v)) (match_value idx env e v)
-      | _ -> [])
-    | Some v -> (
-      match target with
-      | Some tv -> if values_equal idx v tv then [ (env, v) ] else []
-      | None -> [ (env, v) ]))
-
-(** [solve_fact idx envs fact] filters/extends candidate environments by
-    one residual fact. *)
-let solve_fact idx (envs : env list) (fact : Ast.fact) : env list =
-  match fact with
-  | F_expr e ->
-    List.concat_map
-      (fun env ->
-        (* guard position: a primitive producing a boolean must be true *)
-        List.filter_map
-          (fun (env, v) ->
-            match v with Value.Bool b -> if b then Some env else None | _ -> Some env)
-          (solve_expr idx env e ~target:None))
-      envs
-  | F_eq exprs ->
-    (* the first conjunct that evaluates gives the shared value; every
-       conjunct is then matched against it, binding what it can (bare
-       variables, [vec-of] elements) *)
-    List.concat_map
-      (fun env ->
-        match
-          List.find_map (fun e -> Option.map (fun v -> (e, v)) (eval_opt idx env e)) exprs
-        with
-        | Some (known, v) ->
-          List.fold_left
-            (fun envs e ->
-              if e == known then envs
-              else
-                List.concat_map
-                  (fun env -> List.map fst (solve_expr idx env e ~target:(Some v)))
-                  envs)
-            [ env ] exprs
-        | None ->
-          if List.for_all (function Ast.Var _ | Ast.Wildcard -> true | _ -> false) exprs
-          then error "unconstrained (=) fact"
-          else [])
-      envs
 
 (* ------------------------------------------------------------------ *)
 (* Premise flattening                                                  *)
@@ -345,27 +201,6 @@ let compile (facts : Ast.fact list) : plan =
 (** Compiler-generated auxiliary variable? ({!compile} and {!gcompile}
     name theirs [?__sn...]) *)
 let is_aux_var x = String.length x >= 5 && String.sub x 0 5 = "?__sn"
-
-(** The bindings of the rule's own variables: actions never mention the
-    compiler's aux vars, so environments that differ only there are
-    interchangeable. *)
-let own_bindings env = List.filter (fun (x, _) -> not (is_aux_var x)) (Env.bindings env)
-
-(** Remove environments equal on [key] to an earlier one. *)
-let dedupe_by key (envs : env list) : env list =
-  match envs with
-  | [] | [ _ ] -> envs
-  | _ ->
-    let seen = Hashtbl.create (List.length envs) in
-    List.filter
-      (fun env ->
-        let key = key env in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      envs
 
 (* ------------------------------------------------------------------ *)
 (* Column indexes and the generic join                                *)
@@ -571,10 +406,13 @@ type gatom = { g_sym : Symbol.t; g_slots : gslot array }
 
 (** A rule body compiled for the generic join: flat atoms joined
     variable-by-variable over column indexes, then pure-primitive residual
-    facts evaluated on the decoded environments. *)
+    facts run by the caller on each packed row. *)
 type gplan = {
   gp_atoms : gatom array;
   gp_residuals : Ast.fact list;  (* in the order they run *)
+  gp_res_vars : string array;
+      (* variables the residuals mention that no atom binds: one packed-row
+         slot each, after the join's, for the residuals to fill *)
   gp_var_names : string array;
   gp_globals : string array;
       (* every global the premises name (pinned columns index into it);
@@ -583,12 +421,12 @@ type gplan = {
   gp_touched : int array array;  (* var id -> distinct atoms it occurs in *)
   gp_may_dup : bool;
       (* some atom has a wildcard column, so distinct witnessing rows can
-         yield the same environment and results need deduplication *)
+         yield the same emitted codes and results need deduplication *)
   gp_aux_emitted : bool;
       (* some emitted variable is a compiler aux var (a residual reads it,
          or the consumer asked for everything) *)
   gp_emit : int array;
-      (* var ids to decode into result environments: only what the rule's
+      (* var ids the join emits into packed rows: only what the rule's
          residuals and actions read (all vars when the consumer is unknown) *)
   gp_join_vars : int;
       (* number of vars with >= 2 occurrences: only these need generic-join
@@ -653,9 +491,10 @@ let rec remove_first x = function
       all sharing one output column;
     - a fact with no table application is a residual, run after the join
       once what it evaluates is bound.
-    [keep] names the variables the consumer reads (default: all).  Raises
-    {!Error} on an unknown function or an arity mismatch. *)
-let gcompile ?(keep : string list option) idx (p : plan) : gplan =
+    [pinned] are the bare names that denote globals; [keep] names the
+    variables the consumer reads (default: all).  Raises {!Error} on an
+    unknown function or an arity mismatch. *)
+let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan) : gplan =
   let pool = Egraph.pool idx.eg in
   let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let var_names = ref [] in
@@ -677,7 +516,7 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan =
   let global_names = ref [] in
   let rec scan_globals (e : Ast.expr) =
     match e with
-    | Ast.Var x when is_global idx x && not (Hashtbl.mem globals x) ->
+    | Ast.Var x when List.mem x pinned && not (Hashtbl.mem globals x) ->
       Hashtbl.add globals x (Hashtbl.length globals);
       global_names := x :: !global_names
     | Ast.Call (_, args) -> List.iter scan_globals args
@@ -878,6 +717,21 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan =
         gp_var_names;
       Array.of_list (List.rev !out)
   in
+  let gp_res_vars =
+    let acc = ref [] in
+    List.iter
+      (fun f ->
+        List.iter
+          (fun e ->
+            List.iter
+              (fun x ->
+                if not (Hashtbl.mem vars x || Hashtbl.mem globals x || List.mem x !acc) then
+                  acc := x :: !acc)
+              (List.rev (vars_in e)))
+          (exprs_of f))
+      gp_residuals;
+    Array.of_list (List.rev !acc)
+  in
   let emitted = Array.make (Array.length gp_var_names) false in
   Array.iter (fun v -> emitted.(v) <- true) gp_emit;
   let gp_slot = Array.make (Array.length gp_var_names) (-1) in
@@ -922,6 +776,7 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan =
   {
     gp_atoms;
     gp_residuals;
+    gp_res_vars;
     gp_var_names;
     gp_globals;
     gp_occs;
@@ -954,7 +809,7 @@ let pins idx (gp : gplan) : int array =
 (** Shared generic-join driver: runs every seminaive term of [gp] against
     the snapshot and calls [flush] once per satisfying assignment, with the
     emitted variables' arena {e codes} filled into a scratch row in
-    [gp_emit] order ([flush] must copy what it keeps — and decode).  Deterministic:
+    [gp_emit] order ([flush] must copy what it keeps).  Deterministic:
     terms in atom order, candidates in row order.  A plan with no atoms
     has exactly one (empty) assignment, reported by the full search
     ([since < 0]) only. *)
@@ -1320,86 +1175,88 @@ let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
       if funcs.(t).Egraph.last_modified > since then solve_term t
     done
 
-(** Generic-join solve: environments satisfying the plan that involve at
-    least one row newer than stamp [since] ([~since:-1] is the full naive
-    join).  Per delta atom [t], the term joins [t]'s delta {e suffix}
-    against old {e prefixes} (atoms before [t]) and full tables (after), so
-    every combination of rows is derived by exactly one term.  The join
-    runs variable-by-variable over column indexes, so no intermediate
-    environment lists are materialized. *)
-let gsolve idx (gp : gplan) ~(since : int) : env list =
-  let results = ref [] in
-  let names = gp.gp_var_names in
-  let pool = Egraph.pool idx.eg in
-  gsolve_core idx gp ~since ~flush:(fun out ->
-      let env = ref Env.empty in
-      Array.iteri
-        (fun i v -> env := Env.add names.(v) (Arena.decode pool out.(i)) !env)
-        gp.gp_emit;
-      results := !env :: !results);
-  let envs = List.rev !results in
-  (* terms are disjoint and within-term assignments unique, so duplicates
-     only arise through wildcard columns: rows differing in an unbound
-     column witness the same environment *)
-  let envs = if gp.gp_may_dup then dedupe_by Env.bindings envs else envs in
-  (* residual pure-primitive facts filter (or extend) the decoded
-     environments *)
-  let envs =
-    List.fold_left
-      (fun envs f -> if envs = [] then [] else solve_fact idx envs f)
-      envs gp.gp_residuals
-  in
-  (* aux variables stay apart until the residuals that read them have run;
-     keep one environment per binding of the rule's own variables, so an
-     action is not applied twice to the same match *)
-  if gp.gp_aux_emitted then dedupe_by own_bindings envs else envs
+(** The residual facts, in the order they run on each row. *)
+let gp_residuals gp = gp.gp_residuals
 
-(** Can [gp]'s matches be consumed as packed rows?  Requires no residual
-    facts (they extend environments) and no wildcard columns (they require
-    deduplication over environments). *)
-let gp_packed_ok gp = gp.gp_residuals = [] && not gp.gp_may_dup
+(** The packed-row slots' variable names: the join's emitted variables,
+    then the residual-bound ones. *)
+let gp_slot_names gp =
+  Array.append (Array.map (fun v -> gp.gp_var_names.(v)) gp.gp_emit) gp.gp_res_vars
 
-(** The emitted variables' names, in packed-row slot order. *)
-let gp_slot_names gp = Array.map (fun v -> gp.gp_var_names.(v)) gp.gp_emit
+(** Packed-row slots of the premises' own (non-aux) variables. *)
+let gp_own_slots gp =
+  let names = gp_slot_names gp in
+  Array.of_list
+    (List.filter (fun i -> not (is_aux_var names.(i))) (List.init (Array.length names) Fun.id))
 
-(** The sort of each packed-row slot, read off the variable's first
-    pattern occurrence (argument column -> that argument's sort, output
-    column -> the function's return sort). *)
+(** The sort of each packed-row slot: a join variable's is read off its
+    first pattern occurrence (argument column -> that argument's sort,
+    output column -> the function's return sort); a residual-bound
+    variable's is not known until its value is. *)
 let gp_slot_sorts idx gp =
-  Array.map
-    (fun v ->
-      let a, c = gp.gp_occs.(v).(0) in
-      let f = Egraph.find_func idx.eg gp.gp_atoms.(a).g_sym in
-      if c < Array.length f.Egraph.arg_sorts then f.Egraph.arg_sorts.(c)
-      else f.Egraph.ret_sort)
-    gp.gp_emit
+  Array.append
+    (Array.map
+       (fun v ->
+         let a, c = gp.gp_occs.(v).(0) in
+         let f = Egraph.find_func idx.eg gp.gp_atoms.(a).g_sym in
+         Some
+           (if c < Array.length f.Egraph.arg_sorts then f.Egraph.arg_sorts.(c)
+            else f.Egraph.ret_sort))
+       gp.gp_emit)
+    (Array.map (fun _ -> None) gp.gp_res_vars)
 
-(** Like {!gsolve} but returning each match as a flat row of the emitted
-    variables' arena codes in {!gp_slot_names} order — no environment
-    maps and no decoding, so appliers compiled against the slot order
-    work at the code level end to end.  Only valid when
-    {!gp_packed_ok}. *)
+(** Generic-join solve: every match of the plan that involves at least one
+    row newer than stamp [since] ([~since:-1] is the full naive join), as
+    a flat row of arena codes in {!gp_slot_names} order.  Per delta atom
+    [t], the term joins [t]'s delta {e suffix} against old {e prefixes}
+    (atoms before [t]) and full tables (after), so every combination of
+    rows is derived by exactly one term.  A plan with residuals gives each
+    join row one slot per residual-bound variable (initially [-1]) and
+    keeps it when [residual] — the caller's compiled residuals, which fill
+    those slots — returns true.  Rows equal on the join's codes are
+    dropped first when some atom has a wildcard column (rows differing in
+    an unbound column witness the same match), and rows equal on the
+    own variables last when aux variables were emitted, each time keeping
+    the first. *)
 type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
 
-let gsolve_packed idx (gp : gplan) ~(since : int) : packed =
-  let width = Array.length gp.gp_emit in
+let gsolve_packed idx (gp : gplan) ~(since : int) ~(residual : int array -> bool) : packed =
+  let width = Array.length gp.gp_emit + Array.length gp.gp_res_vars in
   let buf = ref (Array.make (max 1 (16 * width)) 0) in
   let n = ref 0 in
-  gsolve_core idx gp ~since ~flush:(fun out ->
-      let need = (!n + 1) * width in
-      if need > Array.length !buf then begin
-        let b = Array.make (max need (2 * Array.length !buf)) 0 in
-        Array.blit !buf 0 b 0 (!n * width);
-        buf := b
-      end;
-      Array.blit out 0 !buf (!n * width) width;
-      incr n);
+  let push row =
+    let need = (!n + 1) * width in
+    if need > Array.length !buf then begin
+      let b = Array.make (max need (2 * Array.length !buf)) 0 in
+      Array.blit !buf 0 b 0 (!n * width);
+      buf := b
+    end;
+    Array.blit row 0 !buf (!n * width) width;
+    incr n
+  in
+  if gp.gp_residuals = [] && not (gp.gp_may_dup || gp.gp_aux_emitted) then
+    gsolve_core idx gp ~since ~flush:push
+  else begin
+    (* the residuals run once the join is done, so a fault they raise
+       cannot leave the join's scratch half-updated *)
+    let joined = ref [] in
+    gsolve_core idx gp ~since ~flush:(fun out -> joined := Array.copy out :: !joined);
+    let first seen key = (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true) in
+    let seen_join = Hashtbl.create 16 and seen_own = Hashtbl.create 16 in
+    let own = gp_own_slots gp in
+    let row = Array.make width (-1) in
+    List.iter
+      (fun out ->
+        let w = Array.length out in
+        if (not gp.gp_may_dup) || first seen_join out then begin
+          Array.blit out 0 row 0 w;
+          Array.fill row w (width - w) (-1);
+          if
+            (gp.gp_residuals = [] || residual row)
+            && ((not gp.gp_aux_emitted)
+               || first seen_own (Array.map (Array.get row) own))
+          then push row
+        end)
+      (List.rev !joined)
+  end;
   { pk_buf = !buf; pk_rows = !n; pk_width = width }
-
-
-(** Every binding of the premises' own variables (aux variables dropped,
-    duplicates removed): the full join ([since = -1]) of a fresh plan. *)
-let query idx (facts : Ast.fact list) : env list =
-  List.map
-    (Env.filter (fun x _ -> not (is_aux_var x)))
-    (gsolve idx (gcompile idx (compile facts)) ~since:(-1))

@@ -16,9 +16,18 @@ type constr =
   | C_holds of term  (* the value exists and is not [false] *)
   | C_equal of term list  (* every term has one value *)
 
-type env = Value.t Matcher.Env.t
+module Env = Map.Make (String)
+
+type env = Value.t Env.t
 
 let is_table f = not (Primitives.is_primitive f)
+
+let value_of_lit : Ast.lit -> Value.t = function
+  | L_i64 n -> I64 n
+  | L_f64 f -> F64 f
+  | L_string s -> Str s
+  | L_bool b -> Bool b
+  | L_unit -> Unit
 
 (* The normal form of [facts]: atoms (a table application before the ones
    nested in it, so inner scans always filter on a bound output) and
@@ -31,9 +40,9 @@ let normalize eg globals (facts : Ast.fact list) =
   in
   let own = ref [] in
   let var x =
-    match Hashtbl.find_opt globals x with
-    | Some v when x.[0] <> '?' -> T_val (Egraph.canon eg v)
-    | _ ->
+    match List.assoc_opt x globals with
+    | Some v -> T_val (Egraph.canon eg v)
+    | None ->
       if not (List.mem x !own) then own := x :: !own;
       T_var x
   in
@@ -46,7 +55,7 @@ let normalize eg globals (facts : Ast.fact list) =
   let rec slot (e : Ast.expr) =
     match e with
     | Var x -> (var x, [], [])
-    | Lit l -> (T_val (Matcher.value_of_lit l), [], [])
+    | Lit l -> (T_val (value_of_lit l), [], [])
     | Wildcard -> (T_any, [], [])
     | Call (f, args) when is_table f ->
       let v = fresh () in
@@ -103,9 +112,9 @@ let unify eg env t v =
   | T_any -> Some env
   | T_val c -> if same eg c v then Some env else None
   | T_var x -> (
-    match Matcher.Env.find_opt x env with
+    match Env.find_opt x env with
     | Some b -> if same eg b v then Some env else None
-    | None -> Some (Matcher.Env.add x (Egraph.canon eg v) env))
+    | None -> Some (Env.add x (Egraph.canon eg v) env))
   | T_prim _ -> invalid_arg "reference matcher: primitive in an atom"
 
 (* the value of [t]: [None] while a variable in it is unbound, [Error ()]
@@ -114,7 +123,7 @@ let rec value eg env t : (Value.t, unit) result option =
   match t with
   | T_val v -> Some (Ok v)
   | T_any -> None
-  | T_var x -> Option.map Result.ok (Matcher.Env.find_opt x env)
+  | T_var x -> Option.map Result.ok (Env.find_opt x env)
   | T_prim (f, args) ->
     let rec go acc = function
       | [] -> (
@@ -133,7 +142,7 @@ let rec bind eg env t v : env option option =
   | _, Some (Ok w) -> Some (if same eg w v then Some env else None)
   | _, Some (Error ()) -> Some None
   | T_any, None -> Some (Some env)
-  | T_var x, None -> Some (Some (Matcher.Env.add x (Egraph.canon eg v) env))
+  | T_var x, None -> Some (Some (Env.add x (Egraph.canon eg v) env))
   | T_prim ("vec-of", elems), None -> (
     match v with
     | Value.Vec vs when Array.length vs = List.length elems ->
@@ -184,7 +193,7 @@ let rec settle eg env = function
 
 (** Every binding of [facts]' own variables in [eg] (which must be
     rebuilt), as a sorted, duplicate-free list of sorted binding lists. *)
-let matches eg globals (facts : Ast.fact list) : (string * Value.t) list list =
+let matches eg ~globals (facts : Ast.fact list) : (string * Value.t) list list =
   let atoms, cs, own = normalize eg globals facts in
   let own = List.sort compare own in
   let rows = Hashtbl.create 8 in
@@ -204,9 +213,7 @@ let matches eg globals (facts : Ast.fact list) : (string * Value.t) list list =
       match settle eg env cs with
       | Some env ->
         found :=
-          List.filter_map
-            (fun x -> Option.map (fun v -> (x, v)) (Matcher.Env.find_opt x env))
-            own
+          List.filter_map (fun x -> Option.map (fun v -> (x, v)) (Env.find_opt x env)) own
           :: !found
       | None -> ())
     | a :: rest ->
@@ -221,25 +228,19 @@ let matches eg globals (facts : Ast.fact list) : (string * Value.t) list list =
             Option.iter (fun env -> loop env rest) env)
         (rows_of a.fn)
   in
-  loop Matcher.Env.empty atoms;
+  loop Env.empty atoms;
   List.sort_uniq compare !found
 
-(** The join's answer in the same shape as {!matches}. *)
-let of_envs eg (envs : Matcher.env list) : (string * Value.t) list list =
-  List.sort_uniq compare
-    (List.map
-       (fun env -> List.map (fun (x, v) -> (x, Egraph.canon eg v)) (Matcher.Env.bindings env))
-       envs)
-
 (** Every rule of [t] whose full match set through the generic join
-    differs from {!matches}, with the join's and the reference's number
-    of matches. *)
+    differs from {!matches} under the globals the rule pinned, with the
+    join's and the reference's number of matches. *)
 let disagreements (t : Interp.t) : (string * int * int) list =
   let eg = Interp.egraph t in
   List.filter_map
-    (fun (name, facts) ->
-      let join = of_envs eg (Interp.query t facts) in
-      let reference = matches eg (Interp.globals t) facts in
+    (fun (name, facts, pinned) ->
+      let join = List.sort_uniq compare (Interp.query ~pinned t facts) in
+      let globals = List.map (fun x -> (x, Interp.global t x)) pinned in
+      let reference = matches eg ~globals facts in
       if join = reference then None
       else Some (name, List.length join, List.length reference))
     (Interp.premises t)

@@ -14,22 +14,19 @@
     index.  The tests and the fuzzer compare {!Egglog.Extract} against
     it. *)
 
-(** Every binding of the premises' own variables (globals resolved in the
-    given table) in an e-graph that has been rebuilt, as a sorted,
-    duplicate-free list of binding lists sorted by variable name. *)
+(** Every binding of the premises' own variables in an e-graph that has
+    been rebuilt, as a sorted, duplicate-free list of binding lists sorted
+    by variable name.  The names in [globals] denote the given values;
+    every other name is a pattern variable. *)
 val matches :
   Egglog.Egraph.t ->
-  (string, Egglog.Value.t) Hashtbl.t ->
+  globals:(string * Egglog.Value.t) list ->
   Egglog.Ast.fact list ->
   (string * Egglog.Value.t) list list
 
-(** The generic join's answer ({!Egglog.Interp.query}) in the shape of
-    {!matches}. *)
-val of_envs :
-  Egglog.Egraph.t -> Egglog.Matcher.env list -> (string * Egglog.Value.t) list list
-
 (** Every rule of the engine whose full match set through the generic join
-    differs from the reference's, as (rule name, join matches, reference
+    ({!Egglog.Interp.query}, under the globals the rule pinned) differs
+    from the reference's, as (rule name, join matches, reference
     matches). *)
 val disagreements : Egglog.Interp.t -> (string * int * int) list
 

@@ -279,8 +279,12 @@ let shape_programs =
   ]
 
 (* Random rules whose premises mix those shapes — and guards and
-   residual bindings in any order — over a small e-graph in which a
-   global's class merges mid-run. *)
+   residual bindings in any order, some over a primitive that fails on
+   some rows — over a small e-graph in which a global's class merges
+   mid-run.  Each rule's one action reads variables
+   its premises mention, which the join or a residual binds (a fault, for
+   instance a vector where a term is expected, is recorded in the
+   observation). *)
 let random_shapes_gen : string QCheck.Gen.t =
   let open QCheck.Gen in
   let facts =
@@ -292,13 +296,36 @@ let random_shapes_gen : string QCheck.Gen.t =
       "(= ?u (Pair (vec-of ?a ?b)))"; "(= (vec-of ?a ?b) ?w)";
       "(= (val ?b) (+ (val ?a) 1))"; "(= 3 (val ?a))"; "(= _ (Neg ?a))";
       "(Add ?a _)"; "(= ?a (Add ?b (Num (* ?n 2))))"; "(= ?k (val (Neg ?a)))";
-      "(< (val (Add ?a ?b)) 5)"; "(= ?n 1)"; "(= g (Num ?n))";
+      "(< (val (Add ?a ?b)) 5)"; "(= ?n 1)"; "(= g (Num ?n))"; "(> (/ 6 ?n) 1)";
+      "(= ?m (/ 6 ?n))";
     ]
+  in
+  let actions =
+    [
+      ("(hit ?a)", [ "?a" ]); ("(hit ?u)", [ "?u" ]); ("(set (val ?a) ?m)", [ "?a"; "?m" ]);
+      ("(union ?b ?c)", [ "?b"; "?c" ]); ("(Num ?m)", [ "?m" ]);
+      ("(Pair (vec-of ?b ?a))", [ "?a"; "?b" ]); ("(Neg ?w)", [ "?w" ]); ("(hit g)", []);
+    ]
+  in
+  let mentions s v =
+    let rec from i =
+      i + String.length v <= String.length s
+      && (String.sub s i (String.length v) = v || from (i + 1))
+    in
+    from 0
   in
   let rule =
     let* k = int_range 1 4 in
     let* fs = list_repeat k (oneofl facts) in
-    return (Printf.sprintf "(rule (%s) ())" (String.concat " " fs))
+    let body = String.concat " " fs in
+    (* an action whose variables the premises mention *)
+    let* action =
+      oneofl
+        (List.filter_map
+           (fun (a, vs) -> if List.for_all (mentions body) vs then Some a else None)
+           actions)
+    in
+    return (Printf.sprintf "(rule (%s) (%s))" body action)
   in
   let* n = int_range 1 3 in
   let* rules = list_repeat n rule in
@@ -312,6 +339,7 @@ let random_shapes_gen : string QCheck.Gen.t =
 (function Neg (E) E)
 (function Pair (EV) E)
 (function val (E) i64 :merge (min old new))
+(relation hit (E))
 (let g (Num 1))
 (rewrite (Add ?x ?y) (Add ?y ?x))
 (rewrite (Neg (Neg ?x)) ?x)
@@ -321,9 +349,11 @@ let random_shapes_gen : string QCheck.Gen.t =
 (let r1 (Add (Num 1) (Neg (Num 2))))
 (let r2 (Neg (Neg (Add g (Num 0)))))
 (let r3 (Pair (vec-of (Num 1) (Num 2))))
+(let r4 (Pair (vec-of (Num 3) (Num 2) (Num 1))))
 (union (Neg g) (Num 2))
 (run 3)
 (union (Num 0) (Neg (Num 1)))
+(union (Num 3) g)
 (run 3)
 |}
        (String.concat "\n" rules))
@@ -332,6 +362,13 @@ let test_random_shapes () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"join = reference on random premise shapes" ~count:500
        (QCheck.make ~print:Fun.id random_shapes_gen) agrees)
+
+let test_random_shapes_seminaive () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"seminaive = naive on random premise shapes" ~count:200
+       (QCheck.make ~print:Fun.id random_shapes_gen)
+       (fun src ->
+         observe ~reference:false src = observe ~reference:false ~naive:true src))
 
 let test_shapes () =
   List.iter
@@ -593,6 +630,8 @@ let () =
           Alcotest.test_case "each compiled shape matches" `Quick test_shapes;
           Alcotest.test_case "global merged mid-run" `Quick test_global_merge;
           Alcotest.test_case "random premise shapes" `Slow test_random_shapes;
+          Alcotest.test_case "random premise shapes, seminaive = naive" `Slow
+            test_random_shapes_seminaive;
         ] );
       ( "extraction",
         [ Alcotest.test_case "index = reference" `Slow test_extract_reference ] );

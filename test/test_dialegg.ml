@@ -31,7 +31,7 @@ let engine_with_prelude () =
 let roundtrip_type (ty : Mlir.Typ.t) : Mlir.Typ.t =
   let t = engine_with_prelude () in
   let e = Dialegg.Translate.expr_of_type ty in
-  let v = Dialegg.Pipeline.default_config |> fun _ -> Egglog.Interp.eval t Egglog.Matcher.Env.empty e in
+  let v = Dialegg.Pipeline.default_config |> fun _ -> Egglog.Interp.eval t e in
   let term, _ = Egglog.Extract.extract (Egglog.Interp.egraph t) v in
   Dialegg.Translate.type_of_term term
 
@@ -79,7 +79,7 @@ let test_type_roundtrip_prop () =
 let roundtrip_attr (a : Mlir.Attr.t) : Mlir.Attr.t =
   let t = engine_with_prelude () in
   let e = Dialegg.Translate.expr_of_attr a in
-  let v = Egglog.Interp.eval t Egglog.Matcher.Env.empty e in
+  let v = Egglog.Interp.eval t e in
   let term, _ = Egglog.Extract.extract (Egglog.Interp.egraph t) v in
   Dialegg.Translate.attr_of_term term
 

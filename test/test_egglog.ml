@@ -720,7 +720,27 @@ let test_wildcard_pattern () =
 (check (has-pair p))
 |}
   in
-  checkb "wildcards match" true (List.mem Interp.O_checked outs)
+  checkb "wildcards match" true (List.mem Interp.O_checked outs);
+  (* a match is found once however many rows witness it: rows that differ
+     only in a wildcard column, or only in the compiler's aux variables a
+     residual reads *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (C) (P E E) (Add E E))
+(function val (E) i64)
+(relation Q (E))
+(relation hit (E))
+(let a (A))
+(P a (B))
+(P a (C))
+(set (val (Add a (B))) 1)
+(set (val (Add a (C))) 2)
+(rule ((= ?e (P ?x _))) ((Q ?x)))
+(rule ((> (val (Add ?y _)) 0)) ((hit ?y)))
+(run 2)|};
+  Alcotest.(check (list (pair string int)))
+    "matches per rule" [ ("rule-1", 1); ("rule-2", 1) ]
+    (List.map (fun s -> (s.Interp.rs_name, s.rs_matches)) (Interp.rule_stats t))
 
 let test_immediate_rebuild_ablation () =
   (* both rebuild strategies must produce the same saturated e-graph *)
@@ -765,9 +785,7 @@ let test_rulesets () =
 (let x (A))
 (run 10)
 |};
-  Egraph.rebuild (Interp.egraph t);
-  let idx = Matcher.make_index (Interp.egraph t) (Interp.globals t) in
-  let holds src = Matcher.query idx (facts_of src) <> [] in
+  let holds src = Interp.query t (facts_of src) <> [] in
   checkb "default ruleset ran" true (holds "((= x (B)))");
   checkb "phase2 did not run" false (holds "((= x (C)))");
   Interp.run_string t "(run 10 phase2)";
@@ -1188,25 +1206,90 @@ let test_lazy_rule_older_rows () =
     [ "rule-1 1 2 2 0"; "rule-2 2 2 2 0"; "rule-3 2 2 2 0"; "rule-4 3 2 2 0" ]
     (stat_rows t)
 
+(* The iteration, code and message of the fault that stopped [src]'s last
+   run. *)
+let run_fault src =
+  let t = Interp.create () in
+  Interp.run_string t src;
+  match Interp.last_stats t with
+  | Some { iterations; stop = Fault d; _ } -> (iterations, d.code, d.message)
+  | Some s -> Alcotest.failf "%s: expected a fault, got %a" src Interp.pp_stop_reason s.stop
+  | None -> Alcotest.fail "no run"
+
+let check_fault = Alcotest.(check (triple int string string))
+
 let test_lazy_rule_malformed () =
   (* a malformed premise over an empty table faults as it did when every
      rule was compiled at its first search *)
   List.iter
     (fun (premise, msg) ->
-      let t = Interp.create () in
-      Interp.run_string t
-        (Printf.sprintf "(datatype E (A)) (relation B (E)) (rule (%s) ((A))) (run 5)" premise);
-      match Interp.last_stats t with
-      | Some { iterations; stop = Fault d; _ } ->
-        checki "stopped at iteration 0" 0 iterations;
-        checks "code" "saturation-fault" d.code;
-        checks "message" msg d.message
-      | Some s -> Alcotest.failf "expected a fault, got %a" Interp.pp_stop_reason s.stop
-      | None -> Alcotest.fail "no run")
+      check_fault premise (0, "saturation-fault", msg)
+        (run_fault
+           (Printf.sprintf "(datatype E (A)) (relation B (E)) (rule (%s) ((A))) (run 5)" premise)))
     [
       ("(B ?x ?y)", "match: B expects 1 arguments in a pattern, got 2");
       ("(Nope ?x)", "match: unknown function Nope in pattern");
+    ];
+  (* a residual fact that nothing constrains faults at the first row that
+     reaches it *)
+  List.iter
+    (fun (premise, msg) ->
+      check_fault premise (0, "saturation-fault", msg)
+        (run_fault
+           (Printf.sprintf
+              "(datatype E (A)) (relation B (E)) (B (A)) (rule ((B ?x) %s) ((A))) (run 5)" premise)))
+    [
+      ("(= ?y ?z)", "match: unconstrained (=) fact");
+      ("?y", "match: unconstrained variable in fact: ?y");
+      ("_", "match: unconstrained wildcard in fact");
     ]
+
+(* An action shape that cannot be checked when its rule is compiled (a
+   wildcard, [set]/[delete]/[unstable-cost] on something other than a
+   table application, a wrong arity or argument sort, an undeclared
+   table) faults when the rule first applies, in its second iteration,
+   with these diagnostics; a table declared only after the rule was
+   compiled is resolved when its action runs. *)
+let test_action_faults () =
+  List.iter
+    (fun (action, msg) ->
+      check_fault action (1, "saturation-fault", msg)
+        (run_fault
+           (Printf.sprintf
+              "(datatype E (A) (W E)) (relation P (E)) (relation Q (E)) (function f (E) E) (P (A)) \
+               (rule ((P ?x)) ((Q ?x))) (rule ((Q ?x)) (%s)) (run 5)"
+              action)))
+    [
+      ("(W _)", "wildcard in expression position");
+      ("(W ?x _)", "wildcard in expression position");
+      ("(set ?x (A))", "set expects a function application, got ?x");
+      ("(delete ?x)", "delete expects a function application, got ?x");
+      ("(unstable-cost ?x 3)", "unstable-cost expects an e-node application, got ?x");
+      ("(set (+ 1 2) 3)", "e-graph: unknown function +");
+      ("(delete (+ 1 2))", "e-graph: unknown function +");
+      ("(W 1)", "e-graph: W: argument 0 has wrong sort (expected E, got 1)");
+      ("(W (A) 1)", "e-graph: W expects 1 arguments, got 2");
+      ("(set (f ?x) 1)", "e-graph: f: output has wrong sort (expected E, got 1)");
+      ("(set (f 1) ?x)", "e-graph: f: argument 0 has wrong sort (expected E, got 1)");
+      ("(unstable-cost (W 1) 2)", "e-graph: W: argument 0 has wrong sort (expected E, got 1)");
+      ("(Later ?x)", "e-graph: unknown function Later");
+      ("(set (Later ?x) ?x)", "e-graph: unknown function Later");
+      ("(W (Later ?x))", "e-graph: unknown function Later");
+    ];
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (W E))
+(relation Q (E))
+(relation R (E))
+(Q (A))
+(R (B))
+(rule ((Q ?x) (R ?x)) ((Later ?x) (W ?x)))
+(run 2)
+(relation Later (E))
+(R (A))
+(run 2)
+(check (Later (A)) (W (A)))|};
+  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t)
 
 let test_lazy_rule_global () =
   (* the premise names global g and reads Q, empty at the first run; it
@@ -1226,20 +1309,54 @@ let test_lazy_rule_global () =
 (run 3)
 (check (W h))|};
   Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t);
-  (* a bare name is a pattern variable if the rule is first searched
-     before a global of that name exists, so a rule with one is compiled
-     at once even over an empty table *)
+  (* a bare premise name denotes a global only if one of that name exists
+     when the rule is registered: whether the rule is first searched
+     before or after a later [let] of that name, it is a pattern variable *)
+  List.iter
+    (fun (first_run, counts) ->
+      let t = Interp.create () in
+      Interp.run_string t
+        (Printf.sprintf
+           {|(datatype E (A) (B) (W E))
+(relation Q (E))
+(rule ((Q x)) ((W x)))
+%s
+(let x (A))
+(Q (B))
+(run 2)
+(check (W (B)))|}
+           first_run);
+      Alcotest.(check (list string)) ("per-rule counts " ^ first_run) counts (stat_rows t))
+    [ ("(run 1)", [ "rule-1 2 1 1 0" ]); ("", [ "rule-1 1 1 1 0" ]) ];
+  (* registered after the [let], it is pinned to the global's class *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (W E))
+(relation Q (E))
+(let x (A))
+(rule ((Q x)) ((W x)))
+(Q (B))
+(run 2)|};
+  checkb "no match for (Q (B))" true (Interp.query t (facts_of "((W (B)))") = []);
+  Interp.run_string t "(Q (A)) (run 2) (check (W (A)))";
+  Alcotest.(check (list string)) "pinned counts" [ "rule-1 2 1 1 0" ] (stat_rows t);
+  (* a [let] inside a [push] does not change what a rule registered
+     before it means, nor does the [pop] *)
   let t = Interp.create () in
   Interp.run_string t
     {|(datatype E (A) (B) (W E))
 (relation Q (E))
 (rule ((Q x)) ((W x)))
-(run 1)
+(push)
 (let x (A))
 (Q (B))
 (run 2)
+(check (W (B)))
+(pop)
+(Q (B))
+(run 2)
 (check (W (B)))|};
-  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t)
+  Alcotest.(check (list string)) "push/pop counts" [ "rule-1 2 2 2 0" ] (stat_rows t)
 
 let () =
   Alcotest.run "egglog"
@@ -1330,6 +1447,7 @@ let () =
           Alcotest.test_case "lazy rule: malformed premises fault" `Quick
             test_lazy_rule_malformed;
           Alcotest.test_case "lazy rule naming a global" `Quick test_lazy_rule_global;
+          Alcotest.test_case "malformed actions fault" `Quick test_action_faults;
           Alcotest.test_case "saturated state is stable" `Quick test_saturated_stays_stable;
         ] );
     ]
