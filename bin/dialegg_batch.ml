@@ -39,14 +39,15 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
     in
     (* vet and audit once in the supervisor and fail fast before any worker
        forks; a repeat invocation over the same ruleset hits the on-disk
-       memo *)
-    let vet_result = Dialegg.Pipeline.vet_rules_exn pipeline in
+       memo; both tiers read one checked ruleset *)
+    let checked = lazy (Dialegg.Lint.check ~file:"<rules>" rules) in
+    let vet_result = Dialegg.Pipeline.vet_rules_exn ~checked pipeline in
     (match vet_result with
     | Some (v, status) when show_stats ->
       Fmt.epr "%a [%s]@." Dialegg.Vet.pp_summary v
         (Dialegg.Vet.cache_status_name status)
     | _ -> ());
-    let audit_result = Dialegg.Pipeline.audit_rules_exn pipeline in
+    let audit_result = Dialegg.Pipeline.audit_rules_exn ~checked pipeline in
     (match audit_result with
     | Some (a, status) when show_stats ->
       Fmt.epr "%a [%s]@." Dialegg.Audit.pp_summary a

@@ -41,10 +41,19 @@
       paper's own fast-inv-sqrt example), as are unregistered ops
       (already covered by [egg-op-unknown]).
 
-    Verdicts are memoized by a content hash of the ruleset source
-    {e and} the registry fingerprint, in-process and on disk next to the
-    vet cache ({!audit_cached}); editing an op definition invalidates
-    every cached verdict. *)
+    The audit is a pass over a {!Lint.checked} ruleset, the value lint
+    and vet read too, so the pipeline parses and sort-checks a ruleset
+    once for all three tiers.  What the prelude alone determines (its
+    emittable heads, cost targets and rules' reachability, the registry
+    checks of its op constructors, the reverse-coverage candidates) is
+    computed once per registry fingerprint; each audit adds the
+    ruleset's own declarations, cost targets, lets and rules and resumes
+    the reachability fixpoint from the prelude's state.
+
+    Verdicts are memoized by a content hash of the ruleset source, the
+    prelude source {e and} the registry fingerprint, in-process and on
+    disk next to the vet cache ({!audit_cached}); editing an op
+    definition or the prelude invalidates every cached verdict. *)
 
 module Ast = Egglog.Ast
 module Check = Egglog.Check
@@ -72,20 +81,23 @@ type op_check = {
 }
 
 type report = {
-  a_hash : string;  (** content hash of (registry fingerprint, source) *)
+  a_hash : string;  (** content hash of (registry fingerprint, prelude, source) *)
   a_file : string option;
   a_ops : op_check list;  (** every op constructor in scope, sorted *)
   a_rules : int;  (** directed rules audited *)
   a_diags : Diag.t list;
 }
 
-(** Cache key: hex MD5 of the source prefixed with a format-version tag
-    and the {!Mlir.Dialect.fingerprint}, so both ruleset edits and
-    registry edits invalidate cached verdicts. *)
+let key ~prelude ~registry (src : string) : string =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" [ "dialegg-audit-1"; registry; prelude; src ]))
+
+(** Cache key: {!key} under {!Prelude.digest} and the current
+    {!Mlir.Dialect.fingerprint}, so ruleset, prelude and registry edits
+    all invalidate cached verdicts. *)
 let hash_source (src : string) : string =
   Mlir.Registry.ensure_registered ();
-  Digest.to_hex
-    (Digest.string ("dialegg-audit-1\n" ^ Dialect.fingerprint () ^ "\n" ^ src))
+  key ~prelude:Prelude.digest ~registry:(Dialect.fingerprint ()) src
 
 (* ------------------------------------------------------------------ *)
 (* Signature model of the egg side                                     *)
@@ -121,12 +133,6 @@ let class_of_type_pattern (e : Ast.expr) : Dialect.type_class option =
     Some Dialect.Shaped
   | _ -> None
 
-(* The prelude's own rule commands take part in the reachability
-   fixpoint (its nrows/ncols rule), parsed once. *)
-let prelude_cmds =
-  lazy
-    (try Egglog.Parser.parse_program_located Prelude.source with _ -> [])
-
 let rec call_heads acc (e : Ast.expr) =
   match e with
   | Ast.Call (f, args) ->
@@ -148,15 +154,255 @@ let rec iter_subterms f (e : Ast.expr) =
   | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Per-command facts                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* the constructors an unstable-cost action of these commands targets *)
+let add_cost_targets tbl cmds =
+  List.iter
+    (fun ((cmd : Ast.command), _) ->
+      let actions =
+        match cmd with
+        | Ast.C_rule { actions; _ } -> actions
+        | Ast.C_action a -> [ a ]
+        | _ -> []
+      in
+      List.iter
+        (function
+          | Ast.A_cost (Ast.Call (f, _), _) -> Hashtbl.replace tbl f ()
+          | _ -> ())
+        actions)
+    cmds
+
+let action_outputs (a : Ast.action) =
+  match a with
+  | Ast.A_let (_, e) | Ast.A_expr e -> heads_of [ e ]
+  | Ast.A_union (x, y) | Ast.A_set (x, y) -> heads_of [ x; y ]
+  | Ast.A_cost _ | Ast.A_delete _ | Ast.A_panic _ -> []
+
+(* global lets and top-level actions put their terms in the e-graph
+   unconditionally *)
+let mark_globals mark cmds =
+  List.iter
+    (fun ((cmd : Ast.command), _) ->
+      match cmd with
+      | Ast.C_let (_, e) -> List.iter mark (heads_of [ e ])
+      | Ast.C_action a -> List.iter mark (action_outputs a)
+      | _ -> ())
+    cmds
+
+(* (triggers, outputs) per rule; a rule fires only if every
+   non-primitive head of its patterns is matchable *)
+let rule_deps cmds =
+  List.concat_map
+    (fun ((cmd : Ast.command), _) ->
+      match cmd with
+      | Ast.C_rewrite { lhs; rhs; conds; bidirectional; _ } ->
+        let cond_es = List.concat_map fact_exprs conds in
+        let fwd = (heads_of (lhs :: cond_es), heads_of [ rhs ]) in
+        if bidirectional then [ fwd; (heads_of (rhs :: cond_es), heads_of [ lhs ]) ]
+        else [ fwd ]
+      | Ast.C_rule { facts; actions; _ } ->
+        [ (heads_of (List.concat_map fact_exprs facts), List.concat_map action_outputs actions) ]
+      | _ -> [])
+    cmds
+
+(* The reachability fixpoint: fire every rule whose triggers are all
+   matchable, marking its outputs, until nothing changes.  Returns the
+   rules that never fired, so a later fixpoint can resume from here. *)
+let saturate ~matchable ~mark rules =
+  let rules = Array.of_list rules in
+  let fired = Array.make (Array.length rules) false in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i (triggers, outputs) ->
+        if (not fired.(i)) && List.for_all matchable triggers then begin
+          fired.(i) <- true;
+          changed := true;
+          List.iter mark outputs
+        end)
+      rules
+  done;
+  List.filteri (fun i _ -> not fired.(i)) (Array.to_list rules)
+
+let is_op name (fs : Check.fsig) =
+  String.equal fs.Check.fs_ret "Op" && not (String.equal name "Value")
+
+(* What the registry says about one op constructor, independent of any
+   ruleset: its shape error, or the MLIR op it encodes, whether that is
+   registered, and the coverage/arity findings (severity, code,
+   message), in report order. *)
+type verdict =
+  | Bad_shape of string
+  | Encodes of {
+      mlir : string;
+      registered : bool;
+      findings : (Diag.severity * string * string) list;
+    }
+
+let verdict name (fs : Check.fsig) : verdict =
+  match Lint.op_shape_error name fs.Check.fs_args with
+  | Some msg -> Bad_shape msg
+  | None ->
+    let s = decompose fs.Check.fs_args in
+    let mlir = Sigs.mlir_name_of_egg name in
+    let findings = ref [] in
+    let add severity code fmt =
+      Printf.ksprintf (fun m -> findings := (severity, code, m) :: !findings) fmt
+    in
+    let registered =
+      match Dialect.find mlir with
+      | None ->
+        add Diag.Warning "egg-op-unknown"
+          "egg constructor %s maps to MLIR op %s, which is not in the dialect registry: the \
+           verifier, sort and effect audits cannot check it"
+          name mlir;
+        false
+      | Some d ->
+        (match d.Dialect.d_n_operands with
+        | Some n when n <> s.s_operands ->
+          add Diag.Error "egg-arity-mismatch"
+            "egg constructor %s declares %d operand parameter(s) but %s takes %d operand(s)"
+            name s.s_operands mlir n
+        | _ -> ());
+        if d.Dialect.d_n_regions <> s.s_regions then
+          add Diag.Error "egg-arity-mismatch"
+            "egg constructor %s declares %d region parameter(s) but %s has %d region(s)" name
+            s.s_regions mlir d.Dialect.d_n_regions;
+        (match d.Dialect.d_n_results with
+        | Some 1 when not s.s_has_type ->
+          add Diag.Error "egg-results-mismatch"
+            "%s has exactly one result, so egg constructor %s needs a trailing Type parameter"
+            mlir name
+        | Some 0 when s.s_has_type ->
+          add Diag.Error "egg-results-mismatch"
+            "%s has no results, so egg constructor %s must not have a trailing Type parameter"
+            mlir name
+        | Some n when n > 1 ->
+          add Diag.Error "egg-results-mismatch"
+            "%s has %d results; the encoding only supports 0 (no trailing Type) or 1 (trailing \
+             Type)"
+            mlir n
+        | _ -> ());
+        true
+    in
+    Encodes { mlir; registered; findings = List.rev !findings }
+
+let sort_by_name ops = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) ops
+
+(* record the MLIR ops these constructors encode, and the dialects of
+   the registered ones *)
+let note_encodings ~have_constructor ~encoded ops =
+  List.iter
+    (function
+      | _, _, Encodes { mlir; registered; _ } ->
+        Hashtbl.replace have_constructor mlir ();
+        if registered then Hashtbl.replace encoded (dialect_of mlir) ()
+      | _, _, Bad_shape _ -> ())
+    ops
+
+(* ------------------------------------------------------------------ *)
+(* The prelude's share, once per registry fingerprint                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything the audit derives from the prelude alone.  Each ruleset
+   adds its own declarations, cost targets, global lets and rules on top
+   and resumes the reachability fixpoint from [pm_pending]; since the
+   fixpoint is monotone its least solution is the one a single pass over
+   prelude and ruleset together reaches. *)
+type prelude_model = {
+  pm_fingerprint : string;  (** the registry state it was computed under *)
+  pm_ops : (string * Check.fsig * verdict) list;  (** op constructors, sorted *)
+  pm_cost_targets : (string, unit) Hashtbl.t;
+  pm_matchable : (string, unit) Hashtbl.t;
+  pm_introduced : (string, unit) Hashtbl.t;
+  pm_pending : (string list * string list) list;  (** rules not yet fired *)
+  pm_encoded : (string, unit) Hashtbl.t;  (** dialects of registered constructors *)
+  pm_unencoded : (string * string) list;
+      (** registered ops the reverse coverage could flag that no prelude
+          constructor encodes, with their dialect, in registry order *)
+}
+
+let build_prelude_model fingerprint : prelude_model =
+  let p = Lazy.force Lint.prelude in
+  let env = p.Lint.c_env and cmds = Option.value p.Lint.c_cmds ~default:[] in
+  let cost_targets = Hashtbl.create 8 in
+  add_cost_targets cost_targets cmds;
+  (* matchable: heads a pattern can ever match (eggify output, hook
+     output, or anything a fireable rule introduces).  [type-of] is
+     populated by {!Sigs.type_of_rules}, generated per run. *)
+  let matchable = Hashtbl.create 128 in
+  let introduced = Hashtbl.create 16 in
+  Check.iter_funcs env (fun name _ ->
+      if Lint.emittable env name then Hashtbl.replace matchable name ());
+  Hashtbl.replace matchable "type-of" ();
+  let mark h =
+    Hashtbl.replace matchable h ();
+    Hashtbl.replace introduced h ()
+  in
+  mark_globals mark cmds;
+  let pending = saturate ~matchable:(Hashtbl.mem matchable) ~mark (rule_deps cmds) in
+  let ops = ref [] in
+  Check.iter_funcs env (fun name fs ->
+      if is_op name fs then ops := (name, fs, verdict name fs) :: !ops);
+  let ops = sort_by_name !ops in
+  let encoded = Hashtbl.create 8 in
+  let have_constructor = Hashtbl.create 64 in
+  note_encodings ~have_constructor ~encoded ops;
+  let unencoded = ref [] in
+  Dialect.iter (fun d ->
+      let name = d.Dialect.d_name in
+      if
+        List.mem Dialect.Pure d.Dialect.d_traits
+        && d.Dialect.d_n_operands <> None
+        && d.Dialect.d_n_results = Some 1
+        && d.Dialect.d_n_regions = 0
+        && not (Hashtbl.mem have_constructor name)
+      then unencoded := (name, dialect_of name) :: !unencoded);
+  {
+    pm_fingerprint = fingerprint;
+    pm_ops = ops;
+    pm_cost_targets = cost_targets;
+    pm_matchable = matchable;
+    pm_introduced = introduced;
+    pm_pending = pending;
+    pm_encoded = encoded;
+    pm_unencoded = List.rev !unencoded;
+  }
+
+let prelude_model_cache : prelude_model option ref = ref None
+
+let prelude_builds = ref 0
+
+let prelude_model_builds () = !prelude_builds
+
+let prelude_model () =
+  let fingerprint = Dialect.fingerprint () in
+  match !prelude_model_cache with
+  | Some pm when String.equal pm.pm_fingerprint fingerprint -> pm
+  | _ ->
+    let pm = build_prelude_model fingerprint in
+    incr prelude_builds;
+    prelude_model_cache := Some pm;
+    pm
+
+(* ------------------------------------------------------------------ *)
 (* The audit                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let audit ?file (src : string) : report =
+(* merge two name-sorted constructor lists *)
+let rec merge_ops a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((na, _, _) as x) :: ra, ((nb, _, _) as y) :: rb ->
+    if String.compare na nb <= 0 then x :: merge_ops ra b else y :: merge_ops a rb
+
+let audit_with ~hash (c : Lint.checked) : report =
   Mlir.Registry.ensure_registered ();
-  let hash = hash_source src in
-  let env = Lint.fresh_env () in
-  let check_diags = Check.check_program ?file ~env src in
-  if Diag.has_errors check_diags then
+  let file = c.Lint.c_file in
+  if Diag.has_errors c.Lint.c_diags then
     (* a program the sort-checker rejects cannot be modelled; surface
        the errors so a standalone audit still fails usefully *)
     {
@@ -164,11 +410,12 @@ let audit ?file (src : string) : report =
       a_file = file;
       a_ops = [];
       a_rules = 0;
-      a_diags = List.filter Diag.is_error check_diags;
+      a_diags = List.filter Diag.is_error c.Lint.c_diags;
     }
   else begin
-    let cmds = try Egglog.Parser.parse_program_located src with _ -> [] in
-    let all_cmds = Lazy.force prelude_cmds @ cmds in
+    let pm = prelude_model () in
+    let env = c.Lint.c_env in
+    let cmds = Option.value c.Lint.c_cmds ~default:[] in
     let diags = ref [] in
     let add ?span severity code fmt =
       Fmt.kstr (fun m -> diags := Diag.make ?file ?span severity code m :: !diags) fmt
@@ -188,152 +435,60 @@ let audit ?file (src : string) : report =
         | _ -> ())
       cmds;
     let span_of name = Hashtbl.find_opt decl_spans name in
-    (* which constructors does an unstable-cost action target? *)
     let cost_targets = Hashtbl.create 8 in
-    List.iter
-      (fun ((cmd : Ast.command), _) ->
-        let actions =
-          match cmd with
-          | Ast.C_rule { actions; _ } -> actions
-          | Ast.C_action a -> [ a ]
-          | _ -> []
-        in
-        List.iter
-          (function
-            | Ast.A_cost (Ast.Call (f, _), _) -> Hashtbl.replace cost_targets f ()
-            | _ -> ())
-          actions)
-      all_cmds;
+    add_cost_targets cost_targets cmds;
+    (* the functions this ruleset declares beyond the prelude *)
+    let user_funcs = ref [] in
+    Check.iter_funcs env (fun name fs ->
+        if not (Lint.prelude_func name) then user_funcs := (name, fs) :: !user_funcs);
     (* ---------------- extraction totality: reachability fixpoint ----- *)
-    (* matchable: heads a pattern can ever match (eggify output, hook
-       output, or anything a fireable rule introduces).  [type-of] is
-       populated by {!Sigs.type_of_rules}, generated per run. *)
-    let matchable = Hashtbl.create 64 in
+    let matchable = Hashtbl.create 16 in
     let introduced = Hashtbl.create 16 in
-    Check.iter_funcs env (fun name _ ->
-        if Lint.emittable env name then Hashtbl.replace matchable name ());
-    Hashtbl.replace matchable "type-of" ();
+    List.iter
+      (fun (name, _) -> if Lint.emittable env name then Hashtbl.replace matchable name ())
+      !user_funcs;
     let mark h =
       Hashtbl.replace matchable h ();
       Hashtbl.replace introduced h ()
     in
-    let action_outputs (a : Ast.action) =
-      match a with
-      | Ast.A_let (_, e) | Ast.A_expr e -> heads_of [ e ]
-      | Ast.A_union (x, y) | Ast.A_set (x, y) -> heads_of [ x; y ]
-      | Ast.A_cost _ | Ast.A_delete _ | Ast.A_panic _ -> []
-    in
-    (* global lets and top-level actions put their terms in the e-graph
-       unconditionally *)
-    List.iter
-      (fun ((cmd : Ast.command), _) ->
-        match cmd with
-        | Ast.C_let (_, e) -> List.iter mark (heads_of [ e ])
-        | Ast.C_action a -> List.iter mark (action_outputs a)
-        | _ -> ())
-      all_cmds;
-    (* (triggers, outputs) per rule; a rule fires only if every
-       non-primitive head of its patterns is matchable *)
-    let rules_deps =
-      List.concat_map
-        (fun ((cmd : Ast.command), _) ->
-          match cmd with
-          | Ast.C_rewrite { lhs; rhs; conds; bidirectional; _ } ->
-            let cond_es = List.concat_map fact_exprs conds in
-            let fwd = (heads_of (lhs :: cond_es), heads_of [ rhs ]) in
-            if bidirectional then
-              [ fwd; (heads_of (rhs :: cond_es), heads_of [ lhs ]) ]
-            else [ fwd ]
-          | Ast.C_rule { facts; actions; _ } ->
-            [
-              ( heads_of (List.concat_map fact_exprs facts),
-                List.concat_map action_outputs actions );
-            ]
-          | _ -> [])
-        all_cmds
-    in
-    let changed = ref true in
-    let fired = Array.make (List.length rules_deps) false in
-    while !changed do
-      changed := false;
-      List.iteri
-        (fun i (triggers, outputs) ->
-          if (not fired.(i)) && List.for_all (Hashtbl.mem matchable) triggers
-          then begin
-            fired.(i) <- true;
-            changed := true;
-            List.iter mark outputs
-          end)
-        rules_deps
-    done;
+    mark_globals mark cmds;
+    ignore
+      (saturate
+         ~matchable:(fun h -> Hashtbl.mem pm.pm_matchable h || Hashtbl.mem matchable h)
+         ~mark
+         (pm.pm_pending @ rule_deps cmds)
+        : (string list * string list) list);
     (* ---------------- per-constructor coverage, arity, cost ---------- *)
-    let ops = ref [] in
-    Check.iter_funcs env (fun name fs ->
-        if String.equal fs.Check.fs_ret "Op" && not (String.equal name "Value")
-        then ops := (name, fs) :: !ops);
-    let ops = List.sort (fun (a, _) (b, _) -> String.compare a b) !ops in
+    let user_ops =
+      List.filter_map
+        (fun (name, fs) -> if is_op name fs then Some (name, fs, verdict name fs) else None)
+        !user_funcs
+      |> sort_by_name
+    in
     let op_checks =
       List.filter_map
-        (fun (name, (fs : Check.fsig)) ->
+        (fun (name, (fs : Check.fsig), v) ->
           let span = span_of name in
-          match Lint.op_shape_error name fs.Check.fs_args with
-          | Some msg ->
+          match v with
+          | Bad_shape msg ->
             (* standalone audits must reject these too; under the full
                pipeline the lint tier already failed fast on them *)
             add ?span Diag.Error "bad-op-constructor"
               "%s: %s — the eggifier cannot emit this operation" name msg;
             None
-          | None ->
-            let s = decompose fs.Check.fs_args in
-            let mlir = Sigs.mlir_name_of_egg name in
-            let registered =
-              match Dialect.find mlir with
-              | None ->
-                add ?span Diag.Warning "egg-op-unknown"
-                  "egg constructor %s maps to MLIR op %s, which is not in \
-                   the dialect registry: the verifier, sort and effect \
-                   audits cannot check it"
-                  name mlir;
-                false
-              | Some d ->
-                (match d.Dialect.d_n_operands with
-                | Some n when n <> s.s_operands ->
-                  add ?span Diag.Error "egg-arity-mismatch"
-                    "egg constructor %s declares %d operand parameter(s) but \
-                     %s takes %d operand(s)"
-                    name s.s_operands mlir n
-                | _ -> ());
-                if d.Dialect.d_n_regions <> s.s_regions then
-                  add ?span Diag.Error "egg-arity-mismatch"
-                    "egg constructor %s declares %d region parameter(s) but \
-                     %s has %d region(s)"
-                    name s.s_regions mlir d.Dialect.d_n_regions;
-                (match d.Dialect.d_n_results with
-                | Some 1 when not s.s_has_type ->
-                  add ?span Diag.Error "egg-results-mismatch"
-                    "%s has exactly one result, so egg constructor %s needs \
-                     a trailing Type parameter"
-                    mlir name
-                | Some 0 when s.s_has_type ->
-                  add ?span Diag.Error "egg-results-mismatch"
-                    "%s has no results, so egg constructor %s must not \
-                     have a trailing Type parameter"
-                    mlir name
-                | Some n when n > 1 ->
-                  add ?span Diag.Error "egg-results-mismatch"
-                    "%s has %d results; the encoding only supports 0 (no \
-                     trailing Type) or 1 (trailing Type)"
-                    mlir n
-                | _ -> ());
-                true
-            in
+          | Encodes { mlir; registered; findings } ->
+            List.iter (fun (severity, code, m) -> add ?span severity code "%s" m) findings;
             let cost =
               match fs.Check.fs_cost with
               | Some c -> Cost_static c
               | None ->
-                if Hashtbl.mem cost_targets name then Cost_rule else Cost_default
+                if Hashtbl.mem pm.pm_cost_targets name || Hashtbl.mem cost_targets name then
+                  Cost_rule
+                else Cost_default
             in
-            let reachable = Hashtbl.mem introduced name in
+            let reachable =
+              Hashtbl.mem pm.pm_introduced name || Hashtbl.mem introduced name
+            in
             if reachable && cost = Cost_default then
               add ?span Diag.Error "cost-unreachable"
                 "op constructor %s is reachable from rule right-hand sides \
@@ -348,33 +503,25 @@ let audit ?file (src : string) : report =
                 a_cost = cost;
                 a_reachable = reachable;
               })
-        ops
+        (merge_ops pm.pm_ops user_ops)
     in
     (* reverse coverage: registered ops of encoded dialects that eggify
        could translate but no constructor declares *)
-    let encoded_dialects = Hashtbl.create 8 in
-    let have_constructor = Hashtbl.create 64 in
+    let encoded = Hashtbl.create 4 in
+    let have_constructor = Hashtbl.create 8 in
+    note_encodings ~have_constructor ~encoded user_ops;
     List.iter
-      (fun c ->
-        Hashtbl.replace have_constructor c.a_mlir ();
-        if c.a_registered then
-          Hashtbl.replace encoded_dialects (dialect_of c.a_mlir) ())
-      op_checks;
-    Dialect.iter (fun d ->
-        let name = d.Dialect.d_name in
+      (fun (name, dialect) ->
         if
-          Hashtbl.mem encoded_dialects (dialect_of name)
-          && List.mem Dialect.Pure d.Dialect.d_traits
-          && d.Dialect.d_n_operands <> None
-          && d.Dialect.d_n_results = Some 1
-          && d.Dialect.d_n_regions = 0
+          (Hashtbl.mem pm.pm_encoded dialect || Hashtbl.mem encoded dialect)
           && not (Hashtbl.mem have_constructor name)
         then
           add Diag.Warning "mlir-op-unencoded"
             "registered op %s has no egg constructor although its dialect is \
              encoded: eggify will treat it opaquely and rules cannot see \
              through it"
-            name);
+            name)
+      pm.pm_unencoded;
     (* ---------------- rule-level analyses ----------------------------- *)
     let directed = Vet.directed_rules cmds in
     let audit_call (d : Vet.directed) (e : Ast.expr) =
@@ -443,6 +590,10 @@ let audit ?file (src : string) : report =
     }
   end
 
+let audit_checked (c : Lint.checked) : report = audit_with ~hash:(hash_source c.Lint.c_src) c
+
+let audit ?file (src : string) : report = audit_checked (Lint.check ?file src)
+
 (* ------------------------------------------------------------------ *)
 (* Memoization (shares the vet cache directory)                        *)
 (* ------------------------------------------------------------------ *)
@@ -493,7 +644,7 @@ let write_cache dir hash (r : report) =
 let retarget file (r : report) =
   { r with a_file = file; a_diags = List.map (fun d -> { d with Diag.file }) r.a_diags }
 
-let audit_cached ?cache_dir ?file (src : string) : report * cache_status =
+let audit_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
   let hash = hash_source src in
   match Hashtbl.find_opt memo hash with
   | Some r -> (retarget file r, Hit_memory)
@@ -506,7 +657,8 @@ let audit_cached ?cache_dir ?file (src : string) : report * cache_status =
       Hashtbl.replace memo hash r;
       (retarget file r, Hit_disk)
     | None ->
-      let r = audit ?file src in
+      let c = match checked with Some c -> Lazy.force c | None -> Lint.check ?file src in
+      let r = audit_with ~hash c in
       Hashtbl.replace memo hash r;
       Option.iter (fun d -> write_cache d hash r) dir;
       (r, Computed))

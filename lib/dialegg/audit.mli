@@ -37,23 +37,38 @@ type op_check = {
 }
 
 type report = {
-  a_hash : string;  (** content hash of (registry fingerprint, source) *)
+  a_hash : string;  (** content hash of (registry fingerprint, prelude, source) *)
   a_file : string option;
   a_ops : op_check list;  (** every op constructor in scope, sorted *)
   a_rules : int;  (** directed rules audited *)
   a_diags : Egglog.Diag.t list;
 }
 
-(** Memoization key: hex MD5 of the source prefixed with a
-    format-version tag and the {!Mlir.Dialect.fingerprint}, so editing
-    either the ruleset or an op definition invalidates cached
-    verdicts. *)
+(** The memoization key of a ruleset source under a prelude digest and
+    a registry fingerprint: hex MD5 of a format-version tag, [registry],
+    [prelude] and the source. *)
+val key : prelude:string -> registry:string -> string -> string
+
+(** Memoization key: {!key} under {!Prelude.digest} and the current
+    {!Mlir.Dialect.fingerprint}, so editing the ruleset, the prelude or
+    an op definition invalidates cached verdicts. *)
 val hash_source : string -> string
 
 (** Run all four analyses on a ruleset source (the prelude is always in
-    scope).  Never raises: a program the sort-checker rejects yields the
-    check errors as the report's diagnostics with no per-op results. *)
+    scope): [audit_checked (Lint.check ?file src)].  Never raises: a
+    program the sort-checker rejects yields the check errors as the
+    report's diagnostics with no per-op results. *)
 val audit : ?file:string -> string -> report
+
+(** Run all four analyses on an already checked ruleset.  The prelude's
+    share of the work (its constructors' registry checks, its cost
+    targets, its rules' reachability and the reverse-coverage
+    candidates) is computed once per registry fingerprint and reused. *)
+val audit_checked : Lint.checked -> report
+
+(** How many times the prelude's share has been computed in this
+    process: once, plus once after each registry change an audit saw. *)
+val prelude_model_builds : unit -> int
 
 (** Where an {!audit_cached} report came from. *)
 type cache_status = Vet.cache_status = Hit_memory | Hit_disk | Computed
@@ -66,9 +81,15 @@ val cache_status_name : cache_status -> string
     [<tmpdir>/dialegg-vet-cache]; [DIALEGG_VET_CACHE=""] disables disk
     caching) under a [.audit] extension with its own format-version
     magic.  Writes are atomic and unreadable or stale entries are
-    misses, so a corrupt cache can never fail a build. *)
+    misses, so a corrupt cache can never fail a build.  [checked], when
+    given, must be [Lint.check ?file src]: it is forced only on a miss,
+    so a hit parses nothing. *)
 val audit_cached :
-  ?cache_dir:string -> ?file:string -> string -> report * cache_status
+  ?cache_dir:string ->
+  ?file:string ->
+  ?checked:Lint.checked Lazy.t ->
+  string ->
+  report * cache_status
 
 val cost_model_name : cost_model -> string
 

@@ -27,22 +27,32 @@ module Check = Egglog.Check
 module Diag = Egglog.Diag
 module Sexp = Egglog.Sexp
 
-(* The prelude environment is immutable once built; every lint works on a
-   copy so user declarations never leak between runs. *)
-let prelude_env =
+type checked = {
+  c_src : string;
+  c_file : string option;
+  c_env : Check.env;
+  c_diags : Diag.t list;
+  c_cmds : (Ast.command * Sexp.located) list option;
+}
+
+(* The prelude, checked once.  Its environment is never modified: every
+   ruleset is checked against a copy, so user declarations never leak
+   between runs. *)
+let prelude =
   lazy
     (let env = Check.create_env () in
-     let diags = Check.check_program ~file:"<prelude>" ~env Prelude.source in
+     let file = "<prelude>" in
+     let diags, cmds = Check.check_program_located ~file ~env Prelude.source in
      assert (not (Diag.has_errors diags));
-     env)
+     { c_src = Prelude.source; c_file = Some file; c_env = env; c_diags = diags; c_cmds = cmds })
 
 (** A checking environment preloaded with the DialEgg prelude. *)
-let fresh_env () = Check.copy_env (Lazy.force prelude_env)
+let fresh_env () = Check.copy_env (Lazy.force prelude).c_env
 
 let prelude_funcs =
   lazy
     (let s = Hashtbl.create 128 in
-     Check.iter_funcs (Lazy.force prelude_env) (fun name _ -> Hashtbl.replace s name ());
+     Check.iter_funcs (Lazy.force prelude).c_env (fun name _ -> Hashtbl.replace s name ());
      s)
 
 (* ------------------------------------------------------------------ *)
@@ -280,17 +290,25 @@ let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t 
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Lint a rules program against the prelude-seeded environment: generic
-    sort checking plus the dialect lints.  Never raises. *)
-let lint_rules ?file (src : string) : Diag.t list =
+(* One copy of the prelude environment, one located parse, one sort
+   check: what lint, vet and audit all start from. *)
+let check ?file (src : string) : checked =
   let env = fresh_env () in
-  let check_diags = Check.check_program ?file ~env src in
+  let diags, cmds = Check.check_program_located ?file ~env src in
+  { c_src = src; c_file = file; c_env = env; c_diags = diags; c_cmds = cmds }
+
+(** Generic sort checking plus the dialect lints over a checked ruleset. *)
+let lint_checked (c : checked) : Diag.t list =
   let dialect =
-    match Egglog.Parser.parse_program_located src with
-    | cmds -> dialect_lints ?file env cmds
-    | exception _ -> [] (* unparsable: check_diags already carries the error *)
+    match c.c_cmds with
+    | Some cmds -> dialect_lints ?file:c.c_file c.c_env cmds
+    | None -> [] (* unparsable: c_diags already carries the error *)
   in
-  Diag.dedup (check_diags @ dialect)
+  Diag.dedup (c.c_diags @ dialect)
+
+(** Lint a rules program against the prelude-seeded environment.  Never
+    raises. *)
+let lint_rules ?file (src : string) : Diag.t list = lint_checked (check ?file src)
 
 (** Lint the contents of a [.egg] file. *)
 let lint_file (path : string) : Diag.t list =

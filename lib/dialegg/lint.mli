@@ -4,6 +4,24 @@
     [dead-rule], [op-no-cost], [unstable-cost-unbound],
     [expansion-no-cost] — see [lint.ml] for their meanings). *)
 
+(** A ruleset parsed once with locations and sort-checked once against
+    its own copy of the prelude environment.  Lint, {!Vet} and {!Audit}
+    are passes over this value and only read it, so one value serves all
+    three tiers. *)
+type checked = {
+  c_src : string;  (** the ruleset source *)
+  c_file : string option;  (** file name carried by every diagnostic *)
+  c_env : Egglog.Check.env;
+      (** the prelude environment extended with the ruleset's declarations *)
+  c_diags : Egglog.Diag.t list;  (** the sort-checker's diagnostics *)
+  c_cmds : (Egglog.Ast.command * Egglog.Sexp.located) list option;
+      (** the located commands; [None] when some command fails to parse *)
+}
+
+(** The prelude itself, checked once ([c_file] is [<prelude>]).  Read
+    only: its environment is the one every {!check} copies. *)
+val prelude : checked Lazy.t
+
 (** A fresh checking environment preloaded with the DialEgg prelude. *)
 val fresh_env : unit -> Egglog.Check.env
 
@@ -22,8 +40,16 @@ val emittable : Egglog.Check.env -> string -> bool
 (** Is this function declared by the DialEgg prelude? *)
 val prelude_func : string -> bool
 
-(** Lint a rules program (user declarations + rewrites).  Never raises:
-    unparsable input becomes [parse-error] diagnostics. *)
+(** Check a ruleset source.  Never raises: unparsable input becomes
+    [parse-error] diagnostics. *)
+val check : ?file:string -> string -> checked
+
+(** The sort-checker's diagnostics followed by the dialect lints'. *)
+val lint_checked : checked -> Egglog.Diag.t list
+
+(** Lint a rules program (user declarations + rewrites):
+    [lint_checked (check ?file src)].  Never raises: unparsable input
+    becomes [parse-error] diagnostics. *)
 val lint_rules : ?file:string -> string -> Egglog.Diag.t list
 
 (** Lint the contents of a [.egg] file; IO failures become an [io-error]

@@ -123,11 +123,16 @@ let default_config =
     inject = None;
   }
 
+(* The ruleset all three static tiers read, parsed and sort-checked on
+   first use: a vet or audit memo hit with lint off parses nothing.  It
+   lives only as long as one request's tiers; no memo keeps it. *)
+let checked_rules config = lazy (Lint.check ~file:"<rules>" config.rules)
+
 (* Fail fast on lint errors instead of silently saturating with rules
    that can never fire; warnings are surfaced but not fatal. *)
-let lint_rules_exn config =
+let lint_rules_exn ~checked config =
   if config.lint && config.rules <> "" then begin
-    let diags = Lint.lint_rules ~file:"<rules>" config.rules in
+    let diags = Lint.lint_checked (Lazy.force checked) in
     List.iter
       (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
       diags;
@@ -145,10 +150,10 @@ let lint_rules_exn config =
    content hash, so repeated runs over the same rules (every function of
    a module, every job of a batch) pay for the analysis once; the
    (report, cache status) pair is kept for [--stats]. *)
-let vet_rules_exn config : (Vet.report * Vet.cache_status) option =
+let vet_rules_exn ?checked config : (Vet.report * Vet.cache_status) option =
   if config.vet && config.rules <> "" then begin
     let report, status =
-      Vet.vet_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" config.rules
+      Vet.vet_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
     in
     (* an in-process memo hit already printed its warnings *)
     if status <> Vet.Hit_memory then
@@ -170,10 +175,10 @@ let vet_rules_exn config : (Vet.report * Vet.cache_status) option =
    registry and the cost model abort before any saturation runs;
    coverage warnings are surfaced but not fatal.  Memoized by (ruleset,
    registry fingerprint) content hash, like the vet tier. *)
-let audit_rules_exn config : (Audit.report * Audit.cache_status) option =
+let audit_rules_exn ?checked config : (Audit.report * Audit.cache_status) option =
   if config.audit && config.rules <> "" then begin
     let report, status =
-      Audit.audit_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" config.rules
+      Audit.audit_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
     in
     (* an in-process memo hit already printed its warnings *)
     if status <> Audit.Hit_memory then
@@ -190,6 +195,13 @@ let audit_rules_exn config : (Audit.report * Audit.cache_status) option =
   end
   else None
 
+(* The three fail-fast static tiers in order, over one checked ruleset. *)
+let static_tiers_exn config =
+  let checked = checked_rules config in
+  lint_rules_exn ~checked config;
+  let vet = vet_rules_exn ~checked config in
+  (vet, audit_rules_exn ~checked config)
+
 (* Pre-warm a config for a long-lived serving process: run every
    fail-fast static tier once (so their verdicts are memoized and any
    error surfaces immediately, not on the first request), force the
@@ -198,9 +210,7 @@ let audit_rules_exn config : (Audit.report * Audit.cache_status) option =
    batch driver uses it so workers inherit pre-vetted rules. *)
 let prewarmed (config : config) : config =
   Mlir.Registry.ensure_registered ();
-  lint_rules_exn config;
-  ignore (vet_rules_exn config : (Vet.report * Vet.cache_status) option);
-  ignore (audit_rules_exn config : (Audit.report * Audit.cache_status) option);
+  ignore (static_tiers_exn config);
   ignore (Lazy.force Prelude.commands : Egglog.Ast.command list);
   { config with lint = false; vet = false; audit = false }
 
@@ -508,9 +518,7 @@ let restore_function (func : Mlir.Ir.op) (src : string) =
 let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hooks ())
     (func : Mlir.Ir.op) : func_report =
   Mlir.Registry.ensure_registered ();
-  lint_rules_exn config;
-  ignore (vet_rules_exn config : (Vet.report * Vet.cache_status) option);
-  ignore (audit_rules_exn config : (Audit.report * Audit.cache_status) option);
+  ignore (static_tiers_exn config);
   let fname = Mlir.Ir.func_name func in
   let strict = config.on_limit = Fail in
   let original = if strict then None else Some (snapshot_function func) in
@@ -699,9 +707,7 @@ let optimize_func ?config ?hooks (func : Mlir.Ir.op) : timings =
     functions still run. *)
 let optimize_module_report ?(config = default_config) ?hooks ?only (m : Mlir.Ir.op) :
     report =
-  lint_rules_exn config;
-  let vet_result = vet_rules_exn config in
-  let audit_result = audit_rules_exn config in
+  let vet_result, audit_result = static_tiers_exn config in
   (* the rules were just linted, vetted and audited; don't redo any of
      the static tiers per function *)
   let config = { config with lint = false; vet = false; audit = false } in

@@ -89,15 +89,21 @@ val default_config : config
 
 (** Run the {!Vet} fail-fast tier over [config.rules]: prints warnings to
     stderr and returns the memoized (report, cache status); [None] when
-    [config.vet] is off or there are no rules.
+    [config.vet] is off or there are no rules.  [checked], when given,
+    must be [Lint.check ~file:"<rules>" config.rules]; it is forced only
+    on a memo miss.  The pipeline's own calls share one such value
+    between lint, vet and audit.
     @raise Error on any error-severity vet diagnostic. *)
-val vet_rules_exn : config -> (Vet.report * Vet.cache_status) option
+val vet_rules_exn :
+  ?checked:Lint.checked Lazy.t -> config -> (Vet.report * Vet.cache_status) option
 
 (** Run the {!Audit} fail-fast tier over [config.rules]: prints warnings
     to stderr and returns the memoized (report, cache status); [None]
-    when [config.audit] is off or there are no rules.
+    when [config.audit] is off or there are no rules.  [checked] is as
+    for {!vet_rules_exn}.
     @raise Error on any error-severity audit diagnostic. *)
-val audit_rules_exn : config -> (Audit.report * Audit.cache_status) option
+val audit_rules_exn :
+  ?checked:Lint.checked Lazy.t -> config -> (Audit.report * Audit.cache_status) option
 
 (** Pre-warm [config] for a long-lived serving or batch process: run the
     lint / vet / audit fail-fast tiers once (memoizing their verdicts),

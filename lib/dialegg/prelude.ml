@@ -161,3 +161,6 @@ let source =
 
 (** Parsed prelude commands (parsed once, lazily). *)
 let commands = lazy (Egglog.Parser.parse_program source)
+
+(** Hex MD5 of {!source}. *)
+let digest = Digest.to_hex (Digest.string source)

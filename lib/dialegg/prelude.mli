@@ -14,3 +14,7 @@ val source : string
 
 (** Parsed prelude commands (parsed once, lazily). *)
 val commands : Egglog.Ast.command list Lazy.t
+
+(** Hex MD5 of {!source}.  The vet and audit cache keys fold it in, so a
+    prelude edit invalidates their cached verdicts. *)
+val digest : string

@@ -28,9 +28,11 @@
        rule with the same effect, and identical-LHS-different-RHS
        critical pairs.}}
 
-    The verdict is memoized in-process and on disk keyed by a content
-    hash of the ruleset source ({!vet_cached}), so batch and serve
-    workloads vet a ruleset once, not once per function.
+    The passes run over a {!Lint.checked} ruleset, the value lint and
+    audit read too.  The verdict is memoized in-process and on disk
+    keyed by a content hash of the ruleset and prelude sources
+    ({!vet_cached}), so batch and serve workloads vet a ruleset once,
+    not once per function.
 
     Limitations (documented in DESIGN.md): guards ([:when] facts and rule
     facts beyond the matched pattern) are ignored by the soundness pass —
@@ -595,26 +597,31 @@ let overlap_diags ?file (rules : directed array) : Diag.t list =
 (* ------------------------------------------------------------------ *)
 
 type report = {
-  v_hash : string;  (** content hash of the ruleset source *)
+  v_hash : string;  (** content hash of the ruleset and prelude sources *)
   v_file : string option;
   v_rules : rule_info list;
   v_diags : Diag.t list;
 }
 
-let hash_source (src : string) : string =
-  Digest.to_hex (Digest.string ("dialegg-vet-1\n" ^ src))
+let key ~prelude (src : string) : string =
+  Digest.to_hex (Digest.string (String.concat "\n" [ "dialegg-vet-1"; prelude; src ]))
 
-let vet ?file (src : string) : report =
-  let hash = hash_source src in
-  let env = Lint.fresh_env () in
-  let check_diags = Check.check_program ?file ~env src in
-  if Diag.has_errors check_diags then
+let hash_source (src : string) : string = key ~prelude:Prelude.digest src
+
+let vet_with ~hash (c : Lint.checked) : report =
+  let file = c.Lint.c_file in
+  if Diag.has_errors c.Lint.c_diags then
     (* a program the sort-checker rejects cannot be analyzed; surface the
        errors so a standalone vet still fails usefully *)
-    { v_hash = hash; v_file = file; v_rules = []; v_diags = List.filter Diag.is_error check_diags }
+    {
+      v_hash = hash;
+      v_file = file;
+      v_rules = [];
+      v_diags = List.filter Diag.is_error c.Lint.c_diags;
+    }
   else begin
-    let cmds = try Egglog.Parser.parse_program_located src with _ -> [] in
-    let rules = Array.of_list (directed_rules cmds) in
+    let env = c.Lint.c_env in
+    let rules = Array.of_list (directed_rules (Option.value c.Lint.c_cmds ~default:[])) in
     let classes = Array.map classify rules in
     let sound_diags = ref [] in
     let infos =
@@ -639,6 +646,10 @@ let vet ?file (src : string) : report =
     in
     { v_hash = hash; v_file = file; v_rules = infos; v_diags = diags }
   end
+
+let vet_checked (c : Lint.checked) : report = vet_with ~hash:(hash_source c.Lint.c_src) c
+
+let vet ?file (src : string) : report = vet_checked (Lint.check ?file src)
 
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)
@@ -695,7 +706,7 @@ let write_cache dir hash (r : report) =
 let retarget file (r : report) =
   { r with v_file = file; v_diags = List.map (fun d -> { d with Diag.file }) r.v_diags }
 
-let vet_cached ?cache_dir ?file (src : string) : report * cache_status =
+let vet_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
   let hash = hash_source src in
   match Hashtbl.find_opt memo hash with
   | Some r -> (retarget file r, Hit_memory)
@@ -706,7 +717,8 @@ let vet_cached ?cache_dir ?file (src : string) : report * cache_status =
       Hashtbl.replace memo hash r;
       (retarget file r, Hit_disk)
     | None ->
-      let r = vet ?file src in
+      let c = match checked with Some c -> Lazy.force c | None -> Lint.check ?file src in
+      let r = vet_with ~hash c in
       Hashtbl.replace memo hash r;
       Option.iter (fun d -> write_cache d hash r) dir;
       (r, Computed))

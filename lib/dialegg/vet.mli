@@ -21,7 +21,8 @@
     Guards are ignored by the soundness pass (they only narrow the LHS),
     so a rule that is sound only because of its guard may be flagged;
     see DESIGN.md.  Reports are memoized by a content hash of the
-    ruleset source, in-process and on disk ({!vet_cached}). *)
+    ruleset and prelude sources, in-process and on disk
+    ({!vet_cached}). *)
 
 (** How a directed rule changes term size. *)
 type classification = Contracting | Size_preserving | Expanding
@@ -41,20 +42,29 @@ type rule_info = {
 }
 
 type report = {
-  v_hash : string;  (** content hash of the ruleset source, the cache key *)
+  v_hash : string;  (** content hash of the ruleset and prelude sources, the cache key *)
   v_file : string option;
   v_rules : rule_info list;
   v_diags : Egglog.Diag.t list;
 }
 
-(** Content hash used as the memoization key (hex MD5 of the source
-    prefixed with a format-version tag). *)
+(** The memoization key of a ruleset source under a prelude digest: hex
+    MD5 of a format-version tag, [prelude] and the source. *)
+val key : prelude:string -> string -> string
+
+(** Content hash used as the memoization key: {!key} under
+    {!Prelude.digest}, so editing the ruleset or the prelude invalidates
+    cached verdicts. *)
 val hash_source : string -> string
 
-(** Run all three passes on a ruleset source.  Never raises: a program
-    the sort-checker rejects yields its check errors as the report's
-    diagnostics with no per-rule results. *)
+(** Run all three passes on a ruleset source: [vet_checked (Lint.check
+    ?file src)].  Never raises: a program the sort-checker rejects yields
+    its check errors as the report's diagnostics with no per-rule
+    results. *)
 val vet : ?file:string -> string -> report
+
+(** Run all three passes on an already checked ruleset. *)
+val vet_checked : Lint.checked -> report
 
 (** Where a {!vet_cached} report came from. *)
 type cache_status = Hit_memory | Hit_disk | Computed
@@ -66,8 +76,15 @@ val cache_status_name : cache_status -> string
     to [$DIALEGG_VET_CACHE] or [<tmpdir>/dialegg-vet-cache]; setting
     [DIALEGG_VET_CACHE=""] disables the disk cache).  Disk writes are
     atomic (temp file + rename) and unreadable or stale entries are
-    treated as misses, so a corrupt cache can never fail a build. *)
-val vet_cached : ?cache_dir:string -> ?file:string -> string -> report * cache_status
+    treated as misses, so a corrupt cache can never fail a build.
+    [checked], when given, must be [Lint.check ?file src]: it is forced
+    only on a miss, so a hit parses nothing. *)
+val vet_cached :
+  ?cache_dir:string ->
+  ?file:string ->
+  ?checked:Lint.checked Lazy.t ->
+  string ->
+  report * cache_status
 
 (** One line per rule: name, classification, soundness verdict, and the
     symbolic interval pair when it changed. *)

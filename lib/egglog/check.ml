@@ -801,21 +801,33 @@ let finish ctx = Diag.dedup (List.rev ctx.diags)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_program ?file ~env (src : string) : Diag.t list =
+let check_program_located ?file ~env (src : string) :
+    Diag.t list * (Ast.command * Sexp.located) list option =
   let ctx = { env; file; diags = []; next = 0 } in
-  (try
-     let locs = Sexp.parse_string_loc src in
-     List.iter
-       (fun loc ->
-         match Parser.command_of_sexp (Sexp.strip loc) with
-         | cmd -> check_located_safe ctx cmd loc
-         | exception Parser.Error m -> errf ctx loc.Sexp.span "parse-error" "%s" m
-         | exception Failure m -> errf ctx loc.Sexp.span "parse-error" "%s" m)
-       locs
-   with Sexp.Parse_error { line; col; msg; _ } ->
-     let pos = { Sexp.line; col } in
-     errf ctx { sp_start = pos; sp_end = pos } "parse-error" "%s" msg);
-  finish ctx
+  let cmds =
+    try
+      List.fold_left
+        (fun acc loc ->
+          match Parser.command_of_sexp (Sexp.strip loc) with
+          | cmd ->
+            check_located_safe ctx cmd loc;
+            Option.map (fun cmds -> (cmd, loc) :: cmds) acc
+          | exception Parser.Error m ->
+            errf ctx loc.Sexp.span "parse-error" "%s" m;
+            None
+          | exception Failure m ->
+            errf ctx loc.Sexp.span "parse-error" "%s" m;
+            None)
+        (Some []) (Sexp.parse_string_loc src)
+      |> Option.map List.rev
+    with Sexp.Parse_error { line; col; msg; _ } ->
+      let pos = { Sexp.line; col } in
+      errf ctx { sp_start = pos; sp_end = pos } "parse-error" "%s" msg;
+      None
+  in
+  (finish ctx, cmds)
+
+let check_program ?file ~env src = fst (check_program_located ?file ~env src)
 
 let check_commands ?file ~env (cmds : Ast.command list) : Diag.t list =
   let ctx = { env; file; diags = []; next = 0 } in

@@ -33,9 +33,20 @@ val find_func : env -> string -> fsig option
 
 val iter_funcs : env -> (string -> fsig -> unit) -> unit
 
-(** Check a program from source text.  Never raises: unparsable input
-    becomes [parse-error] diagnostics.  Declarations (even erroneous
-    ones, best-effort) are recorded in [env]. *)
+(** Check a program from source text, parsing it once with locations.
+    Returns the diagnostics and each command paired with the located
+    s-expression it was read from; the commands are [None] when some
+    command fails to parse (exactly when {!Parser.parse_program_located}
+    raises).  Never raises on unparsable input: it becomes [parse-error]
+    diagnostics.  Declarations (even erroneous ones, best-effort) are
+    recorded in [env]. *)
+val check_program_located :
+  ?file:string ->
+  env:env ->
+  string ->
+  Diag.t list * (Ast.command * Sexp.located) list option
+
+(** The diagnostics of {!check_program_located}. *)
 val check_program : ?file:string -> env:env -> string -> Diag.t list
 
 (** Check an already-parsed program.  Diagnostics carry no source spans. *)

@@ -21,7 +21,10 @@ type t =
 let rec equal a b =
   match (a, b) with
   | I64 x, I64 y -> Int64.equal x y
-  | F64 x, F64 y -> Float.equal x y (* bitwise-ish: NaN = NaN, distinguishes signed zero *)
+  | F64 x, F64 y ->
+    (* bitwise, so 0.0 and -0.0 differ; every NaN equals every NaN *)
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    || (Float.is_nan x && Float.is_nan y)
   | Str x, Str y -> String.equal x y
   | Bool x, Bool y -> Bool.equal x y
   | Unit, Unit -> true
@@ -36,7 +39,7 @@ let rec equal a b =
 let rec hash v =
   match v with
   | I64 x -> Hashtbl.hash (0, x)
-  | F64 x -> Hashtbl.hash (1, x)
+  | F64 x -> Hashtbl.hash (1, x) (* hashes 0.0 and -0.0, and all NaNs, alike *)
   | Str x -> Hashtbl.hash (2, x)
   | Bool x -> Hashtbl.hash (3, x)
   | Unit -> Hashtbl.hash 4

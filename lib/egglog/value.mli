@@ -14,7 +14,12 @@ type t =
   | Vec of t array
   | Eclass of int  (** reference to an e-class, by id *)
 
+(** Structural equality.  [F64] compares bit patterns, so [0.0] and
+    [-0.0] are different values (they are different constants: [x + 0.0]
+    and [x + -0.0] differ at [x = -0.0]); every NaN equals every NaN. *)
 val equal : t -> t -> bool
+
+(** Consistent with {!equal}: equal values hash alike. *)
 val hash : t -> int
 
 (** Replace every e-class id inside the value (including inside vectors,

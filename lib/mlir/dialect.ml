@@ -48,6 +48,10 @@ type op_def = {
 
 let registry : (string, op_def) Hashtbl.t = Hashtbl.create 128
 
+(* {!fingerprint}'s digest of the registry as it stands; {!def}, the
+   registry's only writer, drops it. *)
+let fingerprint_cache : string option ref = ref None
+
 let def ?n_operands ?n_results ?(n_regions = 0) ?(traits = [])
     ?(result_class = []) ?(effects = []) ?verify ?fold name =
   let d =
@@ -63,7 +67,8 @@ let def ?n_operands ?n_results ?(n_regions = 0) ?(traits = [])
       d_fold = fold;
     }
   in
-  Hashtbl.replace registry name d
+  Hashtbl.replace registry name d;
+  fingerprint_cache := None
 
 (** Definition of an op name, if registered. *)
 let find name = Hashtbl.find_opt registry name
@@ -111,8 +116,9 @@ let effect_name = function
    classes, effects — everything the encoding auditor consults).  Cached
    audit verdicts key on this so registering, removing or editing an op
    definition invalidates them.  Verify/fold closures are not hashable
-   and not part of the contract the auditor checks, so they are ignored. *)
-let fingerprint () =
+   and not part of the contract the auditor checks, so they are ignored.
+   Computed once per registry state. *)
+let compute_fingerprint () =
   let buf = Buffer.create 1024 in
   iter (fun d ->
       Buffer.add_string buf d.d_name;
@@ -130,3 +136,11 @@ let fingerprint () =
       List.iter (fun e -> Buffer.add_string buf (" !" ^ effect_name e)) d.d_effects;
       Buffer.add_char buf '\n');
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint () =
+  match !fingerprint_cache with
+  | Some fp -> fp
+  | None ->
+    let fp = compute_fingerprint () in
+    fingerprint_cache := Some fp;
+    fp

@@ -76,5 +76,6 @@ val effect_name : effect_kind -> string
 
 (** Content hash of every registered op spec (arities, traits, result
     classes, effects).  Changes whenever a definition that the encoding
-    auditor consults changes, so cached audit verdicts self-invalidate. *)
+    auditor consults changes, so cached audit verdicts self-invalidate.
+    The digest is cached: it is recomputed only after a {!def}. *)
 val fingerprint : unit -> string

@@ -197,4 +197,11 @@ echo "== mlir-run: interpret =="
 dune exec bin/mlir_run.exe -- benchmarks/div_pow2_demo.mlir -f divs 51200 | grep -q '200:i64'
 echo ok
 
+echo "== dialegg-opt: 0.0 and -0.0 stay distinct constants =="
+dune exec bin/dialegg_opt.exe -- test/fixtures/signed_zero.mlir \
+  --egg rules/const_fold.egg >/tmp/dialegg_signed_zero.mlir
+dune exec bin/mlir_run.exe -- /tmp/dialegg_signed_zero.mlir -f f -- -0.0 \
+  | grep -q '^-0:f64'
+echo ok
+
 echo "all smoke tests passed"

@@ -217,6 +217,52 @@ let test_hash_is_content_keyed () =
     (String.equal h1
        (Dialegg.Vet.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))"))
 
+(* A prelude edit must invalidate cached verdicts: both keys fold in the
+   prelude's digest. *)
+let test_prelude_keys_the_hash () =
+  let src = "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
+  let digest text = Digest.to_hex (Digest.string text) in
+  let d1 = digest Dialegg.Prelude.source in
+  let d2 = digest (Dialegg.Prelude.source ^ "\n(function extra_op (Op Type) Op :cost 1)") in
+  checkb "Prelude.digest is the source's MD5" true (String.equal d1 Dialegg.Prelude.digest);
+  checkb "vet keys differ across preludes" false
+    (String.equal (Dialegg.Vet.key ~prelude:d1 src) (Dialegg.Vet.key ~prelude:d2 src));
+  let registry = Mlir.Dialect.fingerprint () in
+  checkb "audit keys differ across preludes" false
+    (String.equal
+       (Dialegg.Audit.key ~prelude:d1 ~registry src)
+       (Dialegg.Audit.key ~prelude:d2 ~registry src));
+  checkb "vet hash_source is the key under the shipped prelude" true
+    (String.equal (Dialegg.Vet.hash_source src) (Dialegg.Vet.key ~prelude:d1 src));
+  checkb "audit hash_source is the key under the shipped prelude" true
+    (String.equal (Dialegg.Audit.hash_source src) (Dialegg.Audit.key ~prelude:d1 ~registry src))
+
+(* ------------------------------------------------------------------ *)
+(* One checked ruleset shared by the three tiers                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The pipeline checks a ruleset once and runs lint, vet and audit, in
+   that order, over the same value.  No pass may disturb what a later
+   one reads: each report must equal the tier run alone on the text. *)
+let test_shared_checked_ruleset () =
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".egg")
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
+  in
+  List.iter
+    (fun path ->
+      let src = read_file path in
+      let c = Dialegg.Lint.check ~file:path src in
+      let lint = Dialegg.Lint.lint_checked c in
+      let vet = Dialegg.Vet.vet_checked c in
+      let audit = Dialegg.Audit.audit_checked c in
+      checkb (path ^ ": lint") true (lint = Dialegg.Lint.lint_rules ~file:path src);
+      checkb (path ^ ": vet") true (vet = Dialegg.Vet.vet ~file:path src);
+      checkb (path ^ ": audit") true (audit = Dialegg.Audit.audit ~file:path src))
+    (files "fixtures" @ files "../rules")
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline integration                                                *)
 (* ------------------------------------------------------------------ *)
@@ -313,6 +359,39 @@ let test_fingerprint_keys_the_hash () =
   let after = Dialegg.Audit.hash_source src in
   checkb "registry edits change the audit key" false (String.equal before after)
 
+(* Replacing an op's spec (not just adding a new op) must show: the
+   cached fingerprint is dropped, and the prelude's share of the audit
+   is rebuilt under the new registry. *)
+let test_redefined_op_rebuilds_prelude_model () =
+  let fp = Mlir.Dialect.fingerprint () in
+  checkb "fingerprint is cached" true (fp == Mlir.Dialect.fingerprint ());
+  ignore (Dialegg.Audit.audit "" : Dialegg.Audit.report);
+  let builds = Dialegg.Audit.prelude_model_builds () in
+  let orig = Option.get (Mlir.Dialect.find "arith.addi") in
+  let restore () =
+    Mlir.Dialect.def ?n_operands:orig.d_n_operands ?n_results:orig.d_n_results
+      ~n_regions:orig.d_n_regions ~traits:orig.d_traits ~result_class:orig.d_result_class
+      ~effects:orig.d_effects ?verify:orig.d_verify ?fold:orig.d_fold "arith.addi"
+  in
+  let arity_on_addi (r : Dialegg.Audit.report) =
+    List.exists
+      (fun d ->
+        d.Egglog.Diag.code = "egg-arity-mismatch"
+        && contains_sub d.Egglog.Diag.message "arith_addi")
+      r.Dialegg.Audit.a_diags
+  in
+  Fun.protect ~finally:restore (fun () ->
+      Mlir.Dialect.def ~n_operands:3 ~n_results:1 ~traits:orig.d_traits
+        ~result_class:orig.d_result_class "arith.addi";
+      checkb "fingerprint changes" false (String.equal fp (Mlir.Dialect.fingerprint ()));
+      let r = Dialegg.Audit.audit "" in
+      checkb (Fmt.str "egg-arity-mismatch on arith_addi in: %s" (pp_diags r.Dialegg.Audit.a_diags))
+        true (arity_on_addi r);
+      checkb "from a rebuilt prelude model" true
+        (Dialegg.Audit.prelude_model_builds () = builds + 1));
+  checkb "restored spec, restored fingerprint" true (String.equal fp (Mlir.Dialect.fingerprint ()));
+  checkb "restored spec, no mismatch" false (arity_on_addi (Dialegg.Audit.audit ""))
+
 let test_unencoded_op_warns () =
   (* an encoded dialect (arith) with a registered pure fixed-arity op
      that has no egg constructor: eggify would treat it opaquely *)
@@ -358,6 +437,12 @@ let () =
         [
           Alcotest.test_case "audit_cached memoizes" `Quick test_audit_cached_memoizes;
           Alcotest.test_case "hash is content-keyed" `Quick test_hash_is_content_keyed;
+          Alcotest.test_case "prelude keys the hash" `Quick test_prelude_keys_the_hash;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "one checked ruleset, three tiers" `Quick
+            test_shared_checked_ruleset;
         ] );
       ( "pipeline",
         [
@@ -377,6 +462,8 @@ let () =
         [
           Alcotest.test_case "fingerprint keys the hash" `Quick
             test_fingerprint_keys_the_hash;
+          Alcotest.test_case "redefined op rebuilds the prelude model" `Quick
+            test_redefined_op_rebuilds_prelude_model;
           Alcotest.test_case "unencoded op warns" `Quick test_unencoded_op_warns;
         ] );
     ]

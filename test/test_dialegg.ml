@@ -234,6 +234,31 @@ func.func @f(%x: i64) -> i64 {
   in
   checki "duplicate multiply merged" 1 (count_op "arith.muli" m)
 
+(* 0.0 and -0.0 are different constants: x + 0.0 and x + -0.0 differ at
+   x = -0.0, so the e-graph must not merge them, with or without rules,
+   and both must survive extraction, de-eggify and printing *)
+let test_signed_zero_kept () =
+  let src = In_channel.with_open_text "fixtures/signed_zero.mlir" In_channel.input_all in
+  let run text =
+    let m = Mlir.Parser.parse_module text in
+    let r = Mlir.Interp.run m "f" [ Mlir.Interp.Rf (-0.0, Mlir.Typ.F64) ] in
+    List.map
+      (function
+        | Mlir.Interp.Rf (x, _) -> Int64.bits_of_float x
+        | v -> Alcotest.fail (Fmt.str "expected an f64, got %a" Mlir.Interp.pp_rv v))
+      r.Mlir.Interp.values
+  in
+  let expected = run src in
+  checkb "input returns 0 and -0" true
+    (expected = [ Int64.bits_of_float 0.0; Int64.bits_of_float (-0.0) ]);
+  List.iter
+    (fun rules ->
+      let out, _ = Dialegg.Pipeline.optimize_source ~config:(default_cfg rules) src in
+      checkb "both constants printed" true
+        (count_op "arith.constant" (Mlir.Parser.parse_module out) = 2);
+      checkb "output agrees bitwise on -0.0" true (run out = expected))
+    [ ""; In_channel.with_open_text "../rules/const_fold.egg" In_channel.input_all ]
+
 let test_identity_drops_dead_code () =
   (* extraction from the return anchor performs DCE *)
   let _, _, m =
@@ -936,6 +961,7 @@ let () =
           Alcotest.test_case "if identity + semantics" `Quick test_identity_if;
           Alcotest.test_case "hash-consing dedupes" `Quick test_identity_dedupes;
           Alcotest.test_case "extraction drops dead code" `Quick test_identity_drops_dead_code;
+          Alcotest.test_case "signed zeros kept apart" `Quick test_signed_zero_kept;
         ] );
       ( "opaque",
         [
