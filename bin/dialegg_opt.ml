@@ -116,20 +116,14 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
     in
     let only = match funcs with [] -> None | fs -> Some fs in
     if dump_egg then begin
-      (* dump the Egglog translation of the first selected function *)
-      let engine = Egglog.Interp.create () in
-      Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
-      Egglog.Interp.run_string engine rules;
-      let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
-      Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
-      let hooks = Dialegg.Translate.make_hooks () in
+      (* the Egglog translation of each selected function, made in the
+         engine the optimizer would saturate it in *)
       List.iter
         (fun op ->
           if op.Mlir.Ir.op_name = "func.func"
              && (only = None || List.mem (Mlir.Ir.func_name op) (Option.value ~default:[] only))
           then begin
-            let eggify = Dialegg.Eggify.create ~engine ~sigs ~hooks in
-            ignore (Dialegg.Eggify.translate_function eggify op);
+            let _, eggify, _, _ = Dialegg.Pipeline.setup_function config op in
             print_endline ("; function @" ^ Mlir.Ir.func_name op);
             print_endline (Dialegg.Eggify.to_source eggify)
           end)

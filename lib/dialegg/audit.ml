@@ -523,8 +523,8 @@ let audit_with ~hash (c : Lint.checked) : report =
             name)
       pm.pm_unencoded;
     (* ---------------- rule-level analyses ----------------------------- *)
-    let directed = Vet.directed_rules cmds in
-    let audit_call (d : Vet.directed) (e : Ast.expr) =
+    let directed = Lazy.force c.Lint.c_directed in
+    let audit_call (d : Lint.directed) (e : Ast.expr) =
       match e with
       | Ast.Call (f, args) -> (
         match Vet.op_constructor env f with
@@ -543,10 +543,10 @@ let audit_with ~hash (c : Lint.checked) : report =
                   if Vet.kind_of_sort sort = Vet.K_type then
                     match class_of_type_pattern arg with
                     | Some c when not (List.mem c allowed) ->
-                      add ~span:d.Vet.d_span Diag.Error "egg-sort-mismatch"
+                      add ~span:d.Lint.d_span Diag.Error "egg-sort-mismatch"
                         "rule %s builds %s with a %s result sort, but %s \
                          produces %s results"
-                        d.Vet.d_name f
+                        d.Lint.d_name f
                         (Dialect.type_class_name c)
                         mlir
                         (String.concat "/"
@@ -561,10 +561,10 @@ let audit_with ~hash (c : Lint.checked) : report =
                 && List.for_all (( = ) Dialect.Call) dd.Dialect.d_effects
               in
               if not call_only then
-                add ~span:d.Vet.d_span Diag.Error "rule-impure-op"
+                add ~span:d.Lint.d_span Diag.Error "rule-impure-op"
                   "rule %s mentions %s (via %s), which is not Pure%s: \
                    equality saturation may duplicate, share or delete it"
-                  d.Vet.d_name mlir f
+                  d.Lint.d_name mlir f
                   (match dd.Dialect.d_effects with
                   | [] -> ""
                   | es ->
@@ -576,10 +576,10 @@ let audit_with ~hash (c : Lint.checked) : report =
       | _ -> ()
     in
     List.iter
-      (fun (d : Vet.directed) ->
+      (fun (d : Lint.directed) ->
         List.iter
           (iter_subterms (audit_call d))
-          ((d.Vet.d_lhs :: d.Vet.d_rhs :: d.Vet.d_conds)))
+          ((d.Lint.d_lhs :: d.Lint.d_rhs :: d.Lint.d_conds)))
       directed;
     {
       a_hash = hash;

@@ -27,24 +27,138 @@ module Check = Egglog.Check
 module Diag = Egglog.Diag
 module Sexp = Egglog.Sexp
 
+(* ------------------------------------------------------------------ *)
+(* The directed-rule model                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One direction of a rewrite, or one [union] action of a [rule] with its
+   let/fact bindings substituted away: what vet's passes and the audit's
+   rule-level checks run on. *)
+type directed = {
+  d_name : string;
+  d_span : Sexp.span;
+  d_lhs : Ast.expr;
+  d_rhs : Ast.expr;
+  d_conds : Ast.expr list;  (** additional LHS-side patterns (guards, other facts) *)
+  d_pure : bool;  (** an unconditional rewrite — eligible for shadowing analysis *)
+}
+
+let head_name = function
+  | Ast.Call (f, _) -> f
+  | Ast.Var x -> x
+  | Ast.Wildcard -> "_"
+  | Ast.Lit _ -> "<lit>"
+
+let line (span : Sexp.span) = span.Sexp.sp_start.Sexp.line
+
+(* Variable bindings implied by (=) facts: each variable element stands
+   for the first non-variable pattern in the same fact. *)
+let fact_bindings (facts : Ast.fact list) : Egglog.Pattern.binding list =
+  List.concat_map
+    (function
+      | Ast.F_eq es -> (
+        match
+          List.find_opt (function Ast.Var _ | Ast.Wildcard -> false | _ -> true) es
+        with
+        | Some p ->
+          List.filter_map (function Ast.Var x -> Some (x, p) | _ -> None) es
+        | None -> [])
+      | Ast.F_expr _ -> [])
+    facts
+
+(* Substitute until stable (bindings may reference each other), bounded
+   in case of cyclic (=) facts. *)
+let apply_fix bindings e =
+  let rec go n e =
+    if n = 0 then e
+    else
+      let e' = Egglog.Pattern.apply bindings e in
+      if Egglog.Pattern.equal e' e then e else go (n - 1) e'
+  in
+  go 8 e
+
+let cond_patterns (facts : Ast.fact list) : Ast.expr list =
+  List.concat_map
+    (function
+      | Ast.F_eq es -> List.filter (function Ast.Call _ -> true | _ -> false) es
+      | Ast.F_expr (Ast.Call _ as e) -> [ e ]
+      | Ast.F_expr _ -> [])
+    facts
+
+let directed_rules (cmds : (Ast.command * Sexp.located) list) : directed list =
+  let out = ref [] in
+  let push ?(pure = false) ?name ~span lhs rhs conds =
+    let name =
+      match name with
+      | Some s -> s
+      | None -> Printf.sprintf "%s=>%s@%d" (head_name lhs) (head_name rhs) (line span)
+    in
+    out :=
+      { d_name = name; d_span = span; d_lhs = lhs; d_rhs = rhs; d_conds = conds; d_pure = pure }
+      :: !out
+  in
+  List.iter
+    (fun ((cmd : Ast.command), (loc : Sexp.located)) ->
+      let span = loc.Sexp.span in
+      match cmd with
+      | Ast.C_rewrite { lhs; rhs; conds; bidirectional; _ } ->
+        let pats = cond_patterns conds in
+        push ~pure:(conds = []) ~span lhs rhs pats;
+        if bidirectional then push ~pure:(conds = []) ~span rhs lhs pats
+      | Ast.C_rule { name; facts; actions; _ } ->
+        let fact_pats = cond_patterns facts in
+        (* resolve rule-local lets against fact bindings and earlier lets *)
+        let bindings =
+          List.fold_left
+            (fun acc a ->
+              match a with Ast.A_let (x, e) -> (x, apply_fix acc e) :: acc | _ -> acc)
+            (fact_bindings facts) actions
+        in
+        List.iter
+          (function
+            | Ast.A_union (a, b) -> (
+              let ra = apply_fix bindings a and rb = apply_fix bindings b in
+              let is_call = function Ast.Call _ -> true | _ -> false in
+              (* orient: the matched pattern side is the LHS *)
+              match (is_call ra, is_call rb) with
+              | true, _ -> push ?name ~span ra rb fact_pats
+              | false, true -> push ?name ~span rb ra fact_pats
+              | false, false -> ())
+            | _ -> ())
+          actions
+      | _ -> ())
+    cmds;
+  List.rev !out
+
 type checked = {
   c_src : string;
   c_file : string option;
   c_env : Check.env;
   c_diags : Diag.t list;
   c_cmds : (Ast.command * Sexp.located) list option;
+  c_directed : directed list Lazy.t;
 }
+
+(* [src] checked against [env] (which the check extends) *)
+let check_with ?file ~env src =
+  let diags, cmds = Check.check_program_located ?file ~env src in
+  {
+    c_src = src;
+    c_file = file;
+    c_env = env;
+    c_diags = diags;
+    c_cmds = cmds;
+    c_directed = lazy (directed_rules (Option.value cmds ~default:[]));
+  }
 
 (* The prelude, checked once.  Its environment is never modified: every
    ruleset is checked against a copy, so user declarations never leak
    between runs. *)
 let prelude =
   lazy
-    (let env = Check.create_env () in
-     let file = "<prelude>" in
-     let diags, cmds = Check.check_program_located ~file ~env Prelude.source in
-     assert (not (Diag.has_errors diags));
-     { c_src = Prelude.source; c_file = Some file; c_env = env; c_diags = diags; c_cmds = cmds })
+    (let c = check_with ~file:"<prelude>" ~env:(Check.create_env ()) Prelude.source in
+     assert (not (Diag.has_errors c.c_diags));
+     c)
 
 (** A checking environment preloaded with the DialEgg prelude. *)
 let fresh_env () = Check.copy_env (Lazy.force prelude).c_env
@@ -292,10 +406,7 @@ let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t 
 
 (* One copy of the prelude environment, one located parse, one sort
    check: what lint, vet and audit all start from. *)
-let check ?file (src : string) : checked =
-  let env = fresh_env () in
-  let diags, cmds = Check.check_program_located ?file ~env src in
-  { c_src = src; c_file = file; c_env = env; c_diags = diags; c_cmds = cmds }
+let check ?file (src : string) : checked = check_with ?file ~env:(fresh_env ()) src
 
 (** Generic sort checking plus the dialect lints over a checked ruleset. *)
 let lint_checked (c : checked) : Diag.t list =

@@ -4,6 +4,18 @@
     [dead-rule], [op-no-cost], [unstable-cost-unbound],
     [expansion-no-cost] — see [lint.ml] for their meanings). *)
 
+(** One direction of a rewrite, or one [union] action of a [rule] with
+    its let/fact bindings substituted away. *)
+type directed = {
+  d_name : string;
+  d_span : Egglog.Sexp.span;
+  d_lhs : Egglog.Ast.expr;
+  d_rhs : Egglog.Ast.expr;
+  d_conds : Egglog.Ast.expr list;
+      (** additional LHS-side patterns (guards, other facts) *)
+  d_pure : bool;  (** an unconditional rewrite — eligible for shadowing *)
+}
+
 (** A ruleset parsed once with locations and sort-checked once against
     its own copy of the prelude environment.  Lint, {!Vet} and {!Audit}
     are passes over this value and only read it, so one value serves all
@@ -16,6 +28,10 @@ type checked = {
   c_diags : Egglog.Diag.t list;  (** the sort-checker's diagnostics *)
   c_cmds : (Egglog.Ast.command * Egglog.Sexp.located) list option;
       (** the located commands; [None] when some command fails to parse *)
+  c_directed : directed list Lazy.t;
+      (** the commands' directed rules, in order (none when [c_cmds] is
+          [None]): built at the first read, which {!Vet} and {!Audit}
+          share *)
 }
 
 (** The prelude itself, checked once ([c_file] is [<prelude>]).  Read

@@ -107,7 +107,8 @@ val audit_rules_exn :
 
 (** Pre-warm [config] for a long-lived serving or batch process: run the
     lint / vet / audit fail-fast tiers once (memoizing their verdicts),
-    force the egglog prelude parse, and return the config with those
+    build the base engine {!setup_function} forks (so worker processes
+    forked later inherit it), and return the config with those
     per-run tiers disabled — so every later
     {!optimize_func_report} / {!optimize_source} under the returned
     config skips straight to saturation while producing output
@@ -115,13 +116,18 @@ val audit_rules_exn :
     @raise Error if the rules fail any static tier. *)
 val prewarmed : config -> config
 
-(** The engine set-up {!optimize_func_report} runs for each function: a
-    fresh engine under [config]'s limits (nodes, wall clock, memory) and
-    scheduler settings ([seminaive], [backoff], [match_limit],
-    [ban_length]), then the prelude, [config.rules], the signature scan,
-    the generated [type-of] rules, and [func] eggified.  Returns the
-    engine, the translation state, the signatures and the name of the
-    global holding [func]'s root.
+(** The engine set-up {!optimize_func_report} runs for each function:
+    a fork ({!Egglog.Interp.fork}) of the base engine, which ran the
+    prelude once per process, under [config]'s limits (nodes, wall
+    clock, memory) and scheduler settings ([seminaive], [backoff],
+    [match_limit], [ban_length]); then [config.rules], the generated
+    [type-of] rules, and [func] eggified.  The signatures and [type-of]
+    rules are the base's unless [config.rules] declared a function, in
+    which case the fork's functions are scanned.  The engine is the one a
+    fresh replay of the prelude and [config.rules] would give: the same
+    rules in the same order, the same [rule-N] names, codes and table
+    order.  Returns the engine, the translation state, the signatures and
+    the name of the global holding [func]'s root.
     @raise Error ["rules: …"] when [config.rules] fails to load. *)
 val setup_function :
   ?hooks:Translate.hooks ->
@@ -130,7 +136,7 @@ val setup_function :
   Egglog.Interp.t * Eggify.t * Sigs.t * string
 
 type timings = {
-  t_mlir_to_egg : float;  (** prelude + rules load + eggify *)
+  t_mlir_to_egg : float;  (** engine set-up: fork, rules load, eggify *)
   t_egglog : float;  (** total engine time: saturation + extraction *)
   t_saturate : float;  (** the saturation part of [t_egglog] *)
   t_search : float;  (** e-matching part of [t_saturate] *)

@@ -243,103 +243,16 @@ module Eval_const = Eval (Dataflow.Constness)
 (* Directed rules                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One direction of a rewrite, or one [union] action of a [rule] with its
-   let/fact bindings substituted away. *)
-type directed = {
+(* The directed-rule model the passes run on, built once per checked
+   ruleset ({!Lint.checked}). *)
+type directed = Lint.directed = {
   d_name : string;
   d_span : Sexp.span;
   d_lhs : Ast.expr;
   d_rhs : Ast.expr;
-  d_conds : Ast.expr list;  (** additional LHS-side patterns (guards, other facts) *)
-  d_pure : bool;  (** an unconditional rewrite — eligible for shadowing analysis *)
+  d_conds : Ast.expr list;
+  d_pure : bool;
 }
-
-let head_name = function
-  | Ast.Call (f, _) -> f
-  | Ast.Var x -> x
-  | Ast.Wildcard -> "_"
-  | Ast.Lit _ -> "<lit>"
-
-let line (span : Sexp.span) = span.Sexp.sp_start.Sexp.line
-
-(* Variable bindings implied by (=) facts: each variable element stands
-   for the first non-variable pattern in the same fact. *)
-let fact_bindings (facts : Ast.fact list) : Pattern.binding list =
-  List.concat_map
-    (function
-      | Ast.F_eq es -> (
-        match
-          List.find_opt (function Ast.Var _ | Ast.Wildcard -> false | _ -> true) es
-        with
-        | Some p ->
-          List.filter_map (function Ast.Var x -> Some (x, p) | _ -> None) es
-        | None -> [])
-      | Ast.F_expr _ -> [])
-    facts
-
-(* Substitute until stable (bindings may reference each other), bounded
-   in case of cyclic (=) facts. *)
-let apply_fix bindings e =
-  let rec go n e =
-    if n = 0 then e
-    else
-      let e' = Pattern.apply bindings e in
-      if Pattern.equal e' e then e else go (n - 1) e'
-  in
-  go 8 e
-
-let cond_patterns (facts : Ast.fact list) : Ast.expr list =
-  List.concat_map
-    (function
-      | Ast.F_eq es -> List.filter (function Ast.Call _ -> true | _ -> false) es
-      | Ast.F_expr (Ast.Call _ as e) -> [ e ]
-      | Ast.F_expr _ -> [])
-    facts
-
-let directed_rules (cmds : (Ast.command * Sexp.located) list) : directed list =
-  let out = ref [] in
-  let push ?(pure = false) ?name ~span lhs rhs conds =
-    let name =
-      match name with
-      | Some s -> s
-      | None -> Printf.sprintf "%s=>%s@%d" (head_name lhs) (head_name rhs) (line span)
-    in
-    out :=
-      { d_name = name; d_span = span; d_lhs = lhs; d_rhs = rhs; d_conds = conds; d_pure = pure }
-      :: !out
-  in
-  List.iter
-    (fun ((cmd : Ast.command), (loc : Sexp.located)) ->
-      let span = loc.Sexp.span in
-      match cmd with
-      | Ast.C_rewrite { lhs; rhs; conds; bidirectional; _ } ->
-        let pats = cond_patterns conds in
-        push ~pure:(conds = []) ~span lhs rhs pats;
-        if bidirectional then push ~pure:(conds = []) ~span rhs lhs pats
-      | Ast.C_rule { name; facts; actions; _ } ->
-        let fact_pats = cond_patterns facts in
-        (* resolve rule-local lets against fact bindings and earlier lets *)
-        let bindings =
-          List.fold_left
-            (fun acc a ->
-              match a with Ast.A_let (x, e) -> (x, apply_fix acc e) :: acc | _ -> acc)
-            (fact_bindings facts) actions
-        in
-        List.iter
-          (function
-            | Ast.A_union (a, b) -> (
-              let ra = apply_fix bindings a and rb = apply_fix bindings b in
-              let is_call = function Ast.Call _ -> true | _ -> false in
-              (* orient: the matched pattern side is the LHS *)
-              match (is_call ra, is_call rb) with
-              | true, _ -> push ?name ~span ra rb fact_pats
-              | false, true -> push ?name ~span rb ra fact_pats
-              | false, false -> ())
-            | _ -> ())
-          actions
-      | _ -> ())
-    cmds;
-  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: soundness                                                   *)
@@ -621,7 +534,7 @@ let vet_with ~hash (c : Lint.checked) : report =
     }
   else begin
     let env = c.Lint.c_env in
-    let rules = Array.of_list (directed_rules (Option.value c.Lint.c_cmds ~default:[])) in
+    let rules = Array.of_list (Lazy.force c.Lint.c_directed) in
     let classes = Array.map classify rules in
     let sound_diags = ref [] in
     let infos =
@@ -632,7 +545,7 @@ let vet_with ~hash (c : Lint.checked) : report =
              sound_diags := !sound_diags @ diags;
              {
                vr_name = d.d_name;
-               vr_line = line d.d_span;
+               vr_line = d.d_span.Sexp.sp_start.Sexp.line;
                vr_class = classes.(i);
                vr_interval = iv;
                vr_shape = sh;

@@ -109,21 +109,6 @@ val kind_of_sort : string -> arg_kind
     [Value] leaf and not a primitive), or [None]. *)
 val op_constructor : Egglog.Check.env -> string -> string list option
 
-(** One direction of a rewrite, or one [union] action of a [rule] with
-    its let/fact bindings substituted away. *)
-type directed = {
-  d_name : string;
-  d_span : Egglog.Sexp.span;
-  d_lhs : Egglog.Ast.expr;
-  d_rhs : Egglog.Ast.expr;
-  d_conds : Egglog.Ast.expr list;
-      (** additional LHS-side patterns (guards, other facts) *)
-  d_pure : bool;  (** an unconditional rewrite — eligible for shadowing *)
-}
-
-val directed_rules :
-  (Egglog.Ast.command * Egglog.Sexp.located) list -> directed list
-
 (** The cache directory [$DIALEGG_VET_CACHE] selects ([None] = disk
     cache disabled).  The audit cache lives in the same directory with a
     different file extension and format-version magic. *)

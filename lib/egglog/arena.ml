@@ -95,6 +95,15 @@ let canon_code uf pool c =
 
 let pool_memory_words pool = pool.n_vals * 4
 
+(** Deep copy: the copy interns from the same codes on, independently. *)
+let copy_pool pool =
+  {
+    vals = Array.copy pool.vals;
+    has_class = Bytes.copy pool.has_class;
+    n_vals = pool.n_vals;
+    intern_tbl = Value.Tbl.copy pool.intern_tbl;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Flat tables                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -114,21 +123,33 @@ type table = {
   mutable remap_from : int;  (* the version that remap translates from (-1 none) *)
 }
 
+(* A table nobody wrote to allocates nothing: every such table shares
+   these, and its first append allocates its own arrays
+   ({!ensure_row_capacity}).  Nothing ever writes into them: the only
+   writers are appends, which allocate first, and operations on a live
+   row, which an empty table does not have. *)
+let no_rows = [||]
+let no_dead = Bytes.empty
+let no_slots = [| 0 |]
+
 let create ~arity =
   {
     arity;
     width = arity + 1;
-    data = Array.make (max 8 ((arity + 1) * 8)) 0;
-    stamps = Array.make 8 0;
-    dead = Bytes.make 8 '\000';
+    data = no_rows;
+    stamps = no_rows;
+    dead = no_dead;
     n_rows = 0;
     n_dead = 0;
-    slots = Array.make 16 0;
-    mask = 15;
+    slots = no_slots;
+    mask = 0;
     version = 0;
     remap = [||];
     remap_from = -1;
   }
+
+(* still on the shared empty arrays *)
+let unallocated tbl = tbl.stamps == no_rows
 
 let n_live tbl = tbl.n_rows - tbl.n_dead
 let n_dead tbl = tbl.n_dead
@@ -230,7 +251,16 @@ let rehash tbl =
 
 let ensure_row_capacity tbl =
   let cap = Array.length tbl.stamps in
-  if tbl.n_rows = cap then begin
+  if unallocated tbl then begin
+    (* the first append allocates the table's own arrays, at the sizes
+       doubling starts from *)
+    tbl.data <- Array.make (max 8 (tbl.width * 8)) 0;
+    tbl.stamps <- Array.make 8 0;
+    tbl.dead <- Bytes.make 8 '\000';
+    tbl.slots <- Array.make 16 0;
+    tbl.mask <- 15
+  end
+  else if tbl.n_rows = cap then begin
     let cap' = cap * 2 in
     let data = Array.make (cap' * tbl.width) 0 in
     Array.blit tbl.data 0 data 0 (cap * tbl.width);
@@ -344,15 +374,18 @@ let remap_from tbl ~from_version =
   else None
 
 (** Deep copy (int arrays only — this is what makes arena snapshots cheap
-    compared to rehashing boxed keys). *)
+    compared to rehashing boxed keys).  A table nobody wrote to copies
+    only its record. *)
 let copy tbl =
-  {
-    tbl with
-    data = Array.copy tbl.data;
-    stamps = Array.copy tbl.stamps;
-    dead = Bytes.copy tbl.dead;
-    slots = Array.copy tbl.slots;
-  }
+  if unallocated tbl then { tbl with slots = no_slots }
+  else
+    {
+      tbl with
+      data = Array.copy tbl.data;
+      stamps = Array.copy tbl.stamps;
+      dead = Bytes.copy tbl.dead;
+      slots = Array.copy tbl.slots;
+    }
 
 let memory_words tbl =
   (tbl.n_rows * (tbl.width + 2)) + Array.length tbl.slots

@@ -31,10 +31,17 @@ val canon_code : Union_find.t -> pool -> int -> int
 
 val pool_memory_words : pool -> int
 
+(** Deep copy: values the copy interns later do not reach the original,
+    and the other way round. *)
+val copy_pool : pool -> pool
+
 (** {1 Tables} *)
 
 type table
 
+(** An empty table.  Until its first {!append} it shares its (empty)
+    arrays with every other such table and allocates nothing but its
+    record. *)
 val create : arity:int -> table
 
 (** Rows appended so far, including dead ones. *)
@@ -92,5 +99,6 @@ val iter_live : table -> (int -> unit) -> unit
     {!version}.  No-op when nothing is dead. *)
 val compact : table -> unit
 
+(** Deep copy; a table nobody wrote to copies only its record. *)
 val copy : table -> table
 val memory_words : table -> int

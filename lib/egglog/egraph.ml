@@ -675,25 +675,23 @@ let cost_override t f args =
 (* Snapshots (push/pop)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Deep copy of the whole e-graph (tables, union-find, cost overrides).
-    Used by the interpreter's [push]/[pop].  Arena tables copy flat int
-    arrays.  The value pool is shared — it is append-only, and codes stay
-    valid across snapshots. *)
+(** Deep copy of the whole e-graph: tables, union-find, value pool, cost
+    overrides.  Used by the interpreter's [push] and {!Interp.fork}.
+    Arena tables copy flat int arrays.  The copy's codes are the
+    original's, and what either side interns later stays its own.  The
+    function and cost tables are copied bucket for bucket, not refilled:
+    {!rebuild} and compaction walk [funcs] in hash order, and a copy must
+    walk it in the order the original (and a fresh replay of the same
+    declarations) does.  [funcs_rev] stays physically shared until the
+    copy's next declaration. *)
 let copy t : t =
-  let funcs = Symbol.Tbl.create (Symbol.Tbl.length t.funcs) in
-  Symbol.Tbl.iter
-    (fun sym f -> Symbol.Tbl.replace funcs sym { f with store = Arena.copy f.store })
-    t.funcs;
-  let costs = Symbol.Tbl.create (Symbol.Tbl.length t.costs) in
-  Symbol.Tbl.iter
-    (fun sym tbl ->
-      let tbl' = Value.Args_tbl.create (Value.Args_tbl.length tbl) in
-      Value.Args_tbl.iter (fun k v -> Value.Args_tbl.replace tbl' k v) tbl;
-      Symbol.Tbl.replace costs sym tbl')
-    t.costs;
+  let funcs = Symbol.Tbl.copy t.funcs in
+  Symbol.Tbl.filter_map_inplace (fun _ f -> Some { f with store = Arena.copy f.store }) funcs;
+  let costs = Symbol.Tbl.copy t.costs in
+  Symbol.Tbl.filter_map_inplace (fun _ tbl -> Some (Value.Args_tbl.copy tbl)) costs;
   {
     uf = Union_find.copy t.uf;
-    pool = t.pool;
+    pool = Arena.copy_pool t.pool;
     funcs;
     funcs_rev = t.funcs_rev;
     sorts = Hashtbl.copy t.sorts;

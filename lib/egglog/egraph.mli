@@ -54,7 +54,9 @@ type t = {
   uf : Union_find.t;
   pool : Arena.pool;
   funcs : func Symbol.Tbl.t;
-  mutable funcs_rev : Symbol.t list;  (** newest declaration first *)
+  mutable funcs_rev : Symbol.t list;
+      (** newest declaration first; a declaration conses onto it, so a
+          {!copy} that declared nothing still has the original's list *)
   sorts : (string, sort_kind) Hashtbl.t;
   costs : (int * Value.t) Value.Args_tbl.t Symbol.Tbl.t;
   mutable clock : int;
@@ -213,8 +215,12 @@ val approx_memory_words : t -> int
     canonicalization. *)
 val iter_rows : t -> func -> (Value.t array -> Value.t -> unit) -> unit
 
-(** Deep copy of the whole e-graph (for push/pop).  The append-only value
-    pool is shared with the original; the arena tables are copied flat. *)
+(** Deep copy of the whole e-graph (for push/pop and {!Interp.fork}):
+    tables, union-find, value pool and cost overrides.  The copy has the
+    original's codes, and nothing either side changes or interns later
+    reaches the other.  Function and cost tables keep the original's
+    iteration order, which {!rebuild} follows; [funcs_rev] stays
+    physically the original's until the copy declares a function. *)
 val copy : t -> t
 
 val pp_stats : Format.formatter -> t -> unit

@@ -70,7 +70,8 @@ type capply = {
   ca_slots : int;  (* scratch row width: packed row + let bindings *)
 }
 
-type rule = {
+(* A rule as registered, fixed from then on. *)
+type rule_def = {
   r_name : string;
   r_facts : Ast.fact list;
   r_actions : Ast.action list;
@@ -82,6 +83,10 @@ type rule = {
       (** the bare premise names that were globals when the rule was
           registered: these denote the globals, every other name is a
           pattern variable *)
+}
+
+type rule = {
+  r_def : rule_def;
   mutable r_gplan : Matcher.gplan option;
       (** the premises flattened and compiled for the generic join, made
           at the first search (and again after a [pop], which restores an
@@ -258,6 +263,53 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
     costs_applied = Hashtbl.create 256;
   }
 
+(* A rule in the state of one just registered: no plan, never scanned,
+   never banned, no statistics. *)
+let unused_rule r_def =
+  {
+    r_def;
+    r_gplan = None;
+    r_capply = None;
+    r_last_scan = -1;
+    r_pins = [||];
+    r_times_banned = 0;
+    r_banned_until = 0;
+    r_n_searches = 0;
+    r_n_matches = 0;
+    r_n_applied = 0;
+    r_n_bans = 0;
+    r_search_time = 0.;
+    r_apply_time = 0.;
+  }
+
+(** An engine that starts as [base] is now and changes on its own from
+    there (see the interface).  The matcher index and the applied-cost
+    memo start empty: both hold codes and rows of one e-graph. *)
+let fork ~limits base =
+  {
+    eg = Egraph.copy base.eg;
+    globals = Hashtbl.copy base.globals;
+    rules_rev = List.map (fun r -> unused_rule r.r_def) base.rules_rev;
+    rule_keys = Hashtbl.copy base.rule_keys;
+    rulesets = base.rulesets;
+    rule_counter = base.rule_counter;
+    limits;
+    last_stats = None;
+    outputs = [];
+    snapshots = [];
+    disable_dirty_skip = base.disable_dirty_skip;
+    naive_matching = base.naive_matching;
+    backoff = base.backoff;
+    match_limit = base.match_limit;
+    ban_length = base.ban_length;
+    iter_counter = 0;
+    idx = None;
+    ck_root = None;
+    ck_every = 0;
+    best_ck = None;
+    costs_applied = Hashtbl.create 256;
+  }
+
 let set_disable_dirty_skip t b = t.disable_dirty_skip <- b
 let set_limits t l = t.limits <- l
 let limits t = t.limits
@@ -286,8 +338,8 @@ let rule_stats t : rule_stat list =
   List.map
     (fun r ->
       {
-        rs_name = r.r_name;
-        rs_ruleset = r.r_ruleset;
+        rs_name = r.r_def.r_name;
+        rs_ruleset = r.r_def.r_ruleset;
         rs_searches = r.r_n_searches;
         rs_matches = r.r_n_matches;
         rs_applied = r.r_n_applied;
@@ -716,7 +768,7 @@ let rule_dirty t r =
          match Egraph.find_func_opt t.eg sym with
          | Some f -> f.Egraph.last_modified > r.r_last_scan
          | None -> true)
-       r.r_refs
+       r.r_def.r_refs
 
 (** Run one saturation iteration: search every due rule (seminaive deltas by
     default), then apply all matches in a second phase, then rebuild.
@@ -755,9 +807,9 @@ let compiled t idx r =
   match (r.r_gplan, r.r_capply) with
   | Some gp, Some ca -> (gp, ca)
   | _ ->
+    let d = r.r_def in
     let gp, ca =
-      compile_plan t idx ~keep:(action_vars r.r_actions) ~pinned:r.r_pinned r.r_facts
-        r.r_actions
+      compile_plan t idx ~keep:(action_vars d.r_actions) ~pinned:d.r_pinned d.r_facts d.r_actions
     in
     r.r_gplan <- Some gp;
     r.r_capply <- Some ca;
@@ -776,10 +828,10 @@ let idle t r =
          match Egraph.find_func_opt t.eg sym with
          | Some f -> Array.length f.Egraph.arg_sorts = n
          | None -> false)
-       r.r_calls
+       r.r_def.r_calls
   && List.exists
        (fun sym -> Arena.n_live (Egraph.find_func t.eg sym).Egraph.store = 0)
-       r.r_refs
+       r.r_def.r_refs
 
 (* has a global the premises name changed class since the last scan?  Old
    rows can match it now, so the rule is due even if its tables are not *)
@@ -811,7 +863,7 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   (* which rules are due this iteration *)
   let due =
     filter_rules t (fun r ->
-        if r.r_ruleset <> ruleset then false
+        if r.r_def.r_ruleset <> ruleset then false
         else if t.backoff && iter < r.r_banned_until then begin
           (* banned: no search; r_last_scan stays put, so the delta it will
              eventually scan still covers everything it missed *)
@@ -999,7 +1051,7 @@ let run ?ruleset t n : run_stats =
                let next_iter = t.iter_counter + 1 in
                let banned =
                  filter_rules t (fun r ->
-                     r.r_ruleset = ruleset && next_iter < r.r_banned_until)
+                     r.r_def.r_ruleset = ruleset && next_iter < r.r_banned_until)
                in
                match banned with
                | [] -> ()  (* a ban expires next iteration by itself *)
@@ -1095,27 +1147,16 @@ let add_rule t ?name ?ruleset facts actions =
     in
     Hashtbl.replace t.rule_keys key ();
     t.rules_rev <-
-      {
-        r_name;
-        r_facts = facts;
-        r_actions = actions;
-        r_ruleset = ruleset;
-        r_refs = refs;
-        r_calls = calls;
-        r_pinned = pinned;
-        r_gplan = None;
-        r_capply = None;
-        r_last_scan = -1;
-        r_pins = [||];
-        r_times_banned = 0;
-        r_banned_until = 0;
-        r_n_searches = 0;
-        r_n_matches = 0;
-        r_n_applied = 0;
-        r_n_bans = 0;
-        r_search_time = 0.;
-        r_apply_time = 0.;
-      }
+      unused_rule
+        {
+          r_name;
+          r_facts = facts;
+          r_actions = actions;
+          r_ruleset = ruleset;
+          r_refs = refs;
+          r_calls = calls;
+          r_pinned = pinned;
+        }
       :: t.rules_rev
   end
 
@@ -1153,7 +1194,8 @@ let query ?pinned t facts =
 
 (** Each rule's name, premises and the bare names it pins to globals, in
     registration order. *)
-let premises t = List.map (fun r -> (r.r_name, r.r_facts, r.r_pinned)) (all_rules t)
+let premises t =
+  List.map (fun { r_def = d; _ } -> (d.r_name, d.r_facts, d.r_pinned)) (all_rules t)
 
 let run_command t (c : Ast.command) : unit =
   match c with

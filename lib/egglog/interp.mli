@@ -104,6 +104,20 @@ val create :
   unit ->
   t
 
+(** An engine that starts as [base] is now and changes on its own from
+    there: nothing either engine does later reaches the other.  It gets
+    copies of [base]'s e-graph (tables, union-find, value pool, cost
+    overrides; see {!Egraph.copy}), globals, rules, rulesets and rule
+    counter, so the next rule registered gets the [rule-N] number it
+    would get in [base].  Each rule keeps its premises, actions and
+    pinned globals, and starts unscanned, unbanned and uncompiled, with
+    zero statistics.  The scheduler settings are [base]'s; the resource
+    budget is [limits].  Outputs, push/pop snapshots, checkpoints, the
+    last run's statistics and the iteration count start empty.  Forking
+    a prelude engine gives the engine a replay of the prelude into
+    {!create} would, with the same codes and the same table order. *)
+val fork : limits:Limits.t -> t -> t
+
 (** Replace the engine's resource budgets (applies to subsequent runs). *)
 val set_limits : t -> Limits.t -> unit
 

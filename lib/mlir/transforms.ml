@@ -101,12 +101,28 @@ let dce (root : Ir.op) : int =
 (* Common subexpression elimination                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* An attribute as a key: floats by bit pattern.  Polymorphic equality
+   holds for [0.0] and [-0.0], so keying the attribute itself would merge
+   [arith.constant 0.0] with [arith.constant -0.0]. *)
+type attr_key =
+  | Float_bits of int64 * Typ.t
+  | Dense_float_bits of int64 list * Typ.t
+  | Array_key of attr_key list
+  | Attr_key of Attr.t  (* holds no float *)
+
+let rec attr_key : Attr.t -> attr_key = function
+  | Attr.Float (f, ty) -> Float_bits (Int64.bits_of_float f, ty)
+  | Attr.Dense_float (fs, ty) -> Dense_float_bits (List.map Int64.bits_of_float fs, ty)
+  | Attr.Array l -> Array_key (List.map attr_key l)
+  | a -> Attr_key a
+
 (** Structural key of an op: name, operand ids, attributes, result types
     (two [tensor.empty()] ops of different shapes must not collide). *)
 let op_key (op : Ir.op) =
   let operands = Array.to_list (Array.map (fun (v : Ir.value) -> v.Ir.v_id) op.Ir.operands) in
+  let attrs = List.map (fun (name, a) -> (name, attr_key a)) op.Ir.attrs in
   let result_types = Array.to_list (Array.map (fun (v : Ir.value) -> v.Ir.v_type) op.Ir.results) in
-  (op.Ir.op_name, operands, op.Ir.attrs, result_types)
+  (op.Ir.op_name, operands, attrs, result_types)
 
 (** CSE within each block (pure, region-free ops only).  Returns the number
     of ops removed. *)

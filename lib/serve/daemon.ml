@@ -885,7 +885,7 @@ let select_timeout st =
 
 let run (cfg : config) =
   (* pre-warm before the first fork, so every worker inherits the
-     memoized lint/vet/audit verdicts and the parsed prelude *)
+     memoized lint/vet/audit verdicts and the base engine *)
   let pipeline =
     try Dialegg.Pipeline.prewarmed cfg.pipeline
     with Dialegg.Pipeline.Error m -> raise (Error ("rules rejected: " ^ m))

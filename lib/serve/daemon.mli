@@ -2,7 +2,7 @@
 
     One process listens on a Unix-domain socket, keeps a pool of
     pre-warmed worker subprocesses (rules linted / vetted / audited
-    once, prelude parsed — see {!Dialegg.Pipeline.prewarmed}), and
+    once, the base engine built — see {!Dialegg.Pipeline.prewarmed}), and
     serves whole-module optimization requests.  Each request is split
     per function; every function result is memoized in the
     content-addressed {!Cache}, so a warm request is answered without

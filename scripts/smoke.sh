@@ -193,6 +193,15 @@ echo "== mlir-opt: canonicalize + greedy pass =="
 dune exec bin/mlir_opt.exe -- benchmarks/3mm.mlir -p canonicalize -p matmul-reassoc >/dev/null
 echo ok
 
+echo "== mlir-opt: cse and canonicalize keep 0.0 and -0.0 apart =="
+for pass in cse canonicalize; do
+  dune exec bin/mlir_opt.exe -- test/fixtures/signed_zero.mlir -p $pass \
+    2>/dev/null >/tmp/mlir_signed_zero.mlir
+  dune exec bin/mlir_run.exe -- /tmp/mlir_signed_zero.mlir -f f -- -0.0 \
+    | grep -q '^-0:f64'
+done
+echo ok
+
 echo "== mlir-run: interpret =="
 dune exec bin/mlir_run.exe -- benchmarks/div_pow2_demo.mlir -f divs 51200 | grep -q '200:i64'
 echo ok

@@ -12,7 +12,9 @@
    fixpoint as naive matching on the same join.  Extraction through the
    per-class e-node index must match the reference extractor's naive
    fixpoint and table scans on every class.  A union made during a
-   narrowed rebuild pass must still reach every table. *)
+   narrowed rebuild pass must still reach every table.  A table nobody
+   wrote to must read as empty, and its first append must leave every
+   other table sharing its empty arrays empty. *)
 
 open Egglog
 
@@ -615,6 +617,55 @@ let test_n_nodes_cache () =
       checki "cache consistent" (Egraph.recount_nodes eg) (Egraph.n_nodes eg))
     [ delete_src; pushpop_src ]
 
+(* A table nobody wrote to shares its empty arrays with every other such
+   table.  Every read works on it, and the first append into one copy
+   allocates that copy's own arrays: the original, the other copies and
+   new tables stay empty. *)
+let test_empty_tables () =
+  let key = [| 2; 4 |] in
+  let empty what tbl =
+    checki (what ^ ": no rows") 0 (Arena.n_rows tbl);
+    checki (what ^ ": no live rows") 0 (Arena.n_live tbl);
+    checki (what ^ ": find misses") (-1) (Arena.find tbl key);
+    checki (what ^ ": the delta starts at row 0") 0 (Arena.delta_start tbl ~since:(-1));
+    let seen = ref 0 in
+    Arena.iter_live tbl (fun _ -> incr seen);
+    checki (what ^ ": no live row visited") 0 !seen
+  in
+  let fresh = Arena.create ~arity:2 in
+  empty "new" fresh;
+  Arena.compact fresh;
+  checki "compacting an empty table renumbers nothing" 0 (Arena.version fresh);
+  empty "compacted" fresh;
+  checkb "nothing to remove" false (Arena.remove fresh key);
+  let a = Arena.copy fresh and b = Arena.copy fresh in
+  empty "copy" a;
+  let r = Arena.append a key 7 1 in
+  checki "the appended row is found" r (Arena.find a key);
+  checki "with its output" 7 (Arena.out_code a r);
+  checki "one live row" 1 (Arena.n_live a);
+  empty "the original" fresh;
+  empty "the other copy" b;
+  empty "a new table" (Arena.create ~arity:2);
+  (* the other copy grows on arrays of its own *)
+  for i = 1 to 40 do
+    ignore (Arena.append b [| 2 * i; 0 |] 1 i)
+  done;
+  checki "the other copy grew" 40 (Arena.n_live b);
+  checki "the first copy did not" 1 (Arena.n_live a);
+  checki "the first copy's row is intact" r (Arena.find a key);
+  empty "the original, still" fresh;
+  (* the first append into a new table, not a copy *)
+  let d = Arena.create ~arity:2 in
+  ignore (Arena.append d key 9 1);
+  checki "the new table has its row" 0 (Arena.find d key);
+  empty "another new table" (Arena.create ~arity:2);
+  empty "the original, after a new table's first append" fresh;
+  let c = Arena.copy a in
+  Arena.kill a r;
+  Arena.compact a;
+  checki "a copy of a written table is its own" r (Arena.find c key)
+
 let () =
   Alcotest.run "arena"
     [
@@ -639,4 +690,6 @@ let () =
         [ Alcotest.test_case "union during a narrowed pass" `Quick test_narrowed_rebuild ] );
       ( "stats",
         [ Alcotest.test_case "n_nodes cache" `Quick test_n_nodes_cache ] );
+      ( "tables",
+        [ Alcotest.test_case "never-written tables" `Quick test_empty_tables ] );
     ]

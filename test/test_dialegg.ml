@@ -601,6 +601,112 @@ func.func @f(%z: complex<f64>) -> complex<f64> {
   in
   checki "conj pair eliminated" 0 (count_op "cx.conj" m)
 
+(* The per-function engine set-up as a fresh engine does it: replay the
+   prelude, load the rules, scan the signatures, register their [type-of]
+   rules, eggify.  The pipeline forks a base engine instead; a fork must
+   give what this gives. *)
+let fresh_setup rules func =
+  let engine = Egglog.Interp.create () in
+  Egglog.Interp.run_commands engine (Lazy.force Dialegg.Prelude.commands);
+  Egglog.Interp.run_string engine rules;
+  let sigs = Dialegg.Sigs.scan (Egglog.Interp.egraph engine) in
+  Egglog.Interp.run_commands engine (Dialegg.Sigs.type_of_rules sigs);
+  let hooks = Dialegg.Translate.make_hooks () in
+  let eggify = Dialegg.Eggify.create ~engine ~sigs ~hooks in
+  let root = Dialegg.Eggify.translate_function eggify func in
+  (engine, eggify, sigs, hooks, root)
+
+(* [src] optimized function by function in fresh engines, as the
+   pipeline does it by default, then printed *)
+let fresh_compile rules src =
+  let m = Mlir.Parser.parse_module src in
+  List.iter
+    (fun func ->
+      if func.Mlir.Ir.op_name = "func.func" then begin
+        let engine, eggify, sigs, hooks, root = fresh_setup rules func in
+        ignore (Egglog.Interp.run engine Dialegg.Pipeline.default_config.max_iterations);
+        let eg = Egglog.Interp.egraph engine in
+        Egglog.Egraph.rebuild eg;
+        let extractor = Egglog.Extract.make eg in
+        let root_class =
+          match Egglog.Interp.global engine root with
+          | Egglog.Value.Eclass c -> c
+          | _ -> Alcotest.fail "root is not an e-class"
+        in
+        let term = Egglog.Extract.extract_class extractor root_class in
+        Dialegg.Deeggify.rebuild_function
+          (Dialegg.Deeggify.create ~sigs ~hooks ~extractor ~eggify ())
+          func term;
+        ignore (Mlir.Transforms.dce func)
+      end)
+    (Mlir.Ir.module_ops m);
+  Mlir.Printer.module_to_string m
+
+let test_custom_ops_one_process () =
+  (* a plain ruleset, one that declares op constructors, the plain one
+     again: the custom one gets its own signatures and type-of rules, the
+     plain ones the base's, and every compile is a fresh engine's *)
+  let plain_rules =
+    {|(rewrite (arith_muli ?x (arith_constant (NamedAttr "value" (IntegerAttr 1 ?t)) ?t) ?t) ?x)|}
+  and plain_src =
+    {|
+func.func @g(%x: i64) -> i64 {
+  %c1 = arith.constant 1 : i64
+  %y = arith.muli %x, %c1 : i64
+  func.return %y : i64
+}|}
+  and custom_rules =
+    {|
+(function cx_conj (Op Type) Op :cost 2)
+(function cx_mul (Op Op Type) Op :cost 10)
+(rewrite (cx_conj (cx_conj ?z ?t) ?t) ?z)
+|}
+  and custom_src =
+    {|
+func.func @f(%z: complex<f64>) -> complex<f64> {
+  %a = "cx.conj"(%z) : (complex<f64>) -> complex<f64>
+  %b = "cx.conj"(%a) : (complex<f64>) -> complex<f64>
+  func.return %b : complex<f64>
+}|}
+  in
+  let custom_rows (report : Dialegg.Pipeline.report) =
+    List.filter
+      (String.starts_with ~prefix:"type-of-cx_")
+      (List.map
+         (fun (s : Egglog.Interp.rule_stat) -> s.Egglog.Interp.rs_name)
+         report.Dialegg.Pipeline.r_timings.Dialegg.Pipeline.rule_stats)
+  in
+  let rule_names rules src =
+    (* the rules each set-up registers, in order *)
+    let func () =
+      List.find
+        (fun op -> op.Mlir.Ir.op_name = "func.func")
+        (Mlir.Ir.module_ops (Mlir.Parser.parse_module src))
+    in
+    let names engine = List.map (fun (n, _, _) -> n) (Egglog.Interp.premises engine) in
+    let forked, _, _, _ = Dialegg.Pipeline.setup_function (default_cfg rules) (func ()) in
+    let fresh, _, _, _, _ = fresh_setup rules (func ()) in
+    (names forked, names fresh)
+  in
+  let compile what rules src =
+    let out, report = Dialegg.Pipeline.optimize_source ~config:(default_cfg rules) src in
+    checks (what ^ ": the bytes of a fresh engine") (fresh_compile rules src) out;
+    let forked, fresh = rule_names rules src in
+    Alcotest.(check (list string)) (what ^ ": the rules of a fresh engine") fresh forked;
+    (out, custom_rows report)
+  in
+  let plain1, rows1 = compile "plain" plain_rules plain_src in
+  let custom, rows2 = compile "custom" custom_rules custom_src in
+  let plain2, rows3 = compile "plain again" plain_rules plain_src in
+  Alcotest.(check (list string)) "the custom ruleset's ops get type-of rules"
+    [ "type-of-cx_conj"; "type-of-cx_mul" ]
+    (List.sort compare rows2);
+  Alcotest.(check (list string)) "the plain ruleset's do not, before" [] rows1;
+  Alcotest.(check (list string)) "nor after" [] rows3;
+  checki "the conj pair is gone" 0 (count_op "cx.conj" (Mlir.Parser.parse_module custom));
+  checki "x * 1 is gone" 0 (count_op "arith.muli" (Mlir.Parser.parse_module plain1));
+  checks "the plain ruleset compiles the same after the custom one" plain1 plain2
+
 let test_custom_type_hook () =
   (* a user type hook maps !quant to a first-class egg constructor *)
   let hooks = Dialegg.Translate.make_hooks () in
@@ -987,6 +1093,7 @@ let () =
         [
           Alcotest.test_case "custom dialect rules" `Quick test_custom_dialect_rules;
           Alcotest.test_case "custom type hooks" `Quick test_custom_type_hook;
+          Alcotest.test_case "custom ops in one process" `Quick test_custom_ops_one_process;
         ] );
       ( "pipeline-features",
         [

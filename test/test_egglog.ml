@@ -820,6 +820,111 @@ let test_push_pop () =
   Interp.run_string t "(let c (Num 4))";
   checkb "engine usable after pop" true (Interp.global_opt t "c" <> None)
 
+(* A base engine's program: declarations, rows, globals, a cost
+   override, a vector pooled with e-classes inside, two rules, and, as
+   in the prelude a pipeline forks, about a hundred tables nothing writes
+   (over 64, so the tables' hash order depends on how they are copied).
+   No [run]. *)
+let fork_base_src =
+  {|
+(datatype Math (Num i64) (Var String) (Add Math Math) (Mul Math Math))
+(sort MathVec (Vec Math))
+(function Pack (MathVec) Math)
+(relation Seen (Math))
+(let two (Num 2))
+(let x (Var "x"))
+(let e (Add two x))
+(let p (Pack (vec-of two x)))
+(unstable-cost (Add two x) 7)
+(rewrite (Add ?a ?b) (Add ?b ?a))
+(rule ((= ?m (Mul ?a (Num 1)))) ((union ?m ?a)))
+|}
+  ^ String.concat "\n" (List.init 100 (Printf.sprintf "(function Pad%d () Math)"))
+
+(* What one forked engine does: insert into the table the base never
+   wrote, union two classes, intern a new literal, bind a global,
+   register a rule, run, extract. *)
+let fork_more_src =
+  {|
+(Seen two)
+(union x (Num 9))
+(let big (Mul (Num 123456) (Num 1)))
+(rule ((Seen ?v)) ((Mul ?v (Num 1))))
+(run 10)
+(extract e)
+|}
+
+(* Everything a fork could leak into: rows per table, nodes, classes,
+   union-find size, pool size, the globals, a cost override, a lookup in
+   the never-written table, and each rule's name and counts.  Plus the
+   order rebuild walks the tables in, which a copy must keep. *)
+let engine_state t =
+  let eg = Interp.egraph t in
+  let v = Interp.global_opt t in
+  let func name = Egraph.find_func eg (Symbol.intern name) in
+  let rows =
+    List.map
+      (fun f -> Printf.sprintf "%s:%d" (Symbol.name f.Egraph.sym) (Arena.n_live f.Egraph.store))
+      (Egraph.functions eg)
+  in
+  let walk = Symbol.Tbl.fold (fun sym _ acc -> Symbol.name sym :: acc) eg.Egraph.funcs [] in
+  let globals =
+    List.map
+      (fun x -> match v x with Some v -> Fmt.str "%s=%a" x Value.pp v | None -> x ^ "=-")
+      [ "two"; "x"; "e"; "p"; "big" ]
+  in
+  let two = Option.get (v "two") and x = Option.get (v "x") in
+  let cost = Egraph.cost_override eg (func "Add") [| two; x |] in
+  let seen = Egraph.lookup eg (func "Seen") [| two |] in
+  let rules =
+    List.map
+      (fun (s : Interp.rule_stat) ->
+        Printf.sprintf "%s:%d/%d/%d/%d" s.rs_name s.rs_searches s.rs_matches s.rs_applied s.rs_bans)
+      (Interp.rule_stats t)
+  in
+  String.concat " "
+    (rows @ ("walk:" :: walk) @ globals @ rules
+    @ [
+        Printf.sprintf "nodes=%d classes=%d uf=%d pool=%d cost=%s seen=%b" (Egraph.n_nodes eg)
+          (Egraph.n_classes eg)
+          (Union_find.size (Egraph.uf eg))
+          (Arena.pool_memory_words (Egraph.pool eg))
+          (match cost with Some c -> string_of_int c | None -> "-")
+          (seen <> None);
+      ])
+
+(* What a run of [fork_more_src] shows: its run and rule statistics and
+   its extraction. *)
+let run_summary t =
+  let s = Option.get (Interp.last_stats t) in
+  let term, cost = Option.get (Interp.last_extracted t) in
+  Fmt.str "%d iters %d matches %a peak %d | %s cost %d | %s" s.Interp.iterations
+    s.Interp.matches Interp.pp_stop_reason s.Interp.stop s.Interp.peak_nodes
+    (Extract.term_to_string term) cost (engine_state t)
+
+let test_fork_independent () =
+  let base = Interp.create () in
+  Interp.run_string base fork_base_src;
+  let before = engine_state base in
+  let fork () = Interp.fork ~limits:(Interp.limits base) base in
+  let f1 = fork () in
+  checks "a fork starts as its base" before (engine_state f1);
+  Interp.run_string f1 fork_more_src;
+  checkb "the fork saturated" true
+    (Interp.stopped_saturated (Option.get (Interp.last_stats f1)).Interp.stop);
+  checks "the base is untouched" before (engine_state base);
+  checkb "nothing of the fork's run reached the base" true
+    (Interp.last_stats base = None && Interp.outputs base = []);
+  let f2 = fork () in
+  checks "a second fork starts as the base" before (engine_state f2);
+  (* the same as a fresh engine replaying the base's program *)
+  let fresh = Interp.create () in
+  Interp.run_string fresh (fork_base_src ^ fork_more_src);
+  checks "fork = create + replay" (run_summary fresh) (run_summary f1);
+  Interp.run_string f2 fork_more_src;
+  checks "the second fork runs as the first" (run_summary f1) (run_summary f2);
+  checks "the base is still untouched" before (engine_state base)
+
 let test_pop_without_push () =
   match Interp.run_program "(pop)" with
   | exception Interp.Error _ -> ()
@@ -1426,6 +1531,7 @@ let () =
           Alcotest.test_case "unknown ruleset rejected" `Quick test_unknown_ruleset_rejected;
           Alcotest.test_case "push/pop restores state" `Quick test_push_pop;
           Alcotest.test_case "pop without push fails" `Quick test_pop_without_push;
+          Alcotest.test_case "forks are independent" `Quick test_fork_independent;
           Alcotest.test_case "push/pop restores cost overrides" `Quick
             test_push_pop_preserves_costs;
           Alcotest.test_case "extract variants" `Quick test_extract_variants;

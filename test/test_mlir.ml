@@ -586,6 +586,36 @@ func.func @f() -> tensor<2x2xf64> {
   in
   checki "no cse across result types" 0 (Mlir.Transforms.cse m)
 
+let test_cse_signed_zero () =
+  (* 0.0 and -0.0 are different constants: [x + 0.0] and [x + -0.0]
+     differ at x = -0.0 *)
+  let src = In_channel.with_open_text "fixtures/signed_zero.mlir" In_channel.input_all in
+  let run m =
+    let r = Mlir.Interp.run m "f" [ Mlir.Interp.Rf (-0.0, Mlir.Typ.F64) ] in
+    List.map
+      (function
+        | Mlir.Interp.Rf (x, _) -> Int64.bits_of_float x
+        | v -> Alcotest.fail (Fmt.str "expected an f64, got %a" Mlir.Interp.pp_rv v))
+      r.Mlir.Interp.values
+  in
+  let expected = run (Mlir.Parser.parse_module src) in
+  checkb "input returns 0 and -0" true
+    (expected = [ Int64.bits_of_float 0.0; Int64.bits_of_float (-0.0) ]);
+  List.iter
+    (fun (name, pass) ->
+      let m = Mlir.Parser.parse_module src in
+      pass m;
+      Mlir.Verifier.verify_exn m;
+      let constants =
+        List.length (Mlir.Ir.collect_ops (fun o -> o.Mlir.Ir.op_name = "arith.constant") m)
+      in
+      checki (name ^ " keeps both constants") 2 constants;
+      checkb (name ^ " output agrees bitwise on -0.0") true (run m = expected))
+    [
+      ("cse", fun m -> ignore (Mlir.Transforms.cse m));
+      ("canonicalize", fun m -> ignore (Mlir.Transforms.canonicalize m));
+    ]
+
 let test_dce () =
   let m =
     Mlir.Parser.parse_module
@@ -781,6 +811,7 @@ let () =
           Alcotest.test_case "identity folding" `Quick test_fold_identities;
           Alcotest.test_case "cse" `Quick test_cse;
           Alcotest.test_case "cse respects result types" `Quick test_cse_respects_types;
+          Alcotest.test_case "cse keeps signed zeros apart" `Quick test_cse_signed_zero;
           Alcotest.test_case "dce" `Quick test_dce;
           Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
           Alcotest.test_case "canonicalize preserves semantics (property)" `Quick
