@@ -9,6 +9,7 @@
      dune exec bench/main.exe -- ablation     -- rebuild-strategy ablation (DESIGN.md §5.1)
      dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks
      dune exec bench/main.exe -- serve        -- daemon latency / cache hit-rate (BENCH_serve.json)
+     dune exec bench/main.exe -- setup        -- per-function engine set-up (BENCH_setup.json)
 
    Absolute numbers differ from the paper (the execution substrate is an
    interpreter with a cycle-cost proxy, not LLVM -O3 on an M1; see
@@ -394,6 +395,212 @@ let saturation ~max_chain ~json_path () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Per-function engine set-up                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One round's set-up work, summed over every function: seconds per
+   step, minor words, and the counters. *)
+type setup_round = {
+  mutable sr_fork : float;
+  mutable sr_rules : float;
+  mutable sr_type_of : float;
+  mutable sr_eggify : float;
+  mutable sr_compile : float;  (* rules made ready at first use, in saturation *)
+  mutable sr_words : float;  (* minor words of fork .. eggify *)
+  mutable sr_funcs : int;
+  mutable sr_compiles : int;
+  mutable sr_reads : int;
+  mutable sr_cases : int;
+  mutable sr_skipped : int;  (* cases whose rules fail a static tier *)
+  mutable sr_violations : string list;
+}
+
+(* The gen-corpus benchmark's cases at seed 7: case [i] of shape [i mod
+   3], each a module under a ruleset of its own. *)
+let setup_cases n =
+  let shapes = Array.of_list Gen.all_shapes in
+  List.init n (fun i -> Gen.case ~shapes:[ shapes.(i mod Array.length shapes) ] ~seed:7 i)
+
+(* Each case as a request meets it: the static tiers run first
+   (untimed, through [Pipeline.prewarmed]), then each function is set up
+   step by step as [Pipeline.setup_function] does, and saturated, which
+   compiles the rules it uses for the first time. *)
+let setup_round cases =
+  let r =
+    {
+      sr_fork = 0.;
+      sr_rules = 0.;
+      sr_type_of = 0.;
+      sr_eggify = 0.;
+      sr_compile = 0.;
+      sr_words = 0.;
+      sr_funcs = 0;
+      sr_compiles = 0;
+      sr_reads = 0;
+      sr_cases = 0;
+      sr_skipped = 0;
+      sr_violations = [];
+    }
+  in
+  let module P = Dialegg.Pipeline in
+  List.iteri
+    (fun i (c : Gen.case) ->
+      let reads = P.rules_read () in
+      match P.prewarmed { P.default_config with rules = c.Gen.c_egg } with
+      | exception P.Error _ -> r.sr_skipped <- r.sr_skipped + 1
+      | config ->
+        r.sr_cases <- r.sr_cases + 1;
+        let own = Dialegg.Rules.count_rules c.Gen.c_egg in
+        let declares =
+          List.exists
+            (function
+              | Egglog.Ast.C_function _ | C_datatype _ | C_relation _ -> true | _ -> false)
+            (Egglog.Parser.parse_program c.Gen.c_egg)
+        in
+        let m = Mlir.Parser.parse_module c.Gen.c_mlir in
+        List.iter
+          (fun (op : Mlir.Ir.op) ->
+            if op.Mlir.Ir.op_name = "func.func" then begin
+              let w0 = Gc.minor_words () in
+              let t0 = Unix.gettimeofday () in
+              let engine = P.fork_base config in
+              let t1 = Unix.gettimeofday () in
+              P.load_rules config engine;
+              let t2 = Unix.gettimeofday () in
+              let sigs = P.add_type_of engine in
+              let t3 = Unix.gettimeofday () in
+              let eggify =
+                Dialegg.Eggify.create ~engine ~sigs ~hooks:(Dialegg.Translate.make_hooks ())
+              in
+              ignore (Dialegg.Eggify.translate_function eggify op);
+              let t4 = Unix.gettimeofday () in
+              let w1 = Gc.minor_words () in
+              ignore (Egglog.Interp.run engine config.P.max_iterations);
+              let compiles = Egglog.Interp.compiled_rules engine in
+              r.sr_fork <- r.sr_fork +. (t1 -. t0);
+              r.sr_rules <- r.sr_rules +. (t2 -. t1);
+              r.sr_type_of <- r.sr_type_of +. (t3 -. t2);
+              r.sr_eggify <- r.sr_eggify +. (t4 -. t3);
+              r.sr_compile <- r.sr_compile +. Egglog.Interp.first_use_time engine;
+              r.sr_words <- r.sr_words +. (w1 -. w0);
+              r.sr_funcs <- r.sr_funcs + 1;
+              r.sr_compiles <- r.sr_compiles + compiles;
+              if (not declares) && compiles > own then
+                r.sr_violations <-
+                  Printf.sprintf "case %d: a function compiled %d rules, its ruleset has %d" i
+                    compiles own
+                  :: r.sr_violations
+            end)
+          (Mlir.Ir.module_ops m);
+        let n = P.rules_read () - reads in
+        r.sr_reads <- r.sr_reads + n;
+        if n > 1 then
+          r.sr_violations <-
+            Printf.sprintf "case %d: its ruleset was read %d times" i n :: r.sr_violations)
+    cases;
+  r
+
+(* [setup] measures the per-function engine set-up over the gen-corpus
+   cases: best of [rounds] for each step, and the spread of the rounds'
+   totals.  [baseline] is the JSON file the same command wrote on another
+   tree; its numbers are kept beside these as "parent".  [quick] runs
+   one round over 90 cases as a gate: it fails if a function whose
+   ruleset declares nothing compiled more rules than its ruleset has, or
+   if a case read its ruleset more than once. *)
+let setup_bench ~rounds ~cases ~quick ~json_path ~baseline ~command () =
+  Unix.putenv "DIALEGG_VET_CACHE" "";
+  let cases = setup_cases cases in
+  ignore (setup_round [ List.hd cases ]);
+  let runs =
+    List.init rounds (fun _ ->
+        Gc.full_major ();
+        setup_round cases)
+  in
+  let per_fn (r : setup_round) x = x /. float_of_int (max 1 r.sr_funcs) *. 1000. in
+  let best f = List.fold_left (fun m r -> Float.min m (per_fn r (f r))) infinity runs in
+  let total r = r.sr_fork +. r.sr_rules +. r.sr_type_of +. r.sr_eggify +. r.sr_compile in
+  let totals = List.map (fun r -> per_fn r (total r)) runs in
+  let lo = List.fold_left Float.min infinity totals
+  and hi = List.fold_left Float.max 0. totals in
+  let r0 = List.hd runs in
+  let measured =
+    Printf.sprintf
+      {|{"fork_ms": %.5f, "rules_load_ms": %.5f, "type_of_ms": %.5f, "eggify_ms": %.5f, "first_use_compile_ms": %.5f, "setup_ms": %.5f, "setup_ms_rounds": [%s], "noise_band": %.3f, "setup_kwords": %.2f, "compiles_per_function": %.3f, "reads_per_case": %.3f}|}
+      (best (fun r -> r.sr_fork))
+      (best (fun r -> r.sr_rules))
+      (best (fun r -> r.sr_type_of))
+      (best (fun r -> r.sr_eggify))
+      (best (fun r -> r.sr_compile))
+      lo
+      (String.concat ", " (List.map (Printf.sprintf "%.5f") totals))
+      ((hi -. lo) /. lo)
+      (r0.sr_words /. float_of_int (max 1 r0.sr_funcs) /. 1000.)
+      (float_of_int r0.sr_compiles /. float_of_int (max 1 r0.sr_funcs))
+      (float_of_int r0.sr_reads /. float_of_int (max 1 r0.sr_cases))
+  in
+  fprintf "== Per-function set-up: %d gen-corpus cases of seed 7, %d functions, best of %d ==\n"
+    (List.length cases) r0.sr_funcs rounds;
+  fprintf "(%d cases skipped: their rules fail a static tier)\n\n" r0.sr_skipped;
+  fprintf "%-22s %10s\n" "step" "ms/function";
+  List.iter
+    (fun (name, f) -> fprintf "%-22s %10.4f\n" name (best f))
+    [
+      ("fork", fun r -> r.sr_fork);
+      ("rules load", fun r -> r.sr_rules);
+      ("type-of registration", fun r -> r.sr_type_of);
+      ("eggify", fun r -> r.sr_eggify);
+      ("first-use compile", fun r -> r.sr_compile);
+    ];
+  fprintf "%-22s %10.4f  (rounds %.4f-%.4f)\n" "total" lo lo hi;
+  fprintf "compiles per function %.3f, ruleset reads per case %.3f\n"
+    (float_of_int r0.sr_compiles /. float_of_int (max 1 r0.sr_funcs))
+    (float_of_int r0.sr_reads /. float_of_int (max 1 r0.sr_cases));
+  (* the "measured" line of a file this command wrote *)
+  let parent =
+    match baseline with
+    | None -> "null"
+    | Some path ->
+      let prefix = {|  "measured": |} in
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.find_map (fun l ->
+             if String.starts_with ~prefix l then
+               Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
+             else None)
+      |> Option.map (fun o ->
+             if String.ends_with ~suffix:"," o then String.sub o 0 (String.length o - 1) else o)
+      |> Option.value ~default:"null"
+  in
+  let json =
+    Printf.sprintf
+      "{\n\
+      \  \"benchmark\": \"per-function set-up\",\n\
+      \  \"command\": %S,\n\
+      \  \"workload\": \"gen-corpus cases of seed 7 (shape i mod 3), %d cases, %d functions; the static tiers run first, untimed, with the vet/audit disk cache off\",\n\
+      \  \"best_of\": %d,\n\
+      \  \"method\": \"ms per function: each step's mean in its best round; setup_ms the best round's total (fork through first-use compile), setup_ms_rounds every round's; noise_band (worst - best) / best of those; setup_kwords the minor words of fork through eggify in the first round; compiles per function and ruleset reads per case from the first round\",\n\
+      \  \"measured\": %s,\n\
+      \  \"parent\": %s%s\n\
+      }\n"
+      command (List.length cases) r0.sr_funcs rounds measured parent
+      (if baseline = None then ""
+       else
+         ",\n  \"parent_note\": \"the same command on the parent tree, with the step functions \
+          and counters it calls (Pipeline.fork_base, load_rules, add_type_of, rules_read; \
+          Interp.compiled_rules, first_use_time) added to it as plain splits and counters \
+          of its own setup_function\"")
+  in
+  Out_channel.with_open_text json_path (fun oc -> output_string oc json);
+  fprintf "\nwrote %s\n\n" json_path;
+  let violations = List.concat_map (fun r -> r.sr_violations) runs in
+  if quick && violations <> [] then begin
+    (* on stdout: the static tiers' warnings fill stderr *)
+    List.iter print_endline (List.sort_uniq compare violations);
+    print_endline "FAIL: a function compiled rules of the base or read its ruleset again";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* dialegg-serve: daemon latency and cache effectiveness               *)
 (* ------------------------------------------------------------------ *)
 
@@ -672,6 +879,25 @@ let () =
     let max_chain = int_of_string (opt "--max-chain" "14" rest) in
     let json_path = opt "--json" "BENCH_saturation.json" rest in
     saturation ~max_chain ~json_path ()
+  | "setup" :: rest ->
+    let rec opt key default = function
+      | k :: v :: _ when k = key -> v
+      | _ :: tl -> opt key default tl
+      | [] -> default
+    in
+    let quick = List.mem "--quick" rest in
+    let rounds = int_of_string (opt "--rounds" (if quick then "1" else "5") rest) in
+    let cases = int_of_string (opt "--cases" (if quick then "90" else "810") rest) in
+    let json_path = opt "--json" "BENCH_setup.json" rest in
+    let baseline = match opt "--baseline" "" rest with "" -> None | f -> Some f in
+    (* the command that measures this tree: [--baseline] only copies *)
+    let rec own = function
+      | "--baseline" :: _ :: tl -> own tl
+      | a :: tl -> a :: own tl
+      | [] -> []
+    in
+    let command = String.concat " " ("dune exec bench/main.exe --" :: "setup" :: own rest) in
+    setup_bench ~rounds ~cases ~quick ~json_path ~baseline ~command ()
   | "serve" :: rest ->
     let rec opt key default = function
       | k :: v :: _ when k = key -> v
@@ -685,5 +911,5 @@ let () =
   | cmd :: _ ->
     prerr_endline
       ("unknown subcommand " ^ cmd
-     ^ " (table1|fig3|table2|ablation|micro|saturation|serve)");
+     ^ " (table1|fig3|table2|ablation|micro|saturation|setup|serve)");
     exit 1

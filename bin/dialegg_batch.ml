@@ -39,8 +39,9 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
     in
     (* vet and audit once in the supervisor and fail fast before any worker
        forks; a repeat invocation over the same ruleset hits the on-disk
-       memo; both tiers read one checked ruleset *)
-    let checked = lazy (Dialegg.Lint.check ~file:"<rules>" rules) in
+       memo; both tiers read one checked ruleset, and the workers inherit
+       its reading *)
+    let checked = Dialegg.Pipeline.checked_rules pipeline in
     let vet_result = Dialegg.Pipeline.vet_rules_exn ~checked pipeline in
     (match vet_result with
     | Some (v, status) when show_stats ->

@@ -117,7 +117,9 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
     let only = match funcs with [] -> None | fs -> Some fs in
     if dump_egg then begin
       (* the Egglog translation of each selected function, made in the
-         engine the optimizer would saturate it in *)
+         engine the optimizer would saturate it in; each between (push)
+         and (pop), as each function has an engine of its own, so the
+         dump of a module loads as one program *)
       List.iter
         (fun op ->
           if op.Mlir.Ir.op_name = "func.func"
@@ -125,7 +127,9 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
           then begin
             let _, eggify, _, _ = Dialegg.Pipeline.setup_function config op in
             print_endline ("; function @" ^ Mlir.Ir.func_name op);
-            print_endline (Dialegg.Eggify.to_source eggify)
+            print_endline "(push)";
+            print_endline (Dialegg.Eggify.to_source eggify);
+            print_endline "(pop)"
           end)
         (Mlir.Ir.module_ops m);
       `Ok ()

@@ -139,9 +139,11 @@ type checked = {
   c_directed : directed list Lazy.t;
 }
 
-(* [src] checked against [env] (which the check extends) *)
-let check_with ?file ~env src =
-  let diags, cmds = Check.check_program_located ?file ~env src in
+(* [src] checked against [env] (which the check extends); [read] is
+   [Parser.read src] *)
+let check_with ?file ?read ~env src =
+  let read = match read with Some r -> r | None -> Egglog.Parser.read src in
+  let diags, cmds = Check.check_read ?file ~env read in
   {
     c_src = src;
     c_file = file;
@@ -406,7 +408,7 @@ let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t 
 
 (* One copy of the prelude environment, one located parse, one sort
    check: what lint, vet and audit all start from. *)
-let check ?file (src : string) : checked = check_with ?file ~env:(fresh_env ()) src
+let check ?file ?read (src : string) : checked = check_with ?file ?read ~env:(fresh_env ()) src
 
 (** Generic sort checking plus the dialect lints over a checked ruleset. *)
 let lint_checked (c : checked) : Diag.t list =

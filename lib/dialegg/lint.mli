@@ -57,8 +57,9 @@ val emittable : Egglog.Check.env -> string -> bool
 val prelude_func : string -> bool
 
 (** Check a ruleset source.  Never raises: unparsable input becomes
-    [parse-error] diagnostics. *)
-val check : ?file:string -> string -> checked
+    [parse-error] diagnostics.  [read], when given, is
+    [Egglog.Parser.read src], which is then not read again. *)
+val check : ?file:string -> ?read:Egglog.Parser.program -> string -> checked
 
 (** The sort-checker's diagnostics followed by the dialect lints'. *)
 val lint_checked : checked -> Egglog.Diag.t list

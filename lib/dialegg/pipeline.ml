@@ -124,10 +124,30 @@ let default_config =
     inject = None;
   }
 
-(* The ruleset all three static tiers read, parsed and sort-checked on
-   first use: a vet or audit memo hit with lint off parses nothing.  It
-   lives only as long as one request's tiers; no memo keeps it. *)
-let checked_rules config = lazy (Lint.check ~file:"<rules>" config.rules)
+(* A ruleset is read once per process: the last one read is kept with
+   its reading, which serves the static tiers' [Lint.check] and every
+   function's set-up.  One entry is enough: a request, a module's
+   functions, a serving worker's life each use one ruleset. *)
+let last_read : (string * Egglog.Parser.program) option ref = ref None
+
+let n_reads = ref 0
+
+let read_rules src =
+  match !last_read with
+  | Some (s, program) when s == src || String.equal s src -> program
+  | _ ->
+    let program = Egglog.Parser.read src in
+    incr n_reads;
+    last_read := Some (src, program);
+    program
+
+let rules_read () = !n_reads
+
+(* The ruleset all three static tiers read, sort-checked on first use: a
+   vet or audit memo hit with lint off checks nothing.  It lives only as
+   long as one request's tiers; no memo keeps it. *)
+let checked_rules config =
+  lazy (Lint.check ~file:"<rules>" ~read:(read_rules config.rules) config.rules)
 
 (* Fail fast on lint errors instead of silently saturating with rules
    that can never fire; warnings are surfaced but not fatal. *)
@@ -216,57 +236,75 @@ let diags_exn what diags =
             (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
             (List.filter Egglog.Diag.is_error diags)))
 
-(* The base engine: the prelude run once per process, with its
-   signatures (paper §5.1) and their generated [type-of] rules.  Every
-   function's engine is a fork of it.  Nothing writes to it after it is
-   built. *)
+(* The base engine: the prelude run once per process, its rules compiled,
+   with its signatures (paper §5.1) and their generated [type-of] rules,
+   prepared and compiled for its forks.  Every function's engine is a
+   fork of it.  Nothing writes to it after it is built. *)
 type base = {
   b_engine : Egglog.Interp.t;
   b_sigs : Sigs.t;
-  b_type_of : Egglog.Ast.command list;
+  b_type_of : Egglog.Interp.prepared_rules;
 }
 
 let base =
   lazy
     (let engine = Egglog.Interp.create () in
      Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
+     Egglog.Interp.compile_rules engine;
      let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
-     { b_engine = engine; b_sigs = sigs; b_type_of = Sigs.type_of_rules sigs })
+     {
+       b_engine = engine;
+       b_sigs = sigs;
+       b_type_of = Egglog.Interp.prepare_rules engine (Sigs.type_of_rules sigs);
+     })
 
-(* The per-function engine set-up (see the interface).  A rules file
-   that fails to load, in a declaration, an action, a [check] or an
-   [extract], is a [rules:] error.  The base's signatures and [type-of]
-   rules serve every fork whose rules declared no function: its
-   declaration list is then still physically the base's. *)
-let setup_function ?(hooks = Translate.make_hooks ()) (config : config) (func : Mlir.Ir.op) =
+let fork_base (config : config) =
   let limits =
     Egglog.Limits.make ~max_nodes:config.max_nodes
       ?max_time_ms:(Option.map (fun s -> s *. 1000.) config.timeout)
       ?max_memory_mb:config.max_memory_mb ()
   in
-  let base = Lazy.force base in
-  let engine = Egglog.Interp.fork ~limits base.b_engine in
+  let engine = Egglog.Interp.fork ~limits (Lazy.force base).b_engine in
   Egglog.Interp.set_naive_matching engine (not config.seminaive);
   Egglog.Interp.set_backoff engine config.backoff;
   Egglog.Interp.set_match_limit engine config.match_limit;
   Egglog.Interp.set_ban_length engine config.ban_length;
-  (try Egglog.Interp.run_string engine config.rules
-   with
-   | Egglog.Parser.Error msg
-   | Egglog.Interp.Error msg
-   | Egglog.Egraph.Error msg
-   | Egglog.Matcher.Error msg
-   | Egglog.Extract.Error msg
-   ->
-     raise (Error ("rules: " ^ msg)));
+  engine
+
+(* A rules file that fails to read or to load, in a declaration, an
+   action, a [check] or an [extract], is a [rules:] error. *)
+let load_rules (config : config) engine =
+  try Egglog.Interp.run_commands engine (Egglog.Parser.commands (read_rules config.rules))
+  with
+  | Egglog.Parser.Error msg
+  | Egglog.Interp.Error msg
+  | Egglog.Egraph.Error msg
+  | Egglog.Matcher.Error msg
+  | Egglog.Extract.Error msg
+  ->
+    raise (Error ("rules: " ^ msg))
+
+(* The base's signatures and prepared [type-of] rules serve every fork
+   whose rules declared no function: its declaration list is then still
+   physically the base's. *)
+let add_type_of engine =
+  let base = Lazy.force base in
   let declared eng = (Egglog.Interp.egraph eng).Egglog.Egraph.funcs_rev in
-  let sigs, type_of =
-    if declared engine == declared base.b_engine then (base.b_sigs, base.b_type_of)
-    else
-      let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
-      (sigs, Sigs.type_of_rules sigs)
-  in
-  Egglog.Interp.run_commands engine type_of;
+  if declared engine == declared base.b_engine then begin
+    Egglog.Interp.add_prepared engine base.b_type_of;
+    base.b_sigs
+  end
+  else begin
+    let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
+    Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
+    sigs
+  end
+
+(* The per-function engine set-up (see the interface). *)
+let setup_function ?(hooks = Translate.make_hooks ()) (config : config) (func : Mlir.Ir.op) =
+  let engine = fork_base config in
+  load_rules config engine;
+  let sigs = add_type_of engine in
   let eggify = Eggify.create ~engine ~sigs ~hooks in
   let root = Eggify.translate_function eggify func in
   (engine, eggify, sigs, root)

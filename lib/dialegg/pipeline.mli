@@ -87,6 +87,11 @@ type config = {
 
 val default_config : config
 
+(** [config.rules] checked for the static tiers on first use
+    ({!Lint.check}), from the process's one reading of the ruleset (see
+    {!load_rules}). *)
+val checked_rules : config -> Lint.checked Lazy.t
+
 (** Run the {!Vet} fail-fast tier over [config.rules]: prints warnings to
     stderr and returns the memoized (report, cache status); [None] when
     [config.vet] is off or there are no rules.  [checked], when given,
@@ -117,23 +122,47 @@ val audit_rules_exn :
 val prewarmed : config -> config
 
 (** The engine set-up {!optimize_func_report} runs for each function:
-    a fork ({!Egglog.Interp.fork}) of the base engine, which ran the
-    prelude once per process, under [config]'s limits (nodes, wall
-    clock, memory) and scheduler settings ([seminaive], [backoff],
-    [match_limit], [ban_length]); then [config.rules], the generated
-    [type-of] rules, and [func] eggified.  The signatures and [type-of]
-    rules are the base's unless [config.rules] declared a function, in
-    which case the fork's functions are scanned.  The engine is the one a
-    fresh replay of the prelude and [config.rules] would give: the same
-    rules in the same order, the same [rule-N] names, codes and table
-    order.  Returns the engine, the translation state, the signatures and
-    the name of the global holding [func]'s root.
+    {!fork_base}, {!load_rules}, {!add_type_of}, then [func] eggified.
+    The engine is the one a fresh replay of the prelude and
+    [config.rules] would give: the same rules in the same order, the
+    same [rule-N] names and table order, and the same codes except that
+    the prelude rules' literals come first.  Returns the engine, the
+    translation state, the signatures and the name of the global holding
+    [func]'s root.
     @raise Error ["rules: …"] when [config.rules] fails to load. *)
 val setup_function :
   ?hooks:Translate.hooks ->
   config ->
   Mlir.Ir.op ->
   Egglog.Interp.t * Eggify.t * Sigs.t * string
+
+(** A fork ({!Egglog.Interp.fork}) of the base engine, under [config]'s
+    limits (nodes, wall clock, memory) and scheduler settings
+    ([seminaive], [backoff], [match_limit], [ban_length]).  The base ran
+    the prelude and compiled its rules once per process
+    ({!Egglog.Interp.compile_rules}), so the fork starts with their
+    plans. *)
+val fork_base : config -> Egglog.Interp.t
+
+(** Run [config.rules] in the engine.  The ruleset is read once per
+    process: the reading the static tiers' {!Lint.check} made, or that
+    an earlier function's set-up made, is reused.
+    @raise Error ["rules: …"] when the rules fail to read or to load,
+    the message the interpreter's error carries. *)
+val load_rules : config -> Egglog.Interp.t -> unit
+
+(** Register the generated [type-of] rules in a fork of the base that
+    loaded its rules, and return the signatures.  When the rules declared
+    no function, the base's signatures serve, and the base's [type-of]
+    rules, prepared and compiled once ({!Egglog.Interp.prepare_rules}),
+    are spliced in ({!Egglog.Interp.add_prepared}); else the fork's
+    functions are scanned and their [type-of] rules run. *)
+val add_type_of : Egglog.Interp.t -> Sigs.t
+
+(** How many times this process has read a ruleset source: once per
+    ruleset, however many functions and static tiers use it, while no
+    other ruleset is read in between. *)
+val rules_read : unit -> int
 
 type timings = {
   t_mlir_to_egg : float;  (** engine set-up: fork, rules load, eggify *)

@@ -16,7 +16,8 @@
     - [unbound-var] — a pattern variable used where a value is needed
       (rewrite RHS, action, primitive argument) but never bound;
     - [wildcard-rhs] — a wildcard in evaluated position;
-    - [rebound-let] — a global [let] name defined twice;
+    - [rebound-let] — a global [let] name defined twice (a [(pop)]
+      forgets the globals defined since its [(push)]);
     - [duplicate-rule] — two rules declared with the same [:name];
     - [duplicate-constructor] — a constructor declared twice in the same
       [datatype];
@@ -126,6 +127,9 @@ type ctx = {
   file : string option;
   mutable diags : Diag.t list;  (** reversed *)
   mutable next : int;
+  mutable pushed : (string * ty) list list;
+      (** the globals at each open [(push)], innermost first: [(pop)]
+          restores them, as the interpreter does *)
 }
 
 let fresh ctx =
@@ -788,7 +792,16 @@ let check_located ctx (cmd : Ast.command) (cloc : Sexp.located) =
   | C_print_function (name, _) ->
     if find_func ctx.env name = None then
       errf ctx span "unknown-function" "unknown function or constructor %s" name
-  | C_print_stats | C_push | C_pop -> ()
+  | C_push ->
+    ctx.pushed <- List.of_seq (Hashtbl.to_seq ctx.env.globals) :: ctx.pushed
+  | C_pop -> (
+    match ctx.pushed with
+    | [] -> ()  (* the interpreter reports a pop without a push *)
+    | globals :: rest ->
+      Hashtbl.reset ctx.env.globals;
+      List.iter (fun (x, t) -> Hashtbl.replace ctx.env.globals x t) globals;
+      ctx.pushed <- rest)
+  | C_print_stats -> ()
 
 let check_located_safe ctx cmd cloc =
   try check_located ctx cmd cloc with
@@ -801,36 +814,35 @@ let finish ctx = Diag.dedup (List.rev ctx.diags)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_program_located ?file ~env (src : string) :
+let check_read ?file ~env (program : Parser.program) :
     Diag.t list * (Ast.command * Sexp.located) list option =
-  let ctx = { env; file; diags = []; next = 0 } in
+  let ctx = { env; file; diags = []; next = 0; pushed = [] } in
   let cmds =
-    try
+    match program with
+    | Parser.Forms forms ->
       List.fold_left
-        (fun acc loc ->
-          match Parser.command_of_sexp (Sexp.strip loc) with
-          | cmd ->
+        (fun acc { Parser.f_loc = loc; f_cmd } ->
+          match f_cmd with
+          | Ok cmd ->
             check_located_safe ctx cmd loc;
             Option.map (fun cmds -> (cmd, loc) :: cmds) acc
-          | exception Parser.Error m ->
+          | Error (Parser.Error m | Failure m) ->
             errf ctx loc.Sexp.span "parse-error" "%s" m;
             None
-          | exception Failure m ->
-            errf ctx loc.Sexp.span "parse-error" "%s" m;
-            None)
-        (Some []) (Sexp.parse_string_loc src)
+          | Error e -> raise e)
+        (Some []) forms
       |> Option.map List.rev
-    with Sexp.Parse_error { line; col; msg; _ } ->
+    | Parser.Unreadable { line; col; msg } ->
       let pos = { Sexp.line; col } in
       errf ctx { sp_start = pos; sp_end = pos } "parse-error" "%s" msg;
       None
   in
   (finish ctx, cmds)
 
-let check_program ?file ~env src = fst (check_program_located ?file ~env src)
+let check_program ?file ~env src = fst (check_read ?file ~env (Parser.read src))
 
 let check_commands ?file ~env (cmds : Ast.command list) : Diag.t list =
-  let ctx = { env; file; diags = []; next = 0 } in
+  let ctx = { env; file; diags = []; next = 0; pushed = [] } in
   List.iter
     (fun cmd -> check_located_safe ctx cmd (Sexp.with_dummy_spans (Ast.sexp_of_command cmd)))
     cmds;

@@ -33,20 +33,21 @@ val find_func : env -> string -> fsig option
 
 val iter_funcs : env -> (string -> fsig -> unit) -> unit
 
-(** Check a program from source text, parsing it once with locations.
-    Returns the diagnostics and each command paired with the located
+(** Check a program read once with locations ({!Parser.read}).  Returns
+    the diagnostics and each command paired with the located
     s-expression it was read from; the commands are [None] when some
-    command fails to parse (exactly when {!Parser.parse_program_located}
-    raises).  Never raises on unparsable input: it becomes [parse-error]
+    command fails to parse (exactly when {!Parser.commands} raises).
+    Never raises on unparsable input: it becomes [parse-error]
     diagnostics.  Declarations (even erroneous ones, best-effort) are
     recorded in [env]. *)
-val check_program_located :
+val check_read :
   ?file:string ->
   env:env ->
-  string ->
+  Parser.program ->
   Diag.t list * (Ast.command * Sexp.located) list option
 
-(** The diagnostics of {!check_program_located}. *)
+(** The diagnostics of {!check_read} on a program read from source
+    text. *)
 val check_program : ?file:string -> env:env -> string -> Diag.t list
 
 (** Check an already-parsed program.  Diagnostics carry no source spans. *)

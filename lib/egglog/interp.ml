@@ -18,9 +18,13 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 type cval =
   | K_slot of int  (* read a packed-row / let slot *)
   | K_global of string  (* resolved in [t.globals] at apply time *)
-  | K_const of int  (* pre-encoded code (the pool is append-only/shared) *)
+  | K_const of int
+      (* pre-encoded code: the pool is append-only and a fork copies it, so
+         the code means the same in every fork taken after the compile *)
   | K_prim of string * cval array  (* decodes args, encodes the result *)
-  | K_table of Egraph.func * cval array * int array  (* + per-node key scratch *)
+  | K_table of Egraph.func * cval array * int array
+      (* + per-node key scratch; the table is the running engine's: an
+         applier compiled in another engine is {!relink}ed first *)
   | K_check of Egraph.sort_kind * cval
       (* runtime sort check, only where the sort isn't known statically
          (primitive results, globals and residual-bound slots) *)
@@ -68,6 +72,9 @@ type capply = {
   ca_steps : cstep list;  (* the residual facts, in the order they run *)
   ca_acts : caction array;
   ca_slots : int;  (* scratch row width: packed row + let bindings *)
+  ca_closed : bool;
+      (* every table called was declared when this was compiled: an engine
+         with these declarations and more compiles the same *)
 }
 
 (* A rule as registered, fixed from then on. *)
@@ -94,6 +101,12 @@ type rule = {
   mutable r_capply : capply option;
       (** the residuals and actions slot-compiled against [r_gplan]'s
           packed rows, made with it *)
+  mutable r_ready : (Matcher.gplan * capply) option;
+      (** a closed plan and applier made before the first search, which
+          takes an instance of them instead of compiling: made by
+          {!compile_rules}, or held by the engine this one was forked from
+          (its literal codes are in the pool the fork copied).  Never
+          searched with or applied itself, so it holds no engine's rows. *)
   mutable r_last_scan : int;  (** e-graph clock at the last match scan *)
   mutable r_pins : int array;
       (** canonical codes of the globals the premises name, as of the last
@@ -187,7 +200,15 @@ type t = {
   mutable eg : Egraph.t;
   mutable globals : (string, Value.t) Hashtbl.t;
   mutable rules_rev : rule list;  (** newest registration first *)
-  mutable rule_keys : (rule_key, unit) Hashtbl.t;  (** the rules in [rules_rev] *)
+  mutable rule_keys : (rule_key, unit) Hashtbl.t;
+      (** the keys of the rules registered here since the last {!fork} or
+          {!prepare_rules} of this engine *)
+  mutable key_layers : (rule_key, unit) Hashtbl.t list;
+      (** the keys of the rules registered before: tables no engine writes
+          any more, shared with forks and prepared registrations *)
+  mutable n_compiled : int;  (** rules this engine compiled itself *)
+  mutable first_use_time : float;
+      (** seconds spent making rules ready at their first search *)
   mutable rulesets : string list;  (** declared ruleset names *)
   mutable rule_counter : int;
   mutable limits : Limits.t;  (** resource budgets for saturation *)
@@ -226,6 +247,7 @@ and snapshot = {
   s_globals : (string, Value.t) Hashtbl.t;
   s_rules_rev : rule list;
   s_rule_keys : (rule_key, unit) Hashtbl.t;
+  s_key_layers : (rule_key, unit) Hashtbl.t list;
   s_rulesets : string list;
 }
 
@@ -244,6 +266,9 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
     globals = Hashtbl.create 64;
     rules_rev = [];
     rule_keys = Hashtbl.create 64;
+    key_layers = [];
+    n_compiled = 0;
+    first_use_time = 0.;
     rulesets = [];
     rule_counter = 0;
     limits;
@@ -265,11 +290,12 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
 
 (* A rule in the state of one just registered: no plan, never scanned,
    never banned, no statistics. *)
-let unused_rule r_def =
+let unused_rule ?ready r_def =
   {
     r_def;
     r_gplan = None;
     r_capply = None;
+    r_ready = ready;
     r_last_scan = -1;
     r_pins = [||];
     r_times_banned = 0;
@@ -282,15 +308,39 @@ let unused_rule r_def =
     r_apply_time = 0.;
   }
 
+(* Turn the keys registered since the last freeze into a layer nobody
+   writes, so that forks can share it. *)
+let freeze_keys t =
+  if Hashtbl.length t.rule_keys > 0 then begin
+    t.key_layers <- t.rule_keys :: t.key_layers;
+    t.rule_keys <- Hashtbl.create 16
+  end
+
+let registered t key =
+  Hashtbl.mem t.rule_keys key || List.exists (fun l -> Hashtbl.mem l key) t.key_layers
+
+(* The plan and applier a fork may start [r] with: closed, and compiled
+   against the current e-graph, whose pool the fork copies. *)
+let portable r =
+  match (r.r_gplan, r.r_capply) with
+  | Some gp, Some ca when ca.ca_closed -> Some (gp, ca)
+  | _ -> r.r_ready
+
 (** An engine that starts as [base] is now and changes on its own from
     there (see the interface).  The matcher index and the applied-cost
-    memo start empty: both hold codes and rows of one e-graph. *)
+    memo start empty: both hold codes and rows of one e-graph.  The
+    rules' compiled plans and the rule keys are shared, not copied:
+    neither is written once made. *)
 let fork ~limits base =
+  freeze_keys base;
   {
     eg = Egraph.copy base.eg;
     globals = Hashtbl.copy base.globals;
-    rules_rev = List.map (fun r -> unused_rule r.r_def) base.rules_rev;
-    rule_keys = Hashtbl.copy base.rule_keys;
+    rules_rev = List.map (fun r -> unused_rule ?ready:(portable r) r.r_def) base.rules_rev;
+    rule_keys = Hashtbl.create 16;
+    key_layers = base.key_layers;
+    n_compiled = 0;
+    first_use_time = 0.;
     rulesets = base.rulesets;
     rule_counter = base.rule_counter;
     limits;
@@ -436,6 +486,7 @@ let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string ar
     (slot_sorts : Egraph.sort_kind option array) (residuals : Ast.fact list)
     (actions : Ast.action list) : capply =
   let pool = Egraph.pool eg in
+  let closed = ref true in
   let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri (fun i x -> Hashtbl.replace slots x i) names;
   let next = ref (Array.length names) in
@@ -483,7 +534,10 @@ let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string ar
       match List.mapi coerce cargs with
       | cvs -> Some (fn, Array.of_list cvs)
       | exception Exit -> None)
-    | _ -> None
+    | Some _ -> None
+    | None ->
+      closed := false;
+      None
   in
   let steps =
     if residuals = [] then []
@@ -578,7 +632,45 @@ let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string ar
     | A_panic msg -> KA_fail ("panic: " ^ msg)
   in
   let acts = List.map cact actions in
-  { ca_steps = steps; ca_acts = Array.of_list acts; ca_slots = !next }
+  { ca_steps = steps; ca_acts = Array.of_list acts; ca_slots = !next; ca_closed = !closed }
+
+(* [ca], compiled against another e-graph with the same declarations of
+   the tables it calls (a closed applier of the engine this one was
+   forked from), made [eg]'s: each table resolved in [eg] once, and key
+   scratch of its own.  The compiled applier is left as it was, so it
+   holds no engine's rows. *)
+let relink eg (ca : capply) : capply =
+  let table (fn : Egraph.func) = Egraph.find_func eg fn.Egraph.sym in
+  let scratch key = Array.make (Array.length key) 0 in
+  let rec cv = function
+    | K_table (fn, args, key) -> K_table (table fn, Array.map cv args, scratch key)
+    | K_prim (f, args) -> K_prim (f, Array.map cv args)
+    | K_check (k, c) -> K_check (k, cv c)
+    | K_apply (f, args) -> K_apply (f, Array.map cv args)
+    | (K_slot _ | K_global _ | K_const _ | K_wildcard) as c -> c
+  in
+  let rec cm = function
+    | KM_equal c -> KM_equal (cv c)
+    | KM_vec ms -> KM_vec (Array.map cm ms)
+    | (KM_bind _ | KM_any) as m -> m
+  in
+  let step = function
+    | KS_guard c -> KS_guard (cv c)
+    | KS_eq (c, ms) -> KS_eq (cv c, List.map cm ms)
+    | (KS_never | KS_unconstrained _) as s -> s
+  in
+  let late = function L_set c -> L_set (cv c) | L_cost c -> L_cost (cv c) | L_delete -> L_delete in
+  let act = function
+    | KA_let (slot, c) -> KA_let (slot, cv c)
+    | KA_union (a, b) -> KA_union (cv a, cv b)
+    | KA_set (fn, args, key, rhs) -> KA_set (table fn, Array.map cv args, scratch key, cv rhs)
+    | KA_expr c -> KA_expr (cv c)
+    | KA_cost (fn, args, key, c) -> KA_cost (table fn, Array.map cv args, scratch key, cv c)
+    | KA_delete (fn, args, key) -> KA_delete (table fn, Array.map cv args, scratch key)
+    | KA_late (l, f, args) -> KA_late (late l, f, Array.map cv args)
+    | KA_fail _ as a -> a
+  in
+  { ca with ca_steps = List.map step ca.ca_steps; ca_acts = Array.map act ca.ca_acts }
 
 let rec ceval t (vals : int array) (cv : cval) : int =
   match cv with
@@ -802,18 +894,48 @@ let compile_plan t idx ?keep ~pinned facts actions =
     compile_rule t.eg ~pinned (Matcher.gp_slot_names gp) (Matcher.gp_slot_sorts idx gp)
       (Matcher.gp_residuals gp) actions )
 
-(* [r]'s plan and applier, made on first use *)
+(* [d]'s plan and applier, counted as this engine's compile *)
+let compile_def t idx d =
+  let p =
+    compile_plan t idx ~keep:(action_vars d.r_actions) ~pinned:d.r_pinned d.r_facts d.r_actions
+  in
+  t.n_compiled <- t.n_compiled + 1;
+  p
+
+(* [r]'s plan and applier, made on first use: an instance of the one
+   made ahead, or compiled now *)
 let compiled t idx r =
   match (r.r_gplan, r.r_capply) with
   | Some gp, Some ca -> (gp, ca)
   | _ ->
-    let d = r.r_def in
+    let t0 = Unix.gettimeofday () in
     let gp, ca =
-      compile_plan t idx ~keep:(action_vars d.r_actions) ~pinned:d.r_pinned d.r_facts d.r_actions
+      match r.r_ready with
+      | Some (gp, ca) -> (Matcher.gp_instance gp, relink t.eg ca)
+      | None -> compile_def t idx r.r_def
     in
+    t.first_use_time <- t.first_use_time +. (Unix.gettimeofday () -. t0);
     r.r_gplan <- Some gp;
     r.r_capply <- Some ca;
     (gp, ca)
+
+(* [d] compiled now for use later, here or in a fork: [None] unless it
+   compiles and is closed.  Its literals are interned in this engine's
+   pool, which forks taken from now on copy. *)
+let compile_ahead t idx d =
+  match compile_def t idx d with
+  | (_, ca) as p when ca.ca_closed -> Some p
+  | _ -> None
+  | exception (Error _ | Matcher.Error _ | Egraph.Error _) -> None
+
+let compile_rules t =
+  let idx = get_index t in
+  List.iter
+    (fun r -> if r.r_gplan = None && r.r_ready = None then r.r_ready <- compile_ahead t idx r.r_def)
+    t.rules_rev
+
+let compiled_rules t = t.n_compiled
+let first_use_time t = t.first_use_time
 
 (* Can [r]'s search be settled as "no matches" without compiling it?
    Only where compiling would succeed and the join would find nothing:
@@ -1129,6 +1251,32 @@ let check_ruleset t = function
   | None -> ()
   | Some rs -> if not (List.mem rs t.rulesets) then error "unknown ruleset %s" rs
 
+(* A rule as registering it now would define it, with its key and the
+   bare premise names it reads.  An unnamed rule's [r_name] is given when
+   it is registered. *)
+let define t ?name ?ruleset facts actions =
+  let refs, calls, bare = premise_reads facts in
+  let pinned = List.filter (Hashtbl.mem t.globals) bare in
+  ( (name, facts, actions, ruleset, pinned),
+    {
+      r_name = Option.value name ~default:"";
+      r_facts = facts;
+      r_actions = actions;
+      r_ruleset = ruleset;
+      r_refs = refs;
+      r_calls = calls;
+      r_pinned = pinned;
+    },
+    bare )
+
+(* Append a defined rule whose key is new (the caller records the key). *)
+let register t ((name, _, _, _, _) : rule_key) d ready =
+  t.rule_counter <- t.rule_counter + 1;
+  let d =
+    match name with Some _ -> d | None -> { d with r_name = Printf.sprintf "rule-%d" t.rule_counter }
+  in
+  t.rules_rev <- unused_rule ?ready d :: t.rules_rev
+
 (* Registration is O(1) in the number of rules, and compiles nothing: a
    rule is compiled at its first search that can find something
    ({!idle}).  A bare premise name denotes the global of that name if one
@@ -1137,27 +1285,10 @@ let check_ruleset t = function
    no-op and takes no [rule-N] number. *)
 let add_rule t ?name ?ruleset facts actions =
   check_ruleset t ruleset;
-  let refs, calls, bare = premise_reads facts in
-  let pinned = List.filter (Hashtbl.mem t.globals) bare in
-  let key = (name, facts, actions, ruleset, pinned) in
-  if not (Hashtbl.mem t.rule_keys key) then begin
-    t.rule_counter <- t.rule_counter + 1;
-    let r_name =
-      match name with Some n -> n | None -> Printf.sprintf "rule-%d" t.rule_counter
-    in
+  let key, d, _ = define t ?name ?ruleset facts actions in
+  if not (registered t key) then begin
     Hashtbl.replace t.rule_keys key ();
-    t.rules_rev <-
-      unused_rule
-        {
-          r_name;
-          r_facts = facts;
-          r_actions = actions;
-          r_ruleset = ruleset;
-          r_refs = refs;
-          r_calls = calls;
-          r_pinned = pinned;
-        }
-      :: t.rules_rev
+    register t key d None
   end
 
 (** Desugar [(rewrite lhs rhs :when conds)] into a rule. *)
@@ -1287,6 +1418,7 @@ let run_command t (c : Ast.command) : unit =
         s_globals = Hashtbl.copy t.globals;
         s_rules_rev = t.rules_rev;
         s_rule_keys = Hashtbl.copy t.rule_keys;
+        s_key_layers = t.key_layers;
         s_rulesets = t.rulesets;
       }
       :: t.snapshots
@@ -1298,6 +1430,7 @@ let run_command t (c : Ast.command) : unit =
       t.globals <- s.s_globals;
       t.rules_rev <- s.s_rules_rev;
       t.rule_keys <- s.s_rule_keys;
+      t.key_layers <- s.s_key_layers;
       t.rulesets <- s.s_rulesets;
       t.snapshots <- rest;
       (* the restored graph has an older clock: scan horizons and ban
@@ -1308,16 +1441,86 @@ let run_command t (c : Ast.command) : unit =
           r.r_last_scan <- -1;
           r.r_pins <- [||];
           r.r_banned_until <- 0;
-          (* compiled plans and appliers hold function records and globals
-             of the discarded graph — recompile against the restored one *)
+          (* compiled plans and appliers may hold literal codes the
+             restored pool never interned — recompile against it *)
           r.r_gplan <- None;
-          r.r_capply <- None)
+          r.r_capply <- None;
+          r.r_ready <- None)
         t.rules_rev;
       (* applied-cost memo refers to the discarded graph's codes *)
       Hashtbl.reset t.costs_applied)
 
 (** Execute a list of commands; outputs are appended to [t.outputs]. *)
 let run_commands t cmds = List.iter (run_command t) cmds
+
+(* Rule registrations made ready once against an engine ({!prepare_rules}). *)
+type prepared_rules = {
+  p_cmds : Ast.command list;
+  p_rules : (rule_key * rule_def * (Matcher.gplan * capply) option) list;
+      (* the rules registering [p_cmds] would add, in order, each with
+         its plan and applier compiled ahead *)
+  p_keys : (rule_key, unit) Hashtbl.t;  (* their keys: a layer nobody writes *)
+  p_valid : bool;  (* every command is a [rule] into a declared ruleset *)
+  p_funcs : Symbol.t list;  (* the declarations they were compiled against *)
+  p_layers : (rule_key, unit) Hashtbl.t list;  (* the keys registered before *)
+  p_globals : (string * bool) list;  (* each bare premise name: was it a global? *)
+  p_rulesets : string list;  (* the named rulesets the rules go into *)
+}
+
+let prepare_rules t cmds =
+  freeze_keys t;
+  let idx = get_index t in
+  let keys = Hashtbl.create 64 in
+  let valid = ref true and rules = ref [] and globals = ref [] and rulesets = ref [] in
+  let add name ruleset facts actions =
+    Option.iter
+      (fun rs ->
+        if not (List.mem rs t.rulesets) then valid := false
+        else if not (List.mem rs !rulesets) then rulesets := rs :: !rulesets)
+      ruleset;
+    let key, d, bare = define t ?name ?ruleset facts actions in
+    List.iter
+      (fun x ->
+        if not (List.mem_assoc x !globals) then globals := (x, Hashtbl.mem t.globals x) :: !globals)
+      bare;
+    if not (registered t key || Hashtbl.mem keys key) then begin
+      Hashtbl.replace keys key ();
+      rules := (key, d, compile_ahead t idx d) :: !rules
+    end
+  in
+  List.iter
+    (function
+      | Ast.C_rule { name; facts; actions; ruleset } -> add name ruleset facts actions
+      | _ -> valid := false)
+    cmds;
+  {
+    p_cmds = cmds;
+    p_rules = List.rev !rules;
+    p_keys = keys;
+    p_valid = !valid;
+    p_funcs = t.eg.Egraph.funcs_rev;
+    p_layers = t.key_layers;
+    p_globals = !globals;
+    p_rulesets = !rulesets;
+  }
+
+(* Splicing [p] in registers what running its commands would: the
+   engine has the declarations, the keys (its own registrations aside)
+   and the globals the rules were prepared against, and registered none
+   of the rules itself. *)
+let add_prepared t p =
+  if
+    p.p_valid
+    && t.eg.Egraph.funcs_rev == p.p_funcs
+    && t.key_layers == p.p_layers
+    && List.for_all (fun (x, g) -> Hashtbl.mem t.globals x = g) p.p_globals
+    && List.for_all (fun rs -> List.mem rs t.rulesets) p.p_rulesets
+    && not (Seq.exists (Hashtbl.mem p.p_keys) (Hashtbl.to_seq_keys t.rule_keys))
+  then begin
+    List.iter (fun (key, d, ready) -> register t key d ready) p.p_rules;
+    t.key_layers <- p.p_keys :: t.key_layers
+  end
+  else run_commands t p.p_cmds
 
 (** Execute Egglog source text. *)
 let run_string t src = run_commands t (Parser.parse_program src)

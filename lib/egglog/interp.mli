@@ -110,13 +110,56 @@ val create :
     overrides; see {!Egraph.copy}), globals, rules, rulesets and rule
     counter, so the next rule registered gets the [rule-N] number it
     would get in [base].  Each rule keeps its premises, actions and
-    pinned globals, and starts unscanned, unbanned and uncompiled, with
-    zero statistics.  The scheduler settings are [base]'s; the resource
-    budget is [limits].  Outputs, push/pop snapshots, checkpoints, the
-    last run's statistics and the iteration count start empty.  Forking
-    a prelude engine gives the engine a replay of the prelude into
-    {!create} would, with the same codes and the same table order. *)
+    pinned globals, and starts unscanned, unbanned and with zero
+    statistics.  A rule [base] has compiled (at a search, or by
+    {!compile_rules}) starts with [base]'s plan and applier, when they
+    call only tables [base] declared: the fork's first search of the
+    rule takes an instance of them, with the fork's tables and search
+    scratch of its own, instead of compiling it, which gives what the
+    fork's own compile would.  A rule that is not due, or one of whose
+    tables has no row, is settled without them, as before its first
+    use.  The scheduler settings are [base]'s; the resource budget is
+    [limits].  Outputs, push/pop snapshots, checkpoints, the last run's
+    statistics and the iteration count start empty.  Forking a prelude
+    engine gives the engine a replay of the prelude into {!create}
+    would, with the same table order, and the same codes unless [base]
+    interned literals by compiling rules ahead. *)
 val fork : limits:Limits.t -> t -> t
+
+(** Compile now every registered rule not compiled yet whose premises
+    compile and whose actions call only declared tables, so that forks
+    taken from now on start with the plans (see {!fork}).  The rules'
+    literals are interned in the pool; nothing else changes: a rule
+    compiled ahead is still settled without a search while one of its
+    tables is empty. *)
+val compile_rules : t -> unit
+
+(** How many rules this engine compiled itself, at a search or ahead; a
+    plan a fork starts with is not counted in the fork. *)
+val compiled_rules : t -> int
+
+(** Seconds this engine spent making rules ready at their first search:
+    compiling them, or making an instance of the plan they started with
+    (see {!fork}). *)
+val first_use_time : t -> float
+
+(** Rule registrations compiled once against an engine, for its forks. *)
+type prepared_rules
+
+(** [prepare_rules t cmds] compiles the rules [cmds] register against
+    [t], as {!compile_rules} would, without registering them.  When
+    [cmds] holds anything but [rule]s, {!add_prepared} runs them
+    instead. *)
+val prepare_rules : t -> Ast.command list -> prepared_rules
+
+(** [add_prepared t p] does what [run_commands t cmds] would, for the
+    commands [p] was prepared from: it registers the same rules under
+    the same names, keys and [rule-N] numbers.  When [t] is a fork of the
+    engine [p] was prepared against and has the same declarations,
+    globals and rule keys (its own registrations aside, none of which is
+    one of [p]'s rules), the rules are spliced in with their plans; else
+    the commands run. *)
+val add_prepared : t -> prepared_rules -> unit
 
 (** Replace the engine's resource budgets (applies to subsequent runs). *)
 val set_limits : t -> Limits.t -> unit

@@ -794,6 +794,8 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     gp_scratch = None;
   }
 
+let gp_instance gp = { gp with gp_scratch = None }
+
 (** The canonical codes of the globals [gp]'s premises name, in
     [gp_globals] order: a rule whose pins moved since its last search can
     have new matches among old rows. *)

@@ -56,6 +56,14 @@ type gplan
     an unknown function or an arity mismatch. *)
 val gcompile : ?keep:string list -> pinned:string list -> index -> plan -> gplan
 
+(** The same plan, with search scratch of its own.  A plan names tables
+    by symbol and holds literal codes of the pool it was compiled
+    against; its scratch holds the tables and column indexes of the last
+    e-graph it searched.  So an engine that copied that pool (a fork)
+    searches its own instance, and the compiled plan holds no engine's
+    rows. *)
+val gp_instance : gplan -> gplan
+
 (** {1 Search} *)
 
 (** Canonical codes of the globals the plan's premises name, as of now.

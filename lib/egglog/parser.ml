@@ -172,22 +172,25 @@ let command_of_sexp (s : Sexp.t) : Ast.command =
     C_action (action_of_sexp s)
   | _ -> C_action (A_expr (expr_of_sexp s))
 
-(** Parse a whole Egglog program from source text. *)
-let parse_program (src : string) : Ast.command list =
-  let sexps =
-    try Sexp.parse_string src
-    with Sexp.Parse_error { line; msg; _ } -> error "line %d: %s" line msg
-  in
-  List.map command_of_sexp sexps
+type form = { f_loc : Sexp.located; f_cmd : (Ast.command, exn) result }
+type program = Forms of form list | Unreadable of { line : int; col : int; msg : string }
 
-(** Parse a whole program, pairing each command with the located
-    s-expression it was read from (for diagnostics). *)
-let parse_program_located (src : string) : (Ast.command * Sexp.located) list =
-  let sexps =
-    try Sexp.parse_string_loc src
-    with Sexp.Parse_error { line; msg; _ } -> error "line %d: %s" line msg
-  in
-  List.map (fun loc -> (command_of_sexp (Sexp.strip loc), loc)) sexps
+let read (src : string) : program =
+  match Sexp.parse_string_loc src with
+  | locs ->
+    Forms
+      (List.map
+         (fun loc ->
+           { f_loc = loc; f_cmd = (try Ok (command_of_sexp (Sexp.strip loc)) with e -> Error e) })
+         locs)
+  | exception Sexp.Parse_error { line; col; msg; _ } -> Unreadable { line; col; msg }
+
+let commands = function
+  | Unreadable { line; msg; _ } -> error "line %d: %s" line msg
+  | Forms forms -> List.map (fun f -> match f.f_cmd with Ok c -> c | Error e -> raise e) forms
+
+(** Parse a whole Egglog program from source text. *)
+let parse_program (src : string) : Ast.command list = commands (read src)
 
 (** Parse a single expression from source text. *)
 let parse_expr (src : string) : Ast.expr = expr_of_sexp (Sexp.parse_one src)

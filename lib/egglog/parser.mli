@@ -8,12 +8,28 @@
 
 exception Error of string
 
-(** Parse a whole program. *)
+(** Parse a whole program: the commands of {!read}, raising {!Error} at
+    the first form that does not read. *)
 val parse_program : string -> Ast.command list
 
-(** Parse a whole program, pairing each command with the located
-    s-expression it was read from (for diagnostics). *)
-val parse_program_located : string -> (Ast.command * Sexp.located) list
+(** One top-level form of a program: the located s-expression, and the
+    command it reads as or what {!command_of_sexp} raised on it. *)
+type form = { f_loc : Sexp.located; f_cmd : (Ast.command, exn) result }
+
+(** A program read once, for every consumer: the sort-checker (which
+    reports each form that does not read as a command) and the
+    interpreter ({!commands}).  [Unreadable] is a source that is not a
+    sequence of s-expressions. *)
+type program = Forms of form list | Unreadable of { line : int; col : int; msg : string }
+
+(** Read a program.  A source or a form that does not read is recorded,
+    not raised. *)
+val read : string -> program
+
+(** The commands of a program read by {!read}; raises what reading the
+    first form that does not read raised ([Error "line N: …"] for an
+    unreadable source). *)
+val commands : program -> Ast.command list
 
 (** Parse a single expression. *)
 val parse_expr : string -> Ast.expr

@@ -187,6 +187,10 @@ echo "== dialegg-opt: --dump-egg round-trips through the egglog CLI =="
 dune exec bin/dialegg_opt.exe -- benchmarks/div_pow2_demo.mlir --dump-egg \
   | cat rules/prelude.egg - > /tmp/dialegg_smoke.egg
 dune exec bin/egglog_repl.exe -- /tmp/dialegg_smoke.egg --stats
+# two functions: each dump binds op0, op1, ... between (push) and (pop)
+dune exec bin/dialegg_opt.exe -- benchmarks/vec-norm.mlir --dump-egg \
+  | cat rules/prelude.egg - > /tmp/dialegg_smoke2.egg
+dune exec bin/egglog_repl.exe -- /tmp/dialegg_smoke2.egg
 echo ok
 
 echo "== mlir-opt: canonicalize + greedy pass =="

@@ -103,6 +103,15 @@ let test_unknown_ruleset () =
 let test_rebound_let () =
   assert_code "rebound-let" (check_src "(let a 1)\n(let a 2)")
 
+(* a (pop) forgets the globals bound since its (push), as the interpreter
+   does: a dump of several functions binds the same names in turn *)
+let test_let_under_push_pop () =
+  assert_clean "a let again after pop" (check_src "(push)\n(let a 1)\n(pop)\n(let a 2)");
+  assert_code "rebound-let" (check_src "(let a 1)\n(push)\n(pop)\n(let a 2)");
+  assert_code "rebound-let" (check_src "(push)\n(let a 1)\n(push)\n(pop)\n(let a 2)");
+  assert_code "unknown-name" (check_src "(push)\n(let a 1)\n(pop)\n(let b a)");
+  assert_clean "a pop with no push" (check_src "(pop)\n(let a 1)")
+
 let test_unknown_name () =
   assert_code "unknown-name" (check_src "(let a (+ b 1))")
 
@@ -716,6 +725,7 @@ let () =
           Alcotest.test_case "wildcard on RHS" `Quick test_wildcard_rhs;
           Alcotest.test_case "unknown ruleset" `Quick test_unknown_ruleset;
           Alcotest.test_case "rebound let" `Quick test_rebound_let;
+          Alcotest.test_case "let under push/pop" `Quick test_let_under_push_pop;
           Alcotest.test_case "unknown name" `Quick test_unknown_name;
           Alcotest.test_case "unknown sort" `Quick test_unknown_sort;
           Alcotest.test_case "conflicting redeclaration" `Quick test_redeclared;

@@ -642,6 +642,77 @@ let fresh_compile rules src =
     (Mlir.Ir.module_ops m);
   Mlir.Printer.module_to_string m
 
+(* With the static tiers off nothing reads the ruleset before the
+   set-up: one that does not read fails there, with the message of the
+   interpreter's reader. *)
+let test_unreadable_rules_tiers_off () =
+  let config rules = { (default_cfg rules) with lint = false; vet = false; audit = false } in
+  let src = {|
+func.func @f(%x: i64) -> i64 {
+  func.return %x : i64
+}|} in
+  List.iter
+    (fun (what, rules) ->
+      let expected =
+        match Egglog.Parser.parse_program rules with
+        | _ -> Alcotest.fail (what ^ ": the ruleset reads")
+        | exception Egglog.Parser.Error m -> "rules: " ^ m
+      in
+      match Dialegg.Pipeline.optimize_source ~config:(config rules) src with
+      | _ -> Alcotest.fail (what ^ ": an unreadable ruleset compiled")
+      | exception Dialegg.Pipeline.Error m -> checks what expected m)
+    [
+      ("unbalanced", "(ruleset r)\n(rewrite (arith_addi ?x ?y ?t)\n  (arith_addi ?y ?x ?t)");
+      ("not a command", "(ruleset r)\n(extract (Value 0 (I64)) :variants x)\n(ruleset s)");
+    ];
+  match
+    Dialegg.Pipeline.optimize_source ~config:(config "(ruleset r)\n(rule") src
+  with
+  | _ -> Alcotest.fail "an unbalanced ruleset compiled"
+  | exception Dialegg.Pipeline.Error m ->
+    checkb ("the line is named: " ^ m) true (String.starts_with ~prefix:"rules: line 2: " m)
+
+(* One reading of a ruleset serves the static tiers and the set-up of
+   every function of a module; each function's engine compiles only the
+   rules of its ruleset that fire: the prelude's and the [type-of] rules
+   come compiled from the base. *)
+let test_rules_read_once () =
+  (* a ruleset no other test reads *)
+  let rules = Dialegg.Rules.matmul_assoc ^ "\n; read once\n" in
+  let func k =
+    let n = k + 4 in
+    Printf.sprintf
+      {|
+func.func @mm%d(%%a: tensor<10x20xf64>, %%b: tensor<20x30xf64>, %%c: tensor<30x%dxf64>) -> tensor<10x%dxf64> {
+  %%e1 = tensor.empty() : tensor<10x30xf64>
+  %%ab = linalg.matmul ins(%%a, %%b : tensor<10x20xf64>, tensor<20x30xf64>) outs(%%e1 : tensor<10x30xf64>) -> tensor<10x30xf64>
+  %%e2 = tensor.empty() : tensor<10x%dxf64>
+  %%abc = linalg.matmul ins(%%ab, %%c : tensor<10x30xf64>, tensor<30x%dxf64>) outs(%%e2 : tensor<10x%dxf64>) -> tensor<10x%dxf64>
+  func.return %%abc : tensor<10x%dxf64>
+}|}
+      k n n n n n n n
+  in
+  let src = String.concat "\n" (List.init 3 func) in
+  let read = Dialegg.Pipeline.rules_read () in
+  let out, report = Dialegg.Pipeline.optimize_source ~config:(default_cfg rules) src in
+  checki "three functions" 3 (List.length report.Dialegg.Pipeline.r_funcs);
+  checki "lint and three set-ups read the ruleset once" 1 (Dialegg.Pipeline.rules_read () - read);
+  let off = { (default_cfg rules) with lint = false; vet = false; audit = false } in
+  checks "the same bytes with the tiers off" out (fst (Dialegg.Pipeline.optimize_source ~config:off src));
+  checki "and no second reading" 1 (Dialegg.Pipeline.rules_read () - read);
+  let m = Mlir.Parser.parse_module src in
+  let f = List.hd (Mlir.Ir.module_ops m) in
+  let engine, _, _, _ = Dialegg.Pipeline.setup_function off f in
+  ignore (Egglog.Interp.run engine 64);
+  let fired =
+    List.filter (fun (s : Egglog.Interp.rule_stat) -> s.rs_matches > 0) (Egglog.Interp.rule_stats engine)
+  in
+  checkb "type-of rules fired" true
+    (List.exists (fun (s : Egglog.Interp.rule_stat) -> String.starts_with ~prefix:"type-of-" s.rs_name) fired);
+  checki "the engine compiled only the ruleset's rules"
+    (Dialegg.Rules.count_rules rules)
+    (Egglog.Interp.compiled_rules engine)
+
 let test_custom_ops_one_process () =
   (* a plain ruleset, one that declares op constructors, the plain one
      again: the custom one gets its own signatures and type-of rules, the
@@ -1094,6 +1165,8 @@ let () =
           Alcotest.test_case "custom dialect rules" `Quick test_custom_dialect_rules;
           Alcotest.test_case "custom type hooks" `Quick test_custom_type_hook;
           Alcotest.test_case "custom ops in one process" `Quick test_custom_ops_one_process;
+          Alcotest.test_case "unreadable rules, tiers off" `Quick test_unreadable_rules_tiers_off;
+          Alcotest.test_case "a ruleset is read once" `Quick test_rules_read_once;
         ] );
       ( "pipeline-features",
         [

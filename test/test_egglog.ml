@@ -925,6 +925,115 @@ let test_fork_independent () =
   checks "the second fork runs as the first" (run_summary f1) (run_summary f2);
   checks "the base is still untouched" before (engine_state base)
 
+(* Forks of a base that compiled its rules ahead: the forks run in turns,
+   one saturation iteration at a time, so every plan the base compiled
+   serves both forks back and forth.  A third fork declares a function
+   first.  Each must run as a fresh engine replaying its program does,
+   compile only the rule it registered itself, and leave the base as it
+   was. *)
+let test_fork_compiled_plans () =
+  let base = Interp.create () in
+  Interp.run_string base fork_base_src;
+  Interp.compile_rules base;
+  checki "the base compiled its two rules" 2 (Interp.compiled_rules base);
+  Interp.compile_rules base;
+  checki "compiling again compiles nothing" 2 (Interp.compiled_rules base);
+  let before = engine_state base in
+  let fork () = Interp.fork ~limits:(Interp.limits base) base in
+  let runs = [ "(run 1)"; "(run 1)"; "(run 10)\n(extract e)" ] in
+  let f1_src =
+    {|
+(Seen two)
+(union x (Num 9))
+(let big (Mul (Num 123456) (Num 1)))
+(rule ((Seen ?v)) ((Mul ?v (Num 1))))
+|}
+  and f2_src = {|(let y (Add (Var "y") (Mul x (Num 1))))|}
+  and f3_src =
+    {|
+(function Extra (Math) Math)
+(let z (Extra (Mul (Num 5) (Num 1))))
+|}
+  in
+  let f1 = fork () and f2 = fork () in
+  Interp.run_string f1 f1_src;
+  Interp.run_string f2 f2_src;
+  List.iter
+    (fun step ->
+      Interp.run_string f1 step;
+      Interp.run_string f2 step)
+    runs;
+  let f3 = fork () in
+  Interp.run_string f3 (String.concat "\n" (f3_src :: runs));
+  let fresh src =
+    let t = Interp.create () in
+    Interp.run_string t (String.concat "\n" (fork_base_src :: src :: runs));
+    t
+  in
+  List.iter
+    (fun (name, f, src, own) ->
+      checks (name ^ " = create + replay") (run_summary (fresh src)) (run_summary f);
+      checki (name ^ " compiled only its own rules") own (Interp.compiled_rules f))
+    [ ("fork 1", f1, f1_src, 1); ("fork 2", f2, f2_src, 0); ("fork 3", f3, f3_src, 0) ];
+  checkb "the forks' rules matched" true
+    (List.for_all
+       (fun f ->
+         List.exists (fun (s : Interp.rule_stat) -> s.rs_applied > 0) (Interp.rule_stats f))
+       [ f1; f2; f3 ]);
+  checki "the base compiled nothing more" 2 (Interp.compiled_rules base);
+  (* the plans a fork searched with are its own instances: once the fork
+     is gone, nothing of the live base keeps its e-graph alive *)
+  let gone =
+    let f = fork () in
+    Interp.run_string f (String.concat "\n" (f2_src :: runs));
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some (Interp.egraph f));
+    w
+  in
+  Gc.full_major ();
+  checkb "a finished fork's e-graph is freed" true (Weak.get gone 0 = None);
+  checks "the base is untouched" before (engine_state base)
+
+(* Rules prepared once against a base and spliced into its forks register
+   what running their commands would: the same rules, [rule-N] numbers
+   and keys, after the fork's own.  A fork that registered one of them
+   itself gets the commands run instead. *)
+let test_prepared_rules () =
+  let base = Interp.create () in
+  Interp.run_string base fork_base_src;
+  let prepared_src =
+    {|
+(rule ((= ?e (Var ?s))) ((Seen ?e)))
+(rule ((= ?m (Mul ?a ?b))) ((union ?m (Mul ?b ?a))))
+(rule ((Seen ?v)) ((Mul ?v (Num 1))) :name "seen-mul")
+|}
+  in
+  Interp.compile_rules base;
+  let p = Interp.prepare_rules base (Parser.parse_program prepared_src) in
+  checki "the base's rules and the prepared ones compiled" 5 (Interp.compiled_rules base);
+  let before = engine_state base in
+  let own = {|(rule ((= ?e (Num ?n))) ((Seen ?e)))|} in
+  let names t = List.map (fun (s : Interp.rule_stat) -> s.rs_name) (Interp.rule_stats t) in
+  let check_fork name own =
+    let f = Interp.fork ~limits:(Interp.limits base) base in
+    Interp.run_string f own;
+    Interp.add_prepared f p;
+    (* registering a spliced rule again is a no-op, as after running it *)
+    Interp.run_string f prepared_src;
+    Interp.run_string f "(run 10)\n(extract e)";
+    let fresh = Interp.create () in
+    Interp.run_string fresh
+      (String.concat "\n" [ fork_base_src; own; prepared_src; prepared_src; "(run 10)\n(extract e)" ]);
+    checks (name ^ ": rules") (String.concat " " (names fresh)) (String.concat " " (names f));
+    checks (name ^ ": run") (run_summary fresh) (run_summary f);
+    f
+  in
+  let f = check_fork "spliced" own in
+  checki "a spliced rule runs on its prepared plan" 1 (Interp.compiled_rules f);
+  let g = check_fork "its own copy first" ("(rule ((Seen ?v)) ((Mul ?v (Num 1))) :name \"seen-mul\")\n" ^ own) in
+  checkb "the commands ran instead" true (Interp.compiled_rules g > 2);
+  checks "the base is untouched" before (engine_state base)
+
 let test_pop_without_push () =
   match Interp.run_program "(pop)" with
   | exception Interp.Error _ -> ()
@@ -1532,6 +1641,8 @@ let () =
           Alcotest.test_case "push/pop restores state" `Quick test_push_pop;
           Alcotest.test_case "pop without push fails" `Quick test_pop_without_push;
           Alcotest.test_case "forks are independent" `Quick test_fork_independent;
+          Alcotest.test_case "forks share compiled plans" `Quick test_fork_compiled_plans;
+          Alcotest.test_case "prepared rules splice as registered" `Quick test_prepared_rules;
           Alcotest.test_case "push/pop restores cost overrides" `Quick
             test_push_pop_preserves_costs;
           Alcotest.test_case "extract variants" `Quick test_extract_variants;
