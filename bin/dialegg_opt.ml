@@ -14,8 +14,8 @@ let read_file path =
 
 let run input egg_file output iterations max_nodes timeout timeout_ms
     max_memory_mb on_limit inject_fault no_dce funcs show_timings dump_egg
-    lint_only vet_only no_vet audit_only no_audit show_stats no_backoff
-    naive_matching no_validate analyze =
+    lint_only vet_only no_vet audit_only no_audit show_stats naive_matching
+    no_validate analyze =
   try
     Serve.Atomic_io.install_signal_cleanup ();
     let rules = match egg_file with Some f -> read_file f | None -> "" in
@@ -111,7 +111,6 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
         vet = not no_vet;
         audit = not no_audit;
         seminaive = not naive_matching;
-        backoff = not no_backoff;
       }
     in
     let only = match funcs with [] -> None | fs -> Some fs in
@@ -319,13 +318,7 @@ let show_stats =
   Arg.(
     value & flag
     & info [ "stats" ]
-      ~doc:"Print per-rule saturation statistics (searches, matches, applies, bans, times) to stderr")
-
-let no_backoff =
-  Arg.(
-    value & flag
-    & info [ "no-backoff" ]
-      ~doc:"Disable the backoff rule scheduler: every rule fires every iteration")
+      ~doc:"Print per-rule saturation statistics (searches, matches, times) to stderr")
 
 let naive_matching =
   Arg.(
@@ -359,7 +352,6 @@ let cmd =
         (const run $ input $ egg_file $ output $ iterations $ max_nodes $ timeout
         $ timeout_ms $ max_memory_mb $ on_limit $ inject_fault $ no_dce $ funcs
         $ show_timings $ dump_egg $ lint_only $ vet_only $ no_vet $ audit_only
-        $ no_audit $ show_stats $ no_backoff $ naive_matching $ no_validate
-        $ analyze))
+        $ no_audit $ show_stats $ naive_matching $ no_validate $ analyze))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

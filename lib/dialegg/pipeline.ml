@@ -83,9 +83,13 @@ type config = {
       (** seminaive e-matching: rules scan only rows created since they
           last fired (default); off = every due rule searches the full
           join each iteration — same output, slower *)
-  backoff : bool;  (** egg-style backoff rule scheduler (default on) *)
-  match_limit : int;  (** scheduler: base per-rule match budget *)
-  ban_length : int;  (** scheduler: base ban duration in iterations *)
+  backoff : bool;
+  match_limit : int;
+  ban_length : int;
+      (** [backoff], [match_limit] and [ban_length] are read by nothing,
+          like [engine] and [jobs]: saturation applies every match it
+          finds.  They stay only so that [perfbench/replica.ml], which
+          reads them, still builds. *)
   max_memory_mb : float option;
       (** approximate e-graph memory budget (see {!Egglog.Limits}) *)
   on_limit : on_limit;  (** degradation policy (default [Fail]) *)
@@ -266,9 +270,6 @@ let fork_base (config : config) =
   in
   let engine = Egglog.Interp.fork ~limits (Lazy.force base).b_engine in
   Egglog.Interp.set_naive_matching engine (not config.seminaive);
-  Egglog.Interp.set_backoff engine config.backoff;
-  Egglog.Interp.set_match_limit engine config.match_limit;
-  Egglog.Interp.set_ban_length engine config.ban_length;
   engine
 
 (* A rules file that fails to read or to load, in a declaration, an
@@ -375,8 +376,6 @@ let merge_rule_stats (a : Egglog.Interp.rule_stat list) (b : Egglog.Interp.rule_
             sa with
             rs_searches = sa.rs_searches + sb.rs_searches;
             rs_matches = sa.rs_matches + sb.rs_matches;
-            rs_applied = sa.rs_applied + sb.rs_applied;
-            rs_bans = sa.rs_bans + sb.rs_bans;
             rs_search_time = sa.rs_search_time +. sb.rs_search_time;
             rs_apply_time = sa.rs_apply_time +. sb.rs_apply_time;
           })
@@ -434,12 +433,11 @@ let pp_rule_stats ppf (stats : Egglog.Interp.rule_stat list) =
         | c -> c)
       stats
   in
-  Fmt.pf ppf "%-40s %9s %9s %9s %5s %11s %11s@." "rule" "searches" "matches"
-    "applied" "bans" "search(ms)" "apply(ms)";
+  Fmt.pf ppf "%-40s %9s %9s %11s %11s@." "rule" "searches" "matches" "search(ms)"
+    "apply(ms)";
   List.iter
     (fun s ->
-      Fmt.pf ppf "%-40s %9d %9d %9d %5d %11.2f %11.2f@." s.rs_name s.rs_searches
-        s.rs_matches s.rs_applied s.rs_bans
+      Fmt.pf ppf "%-40s %9d %9d %11.2f %11.2f@." s.rs_name s.rs_searches s.rs_matches
         (s.rs_search_time *. 1000.)
         (s.rs_apply_time *. 1000.))
     stats

@@ -70,9 +70,13 @@ type config = {
           last fired (default); off = every due rule searches the full
           join each iteration — same output, slower
           ([dialegg-opt --naive-matching]) *)
-  backoff : bool;  (** egg-style backoff rule scheduler (default on) *)
-  match_limit : int;  (** scheduler: base per-rule match budget *)
-  ban_length : int;  (** scheduler: base ban duration in iterations *)
+  backoff : bool;
+  match_limit : int;
+  ban_length : int;
+      (** [backoff], [match_limit] and [ban_length] are read by nothing,
+          like [engine] and [jobs]: saturation applies every match it
+          finds.  They stay only so that [perfbench/replica.ml], which
+          reads them, still builds. *)
   max_memory_mb : float option;
       (** approximate e-graph memory budget (see {!Egglog.Limits}) *)
   on_limit : on_limit;  (** degradation policy (default [Fail]) *)
@@ -137,8 +141,8 @@ val setup_function :
   Egglog.Interp.t * Eggify.t * Sigs.t * string
 
 (** A fork ({!Egglog.Interp.fork}) of the base engine, under [config]'s
-    limits (nodes, wall clock, memory) and scheduler settings
-    ([seminaive], [backoff], [match_limit], [ban_length]).  The base ran
+    limits (nodes, wall clock, memory) and matching regime
+    ([seminaive]).  The base ran
     the prelude and compiled its rules once per process
     ({!Egglog.Interp.compile_rules}), so the fork starts with their
     plans. *)

@@ -18,6 +18,8 @@
     - [wildcard-rhs] — a wildcard in evaluated position;
     - [rebound-let] — a global [let] name defined twice (a [(pop)]
       forgets the globals defined since its [(push)]);
+    - [pop-without-push] — a [(pop)] with no open [(push)], which the
+      interpreter rejects when it runs;
     - [duplicate-rule] — two rules declared with the same [:name];
     - [duplicate-constructor] — a constructor declared twice in the same
       [datatype];
@@ -75,6 +77,9 @@ type env = {
   globals : (string, ty) Hashtbl.t;
   rulesets : (string, unit) Hashtbl.t;
   rule_names : (string, unit) Hashtbl.t;  (** [:name]d rules seen so far *)
+  mutable pushed : (string * ty) list list;
+      (** the globals at each open [(push)], innermost first: [(pop)]
+          restores them, as the interpreter does *)
 }
 
 let builtin_sorts = [ "i64"; "f64"; "String"; "bool"; "Unit" ]
@@ -87,6 +92,7 @@ let create_env () =
       globals = Hashtbl.create 16;
       rulesets = Hashtbl.create 8;
       rule_names = Hashtbl.create 8;
+      pushed = [];
     }
   in
   List.iter (fun s -> Hashtbl.replace env.sorts s Plain) builtin_sorts;
@@ -109,6 +115,7 @@ let copy_env env =
        g);
     rulesets = Hashtbl.copy env.rulesets;
     rule_names = Hashtbl.copy env.rule_names;
+    pushed = List.map (List.map (fun (x, t) -> (x, zonk t))) env.pushed;
   }
 
 let find_func env name = Hashtbl.find_opt env.funcs name
@@ -127,9 +134,6 @@ type ctx = {
   file : string option;
   mutable diags : Diag.t list;  (** reversed *)
   mutable next : int;
-  mutable pushed : (string * ty) list list;
-      (** the globals at each open [(push)], innermost first: [(pop)]
-          restores them, as the interpreter does *)
 }
 
 let fresh ctx =
@@ -793,14 +797,14 @@ let check_located ctx (cmd : Ast.command) (cloc : Sexp.located) =
     if find_func ctx.env name = None then
       errf ctx span "unknown-function" "unknown function or constructor %s" name
   | C_push ->
-    ctx.pushed <- List.of_seq (Hashtbl.to_seq ctx.env.globals) :: ctx.pushed
+    ctx.env.pushed <- List.of_seq (Hashtbl.to_seq ctx.env.globals) :: ctx.env.pushed
   | C_pop -> (
-    match ctx.pushed with
-    | [] -> ()  (* the interpreter reports a pop without a push *)
+    match ctx.env.pushed with
+    | [] -> errf ctx span "pop-without-push" "pop without a matching push"
     | globals :: rest ->
       Hashtbl.reset ctx.env.globals;
       List.iter (fun (x, t) -> Hashtbl.replace ctx.env.globals x t) globals;
-      ctx.pushed <- rest)
+      ctx.env.pushed <- rest)
   | C_print_stats -> ()
 
 let check_located_safe ctx cmd cloc =
@@ -816,7 +820,7 @@ let finish ctx = Diag.dedup (List.rev ctx.diags)
 
 let check_read ?file ~env (program : Parser.program) :
     Diag.t list * (Ast.command * Sexp.located) list option =
-  let ctx = { env; file; diags = []; next = 0; pushed = [] } in
+  let ctx = { env; file; diags = []; next = 0 } in
   let cmds =
     match program with
     | Parser.Forms forms ->
@@ -842,7 +846,7 @@ let check_read ?file ~env (program : Parser.program) :
 let check_program ?file ~env src = fst (check_read ?file ~env (Parser.read src))
 
 let check_commands ?file ~env (cmds : Ast.command list) : Diag.t list =
-  let ctx = { env; file; diags = []; next = 0; pushed = [] } in
+  let ctx = { env; file; diags = []; next = 0 } in
   List.iter
     (fun cmd -> check_located_safe ctx cmd (Sexp.with_dummy_spans (Ast.sexp_of_command cmd)))
     cmds;

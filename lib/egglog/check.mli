@@ -18,8 +18,10 @@ type fsig = {
 }
 
 (** A mutable checking environment: sorts, function signatures, global
-    lets and rulesets declared so far.  Checking a program extends it,
-    so a prelude can be checked once and reused via {!copy_env}. *)
+    lets and rulesets declared so far, and the [(push)]es still open.
+    Checking a program extends it, so a prelude can be checked once and
+    reused via {!copy_env}, and a [(pop)] may close a [(push)] from an
+    earlier check. *)
 type env
 
 (** An environment with only the builtin sorts (i64, f64, String, bool,

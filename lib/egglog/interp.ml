@@ -111,15 +111,9 @@ type rule = {
   mutable r_pins : int array;
       (** canonical codes of the globals the premises name, as of the last
           match scan ({!Matcher.pins}) *)
-  (* backoff scheduler state (egg's BackoffScheduler) *)
-  mutable r_times_banned : int;
-  mutable r_banned_until : int;  (** absolute iteration number; banned while
-                                     [iteration < r_banned_until] *)
   (* lifetime statistics *)
   mutable r_n_searches : int;
-  mutable r_n_matches : int;  (** matches found (including discarded) *)
-  mutable r_n_applied : int;  (** matches actually applied *)
-  mutable r_n_bans : int;
+  mutable r_n_matches : int;  (** matches found, each applied *)
   mutable r_search_time : float;
   mutable r_apply_time : float;
 }
@@ -130,8 +124,6 @@ type rule_stat = {
   rs_ruleset : string option;
   rs_searches : int;
   rs_matches : int;
-  rs_applied : int;
-  rs_bans : int;
   rs_search_time : float;
   rs_apply_time : float;
 }
@@ -220,12 +212,9 @@ type t = {
   mutable naive_matching : bool;
       (** search every due rule in full ([since = -1]) instead of
           seminaive deltas *)
-  mutable backoff : bool;  (** enable the backoff rule scheduler *)
-  mutable match_limit : int;  (** scheduler: base per-rule match budget *)
-  mutable ban_length : int;  (** scheduler: base ban duration (iterations) *)
   mutable iter_counter : int;
-      (** absolute iteration count across all [(run)]s — the scheduler's
-          time base for bans *)
+      (** absolute iteration count across all [(run)]s, which dates the
+          anytime checkpoints *)
   mutable idx : Matcher.index option;
       (** cached persistent matcher index; invalidated when [eg] is
           replaced (pop) *)
@@ -277,9 +266,6 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
     snapshots = [];
     disable_dirty_skip = false;
     naive_matching = false;
-    backoff = true;
-    match_limit = 1000;
-    ban_length = 5;
     iter_counter = 0;
     idx = None;
     ck_root = None;
@@ -289,7 +275,7 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
   }
 
 (* A rule in the state of one just registered: no plan, never scanned,
-   never banned, no statistics. *)
+   no statistics. *)
 let unused_rule ?ready r_def =
   {
     r_def;
@@ -298,12 +284,8 @@ let unused_rule ?ready r_def =
     r_ready = ready;
     r_last_scan = -1;
     r_pins = [||];
-    r_times_banned = 0;
-    r_banned_until = 0;
     r_n_searches = 0;
     r_n_matches = 0;
-    r_n_applied = 0;
-    r_n_bans = 0;
     r_search_time = 0.;
     r_apply_time = 0.;
   }
@@ -349,9 +331,6 @@ let fork ~limits base =
     snapshots = [];
     disable_dirty_skip = base.disable_dirty_skip;
     naive_matching = base.naive_matching;
-    backoff = base.backoff;
-    match_limit = base.match_limit;
-    ban_length = base.ban_length;
     iter_counter = 0;
     idx = None;
     ck_root = None;
@@ -364,9 +343,9 @@ let set_disable_dirty_skip t b = t.disable_dirty_skip <- b
 let set_limits t l = t.limits <- l
 let limits t = t.limits
 let set_naive_matching t b = t.naive_matching <- b
-let set_backoff t b = t.backoff <- b
-let set_match_limit t n = t.match_limit <- n
-let set_ban_length t n = t.ban_length <- n
+let set_backoff _ (_ : bool) = ()
+let set_match_limit _ (_ : int) = ()
+let set_ban_length _ (_ : int) = ()
 let egraph t = t.eg
 
 (** The persistent matcher index for the current e-graph (created lazily,
@@ -392,8 +371,6 @@ let rule_stats t : rule_stat list =
         rs_ruleset = r.r_def.r_ruleset;
         rs_searches = r.r_n_searches;
         rs_matches = r.r_n_matches;
-        rs_applied = r.r_n_applied;
-        rs_bans = r.r_n_bans;
         rs_search_time = r.r_search_time;
         rs_apply_time = r.r_apply_time;
       })
@@ -862,11 +839,6 @@ let rule_dirty t r =
          | None -> true)
        r.r_def.r_refs
 
-(** Run one saturation iteration: search every due rule (seminaive deltas by
-    default), then apply all matches in a second phase, then rebuild.
-    Returns [(matches_applied, ban_skipped)] — [ban_skipped] is true when
-    the backoff scheduler banned a rule or skipped a banned one, in which
-    case a quiescent clock does {e not} mean saturation. *)
 (* every variable name a rule's actions mention: the join only needs to
    emit these (plus residual-fact vars) into packed rows *)
 let action_vars (actions : Ast.action list) : string list =
@@ -968,7 +940,10 @@ type search =
 (* one due rule, ready to search *)
 type prepared = { s_rule : rule; s_search : search; s_pins : int array }
 
-let run_iteration ?ruleset t (stats : run_stats) : int * bool =
+(** Run one saturation iteration: search every due rule (seminaive deltas by
+    default), then apply every match found in a second phase, then
+    rebuild.  Returns the number of matches applied. *)
+let run_iteration ?ruleset t (stats : run_stats) : int =
   (* cheap when the previous iteration left the graph clean: rebuild is a
      no-op unless unions are pending (the e-graph's dirty flag) *)
   let timed_rebuild () =
@@ -980,19 +955,10 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   let scan_clock = Egraph.clock t.eg in
   let idx = get_index t in
   t.iter_counter <- t.iter_counter + 1;
-  let iter = t.iter_counter in
-  let ban_skipped = ref false in
   (* which rules are due this iteration *)
   let due =
     filter_rules t (fun r ->
-        if r.r_def.r_ruleset <> ruleset then false
-        else if t.backoff && iter < r.r_banned_until then begin
-          (* banned: no search; r_last_scan stays put, so the delta it will
-             eventually scan still covers everything it missed *)
-          ban_skipped := true;
-          false
-        end
-        else rule_dirty t r || pins_moved idx r)
+        r.r_def.r_ruleset = ruleset && (rule_dirty t r || pins_moved idx r))
   in
   (* resolve each rule's search up front (compiling generic-join plans
      and packed appliers on first use), so the search timers measure the
@@ -1020,38 +986,23 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
   (* search phase: every due rule matches against the same snapshot
      before any match is applied *)
   let searched = List.map (fun s -> (s, search s)) prepared in
-  (* bookkeeping in registration order: budgets, bans, scan horizons *)
-  let batches =
-    List.filter_map
-      (fun (s, (ms, dt)) ->
-        let r = s.s_rule in
-        r.r_n_searches <- r.r_n_searches + 1;
-        r.r_search_time <- r.r_search_time +. dt;
-        stats.search_time <- stats.search_time +. dt;
-        let n = match ms with Some (_, pk) -> pk.Matcher.pk_rows | None -> 0 in
-        r.r_n_matches <- r.r_n_matches + n;
-        let threshold = t.match_limit lsl r.r_times_banned in
-        if t.backoff && n > threshold then begin
-          (* over budget: discard the matches and ban the rule; both the
-             budget and the ban double with each offence *)
-          let ban_len = t.ban_length lsl r.r_times_banned in
-          r.r_times_banned <- r.r_times_banned + 1;
-          r.r_banned_until <- iter + 1 + ban_len;
-          r.r_n_bans <- r.r_n_bans + 1;
-          ban_skipped := true;
-          None
-        end
-        else begin
-          r.r_last_scan <- scan_clock;
-          r.r_pins <- s.s_pins;
-          Some (r, ms)
-        end)
-      searched
-  in
-  (* apply phase *)
+  (* bookkeeping in registration order: counts, times, scan horizons *)
+  List.iter
+    (fun (s, (ms, dt)) ->
+      let r = s.s_rule in
+      r.r_n_searches <- r.r_n_searches + 1;
+      r.r_search_time <- r.r_search_time +. dt;
+      stats.search_time <- stats.search_time +. dt;
+      let n = match ms with Some (_, pk) -> pk.Matcher.pk_rows | None -> 0 in
+      r.r_n_matches <- r.r_n_matches + n;
+      r.r_last_scan <- scan_clock;
+      r.r_pins <- s.s_pins)
+    searched;
+  (* apply phase: every match found *)
   let n =
     List.fold_left
-      (fun acc (r, ms) ->
+      (fun acc (s, (ms, _)) ->
+        let r = s.s_rule in
         let t0 = Unix.gettimeofday () in
         let k =
           match ms with
@@ -1069,14 +1020,13 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
             pk.Matcher.pk_rows
         in
         let dt = Unix.gettimeofday () -. t0 in
-        r.r_n_applied <- r.r_n_applied + k;
         r.r_apply_time <- r.r_apply_time +. dt;
         stats.apply_time <- stats.apply_time +. dt;
         acc + k)
-      0 batches
+      0 searched
   in
   timed_rebuild ();
-  (n, !ban_skipped)
+  n
 
 (** Render a captured saturation exception as a structured diagnostic. *)
 let diag_of_exn (e : exn) : Diag.t =
@@ -1154,38 +1104,18 @@ let run ?ruleset t n : run_stats =
            (try Egraph.rebuild t.eg with _ -> ());
            stats.stop <- Fault (diag_of_exn e);
            continue := false
-         | m, ban_skipped ->
+         | m ->
            stats.iterations <- stats.iterations + 1;
            stats.matches <- stats.matches + m;
            stats.peak_nodes <- max stats.peak_nodes (Egraph.n_nodes t.eg);
            if t.ck_every > 0 && stats.iterations mod t.ck_every = 0 then
              take_checkpoint t;
-           if Egraph.clock t.eg = before then
-             if not ban_skipped then begin
-               (* every due rule searched and nothing changed: true fixpoint *)
-               stats.stop <- Saturated;
-               continue := false
-             end
-             else begin
-               (* stalled but rules are banned: fast-forward the ban clocks so
-                  the earliest ban expires next iteration (egg's can_stop);
-                  budgets have doubled, so this terminates *)
-               let next_iter = t.iter_counter + 1 in
-               let banned =
-                 filter_rules t (fun r ->
-                     r.r_def.r_ruleset = ruleset && next_iter < r.r_banned_until)
-               in
-               match banned with
-               | [] -> ()  (* a ban expires next iteration by itself *)
-               | _ ->
-                 let min_until =
-                   List.fold_left (fun m r -> min m r.r_banned_until) max_int banned
-                 in
-                 let delta = min_until - next_iter in
-                 List.iter
-                   (fun r -> r.r_banned_until <- r.r_banned_until - delta)
-                   banned
-             end)
+           (* every due rule searched and applied and nothing changed: a
+              fixpoint *)
+           if Egraph.clock t.eg = before then begin
+             stats.stop <- Saturated;
+             continue := false
+           end)
      done
    with e ->
      stats.sat_time <- Unix.gettimeofday () -. t0;
@@ -1433,14 +1363,13 @@ let run_command t (c : Ast.command) : unit =
       t.key_layers <- s.s_key_layers;
       t.rulesets <- s.s_rulesets;
       t.snapshots <- rest;
-      (* the restored graph has an older clock: scan horizons and ban
-         clocks recorded against the discarded graph are meaningless now *)
+      (* the restored graph has an older clock: scan horizons recorded
+         against the discarded graph are meaningless now *)
       t.idx <- None;
       List.iter
         (fun r ->
           r.r_last_scan <- -1;
           r.r_pins <- [||];
-          r.r_banned_until <- 0;
           (* compiled plans and appliers may hold literal codes the
              restored pool never interned — recompile against it *)
           r.r_gplan <- None;

@@ -11,9 +11,9 @@ type rule_stat = {
   rs_name : string;
   rs_ruleset : string option;
   rs_searches : int;  (** iterations in which the rule actually searched *)
-  rs_matches : int;  (** matches found, including ban-discarded ones *)
-  rs_applied : int;  (** matches whose actions ran *)
-  rs_bans : int;  (** times the backoff scheduler banned the rule *)
+  rs_matches : int;
+      (** matches found; every match found is applied in the iteration
+          that found it *)
   rs_search_time : float;  (** seconds e-matching *)
   rs_apply_time : float;  (** seconds running actions *)
 }
@@ -71,24 +71,23 @@ val set_disable_dirty_skip : t -> bool -> unit
     escape hatch. *)
 val set_naive_matching : t -> bool -> unit
 
-(** Enable/disable the backoff rule scheduler (default: enabled).  When
-    disabled every due rule fires every iteration and saturation detection
-    never waits on bans. *)
+(** [set_backoff], [set_match_limit] and [set_ban_length] are accepted
+    and ignored, like {!create}'s [engine] and [jobs]: there is no rule
+    scheduler, and every due rule's matches are applied in the iteration
+    that found them.  They stay only so that [perfbench/replica.ml], which
+    calls them, still builds. *)
 val set_backoff : t -> bool -> unit
 
-(** Scheduler: base per-rule match budget (default 1000); a rule finding
-    more than [budget << times_banned] matches in one search is banned and
-    its matches discarded. *)
 val set_match_limit : t -> int -> unit
-
-(** Scheduler: base ban duration in iterations (default 5); doubles with
-    each repeated offence. *)
 val set_ban_length : t -> int -> unit
 
 (** Per-rule lifetime saturation statistics, in registration order. *)
 val rule_stats : t -> rule_stat list
 
-(** Fresh engine.  [limits] sets the full resource budget; the legacy
+(** Fresh engine.  Its {!run} applies every match it finds, like
+    Egglog's plain [(run n)]: the resource budget, with anytime
+    extraction, is what bounds a ruleset that never saturates.  [limits]
+    sets that budget; the legacy
     [max_nodes] (default 200k) and [timeout] (seconds) are shorthands for
     a node-and-time-only budget and are ignored when [limits] is given.
     [engine] and [jobs] are accepted and ignored, so that callers written
@@ -110,15 +109,14 @@ val create :
     overrides; see {!Egraph.copy}), globals, rules, rulesets and rule
     counter, so the next rule registered gets the [rule-N] number it
     would get in [base].  Each rule keeps its premises, actions and
-    pinned globals, and starts unscanned, unbanned and with zero
-    statistics.  A rule [base] has compiled (at a search, or by
+    pinned globals, and starts unscanned and with zero statistics.  A rule [base] has compiled (at a search, or by
     {!compile_rules}) starts with [base]'s plan and applier, when they
     call only tables [base] declared: the fork's first search of the
     rule takes an instance of them, with the fork's tables and search
     scratch of its own, instead of compiling it, which gives what the
     fork's own compile would.  A rule that is not due, or one of whose
     tables has no row, is settled without them, as before its first
-    use.  The scheduler settings are [base]'s; the resource budget is
+    use.  The matching regime is [base]'s; the resource budget is
     [limits].  Outputs, push/pop snapshots, checkpoints, the last run's
     statistics and the iteration count start empty.  Forking a prelude
     engine gives the engine a replay of the prelude into {!create}
@@ -212,8 +210,10 @@ val add_rule :
   t -> ?name:string -> ?ruleset:string -> Ast.fact list -> Ast.action list -> unit
 
 (** Saturate: repeat match-apply-rebuild until fixpoint or a budget.
-    With [?ruleset], only that ruleset's rules run (default: the rules
-    registered without a ruleset). *)
+    Each iteration applies every match its due rules found; the run is
+    [Saturated] when an iteration leaves the e-graph's clock where it
+    was.  With [?ruleset], only that ruleset's rules run (default: the
+    rules registered without a ruleset). *)
 val run : ?ruleset:string -> t -> int -> run_stats
 
 (** Execute one command. *)

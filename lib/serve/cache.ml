@@ -1,9 +1,11 @@
 (** Content-addressed per-function result cache; see the interface for
     the model. *)
 
-(* Bump on any change to the key normalization or the entry layout:
-   old entries must never satisfy new requests. *)
-let format_version = "dialegg-result-cache-1"
+(* Bump on any change to the key normalization, the entry layout or the
+   output a config gives (2: saturation applies every match it finds, so
+   a run cut by its iteration budget can extract another program than
+   version 1 did): old entries must never satisfy new requests. *)
+let format_version = "dialegg-result-cache-2"
 let disk_magic = format_version ^ "\n"
 
 type entry = { ce_output : string; ce_degraded : int }

@@ -54,6 +54,39 @@ let source_chain (dims : int list) : string =
 
 let source ~scale = source_chain (dims_for ~n:scale ~seed:42)
 
+(** The fewest scalar multiplications any association of the chain needs,
+    where matrix [i] is [dims.(i)] x [dims.(i+1)]: the textbook O(n^3)
+    matrix-chain dynamic program, which knows nothing of the engine. *)
+let chain_dp (dims : int array) =
+  let n = Array.length dims - 1 in
+  let best = Array.make_matrix n n 0 in
+  for len = 2 to n do
+    for i = 0 to n - len do
+      let j = i + len - 1 in
+      best.(i).(j) <- max_int;
+      for k = i to j - 1 do
+        let c = best.(i).(k) + best.(k + 1).(j) + (dims.(i) * dims.(k + 1) * dims.(j + 1)) in
+        if c < best.(i).(j) then best.(i).(j) <- c
+      done
+    done
+  done;
+  best.(0).(n - 1)
+
+(** Scalar multiplications of a module's [linalg.matmul] ops: the sum of
+    m·k·n over them.
+    @raise Invalid_argument when a matmul operand is not a rank-2 tensor. *)
+let matmul_mults m =
+  List.fold_left
+    (fun acc (o : Mlir.Ir.op) ->
+      match
+        ( Mlir.Typ.shape o.Mlir.Ir.operands.(0).Mlir.Ir.v_type,
+          Mlir.Typ.shape o.Mlir.Ir.operands.(1).Mlir.Ir.v_type )
+      with
+      | Some [ a; b ], Some [ _; c ] -> acc + (a * b * c)
+      | _ -> invalid_arg "matmul_mults: a matmul operand is not a rank-2 tensor")
+    0
+    (Mlir.Ir.collect_ops (fun o -> o.Mlir.Ir.op_name = "linalg.matmul") m)
+
 let make_input ~scale ~seed =
   let dims = Array.of_list (dims_for ~n:scale ~seed:42) in
   let rng = Rng.create seed in

@@ -3,8 +3,7 @@
 # RULES_DIR/*.egg pair, with default and with --naive-matching matching:
 # the exit status, stdout (printed once when both regimes agree), each
 # function's "@func: ... | N iters, peak M nodes" line, and the per-rule
-# --stats counts (searches, matches, applied, bans) without the two
-# timing columns.  test/golden/dune diffs it against pairs.expected under
+# --stats counts (searches, matches) without the two timing columns.  test/golden/dune diffs it against pairs.expected under
 # `dune runtest`; `dune promote` records an intended change.
 # Usage: pairs_golden.sh DIALEGG_OPT BENCH_DIR RULES_DIR
 set -e
@@ -30,7 +29,7 @@ for m in "$bench"/*.mlir; do
       fi
       grep '^@' "$tmp/err" || true
       awk 'table { sub(/ +[0-9.]+ +[0-9.]+$/, ""); gsub(/ +/, " "); print }
-           /^rule +searches +matches/ { table = 1; print "rule searches matches applied bans" }' \
+           /^rule +searches +matches/ { table = 1; print "rule searches matches" }' \
         "$tmp/err"
     done
   done

@@ -127,6 +127,16 @@ fi
 echo '(datatype Num (N i64))' | dune exec bin/egglog_repl.exe >/dev/null
 echo ok
 
+echo "== egglog: a (pop) closes the (push) of an earlier line or file =="
+printf '(datatype E (A))\n(push)\n(pop)\n' | dune exec bin/egglog_repl.exe >/dev/null
+printf '(datatype E (A))\n(push)\n' > /tmp/dialegg_push.egg
+printf '(pop)\n' > /tmp/dialegg_pop.egg
+dune exec bin/egglog_repl.exe -- /tmp/dialegg_push.egg /tmp/dialegg_pop.egg >/dev/null
+if printf '(datatype E (A))\n(pop)\n' | dune exec bin/egglog_repl.exe >/dev/null 2>&1; then
+  echo "expected a pop without a push to fail" >&2; exit 1
+fi
+echo ok
+
 echo "== egglog: extraction terminates on the cost edge cases =="
 # Each run is bounded, so a reintroduced hang in the cost fixpoint fails
 # here in seconds: a hang exits 124 (timeout), a runtime error exits 1.

@@ -110,7 +110,19 @@ let test_let_under_push_pop () =
   assert_code "rebound-let" (check_src "(let a 1)\n(push)\n(pop)\n(let a 2)");
   assert_code "rebound-let" (check_src "(push)\n(let a 1)\n(push)\n(pop)\n(let a 2)");
   assert_code "unknown-name" (check_src "(push)\n(let a 1)\n(pop)\n(let b a)");
-  assert_clean "a pop with no push" (check_src "(pop)\n(let a 1)")
+  assert_code "pop-without-push" (check_src "(push)\n(pop)\n(pop)")
+
+(* the open pushes live in the environment, as the REPL checks each line
+   or file on its own against one env that it keeps *)
+let test_push_pop_across_checks () =
+  let env = Dialegg.Lint.fresh_env () in
+  let check src = Egglog.Check.check_program ~env src in
+  assert_clean "a push and a let" (check "(push)\n(let a 1)");
+  let copy = Egglog.Check.copy_env env in
+  assert_clean "a pop in the next check" (check "(pop)");
+  assert_clean "a let again after that pop" (check "(let a 2)");
+  assert_code "pop-without-push" (check "(pop)");
+  assert_clean "a copy keeps the open push" (Egglog.Check.check_program ~env:copy "(pop)")
 
 let test_unknown_name () =
   assert_code "unknown-name" (check_src "(let a (+ b 1))")
@@ -726,6 +738,7 @@ let () =
           Alcotest.test_case "unknown ruleset" `Quick test_unknown_ruleset;
           Alcotest.test_case "rebound let" `Quick test_rebound_let;
           Alcotest.test_case "let under push/pop" `Quick test_let_under_push_pop;
+          Alcotest.test_case "push/pop across checks" `Quick test_push_pop_across_checks;
           Alcotest.test_case "unknown name" `Quick test_unknown_name;
           Alcotest.test_case "unknown sort" `Quick test_unknown_sort;
           Alcotest.test_case "conflicting redeclaration" `Quick test_redeclared;

@@ -137,7 +137,6 @@ exception Mismatch of string
    the observation rather than a failure. *)
 let observe ?(naive = false) ?(reference = true) src =
   let t = Interp.create ~max_nodes:3_000 () in
-  Interp.set_backoff t false;
   Interp.set_naive_matching t naive;
   let check_matches () =
     match Fuzzing.Reference.disagreements t with
@@ -506,7 +505,6 @@ let candidate_order_src =
    same [t_class] at every node, same DAG cost. *)
 let extraction_mismatch src =
   let t = Interp.create ~max_nodes:3_000 () in
-  Interp.set_backoff t false;
   (try Interp.run_string t src with Interp.Error _ -> ());
   match Fuzzing.Reference.extract_disagreements (Interp.egraph t) with
   | [] -> None

@@ -879,7 +879,7 @@ let engine_state t =
   let rules =
     List.map
       (fun (s : Interp.rule_stat) ->
-        Printf.sprintf "%s:%d/%d/%d/%d" s.rs_name s.rs_searches s.rs_matches s.rs_applied s.rs_bans)
+        Printf.sprintf "%s:%d/%d" s.rs_name s.rs_searches s.rs_matches)
       (Interp.rule_stats t)
   in
   String.concat " "
@@ -978,7 +978,7 @@ let test_fork_compiled_plans () =
   checkb "the forks' rules matched" true
     (List.for_all
        (fun f ->
-         List.exists (fun (s : Interp.rule_stat) -> s.rs_applied > 0) (Interp.rule_stats f))
+         List.exists (fun (s : Interp.rule_stat) -> s.rs_matches > 0) (Interp.rule_stats f))
        [ f1; f2; f3 ]);
   checki "the base compiled nothing more" 2 (Interp.compiled_rules base);
   (* the plans a fork searched with are its own instances: once the fork
@@ -1181,8 +1181,7 @@ let test_dirty_skip_equivalence () =
 
 let test_seminaive_equivalence () =
   (* seminaive e-matching must reach exactly the same saturated e-graph
-     as full re-matching, on random rewriting systems (backoff off in
-     both so the iteration schedule is identical) *)
+     as full re-matching, on random rewriting systems *)
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"seminaive = naive" ~count:60
        (QCheck.make random_trs_gen)
@@ -1190,7 +1189,6 @@ let test_seminaive_equivalence () =
          let run naive =
            let t = Interp.create ~max_nodes:3_000 () in
            Interp.set_naive_matching t naive;
-           Interp.set_backoff t false;
            (try Interp.run_string t src with Interp.Error _ -> ());
            Egraph.rebuild (Interp.egraph t);
            (Egraph.n_nodes (Interp.egraph t), Egraph.n_classes (Interp.egraph t))
@@ -1226,9 +1224,8 @@ let test_seminaive_extraction_identical () =
   checks "same term" (fst e_naive) (fst e_sem);
   checki "same cost" (snd e_naive) (snd e_sem)
 
-(* a workload with enough simultaneous matches to trip a tiny match
-   budget: commutativity over several distinct Adds *)
-let backoff_src =
+(* commutativity over several distinct Adds: several matches at once *)
+let comm_src =
   {|
 (sort E)
 (function Num (i64) E)
@@ -1241,51 +1238,14 @@ let backoff_src =
 (run 30)
 |}
 
-let test_backoff_ban_and_unban () =
-  (* with a match budget of 1 the commutativity rule is banned, resumes
-     after the ban expires, and still reaches the same final e-graph as
-     the unthrottled run — backoff delays matches, never loses them *)
-  let final backoff =
-    let t = Interp.create () in
-    Interp.set_backoff t backoff;
-    if backoff then Interp.set_match_limit t 1;
-    Interp.run_string t backoff_src;
-    let stats = Interp.rule_stats t in
-    let bans = List.fold_left (fun n s -> n + s.Interp.rs_bans) 0 stats in
-    (Egraph.n_nodes (Interp.egraph t), Egraph.n_classes (Interp.egraph t), bans)
-  in
-  let n_b, c_b, bans_b = final true in
-  let n_u, c_u, bans_u = final false in
-  checkb "throttled run was actually banned" true (bans_b > 0);
-  checki "no bans without backoff" 0 bans_u;
-  checki "same nodes" n_u n_b;
-  checki "same classes" c_u c_b
-
-let test_backoff_saturation_exact () =
-  (* a banned rule must not let the engine report Saturated early: the
-     run above stops as Saturated only once every rule really is dry *)
-  let t = Interp.create () in
-  Interp.set_backoff t true;
-  Interp.set_match_limit t 1;
-  Interp.set_ban_length t 2;
-  Interp.run_string t backoff_src;
-  (match Interp.last_stats t with
-  | Some s -> checkb "stopped saturated" true (s.Interp.stop = Interp.Saturated)
-  | None -> Alcotest.fail "no stats");
-  (* saturated means saturated: re-running finds nothing new *)
-  let nodes = Egraph.n_nodes (Interp.egraph t) in
-  Interp.run_string t "(run 5)";
-  checki "stable after saturation" nodes (Egraph.n_nodes (Interp.egraph t))
-
 let test_rule_stats_populated () =
   let t = Interp.create () in
-  Interp.run_string t backoff_src;
+  Interp.run_string t comm_src;
   let stats = Interp.rule_stats t in
   checkb "one rule" true (List.length stats = 1);
   let s = List.hd stats in
   checkb "searched" true (s.Interp.rs_searches > 0);
   checkb "matched" true (s.Interp.rs_matches > 0);
-  checkb "applied" true (s.Interp.rs_applied > 0);
   checkb "timed" true (s.Interp.rs_search_time >= 0. && s.Interp.rs_apply_time >= 0.)
 
 let test_saturated_stays_stable () =
@@ -1392,8 +1352,7 @@ let test_redeclaration () =
 let stat_rows t =
   List.map
     (fun s ->
-      Printf.sprintf "%s %d %d %d %d" s.Interp.rs_name s.rs_searches s.rs_matches s.rs_applied
-        s.rs_bans)
+      Printf.sprintf "%s %d %d" s.Interp.rs_name s.rs_searches s.rs_matches)
     (Interp.rule_stats t)
 
 let test_lazy_rule_older_rows () =
@@ -1417,7 +1376,7 @@ let test_lazy_rule_older_rows () =
 (check (C s1) (C s2))|};
   Alcotest.(check (list string))
     "per-rule counts"
-    [ "rule-1 1 2 2 0"; "rule-2 2 2 2 0"; "rule-3 2 2 2 0"; "rule-4 3 2 2 0" ]
+    [ "rule-1 1 2"; "rule-2 2 2"; "rule-3 2 2"; "rule-4 3 2" ]
     (stat_rows t)
 
 (* The iteration, code and message of the fault that stopped [src]'s last
@@ -1503,7 +1462,7 @@ let test_action_faults () =
 (R (A))
 (run 2)
 (check (Later (A)) (W (A)))|};
-  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t)
+  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1" ] (stat_rows t)
 
 let test_lazy_rule_global () =
   (* the premise names global g and reads Q, empty at the first run; it
@@ -1522,7 +1481,7 @@ let test_lazy_rule_global () =
 (union g h)
 (run 3)
 (check (W h))|};
-  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1 1 0" ] (stat_rows t);
+  Alcotest.(check (list string)) "per-rule counts" [ "rule-1 2 1" ] (stat_rows t);
   (* a bare premise name denotes a global only if one of that name exists
      when the rule is registered: whether the rule is first searched
      before or after a later [let] of that name, it is a pattern variable *)
@@ -1541,7 +1500,7 @@ let test_lazy_rule_global () =
 (check (W (B)))|}
            first_run);
       Alcotest.(check (list string)) ("per-rule counts " ^ first_run) counts (stat_rows t))
-    [ ("(run 1)", [ "rule-1 2 1 1 0" ]); ("", [ "rule-1 1 1 1 0" ]) ];
+    [ ("(run 1)", [ "rule-1 2 1" ]); ("", [ "rule-1 1 1" ]) ];
   (* registered after the [let], it is pinned to the global's class *)
   let t = Interp.create () in
   Interp.run_string t
@@ -1553,7 +1512,7 @@ let test_lazy_rule_global () =
 (run 2)|};
   checkb "no match for (Q (B))" true (Interp.query t (facts_of "((W (B)))") = []);
   Interp.run_string t "(Q (A)) (run 2) (check (W (A)))";
-  Alcotest.(check (list string)) "pinned counts" [ "rule-1 2 1 1 0" ] (stat_rows t);
+  Alcotest.(check (list string)) "pinned counts" [ "rule-1 2 1" ] (stat_rows t);
   (* a [let] inside a [push] does not change what a rule registered
      before it means, nor does the [pop] *)
   let t = Interp.create () in
@@ -1570,7 +1529,7 @@ let test_lazy_rule_global () =
 (Q (B))
 (run 2)
 (check (W (B)))|};
-  Alcotest.(check (list string)) "push/pop counts" [ "rule-1 2 2 2 0" ] (stat_rows t)
+  Alcotest.(check (list string)) "push/pop counts" [ "rule-1 2 2" ] (stat_rows t)
 
 let () =
   Alcotest.run "egglog"
@@ -1656,9 +1615,6 @@ let () =
             test_seminaive_equivalence;
           Alcotest.test_case "seminaive extraction identical" `Quick
             test_seminaive_extraction_identical;
-          Alcotest.test_case "backoff bans and unbans" `Quick test_backoff_ban_and_unban;
-          Alcotest.test_case "backoff saturation is exact" `Quick
-            test_backoff_saturation_exact;
           Alcotest.test_case "rule stats populated" `Quick test_rule_stats_populated;
           Alcotest.test_case "lazy rule fires on older rows" `Quick test_lazy_rule_older_rows;
           Alcotest.test_case "lazy rule: malformed premises fault" `Quick

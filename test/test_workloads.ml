@@ -125,38 +125,11 @@ let test_nmm_pipeline_improves () =
 
 (* The paper's §8.4 claim as an exact check: saturating a matrix chain
    under associativity and extracting finds the cheapest association,
-   which the textbook O(n^3) dynamic program computes independently of
-   the engine.  A chain left unsaturated (a scheduler or a plan shared
-   wrongly between engines) extracts a dearer one. *)
-let chain_dp (dims : int array) =
-  (* matrix i is dims.(i) x dims.(i+1) *)
-  let n = Array.length dims - 1 in
-  let best = Array.make_matrix n n 0 in
-  for len = 2 to n do
-    for i = 0 to n - len do
-      let j = i + len - 1 in
-      best.(i).(j) <- max_int;
-      for k = i to j - 1 do
-        let c = best.(i).(k) + best.(k + 1).(j) + (dims.(i) * dims.(k + 1) * dims.(j + 1)) in
-        if c < best.(i).(j) then best.(i).(j) <- c
-      done
-    done
-  done;
-  best.(0).(n - 1)
-
-(* scalar multiplications of a module's linalg.matmul ops *)
-let matmul_mults m =
-  List.fold_left
-    (fun acc (o : Mlir.Ir.op) ->
-      match
-        ( Mlir.Typ.shape o.Mlir.Ir.operands.(0).Mlir.Ir.v_type,
-          Mlir.Typ.shape o.Mlir.Ir.operands.(1).Mlir.Ir.v_type )
-      with
-      | Some [ a; b ], Some [ _; c ] -> acc + (a * b * c)
-      | _ -> Alcotest.fail "a matmul operand is not a rank-2 tensor")
-    0
-    (Mlir.Ir.collect_ops (fun o -> o.Mlir.Ir.op_name = "linalg.matmul") m)
-
+   which the textbook dynamic program ([Matmul_chain.chain_dp]) computes
+   independently of the engine.  A chain left unsaturated (matches missed
+   or dropped, or a plan shared wrongly between engines) extracts a
+   dearer one.  Lengths 3-20 cover chains long enough that an engine
+   budgeting matches per rule would throttle them. *)
 (* a chain of [n] matmuls whose n + 2 dimensions are all distinct *)
 let rec distinct_dims ~n ~seed =
   let dims = Workloads.Matmul_chain.dims_for ~n ~seed in
@@ -166,21 +139,22 @@ let rec distinct_dims ~n ~seed =
 let test_nmm_dp_optimal () =
   let config = { Dialegg.Pipeline.default_config with rules = Dialegg.Rules.matmul_assoc } in
   let improved = ref 0 in
-  for n = 3 to 14 do
+  for n = 3 to 20 do
     List.iter
       (fun seed ->
         let dims = distinct_dims ~n ~seed in
         let src = Workloads.Matmul_chain.source_chain dims in
         let out = Mlir.Parser.parse_module (fst (Dialegg.Pipeline.optimize_source ~config src)) in
         let name = Printf.sprintf "%dMM, seed %d" n seed in
-        let dp = chain_dp (Array.of_list dims) in
+        let dp = Workloads.Matmul_chain.chain_dp (Array.of_list dims) in
         checki (name ^ ": matmuls") n
           (List.length (Mlir.Ir.collect_ops (fun o -> o.Mlir.Ir.op_name = "linalg.matmul") out));
-        checki (name ^ ": the DP's cost") dp (matmul_mults out);
-        if matmul_mults (Mlir.Parser.parse_module src) > dp then incr improved)
+        checki (name ^ ": the DP's cost") dp (Workloads.Matmul_chain.matmul_mults out);
+        if Workloads.Matmul_chain.matmul_mults (Mlir.Parser.parse_module src) > dp then
+          incr improved)
       [ 7; 1001 ]
   done;
-  checkb "most input chains were not optimal" true (!improved >= 20)
+  checkb "most input chains were not optimal" true (!improved >= 32)
 
 let test_rule_counts () =
   (* Table 2's #Rules column *)
