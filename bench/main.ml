@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- table2 --full  -- include the 80MM row
      dune exec bench/main.exe -- ablation     -- rebuild-strategy ablation (DESIGN.md §5.1)
      dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks
-     dune exec bench/main.exe -- serve        -- daemon latency / cache hit-rate (BENCH_serve.json)
      dune exec bench/main.exe -- setup        -- per-function engine set-up (BENCH_setup.json)
 
    Absolute numbers differ from the paper (the execution substrate is an
@@ -710,190 +709,6 @@ let setup_bench ~rounds ~cases ~quick ~json_path ~baseline ~command () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* dialegg-serve: daemon latency and cache effectiveness               *)
-(* ------------------------------------------------------------------ *)
-
-let fork_daemon cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    (try Serve.Daemon.run cfg with _ -> ());
-    exit 0
-  | pid ->
-    let rec await n =
-      if n = 0 then failwith "bench daemon did not come up"
-      else
-        match Serve.Client.connect cfg.Serve.Daemon.socket_path with
-        | c -> Serve.Client.close c
-        | exception Serve.Client.Error _ ->
-          ignore (Unix.select [] [] [] 0.05);
-          await (n - 1)
-    in
-    await 200;
-    pid
-
-let drain_daemon pid =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid)
-
-let percentile p xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-    let n = List.length sorted in
-    List.nth sorted (min (n - 1) (int_of_float (p *. float_of_int n)))
-
-(* The serving benchmark (BENCH_serve.json): one cold request on the NMM
-   chain pays the full saturation cost; every warm repeat must be served
-   from the content-addressed cache, byte-identically; then a zero-queue
-   daemon quantifies load-shedding while still serving warm work. *)
-let serve_bench ~scale ~warm ~json_path () =
-  fprintf "== dialegg-serve: daemon latency and cache effectiveness ==\n";
-  fprintf
-    "(NMM chain at scale %d under matmul_assoc; one cold request, %d warm\n\
-    \ repeats, then a zero-length-queue daemon for the shedding phase)\n\n"
-    scale warm;
-  let src = Workloads.Matmul_chain.source ~scale in
-  let pipeline =
-    {
-      Dialegg.Pipeline.default_config with
-      rules = Dialegg.Rules.matmul_assoc;
-      max_nodes = 400_000;
-      timeout = Some 120.0;
-      on_limit = Dialegg.Pipeline.Best_effort;
-    }
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dialegg-bench-serve-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let sock = Filename.concat dir "d.sock" in
-  let cache_dir = Filename.concat dir "cache" in
-  let cfg =
-    {
-      Serve.Daemon.default_config with
-      socket_path = sock;
-      pool = 2;
-      cache_dir = Some cache_dir;
-      pipeline;
-    }
-  in
-  (* the cold-run anchor: the daemon must reproduce these bytes *)
-  let expect, _ = Dialegg.Pipeline.optimize_source ~config:pipeline src in
-  let pid = fork_daemon cfg in
-  let time_request c =
-    let t0 = Unix.gettimeofday () in
-    let r = Serve.Client.optimize c src in
-    ((Unix.gettimeofday () -. t0) *. 1000., r)
-  in
-  let cold_ms, cold_reply, warm_ms, identical =
-    Serve.Client.with_connection sock (fun c ->
-        let cold_ms, cold_reply = time_request c in
-        let warm_ms = ref [] in
-        let identical = ref (String.equal cold_reply.Serve.Protocol.sv_output expect) in
-        for _ = 1 to warm do
-          let ms, r = time_request c in
-          warm_ms := ms :: !warm_ms;
-          if not (String.equal r.Serve.Protocol.sv_output expect) then
-            identical := false
-        done;
-        (cold_ms, cold_reply, !warm_ms, !identical))
-  in
-  let stats = Serve.Client.with_connection sock Serve.Client.stats in
-  drain_daemon pid;
-  let p50 = percentile 0.50 warm_ms and p99 = percentile 0.99 warm_ms in
-  let speedup = cold_ms /. Float.max 1e-3 p50 in
-  ignore cold_reply;
-  fprintf "%-28s %10.2f ms\n" "cold request (miss)" cold_ms;
-  fprintf "%-28s %10.2f ms\n" "warm p50 (cache hit)" p50;
-  fprintf "%-28s %10.2f ms\n" "warm p99" p99;
-  fprintf "%-28s %9.1fx   %s\n" "hit speedup (cold/p50)" speedup
-    (if speedup >= 50. then "(>= 50x target met)" else "(below the 50x target)");
-  fprintf "%-28s %10.2f\n" "hit rate" (Serve.Protocol.hit_rate stats);
-  fprintf "%-28s %10s\n" "warm == cold bytes" (if identical then "yes" else "NO");
-  (* shedding phase: a zero-length queue sheds every cold function but
-     keeps answering warm ones from the store the first daemon filled *)
-  let shed_cfg = { cfg with Serve.Daemon.max_queue = 0 } in
-  let pid = fork_daemon shed_cfg in
-  let shed_attempts = 8 in
-  let client_sheds = ref 0 in
-  for i = 1 to shed_attempts do
-    let fresh =
-      Printf.sprintf
-        "func.func @shed%d(%%x: i64) -> i64 {\n\
-        \  %%c = arith.constant %d : i64\n\
-        \  %%r = arith.divsi %%x, %%c : i64\n\
-        \  func.return %%r : i64\n\
-         }\n"
-        i (1 lsl (i mod 12))
-    in
-    match
-      Serve.Client.with_connection sock (fun c ->
-          Serve.Client.optimize ~retries:0 c fresh)
-    with
-    | _ -> ()
-    | exception Serve.Client.Error _ -> incr client_sheds
-  done;
-  let warm_under_load =
-    match
-      Serve.Client.with_connection sock (fun c -> Serve.Client.optimize c src)
-    with
-    | r -> String.equal r.Serve.Protocol.sv_output expect
-    | exception Serve.Client.Error _ -> false
-  in
-  let shed_stats = Serve.Client.with_connection sock Serve.Client.stats in
-  drain_daemon pid;
-  fprintf "%-28s %7d/%d\n" "cold requests shed" shed_stats.Serve.Protocol.ds_shed
-    shed_attempts;
-  fprintf "%-28s %10s\n" "warm served under load"
-    (if warm_under_load then "yes" else "NO");
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"serve-daemon\",\n\
-      \  \"workload\": \"%dMM matmul_assoc\",\n\
-      \  \"warm_requests\": %d,\n\
-      \  \"cold_ms\": %.3f,\n\
-      \  \"warm_p50_ms\": %.3f,\n\
-      \  \"warm_p99_ms\": %.3f,\n\
-      \  \"hit_speedup\": %.1f,\n\
-      \  \"hit_speedup_target_met\": %b,\n\
-      \  \"hit_rate\": %.4f,\n\
-      \  \"hits_mem\": %d,\n\
-      \  \"hits_disk\": %d,\n\
-      \  \"misses\": %d,\n\
-      \  \"daemon_p50_ms\": %.3f,\n\
-      \  \"daemon_p99_ms\": %.3f,\n\
-      \  \"byte_identical\": %b,\n\
-      \  \"shed_attempts\": %d,\n\
-      \  \"shed\": %d,\n\
-      \  \"client_visible_sheds\": %d,\n\
-      \  \"warm_served_under_load\": %b\n\
-       }\n"
-      scale warm cold_ms p50 p99 speedup (speedup >= 50.)
-      (Serve.Protocol.hit_rate stats)
-      stats.Serve.Protocol.ds_hits_mem stats.Serve.Protocol.ds_hits_disk
-      stats.Serve.Protocol.ds_misses stats.Serve.Protocol.ds_p50_ms
-      stats.Serve.Protocol.ds_p99_ms identical shed_attempts
-      shed_stats.Serve.Protocol.ds_shed !client_sheds warm_under_load
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  fprintf "\nwrote %s\n\n" json_path;
-  if not identical then begin
-    prerr_endline "FAIL: daemon replies diverged from the cold run";
-    exit 1
-  end;
-  if not warm_under_load then begin
-    prerr_endline "FAIL: a warm request was not served under overload";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1014,13 +829,8 @@ let () =
     in
     let command = String.concat " " ("dune exec bench/main.exe --" :: "setup" :: own rest) in
     setup_bench ~rounds ~cases ~quick ~json_path ~baseline ~command ()
-  | "serve" :: _ ->
-    let scale = int_of_string (opt "--scale" "10") in
-    let warm = int_of_string (opt "--warm" "30") in
-    let json_path = opt "--json" "BENCH_serve.json" in
-    serve_bench ~scale ~warm ~json_path ()
   | cmd :: _ ->
     prerr_endline
       ("unknown subcommand " ^ cmd
-     ^ " (table1|fig3|table2|ablation|micro|saturation|setup|serve)");
+     ^ " (table1|fig3|table2|ablation|micro|saturation|setup)");
     exit 1

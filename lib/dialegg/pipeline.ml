@@ -556,17 +556,16 @@ let stage ~strict (s : Faults.stage) (inject : Faults.t option) (f : unit -> 'a)
    restores from a textual snapshot taken before anything was mutated. *)
 let snapshot_function (func : Mlir.Ir.op) = Mlir.Printer.op_to_string func
 
+let splice_function (func : Mlir.Ir.op) (src : string) =
+  match Mlir.Ir.module_ops (Mlir.Parser.parse_function_module src) with
+  | [ fresh ] when fresh.Mlir.Ir.op_name = "func.func" ->
+    func.Mlir.Ir.attrs <- fresh.Mlir.Ir.attrs;
+    func.Mlir.Ir.regions <- fresh.Mlir.Ir.regions;
+    List.iter (fun r -> r.Mlir.Ir.reg_parent <- Some func) fresh.Mlir.Ir.regions
+  | _ -> raise (Error "the text to splice is not exactly one func.func")
+
 let restore_function (func : Mlir.Ir.op) (src : string) =
-  try
-    let m = Mlir.Parser.parse_function_module src in
-    match Mlir.Ir.module_ops m with
-    | [ fresh ] when fresh.Mlir.Ir.op_name = "func.func" ->
-      func.Mlir.Ir.attrs <- fresh.Mlir.Ir.attrs;
-      func.Mlir.Ir.regions <- fresh.Mlir.Ir.regions;
-      List.iter
-        (fun r -> r.Mlir.Ir.reg_parent <- Some func)
-        fresh.Mlir.Ir.regions
-    | _ -> ()
+  try splice_function func src
   with e when capturable e ->
     (* a snapshot that fails to re-parse would be a printer bug; leave the
        function as-is rather than crash the fallback path *)

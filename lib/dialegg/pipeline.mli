@@ -274,3 +274,12 @@ val optimize_source :
     [Identity] run would produce.  The batch driver's last-resort
     fallback when a job's retry budget is exhausted. *)
 val identity_source : string -> string
+
+(** [splice_function func src] replaces [func]'s attributes and regions
+    with those of the single function printed in [src]: how the identity
+    fallback restores a snapshot, how the batch driver splices a
+    worker's function back into its module, and how the daemon
+    reassembles per-function results.
+    @raise Error if [src] is not exactly one [func.func], and
+    {!Mlir.Parser.Syntax_error} if it does not parse. *)
+val splice_function : Mlir.Ir.op -> string -> unit

@@ -326,7 +326,7 @@ let run_battery ?mlir ?egg config (case : Gen.case) : failure list =
              (match Mlir.Ir.find_function m2 case.Gen.c_func with
              | None -> ()
              | Some f ->
-               Serve.Supervisor.splice_function f entry.Serve.Cache.ce_output;
+               Dialegg.Pipeline.splice_function f entry.Serve.Cache.ce_output;
                let out = Mlir.Printer.module_to_string m2 in
                if out <> base then
                  add

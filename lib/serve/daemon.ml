@@ -25,14 +25,14 @@ type config = {
 let default_config =
   {
     socket_path = "dialegg.sock";
-    pool = 2;
+    pool = Pool.default_config.size;
     max_queue = 64;
     retries = 2;
-    job_timeout = 60.;
-    grace = 1.;
-    heartbeat = 5.;
-    recycle_jobs = 256;
-    recycle_rss_mb = 2048.;
+    job_timeout = Pool.default_config.job_timeout;
+    grace = Pool.default_config.grace;
+    heartbeat = Pool.default_config.heartbeat;
+    recycle_jobs = Pool.default_config.recycle_jobs;
+    recycle_rss_mb = Pool.default_config.recycle_rss_mb;
     cache_dir = Dialegg.Disk_cache.default_dir ();
     cache_capacity = 512;
     pipeline = Dialegg.Pipeline.default_config;
@@ -78,19 +78,6 @@ type job = {
   mutable jb_fault : Dialegg.Faults.proc_kind option;
 }
 
-type worker = {
-  dw_pid : int;
-  dw_to : Unix.file_descr;
-  dw_from : Unix.file_descr;
-  dw_reader : Protocol.reader;
-  mutable dw_job : job option;
-  mutable dw_deadline : float;  (** 0. = no deadline armed *)
-  mutable dw_killing : bool;
-  mutable dw_jobs : int;
-  mutable dw_ping_pending : bool;
-  mutable dw_last_beat : float;
-}
-
 type state = {
   cfg : config;
   mutable pipeline : Dialegg.Pipeline.config;  (** pre-warmed; swapped on SIGHUP *)
@@ -98,7 +85,7 @@ type state = {
   mutable listen_fd : Unix.file_descr option;
   sig_r : Unix.file_descr;
   sig_w : Unix.file_descr;
-  mutable workers : worker list;
+  pool : job Pool.t;
   mutable clients : client list;
   mutable queue : job list;  (** FIFO, head = next to dispatch *)
   mutable draining : bool;
@@ -117,15 +104,11 @@ type state = {
   mutable n_deadline_misses : int;
   mutable n_reloads : int;
   mutable n_reload_failures : int;
-  mutable n_respawns : int;
-  mutable n_recycled : int;
   mutable latencies : float list;  (** most recent first, ms, bounded *)
 }
 
-let verbose st fmt =
-  Fmt.kstr (fun s -> if st.cfg.verbose then Fmt.epr "[dialegg-serve] %s@." s) fmt
-
-let is_idle w = w.dw_job = None
+let say (cfg : config) s = if cfg.verbose then Fmt.epr "[dialegg-serve] %s@." s
+let verbose st fmt = Fmt.kstr (say st.cfg) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Socket lifecycle                                                    *)
@@ -156,78 +139,6 @@ let claim_socket path =
           (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e))));
   Unix.listen fd 64;
   fd
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let spawn st =
-  let req_r, req_w = Unix.pipe () in
-  let resp_r, resp_w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  Format.pp_print_flush Format.std_formatter ();
-  Format.pp_print_flush Format.err_formatter ();
-  match Unix.fork () with
-  | 0 ->
-    (* child: drop every fd that is not this worker's own pipe pair —
-       an inherited listen socket or sibling pipe would hold resources
-       open across the whole daemon lifetime *)
-    let close_q fd = try Unix.close fd with Unix.Unix_error _ -> () in
-    close_q req_w;
-    close_q resp_r;
-    (match st.listen_fd with Some fd -> close_q fd | None -> ());
-    close_q st.sig_r;
-    close_q st.sig_w;
-    List.iter (fun c -> close_q c.cl_fd) st.clients;
-    List.iter
-      (fun w ->
-        close_q w.dw_to;
-        close_q w.dw_from)
-      st.workers;
-    Worker.main ~in_fd:req_r ~out_fd:resp_w
-  | pid ->
-    Unix.close req_r;
-    Unix.close resp_w;
-    Unix.set_nonblock resp_r;
-    let w =
-      {
-        dw_pid = pid;
-        dw_to = req_w;
-        dw_from = resp_r;
-        dw_reader = Protocol.reader resp_r;
-        dw_job = None;
-        dw_deadline = 0.;
-        dw_killing = false;
-        dw_jobs = 0;
-        dw_ping_pending = false;
-        dw_last_beat = now ();
-      }
-    in
-    st.workers <- st.workers @ [ w ];
-    verbose st "worker pid %d spawned" pid
-
-let reap_worker st w =
-  (try Unix.close w.dw_to with Unix.Unix_error _ -> ());
-  (try Unix.close w.dw_from with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] w.dw_pid) with Unix.Unix_error _ -> ());
-  st.workers <- List.filter (fun x -> x != w) st.workers
-
-(* Resident set size from /proc (Linux); 0. where unreadable. *)
-let rss_mb pid =
-  match open_in (Printf.sprintf "/proc/%d/statm" pid) with
-  | exception Sys_error _ -> 0.
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match String.split_on_char ' ' (input_line ic) with
-        | _ :: resident :: _ -> (
-          match int_of_string_opt resident with
-          | Some pages -> float_of_int pages *. 4096. /. (1024. *. 1024.)
-          | None -> 0.)
-        | _ -> 0.
-        | exception End_of_file -> 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Client I/O                                                          *)
@@ -300,9 +211,9 @@ let stats st : Protocol.daemon_stats =
     ds_deadline_misses = st.n_deadline_misses;
     ds_reloads = st.n_reloads;
     ds_reload_failures = st.n_reload_failures;
-    ds_respawns = st.n_respawns;
-    ds_recycled = st.n_recycled;
-    ds_workers = List.length st.workers;
+    ds_respawns = Pool.deaths st.pool;
+    ds_recycled = Pool.recycled st.pool;
+    ds_workers = Pool.workers st.pool;
     ds_queue = List.length st.queue;
     ds_uptime_s = now () -. st.started;
     ds_cache_mem_entries = mem_entries;
@@ -377,7 +288,7 @@ let deliver_ok st (j : job) ~output ~degraded =
   | _ -> ());
   List.iter
     (fun (r, op) ->
-      (match Supervisor.splice_function op output with
+      (match Dialegg.Pipeline.splice_function op output with
       | () -> r.rq_degraded <- r.rq_degraded + degraded
       | exception _ ->
         r.rq_failed <-
@@ -417,18 +328,9 @@ let job_failed st (j : job) ~crash msg =
 (* ------------------------------------------------------------------ *)
 
 let find_coalesce st key =
-  let in_queue =
-    List.find_opt (fun j -> j.jb_key = Some key && j.jb_attempt = 0) st.queue
-  in
-  match in_queue with
-  | Some _ as r -> r
-  | None ->
-    List.find_map
-      (fun w ->
-        match w.dw_job with
-        | Some j when j.jb_key = Some key && j.jb_attempt = 0 -> Some j
-        | _ -> None)
-      st.workers
+  List.find_opt
+    (fun j -> j.jb_key = Some key && j.jb_attempt = 0)
+    (st.queue @ Pool.in_flight st.pool)
 
 let retry_after st =
   let backlog = List.length st.queue + 1 in
@@ -492,7 +394,7 @@ let admit st cl (srq : Protocol.serve_request) =
           let key = Cache.key ~config:st.pipeline ~src in
           match Cache.find st.cache key with
           | Some (entry, mark) -> (
-            match Supervisor.splice_function op entry.Cache.ce_output with
+            match Dialegg.Pipeline.splice_function op entry.Cache.ce_output with
             | () ->
               (match mark with
               | Protocol.Sv_hit_mem -> st.n_hits_mem <- st.n_hits_mem + 1
@@ -571,158 +473,44 @@ let admit st cl (srq : Protocol.serve_request) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch / watchdog / heartbeat                                     *)
+(* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let worker_died st w ~respawn why =
-  (match why with
-  | `Garbage _ ->
-    (try Unix.kill w.dw_pid Sys.sigkill with Unix.Unix_error _ -> ())
-  | `Eof -> ());
-  reap_worker st w;
-  (match w.dw_job with
-  | Some j ->
-    w.dw_job <- None;
-    let msg =
-      match why with
-      | `Garbage m -> "protocol garbage: " ^ m
-      | `Eof -> if w.dw_killing then "watchdog timeout" else "worker died"
-    in
-    job_failed st j ~crash:true msg
-  | None -> ());
-  if respawn then begin
-    st.n_respawns <- st.n_respawns + 1;
-    spawn st
-  end
 
 let dispatch st =
   let rec go () =
-    match (List.find_opt is_idle st.workers, st.queue) with
-    | Some w, j :: rest ->
-      st.queue <- rest;
-      st.dispatched <- st.dispatched + 1;
-      (match st.cfg.fault with
-      | Some
-          { Dialegg.Faults.sf_kind = Dialegg.Faults.S_hang_under_load; sf_at }
-        when st.dispatched = sf_at ->
-        j.jb_fault <- Some Dialegg.Faults.W_hang;
-        verbose st "fault: arming worker-hang on dispatch %d" sf_at
-      | _ -> ());
-      let rq =
-        {
-          Protocol.rq_id = j.jb_id;
-          rq_attempt = j.jb_attempt;
-          rq_input = Protocol.J_text { name = j.jb_name; src = j.jb_src };
-          rq_config =
-            Supervisor.config_for_attempt j.jb_config ~attempt:j.jb_attempt;
-          rq_fault = j.jb_fault;
-        }
-      in
-      (match Protocol.write_message w.dw_to (Protocol.M_request rq) with
-      | () ->
-        w.dw_job <- Some j;
-        w.dw_deadline <- now () +. st.cfg.job_timeout;
-        w.dw_killing <- false;
-        verbose st "%s: dispatched to pid %d (attempt %d)" j.jb_id w.dw_pid
-          (j.jb_attempt + 1)
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-        (* the worker died before reading: requeue the same attempt *)
-        st.queue <- j :: st.queue;
-        worker_died st w ~respawn:true `Eof);
-      go ()
-    | _ -> ()
+    if Pool.idle st.pool then
+      match st.queue with
+      | j :: rest ->
+        st.queue <- rest;
+        st.dispatched <- st.dispatched + 1;
+        (match st.cfg.fault with
+        | Some
+            { Dialegg.Faults.sf_kind = Dialegg.Faults.S_hang_under_load; sf_at }
+          when st.dispatched = sf_at ->
+          j.jb_fault <- Some Dialegg.Faults.W_hang;
+          verbose st "fault: arming worker-hang on dispatch %d" sf_at
+        | _ -> ());
+        let rq =
+          {
+            Protocol.rq_id = j.jb_id;
+            rq_attempt = j.jb_attempt;
+            rq_input = Protocol.J_text { name = j.jb_name; src = j.jb_src };
+            rq_config = j.jb_config;
+            rq_fault = j.jb_fault;
+          }
+        in
+        (* a failed write requeues the same attempt *)
+        if not (Pool.dispatch st.pool j rq) then st.queue <- j :: st.queue;
+        go ()
+      | [] -> ()
   in
   go ()
 
-let recycle_due st w =
-  (st.cfg.recycle_jobs > 0 && w.dw_jobs >= st.cfg.recycle_jobs)
-  || st.cfg.recycle_rss_mb > 0.
-     && rss_mb w.dw_pid >= st.cfg.recycle_rss_mb
-
-let maybe_recycle st w =
-  if is_idle w && recycle_due st w then begin
-    verbose st "recycling worker pid %d after %d job(s)" w.dw_pid w.dw_jobs;
-    (* closing the request pipe is the graceful retire signal: the idle
-       worker sees EOF and exits 0 *)
-    reap_worker st w;
-    st.n_recycled <- st.n_recycled + 1;
-    if not st.draining then spawn st
-  end
-
-let watchdog st =
-  let t = now () in
-  List.iter
-    (fun w ->
-      let expired = w.dw_deadline > 0. && t >= w.dw_deadline in
-      if expired then
-        if not w.dw_killing then begin
-          verbose st "pid %d unresponsive: SIGTERM" w.dw_pid;
-          (try Unix.kill w.dw_pid Sys.sigterm with Unix.Unix_error _ -> ());
-          w.dw_killing <- true;
-          w.dw_deadline <- t +. st.cfg.grace
-        end
-        else begin
-          verbose st "pid %d still unresponsive: SIGKILL" w.dw_pid;
-          (try Unix.kill w.dw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          w.dw_deadline <- t +. st.cfg.grace
-        end)
-    st.workers
-
-let heartbeat st =
-  if st.cfg.heartbeat > 0. then begin
-    let t = now () in
-    List.iter
-      (fun w ->
-        if
-          is_idle w && (not w.dw_ping_pending)
-          && t -. w.dw_last_beat >= st.cfg.heartbeat
-        then begin
-          match Protocol.write_message w.dw_to Protocol.M_ping with
-          | () ->
-            w.dw_ping_pending <- true;
-            w.dw_deadline <- t +. Stdlib.max st.cfg.grace 2.
-          | exception (Unix.Unix_error _ | Sys_error _) ->
-            worker_died st w ~respawn:(not st.draining) `Eof
-        end)
-      (List.filter (fun _ -> true) st.workers)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Worker events                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let worker_readable st w =
-  let rec drain_msgs () =
-    match Protocol.poll w.dw_reader with
-    | Protocol.Incomplete -> ()
-    | Protocol.Msg Protocol.M_pong ->
-      w.dw_ping_pending <- false;
-      w.dw_last_beat <- now ();
-      if is_idle w then w.dw_deadline <- 0.;
-      drain_msgs ()
-    | Protocol.Msg (Protocol.M_response resp) -> (
-      match w.dw_job with
-      | Some j when resp.Protocol.rs_id = j.jb_id ->
-        w.dw_job <- None;
-        w.dw_deadline <- 0.;
-        w.dw_killing <- false;
-        w.dw_jobs <- w.dw_jobs + 1;
-        w.dw_last_beat <- now ();
-        (match resp.Protocol.rs_result with
-        | Ok output ->
-          deliver_ok st j ~output ~degraded:resp.Protocol.rs_degraded
-        | Error msg -> job_failed st j ~crash:false msg);
-        maybe_recycle st w;
-        (* recycling reaps the worker and closes its fds: stop here *)
-        if List.memq w st.workers then drain_msgs ()
-      | _ -> worker_died st w ~respawn:(not st.draining) (`Garbage "response for the wrong job"))
-    | Protocol.Msg _ ->
-      worker_died st w ~respawn:(not st.draining)
-        (`Garbage "worker sent a non-response message")
-    | Protocol.Eof -> worker_died st w ~respawn:(not st.draining) `Eof
-    | Protocol.Garbage m -> worker_died st w ~respawn:(not st.draining) (`Garbage m)
-  in
-  drain_msgs ()
+let on_event st = function
+  | Pool.Done (j, output, degraded) -> deliver_ok st j ~output ~degraded
+  | Pool.Failed (j, Pool.C_job_error msg) -> job_failed st j ~crash:false msg
+  | Pool.Failed (j, cls) ->
+    job_failed st j ~crash:true (Fmt.str "%a" Pool.pp_fail_class cls)
 
 (* ------------------------------------------------------------------ *)
 (* Client events                                                       *)
@@ -814,32 +602,6 @@ let handle_signals st =
 (* Shutdown                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let shutdown_workers st =
-  List.iter
-    (fun w -> try Unix.close w.dw_to with Unix.Unix_error _ -> ())
-    st.workers;
-  let deadline = now () +. Stdlib.max 1.0 st.cfg.grace in
-  List.iter
-    (fun w ->
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] w.dw_pid with
-        | 0, _ ->
-          if now () > deadline then begin
-            (try Unix.kill w.dw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (try Unix.waitpid [] w.dw_pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-          end
-          else begin
-            ignore (Unix.select [] [] [] 0.02);
-            wait ()
-          end
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      wait ();
-      try Unix.close w.dw_from with Unix.Unix_error _ -> ())
-    st.workers;
-  st.workers <- []
-
 let drained st = st.draining && st.open_reqs = 0 && st.queue = []
 
 let finish_drain st =
@@ -851,37 +613,26 @@ let finish_drain st =
     Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ());
   persist_index st;
-  shutdown_workers st;
+  Pool.shutdown st.pool;
   List.iter (fun cl -> try Unix.close cl.cl_fd with Unix.Unix_error _ -> ())
     st.clients;
   st.clients <- [];
   (try Sys.remove st.cfg.socket_path with Sys_error _ -> ());
   verbose st "drain complete"
 
+(* The pool is crash-looping: answer every open job as a worker crash
+   (identity bodies, as after exhausted retries), then drain and stop. *)
+let crash_loop st =
+  let open_jobs = st.queue @ Pool.in_flight st.pool in
+  st.queue <- [];
+  List.iter (fun j -> deliver_failed st j ~crash:true "crash loop") open_jobs;
+  begin_drain st;
+  finish_drain st;
+  raise (Error "worker pool is crash-looping")
+
 (* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let select_timeout st =
-  let t = now () in
-  let deadlines =
-    List.filter_map
-      (fun w -> if w.dw_deadline > 0. then Some w.dw_deadline else None)
-      st.workers
-  in
-  let beats =
-    if st.cfg.heartbeat > 0. then
-      List.filter_map
-        (fun w ->
-          if is_idle w && not w.dw_ping_pending then
-            Some (w.dw_last_beat +. st.cfg.heartbeat)
-          else None)
-        st.workers
-    else []
-  in
-  match deadlines @ beats with
-  | [] -> 1.0
-  | ds -> Stdlib.min 1.0 (Stdlib.max 0.01 (List.fold_left Stdlib.min infinity ds -. t))
 
 let run (cfg : config) =
   (* pre-warm before the first fork, so every worker inherits the
@@ -894,6 +645,26 @@ let run (cfg : config) =
   let sig_r, sig_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock sig_r;
   Unix.set_nonblock sig_w;
+  (* the fds a client can make readable, which no worker may keep *)
+  let own_fds st =
+    (match st.listen_fd with Some fd -> [ fd ] | None -> [])
+    @ [ st.sig_r ]
+    @ List.map (fun c -> c.cl_fd) st.clients
+  in
+  let self = ref None in
+  let pool =
+    Pool.create ~log:(say cfg) ~entry:Worker.main
+      ~close:(fun () ->
+        sig_w :: (match !self with Some st -> own_fds st | None -> []))
+      {
+        Pool.size = cfg.pool;
+        job_timeout = cfg.job_timeout;
+        grace = cfg.grace;
+        heartbeat = cfg.heartbeat;
+        recycle_jobs = cfg.recycle_jobs;
+        recycle_rss_mb = cfg.recycle_rss_mb;
+      }
+  in
   let st =
     {
       cfg;
@@ -902,7 +673,7 @@ let run (cfg : config) =
       listen_fd = Some listen_fd;
       sig_r;
       sig_w;
-      workers = [];
+      pool;
       clients = [];
       queue = [];
       draining = false;
@@ -920,11 +691,10 @@ let run (cfg : config) =
       n_deadline_misses = 0;
       n_reloads = 0;
       n_reload_failures = 0;
-      n_respawns = 0;
-      n_recycled = 0;
       latencies = [];
     }
   in
+  self := Some st;
   let notify c _ =
     try ignore (Unix.write_substring st.sig_w c 0 1)
     with Unix.Unix_error _ -> ()
@@ -934,43 +704,30 @@ let run (cfg : config) =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (notify "t"));
   (try Sys.set_signal Sys.sighup (Sys.Signal_handle (notify "h"))
    with Invalid_argument _ | Sys_error _ -> ());
-  for _ = 1 to Stdlib.max 1 cfg.pool do
-    spawn st
-  done;
   verbose st "serving on %s (pool %d, cache %s)" cfg.socket_path cfg.pool
     (match cfg.cache_dir with Some d -> d | None -> "memory-only");
   let rec loop () =
     if drained st then finish_drain st
     else begin
-      let fds =
-        (match st.listen_fd with Some fd -> [ fd ] | None -> [])
-        @ [ st.sig_r ]
-        @ List.map (fun c -> c.cl_fd) st.clients
-        @ List.map (fun w -> w.dw_from) st.workers
-      in
-      let readable, _, _ =
-        match Unix.select fds [] [] (select_timeout st) with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
-      in
+      let readable, events = Pool.wait st.pool ~fds:(own_fds st) () in
+      (* results first: a request arriving in the same round then finds
+         them cached *)
+      List.iter (on_event st) events;
       if List.mem st.sig_r readable then handle_signals st;
       (match st.listen_fd with
       | Some fd when List.mem fd readable -> accept_client st fd
       | _ -> ());
       List.iter
         (fun cl -> if List.mem cl.cl_fd readable then client_readable st cl)
-        (List.filter (fun _ -> true) st.clients);
-      List.iter
-        (fun w -> if List.mem w.dw_from readable then worker_readable st w)
-        (List.filter (fun _ -> true) st.workers);
-      watchdog st;
-      heartbeat st;
-      if (not st.draining) || st.queue <> [] then begin
-        if st.workers = [] && st.queue <> [] then spawn st;
-        dispatch st
-      end;
+        st.clients;
+      if (not st.draining) || st.queue <> [] then dispatch st;
       loop ()
     end
   in
-  loop ()
+  (* the workers start before the first request *)
+  match
+    ignore (Pool.idle st.pool : bool);
+    loop ()
+  with
+  | () -> ()
+  | exception Pool.Crash_loop -> crash_loop st

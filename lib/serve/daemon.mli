@@ -20,14 +20,11 @@
       per-function time budget; deadline-tightened (and retried, and
       identity-fallback) results are never cached, so the cache only
       ever holds what a cold run would produce;
-    - {b worker recycling}: a worker is retired after [recycle_jobs]
-      jobs or when its RSS crosses [recycle_rss_mb] (read from
-      [/proc/PID/statm]), and replaced with a fresh fork;
-    - {b liveness}: idle workers are pinged every [heartbeat] seconds;
-      a worker that misses a pong (or hangs on a job past
-      [job_timeout]) is SIGTERM'd, then SIGKILL'd after [grace], and
-      respawned.  The affected job is retried with tightened budgets
-      and degrades to identity after [retries] attempts;
+    - {b worker supervision}: the {!Pool}'s watchdog, heartbeats,
+      recycling and crash-loop limit.  A job whose worker dies is
+      retried with tightened budgets and degrades to identity after
+      [retries] attempts; when the pool crash-loops, every open job
+      degrades the same way, the daemon drains, and {!run} raises;
     - {b graceful drain}: SIGTERM (or SIGINT) stops accepting work,
       finishes in-flight requests, persists the cache stats index,
       unlinks the socket and exits 0;
@@ -66,6 +63,6 @@ exception Error of string
 (** Run the daemon until a drain completes.  Blocks; never returns under
     normal serving.  Installs SIGTERM / SIGINT / SIGHUP handlers and
     ignores SIGPIPE.
-    @raise Error if the socket is in use by a live daemon, or the rules
-    fail the static tiers at startup. *)
+    @raise Error if the socket is in use by a live daemon, the rules
+    fail the static tiers at startup, or the worker pool crash-loops. *)
 val run : config -> unit

@@ -6,43 +6,6 @@ exception Error of string
 let now () = Unix.gettimeofday ()
 
 (* ------------------------------------------------------------------ *)
-(* Failure classification                                              *)
-(* ------------------------------------------------------------------ *)
-
-type fail_class =
-  | C_job_error of string
-  | C_nonzero of int
-  | C_signal of int
-  | C_hang
-  | C_garbage of string
-
-let fail_class_name = function
-  | C_job_error _ -> "error"
-  | C_nonzero _ -> "nonzero-exit"
-  | C_signal _ -> "signal"
-  | C_hang -> "hang"
-  | C_garbage _ -> "garbage"
-
-(* OCaml's [Sys.sig*] numbers are internal (negative); render the ones a
-   worker can plausibly die from. *)
-let signal_name s =
-  if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigint then "SIGINT"
-  else if s = Sys.sigbus then "SIGBUS"
-  else if s = Sys.sigfpe then "SIGFPE"
-  else string_of_int s
-
-let pp_fail_class ppf = function
-  | C_job_error m -> Fmt.pf ppf "job error: %s" m
-  | C_nonzero n -> Fmt.pf ppf "worker exited with status %d" n
-  | C_signal s -> Fmt.pf ppf "worker killed by %s" (signal_name s)
-  | C_hang -> Fmt.string ppf "watchdog timeout"
-  | C_garbage m -> Fmt.pf ppf "protocol garbage: %s" m
-
-(* ------------------------------------------------------------------ *)
 (* Configuration and outcomes                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -75,7 +38,7 @@ let default_config =
 
 type job_outcome =
   | J_optimized of { degraded : int }
-  | J_identity of fail_class
+  | J_identity of Pool.fail_class
   | J_failed of string
   | J_resumed of Queue.outcome
 
@@ -107,7 +70,7 @@ let pp_outcome ppf = function
   | J_optimized { degraded = 0 } -> Fmt.string ppf "optimized"
   | J_optimized { degraded = n } ->
     Fmt.pf ppf "optimized (%d function(s) degraded in-worker)" n
-  | J_identity cls -> Fmt.pf ppf "identity fallback (%a)" pp_fail_class cls
+  | J_identity cls -> Fmt.pf ppf "identity fallback (%a)" Pool.pp_fail_class cls
   | J_failed m -> Fmt.pf ppf "FAILED: %s" m
   | J_resumed o -> Fmt.pf ppf "resumed (%s)" (Queue.outcome_name o)
 
@@ -122,43 +85,19 @@ let pp_report ppf r =
     (List.length r.br_results) o i f s
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool state                                                   *)
+(* Batch state                                                         *)
 (* ------------------------------------------------------------------ *)
-
-type running = {
-  run_job : Queue.job;
-  run_attempt : int;
-  mutable run_deadline : float;
-  mutable run_killing : bool; (* SIGTERM sent; next expiry escalates *)
-}
-
-type w_state = W_idle | W_busy of running
-
-type worker = {
-  w_pid : int;
-  w_to : Unix.file_descr;
-  w_from : Unix.file_descr;
-  w_reader : Protocol.reader;
-  mutable w_state : w_state;
-}
 
 type state = {
   cfg : config;
   total : int;
-  mutable workers : worker list;
   mutable pending : (float * int * Queue.job) list; (* ready, attempt, job *)
   results : (string, job_result) Hashtbl.t;
   journal : Queue.journal option;
-  mutable spawns : int;
-  max_spawns : int;
 }
 
-let is_idle w = match w.w_state with W_idle -> true | W_busy _ -> false
-
-let verbose st fmt =
-  Fmt.kstr
-    (fun s -> if st.cfg.verbose then Fmt.epr "[dialegg-batch] %s@." s)
-    fmt
+let say st s = if st.cfg.verbose then Fmt.epr "[dialegg-batch] %s@." s
+let verbose st fmt = Fmt.kstr (say st) fmt
 
 let insert_pending st ((r, _, _) as item) =
   let rec ins = function
@@ -166,45 +105,6 @@ let insert_pending st ((r, _, _) as item) =
     | ((r', _, _) as hd) :: tl -> if r < r' then item :: hd :: tl else hd :: ins tl
   in
   st.pending <- ins st.pending
-
-let spawn st =
-  if st.spawns >= st.max_spawns then
-    raise (Error "worker pool is crash-looping; aborting the batch");
-  st.spawns <- st.spawns + 1;
-  let req_r, req_w = Unix.pipe () in
-  let resp_r, resp_w = Unix.pipe () in
-  (* anything buffered would be flushed twice, once per process *)
-  flush stdout;
-  flush stderr;
-  Format.pp_print_flush Format.std_formatter ();
-  Format.pp_print_flush Format.err_formatter ();
-  match Unix.fork () with
-  | 0 ->
-    (* child: keep only this worker's two pipe ends — sibling fds
-       inherited across fork would hold their pipes open forever and mask
-       every EOF the supervisor relies on *)
-    (try Unix.close req_w with Unix.Unix_error _ -> ());
-    (try Unix.close resp_r with Unix.Unix_error _ -> ());
-    List.iter
-      (fun w ->
-        (try Unix.close w.w_to with Unix.Unix_error _ -> ());
-        (try Unix.close w.w_from with Unix.Unix_error _ -> ()))
-      st.workers;
-    Worker.main ~in_fd:req_r ~out_fd:resp_w
-  | pid ->
-    Unix.close req_r;
-    Unix.close resp_w;
-    Unix.set_nonblock resp_r;
-    let w =
-      {
-        w_pid = pid;
-        w_to = req_w;
-        w_from = resp_r;
-        w_reader = Protocol.reader resp_r;
-        w_state = W_idle;
-      }
-    in
-    st.workers <- w :: st.workers
 
 (* ------------------------------------------------------------------ *)
 (* Job completion paths                                                *)
@@ -270,14 +170,14 @@ let fallback_identity st (job : Queue.job) ~attempts cls =
     record st job ~attempts ~outcome:(J_identity cls) ~output:None ~bytes
   | exception e ->
     let msg =
-      Fmt.str "%a; identity fallback also failed: %s" pp_fail_class cls
+      Fmt.str "%a; identity fallback also failed: %s" Pool.pp_fail_class cls
         (Printexc.to_string e)
     in
     record st job ~attempts ~outcome:(J_failed msg) ~output:None ~bytes:0
 
 let job_failed st ((job : Queue.job), attempt) cls =
   verbose st "%s: attempt %d failed (%a)" job.Queue.job_id (attempt + 1)
-    pp_fail_class cls;
+    Pool.pp_fail_class cls;
   if attempt < st.cfg.retries then begin
     let delay = st.cfg.backoff *. (2. ** float_of_int attempt) in
     insert_pending st (now () +. delay, attempt + 1, job)
@@ -285,74 +185,17 @@ let job_failed st ((job : Queue.job), attempt) cls =
   else fallback_identity st job ~attempts:(attempt + 1) cls
 
 (* ------------------------------------------------------------------ *)
-(* Worker lifecycle                                                    *)
+(* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let reap w =
-  match Unix.waitpid [] w.w_pid with
-  | _, status -> status
-  | exception Unix.Unix_error _ -> Unix.WEXITED 127
-
-let worker_died st w why =
-  (* a desynced stream can come from a live, misbehaving process: make
-     sure it is actually dead before reaping *)
-  (match why with
-  | `Garbage _ -> ( try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-  | `Eof -> ());
-  let status = reap w in
-  (try Unix.close w.w_to with Unix.Unix_error _ -> ());
-  (try Unix.close w.w_from with Unix.Unix_error _ -> ());
-  st.workers <- List.filter (fun x -> x != w) st.workers;
-  match w.w_state with
-  | W_busy r ->
-    let cls =
-      match why with
-      | `Garbage m -> C_garbage m
-      | `Eof ->
-        if r.run_killing then C_hang
-        else (
-          match status with
-          | Unix.WEXITED 0 -> C_garbage "worker exited cleanly without a response"
-          | Unix.WEXITED n -> C_nonzero n
-          | Unix.WSIGNALED s | Unix.WSTOPPED s -> C_signal s)
-    in
-    w.w_state <- W_idle;
-    job_failed st (r.run_job, r.run_attempt) cls
-  | W_idle -> ()
 
 let incomplete st = Hashtbl.length st.results < st.total
 
-(* Per-attempt budget tightening, derived through {!Egglog.Limits}. *)
-let config_for_attempt (p : Dialegg.Pipeline.config) ~attempt =
-  if attempt <= 0 then p
-  else begin
-    let l =
-      Egglog.Limits.make ~max_iters:p.max_iterations ~max_nodes:p.max_nodes
-        ?max_time_ms:(Option.map (fun s -> s *. 1000.) p.timeout)
-        ?max_memory_mb:p.max_memory_mb ()
-    in
-    let l = Egglog.Limits.for_attempt l ~attempt in
-    {
-      p with
-      max_iterations =
-        Option.value ~default:p.max_iterations l.Egglog.Limits.max_iters;
-      max_nodes = Option.value ~default:p.max_nodes l.Egglog.Limits.max_nodes;
-      timeout =
-        (match l.Egglog.Limits.max_time_ms with
-        | Some ms -> Some (ms /. 1000.)
-        | None -> p.timeout);
-      max_memory_mb =
-        (match l.Egglog.Limits.max_memory_words with
-        | Some w -> Some (float_of_int w *. 8. /. (1024. *. 1024.))
-        | None -> p.max_memory_mb);
-    }
-  end
-
-let try_dispatch st =
+(* Hand every ready attempt to an idle worker; an attempt whose write
+   failed was not the job's fault and goes back as it was. *)
+let dispatch st pool =
   let rec go () =
-    let t = now () in
-    match (List.find_opt is_idle st.workers, st.pending) with
-    | Some w, (ready, attempt, job) :: rest when ready <= t ->
+    match st.pending with
+    | (ready, attempt, job) :: rest when ready <= now () && Pool.idle pool ->
       st.pending <- rest;
       (match st.journal with
       | Some j -> Queue.log_start j ~id:job.Queue.job_id ~attempt
@@ -362,136 +205,23 @@ let try_dispatch st =
           Protocol.rq_id = job.Queue.job_id;
           rq_input = job.Queue.job_input;
           rq_attempt = attempt;
-          rq_config = config_for_attempt st.cfg.pipeline ~attempt;
+          rq_config = st.cfg.pipeline;
           rq_fault =
             Dialegg.Faults.proc_matches st.cfg.faults ~job:job.Queue.job_id
               ~attempt;
         }
       in
-      verbose st "%s: dispatching attempt %d to pid %d%s" job.Queue.job_id
-        (attempt + 1) w.w_pid
-        (match rq.Protocol.rq_fault with
-        | Some k -> " [inject " ^ Dialegg.Faults.proc_kind_name k ^ "]"
-        | None -> "");
-      (match Protocol.write_message w.w_to (Protocol.M_request rq) with
-      | () ->
-        w.w_state <-
-          W_busy
-            {
-              run_job = job;
-              run_attempt = attempt;
-              run_deadline = t +. st.cfg.job_timeout;
-              run_killing = false;
-            }
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        (* the worker died before it could read: not the job's fault —
-           requeue the same attempt and replace the worker *)
-        insert_pending st (t, attempt, job);
-        worker_died st w `Eof;
-        spawn st);
+      if not (Pool.dispatch pool (job, attempt) rq) then
+        insert_pending st (now (), attempt, job);
       go ()
     | _ -> ()
   in
   go ()
 
-let watchdog st =
-  let t = now () in
-  List.iter
-    (fun w ->
-      match w.w_state with
-      | W_busy r when t >= r.run_deadline ->
-        if not r.run_killing then begin
-          verbose st "%s: watchdog expired, SIGTERM to pid %d"
-            r.run_job.Queue.job_id w.w_pid;
-          (try Unix.kill w.w_pid Sys.sigterm with Unix.Unix_error _ -> ());
-          r.run_killing <- true;
-          r.run_deadline <- t +. st.cfg.grace
-        end
-        else begin
-          verbose st "%s: grace expired, SIGKILL to pid %d"
-            r.run_job.Queue.job_id w.w_pid;
-          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          r.run_deadline <- t +. st.cfg.grace
-        end
-      | _ -> ())
-    st.workers
-
-let select_timeout st =
-  let t = now () in
-  let deadlines =
-    List.filter_map
-      (fun w ->
-        match w.w_state with W_busy r -> Some r.run_deadline | W_idle -> None)
-      st.workers
-  in
-  let readies = match st.pending with [] -> [] | (r, _, _) :: _ -> [ r ] in
-  match deadlines @ readies with
-  | [] -> 1.0
-  | l -> Float.max 0.0 (Float.min 1.0 (List.fold_left Float.min infinity l -. t))
-
-let handle_readable st readable =
-  List.iter
-    (fun w ->
-      if List.memq w.w_from readable then begin
-        match Protocol.poll w.w_reader with
-        | Protocol.Incomplete -> ()
-        | Protocol.Msg (Protocol.M_response resp) -> (
-          match w.w_state with
-          | W_busy r when resp.Protocol.rs_id = r.run_job.Queue.job_id -> (
-            w.w_state <- W_idle;
-            match resp.Protocol.rs_result with
-            | Ok text ->
-              complete_ok st r.run_job ~attempts:(r.run_attempt + 1)
-                ~degraded:resp.Protocol.rs_degraded text
-            | Error msg ->
-              job_failed st (r.run_job, r.run_attempt) (C_job_error msg))
-          | _ ->
-            worker_died st w (`Garbage "response for the wrong job");
-            if incomplete st then spawn st)
-        | Protocol.Msg
-            ( Protocol.M_request _ | Protocol.M_ping | Protocol.M_pong
-            | Protocol.C_optimize _ | Protocol.C_reply _ | Protocol.C_error _
-            | Protocol.C_overloaded _ | Protocol.C_stats_request
-            | Protocol.C_stats _ ) ->
-          worker_died st w (`Garbage "worker sent a non-response message");
-          if incomplete st then spawn st
-        | Protocol.Eof ->
-          worker_died st w `Eof;
-          if incomplete st then spawn st
-        | Protocol.Garbage m ->
-          worker_died st w (`Garbage m);
-          if incomplete st then spawn st
-      end)
-    (List.filter (fun _ -> true) st.workers)
-(* iterate over a snapshot: handlers mutate st.workers *)
-
-let shutdown st =
-  (* closing the request pipes is the shutdown signal: workers see EOF
-     and exit 0; stragglers get SIGKILL after the grace period *)
-  List.iter
-    (fun w -> try Unix.close w.w_to with Unix.Unix_error _ -> ())
-    st.workers;
-  let deadline = now () +. Float.max 1.0 st.cfg.grace in
-  List.iter
-    (fun w ->
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-        | 0, _ ->
-          if now () > deadline then begin
-            (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
-          end
-          else begin
-            ignore (Unix.select [] [] [] 0.02);
-            wait ()
-          end
-        | _, _ -> ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      in
-      wait ();
-      try Unix.close w.w_from with Unix.Unix_error _ -> ())
-    st.workers;
-  st.workers <- []
+let on_event st = function
+  | Pool.Done ((job, attempt), text, degraded) ->
+    complete_ok st job ~attempts:(attempt + 1) ~degraded text
+  | Pool.Failed (attempt, cls) -> job_failed st attempt cls
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -506,6 +236,12 @@ let run ?(config = default_config) (jobs : Queue.job list) : batch_report =
         raise (Error ("duplicate job id " ^ j.Queue.job_id));
       Hashtbl.add ids j.Queue.job_id ())
     jobs;
+  (* the static tiers run here, once, before any fork or output: rules
+     that fail one fail the batch, and every worker inherits the verdicts
+     and the base engine *)
+  let config =
+    { config with pipeline = Dialegg.Pipeline.prewarmed config.pipeline }
+  in
   (* a worker dying mid-write must not kill the supervisor *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -521,82 +257,72 @@ let run ?(config = default_config) (jobs : Queue.job list) : batch_report =
     {
       cfg = config;
       total = List.length jobs;
-      workers = [];
       pending = [];
       results = Hashtbl.create 16;
       journal;
-      spawns = 0;
-      max_spawns =
-        (8 + config.pool + (2 * List.length jobs * (config.retries + 2)));
     }
+  in
+  (* replay: a journaled outcome whose output is still on disk is
+     final — skip the job without recomputing (or re-journaling) it *)
+  let todo =
+    List.filter
+      (fun (job : Queue.job) ->
+        match
+          List.find_opt
+            (fun (e : Queue.entry) -> e.Queue.e_id = job.Queue.job_id)
+            completed
+        with
+        | Some e
+          when e.Queue.e_outcome <> Queue.O_failed
+               && (match job.Queue.job_out with
+                  | Some p -> Sys.file_exists p
+                  | None -> true) ->
+          Hashtbl.replace st.results job.Queue.job_id
+            {
+              jr_job = job;
+              jr_outcome = J_resumed e.Queue.e_outcome;
+              jr_attempts = e.Queue.e_attempts;
+              jr_output = None;
+            };
+          false
+        | _ -> true)
+      jobs
+  in
+  (* no worker forks before the first dispatch *)
+  let pool =
+    Pool.create ~log:(say st) ~entry:Worker.main
+      {
+        Pool.default_config with
+        size = min config.pool (List.length todo);
+        job_timeout = config.job_timeout;
+        grace = config.grace;
+      }
   in
   Fun.protect
     ~finally:(fun () ->
-      shutdown st;
+      Pool.shutdown pool;
       match st.journal with Some j -> Queue.journal_close j | None -> ())
     (fun () ->
-      (* replay: a journaled outcome whose output is still on disk is
-         final — skip the job without recomputing (or re-journaling) it *)
-      let todo =
-        List.filter
-          (fun (job : Queue.job) ->
-            match
-              List.find_opt
-                (fun (e : Queue.entry) -> e.Queue.e_id = job.Queue.job_id)
-                completed
-            with
-            | Some e
-              when e.Queue.e_outcome <> Queue.O_failed
-                   && (match job.Queue.job_out with
-                      | Some p -> Sys.file_exists p
-                      | None -> true) ->
-              Hashtbl.replace st.results job.Queue.job_id
-                {
-                  jr_job = job;
-                  jr_outcome = J_resumed e.Queue.e_outcome;
-                  jr_attempts = e.Queue.e_attempts;
-                  jr_output = None;
-                };
-              false
-            | _ -> true)
-          jobs
-      in
       let t0 = now () in
       st.pending <- List.map (fun j -> (t0, 0, j)) todo;
-      if todo <> [] then begin
-        let pool = max 1 (min config.pool (List.length todo)) in
-        for _ = 1 to pool do
-          spawn st
-        done;
-        while incomplete st do
-          try_dispatch st;
-          let fds = List.map (fun w -> w.w_from) st.workers in
-          let readable =
-            match Unix.select fds [] [] (select_timeout st) with
-            | r, _, _ -> r
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-          in
-          handle_readable st readable;
-          watchdog st
-        done
-      end;
+      (try
+         while incomplete st do
+           dispatch st pool;
+           (* a ready attempt waits for a worker, not for a time *)
+           let until =
+             match st.pending with
+             | (r, _, _) :: _ when r > now () -> Some r
+             | _ -> None
+           in
+           List.iter (on_event st) (snd (Pool.wait pool ?until ()))
+         done
+       with Pool.Crash_loop ->
+         raise (Error "worker pool is crash-looping; aborting the batch"));
       { br_results = List.map (fun (j : Queue.job) -> Hashtbl.find st.results j.Queue.job_id) jobs })
 
 (* ------------------------------------------------------------------ *)
 (* Module-mode reassembly                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* Replace [func]'s attributes and regions with the ones from the printed
-   function [src] a worker sent back (same splice the pipeline's identity
-   fallback uses). *)
-let splice_function (func : Mlir.Ir.op) (src : string) =
-  let m = Mlir.Parser.parse_function_module src in
-  match Mlir.Ir.module_ops m with
-  | [ fresh ] when fresh.Mlir.Ir.op_name = "func.func" ->
-    func.Mlir.Ir.attrs <- fresh.Mlir.Ir.attrs;
-    func.Mlir.Ir.regions <- fresh.Mlir.Ir.regions;
-    List.iter (fun r -> r.Mlir.Ir.reg_parent <- Some func) fresh.Mlir.Ir.regions
-  | _ -> raise (Error "worker returned something that is not one function")
 
 let splice_results (m : Mlir.Ir.op) (r : batch_report) =
   List.iter
@@ -609,7 +335,7 @@ let splice_results (m : Mlir.Ir.op) (r : batch_report) =
               op.Mlir.Ir.op_name = "func.func" && Mlir.Ir.func_name op = func)
             (Mlir.Ir.module_ops m)
         with
-        | Some op -> splice_function op text
+        | Some op -> Dialegg.Pipeline.splice_function op text
         | None -> ())
       | _ -> () (* identity / failed / file-mode: leave the module alone *))
     r.br_results

@@ -1,29 +1,23 @@
-(** The supervised worker pool: the parent side of the batch driver.
+(** The batch driver: a {!Pool} of workers, plus the retry queue, the
+    journal, the identity fallback and the module-mode splice-back.
 
     {2 Model}
 
-    [run] forks a bounded pool of workers (plain [Unix.fork], no exec —
-    each child drops into {!Worker.main} and never returns), connects
-    each through a request/response pipe pair speaking {!Protocol}, and
-    dispatches jobs until every job has exactly one outcome.
-
-    Supervision per job:
-    - a wall-clock watchdog: past [job_timeout] the worker gets SIGTERM,
-      then SIGKILL after [grace] more seconds;
-    - exit classification: job-level errors come back over the protocol
-      and leave the worker alive; everything else — nonzero exit, death
-      by signal, a watchdog kill, protocol garbage — costs the worker
-      its life and the job an attempt;
+    [run] lints, vets and audits the rules once ({!Dialegg.Pipeline.prewarmed}),
+    then dispatches jobs to a {!Pool} of {!Worker.main} processes until
+    every job has exactly one outcome.  The pool supervises the workers
+    (watchdog, heartbeats, recycling, death classification, the
+    crash-loop limit); the driver decides what an attempt's end means:
+    - job-level errors and worker deaths each cost the job an attempt;
     - retry with exponential backoff ([backoff] · 2ⁿ) and per-attempt
-      budget tightening via {!Egglog.Limits.for_attempt}, up to
-      [retries] retries;
+      budget tightening ({!Pool.config_for_attempt}), up to [retries]
+      retries;
     - when the budget is exhausted, degradation to the identity output
       (the input parsed and re-printed), never a missing file.
 
-    Workers that die are replaced; the pool keeps its size as long as
-    work remains.  A full batch is journaled through {!Queue} when
-    [journal_path] is set, and [resume] skips journaled-complete jobs
-    whose outputs still exist.
+    A full batch is journaled through {!Queue} when [journal_path] is
+    set, and [resume] skips journaled-complete jobs whose outputs still
+    exist.
 
     Non-faulted outputs are byte-identical to a sequential
     [dialegg-opt] run of the same inputs: workers run the exact
@@ -31,17 +25,6 @@
     their bytes unmodified (atomically — temp file + rename). *)
 
 exception Error of string
-
-(** Why a job attempt (or a whole job) was charged a failure. *)
-type fail_class =
-  | C_job_error of string  (** worker alive; pipeline raised *)
-  | C_nonzero of int  (** worker exited with a nonzero status *)
-  | C_signal of int  (** worker died of an un-sent signal *)
-  | C_hang  (** the watchdog had to kill it *)
-  | C_garbage of string  (** protocol stream corrupt *)
-
-val fail_class_name : fail_class -> string
-val pp_fail_class : Format.formatter -> fail_class -> unit
 
 type config = {
   pool : int;  (** max concurrent workers *)
@@ -64,7 +47,7 @@ type job_outcome =
   | J_optimized of { degraded : int }
       (** optimized output written; [degraded] functions fell back to
           identity {e inside} the worker (stage-level degradation) *)
-  | J_identity of fail_class
+  | J_identity of Pool.fail_class
       (** retries exhausted; identity output written.  The class is the
           {e last} attempt's failure. *)
   | J_failed of string  (** even the identity fallback was impossible *)
@@ -90,23 +73,13 @@ val counts : batch_report -> int * int * int * int
 val pp_outcome : Format.formatter -> job_outcome -> unit
 val pp_report : Format.formatter -> batch_report -> unit
 
-(** Tighten a pipeline config for retry [attempt] (0 = first attempt,
-    unchanged) by routing its budgets through
-    {!Egglog.Limits.for_attempt}. *)
-val config_for_attempt : Dialegg.Pipeline.config -> attempt:int -> Dialegg.Pipeline.config
-
 (** Run the batch.  Returns one result per job, in the input order.
     @raise Error on an empty batch, duplicate job ids, or a
-    crash-looping pool. *)
+    crash-looping pool.
+    @raise Dialegg.Pipeline.Error before any worker forks or any output
+    is written, if the rules fail a static tier. *)
 val run : ?config:config -> Queue.job list -> batch_report
 
 (** Module mode: splice each [J_func] job's output function back into
     the parsed module (identity/failed jobs leave the original body). *)
 val splice_results : Mlir.Ir.op -> batch_report -> unit
-
-(** [splice_function func src] replaces [func]'s attributes and regions
-    with those of the single function printed in [src] (the same splice
-    the pipeline's identity fallback and {!splice_results} use; the
-    daemon reassembles cached per-function results with it).
-    @raise Error if [src] is not exactly one function. *)
-val splice_function : Mlir.Ir.op -> string -> unit

@@ -2,15 +2,16 @@
    wire protocol (roundtrip, garbage detection), process-fault parsing
    and targeting, the crash-safe journal (replay, torn tails,
    first-wins), the supervisor's injection matrix (hang/segv/garbage/oom
-   x retry budgets), resume after a simulated mid-batch kill, the batch
-   == sequential byte-identity property; then the content-addressed
+   x retry budgets) and its refusal of rules that fail lint, the worker
+   pool's crash-loop limit and recycling, resume after a simulated
+   mid-batch kill, the batch == sequential byte-identity property; then the content-addressed
    result cache (key sensitivity, LRU, disk roundtrip, corruption
    tolerance), the shared disk-cache layer (LRU pruning, size cap,
    vet/audit/result coexistence), and a live dialegg-serve daemon
    end-to-end: cold/warm byte-identity, warm-across-restart, bounded
    admission, deadline propagation, the injected daemon fault matrix
-   (cache-corrupt, mid-drain-kill), SIGHUP reload, and the warm == cold
-   QCheck property. *)
+   (cache-corrupt, mid-drain-kill), SIGHUP reload, heartbeats with
+   recycling, and the warm == cold QCheck property. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -349,14 +350,14 @@ let test_batch_clean () =
 (* Supervisor: the injection matrix                                    *)
 (* ------------------------------------------------------------------ *)
 
-let class_matches kind (cls : Serve.Supervisor.fail_class) =
+let class_matches kind (cls : Serve.Pool.fail_class) =
   match (kind, cls) with
-  | Dialegg.Faults.W_hang, Serve.Supervisor.C_hang -> true
-  | Dialegg.Faults.W_segv, Serve.Supervisor.C_signal s -> s = Sys.sigabrt
-  | Dialegg.Faults.W_oom, Serve.Supervisor.C_signal s -> s = Sys.sigkill
-  | Dialegg.Faults.W_garbage, Serve.Supervisor.C_garbage _ -> true
+  | Dialegg.Faults.W_hang, Serve.Pool.C_hang -> true
+  | Dialegg.Faults.W_segv, Serve.Pool.C_signal s -> s = Sys.sigabrt
+  | Dialegg.Faults.W_oom, Serve.Pool.C_signal s -> s = Sys.sigkill
+  | Dialegg.Faults.W_garbage, Serve.Pool.C_garbage _ -> true
   (* a garbage worker can also die before its junk is read *)
-  | Dialegg.Faults.W_garbage, Serve.Supervisor.C_nonzero 0 -> true
+  | Dialegg.Faults.W_garbage, Serve.Pool.C_nonzero 0 -> true
   | _ -> false
 
 let test_injection_matrix () =
@@ -383,7 +384,7 @@ let test_injection_matrix () =
             | Serve.Supervisor.J_identity cls ->
               checkb
                 (Printf.sprintf "%s: classified correctly (%s)" name
-                   (Serve.Supervisor.fail_class_name cls))
+                   (Serve.Pool.fail_class_name cls))
                 true (class_matches kind cls)
             | o ->
               Alcotest.failf "%s: expected identity fallback, got %s" name
@@ -460,20 +461,46 @@ let test_config_tightening () =
       timeout = Some 30.;
       max_memory_mb = Some 64. }
   in
-  let c1 = Serve.Supervisor.config_for_attempt c ~attempt:1 in
-  let c2 = Serve.Supervisor.config_for_attempt c ~attempt:2 in
-  checkb "attempt 0 unchanged" true (Serve.Supervisor.config_for_attempt c ~attempt:0 = c);
+  let c1 = Serve.Pool.config_for_attempt c ~attempt:1 in
+  let c2 = Serve.Pool.config_for_attempt c ~attempt:2 in
+  checkb "attempt 0 unchanged" true (Serve.Pool.config_for_attempt c ~attempt:0 = c);
   checki "iterations halved" 32 c1.Dialegg.Pipeline.max_iterations;
   checki "nodes halved" 50_000 c1.Dialegg.Pipeline.max_nodes;
   checkb "timeout halved" true (c1.Dialegg.Pipeline.timeout = Some 15.);
   checkb "memory halved" true (c1.Dialegg.Pipeline.max_memory_mb = Some 32.);
   checki "second retry quarters" 16 c2.Dialegg.Pipeline.max_iterations;
   (* floors hold even at absurd attempt counts *)
-  let deep = Serve.Supervisor.config_for_attempt c ~attempt:50 in
+  let deep = Serve.Pool.config_for_attempt c ~attempt:50 in
   checkb "iteration floor" true (deep.Dialegg.Pipeline.max_iterations >= 1);
   checkb "node floor" true (deep.Dialegg.Pipeline.max_nodes >= 64);
   checkb "time floor" true
     (match deep.Dialegg.Pipeline.timeout with Some t -> t >= 0.05 | None -> false)
+
+(* Rules that fail lint are refused once, by the parent, before any
+   worker forks and before any output or journal is written: in a worker
+   the lint error would cost each job its attempts and end in identity
+   fallbacks. *)
+let test_batch_refuses_unlinted_rules () =
+  let input = make_input_dir () in
+  let out = fresh_dir () in
+  let config =
+    {
+      (batch_config ~journal_path:(Filename.concat out "journal") ()) with
+      Serve.Supervisor.pipeline =
+        {
+          pipeline_config with
+          (* test/fixtures/unknown_constructor.egg *)
+          Dialegg.Pipeline.rules = "(rewrite (arith_adi ?x ?y ?t) (arith_addi ?y ?x ?t))\n";
+          vet = false;
+          audit = false;
+        };
+    }
+  in
+  match Serve.Supervisor.run ~config (Serve.Queue.shard_dir ~input_dir:input ~out_dir:out) with
+  | _ -> Alcotest.fail "rules that fail lint must fail the batch"
+  | exception Dialegg.Pipeline.Error m ->
+    checkb "the error is lint's" true (contains m "rules failed lint");
+    checki "no output and no journal" 0 (Array.length (Sys.readdir out))
 
 (* ------------------------------------------------------------------ *)
 (* Resume                                                              *)
@@ -1221,6 +1248,150 @@ let test_daemon_reload_in_flight () =
       ignore (stop_daemon pid))
 
 (* ------------------------------------------------------------------ *)
+(* Daemon: heartbeat and recycling                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every worker retires after one job and idle workers are pinged every
+   50 ms: K distinct requests still equal cold runs, each job retires
+   its worker, and no worker dies. *)
+let test_daemon_heartbeat_recycle () =
+  let d = fresh_dir () in
+  let sock = Filename.concat d "d.sock" in
+  let cfg =
+    {
+      (daemon_config ~pool:2 ~cache_dir:(Filename.concat d "cache") sock) with
+      Serve.Daemon.heartbeat = 0.05;
+      recycle_jobs = 1;
+    }
+  in
+  let k = 6 in
+  with_daemon cfg (fun pid ->
+      for i = 1 to k do
+        (* idle long enough for a few heartbeats between requests *)
+        ignore (Unix.select [] [] [] 0.12);
+        let src = div_src (1 lsl i) (Printf.sprintf "r%d" i) in
+        checks
+          (Printf.sprintf "request %d == dialegg-opt" i)
+          (sequential src)
+          (optimize_once sock src).Serve.Protocol.sv_output
+      done;
+      let s = daemon_stats sock in
+      checki "every job retired its worker" k s.Serve.Protocol.ds_recycled;
+      checki "no worker died" 0 s.Serve.Protocol.ds_respawns;
+      checkb "drains clean" true (stop_daemon pid = Unix.WEXITED 0))
+
+(* ------------------------------------------------------------------ *)
+(* Pool: the crash-loop limit and recycling                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every worker reports its pid on a pipe and exits at once, before any
+   message: the pool must raise after at most 2 × size + 8 forks, and
+   every child must be reaped. *)
+let test_pool_crash_loop () =
+  List.iter
+    (fun size ->
+      let pids_r, pids_w = Unix.pipe () in
+      let entry ~in_fd:_ ~out_fd:_ =
+        let line = Printf.sprintf "%d\n" (Unix.getpid ()) in
+        ignore (Unix.write_substring pids_w line 0 (String.length line));
+        Unix._exit 0
+      in
+      let pool =
+        Serve.Pool.create ~entry { Serve.Pool.default_config with size; grace = 0.3 }
+      in
+      let raised =
+        Fun.protect
+          ~finally:(fun () -> Serve.Pool.shutdown pool)
+          (fun () ->
+            match
+              (* bounded, so a pool that never gives up fails instead *)
+              for _ = 1 to 100 do
+                ignore (Serve.Pool.idle pool : bool);
+                ignore (Serve.Pool.wait pool ())
+              done
+            with
+            | () -> false
+            | exception Serve.Pool.Crash_loop -> true)
+      in
+      Unix.close pids_w;
+      let pids =
+        In_channel.input_all (Unix.in_channel_of_descr pids_r)
+        |> String.split_on_char '\n'
+        |> List.filter_map int_of_string_opt
+      in
+      Unix.close pids_r;
+      let limit = (2 * size) + 8 in
+      checkb (Printf.sprintf "size %d: raises Crash_loop" size) true raised;
+      checkb
+        (Printf.sprintf "size %d: %d forks, at most %d" size (List.length pids) limit)
+        true
+        (List.length pids > size && List.length pids <= limit);
+      List.iter
+        (fun pid ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+          | _ -> Alcotest.failf "size %d: child %d was left behind" size pid)
+        pids)
+    [ 1; 4 ]
+
+(* Batch workers are recycled only through the pool: with real workers
+   and [recycle_jobs = 1], K jobs give K retirements, no death, and the
+   output a cold run gives. *)
+let test_pool_recycling () =
+  let pool =
+    Serve.Pool.create ~entry:Serve.Worker.main
+      { Serve.Pool.default_config with size = 2; recycle_jobs = 1 }
+  in
+  let k = 5 in
+  let queue =
+    ref
+      (List.init k (fun i ->
+           let name = Printf.sprintf "p%d" i in
+           (name, div_src (1 lsl (i + 1)) name)))
+  in
+  let outputs = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Serve.Pool.shutdown pool)
+    (fun () ->
+      let rec dispatch () =
+        match !queue with
+        | ((name, src) as job) :: rest when Serve.Pool.idle pool ->
+          queue := rest;
+          let rq =
+            {
+              Serve.Protocol.rq_id = name;
+              rq_attempt = 0;
+              rq_input = Serve.Protocol.J_text { name; src };
+              rq_config = pipeline_config;
+              rq_fault = None;
+            }
+          in
+          if not (Serve.Pool.dispatch pool job rq) then queue := job :: !queue;
+          dispatch ()
+        | _ -> ()
+      in
+      for _ = 1 to 100 do
+        if List.length !outputs < k then begin
+          dispatch ();
+          List.iter
+            (function
+              | Serve.Pool.Done ((_, src), out, _) -> outputs := (src, out) :: !outputs
+              | Serve.Pool.Failed (_, cls) ->
+                Alcotest.failf "a job failed: %a" Serve.Pool.pp_fail_class cls)
+            (snd (Serve.Pool.wait pool ()))
+        end
+      done);
+  checki "every job answered" k (List.length !outputs);
+  List.iter
+    (fun (src, out) ->
+      let m = Mlir.Parser.parse_module src in
+      Dialegg.Pipeline.splice_function (List.hd (Mlir.Ir.module_ops m)) out;
+      checks "worker output == dialegg-opt" (sequential src) (Mlir.Printer.module_to_string m))
+    !outputs;
+  checki "one retirement per job" k (Serve.Pool.recycled pool);
+  checki "no worker died" 0 (Serve.Pool.deaths pool)
+
+(* ------------------------------------------------------------------ *)
 (* Worker heartbeat: ping / pong                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1336,6 +1507,13 @@ let () =
           Alcotest.test_case "unfixable job fails, neighbours survive" `Quick
             test_job_error_consumes_retries;
           Alcotest.test_case "per-attempt budget tightening" `Quick test_config_tightening;
+          Alcotest.test_case "rules failing lint are refused" `Quick
+            test_batch_refuses_unlinted_rules;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "crash-loop limit" `Quick test_pool_crash_loop;
+          Alcotest.test_case "recycling real workers" `Quick test_pool_recycling;
         ] );
       ( "resume",
         [
@@ -1392,6 +1570,8 @@ let () =
           Alcotest.test_case "SIGHUP ruleset reload" `Quick test_daemon_reload;
           Alcotest.test_case "SIGHUP with requests in flight" `Quick
             test_daemon_reload_in_flight;
+          Alcotest.test_case "heartbeat and recycling" `Quick
+            test_daemon_heartbeat_recycle;
           Alcotest.test_case "worker ping/pong" `Quick test_worker_ping_pong;
           Alcotest.test_case "warm == cold (property)" `Quick
             test_daemon_warm_equals_cold_prop;
