@@ -8,17 +8,15 @@ open Cmdliner
 
 exception Usage of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run input egg_file output jobs retries job_timeout grace backoff_ms resume
     faults iterations max_nodes timeout max_memory_mb on_limit no_vet no_audit
     show_stats quiet verbose =
   try
-    let rules = match egg_file with Some f -> read_file f | None -> "" in
+    let rules =
+      match egg_file with
+      | Some f -> In_channel.with_open_bin f In_channel.input_all
+      | None -> ""
+    in
     if egg_file = None then
       Fmt.epr "%a@." Egglog.Diag.pp
         (Egglog.Diag.warning "no-rules"
@@ -46,13 +44,13 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
     (match vet_result with
     | Some (v, status) when show_stats ->
       Fmt.epr "%a [%s]@." Dialegg.Vet.pp_summary v
-        (Dialegg.Vet.cache_status_name status)
+        (Dialegg.Disk_cache.status_name status)
     | _ -> ());
     let audit_result = Dialegg.Pipeline.audit_rules_exn ~checked pipeline in
     (match audit_result with
     | Some (a, status) when show_stats ->
       Fmt.epr "%a [%s]@." Dialegg.Audit.pp_summary a
-        (Dialegg.Audit.cache_status_name status)
+        (Dialegg.Disk_cache.status_name status)
     | _ -> ());
     let pipeline =
       { pipeline with Dialegg.Pipeline.vet = false; audit = false }
@@ -94,7 +92,7 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
       (* module mode: one job per function, results spliced back *)
       if resume then
         raise (Usage "--resume only applies to directory batches");
-      let src = read_file input in
+      let src = In_channel.with_open_bin input In_channel.input_all in
       let m =
         try Mlir.Parser.parse_module src
         with Mlir.Parser.Syntax_error { line; col; msg } ->

@@ -4,12 +4,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run socket input output deadline_ms retries stats_only do_ping show_stats =
   try
     Serve.Client.with_connection socket (fun c ->
@@ -27,7 +21,7 @@ let run socket input output deadline_ms retries stats_only do_ping show_stats =
           match input with
           | None -> raise (Serve.Cli.Usage_error "required argument INPUT.mlir is missing")
           | Some path ->
-            let src = read_file path in
+            let src = In_channel.with_open_bin path In_channel.input_all in
             let reply = Serve.Client.optimize ?deadline_ms ~retries c src in
             (match output with
             | Some out ->

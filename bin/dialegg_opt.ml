@@ -6,54 +6,16 @@ open Cmdliner
 
 exception Usage of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run input egg_file output iterations max_nodes timeout timeout_ms
     max_memory_mb on_limit inject_fault no_dce funcs show_timings dump_egg
-    lint_only vet_only no_vet audit_only no_audit show_stats naive_matching
-    no_validate analyze =
+    no_vet no_audit show_stats naive_matching no_validate analyze =
   try
     Serve.Atomic_io.install_signal_cleanup ();
-    let rules = match egg_file with Some f -> read_file f | None -> "" in
-    if lint_only then begin
-      (* check the rules and stop: no MLIR input needed *)
+    let rules =
       match egg_file with
-      | None -> raise (Serve.Cli.Usage_error "--lint requires an --egg rules file to check")
-      | Some f ->
-        let diags = Dialegg.Lint.lint_rules ~file:f rules in
-        List.iter (fun d -> Fmt.epr "%a@." Egglog.Diag.pp d) diags;
-        if Egglog.Diag.has_errors diags then exit 1;
-        `Ok ()
-    end
-    else if vet_only then begin
-      (* statically verify the rules and stop: no MLIR input needed *)
-      match egg_file with
-      | None -> raise (Serve.Cli.Usage_error "--vet requires an --egg rules file to check")
-      | Some f ->
-        let report, status = Dialegg.Vet.vet_cached ~file:f rules in
-        List.iter (fun d -> Fmt.epr "%a@." Egglog.Diag.pp d) report.Dialegg.Vet.v_diags;
-        Fmt.epr "%a [%s]@." Dialegg.Vet.pp_summary report
-          (Dialegg.Vet.cache_status_name status);
-        if Egglog.Diag.has_errors report.Dialegg.Vet.v_diags then exit 1;
-        `Ok ()
-    end
-    else if audit_only then begin
-      (* cross-check the rules against the dialect registry and stop *)
-      match egg_file with
-      | None -> raise (Serve.Cli.Usage_error "--audit requires an --egg rules file to check")
-      | Some f ->
-        let report, status = Dialegg.Audit.audit_cached ~file:f rules in
-        List.iter (fun d -> Fmt.epr "%a@." Egglog.Diag.pp d) report.Dialegg.Audit.a_diags;
-        Fmt.epr "%a [%s]@." Dialegg.Audit.pp_summary report
-          (Dialegg.Audit.cache_status_name status);
-        if Egglog.Diag.has_errors report.Dialegg.Audit.a_diags then exit 1;
-        `Ok ()
-    end
-    else begin
+      | Some f -> In_channel.with_open_bin f In_channel.input_all
+      | None -> ""
+    in
     let input =
       match input with
       | Some i -> i
@@ -63,7 +25,7 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
       Fmt.epr "%a@." Egglog.Diag.pp
         (Egglog.Diag.warning "no-rules"
            "no --egg rules file given: saturating with zero rewrite rules, the output will match the input");
-    let src = read_file input in
+    let src = In_channel.with_open_bin input In_channel.input_all in
     let m =
       try Mlir.Parser.parse_module src
       with Mlir.Parser.Syntax_error { line; col; msg } ->
@@ -147,13 +109,13 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
         (match report.Dialegg.Pipeline.r_vet with
         | Some (v, status) ->
           Fmt.epr "vet: %s@.%a@."
-            (Dialegg.Vet.cache_status_name status)
+            (Dialegg.Disk_cache.status_name status)
             Dialegg.Vet.pp_classification v
         | None -> ());
         (match report.Dialegg.Pipeline.r_audit with
         | Some (a, status) ->
           Fmt.epr "audit: %s@.%a@."
-            (Dialegg.Audit.cache_status_name status)
+            (Dialegg.Disk_cache.status_name status)
             Dialegg.Audit.pp_coverage a
         | None -> Fmt.epr "audit: disabled@.");
         Fmt.epr "stop reason: %a | peak e-graph size: %d nodes@."
@@ -166,7 +128,6 @@ let run input egg_file output iterations max_nodes timeout timeout_ms
       | Some path -> Serve.Atomic_io.write_atomic ~path text
       | None -> print_string text);
       `Ok ()
-    end
     end
     end
   with
@@ -188,7 +149,7 @@ let input =
   Arg.(
     value
     & pos 0 (some file) None
-    & info [] ~docv:"INPUT.mlir" ~doc:"MLIR input file (required unless $(b,--lint) is given)")
+    & info [] ~docv:"INPUT.mlir" ~doc:"MLIR input file")
 
 let egg_file =
   Arg.(
@@ -275,20 +236,6 @@ let show_timings = Arg.(value & flag & info [ "timings"; "t" ] ~doc:"Print the p
 let dump_egg =
   Arg.(value & flag & info [ "dump-egg" ] ~doc:"Print the Egglog translation instead of optimizing")
 
-let lint_only =
-  Arg.(
-    value & flag
-    & info [ "lint" ]
-      ~doc:"Only lint the $(b,--egg) rules file and exit (non-zero if it has errors)")
-
-let vet_only =
-  Arg.(
-    value & flag
-    & info [ "vet" ]
-      ~doc:
-        "Only run the static ruleset verifier (soundness, expansion, overlap) \
-         on the $(b,--egg) rules file and exit (non-zero if it has errors)")
-
 let no_vet =
   Arg.(
     value & flag
@@ -296,15 +243,6 @@ let no_vet =
       ~doc:
         "Skip the static ruleset verification that normally runs (memoized) \
          before saturation")
-
-let audit_only =
-  Arg.(
-    value & flag
-    & info [ "audit" ]
-      ~doc:
-        "Only run the cross-layer encoding audit (coverage/arity against the \
-         MLIR dialect registry, result sorts, cost totality, effects) on the \
-         $(b,--egg) rules file and exit (non-zero if it has errors)")
 
 let no_audit =
   Arg.(
@@ -351,7 +289,7 @@ let cmd =
       ret
         (const run $ input $ egg_file $ output $ iterations $ max_nodes $ timeout
         $ timeout_ms $ max_memory_mb $ on_limit $ inject_fault $ no_dce $ funcs
-        $ show_timings $ dump_egg $ lint_only $ vet_only $ no_vet $ audit_only
-        $ no_audit $ show_stats $ naive_matching $ no_validate $ analyze))
+        $ show_timings $ dump_egg $ no_vet $ no_audit $ show_stats
+        $ naive_matching $ no_validate $ analyze))
 
 let () = Serve.Cli.main (fun () -> Serve.Cli.eval cmd)

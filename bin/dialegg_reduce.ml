@@ -7,12 +7,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path text =
   let oc = open_out_bin path in
   output_string oc text;
@@ -116,8 +110,12 @@ let internal_pred ~inject ~sem_checks ~seed ~func ~signature ~timeout_ms mlir
 
 let run input egg_file pred_cmd inject signature out_prefix max_rounds seed
     func sem_checks timeout_ms =
-  let mlir = read_file input in
-  let egg = match egg_file with Some f -> read_file f | None -> "" in
+  let mlir = In_channel.with_open_bin input In_channel.input_all in
+  let egg =
+    match egg_file with
+    | Some f -> In_channel.with_open_bin f In_channel.input_all
+    | None -> ""
+  in
   let pred =
     match pred_cmd with
     | Some cmd -> Ok (None, external_pred cmd)

@@ -5,17 +5,15 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run socket egg_file pool max_queue retries job_timeout grace heartbeat
     recycle_jobs recycle_rss_mb cache_dir cache_capacity iterations max_nodes
     timeout on_limit no_dce no_validate fault verbose =
   try
-    let rules = match egg_file with Some f -> read_file f | None -> "" in
+    let rules =
+      match egg_file with
+      | Some f -> In_channel.with_open_bin f In_channel.input_all
+      | None -> ""
+    in
     let pipeline =
       {
         Dialegg.Pipeline.default_config with

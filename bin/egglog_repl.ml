@@ -9,12 +9,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let print_outputs outs =
   List.iter
     (fun o ->
@@ -119,24 +113,13 @@ let run files max_nodes timeout stats =
        stop the remaining files from running; the exit code records it *)
     let ok =
       List.fold_left
-        (fun ok f -> run_chunk ~file:f engine check_env (read_file f) && ok)
+        (fun ok f ->
+          run_chunk ~file:f engine check_env (In_channel.with_open_bin f In_channel.input_all)
+          && ok)
         true files
     in
     print_outputs (Egglog.Interp.outputs engine);
-    if stats then begin
-      Fmt.epr "%a@." Egglog.Egraph.pp_stats (Egglog.Interp.egraph engine);
-      (* observability only: how each file fares under the DialEgg
-         encoding audit, and whether the verdict was memoized.  The REPL
-         runs arbitrary Egglog, so findings are informational here and
-         never affect the exit status — dialegg-opt/dialegg-audit are the
-         enforcing front-ends *)
-      List.iter
-        (fun f ->
-          let report, status = Dialegg.Audit.audit_cached ~file:f (read_file f) in
-          Fmt.epr "%s: %a [%s]@." f Dialegg.Audit.pp_summary report
-            (Dialegg.Audit.cache_status_name status))
-        files
-    end;
+    if stats then Fmt.epr "%a@." Egglog.Egraph.pp_stats (Egglog.Interp.egraph engine);
     let ok = if files = [] then repl engine check_env && ok else ok in
     if ok then `Ok () else `Error (false, "errors were reported")
   with

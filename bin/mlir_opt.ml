@@ -3,16 +3,12 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run input output passes verify_only =
   try
     Serve.Atomic_io.install_signal_cleanup ();
-    let m = Mlir.Parser.parse_module (read_file input) in
+    let m =
+      Mlir.Parser.parse_module (In_channel.with_open_bin input In_channel.input_all)
+    in
     (match Mlir.Verifier.verify m with
     | [] -> ()
     | errs ->

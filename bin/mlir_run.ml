@@ -5,12 +5,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let parse_arg (ty : Mlir.Typ.t) (s : string) : Mlir.Interp.rv =
   match ty with
   | Mlir.Typ.Integer w -> Mlir.Interp.Ri (Int64.of_string s, w)
@@ -28,7 +22,9 @@ let default_arg (ty : Mlir.Typ.t) : Mlir.Interp.rv =
 
 let run input func args =
   try
-    let m = Mlir.Parser.parse_module (read_file input) in
+    let m =
+      Mlir.Parser.parse_module (In_channel.with_open_bin input In_channel.input_all)
+    in
     Mlir.Verifier.verify_exn m;
     let f =
       match Mlir.Ir.find_function m func with

@@ -1,4 +1,4 @@
-(** Cross-layer encoding-contract auditor ([dialegg-audit]).
+(** Cross-layer encoding-contract auditor ([dialegg-check --only audit]).
 
     DialEgg's dialect-agnostic promise rests on a contract between three
     worlds that nothing else checks end-to-end: the egg side (op
@@ -598,46 +598,17 @@ let audit ?file (src : string) : report = audit_checked (Lint.check ?file src)
 (* Memoization (shares the vet cache directory)                        *)
 (* ------------------------------------------------------------------ *)
 
-type cache_status = Vet.cache_status = Hit_memory | Hit_disk | Computed
+type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
 
-let cache_status_name = Vet.cache_status_name
+(* Bump [version] when {!report} changes shape. *)
+module Store = Disk_cache.Store (struct
+  type t = report
 
-let memo : (string, report) Hashtbl.t = Hashtbl.create 4
+  let ext = ".audit"
+  let version = "dialegg-audit-cache-2"
+end)
 
-(* Bump when {!report} changes shape: stale disk entries must fail the
-   magic check, not be mis-deserialized. *)
-let cache_magic = "dialegg-audit-cache-1"
-
-let cache_file dir hash = Filename.concat dir (hash ^ ".audit")
-
-let read_cache dir hash : report option =
-  match open_in_bin (cache_file dir hash) with
-  | exception _ -> None
-  | ic ->
-    let r =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            let magic : string = Marshal.from_channel ic in
-            if not (String.equal magic cache_magic) then None
-            else
-              let (r : report) = Marshal.from_channel ic in
-              if String.equal r.a_hash hash then Some r else None
-          with _ -> None)
-    in
-    (match r with
-    | Some _ -> Disk_cache.touch (cache_file dir hash)
-    | None ->
-      (* torn, corrupt or stale-format entry: drop it, the verdict will
-         be recomputed and rewritten *)
-      try Sys.remove (cache_file dir hash) with Sys_error _ -> ());
-    r
-
-let write_cache dir hash (r : report) =
-  Disk_cache.write_entry ~dir ~file:(hash ^ ".audit") (fun oc ->
-      Marshal.to_channel oc cache_magic [];
-      Marshal.to_channel oc r [])
+module Memo = Disk_cache.Memo (Store)
 
 (* A cached report may have been produced under another file name; point
    its diagnostics at the caller's. *)
@@ -646,22 +617,11 @@ let retarget file (r : report) =
 
 let audit_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
   let hash = hash_source src in
-  match Hashtbl.find_opt memo hash with
-  | Some r -> (retarget file r, Hit_memory)
-  | None -> (
-    let dir =
-      match cache_dir with Some _ as d -> d | None -> Vet.default_cache_dir ()
-    in
-    match Option.bind dir (fun d -> read_cache d hash) with
-    | Some r ->
-      Hashtbl.replace memo hash r;
-      (retarget file r, Hit_disk)
-    | None ->
-      let c = match checked with Some c -> Lazy.force c | None -> Lint.check ?file src in
-      let r = audit_with ~hash c in
-      Hashtbl.replace memo hash r;
-      Option.iter (fun d -> write_cache d hash r) dir;
-      (r, Computed))
+  let r, status =
+    Memo.find ?dir:cache_dir hash (fun () ->
+        audit_with ~hash (match checked with Some c -> Lazy.force c | None -> Lint.check ?file src))
+  in
+  ((if status = Computed then r else retarget file r), status)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

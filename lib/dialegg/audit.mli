@@ -1,4 +1,4 @@
-(** Cross-layer encoding-contract auditor ([dialegg-audit]).
+(** Cross-layer encoding-contract auditor ([dialegg-check --only audit]).
 
     Statically cross-checks the egg side of the encoding (op
     constructors and costs in the {!Prelude} plus a user ruleset)
@@ -71,19 +71,18 @@ val audit_checked : Lint.checked -> report
 val prelude_model_builds : unit -> int
 
 (** Where an {!audit_cached} report came from. *)
-type cache_status = Vet.cache_status = Hit_memory | Hit_disk | Computed
+type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
 
-val cache_status_name : cache_status -> string
+(** The disk tier of {!audit_cached}: [KEY.audit] entries, keyed by
+    {!hash_source}, in the vet cache's directory. *)
+module Store : Disk_cache.STORE with type t = report
 
-(** Like {!audit}, memoized by {!hash_source}: first in an in-process
-    table, then on disk in the same directory as the vet cache
-    ([cache_dir], defaulting to [$DIALEGG_VET_CACHE] or
-    [<tmpdir>/dialegg-vet-cache]; [DIALEGG_VET_CACHE=""] disables disk
-    caching) under a [.audit] extension with its own format-version
-    magic.  Writes are atomic and unreadable or stale entries are
-    misses, so a corrupt cache can never fail a build.  [checked], when
-    given, must be [Lint.check ?file src]: it is forced only on a miss,
-    so a hit parses nothing. *)
+(** Like {!audit}, memoized by {!hash_source} through
+    {!Disk_cache.Memo}: first in an in-process table, then in {!Store}
+    under [cache_dir] (default {!Disk_cache.default_dir}).  An
+    unreadable or stale entry is a miss, so a corrupt cache can never
+    fail a build.  [checked], when given, must be [Lint.check ?file
+    src]: it is forced only on a miss, so a hit parses nothing. *)
 val audit_cached :
   ?cache_dir:string ->
   ?file:string ->
@@ -94,7 +93,7 @@ val audit_cached :
 val cost_model_name : cost_model -> string
 
 (** One line per op constructor: egg name, MLIR op, registry and cost
-    status, reachability ([dialegg-audit -v]). *)
+    status, reachability ([dialegg-check -v]). *)
 val pp_coverage : Format.formatter -> report -> unit
 
 (** One-line totals: constructor counts, rules, errors, warnings. *)

@@ -1,5 +1,5 @@
-(** Durable, size-bounded entry commits shared by the vet / audit / serve
-    disk caches; see the interface for the model. *)
+(** The one typed entry store under the vet / audit / serve disk
+    caches; see the interface for the model. *)
 
 let cache_exts = [ ".vet"; ".audit"; ".result" ]
 
@@ -26,9 +26,9 @@ let max_bytes () =
 let is_cache_entry name =
   List.exists (fun ext -> Filename.check_suffix name ext) cache_exts
 
-(* Oldest-mtime-first eviction.  mtime is our recency signal: readers
-   that hit an entry re-touch it (see the owning modules), so a pruned
-   entry really is the least recently useful one. *)
+(* Oldest-mtime-first eviction.  mtime is our recency signal: a hit
+   re-touches its entry ({!Store.find}), so a pruned entry really is the
+   least recently useful one. *)
 let prune ?max ~dir () =
   try
     let cap = match max with Some m -> m | None -> max_bytes () in
@@ -72,8 +72,7 @@ let prune ?max ~dir () =
     end
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(* Touch an entry a reader just used, so pruning sees it as fresh.
-   Best-effort (read-only media). *)
+(* Best-effort (read-only media). *)
 let touch path = try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ()
 
 let fsync_dir dir =
@@ -108,3 +107,74 @@ let write_entry ~dir ~file emit =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
   with _ -> ()
+
+module type ENTRY = sig
+  type t
+
+  val ext : string
+  val version : string
+end
+
+module type STORE = sig
+  include ENTRY
+
+  val find : dir:string -> string -> t option
+  val add : dir:string -> string -> t -> unit
+end
+
+module Store (E : ENTRY) = struct
+  include E
+
+  let header = version ^ "\n"
+
+  let find ~dir key =
+    let path = Filename.concat dir (key ^ ext) in
+    let read ic =
+      if really_input_string ic (String.length header) <> header then None
+      else
+        let stored, v = (Marshal.from_channel ic : string * t) in
+        (* a renamed or collided file must not satisfy the wrong key *)
+        if String.equal stored key then Some v else None
+    in
+    match In_channel.with_open_bin path read with
+    | Some _ as hit ->
+      touch path;
+      hit
+    | None | (exception _) ->
+      (* torn, garbage, stale-format or cross-linked: delete and miss —
+         recomputing is always safe, reading bad bytes never is *)
+      (try Sys.remove path with Sys_error _ -> ());
+      None
+
+  let add ~dir key v =
+    write_entry ~dir ~file:(key ^ ext) (fun oc ->
+        output_string oc header;
+        Marshal.to_channel oc ((key, v) : string * t) [])
+end
+
+type status = Hit_memory | Hit_disk | Computed
+
+let status_name = function
+  | Hit_memory -> "hit (memory)"
+  | Hit_disk -> "hit (disk)"
+  | Computed -> "computed"
+
+module Memo (S : STORE) = struct
+  let table : (string, S.t) Hashtbl.t = Hashtbl.create 4
+
+  let find ?dir key compute =
+    match Hashtbl.find_opt table key with
+    | Some v -> (v, Hit_memory)
+    | None ->
+      let dir = match dir with Some _ -> dir | None -> default_dir () in
+      let v, status =
+        match Option.bind dir (fun dir -> S.find ~dir key) with
+        | Some v -> (v, Hit_disk)
+        | None ->
+          let v = compute () in
+          Option.iter (fun dir -> S.add ~dir key v) dir;
+          (v, Computed)
+      in
+      Hashtbl.replace table key v;
+      (v, status)
+end

@@ -1,33 +1,35 @@
-(** The shared on-disk memo layer under the static-tier and serving
+(** The one on-disk entry store under the static-tier and serving
     caches.
 
-    Three subsystems persist content-addressed verdicts/results next to
-    each other in one directory: the ruleset verifier ({!Vet},
-    [HASH.vet]), the encoding auditor ({!Audit}, [HASH.audit]) and the
-    optimization daemon's result cache ([Serve.Cache], [HASH.result]).
-    This module owns what they have in common so the guarantees are
-    uniform:
+    Three kinds of content-addressed entry live next to each other in
+    one directory: the ruleset verifier's verdicts ({!Vet},
+    [KEY.vet]), the encoding auditor's ({!Audit}, [KEY.audit]) and the
+    optimization daemon's results ([Serve.Cache], [KEY.result]).  Each
+    kind is a {!Store} over its extension, format version and payload
+    type, so the guarantees are uniform:
 
     - one default directory resolution ([$DIALEGG_VET_CACHE], empty
       string = disabled, otherwise a [dialegg-vet-cache] directory under
       the system temp dir);
-    - crash-safe entry commits: same-directory temp file, fsync of the
-      data, atomic rename, then fsync of the parent directory, so a
-      committed entry survives a power cut and a torn write is never
-      observable under the final name;
-    - a size cap with least-recently-used eviction: after every commit
-      the directory is pruned back under [$DIALEGG_CACHE_MAX_MB]
-      (default 256 MB), deleting oldest-mtime cache entries first.
-      Only files with a known cache extension are ever counted or
-      deleted — foreign files in the directory are left alone.
+    - one entry layout: the format version on a line of its own, then
+      the key and the payload, marshalled;
+    - corruption-tolerant reads: a torn, garbage, stale-format or
+      cross-linked entry (a valid entry renamed onto another key's file
+      name) is deleted and read as a miss, so a damaged cache costs a
+      recompute, never a wrong answer;
+    - crash-safe commits: same-directory temp file, fsync of the data,
+      atomic rename, then fsync of the parent directory, so a committed
+      entry survives a power cut and a torn write is never observable
+      under the final name;
+    - a size cap with least-recently-used eviction: a hit re-stamps its
+      entry, and after every commit the directory is pruned back under
+      [$DIALEGG_CACHE_MAX_MB] (default 256 MB), deleting oldest-mtime
+      entries first.  Only files with a known extension ([.vet],
+      [.audit], [.result]) are ever counted or deleted — foreign files
+      in the directory are left alone.
 
-    Reads stay in the owning modules (each validates its own magic /
-    format version); corruption tolerance is their job, durability and
-    bounding are this module's. *)
-
-(** The entry extensions this layer recognizes (and is allowed to
-    evict): [".vet"], [".audit"], [".result"]. *)
-val cache_exts : string list
+    {!Memo} puts the in-process table of the static tiers on top of a
+    store. *)
 
 (** [$DIALEGG_VET_CACHE] resolution: [Some dir] to cache on disk there,
     [None] when disabled ([DIALEGG_VET_CACHE=""]). *)
@@ -38,20 +40,54 @@ val default_dir : unit -> string option
     default). *)
 val max_bytes : unit -> int
 
-(** [write_entry ~dir ~file emit] durably commits one cache entry named
-    [file] (a basename) inside [dir], creating the directory if needed:
-    [emit oc] writes the payload, then the temp file is fsync'd, renamed
-    over [dir/file], the directory fsync'd, and the cache pruned back
-    under the size cap.  Best-effort: any failure (read-only media, a
-    full disk) is swallowed — a cache that cannot persist degrades to a
-    recompute, never to an error. *)
-val write_entry : dir:string -> file:string -> (out_channel -> unit) -> unit
-
-(** Re-stamp an entry a reader just used, so LRU pruning sees it as
-    fresh.  Best-effort. *)
-val touch : string -> unit
-
 (** [prune ~dir ()] deletes the oldest cache entries (by mtime, known
     extensions only) until the directory's cache footprint is back under
     [max_bytes] (or [~max]).  Never raises. *)
 val prune : ?max:int -> dir:string -> unit -> unit
+
+(** One kind of entry.  Bump [version] whenever [t] or anything inside
+    it changes shape: an entry of another version is a miss, never a
+    mis-deserialized value. *)
+module type ENTRY = sig
+  type t
+
+  (** The file extension, one of the known three. *)
+  val ext : string
+
+  (** The format version; a single line. *)
+  val version : string
+end
+
+module type STORE = sig
+  include ENTRY
+
+  (** [find ~dir key] reads [dir/KEY.ext] when its version and its
+      embedded key are this store's and [key], and re-stamps it for the
+      LRU.  Any other content, or a failed read, deletes the file and is
+      [None]. *)
+  val find : dir:string -> string -> t option
+
+  (** [add ~dir key v] durably commits [v] as [dir/KEY.ext], creating
+      [dir] if needed, then prunes [dir] under the size cap.
+      Best-effort: any failure (read-only media, a full disk) is
+      swallowed — a cache that cannot persist degrades to a recompute,
+      never to an error. *)
+  val add : dir:string -> string -> t -> unit
+end
+
+module Store (E : ENTRY) : STORE with type t = E.t
+
+(** Where a {!Memo} value came from. *)
+type status = Hit_memory | Hit_disk | Computed
+
+(** ["hit (memory)"], ["hit (disk)"] or ["computed"]. *)
+val status_name : status -> string
+
+(** An in-process table over a store. *)
+module Memo (S : STORE) : sig
+  (** [find ?dir key compute]: the value the process already has for
+      [key], else the one in [S] under [dir] (default {!default_dir};
+      [None] there skips the disk), else [compute ()], committed to the
+      disk.  Either way the value is kept in the process's table. *)
+  val find : ?dir:string -> string -> (unit -> S.t) -> S.t * status
+end

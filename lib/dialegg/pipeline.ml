@@ -153,21 +153,31 @@ let rules_read () = !n_reads
 let checked_rules config =
   lazy (Lint.check ~file:"<rules>" ~read:(read_rules config.rules) config.rules)
 
+(* Raise {!Error} if any diagnostic is error severity (warnings go to
+   stderr), rendering them uniformly with the rule lint. *)
+let diags_exn what diags =
+  List.iter
+    (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
+    diags;
+  if Egglog.Diag.has_errors diags then
+    raise
+      (Error
+         (Fmt.str "%s:@\n%a" what
+            (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
+            (List.filter Egglog.Diag.is_error diags)))
+
 (* Fail fast on lint errors instead of silently saturating with rules
    that can never fire; warnings are surfaced but not fatal. *)
 let lint_rules_exn ~checked config =
-  if config.lint && config.rules <> "" then begin
-    let diags = Lint.lint_checked (Lazy.force checked) in
-    List.iter
-      (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
-      diags;
-    if Egglog.Diag.has_errors diags then
-      raise
-        (Error
-           (Fmt.str "rules failed lint:@\n%a"
-              (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
-              (List.filter Egglog.Diag.is_error diags)))
-  end
+  if config.lint && config.rules <> "" then
+    diags_exn "rules failed lint" (Lint.lint_checked (Lazy.force checked))
+
+(* A memoized tier's verdict: an in-process memo hit already printed its
+   warnings, so only its errors are raised again. *)
+let verdict_exn what diags status =
+  diags_exn what
+    (if status = Disk_cache.Hit_memory then List.filter Egglog.Diag.is_error diags
+     else diags)
 
 (* The second fail-fast tier: static rule verification (see {!Vet}).
    Soundness errors abort before any saturation runs; expansion and
@@ -180,17 +190,7 @@ let vet_rules_exn ?checked config : (Vet.report * Vet.cache_status) option =
     let report, status =
       Vet.vet_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
     in
-    (* an in-process memo hit already printed its warnings *)
-    if status <> Vet.Hit_memory then
-      List.iter
-        (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
-        report.Vet.v_diags;
-    if Egglog.Diag.has_errors report.Vet.v_diags then
-      raise
-        (Error
-           (Fmt.str "rules failed vet:@\n%a"
-              (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
-              (List.filter Egglog.Diag.is_error report.Vet.v_diags)));
+    verdict_exn "rules failed vet" report.Vet.v_diags status;
     Some (report, status)
   end
   else None
@@ -205,17 +205,7 @@ let audit_rules_exn ?checked config : (Audit.report * Audit.cache_status) option
     let report, status =
       Audit.audit_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
     in
-    (* an in-process memo hit already printed its warnings *)
-    if status <> Audit.Hit_memory then
-      List.iter
-        (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
-        report.Audit.a_diags;
-    if Egglog.Diag.has_errors report.Audit.a_diags then
-      raise
-        (Error
-           (Fmt.str "rules failed encoding audit:@\n%a"
-              (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
-              (List.filter Egglog.Diag.is_error report.Audit.a_diags)));
+    verdict_exn "rules failed encoding audit" report.Audit.a_diags status;
     Some (report, status)
   end
   else None
@@ -226,19 +216,6 @@ let static_tiers_exn config =
   lint_rules_exn ~checked config;
   let vet = vet_rules_exn ~checked config in
   (vet, audit_rules_exn ~checked config)
-
-(* Raise {!Error} if any diagnostic is error severity (warnings go to
-   stderr), rendering them uniformly with the rule lint. *)
-let diags_exn what diags =
-  List.iter
-    (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
-    diags;
-  if Egglog.Diag.has_errors diags then
-    raise
-      (Error
-         (Fmt.str "%s:@\n%a" what
-            (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
-            (List.filter Egglog.Diag.is_error diags)))
 
 (* The base engine: the prelude run once per process, its rules compiled,
    with its signatures (paper §5.1) and their generated [type-of] rules,
@@ -482,11 +459,11 @@ let pp_outcome ppf = function
 let pp_report ppf (r : report) =
   (match r.r_vet with
   | Some (v, status) ->
-    Fmt.pf ppf "%a [%s]@." Vet.pp_summary v (Vet.cache_status_name status)
+    Fmt.pf ppf "%a [%s]@." Vet.pp_summary v (Disk_cache.status_name status)
   | None -> ());
   (match r.r_audit with
   | Some (a, status) ->
-    Fmt.pf ppf "%a [%s]@." Audit.pp_summary a (Audit.cache_status_name status)
+    Fmt.pf ppf "%a [%s]@." Audit.pp_summary a (Disk_cache.status_name status)
   | None -> ());
   List.iter
     (fun fr ->
@@ -601,6 +578,8 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
        post-extraction translation validation *)
     let snapshot = if config.validate then Some (Validate.capture func) else None in
     (* ---- MLIR -> Egglog ---- *)
+    (* the base is built once per process and charged to no function *)
+    ignore (Lazy.force base : base);
     let t0 = now () in
     let engine, eggify, sigs, root =
       stage ~strict Faults.Eggify config.inject (fun () -> setup_function ~hooks config func)

@@ -1,6 +1,7 @@
-(** Static ruleset verifier ([dialegg-vet]): once-per-ruleset analyses
-    that catch bad rules before saturation ever runs, complementing the
-    per-extraction dynamic checks in {!Validate}.
+(** Static ruleset verifier ([dialegg-check --only vet]):
+    once-per-ruleset analyses that catch bad rules before saturation
+    ever runs, complementing the per-extraction dynamic checks in
+    {!Validate}.
 
     Three passes over a parsed ruleset, all reported as {!Egglog.Diag}
     diagnostics:
@@ -568,51 +569,17 @@ let vet ?file (src : string) : report = vet_checked (Lint.check ?file src)
 (* Memoization                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type cache_status = Hit_memory | Hit_disk | Computed
+type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
 
-let cache_status_name = function
-  | Hit_memory -> "hit (memory)"
-  | Hit_disk -> "hit (disk)"
-  | Computed -> "computed"
+(* Bump [version] when {!report} or any type inside it changes shape. *)
+module Store = Disk_cache.Store (struct
+  type t = report
 
-let memo : (string, report) Hashtbl.t = Hashtbl.create 4
+  let ext = ".vet"
+  let version = "dialegg-vet-cache-2"
+end)
 
-(* Bump when {!report} or any type inside it changes shape: stale disk
-   entries must fail the magic check, not be mis-deserialized. *)
-let cache_magic = "dialegg-vet-cache-1"
-
-let default_cache_dir = Disk_cache.default_dir
-
-let cache_file dir hash = Filename.concat dir (hash ^ ".vet")
-
-let read_cache dir hash : report option =
-  match open_in_bin (cache_file dir hash) with
-  | exception _ -> None
-  | ic ->
-    let r =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            let magic : string = Marshal.from_channel ic in
-            if not (String.equal magic cache_magic) then None
-            else
-              let (r : report) = Marshal.from_channel ic in
-              if String.equal r.v_hash hash then Some r else None
-          with _ -> None)
-    in
-    (match r with
-    | Some _ -> Disk_cache.touch (cache_file dir hash)
-    | None ->
-      (* torn, corrupt or stale-format entry: drop it, the verdict will
-         be recomputed and rewritten *)
-      try Sys.remove (cache_file dir hash) with Sys_error _ -> ());
-    r
-
-let write_cache dir hash (r : report) =
-  Disk_cache.write_entry ~dir ~file:(hash ^ ".vet") (fun oc ->
-      Marshal.to_channel oc cache_magic [];
-      Marshal.to_channel oc r [])
+module Memo = Disk_cache.Memo (Store)
 
 (* A cached report may have been produced under another file name; point
    its diagnostics at the caller's. *)
@@ -621,20 +588,11 @@ let retarget file (r : report) =
 
 let vet_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
   let hash = hash_source src in
-  match Hashtbl.find_opt memo hash with
-  | Some r -> (retarget file r, Hit_memory)
-  | None -> (
-    let dir = match cache_dir with Some _ as d -> d | None -> default_cache_dir () in
-    match Option.bind dir (fun d -> read_cache d hash) with
-    | Some r ->
-      Hashtbl.replace memo hash r;
-      (retarget file r, Hit_disk)
-    | None ->
-      let c = match checked with Some c -> Lazy.force c | None -> Lint.check ?file src in
-      let r = vet_with ~hash c in
-      Hashtbl.replace memo hash r;
-      Option.iter (fun d -> write_cache d hash r) dir;
-      (r, Computed))
+  let r, status =
+    Memo.find ?dir:cache_dir hash (fun () ->
+        vet_with ~hash (match checked with Some c -> Lazy.force c | None -> Lint.check ?file src))
+  in
+  ((if status = Computed then r else retarget file r), status)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -1,4 +1,4 @@
-(** Static ruleset verifier ([dialegg-vet]).
+(** Static ruleset verifier ([dialegg-check --only vet]).
 
     Analyzes a ruleset once, before any saturation runs, and reports
     {!Egglog.Diag} diagnostics from three passes:
@@ -29,7 +29,7 @@ type classification = Contracting | Size_preserving | Expanding
 
 val classification_name : classification -> string
 
-(** Per-rule verdict, as printed by [--stats] and [dialegg-vet -v]. *)
+(** Per-rule verdict, as printed by [--stats] and [dialegg-check -v]. *)
 type rule_info = {
   vr_name : string;  (** the rule's [:name], or a synthesized [lhs=>rhs@line] label *)
   vr_line : int;
@@ -67,18 +67,18 @@ val vet : ?file:string -> string -> report
 val vet_checked : Lint.checked -> report
 
 (** Where a {!vet_cached} report came from. *)
-type cache_status = Hit_memory | Hit_disk | Computed
+type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
 
-val cache_status_name : cache_status -> string
+(** The disk tier of {!vet_cached}: [KEY.vet] entries, keyed by
+    {!hash_source}. *)
+module Store : Disk_cache.STORE with type t = report
 
-(** Like {!vet}, memoized by {!hash_source}: first in an in-process
-    table, then in an on-disk cache directory ([cache_dir], defaulting
-    to [$DIALEGG_VET_CACHE] or [<tmpdir>/dialegg-vet-cache]; setting
-    [DIALEGG_VET_CACHE=""] disables the disk cache).  Disk writes are
-    atomic (temp file + rename) and unreadable or stale entries are
-    treated as misses, so a corrupt cache can never fail a build.
-    [checked], when given, must be [Lint.check ?file src]: it is forced
-    only on a miss, so a hit parses nothing. *)
+(** Like {!vet}, memoized by {!hash_source} through {!Disk_cache.Memo}:
+    first in an in-process table, then in {!Store} under [cache_dir]
+    (default {!Disk_cache.default_dir}).  An unreadable or stale entry
+    is a miss, so a corrupt cache can never fail a build.  [checked],
+    when given, must be [Lint.check ?file src]: it is forced only on a
+    miss, so a hit parses nothing. *)
 val vet_cached :
   ?cache_dir:string ->
   ?file:string ->
@@ -108,8 +108,3 @@ val kind_of_sort : string -> arg_kind
 (** Argument sorts of an MLIR op constructor ([fs_ret = Op], not the
     [Value] leaf and not a primitive), or [None]. *)
 val op_constructor : Egglog.Check.env -> string -> string list option
-
-(** The cache directory [$DIALEGG_VET_CACHE] selects ([None] = disk
-    cache disabled).  The audit cache lives in the same directory with a
-    different file extension and format-version magic. *)
-val default_cache_dir : unit -> string option

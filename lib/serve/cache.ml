@@ -2,13 +2,18 @@
     the model. *)
 
 (* Bump on any change to the key normalization, the entry layout or the
-   output a config gives (2: saturation applies every match it finds, so
-   a run cut by its iteration budget can extract another program than
-   version 1 did): old entries must never satisfy new requests. *)
-let format_version = "dialegg-result-cache-2"
-let disk_magic = format_version ^ "\n"
+   output a config gives (3: the entry layout is {!Dialegg.Disk_cache}'s):
+   old entries must never satisfy new requests. *)
+let format_version = "dialegg-result-cache-3"
 
 type entry = { ce_output : string; ce_degraded : int }
+
+module Store = Dialegg.Disk_cache.Store (struct
+  type t = entry
+
+  let ext = ".result"
+  let version = format_version
+end)
 
 type mem_slot = { ms_entry : entry; mutable ms_tick : int }
 
@@ -34,7 +39,7 @@ let key ~(config : Dialegg.Pipeline.config) ~src =
   in
   Digest.to_hex
     (Digest.string
-       (disk_magic ^ Marshal.to_string normalized [] ^ "\x00" ^ src))
+       (format_version ^ "\n" ^ Marshal.to_string normalized [] ^ "\x00" ^ src))
 
 (* ------------------------------------------------------------------ *)
 (* Memory tier                                                         *)
@@ -66,54 +71,6 @@ let mem_add t k entry =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Disk tier                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let entry_file k = k ^ ".result"
-
-let disk_path t k =
-  match t.dir with
-  | None -> None
-  | Some d -> Some (Filename.concat d (entry_file k))
-
-let disk_read t k =
-  match disk_path t k with
-  | None -> None
-  | Some path -> (
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic -> (
-      let parse () =
-        let magic = really_input_string ic (String.length disk_magic) in
-        if magic <> disk_magic then failwith "format version mismatch";
-        let stored_key, output, degraded =
-          (Marshal.from_channel ic : string * string * int)
-        in
-        (* a renamed / collided file must not satisfy the wrong key *)
-        if stored_key <> k then failwith "key mismatch";
-        { ce_output = output; ce_degraded = degraded }
-      in
-      match Fun.protect ~finally:(fun () -> close_in_noerr ic) parse with
-      | entry ->
-        Dialegg.Disk_cache.touch path;
-        Some entry
-      | exception _ ->
-        (* torn, truncated, corrupt, or stale-format: delete and miss —
-           recomputing is always safe, serving bad bytes never is *)
-        (try Sys.remove path with Sys_error _ -> ());
-        None))
-
-let disk_write t k entry =
-  match t.dir with
-  | None -> ()
-  | Some dir ->
-    Dialegg.Disk_cache.write_entry ~dir ~file:(entry_file k) (fun oc ->
-        output_string oc disk_magic;
-        Marshal.to_channel oc
-          ((k, entry.ce_output, entry.ce_degraded) : string * string * int)
-          [])
-
-(* ------------------------------------------------------------------ *)
 (* The two-level interface                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -123,7 +80,7 @@ let find t k =
     bump t slot;
     Some (slot.ms_entry, Protocol.Sv_hit_mem)
   | None -> (
-    match disk_read t k with
+    match Option.bind t.dir (fun dir -> Store.find ~dir k) with
     | Some entry ->
       mem_add t k entry;
       Some (entry, Protocol.Sv_hit_disk)
@@ -131,7 +88,7 @@ let find t k =
 
 let add t k entry =
   mem_add t k entry;
-  disk_write t k entry
+  Option.iter (fun dir -> Store.add ~dir k entry) t.dir
 
 let stats t =
   let disk_entries, disk_bytes =
@@ -143,7 +100,7 @@ let stats t =
       | names ->
         Array.fold_left
           (fun ((n, b) as acc) name ->
-            if Filename.check_suffix name ".result" then
+            if Filename.check_suffix name Store.ext then
               match Unix.stat (Filename.concat dir name) with
               | { Unix.st_kind = Unix.S_REG; st_size; _ } ->
                 (n + 1, b + st_size)
@@ -162,7 +119,7 @@ let corrupt_disk_entries t =
     | names ->
       Array.fold_left
         (fun n name ->
-          if not (Filename.check_suffix name ".result") then n
+          if not (Filename.check_suffix name Store.ext) then n
           else
             let path = Filename.concat dir name in
             match Unix.stat path with

@@ -13,13 +13,18 @@
     Storage is two-level:
 
     - an in-process LRU (bounded entry count) for the hot set;
-    - an on-disk store of [KEY.result] files beside the vet/audit
-      verdict caches, committed durably through {!Dialegg.Disk_cache}
-      (temp + fsync + rename + parent fsync, then size-capped pruning).
+    - {!Store}: [KEY.result] entries beside the vet/audit verdicts, in
+      {!Dialegg.Disk_cache}'s one entry store (durable commits,
+      size-capped pruning, and reads that delete a torn, garbage,
+      stale-format or cross-linked entry and miss — the daemon
+      recomputes, it never serves bad bytes). *)
 
-    Reads tolerate arbitrary corruption: a torn, truncated, or
-    wrong-format entry is deleted and reported as a miss — the daemon
-    recomputes, it never serves bad bytes. *)
+(** A cached result: the printed optimized function module and how many
+    functions inside it degraded (0 or 1). *)
+type entry = { ce_output : string; ce_degraded : int }
+
+(** The disk tier. *)
+module Store : Dialegg.Disk_cache.STORE with type t = entry
 
 type t
 
@@ -32,9 +37,6 @@ val create : ?capacity:int -> dir:string option -> unit -> t
     version, the normalized config, and the function module text. *)
 val key : config:Dialegg.Pipeline.config -> src:string -> string
 
-(** A cached result: the printed optimized function module and how many
-    functions inside it degraded (0 or 1). *)
-type entry = { ce_output : string; ce_degraded : int }
 
 (** Look a key up, promoting disk hits into the memory tier.  Tells the
     caller which tier answered (for stats and [--stats] marks). *)

@@ -110,12 +110,6 @@ let insert_pending st ((r, _, _) as item) =
 (* Job completion paths                                                *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let record st (job : Queue.job) ~attempts ~outcome ~output ~bytes =
   (match st.journal with
   | Some j ->
@@ -151,7 +145,9 @@ let fallback_identity st (job : Queue.job) ~attempts cls =
   match
     match job.Queue.job_input with
     | Protocol.J_file path ->
-      Some (Dialegg.Pipeline.identity_source (read_file path))
+      Some
+        (Dialegg.Pipeline.identity_source
+           (In_channel.with_open_bin path In_channel.input_all))
     | Protocol.J_func _ -> None
     | Protocol.J_text { src; _ } ->
       (* daemon path: the input is already in hand *)

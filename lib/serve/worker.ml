@@ -1,11 +1,5 @@
 (** The child side of the batch driver; see the interface for the model. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Enact a process-level injected fault.  Each arm reproduces one way a
    real worker dies: [W_hang] ignores SIGTERM so only the supervisor's
    SIGKILL escalation reclaims the slot; [W_segv] aborts via a fatal
@@ -76,11 +70,11 @@ let process (rq : Protocol.request) : Protocol.response =
          byte-identical to one-process runs *)
       let out, report =
         Dialegg.Pipeline.optimize_source ~config:rq.rq_config ~file:path
-          (read_file path)
+          (In_channel.with_open_bin path In_channel.input_all)
       in
       (out, count_degraded report)
     | Protocol.J_func { path; func } ->
-      optimize_one_func ~func (read_file path)
+      optimize_one_func ~func (In_channel.with_open_bin path In_channel.input_all)
     | Protocol.J_text { name; src } ->
       (* the daemon path: the single-function module arrives by value, so
          a serving worker never reads the filesystem *)

@@ -39,7 +39,7 @@ for exe in "$@"; do
   # tools whose operands are required (the rest default to stdin, a
   # default socket, or an interactive session)
   case $name in
-  dialegg_opt|dialegg_batch|dialegg_lint|dialegg_client|mlir_opt|mlir_run)
+  dialegg_opt|dialegg_batch|dialegg_check|dialegg_client|mlir_opt|mlir_run)
     check_usage_error "$name <no operand>" "$exe"
     ;;
   esac

@@ -7,41 +7,38 @@ cd "$(dirname "$0")/.."
 echo "== build =="
 dune build @all
 
-echo "== dialegg-lint: shipped rules are clean =="
-dune exec bin/dialegg_lint.exe -- rules/*.egg
-dune build @lint
+echo "== dialegg-check: shipped rules lint clean =="
+dune exec bin/dialegg_check.exe -- --only lint rules/*.egg
 echo ok
 
-echo "== dialegg-vet: shipped rules verify statically =="
+echo "== dialegg-check: shipped rules verify statically =="
 VET_CACHE=$(mktemp -d)
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_vet.exe -- rules/*.egg
-dune build @vet
+DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only vet rules/*.egg
 echo ok
 
-echo "== dialegg-vet: guard-dropping rule rejected without saturation =="
-if DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_vet.exe -- \
+echo "== dialegg-check: guard-dropping rule rejected without saturation =="
+if DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only vet \
   test/fixtures/unsound_rule.egg 2>/tmp/dialegg_vet.err; then
   echo "expected a vet failure" >&2; exit 1
 fi
 grep -q rule-range-widened /tmp/dialegg_vet.err
 echo ok
 
-echo "== dialegg-vet: matmul associativity is an expansive cycle =="
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_vet.exe -- \
+echo "== dialegg-check: matmul associativity is an expansive cycle =="
+DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only vet \
   rules/matmul_assoc.egg 2>&1 | grep -q expansive-cycle
 echo ok
 
-echo "== dialegg-audit: shipped rules honor the encoding contract =="
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_audit.exe -- rules/*.egg
-dune build @audit
+echo "== dialegg-check: shipped rules honor the encoding contract =="
+DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only audit rules/*.egg
 echo ok
 
-echo "== dialegg-audit: seeded contract violations are rejected statically =="
+echo "== dialegg-check: seeded contract violations are rejected statically =="
 for probe in audit_arity_mismatch:egg-arity-mismatch \
              costless_reachable:cost-unreachable \
              impure_rule:rule-impure-op; do
   fixture=${probe%%:*}; code=${probe#*:}
-  if DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_audit.exe -- \
+  if DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only audit \
     "test/fixtures/$fixture.egg" >/dev/null 2>/tmp/dialegg_audit.err; then
     echo "expected an audit failure for $fixture.egg" >&2; exit 1
   fi
@@ -49,29 +46,30 @@ for probe in audit_arity_mismatch:egg-arity-mismatch \
 done
 echo ok
 
-echo "== dialegg-audit: verdict memoized across invocations =="
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_audit.exe -- \
+echo "== dialegg-check: audit verdict memoized across invocations =="
+DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- --only audit \
   rules/const_fold.egg | grep -q 'hit ('
 echo ok
 
-echo "== dialegg-opt: --audit mode and the pipeline's audit tier =="
+echo "== dialegg-check: all three tiers, and the @check alias =="
+DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- rules/*.egg
+dune build @check
+echo ok
+
+echo "== dialegg-opt: the pipeline's audit tier =="
 if dune exec bin/dialegg_opt.exe -- benchmarks/div_pow2_demo.mlir \
   --egg test/fixtures/costless_reachable.egg >/dev/null 2>/tmp/dialegg_audit_opt.err; then
   echo "expected the pipeline audit tier to reject the ruleset" >&2; exit 1
 fi
 grep -q cost-unreachable /tmp/dialegg_audit_opt.err
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_opt.exe -- --audit \
-  --egg rules/const_fold.egg
 echo ok
 
-echo "== dialegg-opt: --vet mode and the pipeline's vet tier =="
+echo "== dialegg-opt: the pipeline's vet tier =="
 if dune exec bin/dialegg_opt.exe -- benchmarks/div_pow2_demo.mlir \
   --egg test/fixtures/unsound_rule.egg >/dev/null 2>/tmp/dialegg_vet_opt.err; then
   echo "expected the pipeline vet tier to reject the ruleset" >&2; exit 1
 fi
 grep -q rule-range-widened /tmp/dialegg_vet_opt.err
-DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_opt.exe -- --vet \
-  --egg rules/const_fold.egg
 echo ok
 
 echo "== dialegg-batch: vet + audit memoized across invocations (--stats) =="
@@ -167,9 +165,23 @@ dune exec bin/dialegg_opt.exe -- test/fixtures/unsound_demo.mlir \
   --egg test/fixtures/unsound_fold.egg --no-validate | grep -q 'arith.constant 0'
 echo ok
 
-echo "== dialegg-lint: defects are caught =="
-if dune exec bin/dialegg_lint.exe -- test/fixtures/unknown_constructor.egg 2>/dev/null; then
+echo "== dialegg-check: lint defects are caught =="
+if dune exec bin/dialegg_check.exe -- --only lint test/fixtures/unknown_constructor.egg \
+  2>/dev/null; then
   echo "expected a lint failure" >&2; exit 1
+fi
+echo ok
+
+echo "== dialegg-check: a lint error stops the later tiers =="
+status=0
+dune exec bin/dialegg_check.exe -- test/fixtures/unknown_constructor.egg \
+  2>/tmp/dialegg_check.err || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "expected exit 1, got status $status" >&2; exit 1
+fi
+if [ "$(grep -c unknown-function /tmp/dialegg_check.err)" -ne 1 ]; then
+  echo "expected unknown-function once, not once per tier" >&2
+  cat /tmp/dialegg_check.err >&2; exit 1
 fi
 echo ok
 

@@ -842,6 +842,48 @@ let test_disk_cache_coexistence () =
   ignore (Dialegg.Pipeline.vet_rules_exn config);
   ignore (Dialegg.Pipeline.audit_rules_exn config)
 
+(* One store for every entry kind: a good entry hits, and a torn
+   entry, garbage, an entry of the previous format version and a valid
+   entry renamed onto another key's file name each read as a miss and are
+   deleted.  [previous] is the kind's format version before the current
+   one. *)
+let check_store (type a) (module S : Dialegg.Disk_cache.STORE with type t = a) ~previous
+    (v : a) =
+  let d = fresh_dir () in
+  let path key = Filename.concat d (key ^ S.ext) in
+  let k = Digest.to_hex (Digest.string S.ext) in
+  let miss what =
+    checkb (Printf.sprintf "%s: %s is a miss" S.ext what) true (S.find ~dir:d k = None);
+    checkb (Printf.sprintf "%s: %s is deleted" S.ext what) false (Sys.file_exists (path k))
+  in
+  S.add ~dir:d k v;
+  checkb (S.ext ^ ": a good entry hits") true (S.find ~dir:d k = Some v);
+  let bytes = read_file (path k) in
+  write_file (path k) (String.sub bytes 0 (String.length bytes / 2));
+  miss "an entry truncated to half";
+  write_file (path k) "not a cache entry at all";
+  miss "a garbage file";
+  checkb (S.ext ^ ": the previous version differs") false (String.equal previous S.version);
+  let module Old = Dialegg.Disk_cache.Store (struct
+    type t = a
+
+    let ext = S.ext
+    let version = previous
+  end) in
+  Old.add ~dir:d k v;
+  miss "an entry of the previous format version";
+  S.add ~dir:d "other" v;
+  Sys.rename (path "other") (path k);
+  miss "an entry renamed onto another key's file name"
+
+let test_store_every_kind () =
+  let rules = Dialegg.Rules.const_fold in
+  check_store (module Dialegg.Vet.Store) ~previous:"dialegg-vet-cache-1" (Dialegg.Vet.vet rules);
+  check_store (module Dialegg.Audit.Store) ~previous:"dialegg-audit-cache-1"
+    (Dialegg.Audit.audit rules);
+  check_store (module Serve.Cache.Store) ~previous:"dialegg-result-cache-2"
+    (mk_entry ~degraded:1 "func.func @f() { }\n")
+
 (* ------------------------------------------------------------------ *)
 (* Atomic writes: the failure path leaves no temp litter               *)
 (* ------------------------------------------------------------------ *)
@@ -1551,6 +1593,8 @@ let () =
             test_disk_cache_max_bytes_env;
           Alcotest.test_case "vet/audit/result coexistence" `Quick
             test_disk_cache_coexistence;
+          Alcotest.test_case "every entry kind: a hit and four misses" `Quick
+            test_store_every_kind;
           Alcotest.test_case "failed atomic write leaves no temp" `Quick
             test_atomic_failure_leaves_no_temp;
         ] );
