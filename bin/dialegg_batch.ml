@@ -35,26 +35,17 @@ let run input egg_file output jobs retries job_timeout grace backoff_ms resume
         audit = not no_audit;
       }
     in
-    (* vet and audit once in the supervisor and fail fast before any worker
-       forks; a repeat invocation over the same ruleset hits the on-disk
-       memo; both tiers read one checked ruleset, and the workers inherit
-       its reading *)
-    let checked = Dialegg.Pipeline.checked_rules pipeline in
-    let vet_result = Dialegg.Pipeline.vet_rules_exn ~checked pipeline in
-    (match vet_result with
-    | Some (v, status) when show_stats ->
-      Fmt.epr "%a [%s]@." Dialegg.Vet.pp_summary v
-        (Dialegg.Disk_cache.status_name status)
-    | _ -> ());
-    let audit_result = Dialegg.Pipeline.audit_rules_exn ~checked pipeline in
-    (match audit_result with
-    | Some (a, status) when show_stats ->
-      Fmt.epr "%a [%s]@." Dialegg.Audit.pp_summary a
-        (Dialegg.Disk_cache.status_name status)
-    | _ -> ());
-    let pipeline =
-      { pipeline with Dialegg.Pipeline.vet = false; audit = false }
-    in
+    (* the static tiers once in the supervisor, failing fast before any
+       worker forks; a repeat invocation over the same ruleset hits the
+       on-disk verdict, and the supervisor's own read is a memory hit *)
+    let vet_result, audit_result = Dialegg.Pipeline.static_tiers_exn pipeline in
+    if show_stats then begin
+      let line pp_summary (r, status) =
+        Fmt.epr "%a [%s]@." pp_summary r (Dialegg.Disk_cache.status_name status)
+      in
+      Option.iter (line Dialegg.Vet.pp_summary) vet_result;
+      Option.iter (line Dialegg.Audit.pp_summary) audit_result
+    end;
     let config journal_path =
       {
         Serve.Supervisor.pool = jobs;
@@ -240,13 +231,9 @@ let max_memory_mb =
         ~doc:"Approximate e-graph memory budget in megabytes (off by default)")
 
 let on_limit =
-  let policies =
-    Dialegg.Pipeline.
-      [ ("fail", Fail); ("best-effort", Best_effort); ("identity", Identity) ]
-  in
   Arg.(
     value
-    & opt (enum policies) Dialegg.Pipeline.Fail
+    & opt (enum Dialegg.Pipeline.on_limits) Dialegg.Pipeline.Fail
     & info [ "on-limit" ] ~docv:"POLICY"
         ~doc:
           "In-worker resource-limit policy, as in $(b,dialegg-opt): \
@@ -258,16 +245,16 @@ let no_vet =
     value & flag
     & info [ "no-vet" ]
         ~doc:
-          "Skip the static ruleset verification the supervisor normally runs \
-           (memoized by ruleset hash) before dispatching any job")
+          "Ignore the vet part of the ruleset's static verdict, which the \
+           supervisor otherwise reports before dispatching any job")
 
 let no_audit =
   Arg.(
     value & flag
     & info [ "no-audit" ]
         ~doc:
-          "Skip the cross-layer encoding audit the supervisor normally runs \
-           (memoized by ruleset and registry hash) before dispatching any job")
+          "Ignore the encoding-audit part of the ruleset's static verdict, \
+           which the supervisor otherwise reports before dispatching any job")
 
 let show_stats =
   Arg.(

@@ -1,7 +1,7 @@
 (* dialegg-check: static checker for DialEgg Egglog rule files.
 
-   Runs the pipeline's three fail-fast tiers on each file, in the
-   pipeline's order and over one checked ruleset:
+   Reads the pipeline's three fail-fast tiers from each file's verdict
+   ({!Dialegg.Verdict}), in the pipeline's order:
 
    - lint: the sort checker seeded with the prelude declarations, plus
      the dialect lints (dead rules, missing cost models, unstable-cost
@@ -18,24 +18,18 @@
    any file has errors; with --strict, warnings fail too. *)
 
 open Cmdliner
+open Dialegg.Verdict
 
-type tier = Lint | Vet | Audit
-
-(* A tier's diagnostics on [file], and what it prints on stdout. *)
-let tier ~verbose ~file ~checked src : tier -> Egglog.Diag.t list * (unit -> unit) =
-  let verdict pp_summary pp_table r status () =
+(* What a tier prints on stdout. *)
+let print_tier ~verbose ~file v status =
+  let line pp_summary pp_table r =
     if verbose then Fmt.pr "%s: %a@.%a@." file pp_summary r pp_table r
     else Fmt.pr "%s: %a [%s]@." file pp_summary r (Dialegg.Disk_cache.status_name status)
   in
   function
-  | Lint -> (Dialegg.Lint.lint_checked (Lazy.force checked), ignore)
-  | Vet ->
-    let r, status = Dialegg.Vet.vet_cached ~file ~checked src in
-    ( r.Dialegg.Vet.v_diags,
-      verdict Dialegg.Vet.pp_summary Dialegg.Vet.pp_classification r status )
-  | Audit ->
-    let r, status = Dialegg.Audit.audit_cached ~file ~checked src in
-    (r.Dialegg.Audit.a_diags, verdict Dialegg.Audit.pp_summary Dialegg.Audit.pp_coverage r status)
+  | Lint -> ()
+  | Vet -> line Dialegg.Vet.pp_summary Dialegg.Vet.pp_classification v.vet
+  | Audit -> line Dialegg.Audit.pp_summary Dialegg.Audit.pp_coverage v.audit
 
 let run only strict verbose files =
   let tiers = match only with Some t -> [ t ] | None -> [ Lint; Vet; Audit ] in
@@ -52,15 +46,12 @@ let run only strict verbose files =
         report [ Egglog.Diag.make ~file Egglog.Diag.Error "io-error" msg ]
       | src ->
         let checked = lazy (Dialegg.Lint.check ~file src) in
-        let rec go = function
-          | [] -> ()
-          | t :: rest ->
-            let diags, verdict = tier ~verbose ~file ~checked src t in
-            report diags;
-            verdict ();
-            if not (Egglog.Diag.has_errors diags) then go rest
-        in
-        go tiers)
+        let v, read = Dialegg.Verdict.read ~file ~checked ~tiers src in
+        List.iter
+          (fun (tier, status) ->
+            report (diags v tier);
+            print_tier ~verbose ~file v status tier)
+          read)
     files;
   (* the lint tier's closing line *)
   if List.mem Lint tiers && (!n_errors > 0 || !n_warnings > 0) then

@@ -193,13 +193,9 @@ let max_memory_mb =
         ~doc:"Approximate e-graph memory budget in megabytes (off by default)")
 
 let on_limit =
-  let policies =
-    Dialegg.Pipeline.
-      [ ("fail", Fail); ("best-effort", Best_effort); ("identity", Identity) ]
-  in
   Arg.(
     value
-    & opt (enum policies) Dialegg.Pipeline.Fail
+    & opt (enum Dialegg.Pipeline.on_limits) Dialegg.Pipeline.Fail
     & info [ "on-limit" ] ~docv:"POLICY"
         ~doc:
           "What to do when a function hits a resource limit or an internal \
@@ -241,16 +237,16 @@ let no_vet =
     value & flag
     & info [ "no-vet" ]
       ~doc:
-        "Skip the static ruleset verification that normally runs (memoized) \
-         before saturation")
+        "Ignore the vet part of the ruleset's static verdict (memoized), which \
+         otherwise fails the run on an unsound rule")
 
 let no_audit =
   Arg.(
     value & flag
     & info [ "no-audit" ]
       ~doc:
-        "Skip the cross-layer encoding audit that normally runs (memoized) \
-         before saturation")
+        "Ignore the encoding-audit part of the ruleset's static verdict \
+         (memoized), which otherwise fails the run on a broken contract")
 
 let show_stats =
   Arg.(

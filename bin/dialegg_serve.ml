@@ -121,7 +121,7 @@ let cache_dir =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Result / vet / audit cache directory (default \
+          "Result / static-verdict cache directory (default \
            $(b,\\$DIALEGG_VET_CACHE) or the system temp dir; size-capped by \
            $(b,\\$DIALEGG_CACHE_MAX_MB))")
 
@@ -140,13 +140,9 @@ let timeout =
   Arg.(value & opt float 30.0 & info [ "timeout" ] ~doc:"Per-function saturation timeout (s)")
 
 let on_limit =
-  let policies =
-    Dialegg.Pipeline.
-      [ ("fail", Fail); ("best-effort", Best_effort); ("identity", Identity) ]
-  in
   Arg.(
     value
-    & opt (enum policies) Dialegg.Pipeline.Fail
+    & opt (enum Dialegg.Pipeline.on_limits) Dialegg.Pipeline.Fail
     & info [ "on-limit" ] ~docv:"POLICY"
         ~doc:"Degradation policy: $(b,fail), $(b,best-effort) or $(b,identity)")
 

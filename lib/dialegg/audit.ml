@@ -43,22 +43,22 @@
 
     The audit is a pass over a {!Lint.checked} ruleset, the value lint
     and vet read too, so the pipeline parses and sort-checks a ruleset
-    once for all three tiers.  What the prelude alone determines (its
-    emittable heads, cost targets and rules' reachability, the registry
-    checks of its op constructors, the reverse-coverage candidates) is
-    computed once per registry fingerprint; each audit adds the
-    ruleset's own declarations, cost targets, lets and rules and resumes
-    the reachability fixpoint from the prelude's state.
+    once for all three tiers; it takes the cost targets and declaration
+    sites lint derives from the same value.  What the prelude alone
+    determines (its emittable heads, cost targets and rules'
+    reachability, the registry checks of its op constructors, the
+    reverse-coverage candidates) is computed once per registry
+    fingerprint; each audit adds the ruleset's own declarations, cost
+    targets, lets and rules and resumes the reachability fixpoint from
+    the prelude's state.
 
-    Verdicts are memoized by a content hash of the ruleset source, the
-    prelude source {e and} the registry fingerprint, in-process and on
-    disk next to the vet cache ({!audit_cached}); editing an op
-    definition or the prelude invalidates every cached verdict. *)
+    The report is one part of a ruleset's {!Verdict}, whose key folds in
+    the registry fingerprint, so editing an op definition invalidates
+    every cached verdict. *)
 
 module Ast = Egglog.Ast
 module Check = Egglog.Check
 module Diag = Egglog.Diag
-module Sexp = Egglog.Sexp
 module Dialect = Mlir.Dialect
 
 (* ------------------------------------------------------------------ *)
@@ -81,23 +81,11 @@ type op_check = {
 }
 
 type report = {
-  a_hash : string;  (** content hash of (registry fingerprint, prelude, source) *)
   a_file : string option;
   a_ops : op_check list;  (** every op constructor in scope, sorted *)
   a_rules : int;  (** directed rules audited *)
   a_diags : Diag.t list;
 }
-
-let key ~prelude ~registry (src : string) : string =
-  Digest.to_hex
-    (Digest.string (String.concat "\n" [ "dialegg-audit-1"; registry; prelude; src ]))
-
-(** Cache key: {!key} under {!Prelude.digest} and the current
-    {!Mlir.Dialect.fingerprint}, so ruleset, prelude and registry edits
-    all invalidate cached verdicts. *)
-let hash_source (src : string) : string =
-  Mlir.Registry.ensure_registered ();
-  key ~prelude:Prelude.digest ~registry:(Dialect.fingerprint ()) src
 
 (* ------------------------------------------------------------------ *)
 (* Signature model of the egg side                                     *)
@@ -133,19 +121,10 @@ let class_of_type_pattern (e : Ast.expr) : Dialect.type_class option =
     Some Dialect.Shaped
   | _ -> None
 
-let rec call_heads acc (e : Ast.expr) =
-  match e with
-  | Ast.Call (f, args) ->
-    if not (Egglog.Primitives.is_primitive f) then Hashtbl.replace acc f ();
-    List.iter (call_heads acc) args
-  | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
-
 let heads_of es =
   let acc = Hashtbl.create 8 in
-  List.iter (call_heads acc) es;
+  List.iter (Lint.call_heads acc) es;
   Hashtbl.fold (fun f () l -> f :: l) acc []
-
-let fact_exprs = function Ast.F_eq es -> es | Ast.F_expr e -> [ e ]
 
 let rec iter_subterms f (e : Ast.expr) =
   f e;
@@ -156,23 +135,6 @@ let rec iter_subterms f (e : Ast.expr) =
 (* ------------------------------------------------------------------ *)
 (* Per-command facts                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* the constructors an unstable-cost action of these commands targets *)
-let add_cost_targets tbl cmds =
-  List.iter
-    (fun ((cmd : Ast.command), _) ->
-      let actions =
-        match cmd with
-        | Ast.C_rule { actions; _ } -> actions
-        | Ast.C_action a -> [ a ]
-        | _ -> []
-      in
-      List.iter
-        (function
-          | Ast.A_cost (Ast.Call (f, _), _) -> Hashtbl.replace tbl f ()
-          | _ -> ())
-        actions)
-    cmds
 
 let action_outputs (a : Ast.action) =
   match a with
@@ -198,12 +160,12 @@ let rule_deps cmds =
     (fun ((cmd : Ast.command), _) ->
       match cmd with
       | Ast.C_rewrite { lhs; rhs; conds; bidirectional; _ } ->
-        let cond_es = List.concat_map fact_exprs conds in
+        let cond_es = List.concat_map Lint.fact_exprs conds in
         let fwd = (heads_of (lhs :: cond_es), heads_of [ rhs ]) in
         if bidirectional then [ fwd; (heads_of (rhs :: cond_es), heads_of [ lhs ]) ]
         else [ fwd ]
       | Ast.C_rule { facts; actions; _ } ->
-        [ (heads_of (List.concat_map fact_exprs facts), List.concat_map action_outputs actions) ]
+        [ (heads_of (List.concat_map Lint.fact_exprs facts), List.concat_map action_outputs actions) ]
       | _ -> [])
     cmds
 
@@ -328,8 +290,6 @@ type prelude_model = {
 let build_prelude_model fingerprint : prelude_model =
   let p = Lazy.force Lint.prelude in
   let env = p.Lint.c_env and cmds = Option.value p.Lint.c_cmds ~default:[] in
-  let cost_targets = Hashtbl.create 8 in
-  add_cost_targets cost_targets cmds;
   (* matchable: heads a pattern can ever match (eggify output, hook
      output, or anything a fireable rule introduces).  [type-of] is
      populated by {!Sigs.type_of_rules}, generated per run. *)
@@ -364,7 +324,7 @@ let build_prelude_model fingerprint : prelude_model =
   {
     pm_fingerprint = fingerprint;
     pm_ops = ops;
-    pm_cost_targets = cost_targets;
+    pm_cost_targets = Lazy.force p.Lint.c_cost_targets;
     pm_matchable = matchable;
     pm_introduced = introduced;
     pm_pending = pending;
@@ -399,14 +359,13 @@ let rec merge_ops a b =
   | ((na, _, _) as x) :: ra, ((nb, _, _) as y) :: rb ->
     if String.compare na nb <= 0 then x :: merge_ops ra b else y :: merge_ops a rb
 
-let audit_with ~hash (c : Lint.checked) : report =
+let audit_checked (c : Lint.checked) : report =
   Mlir.Registry.ensure_registered ();
   let file = c.Lint.c_file in
   if Diag.has_errors c.Lint.c_diags then
     (* a program the sort-checker rejects cannot be modelled; surface
        the errors so a standalone audit still fails usefully *)
     {
-      a_hash = hash;
       a_file = file;
       a_ops = [];
       a_rules = 0;
@@ -420,23 +379,8 @@ let audit_with ~hash (c : Lint.checked) : report =
     let add ?span severity code fmt =
       Fmt.kstr (fun m -> diags := Diag.make ?file ?span severity code m :: !diags) fmt
     in
-    (* declaration sites of user functions, for located diagnostics *)
-    let decl_spans = Hashtbl.create 16 in
-    List.iter
-      (fun ((cmd : Ast.command), (cloc : Sexp.located)) ->
-        match cmd with
-        | Ast.C_function d -> Hashtbl.replace decl_spans d.Ast.f_name cloc.Sexp.span
-        | Ast.C_relation (name, _) -> Hashtbl.replace decl_spans name cloc.Sexp.span
-        | Ast.C_datatype (_, variants) ->
-          List.iter
-            (fun (v : Ast.variant) ->
-              Hashtbl.replace decl_spans v.Ast.v_name cloc.Sexp.span)
-            variants
-        | _ -> ())
-      cmds;
-    let span_of name = Hashtbl.find_opt decl_spans name in
-    let cost_targets = Hashtbl.create 8 in
-    add_cost_targets cost_targets cmds;
+    let span_of name = Hashtbl.find_opt (Lazy.force c.Lint.c_decls) name in
+    let cost_targets = Lazy.force c.Lint.c_cost_targets in
     (* the functions this ruleset declares beyond the prelude *)
     let user_funcs = ref [] in
     Check.iter_funcs env (fun name fs ->
@@ -582,7 +526,6 @@ let audit_with ~hash (c : Lint.checked) : report =
           ((d.Lint.d_lhs :: d.Lint.d_rhs :: d.Lint.d_conds)))
       directed;
     {
-      a_hash = hash;
       a_file = file;
       a_ops = op_checks;
       a_rules = List.length directed;
@@ -590,38 +533,9 @@ let audit_with ~hash (c : Lint.checked) : report =
     }
   end
 
-let audit_checked (c : Lint.checked) : report = audit_with ~hash:(hash_source c.Lint.c_src) c
-
 let audit ?file (src : string) : report = audit_checked (Lint.check ?file src)
 
-(* ------------------------------------------------------------------ *)
-(* Memoization (shares the vet cache directory)                        *)
-(* ------------------------------------------------------------------ *)
-
 type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
-
-(* Bump [version] when {!report} changes shape. *)
-module Store = Disk_cache.Store (struct
-  type t = report
-
-  let ext = ".audit"
-  let version = "dialegg-audit-cache-2"
-end)
-
-module Memo = Disk_cache.Memo (Store)
-
-(* A cached report may have been produced under another file name; point
-   its diagnostics at the caller's. *)
-let retarget file (r : report) =
-  { r with a_file = file; a_diags = List.map (fun d -> { d with Diag.file }) r.a_diags }
-
-let audit_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
-  let hash = hash_source src in
-  let r, status =
-    Memo.find ?dir:cache_dir hash (fun () ->
-        audit_with ~hash (match checked with Some c -> Lazy.force c | None -> Lint.check ?file src))
-  in
-  ((if status = Computed then r else retarget file r), status)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -37,22 +37,11 @@ type op_check = {
 }
 
 type report = {
-  a_hash : string;  (** content hash of (registry fingerprint, prelude, source) *)
   a_file : string option;
   a_ops : op_check list;  (** every op constructor in scope, sorted *)
   a_rules : int;  (** directed rules audited *)
   a_diags : Egglog.Diag.t list;
 }
-
-(** The memoization key of a ruleset source under a prelude digest and
-    a registry fingerprint: hex MD5 of a format-version tag, [registry],
-    [prelude] and the source. *)
-val key : prelude:string -> registry:string -> string -> string
-
-(** Memoization key: {!key} under {!Prelude.digest} and the current
-    {!Mlir.Dialect.fingerprint}, so editing the ruleset, the prelude or
-    an op definition invalidates cached verdicts. *)
-val hash_source : string -> string
 
 (** Run all four analyses on a ruleset source (the prelude is always in
     scope): [audit_checked (Lint.check ?file src)].  Never raises: a
@@ -70,25 +59,8 @@ val audit_checked : Lint.checked -> report
     process: once, plus once after each registry change an audit saw. *)
 val prelude_model_builds : unit -> int
 
-(** Where an {!audit_cached} report came from. *)
+(** Where the audit part of a {!Verdict} came from. *)
 type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
-
-(** The disk tier of {!audit_cached}: [KEY.audit] entries, keyed by
-    {!hash_source}, in the vet cache's directory. *)
-module Store : Disk_cache.STORE with type t = report
-
-(** Like {!audit}, memoized by {!hash_source} through
-    {!Disk_cache.Memo}: first in an in-process table, then in {!Store}
-    under [cache_dir] (default {!Disk_cache.default_dir}).  An
-    unreadable or stale entry is a miss, so a corrupt cache can never
-    fail a build.  [checked], when given, must be [Lint.check ?file
-    src]: it is forced only on a miss, so a hit parses nothing. *)
-val audit_cached :
-  ?cache_dir:string ->
-  ?file:string ->
-  ?checked:Lint.checked Lazy.t ->
-  string ->
-  report * cache_status
 
 val cost_model_name : cost_model -> string
 

@@ -1,7 +1,7 @@
-(** The one typed entry store under the vet / audit / serve disk
-    caches; see the interface for the model. *)
+(** The one typed entry store under the verdict and serve disk caches;
+    see the interface for the model. *)
 
-let cache_exts = [ ".vet"; ".audit"; ".result" ]
+let cache_exts = [ ".verdict"; ".result"; ".vet"; ".audit" ]
 
 let default_dir () =
   match Sys.getenv_opt "DIALEGG_VET_CACHE" with
@@ -158,23 +158,3 @@ let status_name = function
   | Hit_memory -> "hit (memory)"
   | Hit_disk -> "hit (disk)"
   | Computed -> "computed"
-
-module Memo (S : STORE) = struct
-  let table : (string, S.t) Hashtbl.t = Hashtbl.create 4
-
-  let find ?dir key compute =
-    match Hashtbl.find_opt table key with
-    | Some v -> (v, Hit_memory)
-    | None ->
-      let dir = match dir with Some _ -> dir | None -> default_dir () in
-      let v, status =
-        match Option.bind dir (fun dir -> S.find ~dir key) with
-        | Some v -> (v, Hit_disk)
-        | None ->
-          let v = compute () in
-          Option.iter (fun dir -> S.add ~dir key v) dir;
-          (v, Computed)
-      in
-      Hashtbl.replace table key v;
-      (v, status)
-end

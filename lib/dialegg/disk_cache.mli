@@ -1,12 +1,11 @@
 (** The one on-disk entry store under the static-tier and serving
     caches.
 
-    Three kinds of content-addressed entry live next to each other in
-    one directory: the ruleset verifier's verdicts ({!Vet},
-    [KEY.vet]), the encoding auditor's ({!Audit}, [KEY.audit]) and the
-    optimization daemon's results ([Serve.Cache], [KEY.result]).  Each
-    kind is a {!Store} over its extension, format version and payload
-    type, so the guarantees are uniform:
+    Two kinds of content-addressed entry live next to each other in one
+    directory: a ruleset's static verdict ({!Verdict}, [KEY.verdict])
+    and the optimization daemon's results ([Serve.Cache],
+    [KEY.result]).  Each kind is a {!Store} over its extension, format
+    version and payload type, so the guarantees are uniform:
 
     - one default directory resolution ([$DIALEGG_VET_CACHE], empty
       string = disabled, otherwise a [dialegg-vet-cache] directory under
@@ -24,12 +23,10 @@
     - a size cap with least-recently-used eviction: a hit re-stamps its
       entry, and after every commit the directory is pruned back under
       [$DIALEGG_CACHE_MAX_MB] (default 256 MB), deleting oldest-mtime
-      entries first.  Only files with a known extension ([.vet],
-      [.audit], [.result]) are ever counted or deleted — foreign files
-      in the directory are left alone.
-
-    {!Memo} puts the in-process table of the static tiers on top of a
-    store. *)
+      entries first.  Only files with a known extension ([.verdict],
+      [.result], and the retired [.vet] and [.audit], so entries an
+      older build left still age out) are ever counted or deleted —
+      foreign files in the directory are left alone. *)
 
 (** [$DIALEGG_VET_CACHE] resolution: [Some dir] to cache on disk there,
     [None] when disabled ([DIALEGG_VET_CACHE=""]). *)
@@ -51,7 +48,7 @@ val prune : ?max:int -> dir:string -> unit -> unit
 module type ENTRY = sig
   type t
 
-  (** The file extension, one of the known three. *)
+  (** The file extension, one of the known ones. *)
   val ext : string
 
   (** The format version; a single line. *)
@@ -77,17 +74,8 @@ end
 
 module Store (E : ENTRY) : STORE with type t = E.t
 
-(** Where a {!Memo} value came from. *)
+(** Where a memoized value came from. *)
 type status = Hit_memory | Hit_disk | Computed
 
 (** ["hit (memory)"], ["hit (disk)"] or ["computed"]. *)
 val status_name : status -> string
-
-(** An in-process table over a store. *)
-module Memo (S : STORE) : sig
-  (** [find ?dir key compute]: the value the process already has for
-      [key], else the one in [S] under [dir] (default {!default_dir};
-      [None] there skips the disk), else [compute ()], committed to the
-      disk.  Either way the value is kept in the process's table. *)
-  val find : ?dir:string -> string -> (unit -> S.t) -> S.t * status
-end

@@ -130,6 +130,34 @@ let directed_rules (cmds : (Ast.command * Sexp.located) list) : directed list =
     cmds;
   List.rev !out
 
+(* the functions an unstable-cost action of these commands targets *)
+let cost_targets cmds =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun ((cmd : Ast.command), _) ->
+      let actions =
+        match cmd with C_rule { actions; _ } -> actions | C_action a -> [ a ] | _ -> []
+      in
+      List.iter
+        (function Ast.A_cost (Call (f, _), _) -> Hashtbl.replace tbl f () | _ -> ())
+        actions)
+    cmds;
+  tbl
+
+(* the functions these commands declare, with their declaration sites *)
+let decl_sites cmds =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun ((cmd : Ast.command), (cloc : Sexp.located)) ->
+      match cmd with
+      | C_function d -> Hashtbl.replace tbl d.f_name cloc.span
+      | C_relation (name, _) -> Hashtbl.replace tbl name cloc.span
+      | C_datatype (_, variants) ->
+        List.iter (fun (v : Ast.variant) -> Hashtbl.replace tbl v.v_name cloc.span) variants
+      | _ -> ())
+    cmds;
+  tbl
+
 type checked = {
   c_src : string;
   c_file : string option;
@@ -137,6 +165,8 @@ type checked = {
   c_diags : Diag.t list;
   c_cmds : (Ast.command * Sexp.located) list option;
   c_directed : directed list Lazy.t;
+  c_cost_targets : (string, unit) Hashtbl.t Lazy.t;
+  c_decls : (string, Sexp.span) Hashtbl.t Lazy.t;
 }
 
 (* [src] checked against [env] (which the check extends); [read] is
@@ -144,13 +174,16 @@ type checked = {
 let check_with ?file ?read ~env src =
   let read = match read with Some r -> r | None -> Egglog.Parser.read src in
   let diags, cmds = Check.check_read ?file ~env read in
+  let located = Option.value cmds ~default:[] in
   {
     c_src = src;
     c_file = file;
     c_env = env;
     c_diags = diags;
     c_cmds = cmds;
-    c_directed = lazy (directed_rules (Option.value cmds ~default:[]));
+    c_directed = lazy (directed_rules located);
+    c_cost_targets = lazy (cost_targets located);
+    c_decls = lazy (decl_sites located);
   }
 
 (* The prelude, checked once.  Its environment is never modified: every
@@ -248,7 +281,8 @@ let prelude_func f = Hashtbl.mem (Lazy.force prelude_funcs) f
 
 let cost_fn_names = [ "type-of"; "nrows"; "ncols" ]
 
-let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t list =
+let dialect_lints (c : checked) (cmds : (Ast.command * Sexp.located) list) : Diag.t list =
+  let file = c.c_file and env = c.c_env in
   let diags = ref [] in
   let warn span code fmt =
     Fmt.kstr (fun m -> diags := Diag.make ?file ~span Diag.Warning code m :: !diags) fmt
@@ -256,19 +290,7 @@ let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t 
   let err span code fmt =
     Fmt.kstr (fun m -> diags := Diag.make ?file ~span Diag.Error code m :: !diags) fmt
   in
-  (* which function names does any unstable-cost action target? *)
-  let cost_rule_targets = Hashtbl.create 8 in
-  List.iter
-    (fun ((cmd : Ast.command), _) ->
-      let actions =
-        match cmd with C_rule { actions; _ } -> actions | C_action a -> [ a ] | _ -> []
-      in
-      List.iter
-        (function
-          | Ast.A_cost (Call (f, _), _) -> Hashtbl.replace cost_rule_targets f ()
-          | _ -> ())
-        actions)
-    cmds;
+  let cost_rule_targets = Lazy.force c.c_cost_targets in
   (* everything some action, RHS or global let can create *)
   let produced = Hashtbl.create 32 in
   let produce_action (a : Ast.action) =
@@ -290,17 +312,7 @@ let dialect_lints ?file env (cmds : (Ast.command * Sexp.located) list) : Diag.t 
       | C_rule { actions; _ } -> List.iter produce_action actions
       | _ -> ())
     cmds;
-  (* user-declared functions, with their declaration sites *)
-  let user_decls = Hashtbl.create 16 in
-  List.iter
-    (fun ((cmd : Ast.command), (cloc : Sexp.located)) ->
-      match cmd with
-      | C_function d -> Hashtbl.replace user_decls d.f_name cloc.span
-      | C_relation (name, _) -> Hashtbl.replace user_decls name cloc.span
-      | C_datatype (_, variants) ->
-        List.iter (fun (v : Ast.variant) -> Hashtbl.replace user_decls v.v_name cloc.span) variants
-      | _ -> ())
-    cmds;
+  let user_decls = Lazy.force c.c_decls in
   (* --- op constructor declarations --- *)
   List.iter
     (fun ((cmd : Ast.command), (cloc : Sexp.located)) ->
@@ -414,7 +426,7 @@ let check ?file ?read (src : string) : checked = check_with ?file ?read ~env:(fr
 let lint_checked (c : checked) : Diag.t list =
   let dialect =
     match c.c_cmds with
-    | Some cmds -> dialect_lints ?file:c.c_file c.c_env cmds
+    | Some cmds -> dialect_lints c cmds
     | None -> [] (* unparsable: c_diags already carries the error *)
   in
   Diag.dedup (c.c_diags @ dialect)
@@ -422,9 +434,3 @@ let lint_checked (c : checked) : Diag.t list =
 (** Lint a rules program against the prelude-seeded environment.  Never
     raises. *)
 let lint_rules ?file (src : string) : Diag.t list = lint_checked (check ?file src)
-
-(** Lint the contents of a [.egg] file. *)
-let lint_file (path : string) : Diag.t list =
-  match In_channel.with_open_text path In_channel.input_all with
-  | src -> lint_rules ~file:path src
-  | exception Sys_error msg -> [ Diag.make ~file:path Diag.Error "io-error" msg ]

@@ -32,6 +32,12 @@ type checked = {
       (** the commands' directed rules, in order (none when [c_cmds] is
           [None]): built at the first read, which {!Vet} and {!Audit}
           share *)
+  c_cost_targets : (string, unit) Hashtbl.t Lazy.t;
+      (** the functions an [unstable-cost] action of the commands
+          targets; lint and {!Audit} share it *)
+  c_decls : (string, Egglog.Sexp.span) Hashtbl.t Lazy.t;
+      (** the functions the commands declare, with their declaration
+          sites; lint and {!Audit} share it *)
 }
 
 (** The prelude itself, checked once ([c_file] is [<prelude>]).  Read
@@ -56,6 +62,13 @@ val emittable : Egglog.Check.env -> string -> bool
 (** Is this function declared by the DialEgg prelude? *)
 val prelude_func : string -> bool
 
+(** [call_heads acc e] adds to [acc] the head of every non-primitive
+    call in [e]. *)
+val call_heads : (string, unit) Hashtbl.t -> Egglog.Ast.expr -> unit
+
+(** The expressions of a fact. *)
+val fact_exprs : Egglog.Ast.fact -> Egglog.Ast.expr list
+
 (** Check a ruleset source.  Never raises: unparsable input becomes
     [parse-error] diagnostics.  [read], when given, is
     [Egglog.Parser.read src], which is then not read again. *)
@@ -68,7 +81,3 @@ val lint_checked : checked -> Egglog.Diag.t list
     [lint_checked (check ?file src)].  Never raises: unparsable input
     becomes [parse-error] diagnostics. *)
 val lint_rules : ?file:string -> string -> Egglog.Diag.t list
-
-(** Lint the contents of a [.egg] file; IO failures become an [io-error]
-    diagnostic. *)
-val lint_file : string -> Egglog.Diag.t list

@@ -29,16 +29,9 @@ exception Error of string
     limit: it degrades nothing under any policy. *)
 type on_limit = Fail | Best_effort | Identity
 
-let on_limit_name = function
-  | Fail -> "fail"
-  | Best_effort -> "best-effort"
-  | Identity -> "identity"
+let on_limits = [ ("fail", Fail); ("best-effort", Best_effort); ("identity", Identity) ]
 
-let on_limit_of_string = function
-  | "fail" -> Some Fail
-  | "best-effort" -> Some Best_effort
-  | "identity" -> Some Identity
-  | _ -> None
+let on_limit_name p = fst (List.find (fun (_, q) -> q = p) on_limits)
 
 type config = {
   rules : string;  (** Egglog source: user declarations, rules, cost models *)
@@ -56,21 +49,12 @@ type config = {
           types, shapes and result intervals still refine them; any
           error-severity diagnostic raises {!Error} *)
   lint : bool;
-      (** statically check the rules before saturation: lint errors raise
-          {!Error}, warnings go to stderr *)
   vet : bool;
-      (** statically verify the rules before saturation (see {!Vet}):
-          soundness errors raise {!Error}, expansion/overlap warnings go
-          to stderr.  The verdict is memoized by ruleset content hash,
-          so a batch run vets its ruleset once. *)
   audit : bool;
-      (** cross-layer encoding audit before saturation (see {!Audit}):
-          contract errors between the ruleset, the MLIR dialect registry
-          and the cost model raise {!Error}, coverage warnings go to
-          stderr.  The verdict is memoized by (ruleset, registry
-          fingerprint) content hash. *)
+      (** which parts of the rules' {!Verdict} to report before
+          saturation: errors raise {!Error}, warnings go to stderr *)
   vet_cache_dir : string option;
-      (** on-disk vet/audit cache override (default [$DIALEGG_VET_CACHE]
+      (** on-disk verdict cache override (default [$DIALEGG_VET_CACHE]
           or the system temporary directory) *)
   engine : Egglog.Egraph.engine;
       (** e-graph storage engine; [Arena] is the only one (see
@@ -147,12 +131,6 @@ let read_rules src =
 
 let rules_read () = !n_reads
 
-(* The ruleset all three static tiers read, sort-checked on first use: a
-   vet or audit memo hit with lint off checks nothing.  It lives only as
-   long as one request's tiers; no memo keeps it. *)
-let checked_rules config =
-  lazy (Lint.check ~file:"<rules>" ~read:(read_rules config.rules) config.rules)
-
 (* Raise {!Error} if any diagnostic is error severity (warnings go to
    stderr), rendering them uniformly with the rule lint. *)
 let diags_exn what diags =
@@ -166,56 +144,46 @@ let diags_exn what diags =
             (Fmt.list ~sep:Fmt.cut Egglog.Diag.pp)
             (List.filter Egglog.Diag.is_error diags)))
 
-(* Fail fast on lint errors instead of silently saturating with rules
-   that can never fire; warnings are surfaced but not fatal. *)
-let lint_rules_exn ~checked config =
-  if config.lint && config.rules <> "" then
-    diags_exn "rules failed lint" (Lint.lint_checked (Lazy.force checked))
+let tier_failure = function
+  | Verdict.Lint -> "rules failed lint"
+  | Verdict.Vet -> "rules failed vet"
+  | Verdict.Audit -> "rules failed encoding audit"
 
-(* A memoized tier's verdict: an in-process memo hit already printed its
-   warnings, so only its errors are raised again. *)
-let verdict_exn what diags status =
-  diags_exn what
-    (if status = Disk_cache.Hit_memory then List.filter Egglog.Diag.is_error diags
-     else diags)
-
-(* The second fail-fast tier: static rule verification (see {!Vet}).
-   Soundness errors abort before any saturation runs; expansion and
-   overlap warnings are surfaced but not fatal.  Memoized by ruleset
-   content hash, so repeated runs over the same rules (every function of
-   a module, every job of a batch) pay for the analysis once; the
-   (report, cache status) pair is kept for [--stats]. *)
-let vet_rules_exn ?checked config : (Vet.report * Vet.cache_status) option =
-  if config.vet && config.rules <> "" then begin
-    let report, status =
-      Vet.vet_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
-    in
-    verdict_exn "rules failed vet" report.Vet.v_diags status;
-    Some (report, status)
-  end
-  else None
-
-(* The third fail-fast tier: the cross-layer encoding audit (see
-   {!Audit}).  Contract violations between the ruleset, the dialect
-   registry and the cost model abort before any saturation runs;
-   coverage warnings are surfaced but not fatal.  Memoized by (ruleset,
-   registry fingerprint) content hash, like the vet tier. *)
-let audit_rules_exn ?checked config : (Audit.report * Audit.cache_status) option =
-  if config.audit && config.rules <> "" then begin
-    let report, status =
-      Audit.audit_cached ?cache_dir:config.vet_cache_dir ~file:"<rules>" ?checked config.rules
-    in
-    verdict_exn "rules failed encoding audit" report.Audit.a_diags status;
-    Some (report, status)
-  end
-  else None
-
-(* The three fail-fast static tiers in order, over one checked ruleset. *)
+(* The fail-fast static tiers [config] turns on, read from the ruleset's
+   one verdict before any saturation runs: lint errors (rules that can
+   never fire), vet errors (unsound rules) and audit errors (a broken
+   contract between the ruleset, the dialect registry and the cost
+   model) raise.  A tier's warnings go to stderr the first time the
+   process reads it; a later read only raises its errors again.  The
+   ruleset is sort-checked only when its verdict is computed, from the
+   process's one reading of it. *)
 let static_tiers_exn config =
-  let checked = checked_rules config in
-  lint_rules_exn ~checked config;
-  let vet = vet_rules_exn ~checked config in
-  (vet, audit_rules_exn ~checked config)
+  let tiers =
+    List.filter
+      (function Verdict.Lint -> config.lint | Vet -> config.vet | Audit -> config.audit)
+      [ Verdict.Lint; Vet; Audit ]
+  in
+  if tiers = [] || config.rules = "" then (None, None)
+  else begin
+    let v, read =
+      Verdict.read ?cache_dir:config.vet_cache_dir ~file:"<rules>"
+        ~checked:(lazy (Lint.check ~file:"<rules>" ~read:(read_rules config.rules) config.rules))
+        ~tiers config.rules
+    in
+    List.iter
+      (fun (tier, status) ->
+        let diags = Verdict.diags v tier in
+        diags_exn (tier_failure tier)
+          (if status = Disk_cache.Hit_memory then List.filter Egglog.Diag.is_error diags
+           else diags))
+      read;
+    let part tier report = Option.map (fun status -> (report, status)) (List.assoc_opt tier read) in
+    (part Verdict.Vet v.Verdict.vet, part Verdict.Audit v.Verdict.audit)
+  end
+
+let vet_rules_exn config = fst (static_tiers_exn { config with lint = false; audit = false })
+
+let audit_rules_exn config = snd (static_tiers_exn { config with lint = false; vet = false })
 
 (* The base engine: the prelude run once per process, its rules compiled,
    with its signatures (paper §5.1) and their generated [type-of] rules,
@@ -734,12 +702,6 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
       | _ -> Egglog.Interp.Fault diag
     in
     finish ~outcome:(Degraded (s, diag)) ~stop !partial_timings
-
-(** Optimize one [func.func] op in place.  Returns the timing breakdown.
-    @raise Error under [on_limit = Fail] (the default) when any stage
-    fails or a hard resource limit is hit. *)
-let optimize_func ?config ?hooks (func : Mlir.Ir.op) : timings =
-  (optimize_func_report ?config ?hooks func).fr_timings
 
 (** Optimize every function of a module in place (or only those named in
     [only]), with per-function fault isolation: under non-[Fail] policies

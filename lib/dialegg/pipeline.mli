@@ -19,8 +19,11 @@ exception Error of string
     limit: it degrades nothing under any policy. *)
 type on_limit = Fail | Best_effort | Identity
 
+(** Each policy with its name on the command line: ["fail"],
+    ["best-effort"], ["identity"]. *)
+val on_limits : (string * on_limit) list
+
 val on_limit_name : on_limit -> string
-val on_limit_of_string : string -> on_limit option
 
 type config = {
   rules : string;  (** Egglog source: user declarations, rules, cost models *)
@@ -39,23 +42,21 @@ type config = {
           refine them; error diagnostics raise {!Error}
           ([dialegg-opt --no-validate] turns this off) *)
   lint : bool;
-      (** statically check the rules (see {!Lint}) before saturation:
-          lint errors raise {!Error}, warnings go to stderr *)
+      (** report the lint part of the rules' {!Verdict} before
+          saturation: lint errors raise {!Error}, warnings go to stderr *)
   vet : bool;
-      (** statically verify the rules (see {!Vet}, default on) before
-          saturation: abstract-interpretation soundness errors raise
-          {!Error}, expansion/overlap warnings go to stderr.  The verdict
-          is memoized by ruleset content hash, so a module or batch run
-          vets its ruleset once ([dialegg-opt --no-vet] turns this off) *)
+      (** report the {!Vet} part (default on): abstract-interpretation
+          soundness errors raise {!Error}, expansion/overlap warnings go
+          to stderr ([dialegg-opt --no-vet] turns this off) *)
   audit : bool;
-      (** cross-layer encoding audit (see {!Audit}, default on) before
-          saturation: contract errors between the ruleset, the MLIR
-          dialect registry and the extraction cost model raise {!Error},
-          coverage warnings go to stderr.  The verdict is memoized by
-          (ruleset, registry fingerprint) content hash
-          ([dialegg-opt --no-audit] turns this off) *)
+      (** report the {!Audit} part (default on): contract errors between
+          the ruleset, the MLIR dialect registry and the extraction cost
+          model raise {!Error}, coverage warnings go to stderr
+          ([dialegg-opt --no-audit] turns this off).  The three flags
+          only choose what is reported: the verdict, memoized by
+          content hash, always holds all three parts *)
   vet_cache_dir : string option;
-      (** on-disk vet/audit cache override (default [$DIALEGG_VET_CACHE]
+      (** on-disk verdict cache override (default [$DIALEGG_VET_CACHE]
           or the system temporary directory; [DIALEGG_VET_CACHE=""]
           disables) *)
   engine : Egglog.Egraph.engine;
@@ -91,31 +92,26 @@ type config = {
 
 val default_config : config
 
-(** [config.rules] checked for the static tiers on first use
-    ({!Lint.check}), from the process's one reading of the ruleset (see
-    {!load_rules}). *)
-val checked_rules : config -> Lint.checked Lazy.t
+(** Read the static tiers [config] turns on from [config.rules]'s
+    {!Verdict}, in the order lint → vet → audit: a tier's warnings go to
+    stderr the first time the process reads it, and its errors raise.
+    On a miss the verdict is computed from the process's one reading of
+    the ruleset (see {!load_rules}).  Returns vet's and audit's reports
+    with the status of this read; [None] for a tier that is off, and for
+    both when there are no rules.
+    @raise Error ["rules failed lint"], ["rules failed vet"] or ["rules
+    failed encoding audit"] on the first tier with an error. *)
+val static_tiers_exn :
+  config -> (Vet.report * Vet.cache_status) option * (Audit.report * Audit.cache_status) option
 
-(** Run the {!Vet} fail-fast tier over [config.rules]: prints warnings to
-    stderr and returns the memoized (report, cache status); [None] when
-    [config.vet] is off or there are no rules.  [checked], when given,
-    must be [Lint.check ~file:"<rules>" config.rules]; it is forced only
-    on a memo miss.  The pipeline's own calls share one such value
-    between lint, vet and audit.
-    @raise Error on any error-severity vet diagnostic. *)
-val vet_rules_exn :
-  ?checked:Lint.checked Lazy.t -> config -> (Vet.report * Vet.cache_status) option
+(** {!static_tiers_exn} with only [config.vet]'s tier. *)
+val vet_rules_exn : config -> (Vet.report * Vet.cache_status) option
 
-(** Run the {!Audit} fail-fast tier over [config.rules]: prints warnings
-    to stderr and returns the memoized (report, cache status); [None]
-    when [config.audit] is off or there are no rules.  [checked] is as
-    for {!vet_rules_exn}.
-    @raise Error on any error-severity audit diagnostic. *)
-val audit_rules_exn :
-  ?checked:Lint.checked Lazy.t -> config -> (Audit.report * Audit.cache_status) option
+(** {!static_tiers_exn} with only [config.audit]'s tier. *)
+val audit_rules_exn : config -> (Audit.report * Audit.cache_status) option
 
 (** Pre-warm [config] for a long-lived serving or batch process: run the
-    lint / vet / audit fail-fast tiers once (memoizing their verdicts),
+    lint / vet / audit fail-fast tiers once (memoizing the verdict),
     build the base engine {!setup_function} forks (so worker processes
     forked later inherit it), and return the config with those
     per-run tiers disabled — so every later
@@ -240,9 +236,6 @@ val report_clean : report -> bool
     original function body. *)
 val optimize_func_report :
   ?config:config -> ?hooks:Translate.hooks -> Mlir.Ir.op -> func_report
-
-(** Optimize one [func.func] in place. *)
-val optimize_func : ?config:config -> ?hooks:Translate.hooks -> Mlir.Ir.op -> timings
 
 (** Optimize every function of a module in place (or only those named in
     [only]), with per-function fault isolation under non-[Fail]

@@ -15,6 +15,6 @@ val source : string
 (** Parsed prelude commands (parsed once, lazily). *)
 val commands : Egglog.Ast.command list Lazy.t
 
-(** Hex MD5 of {!source}.  The vet and audit cache keys fold it in, so a
-    prelude edit invalidates their cached verdicts. *)
+(** Hex MD5 of {!source}.  The {!Verdict} key folds it in, so a prelude
+    edit invalidates cached verdicts. *)
 val digest : string

@@ -30,10 +30,9 @@
        critical pairs.}}
 
     The passes run over a {!Lint.checked} ruleset, the value lint and
-    audit read too.  The verdict is memoized in-process and on disk
-    keyed by a content hash of the ruleset and prelude sources
-    ({!vet_cached}), so batch and serve workloads vet a ruleset once,
-    not once per function.
+    audit read too.  The report is one part of a ruleset's {!Verdict},
+    memoized in-process and on disk, so batch and serve workloads vet a
+    ruleset once, not once per function.
 
     Limitations (documented in DESIGN.md): guards ([:when] facts and rule
     facts beyond the matched pattern) are ignored by the soundness pass —
@@ -511,24 +510,17 @@ let overlap_diags ?file (rules : directed array) : Diag.t list =
 (* ------------------------------------------------------------------ *)
 
 type report = {
-  v_hash : string;  (** content hash of the ruleset and prelude sources *)
   v_file : string option;
   v_rules : rule_info list;
   v_diags : Diag.t list;
 }
 
-let key ~prelude (src : string) : string =
-  Digest.to_hex (Digest.string (String.concat "\n" [ "dialegg-vet-1"; prelude; src ]))
-
-let hash_source (src : string) : string = key ~prelude:Prelude.digest src
-
-let vet_with ~hash (c : Lint.checked) : report =
+let vet_checked (c : Lint.checked) : report =
   let file = c.Lint.c_file in
   if Diag.has_errors c.Lint.c_diags then
     (* a program the sort-checker rejects cannot be analyzed; surface the
        errors so a standalone vet still fails usefully *)
     {
-      v_hash = hash;
       v_file = file;
       v_rules = [];
       v_diags = List.filter Diag.is_error c.Lint.c_diags;
@@ -558,41 +550,12 @@ let vet_with ~hash (c : Lint.checked) : report =
     let diags =
       Diag.dedup (!sound_diags @ expansion_diags ?file rules classes @ overlap_diags ?file rules)
     in
-    { v_hash = hash; v_file = file; v_rules = infos; v_diags = diags }
+    { v_file = file; v_rules = infos; v_diags = diags }
   end
-
-let vet_checked (c : Lint.checked) : report = vet_with ~hash:(hash_source c.Lint.c_src) c
 
 let vet ?file (src : string) : report = vet_checked (Lint.check ?file src)
 
-(* ------------------------------------------------------------------ *)
-(* Memoization                                                         *)
-(* ------------------------------------------------------------------ *)
-
 type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
-
-(* Bump [version] when {!report} or any type inside it changes shape. *)
-module Store = Disk_cache.Store (struct
-  type t = report
-
-  let ext = ".vet"
-  let version = "dialegg-vet-cache-2"
-end)
-
-module Memo = Disk_cache.Memo (Store)
-
-(* A cached report may have been produced under another file name; point
-   its diagnostics at the caller's. *)
-let retarget file (r : report) =
-  { r with v_file = file; v_diags = List.map (fun d -> { d with Diag.file }) r.v_diags }
-
-let vet_cached ?cache_dir ?file ?checked (src : string) : report * cache_status =
-  let hash = hash_source src in
-  let r, status =
-    Memo.find ?dir:cache_dir hash (fun () ->
-        vet_with ~hash (match checked with Some c -> Lazy.force c | None -> Lint.check ?file src))
-  in
-  ((if status = Computed then r else retarget file r), status)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

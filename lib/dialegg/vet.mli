@@ -20,9 +20,8 @@
 
     Guards are ignored by the soundness pass (they only narrow the LHS),
     so a rule that is sound only because of its guard may be flagged;
-    see DESIGN.md.  Reports are memoized by a content hash of the
-    ruleset and prelude sources, in-process and on disk
-    ({!vet_cached}). *)
+    see DESIGN.md.  The report is one part of a ruleset's {!Verdict},
+    memoized in-process and on disk. *)
 
 (** How a directed rule changes term size. *)
 type classification = Contracting | Size_preserving | Expanding
@@ -42,20 +41,10 @@ type rule_info = {
 }
 
 type report = {
-  v_hash : string;  (** content hash of the ruleset and prelude sources, the cache key *)
   v_file : string option;
   v_rules : rule_info list;
   v_diags : Egglog.Diag.t list;
 }
-
-(** The memoization key of a ruleset source under a prelude digest: hex
-    MD5 of a format-version tag, [prelude] and the source. *)
-val key : prelude:string -> string -> string
-
-(** Content hash used as the memoization key: {!key} under
-    {!Prelude.digest}, so editing the ruleset or the prelude invalidates
-    cached verdicts. *)
-val hash_source : string -> string
 
 (** Run all three passes on a ruleset source: [vet_checked (Lint.check
     ?file src)].  Never raises: a program the sort-checker rejects yields
@@ -66,25 +55,8 @@ val vet : ?file:string -> string -> report
 (** Run all three passes on an already checked ruleset. *)
 val vet_checked : Lint.checked -> report
 
-(** Where a {!vet_cached} report came from. *)
+(** Where the vet part of a {!Verdict} came from. *)
 type cache_status = Disk_cache.status = Hit_memory | Hit_disk | Computed
-
-(** The disk tier of {!vet_cached}: [KEY.vet] entries, keyed by
-    {!hash_source}. *)
-module Store : Disk_cache.STORE with type t = report
-
-(** Like {!vet}, memoized by {!hash_source} through {!Disk_cache.Memo}:
-    first in an in-process table, then in {!Store} under [cache_dir]
-    (default {!Disk_cache.default_dir}).  An unreadable or stale entry
-    is a miss, so a corrupt cache can never fail a build.  [checked],
-    when given, must be [Lint.check ?file src]: it is forced only on a
-    miss, so a hit parses nothing. *)
-val vet_cached :
-  ?cache_dir:string ->
-  ?file:string ->
-  ?checked:Lint.checked Lazy.t ->
-  string ->
-  report * cache_status
 
 (** One line per rule: name, classification, soundness verdict, and the
     symbolic interval pair when it changed. *)

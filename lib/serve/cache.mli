@@ -13,7 +13,7 @@
     Storage is two-level:
 
     - an in-process LRU (bounded entry count) for the hot set;
-    - {!Store}: [KEY.result] entries beside the vet/audit verdicts, in
+    - {!Store}: [KEY.result] entries beside the [KEY.verdict] entries, in
       {!Dialegg.Disk_cache}'s one entry store (durable commits,
       size-capped pruning, and reads that delete a torn, garbage,
       stale-format or cross-linked entry and miss — the daemon

@@ -6,16 +6,19 @@ exception Usage_error of string
 
 let usage_error fmt = Printf.ksprintf (fun m -> raise (Usage_error m)) fmt
 
+let is_usage_line l = String.starts_with ~prefix:"Usage:" (String.trim l)
+
 (* One diagnostic line, exit 2 — the uniform argument-error contract
-   every executable shares (covered by scripts/cli_matrix.sh). *)
+   every executable shares (covered by scripts/cli_matrix.sh).  cmdliner
+   wraps a long message over several lines before its "Usage:" synopsis;
+   they are joined back into one. *)
 let usage_exit name msg =
-  let first =
-    match String.index_opt msg '\n' with
-    | Some i -> String.sub msg 0 i
-    | None -> msg
+  let rec message = function
+    | l :: rest when not (is_usage_line l) -> String.trim l :: message rest
+    | _ -> []
   in
-  Printf.eprintf "%s Try '%s --help' for more information.\n%!"
-    (String.trim first) name;
+  let text = List.filter (( <> ) "") (message (String.split_on_char '\n' msg)) in
+  Printf.eprintf "%s Try '%s --help' for more information.\n%!" (String.concat " " text) name;
   2
 
 let eval cmd =
@@ -31,12 +34,7 @@ let eval cmd =
      operands); the latter shares a variant with [Term.ret `Error]
      runtime failures.  Only the argument errors carry a "Usage:"
      synopsis, which is how we tell them apart. *)
-  let is_cli_error msg =
-    String.split_on_char '\n' msg
-    |> List.exists (fun l ->
-           let l = String.trim l in
-           String.length l >= 6 && String.sub l 0 6 = "Usage:")
-  in
+  let is_cli_error msg = List.exists is_usage_line (String.split_on_char '\n' msg) in
   match Cmdliner.Cmd.eval_value ~catch:false ~err cmd with
   | Ok (`Ok ()) -> 0
   | Ok (`Version | `Help) -> 0

@@ -148,10 +148,7 @@ let fallback_identity st (job : Queue.job) ~attempts cls =
       Some
         (Dialegg.Pipeline.identity_source
            (In_channel.with_open_bin path In_channel.input_all))
-    | Protocol.J_func _ -> None
-    | Protocol.J_text { src; _ } ->
-      (* daemon path: the input is already in hand *)
-      Some (Dialegg.Pipeline.identity_source src)
+    | Protocol.J_func _ | Protocol.J_text _ -> None
   with
   | output ->
     let bytes =

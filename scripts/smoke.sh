@@ -56,6 +56,25 @@ DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_check.exe -- rules/*.egg
 dune build @check
 echo ok
 
+echo "== dialegg-check: one verdict entry per ruleset =="
+ONE_CACHE=$(mktemp -d)
+DIALEGG_VET_CACHE="$ONE_CACHE" dune exec bin/dialegg_check.exe -- rules/*.egg >/dev/null
+entries=$(ls "$ONE_CACHE" | wc -l)
+if [ "$entries" -ne "$(ls rules/*.egg | wc -l)" ] || ls "$ONE_CACHE" | grep -q '\.vet$\|\.audit$'; then
+  echo "expected one .verdict entry per rules file, got:" >&2; ls "$ONE_CACHE" >&2; exit 1
+fi
+rm -rf "$ONE_CACHE"
+echo ok
+
+echo "== dialegg-check: an unreadable file is an io-error =="
+status=0
+dune exec bin/dialegg_check.exe -- rules 2>/tmp/dialegg_check_io.err || status=$?
+if [ "$status" -ne 1 ] || ! grep -q io-error /tmp/dialegg_check_io.err; then
+  echo "expected exit 1 with io-error, got status $status" >&2
+  cat /tmp/dialegg_check_io.err >&2; exit 1
+fi
+echo ok
+
 echo "== dialegg-opt: the pipeline's audit tier =="
 if dune exec bin/dialegg_opt.exe -- benchmarks/div_pow2_demo.mlir \
   --egg test/fixtures/costless_reachable.egg >/dev/null 2>/tmp/dialegg_audit_opt.err; then
@@ -82,6 +101,20 @@ DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_batch.exe -- "$BATCH_DIR" \
   -o "$BATCH_OUT" --egg rules/div_pow2.egg --stats -q 2>/tmp/dialegg_batch2.err
 grep -q '^vet:.*hit (disk)' /tmp/dialegg_batch2.err
 grep -q '^audit:.*hit (disk)' /tmp/dialegg_batch2.err
+echo ok
+
+echo "== dialegg-batch: a lint error fails the batch first, with or without vet =="
+for flags in "" --no-vet; do
+  rm -rf "$BATCH_OUT"; BATCH_OUT=$(mktemp -d)
+  status=0
+  DIALEGG_VET_CACHE="$VET_CACHE" dune exec bin/dialegg_batch.exe -- "$BATCH_DIR" \
+    -o "$BATCH_OUT" --egg test/fixtures/unknown_constructor.egg $flags \
+    2>/tmp/dialegg_batch_lint.err || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q 'rules failed lint' /tmp/dialegg_batch_lint.err; then
+    echo "expected exit 1 with 'rules failed lint' (flags: $flags), got status $status" >&2
+    cat /tmp/dialegg_batch_lint.err >&2; exit 1
+  fi
+done
 rm -rf "$VET_CACHE" "$BATCH_DIR" "$BATCH_OUT"
 echo ok
 

@@ -1,7 +1,7 @@
 (* Behaviour record of the optimizer on a fixed generated corpus: the 810
    cases of the gen-corpus benchmark at seed 7 (shape i mod 3), each
    optimized under its own ruleset by [Pipeline.optimize_source] with the
-   vet/audit disk cache off.  One line per case with its index, shape and
+   verdict disk cache off.  One line per case with its index, shape and
    the MD5 of the optimized text (or the error), then each function's
    report line.
 

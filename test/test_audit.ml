@@ -1,8 +1,8 @@
 (* Tests for the cross-layer encoding-contract auditor
    (lib/dialegg/audit.ml): the coverage/arity, sort-soundness,
    extraction-totality and effect/purity analyses over seeded-bad
-   fixtures and the shipped rulesets, the (ruleset, registry
-   fingerprint)-keyed memoization, the pipeline fail-fast wiring, and a
+   fixtures and the shipped rulesets, the (ruleset, prelude, registry
+   fingerprint) key of the static verdict, the pipeline fail-fast wiring, and a
    QCheck property tying an audit-clean configuration to a
    verifier-clean round-trip.  Runs from _build/default/test, so
    fixtures/ and ../rules/ are reachable relative paths (declared as
@@ -184,40 +184,10 @@ let test_shipped_rules_clean () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Memoization                                                         *)
+(* The verdict key                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_audit_cached_memoizes () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dialegg-audit-test-cache" in
-  (* a source no other test audits, so the first call really computes;
-     the disk entry survives previous runs of this binary, so clear it *)
-  let src = "; audit memoization probe\n" ^ Dialegg.Rules.const_fold in
-  let stale = Filename.concat dir (Dialegg.Audit.hash_source src ^ ".audit") in
-  if Sys.file_exists stale then Sys.remove stale;
-  let r1, s1 = Dialegg.Audit.audit_cached ~cache_dir:dir src in
-  let r2, s2 = Dialegg.Audit.audit_cached ~cache_dir:dir src in
-  checkb "first call computes" true (s1 = Dialegg.Audit.Computed);
-  checkb "second call hits the in-process memo" true (s2 = Dialegg.Audit.Hit_memory);
-  checkb "same hash" true (String.equal r1.Dialegg.Audit.a_hash r2.Dialegg.Audit.a_hash);
-  checkb "same diags" true (r1.Dialegg.Audit.a_diags = r2.Dialegg.Audit.a_diags);
-  (* the verdict round-trips through the on-disk cache *)
-  let disk = Filename.concat dir (r1.Dialegg.Audit.a_hash ^ ".audit") in
-  checkb "disk entry written" true (Sys.file_exists disk)
-
-let test_hash_is_content_keyed () =
-  let h1 = Dialegg.Audit.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
-  let h2 = Dialegg.Audit.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t)) " in
-  checkb "different sources, different keys" false (String.equal h1 h2);
-  checkb "same source, same key" true
-    (String.equal h1
-       (Dialegg.Audit.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))"));
-  (* the audit key and the vet key live in different namespaces even for
-     identical sources (different format-version prefixes) *)
-  checkb "audit and vet keys differ" false
-    (String.equal h1
-       (Dialegg.Vet.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))"))
-
-(* A prelude edit must invalidate cached verdicts: both keys fold in the
+(* A prelude edit must invalidate cached verdicts: the key folds in the
    prelude's digest. *)
 let test_prelude_keys_the_hash () =
   let src = "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
@@ -225,17 +195,32 @@ let test_prelude_keys_the_hash () =
   let d1 = digest Dialegg.Prelude.source in
   let d2 = digest (Dialegg.Prelude.source ^ "\n(function extra_op (Op Type) Op :cost 1)") in
   checkb "Prelude.digest is the source's MD5" true (String.equal d1 Dialegg.Prelude.digest);
-  checkb "vet keys differ across preludes" false
-    (String.equal (Dialegg.Vet.key ~prelude:d1 src) (Dialegg.Vet.key ~prelude:d2 src));
   let registry = Mlir.Dialect.fingerprint () in
-  checkb "audit keys differ across preludes" false
+  checkb "keys differ across preludes" false
     (String.equal
-       (Dialegg.Audit.key ~prelude:d1 ~registry src)
-       (Dialegg.Audit.key ~prelude:d2 ~registry src));
-  checkb "vet hash_source is the key under the shipped prelude" true
-    (String.equal (Dialegg.Vet.hash_source src) (Dialegg.Vet.key ~prelude:d1 src));
-  checkb "audit hash_source is the key under the shipped prelude" true
-    (String.equal (Dialegg.Audit.hash_source src) (Dialegg.Audit.key ~prelude:d1 ~registry src))
+       (Dialegg.Verdict.key ~prelude:d1 ~registry src)
+       (Dialegg.Verdict.key ~prelude:d2 ~registry src));
+  checkb "hash_source is the key under the shipped prelude" true
+    (String.equal (Dialegg.Verdict.hash_source src)
+       (Dialegg.Verdict.key ~prelude:d1 ~registry src))
+
+(* The audit report is memoized with the rest of the verdict: the first
+   read computes it, a second hits the in-process table and returns the
+   same report, and the computation leaves its disk entry. *)
+let test_audit_cached_memoizes () =
+  let open Dialegg.Verdict in
+  let dir = Filename.temp_file "dialegg-audit-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  (* a source no other test reads, so the first read really computes *)
+  let src = "; audit memoization probe\n" ^ Dialegg.Rules.const_fold in
+  let v1, s1 = read ~cache_dir:dir ~tiers:[ Audit ] src in
+  let v2, s2 = read ~cache_dir:dir ~tiers:[ Audit ] src in
+  checkb "first read computes" true (s1 = [ (Audit, Computed) ]);
+  checkb "second read hits the in-process memo" true (s2 = [ (Audit, Hit_memory) ]);
+  checkb "same diags" true (v1.audit.Dialegg.Audit.a_diags = v2.audit.Dialegg.Audit.a_diags);
+  checkb "disk entry written" true
+    (Sys.file_exists (Filename.concat dir (hash_source src ^ ".verdict")))
 
 (* ------------------------------------------------------------------ *)
 (* One checked ruleset shared by the three tiers                       *)
@@ -351,13 +336,13 @@ let test_audit_clean_roundtrip_prop () =
 
 let test_fingerprint_keys_the_hash () =
   let src = "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
-  let before = Dialegg.Audit.hash_source src in
+  let before = Dialegg.Verdict.hash_source src in
   (* registering a new op changes the registry fingerprint, so every
-     cached audit verdict keyed on the old registry is invalidated *)
+     cached verdict keyed on the old registry is invalidated *)
   Mlir.Dialect.def ~n_operands:1 ~n_results:1
     ~traits:[ Mlir.Dialect.Pure ] "zzztest.op";
-  let after = Dialegg.Audit.hash_source src in
-  checkb "registry edits change the audit key" false (String.equal before after)
+  let after = Dialegg.Verdict.hash_source src in
+  checkb "registry edits change the verdict key" false (String.equal before after)
 
 (* Replacing an op's spec (not just adding a new op) must show: the
    cached fingerprint is dropped, and the prelude's share of the audit
@@ -436,7 +421,6 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "audit_cached memoizes" `Quick test_audit_cached_memoizes;
-          Alcotest.test_case "hash is content-keyed" `Quick test_hash_is_content_keyed;
           Alcotest.test_case "prelude keys the hash" `Quick test_prelude_keys_the_hash;
         ] );
       ( "shared",

@@ -7,7 +7,7 @@
    mid-batch kill, the batch == sequential byte-identity property; then the content-addressed
    result cache (key sensitivity, LRU, disk roundtrip, corruption
    tolerance), the shared disk-cache layer (LRU pruning, size cap,
-   vet/audit/result coexistence), and a live dialegg-serve daemon
+   verdict/result coexistence), and a live dialegg-serve daemon
    end-to-end: cold/warm byte-identity, warm-across-restart, bounded
    admission, deadline propagation, the injected daemon fault matrix
    (cache-corrupt, mid-drain-kill), SIGHUP reload, heartbeats with
@@ -756,7 +756,7 @@ let test_disk_cache_prune_lru () =
     Unix.utimes p age age
   in
   mk "old.vet" 1000.;
-  mk "mid.audit" 2000.;
+  mk "mid.verdict" 2000.;
   mk "new.result" 3000.;
   mk "README" 500.;
   (* foreign, despite being oldest *)
@@ -764,13 +764,13 @@ let test_disk_cache_prune_lru () =
   checkb "the oldest cache entry is evicted first" false
     (Sys.file_exists (Filename.concat d "old.vet"));
   checkb "newer entries are kept" true
-    (Sys.file_exists (Filename.concat d "mid.audit")
+    (Sys.file_exists (Filename.concat d "mid.verdict")
     && Sys.file_exists (Filename.concat d "new.result"));
   checkb "foreign files are never counted or deleted" true
     (Sys.file_exists (Filename.concat d "README"));
   Dialegg.Disk_cache.prune ~max:0 ~dir:d ();
   checkb "every cache extension is evictable" false
-    (Sys.file_exists (Filename.concat d "mid.audit")
+    (Sys.file_exists (Filename.concat d "mid.verdict")
     || Sys.file_exists (Filename.concat d "new.result"));
   checkb "foreign files survive even a full prune" true
     (Sys.file_exists (Filename.concat d "README"))
@@ -818,10 +818,10 @@ let test_disk_cache_max_bytes_env () =
         (Dialegg.Disk_cache.max_bytes ()))
 
 let test_disk_cache_coexistence () =
-  (* vet verdicts, audit verdicts, and serve results share one store
-     without stepping on each other *)
+  (* static verdicts and serve results share one store without stepping
+     on each other *)
   let d = fresh_dir () in
-  (* a ruleset no other test uses, so the verdicts are computed (and
+  (* a ruleset no other test uses, so the verdict is computed (and
      persisted) here rather than answered from the in-process memo *)
   let config =
     { pipeline_config with
@@ -833,11 +833,8 @@ let test_disk_cache_coexistence () =
   let cache = Serve.Cache.create ~dir:(Some d) () in
   let k = Serve.Cache.key ~config ~src:(div_src 256 "f") in
   Serve.Cache.add cache k (mk_entry "o");
-  let names = Array.to_list (Sys.readdir d) in
-  let has ext = List.exists (fun n -> Filename.check_suffix n ext) names in
-  checkb "a vet verdict is present" true (has ".vet");
-  checkb "an audit verdict is present" true (has ".audit");
-  checkb "a serve result is present" true (has ".result");
+  let names = List.sort compare (List.map Filename.extension (Array.to_list (Sys.readdir d))) in
+  checkb "one verdict and one serve result" true (names = [ ".result"; ".verdict" ]);
   checkb "the result still reads back" true (Serve.Cache.find cache k <> None);
   ignore (Dialegg.Pipeline.vet_rules_exn config);
   ignore (Dialegg.Pipeline.audit_rules_exn config)
@@ -845,8 +842,7 @@ let test_disk_cache_coexistence () =
 (* One store for every entry kind: a good entry hits, and a torn
    entry, garbage, an entry of the previous format version and a valid
    entry renamed onto another key's file name each read as a miss and are
-   deleted.  [previous] is the kind's format version before the current
-   one. *)
+   deleted.  [previous] is an older format version of the kind. *)
 let check_store (type a) (module S : Dialegg.Disk_cache.STORE with type t = a) ~previous
     (v : a) =
   let d = fresh_dir () in
@@ -878,9 +874,12 @@ let check_store (type a) (module S : Dialegg.Disk_cache.STORE with type t = a) ~
 
 let test_store_every_kind () =
   let rules = Dialegg.Rules.const_fold in
-  check_store (module Dialegg.Vet.Store) ~previous:"dialegg-vet-cache-1" (Dialegg.Vet.vet rules);
-  check_store (module Dialegg.Audit.Store) ~previous:"dialegg-audit-cache-1"
-    (Dialegg.Audit.audit rules);
+  check_store (module Dialegg.Verdict.Store) ~previous:"dialegg-verdict-0"
+    {
+      Dialegg.Verdict.lint = Dialegg.Lint.lint_rules rules;
+      vet = Dialegg.Vet.vet rules;
+      audit = Dialegg.Audit.audit rules;
+    };
   check_store (module Serve.Cache.Store) ~previous:"dialegg-result-cache-2"
     (mk_entry ~degraded:1 "func.func @f() { }\n")
 
@@ -1591,7 +1590,7 @@ let () =
             test_disk_cache_prune_concurrent;
           Alcotest.test_case "size cap from the environment" `Quick
             test_disk_cache_max_bytes_env;
-          Alcotest.test_case "vet/audit/result coexistence" `Quick
+          Alcotest.test_case "verdict/result coexistence" `Quick
             test_disk_cache_coexistence;
           Alcotest.test_case "every entry kind: a hit and four misses" `Quick
             test_store_every_kind;

@@ -1,7 +1,9 @@
 (* Tests for the static ruleset verifier (lib/dialegg/vet.ml): the
    soundness / termination / overlap passes over the fixture corpus and
-   the shipped rulesets, the content-hash memoization, the duplicate-rule
-   and duplicate-constructor checks in lib/egglog/check.ml, and a QCheck
+   the shipped rulesets, the memoization of a ruleset's one static
+   verdict (lib/dialegg/verdict.ml) and how the pipeline reports it, the
+   duplicate-rule and duplicate-constructor checks in
+   lib/egglog/check.ml, and a QCheck
    property tying the static verdict to the runtime translation
    validator.  Runs from _build/default/test, so fixtures/ and ../rules/
    are reachable relative paths (declared as deps in test/dune). *)
@@ -159,27 +161,53 @@ let test_shipped_rules_clean () =
 (* Memoization                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_vet_cached_memoizes () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dialegg-vet-test-cache" in
-  (* a source no other test vets, so the first call really computes *)
+let fresh_dir () =
+  let d = Filename.temp_file "dialegg-verdict-test" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+(* Each tier's first read in the process gets the status the verdict
+   arrived with, a later read [Hit_memory]; the one computation leaves
+   one disk entry. *)
+let test_verdict_memoizes () =
+  let open Dialegg.Verdict in
+  let dir = fresh_dir () in
+  (* a source no other test reads, so the first read really computes *)
   let src = "; memoization probe\n" ^ Dialegg.Rules.const_fold in
-  let r1, s1 = Dialegg.Vet.vet_cached ~cache_dir:dir src in
-  let r2, s2 = Dialegg.Vet.vet_cached ~cache_dir:dir src in
-  checkb "first call computes" true (s1 = Dialegg.Vet.Computed);
-  checkb "second call hits the in-process memo" true (s2 = Dialegg.Vet.Hit_memory);
-  checkb "same hash" true (String.equal r1.Dialegg.Vet.v_hash r2.Dialegg.Vet.v_hash);
-  checkb "same diags" true (r1.Dialegg.Vet.v_diags = r2.Dialegg.Vet.v_diags);
-  (* the report round-trips through the on-disk cache *)
-  let disk = Filename.concat dir (r1.Dialegg.Vet.v_hash ^ ".vet") in
-  checkb "disk entry written" true (Sys.file_exists disk)
+  let read tiers = snd (read ~cache_dir:dir ~tiers src) in
+  checkb "first read computes" true (read [ Vet ] = [ (Vet, Computed) ]);
+  checkb "second read hits the in-process memo" true (read [ Vet ] = [ (Vet, Hit_memory) ]);
+  checkb "each tier's first read gets the verdict's arrival" true
+    (read [ Lint; Vet; Audit ] = [ (Lint, Computed); (Vet, Hit_memory); (Audit, Computed) ]);
+  checkb "one disk entry, under the key" true
+    (Sys.readdir dir = [| hash_source src ^ ".verdict" |])
 
 let test_hash_is_content_keyed () =
-  let h1 = Dialegg.Vet.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
-  let h2 = Dialegg.Vet.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t)) " in
+  let h1 = Dialegg.Verdict.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))" in
+  let h2 = Dialegg.Verdict.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t)) " in
   checkb "different sources, different keys" false (String.equal h1 h2);
   checkb "same source, same key" true
     (String.equal h1
-       (Dialegg.Vet.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))"))
+       (Dialegg.Verdict.hash_source "(rewrite (arith_addi ?x ?y ?t) (arith_addi ?y ?x ?t))"))
+
+(* An entry an older format left under the key is a miss: the verdict is
+   computed again and the entry replaced. *)
+let test_stale_entry_is_a_miss () =
+  let open Dialegg.Verdict in
+  let dir = fresh_dir () in
+  let src = "; stale-entry probe\n" ^ Dialegg.Rules.const_fold in
+  let key = hash_source src in
+  let module Old = Dialegg.Disk_cache.Store (struct
+    type t = string
+
+    let ext = ".verdict"
+    let version = "dialegg-verdict-0"
+  end) in
+  Old.add ~dir key "an older verdict";
+  checkb "the stale entry is computed again" true
+    (snd (read ~cache_dir:dir ~tiers:[ Audit ] src) = [ (Audit, Computed) ]);
+  checkb "and replaced" true (Store.find ~dir key <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline integration                                                *)
@@ -215,6 +243,57 @@ let test_pipeline_no_vet_escape_hatch () =
   in
   let report = Dialegg.Pipeline.optimize_module_report ~config m in
   checkb "vet skipped" true (report.Dialegg.Pipeline.r_vet = None)
+
+(* One verdict serves every config: --no-vet ignores vet's part even
+   once it is computed and in memory, and audit's part still fails the
+   run. *)
+let test_pipeline_no_vet_reads_one_verdict () =
+  let config rules =
+    {
+      Dialegg.Pipeline.default_config with
+      rules = read_file ("fixtures/" ^ rules);
+      validate = false;
+      max_iterations = 4;
+    }
+  in
+  let fails config =
+    match Dialegg.Pipeline.optimize_module_report ~config (simple_module ()) with
+    | _ -> None
+    | exception Dialegg.Pipeline.Error msg -> Some msg
+  in
+  let unsound = config "unsound_rule.egg" in
+  checkb "vet's part fails the run" true (fails unsound <> None);
+  checkb "--no-vet ignores it" true (fails { unsound with vet = false } = None);
+  match fails { (config "costless_reachable.egg") with vet = false } with
+  | Some msg -> checkb msg true (contains_sub msg "rules failed encoding audit")
+  | None -> Alcotest.fail "expected --no-vet to leave the audit tier failing the run"
+
+(* Warnings go to stderr the first time a process reads a tier: a
+   ruleset compiled twice prints its lint warning once. *)
+let test_pipeline_lint_warns_once () =
+  let config =
+    {
+      Dialegg.Pipeline.default_config with
+      rules = "; lint-once probe\n(function mydsl_probe (Op Type) Op)";
+    }
+  in
+  let tmp = Filename.temp_file "dialegg-stderr" ".txt" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      Format.pp_print_flush Format.err_formatter ();
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    (fun () ->
+      for _ = 1 to 2 do
+        ignore (Dialegg.Pipeline.optimize_module_report ~config (simple_module ()))
+      done);
+  let lines = String.split_on_char '\n' (read_file tmp) in
+  checki "op-no-cost printed once" 1
+    (List.length (List.filter (fun l -> contains_sub l "op-no-cost") lines))
 
 let test_pipeline_report_carries_vet () =
   let m = simple_module () in
@@ -328,8 +407,9 @@ let () =
         [ Alcotest.test_case "rules/*.egg vet clean" `Quick test_shipped_rules_clean ] );
       ( "cache",
         [
-          Alcotest.test_case "memoizes by content hash" `Quick test_vet_cached_memoizes;
+          Alcotest.test_case "memoizes by content hash" `Quick test_verdict_memoizes;
           Alcotest.test_case "hash is content-keyed" `Quick test_hash_is_content_keyed;
+          Alcotest.test_case "a stale entry is a miss" `Quick test_stale_entry_is_a_miss;
         ] );
       ( "pipeline",
         [
@@ -338,6 +418,9 @@ let () =
           Alcotest.test_case "--no-vet escape hatch" `Quick
             test_pipeline_no_vet_escape_hatch;
           Alcotest.test_case "report carries vet" `Quick test_pipeline_report_carries_vet;
+          Alcotest.test_case "--no-vet reads one verdict" `Quick
+            test_pipeline_no_vet_reads_one_verdict;
+          Alcotest.test_case "lint warnings print once" `Quick test_pipeline_lint_warns_once;
         ] );
       ( "check",
         [
