@@ -156,7 +156,44 @@ type nmm_row = {
   nr_hand_ms : float;
   nr_mults : int;
   nr_dp : int;
+  nr_assoc : int;  (* the associativity rule's matches in the best run *)
 }
+
+(* The associativity rule's name in a pipeline engine: the rule whose
+   premises nest one [linalg_matmul] in another, numbered as the prelude
+   and rules/matmul_assoc.egg register it. *)
+let assoc_rule =
+  lazy
+    (let t = Egglog.Interp.create () in
+     List.iter (Egglog.Interp.run_command t) (Lazy.force Dialegg.Prelude.commands);
+     Egglog.Interp.run_string t Dialegg.Rules.matmul_assoc;
+     let rec nests inside (e : Egglog.Ast.expr) =
+       match e with
+       | Call (f, args) ->
+         let mm = f = "linalg_matmul" in
+         (inside && mm) || List.exists (nests (inside || mm)) args
+       | Var _ | Wildcard | Lit _ -> false
+     in
+     let nested (f : Egglog.Ast.fact) =
+       match f with F_eq es -> List.exists (nests false) es | F_expr e -> nests false e
+     in
+     let name, _, _ =
+       List.find (fun (_, facts, _) -> List.exists nested facts) (Egglog.Interp.premises t)
+     in
+     name)
+
+(* The distinct (outer, inner) matmul pairs the associativity rule can
+   match in the saturated graph of an [n]-matmul chain: every sub-chain of
+   L of its n + 1 matrices is split into a left part of length a >= 2 and
+   the rest, and the left part again in a - 1 ways, so
+   sum over L of (n + 2 - L) (L - 1) (L - 2) / 2. *)
+let distinct_assoc_pairs n =
+  let m = n + 1 in
+  let total = ref 0 in
+  for l = 3 to m do
+    total := !total + ((m - l + 1) * (l - 1) * (l - 2) / 2)
+  done;
+  !total
 
 (* Each row's chain length, runs, and raised (node, iteration) budgets:
    80MM needs more nodes than the default budget to saturate; the shorter
@@ -209,6 +246,11 @@ let nmm_row (n, runs, budgets) =
     nr_dp =
       Workloads.Matmul_chain.chain_dp
         (Array.of_list (Workloads.Matmul_chain.dims_for ~n ~seed:42));
+    nr_assoc =
+      List.fold_left
+        (fun acc (s : Egglog.Interp.rule_stat) ->
+          if s.rs_name = Lazy.force assoc_rule then acc + s.rs_matches else acc)
+        0 best.Dialegg.Pipeline.rule_stats;
   }
 
 let nmm_ok r = Egglog.Interp.stopped_saturated r.nr_best.stop && r.nr_mults = r.nr_dp
@@ -221,13 +263,14 @@ let json_of_nmm_row r =
   let t = r.nr_best in
   let lo, hi = nmm_band r in
   Printf.sprintf
-    {|    {"chain": "%dMM", "command": "dialegg-opt %dMM.mlir --egg rules/matmul_assoc.egg%s --stats -t", "ops": %d, "runs": %d, "sat_ms": %.2f, "sat_ms_band": [%.2f, %.2f], "sat_ms_runs": [%s], "mlir_to_egg_ms": %.3f, "egglog_ms": %.2f, "egg_to_mlir_ms": %.3f, "canon_ms": %.3f, "cxx_pass_ms": %.3f, "iterations": %d, "matches": %d, "peak_nodes": %d, "stop_reason": "%s", "mults": %d, "dp_mults": %d, "dp_optimal": %b}|}
+    {|    {"chain": "%dMM", "command": "dialegg-opt %dMM.mlir --egg rules/matmul_assoc.egg%s --stats -t", "ops": %d, "runs": %d, "sat_ms": %.2f, "sat_ms_band": [%.2f, %.2f], "sat_ms_runs": [%s], "mlir_to_egg_ms": %.3f, "egglog_ms": %.2f, "egg_to_mlir_ms": %.3f, "canon_ms": %.3f, "cxx_pass_ms": %.3f, "iterations": %d, "matches": %d, "peak_nodes": %d, "stop_reason": "%s", "mults": %d, "dp_mults": %d, "dp_optimal": %b, "assoc_matches": %d, "distinct_pairs": %d, "matches_per_distinct": %.3f}|}
     r.nr_n r.nr_n r.nr_flags r.nr_ops (List.length r.nr_sat_ms) lo lo hi
     (String.concat ", " (List.map (Printf.sprintf "%.2f") r.nr_sat_ms))
     (t.t_mlir_to_egg *. 1000.) (t.t_egglog *. 1000.) (t.t_egg_to_mlir *. 1000.) r.nr_canon_ms
     r.nr_hand_ms t.iterations t.matches t.peak_nodes
     (Fmt.str "%a" Egglog.Interp.pp_stop_reason t.stop)
-    r.nr_mults r.nr_dp (r.nr_mults = r.nr_dp)
+    r.nr_mults r.nr_dp (r.nr_mults = r.nr_dp) r.nr_assoc (distinct_assoc_pairs r.nr_n)
+    (float r.nr_assoc /. float (distinct_assoc_pairs r.nr_n))
 
 (* Table 2: the paper programs' compile-time rows, then the NMM rows for
    chains up to [max_chain] of 10, 20, 30, 40 and, with [full], 80
@@ -253,21 +296,22 @@ let table2 ~full ~max_chain ?json_path ~command () =
         ~main_func:b.main_func ~with_hand)
     Workloads.Suite.all;
   fprintf "\n-- scalability: NMM chains (matmul associativity saturation) --\n";
-  fprintf "%-6s %4s %4s %9s %-17s %5s %8s %7s %-10s %s\n" "chain" "#ops" "runs" "sat(ms)"
-    "band(ms)" "iters" "matches" "peak" "stop" "mults = DP";
+  fprintf "%-6s %4s %4s %9s %-17s %5s %8s %7s %-10s %-21s %s\n" "chain" "#ops" "runs" "sat(ms)"
+    "band(ms)" "iters" "matches" "peak" "stop" "mults = DP" "assoc/distinct";
   let sizes = List.filter (fun (n, _, _) -> n <= max_chain && (full || n <= 40)) nmm_sizes in
   let rows =
     List.map
       (fun ((n, _, _) as size) ->
         let r = nmm_row size in
         let lo, hi = nmm_band r in
-        fprintf "%-6s %4d %4d %9.2f %-17s %5d %8d %7d %-10s %d = %d %s\n%!"
+        fprintf "%-6s %4d %4d %9.2f %-17s %5d %8d %7d %-10s %-21s %d/%d = %.3f\n%!"
           (Printf.sprintf "%dMM" n) r.nr_ops (List.length r.nr_sat_ms) lo
           (Printf.sprintf "%.2f-%.2f" lo hi)
           r.nr_best.iterations r.nr_best.matches r.nr_best.peak_nodes
           (Fmt.str "%a" Egglog.Interp.pp_stop_reason r.nr_best.stop)
-          r.nr_mults r.nr_dp
-          (if nmm_ok r then "yes" else "NO");
+          (Printf.sprintf "%d = %d %s" r.nr_mults r.nr_dp (if nmm_ok r then "yes" else "NO"))
+          r.nr_assoc (distinct_assoc_pairs n)
+          (float r.nr_assoc /. float (distinct_assoc_pairs n));
         r)
       sizes
   in
@@ -278,7 +322,7 @@ let table2 ~full ~max_chain ?json_path ~command () =
       \  \"benchmark\": \"table2-nmm\",\n\
       \  \"command\": %S,\n\
       \  \"workload\": \"Workloads.Matmul_chain.source ~scale:N (the seeded chain of N matmuls), function mm_chain, under rules/matmul_assoc.egg through Pipeline.optimize_module; default budgets except where a row's command raises them\",\n\
-      \  \"method\": \"sat_ms is the best run's saturation time, sat_ms_band the fastest and slowest run's, sat_ms_runs every run's; the other times and the counters are the best run's; mults is the scalar multiplications of the extracted program, dp_mults the textbook matrix-chain DP's optimum for the same dimensions\",\n\
+      \  \"method\": \"sat_ms is the best run's saturation time, sat_ms_band the fastest and slowest run's, sat_ms_runs every run's; the other times and the counters are the best run's; mults is the scalar multiplications of the extracted program, dp_mults the textbook matrix-chain DP's optimum for the same dimensions; assoc_matches is the associativity rule's matches, distinct_pairs the (outer, inner) matmul pairs it can match in the saturated graph, sum over sub-chain lengths L of (N-L+1)(L-1)(L-2)/2 for the chain's N = matmuls + 1 matrices, and matches_per_distinct their ratio\",\n\
       \  \"rows\": [\n%s\n  ]\n}\n"
       command
       (String.concat ",\n" (List.map json_of_nmm_row rows))
@@ -450,7 +494,7 @@ let sat_best ~reps ~scale ~seminaive : sat_measure =
   !best
 
 let saturation ~max_chain ~json_path () =
-  fprintf "== Saturation: NMM scaling, seminaive vs naive matching on the generic join ==\n";
+  fprintf "== Saturation: NMM scaling, seminaive vs naive matching on the nested-loop join ==\n";
   fprintf
     "(both regimes must extract the identical program; the speedup is naive\n\
     \ saturation wall-clock over seminaive, best of 5 runs)\n\n";
@@ -488,7 +532,7 @@ let saturation ~max_chain ~json_path () =
       "{\n\
       \  \"benchmark\": \"nmm-saturation\",\n\
       \  \"rules\": \"matmul_assoc\",\n\
-      \  \"matcher\": \"generic join\",\n\
+      \  \"matcher\": \"nested-loop join\",\n\
       \  \"regimes\": [\"seminaive\", \"naive\"],\n\
       \  \"lengths\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.map row_json rows))

@@ -22,6 +22,15 @@
 (* Value pool: primitive interning                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Int arrays by content: the element codes of pooled vectors. *)
+module Codes_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let rec equal_from a b i = i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+  let equal a b = Array.length a = Array.length b && equal_from a b 0
+  let hash = Hashtbl.hash
+end)
+
 type pool = {
   mutable vals : Value.t array;
   mutable has_class : Bytes.t;
@@ -30,6 +39,10 @@ type pool = {
          stale after a union. *)
   mutable n_vals : int;
   intern_tbl : int Value.Tbl.t;
+  vec_tbl : int Codes_tbl.t;
+      (* element codes -> pool position of the vector of their values, for
+         {!encode_vec}; an entry never goes stale, since a code always
+         decodes to the same value *)
 }
 
 let create_pool () =
@@ -38,6 +51,7 @@ let create_pool () =
     has_class = Bytes.make 64 '\000';
     n_vals = 0;
     intern_tbl = Value.Tbl.create 64;
+    vec_tbl = Codes_tbl.create 64;
   }
 
 let rec value_has_class (v : Value.t) =
@@ -76,6 +90,17 @@ let encode pool (v : Value.t) =
 (** [decode pool c] is the value of code [c]. *)
 let decode pool c = if c land 1 = 0 then Value.Eclass (c lsr 1) else pool.vals.(c lsr 1)
 
+(** The code of the vector whose elements have codes [codes], as {!encode}
+    of that vector gives it; a vector met before costs one lookup by its
+    element codes.  [codes] is not kept. *)
+let encode_vec pool (codes : int array) =
+  match Codes_tbl.find pool.vec_tbl codes with
+  | p -> (2 * p) + 1
+  | exception Not_found ->
+    let p = pool_add pool (Value.Vec (Array.map (decode pool) codes)) in
+    Codes_tbl.add pool.vec_tbl (Array.copy codes) p;
+    (2 * p) + 1
+
 let is_class_code c = c land 1 = 0
 let code_of_class id = id * 2
 let class_of_code c = c lsr 1
@@ -102,6 +127,7 @@ let copy_pool pool =
     has_class = Bytes.copy pool.has_class;
     n_vals = pool.n_vals;
     intern_tbl = Value.Tbl.copy pool.intern_tbl;
+    vec_tbl = Codes_tbl.copy pool.vec_tbl;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -181,60 +207,59 @@ let hash_row tbl r =
   done;
   !h land max_int
 
+(* The probes below are loops, not local recursive functions: without
+   flambda a local function that captures a variable is allocated on
+   every call. *)
 let key_matches tbl r (key : int array) =
   let base = r * tbl.width in
-  let rec go i =
-    i = tbl.arity
-    || (Array.unsafe_get tbl.data (base + i) = Array.unsafe_get key i && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < tbl.arity && Array.unsafe_get tbl.data (base + !i) = Array.unsafe_get key !i do
+    incr i
+  done;
+  !i = tbl.arity
 
 (** Live row index for [key], or -1. *)
 let find tbl (key : int array) =
-  let mask = tbl.mask in
-  let rec probe s =
-    match Array.unsafe_get tbl.slots s with
-    | 0 -> -1
-    | -1 -> probe ((s + 1) land mask)
+  let mask = tbl.mask and slots = tbl.slots in
+  let s = ref (hash_key key land mask) in
+  let found = ref (-2) in
+  while !found = -2 do
+    match Array.unsafe_get slots !s with
+    | 0 -> found := -1
+    | -1 -> s := (!s + 1) land mask
     | v ->
-      let r = v - 1 in
-      if (not (is_dead tbl r)) && key_matches tbl r key then r
-      else probe ((s + 1) land mask)
-  in
-  probe (hash_key key land mask)
+      if (not (is_dead tbl (v - 1))) && key_matches tbl (v - 1) key then found := v - 1
+      else s := (!s + 1) land mask
+  done;
+  !found
+
+(* the slot holding live row [r], which must be in the hash *)
+let slot_of tbl r what =
+  let mask = tbl.mask in
+  let s = ref (hash_row tbl r land mask) in
+  while tbl.slots.(!s) <> r + 1 do
+    if tbl.slots.(!s) = 0 then invalid_arg what;
+    s := (!s + 1) land mask
+  done;
+  !s
 
 (* claim a slot for row [r] (key already in [data]); caller guarantees the
    key is not mapped to a live row *)
 let slot_insert tbl r =
   let mask = tbl.mask in
-  let rec probe s =
-    match tbl.slots.(s) with
-    | 0 | -1 -> tbl.slots.(s) <- r + 1
-    | _ -> probe ((s + 1) land mask)
-  in
-  probe (hash_row tbl r land mask)
+  let s = ref (hash_row tbl r land mask) in
+  (* 0 is empty and -1 a tombstone: both are free *)
+  while tbl.slots.(!s) > 0 do
+    s := (!s + 1) land mask
+  done;
+  tbl.slots.(!s) <- r + 1
 
 (* repoint the slot holding live row [old_r] at row [new_r] (same key) *)
 let slot_repoint tbl old_r new_r =
-  let mask = tbl.mask in
-  let rec probe s =
-    match tbl.slots.(s) with
-    | 0 -> invalid_arg "Arena.slot_repoint: row not found"
-    | v when v = old_r + 1 -> tbl.slots.(s) <- new_r + 1
-    | _ -> probe ((s + 1) land mask)
-  in
-  probe (hash_row tbl old_r land mask)
+  tbl.slots.(slot_of tbl old_r "Arena.slot_repoint: row not found") <- new_r + 1
 
 (* tombstone the slot holding live row [r] *)
-let slot_remove tbl r =
-  let mask = tbl.mask in
-  let rec probe s =
-    match tbl.slots.(s) with
-    | 0 -> invalid_arg "Arena.slot_remove: row not found"
-    | v when v = r + 1 -> tbl.slots.(s) <- -1
-    | _ -> probe ((s + 1) land mask)
-  in
-  probe (hash_row tbl r land mask)
+let slot_remove tbl r = tbl.slots.(slot_of tbl r "Arena.slot_remove: row not found") <- -1
 
 let rehash tbl =
   (* grow slots to keep the load factor below 1/2 over live rows *)

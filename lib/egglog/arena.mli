@@ -16,6 +16,11 @@ val encode : pool -> Value.t -> int
 (** Value of a code. *)
 val decode : pool -> int -> Value.t
 
+(** Code of the vector whose elements have these codes: the code
+    {!encode} gives that vector, found by the element codes alone once the
+    pool has met it.  The array is not kept. *)
+val encode_vec : pool -> int array -> int
+
 val is_class_code : int -> bool
 val code_of_class : int -> int
 

@@ -15,7 +15,7 @@
     Every table is a flat {!Arena} of int codes, appended in stamp order so
     the table {e is} its own seminaive journal, with congruence lookups
     through one open-addressing int hash.  The matcher's column indexes
-    and generic join run on these arrays directly. *)
+    and its join run on these arrays directly. *)
 
 exception Error of string
 
@@ -64,8 +64,10 @@ type func = {
   store : Arena.table;
   mutable last_modified : int;
       (** stamp of the last insertion, output change, deletion, or
-          canonicalization touching this table — drives the scheduler's
-          dirty-table rule skipping and the matcher's index invalidation *)
+          canonicalization touching this table, except a congruence merge
+          into a row whose output stays — drives the scheduler's
+          dirty-table rule skipping and the seminaive terms the matcher
+          runs *)
 }
 
 let is_constructor f = match f.ret_sort with S_eq _ -> true | _ -> false
@@ -360,14 +362,17 @@ let rebuild_pass_arena t f =
   let uf = t.uf and pool = t.pool in
   let arity = Array.length f.arg_sorts in
   let stale = ref [] in
-  Arena.iter_live a (fun r ->
+  for r = 0 to Arena.n_rows a - 1 do
+    if not (Arena.is_dead a r) then begin
       let ok = ref (Arena.code_canonical uf pool (Arena.out_code a r)) in
       let i = ref 0 in
       while !ok && !i < arity do
         if not (Arena.code_canonical uf pool (Arena.arg_code a r !i)) then ok := false;
         incr i
       done;
-      if not !ok then stale := r :: !stale);
+      if not !ok then stale := r :: !stale
+    end
+  done;
   List.iter
     (fun r ->
       (* a row in the stale list may have been killed already by an
@@ -384,15 +389,20 @@ let rebuild_pass_arena t f =
           ignore (Arena.append a key' out' stamp);
           f.last_modified <- stamp
         | r2 ->
-          (* congruence: two rows collapsed onto the same key *)
+          (* congruence: two rows collapsed onto the same key.  A survivor
+             whose output does not change keeps its row and stamp: it
+             cannot complete a match that was not found already. *)
           let merged =
             merge_outputs t f
               (Arena.decode pool (Arena.out_code a r2))
               (Arena.decode pool out')
           in
-          let stamp = next_stamp t in
-          ignore (Arena.rewrite a r2 (Arena.encode pool merged) stamp);
-          f.last_modified <- stamp;
+          let code = Arena.encode pool merged in
+          if code <> Arena.out_code a r2 then begin
+            let stamp = next_stamp t in
+            ignore (Arena.rewrite a r2 code stamp);
+            f.last_modified <- stamp
+          end;
           t.n_rows_cache <- t.n_rows_cache - 1
       end)
     (List.rev !stale)

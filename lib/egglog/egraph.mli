@@ -41,9 +41,11 @@ type func = private {
   merge : (Value.t -> Value.t -> Value.t) option;
   store : Arena.table;
   mutable last_modified : int;
-      (** stamp of the last change to this table (insert, output change,
-          delete, canonicalization) — drives dirty-table rule skipping and
-          matcher index invalidation *)
+      (** stamp of the last change to this table that can give a rule a
+          new match (insert, output change, delete, canonicalization; not
+          a congruence merge into a row whose output stays) — drives
+          dirty-table rule skipping and the seminaive terms the matcher
+          runs *)
 }
 
 (** Is the function's output an equivalence sort (i.e. is it a

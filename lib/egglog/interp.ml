@@ -22,6 +22,9 @@ type cval =
       (* pre-encoded code: the pool is append-only and a fork copies it, so
          the code means the same in every fork taken after the compile *)
   | K_prim of string * cval array  (* decodes args, encodes the result *)
+  | K_vec of cval array * int array
+      (* [vec-of], interned by its element codes (+ their scratch), with
+         no value built once the pool has met the vector *)
   | K_table of Egraph.func * cval array * int array
       (* + per-node key scratch; the table is the running engine's: an
          applier compiled in another engine is {!relink}ed first *)
@@ -95,7 +98,7 @@ type rule_def = {
 type rule = {
   r_def : rule_def;
   mutable r_gplan : Matcher.gplan option;
-      (** the premises flattened and compiled for the generic join, made
+      (** the premises flattened and compiled for the join, made
           at the first search (and again after a [pop], which restores an
           older e-graph) *)
   mutable r_capply : capply option;
@@ -481,6 +484,16 @@ let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string ar
     | L_bool _ -> S_bool
     | L_unit -> S_unit
   in
+  (* the name a [(Vec ...)] declaration gives an element sort *)
+  let sort_name : Egraph.sort_kind -> string option = function
+    | S_i64 -> Some "i64"
+    | S_f64 -> Some "f64"
+    | S_string -> Some "String"
+    | S_bool -> Some "bool"
+    | S_unit -> Some "Unit"
+    | S_eq name -> Some name
+    | S_vec _ -> None
+  in
   let rec cexpr (e : Ast.expr) : cval * Egraph.sort_kind option =
     match e with
     | Var x -> (
@@ -489,6 +502,16 @@ let compile_rule ?(ground = false) eg ~(pinned : string list) (names : string ar
       | None -> (K_global x, None))
     | Wildcard -> (K_wildcard, None)
     | Lit l -> (K_const (Arena.encode pool (Matcher.value_of_lit l)), Some (lit_sort l))
+    | Call ("vec-of", args) ->
+      let cargs = List.map cexpr args in
+      (* a vector of one statically known element sort has a static sort *)
+      let elem =
+        match List.map snd cargs with
+        | Some s :: rest when List.for_all (( = ) (Some s)) rest -> sort_name s
+        | _ -> None
+      in
+      ( K_vec (Array.of_list (List.map fst cargs), Array.make (List.length cargs) 0),
+        Option.map (fun e -> Egraph.S_vec e) elem )
     | Call (f, args) when Primitives.is_primitive f ->
       (K_prim (f, Array.of_list (List.map (fun a -> fst (cexpr a)) args)), None)
     | Call (f, args) -> (
@@ -622,6 +645,7 @@ let relink eg (ca : capply) : capply =
   let rec cv = function
     | K_table (fn, args, key) -> K_table (table fn, Array.map cv args, scratch key)
     | K_prim (f, args) -> K_prim (f, Array.map cv args)
+    | K_vec (args, codes) -> K_vec (Array.map cv args, scratch codes)
     | K_check (k, c) -> K_check (k, cv c)
     | K_apply (f, args) -> K_apply (f, Array.map cv args)
     | (K_slot _ | K_global _ | K_const _ | K_wildcard) as c -> c
@@ -661,6 +685,13 @@ let rec ceval t (vals : int array) (cv : cval) : int =
     (* single pool round-trip at the code boundary; nested prims stay
        value-level inside [ceval_value] *)
     Arena.encode (Egraph.pool t.eg) (ceval_value t vals cv)
+  | K_vec (args, codes) ->
+    (* elements last to first, as [ceval_value] evaluates a primitive's
+       arguments; [codes] is this node's own scratch *)
+    for i = Array.length args - 1 downto 0 do
+      codes.(i) <- ceval t vals (Array.unsafe_get args i)
+    done;
+    Arena.encode_vec (Egraph.pool t.eg) codes
   | K_table (fn, args, key) -> (
     for i = 0 to Array.length args - 1 do
       key.(i) <- ceval t vals (Array.unsafe_get args i)
@@ -697,6 +728,13 @@ and ceval_value ?cost t (vals : int array) (cv : cval) : Value.t =
     | Some v -> v
     | None -> error "unbound name %s" x)
   | K_apply (f, args) -> apply_named t f (Array.map (ceval_value t vals) args)
+  | K_vec (args, _) ->
+    (* under a primitive a vector stays a value, as any primitive's *)
+    let elems = Array.make (Array.length args) Value.Unit in
+    for i = Array.length args - 1 downto 0 do
+      elems.(i) <- ceval_value ?cost t vals args.(i)
+    done;
+    Value.Vec elems
   | _ -> Arena.decode (Egraph.pool t.eg) (ceval t vals cv)
 
 (* each arm sequences sub-evaluations with [let] to keep a left-to-right
@@ -858,7 +896,7 @@ let action_vars (actions : Ast.action list) : string list =
     actions;
   !acc
 
-(* the generic-join plan of [facts] and its slot-compiled residuals and
+(* the join plan of [facts] and its slot-compiled residuals and
    [actions] *)
 let compile_plan t idx ?keep ~pinned facts actions =
   let gp = Matcher.gcompile ?keep ~pinned idx (Matcher.compile facts) in
@@ -960,7 +998,7 @@ let run_iteration ?ruleset t (stats : run_stats) : int =
     filter_rules t (fun r ->
         r.r_def.r_ruleset = ruleset && (rule_dirty t r || pins_moved idx r))
   in
-  (* resolve each rule's search up front (compiling generic-join plans
+  (* resolve each rule's search up front (compiling join plans
      and packed appliers on first use), so the search timers measure the
      joins alone.  An idle rule compiles nothing: it is compiled at the
      first search that can find something. *)

@@ -194,8 +194,8 @@ val eval : t -> Ast.expr -> Value.t
 val run_action : t -> Ast.action -> unit
 
 (** Every match of the premises in the current e-graph (rebuilt first),
-    through the full generic join and the compiled residual facts — what
-    [(check ...)] asks: per match, the premises' own variables with their
+    through the join's full search (its first term, every row of every
+    atom) and the compiled residual facts — what [(check ...)] asks: per match, the premises' own variables with their
     canonical values, sorted by name.  [pinned] are the bare names that
     denote globals (default: those that are globals now). *)
 val query : ?pinned:string list -> t -> Ast.fact list -> (string * Value.t) list list

@@ -1,15 +1,19 @@
 (** E-matching: finding all substitutions under which a rule's premises hold
     in the current e-graph.
 
-    There is one matcher, the generic join.  A rule's premises are
+    There is one matcher, a nested-loop join.  A rule's premises are
     flattened once ({!compile}) and then compiled against the e-graph
     ({!gcompile}) into flat table atoms — every column a variable, a
     literal, a global, or a wildcard — plus {e residual} facts that only
-    involve primitives.  {!gsolve_packed} joins the atoms variable by
-    variable over per-(function, column) indexes of the arena tables,
-    seminaively (only matches involving a row newer than a given stamp),
-    into rows of arena codes; the caller's compiled residuals then filter
-    each row and fill the slots they bind.
+    involve primitives.  Each seminaive term (one per atom: that atom's
+    rows newer than a given stamp, joined with the others) gets an atom
+    order when the plan compiles: the delta atom first, then every atom
+    whose arguments are all bound (one lookup in the table's own key
+    hash), then atoms probed through a per-(function, column) index on a
+    bound column, the output column first, then full scans.
+    {!gsolve_packed} walks that order with one binding array into rows of
+    arena codes; the caller's compiled residuals then filter each row and
+    fill the slots they bind.
 
     Variable conventions: [?x] is always a pattern variable; a bare name is
     a global when the caller pins it (the interpreter pins the bare names
@@ -30,7 +34,7 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 type ivec = { mutable iv_buf : int array; mutable iv_len : int }
 
 (* open-addressed int -> ivec map for the column-index buckets (ops are
-   defined with the generic join below) *)
+   defined with the join below) *)
 type imap = {
   mutable im_keys : int array;  (* -1 = empty *)
   mutable im_vals : ivec array;
@@ -40,7 +44,7 @@ type imap = {
 
 (* Per-function column index over an arena table: for every column
    (arguments and output), a hashtable from code to the ascending vector of
-   row indices holding that code.  Feeds the generic join.  Rows appended
+   row indices holding that code.  Feeds the join's column probes.  Rows appended
    since the last build are added incrementally; the index is rebuilt from
    scratch only when the table's row numbering changed ({!Arena.compact})
    or rows died without a compaction yet. *)
@@ -202,15 +206,11 @@ let compile (facts : Ast.fact list) : plan =
     name theirs [?__sn...]) *)
 let is_aux_var x = String.length x >= 5 && String.sub x 0 5 = "?__sn"
 
+
 (* ------------------------------------------------------------------ *)
-(* Column indexes and the generic join                                *)
+(* Column indexes                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Column index for [f]'s arena table.  Appends rows indexed since the
-    last call; rebuilds from scratch only when the table's row numbering
-    changed ({!Arena.compact} bumped the version) or rows died without a
-    compaction (never the case during a search phase, which always runs on
-    a freshly rebuilt graph). *)
 let iv_push v x =
   (if v.iv_len = Array.length v.iv_buf then begin
      let nb = Array.make (max 8 (2 * v.iv_len)) 0 in
@@ -221,10 +221,10 @@ let iv_push v x =
   v.iv_len <- v.iv_len + 1
 
 (* Open-addressed int -> ivec map for the column-index buckets.  These sit
-   on the hottest search paths (one probe per candidate x occurrence), and
-   [Hashtbl.find_opt] boxes an option per hit; linear probing over flat
-   int keys does not allocate at all.  Keys are arena codes, always >= 0,
-   so [-1] marks an empty slot.  No deletion. *)
+   on the search's probe path, and [Hashtbl.find_opt] boxes an option per
+   hit; linear probing over flat int keys does not allocate at all.  Keys
+   are arena codes, always >= 0, so [-1] marks an empty slot.  No
+   deletion. *)
 let im_no_rows : ivec = { iv_buf = [||]; iv_len = 0 }
 
 let im_create () =
@@ -292,7 +292,11 @@ let im_iter_vals f m =
    record in place — callers may hold direct references to it (the
    per-plan scratch caches one colindex per atom), so it is never
    replaced wholesale.  Sync is per {e column} and lazy: a rule only
-   pays for the columns its join actually probes. *)
+   pays for the columns its join actually probes.  Appends the rows added
+   since the last sync; rebuilds from scratch only when the table's row
+   numbering changed ({!Arena.compact} bumped the version) or rows died
+   without a compaction (never the case during a search, which always
+   runs on a freshly rebuilt graph). *)
 let cm_sync (cm : cimap_col) (a : Arena.table) (col : int) : unit =
   let n = Arena.n_rows a in
   let index_rows lo hi =
@@ -391,7 +395,9 @@ let bsearch_ge (a : int array) lo hi x =
   done;
   !lo
 
-(* --- compiled generic-join plans ------------------------------------- *)
+(* ------------------------------------------------------------------ *)
+(* Compiled join plans                                                 *)
+(* ------------------------------------------------------------------ *)
 
 (** One column of a flat atom: a join variable, a pinned literal code, a
     global (pinned to its canonical code afresh at every search, since the
@@ -404,11 +410,54 @@ type gslot = G_var of int | G_lit of int | G_global of int | G_free
     hoists those into atoms and residuals of their own). *)
 type gatom = { g_sym : Symbol.t; g_slots : gslot array }
 
-(** A rule body compiled for the generic join: flat atoms joined
-    variable-by-variable over column indexes, then pure-primitive residual
-    facts run by the caller on each packed row. *)
+(* Which of a step's rows the search follows.  A search returns one match
+   per distinct assignment of the join variables (those with two or more
+   occurrences), times the rows of each atom that binds a variable the
+   consumer reads and no other atom mentions. *)
+type mode =
+  | Each
+      (* every row: the atom binds such a variable, or its rows differ in
+         the join variables they bind *)
+  | First  (* the first row: the atom binds no join variable, it only has to hold *)
+  | Distinct
+      (* the first row of each tuple of join variables it binds: a free
+         argument column lets rows repeat them *)
+
+(* How a step finds its rows: one {!Arena.find} on the key, the bucket of
+   one column's index, or a scan. *)
+type probe = Key | Col of int | Scan
+
+(* One atom's place in a term's order.  The search binds into one array,
+   the env: the variables, then the literal codes ([gp_consts]), then the
+   globals' canonical codes. *)
+type step = {
+  st_atom : int;
+  st_probe : probe;
+  st_src : int array;
+      (* env slots of the probed columns: each argument's for [Key], the
+         column's alone for [Col] *)
+  st_bind : int array;  (* (column, var) pairs, flattened: what the row binds *)
+  st_check : int array;  (* (column, env slot) pairs, flattened: what the row must equal *)
+  st_mode : mode;
+}
+
+(* The rows one visit of a [Distinct] step has followed, by the codes of
+   the columns it binds: open addressing over row ids, each slot valid
+   only in the generation that wrote it, so a new visit clears nothing. *)
+type seen = {
+  mutable sn_rows : int array;
+  mutable sn_gens : int array;
+  mutable sn_gen : int;
+  mutable sn_count : int;
+}
+
+(** A rule body compiled for the join: flat atoms, one atom order per
+    seminaive term, then pure-primitive residual facts run by the caller
+    on each packed row. *)
 type gplan = {
   gp_atoms : gatom array;
+  gp_terms : step array Lazy.t array;  (* per delta atom: its term's order *)
+  gp_consts : int array;  (* the literal codes' env slots follow the variables' *)
   gp_residuals : Ast.fact list;  (* in the order they run *)
   gp_res_vars : string array;
       (* variables the residuals mention that no atom binds: one packed-row
@@ -417,8 +466,6 @@ type gplan = {
   gp_globals : string array;
       (* every global the premises name (pinned columns index into it);
          {!pins} reads their canonical codes *)
-  gp_occs : (int * int) array array;  (* var id -> (atom, column) occurrences *)
-  gp_touched : int array array;  (* var id -> distinct atoms it occurs in *)
   gp_may_dup : bool;
       (* some atom has a wildcard column, so distinct witnessing rows can
          yield the same emitted codes and results need deduplication *)
@@ -428,50 +475,24 @@ type gplan = {
   gp_emit : int array;
       (* var ids the join emits into packed rows: only what the rule's
          residuals and actions read (all vars when the consumer is unknown) *)
-  gp_join_vars : int;
-      (* number of vars with >= 2 occurrences: only these need generic-join
-         elimination; the rest are read off surviving rows at emit time *)
-  gp_emit_join : (int * int) array;
-      (* emitted subset of the join vars, as (var, emit slot) pairs *)
-  gp_read : (int * int) array array;
-      (* per atom: (emit slot, column) of its emitted single-occurrence vars *)
-  gp_lits : (int * int * int) array;
-      (* (atom, column, code) of every pinned literal column *)
-  gp_pins : (int * int * int) array;
-      (* (atom, column, global) of every column pinned to a global *)
-  gp_slot : int array;  (* var -> its position in gp_emit (-1 not emitted) *)
-  gp_join_list : int array;  (* var ids with >= 2 occurrences, ascending *)
-  mutable gp_scratch : gscratch option;
-      (* per-plan working state reused across searches; rebuilt when the
-         e-graph it was built against is swapped out *)
+  mutable gp_scratch : scratch option;
+      (* per-instance working state reused across searches; rebuilt when
+         the e-graph it was built against is swapped out *)
 }
 
-(* All the allocations a generic-join search needs, hoisted out of the
-   per-call path: resolved tables, row-set slots, per-variable candidate
-   and save/restore buffers, and the emission row. *)
-and gscratch = {
-  gs_eg : Egraph.t;  (* validity token: compare with the index's graph *)
-  gs_funcs : Egraph.func array;
-  gs_tables : Arena.table array;
-  gs_cidxs : colindex array;
-  gs_range_mark : int array;
-  gs_rs_buf : int array array;
-  gs_rs_lo : int array;
-  gs_rs_hi : int array;
-  gs_cands : ivec array;
-  gs_sv_buf : int array array array;
-  gs_sv_lo : int array array;
-  gs_sv_hi : int array array;
-  gs_ibuf : int array array array;
-      (* per (join var, occurrence): persistent intersection output buffer,
-         grown on demand — restriction never allocates in steady state *)
-  gs_lbuf : int array array;  (* per atom: ditto, for literal pinning *)
-  gs_seen : (int, int) Hashtbl.t;
-  mutable gs_node_id : int;  (* monotonic across calls: stale [gs_seen]
-                                entries never match a live generation *)
-  gs_assignment : int array;
-  gs_assigned : bool array;
-  gs_out : int array;  (* emitted codes, gp_emit order *)
+and scratch = {
+  sc_eg : Egraph.t;  (* validity token: compare with the index's graph *)
+  sc_funcs : Egraph.func array;
+  sc_tables : Arena.table array;
+  sc_cidxs : colindex array;
+  sc_env : int array;
+  sc_lo : int array;  (* per atom: the current term's row range [lo, hi) *)
+  sc_hi : int array;
+  sc_keys : int array array;  (* per atom: key buffer for [Key] *)
+  sc_seen : seen array;  (* per atom, for a [Distinct] step; made at its first visit *)
+  mutable sc_rows : int array;  (* the join's matches: emitted codes, row-major *)
+  mutable sc_n : int;
+  mutable sc_packed : int array;  (* rows the residuals kept *)
 }
 
 (* [l] without its first element physically equal to [x] *)
@@ -479,8 +500,104 @@ let rec remove_first x = function
   | [] -> []
   | y :: l -> if y == x then l else y :: remove_first x l
 
-(** Compile a flattened plan for the generic join.  Every premise shape
-    compiles:
+(* the first index of [a] whose element passes [p], or -1 *)
+let find_index p a =
+  let rec go i = if i = Array.length a then -1 else if p a.(i) then i else go (i + 1) in
+  go 0
+
+(* Each term's atom order, a function of the plan alone: the delta atom,
+   then every atom whose arguments are all bound, then atoms with a bound
+   output column, then with any bound column, then the rest, each time
+   the lowest atom index first.  A term's order is made when the term
+   first searches, once for the plan and every instance of it. *)
+let join_orders atoms ~n_vars ~(emitted : bool array) ~(env_slot : gslot -> int) :
+    step array Lazy.t array =
+  let n_atoms = Array.length atoms in
+  let occ = Array.make n_vars 0 in
+  Array.iter
+    (fun ga -> Array.iter (function G_var v -> occ.(v) <- occ.(v) + 1 | _ -> ()) ga.g_slots)
+    atoms;
+  let bound = Array.make n_vars false and placed = Array.make n_atoms false in
+  let known = function G_var v -> bound.(v) | G_lit _ | G_global _ -> true | G_free -> false in
+  (* how atom [a]'s rows would be found now, ranked: by its key (0), by
+     its output column (1), by another bound column (2), by a scan (3) *)
+  let access a =
+    let s = atoms.(a).g_slots in
+    let n = Array.length s - 1 in
+    let n_known = ref 0 and first = ref (-1) in
+    for c = n - 1 downto 0 do
+      if known s.(c) then begin
+        incr n_known;
+        first := c
+      end
+    done;
+    if !n_known = n then (0, Key)
+    else if known s.(n) then (1, Col n)
+    else if !first >= 0 then (2, Col !first)
+    else (3, Scan)
+  in
+  let step a probe =
+    placed.(a) <- true;
+    let slots = atoms.(a).g_slots in
+    let n = Array.length slots - 1 in
+    let probed c = match probe with Key -> c < n | Col c' -> c = c' | Scan -> false in
+    let binds = ref [] and checks = ref [] in
+    let reads = ref false and joins = ref false and free_arg = ref false in
+    Array.iteri
+      (fun c s ->
+        match s with
+        | G_var v when not bound.(v) ->
+          if occ.(v) >= 2 || emitted.(v) then begin
+            bound.(v) <- true;
+            binds := v :: c :: !binds;
+            if occ.(v) >= 2 then joins := true else reads := true
+          end
+          else if c < n then free_arg := true
+        | G_free -> if c < n then free_arg := true
+        | G_var _ | G_lit _ | G_global _ ->
+          if not (probed c) then checks := env_slot s :: c :: !checks)
+      slots;
+    {
+      st_atom = a;
+      st_probe = probe;
+      st_src =
+        (match probe with
+        | Key -> Array.init n (fun c -> env_slot slots.(c))
+        | Col c -> [| env_slot slots.(c) |]
+        | Scan -> [||]);
+      st_bind = Array.of_list (List.rev !binds);
+      st_check = Array.of_list (List.rev !checks);
+      st_mode =
+        (if !reads then Each
+         else if not !joins then First
+         else if !free_arg then Distinct
+         else Each);
+    }
+  in
+  let term t =
+    Array.fill bound 0 n_vars false;
+    Array.fill placed 0 n_atoms false;
+    let first = step t (snd (access t)) in
+    let rest = ref [] in
+    for _ = 2 to n_atoms do
+      let best = ref (-1) and best_rank = ref 4 and best_probe = ref Scan in
+      for a = 0 to n_atoms - 1 do
+        if (not placed.(a)) && !best_rank > 0 then begin
+          let rank, probe = access a in
+          if rank < !best_rank then begin
+            best := a;
+            best_rank := rank;
+            best_probe := probe
+          end
+        end
+      done;
+      rest := step !best !best_probe :: !rest
+    done;
+    Array.of_list (first :: List.rev !rest)
+  in
+  Array.init n_atoms (fun t -> lazy (term t))
+
+(** Compile a flattened plan for the join.  Every premise shape compiles:
     - a table application is an atom whose columns hold variables,
       literals, globals or wildcards;
     - a primitive call or [vec-of] in a column is hoisted into a residual
@@ -529,6 +646,7 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     Printf.sprintf "?__snj%d" !n_aux
   in
   let atoms = ref [] and residuals = ref [] in
+  let is_table_call = function Ast.Call (f, _) -> is_table f | _ -> false in
   let rec has_table_call (e : Ast.expr) =
     match e with
     | Ast.Call (f, args) -> is_table f || List.exists has_table_call args
@@ -592,10 +710,12 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
           in
           add_atom f args out
         | Ast.F_expr e -> residuals := Ast.F_expr (hoist e) :: !residuals
+        | Ast.F_eq es when not (List.exists is_table_call es) ->
+          (* table applications only under primitives: no shared output
+             column, the whole equality is a residual over their values *)
+          residuals := Ast.F_eq (List.map hoist es) :: !residuals
         | Ast.F_eq es ->
-          let calls, others =
-            List.partition (function Ast.Call (f, _) -> is_table f | _ -> false) es
-          in
+          let calls, others = List.partition is_table_call es in
           (* one output column shared by every application: the first
              variable or literal conjunct, else nothing for a lone
              application among wildcards, else a fresh variable; every
@@ -672,33 +792,6 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     in
     order [] (List.rev !residuals)
   in
-  let occs = Array.make (Array.length gp_var_names) [] in
-  Array.iteri
-    (fun ai ga ->
-      Array.iteri
-        (fun c slot ->
-          match slot with
-          | G_var v -> occs.(v) <- (ai, c) :: occs.(v)
-          | _ -> ())
-        ga.g_slots)
-    gp_atoms;
-  let gp_occs = Array.map (fun l -> Array.of_list (List.rev l)) occs in
-  let gp_touched =
-    Array.map
-      (fun o ->
-        Array.of_list
-          (List.sort_uniq compare (List.map fst (Array.to_list o))))
-      gp_occs
-  in
-  let gp_may_dup =
-    Array.exists
-      (fun ga -> Array.exists (fun s -> s = G_free) ga.g_slots)
-      gp_atoms
-  in
-  let is_join = Array.map (fun o -> Array.length o >= 2) gp_occs in
-  let gp_join_vars =
-    Array.fold_left (fun n j -> if j then n + 1 else n) 0 is_join
-  in
   let gp_emit =
     match keep with
     | None -> Array.init (Array.length gp_var_names) Fun.id
@@ -732,65 +825,41 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
       gp_residuals;
     Array.of_list (List.rev !acc)
   in
-  let emitted = Array.make (Array.length gp_var_names) false in
-  Array.iter (fun v -> emitted.(v) <- true) gp_emit;
-  let gp_slot = Array.make (Array.length gp_var_names) (-1) in
-  Array.iteri (fun i v -> gp_slot.(v) <- i) gp_emit;
-  let gp_emit_join = Array.of_list
-      (List.map (fun v -> (v, gp_slot.(v)))
-         (List.filter (fun v -> is_join.(v)) (Array.to_list gp_emit)))
-  in
-  let gp_read =
-    Array.map
-      (fun ga ->
-        let acc = ref [] in
-        Array.iteri
-          (fun c slot ->
-            match slot with
-            | G_var v when (not is_join.(v)) && emitted.(v) ->
-              acc := (gp_slot.(v), c) :: !acc
-            | _ -> ())
-          ga.g_slots;
-        Array.of_list (List.rev !acc))
-      gp_atoms
-  in
-  (* every (atom, column, x) whose slot passes [pick] *)
-  let columns pick =
+  let n_vars = Array.length gp_var_names in
+  let gp_consts =
     let acc = ref [] in
-    Array.iteri
-      (fun ai ga ->
-        Array.iteri
-          (fun c slot ->
-            match pick slot with Some x -> acc := (ai, c, x) :: !acc | None -> ())
+    Array.iter
+      (fun ga ->
+        Array.iter
+          (function
+            | G_lit code when not (List.exists (Int.equal code) !acc) -> acc := code :: !acc
+            | _ -> ())
           ga.g_slots)
       gp_atoms;
     Array.of_list (List.rev !acc)
   in
-  let gp_lits = columns (function G_lit code -> Some code | _ -> None) in
-  let gp_pins = columns (function G_global g -> Some g | _ -> None) in
-  let gp_join_list =
-    let acc = ref [] in
-    Array.iteri (fun v j -> if j then acc := v :: !acc) is_join;
-    Array.of_list (List.rev !acc)
+  let env_slot = function
+    | G_var v -> v
+    | G_lit code -> n_vars + find_index (Int.equal code) gp_consts
+    | G_global g -> n_vars + Array.length gp_consts + g
+    | G_free -> invalid_arg "Matcher.env_slot"
   in
+  let emitted = Array.make n_vars false in
+  Array.iter (fun v -> emitted.(v) <- true) gp_emit;
   {
     gp_atoms;
+    gp_terms = join_orders gp_atoms ~n_vars ~emitted ~env_slot;
+    gp_consts;
     gp_residuals;
     gp_res_vars;
     gp_var_names;
     gp_globals;
-    gp_occs;
-    gp_touched;
-    gp_may_dup;
+    gp_may_dup =
+      Array.exists
+        (fun ga -> Array.exists (function G_free -> true | _ -> false) ga.g_slots)
+        gp_atoms;
     gp_aux_emitted = Array.exists (fun v -> is_aux_var gp_var_names.(v)) gp_emit;
     gp_emit;
-    gp_join_vars;
-    gp_emit_join;
-    gp_read;
-    gp_lits;
-    gp_pins;
-    gp_slot;
-    gp_join_list;
     gp_scratch = None;
   }
 
@@ -807,375 +876,218 @@ let pins idx (gp : gplan) : int array =
       | None -> error "unbound global %s" x)
     gp.gp_globals
 
+(* ------------------------------------------------------------------ *)
+(* The search                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(** Shared generic-join driver: runs every seminaive term of [gp] against
-    the snapshot and calls [flush] once per satisfying assignment, with the
-    emitted variables' arena {e codes} filled into a scratch row in
-    [gp_emit] order ([flush] must copy what it keeps).  Deterministic:
-    terms in atom order, candidates in row order.  A plan with no atoms
-    has exactly one (empty) assignment, reported by the full search
-    ([since < 0]) only. *)
-let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
-    unit =
-  let eg = idx.eg in
-  let n_atoms = Array.length gp.gp_atoms in
-  let n_vars = Array.length gp.gp_var_names in
-  let gs =
-    match gp.gp_scratch with
-    | Some gs when gs.gs_eg == eg -> gs
-    | _ ->
-      let funcs = Array.map (fun ga -> Egraph.find_func eg ga.g_sym) gp.gp_atoms in
-      let tables = Array.map (fun (f : Egraph.func) -> f.Egraph.store) funcs in
-      let range_mark = Array.make 1 0 in
-      let gs =
-        {
-          gs_eg = eg;
-          gs_funcs = funcs;
-          gs_tables = tables;
-          gs_cidxs = Array.mapi (fun i f -> colindex_of idx f tables.(i)) funcs;
-          gs_range_mark = range_mark;
-          gs_rs_buf = Array.make n_atoms range_mark;
-          gs_rs_lo = Array.make n_atoms 0;
-          gs_rs_hi = Array.make n_atoms 0;
-          gs_cands =
-            Array.init n_vars (fun _ -> { iv_buf = Array.make 8 0; iv_len = 0 });
-          gs_sv_buf =
-            Array.map (fun t -> Array.make (Array.length t) range_mark) gp.gp_touched;
-          gs_sv_lo = Array.map (fun t -> Array.make (Array.length t) 0) gp.gp_touched;
-          gs_sv_hi = Array.map (fun t -> Array.make (Array.length t) 0) gp.gp_touched;
-          gs_ibuf =
-            Array.map (fun occs -> Array.make (max 1 (Array.length occs)) [||]) gp.gp_occs;
-          gs_lbuf = Array.make (max 1 n_atoms) [||];
-          gs_seen = Hashtbl.create 64;
-          gs_node_id = 0;
-          gs_assignment = Array.make n_vars (-1);
-          gs_assigned = Array.make n_vars false;
-          gs_out = Array.make (Array.length gp.gp_emit) (-1);
-        }
-      in
-      gp.gp_scratch <- Some gs;
-      gs
-  in
-  let funcs = gs.gs_funcs and tables = gs.gs_tables and cidxs = gs.gs_cidxs in
-  let pin_codes = pins idx gp in
-  (* columns sync lazily on first probe (the records are mutated in place
-     and shared through [idx.colindexes], so one sync serves every rule,
-     and a column no rule probes is never built) *)
-  let bucket ai col code : ivec =
-    let a = Array.unsafe_get tables ai in
-    let cm = (Array.unsafe_get cidxs ai).ci_cols.(col) in
-    if not (cm_fresh cm a) then cm_sync cm a col;
-    im_find cm.cm_im code
-  in
-  (* Each atom's current row set lives in three parallel slots, mutated in
-     place and save/restored around each candidate: [rs_buf.(u) == range_mark]
-     means the contiguous row range [lo, hi), otherwise [rs_buf.(u)] is an
-     ascending row array viewed through indices [lo, hi). *)
-  let range_mark = gs.gs_range_mark in
-  let rs_buf = gs.gs_rs_buf in
-  let rs_lo = gs.gs_rs_lo in
-  let rs_hi = gs.gs_rs_hi in
-  let rs_size u = rs_hi.(u) - rs_lo.(u) in
-  (* restrict atom [u]'s row set to rows whose column holds [code]; false
-     if it became empty *)
-  let restrict u (b : ivec) (bufs : int array array) bi =
-    if rs_buf.(u) == range_mark then begin
-      let i = bsearch_ge b.iv_buf 0 b.iv_len rs_lo.(u) in
-      let j = bsearch_ge b.iv_buf i b.iv_len rs_hi.(u) in
-      rs_buf.(u) <- b.iv_buf;
-      rs_lo.(u) <- i;
-      rs_hi.(u) <- j;
-      i < j
-    end
-    else begin
-      let a = rs_buf.(u) and ai = rs_lo.(u) and aj = rs_hi.(u) in
-      let nb = b.iv_len in
-      if nb = 0 then begin
-        rs_hi.(u) <- ai;
-        false
-      end
-      else begin
-        let cap = min (aj - ai) nb in
-        let out =
-          let o = bufs.(bi) in
-          if Array.length o >= cap then o
-          else begin
-            let o = Array.make (max cap ((2 * Array.length o) + 8)) 0 in
-            bufs.(bi) <- o;
-            o
-          end
-        in
-        (* [out] may alias [a] (buffer reuse along a literal chain): the
-           write index never passes the read index, so in-place is fine *)
-        let k = ref 0 and i = ref ai and j = ref 0 in
-        while !i < aj && !j < nb do
-          let x = Array.unsafe_get a !i and y = Array.unsafe_get b.iv_buf !j in
-          if x = y then begin
-            Array.unsafe_set out !k x;
-            incr k;
-            incr i;
-            incr j
-          end
-          else if x < y then incr i
-          else incr j
-        done;
-        rs_buf.(u) <- out;
-        rs_lo.(u) <- 0;
-        rs_hi.(u) <- !k;
-        !k > 0
-      end
-    end
-  in
-  let iter_rows u tbl k =
-    if rs_buf.(u) == range_mark then
-      for r = rs_lo.(u) to rs_hi.(u) - 1 do
-        if not (Arena.is_dead tbl r) then k r
-      done
-    else begin
-      let a = rs_buf.(u) in
-      for t = rs_lo.(u) to rs_hi.(u) - 1 do
-        k a.(t)
-      done
-    end
-  in
-  (* per-variable scratch: candidate codes and the saved row-set slots of
-     the atoms the variable touches (a variable is on at most one branch
-     of the elimination tree at a time, so per-var scratch cannot be
-     clobbered by recursion) *)
-  let cands = gs.gs_cands in
-  let sv_buf = gs.gs_sv_buf in
-  let sv_lo = gs.gs_sv_lo in
-  let sv_hi = gs.gs_sv_hi in
-  (* candidate-code dedupe for wide drivers, generation-stamped so it is
-     shared by every node of every term — and every call — without
-     clearing ([gs_node_id] never repeats) *)
-  let seen = gs.gs_seen in
-  let assignment = gs.gs_assignment in
-  let assigned = gs.gs_assigned in
-  let out = gs.gs_out in
-  let solve_term t : unit =
-    let dn = Arena.n_rows tables.(t) in
-    let ds = Arena.delta_start tables.(t) ~since in
-    if ds < dn then begin
-      let ok = ref true in
-      for u = 0 to n_atoms - 1 do
-        rs_buf.(u) <- range_mark;
-        let tbl = tables.(u) in
-        if u = t then begin
-          rs_lo.(u) <- ds;
-          rs_hi.(u) <- dn
-        end
-        else begin
-          rs_lo.(u) <- 0;
-          rs_hi.(u) <- (if u < t then Arena.delta_start tbl ~since else Arena.n_rows tbl)
-        end;
-        if rs_size u <= 0 then ok := false
+(* the table of an atom no [Distinct] step has visited yet *)
+let no_seen = { sn_rows = [||]; sn_gens = [||]; sn_gen = 0; sn_count = 0 }
+
+(* the codes of [tbl]'s row [r] in the [bind] columns *)
+let sn_hash tbl r (bind : int array) =
+  let h = ref 0 and i = ref 0 in
+  while !i < Array.length bind do
+    h := (!h * 31) + Arena.col_code tbl r (Array.unsafe_get bind !i);
+    i := !i + 2
+  done;
+  (!h * 0x9E3779B1) lsr 4
+
+let sn_same tbl r r' (bind : int array) =
+  let i = ref 0 in
+  while
+    !i < Array.length bind
+    &&
+    let c = Array.unsafe_get bind !i in
+    Arena.col_code tbl r c = Arena.col_code tbl r' c
+  do
+    i := !i + 2
+  done;
+  !i >= Array.length bind
+
+(* a free slot of [sn] for [r]'s codes, or -1 when a row with them is there *)
+let sn_slot sn tbl r bind =
+  let mask = Array.length sn.sn_rows - 1 in
+  let i = ref (sn_hash tbl r bind land mask) in
+  while Array.unsafe_get sn.sn_gens !i = sn.sn_gen && not (sn_same tbl r sn.sn_rows.(!i) bind) do
+    i := (!i + 1) land mask
+  done;
+  if Array.unsafe_get sn.sn_gens !i = sn.sn_gen then -1 else !i
+
+let sn_add sn i r =
+  sn.sn_rows.(i) <- r;
+  sn.sn_gens.(i) <- sn.sn_gen;
+  sn.sn_count <- sn.sn_count + 1
+
+(* true the first time this visit meets [r]'s codes in the [bind] columns *)
+let sn_first sn tbl r bind =
+  if 2 * (sn.sn_count + 1) > Array.length sn.sn_rows then begin
+    let rows = sn.sn_rows and gens = sn.sn_gens in
+    sn.sn_rows <- Array.make (2 * Array.length rows) 0;
+    sn.sn_gens <- Array.make (2 * Array.length rows) 0;
+    sn.sn_count <- 0;
+    Array.iteri
+      (fun i g -> if g = sn.sn_gen then sn_add sn (sn_slot sn tbl rows.(i) bind) rows.(i))
+      gens
+  end;
+  match sn_slot sn tbl r bind with
+  | -1 -> false
+  | i ->
+    sn_add sn i r;
+    true
+
+(* [gp]'s scratch for the index's e-graph, made on first use *)
+let scratch_of idx (gp : gplan) : scratch =
+  match gp.gp_scratch with
+  | Some sc when sc.sc_eg == idx.eg -> sc
+  | _ ->
+    let eg = idx.eg in
+    let funcs = Array.map (fun ga -> Egraph.find_func eg ga.g_sym) gp.gp_atoms in
+    let tables = Array.map (fun (f : Egraph.func) -> f.Egraph.store) funcs in
+    let n_vars = Array.length gp.gp_var_names and n_atoms = Array.length gp.gp_atoms in
+    let env = Array.make (n_vars + Array.length gp.gp_consts + Array.length gp.gp_globals) (-1) in
+    Array.blit gp.gp_consts 0 env n_vars (Array.length gp.gp_consts);
+    let sc =
+      {
+        sc_eg = eg;
+        sc_funcs = funcs;
+        sc_tables = tables;
+        sc_cidxs = Array.mapi (fun i f -> colindex_of idx f tables.(i)) funcs;
+        sc_env = env;
+        sc_lo = Array.make n_atoms 0;
+        sc_hi = Array.make n_atoms 0;
+        sc_keys = Array.map (fun ga -> Array.make (Array.length ga.g_slots - 1) 0) gp.gp_atoms;
+        sc_seen = Array.make n_atoms no_seen;
+        sc_rows = [||];
+        sc_n = 0;
+        sc_packed = [||];
+      }
+    in
+    gp.gp_scratch <- Some sc;
+    sc
+
+(* room for [n] ints in [a], keeping the first [used] *)
+let reserve (a : int array) used n =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+(** The join: runs every seminaive term of [gp] against the snapshot and
+    leaves each match's emitted codes, in [gp_emit] order, in [sc_rows]
+    ([sc_n] of them).  Deterministic: terms in atom order, each term's
+    atoms in its compiled order, rows in row order.  Allocates nothing per
+    row or match once the scratch has grown to fit.  A plan with no atoms
+    has exactly one (empty) match, found by the full search ([since < 0])
+    only. *)
+let join idx (gp : gplan) ~(since : int) : scratch =
+  let sc = scratch_of idx gp in
+  let tables = sc.sc_tables and env = sc.sc_env and lo = sc.sc_lo and hi = sc.sc_hi in
+  let emit = gp.gp_emit in
+  let width = Array.length emit in
+  let pin_base = Array.length gp.gp_var_names + Array.length gp.gp_consts in
+  Array.iteri (fun g c -> env.(pin_base + g) <- c) (pins idx gp);
+  sc.sc_n <- 0;
+  let rec go (steps : step array) k =
+    if k = Array.length steps then begin
+      let base = sc.sc_n * width in
+      if base + width > Array.length sc.sc_rows then
+        sc.sc_rows <- reserve sc.sc_rows base (base + width);
+      let rows = sc.sc_rows in
+      for i = 0 to width - 1 do
+        Array.unsafe_set rows (base + i) (Array.unsafe_get env (Array.unsafe_get emit i))
       done;
-      (* pin literal and global columns first: cheap, and it shrinks the
-         driver sets *)
-      (let lits = gp.gp_lits and gpins = gp.gp_pins in
-       let n_lits = Array.length lits in
-       let i = ref 0 in
-       while !ok && !i < n_lits + Array.length gpins do
-         let u, c, code =
-           if !i < n_lits then lits.(!i)
-           else
-             let u, c, g = gpins.(!i - n_lits) in
-             (u, c, pin_codes.(g))
-         in
-         if not (restrict u (bucket u c code) gs.gs_lbuf u) then ok := false;
-         incr i
-       done);
-      if !ok then begin
-        let rec elim n_left =
-          if n_left = 0 then begin
-            (* all join variables bound: the surviving rows of each atom
-               directly enumerate the bindings of its single-occurrence
-               variables (usually one row per atom) *)
-            Array.iter
-              (fun (v, slot) -> out.(slot) <- assignment.(v))
-              gp.gp_emit_join;
-            let rec rows ai =
-              if ai = n_atoms then flush out
-              else begin
-                let reads = gp.gp_read.(ai) in
-                let n_reads = Array.length reads in
-                if n_reads = 0 then
-                  (* fully bound atom: every column was pinned by a literal
-                     or an eliminated join variable, so exactly one (live,
-                     bucket-backed) row survives — nothing to read off it *)
-                  rows (ai + 1)
-                else begin
-                  let tbl = tables.(ai) in
-                  if rs_buf.(ai) == range_mark then
-                    for r = rs_lo.(ai) to rs_hi.(ai) - 1 do
-                      if not (Arena.is_dead tbl r) then begin
-                        for i = 0 to n_reads - 1 do
-                          let slot, c = reads.(i) in
-                          out.(slot) <- Arena.col_code tbl r c
-                        done;
-                        rows (ai + 1)
-                      end
-                    done
-                  else begin
-                    let arr = rs_buf.(ai) in
-                    for ti = rs_lo.(ai) to rs_hi.(ai) - 1 do
-                      let r = Array.unsafe_get arr ti in
-                      for i = 0 to n_reads - 1 do
-                        let slot, c = reads.(i) in
-                        out.(slot) <- Arena.col_code tbl r c
-                      done;
-                      rows (ai + 1)
-                    done
-                  end
-                end
-              end
-            in
-            rows 0
-          end
-          else begin
-            (* dynamic variable ordering: eliminate the unassigned join
-               variable with the smallest occurrence row set, so
-               restrictions propagate before wide columns are enumerated.
-               Ties break by variable id, then occurrence order —
-               deterministic. *)
-            let v = ref (-1) and da = ref (-1) and dc = ref (-1) in
-            let best = ref max_int in
-            let jlist = gp.gp_join_list in
-            let n_join = Array.length jlist in
-            let w = ref 0 in
-            while !best > 1 && !w < n_join do
-              let jv = Array.unsafe_get jlist !w in
-              (if not assigned.(jv) then begin
-                 let occs = gp.gp_occs.(jv) in
-                 let k = ref 0 in
-                 while !best > 1 && !k < Array.length occs do
-                   let a, c = occs.(!k) in
-                   let sz = rs_size a in
-                   if sz < !best then begin
-                     best := sz;
-                     v := jv;
-                     da := a;
-                     dc := c
-                   end;
-                   incr k
-                 done
-               end);
-              incr w
-            done;
-            let v = !v and da = !da and dc = !dc in
-            let occs = gp.gp_occs.(v) in
-            let n_occs = Array.length occs in
-            (* distinct codes of the driver column, in row order (keeps the
-               search deterministic); hash only when the driver is wide *)
-            let cv = cands.(v) in
-            cv.iv_len <- 0;
-            let small = rs_size da <= 32 in
-            if small then
-              iter_rows da tables.(da) (fun r ->
-                  let code = Arena.col_code tables.(da) r dc in
-                  let dup = ref false in
-                  for i = 0 to cv.iv_len - 1 do
-                    if cv.iv_buf.(i) = code then dup := true
-                  done;
-                  if not !dup then iv_push cv code)
-            else begin
-              gs.gs_node_id <- gs.gs_node_id + 1;
-              let nid = gs.gs_node_id in
-              iter_rows da tables.(da) (fun r ->
-                  let code = Arena.col_code tables.(da) r dc in
-                  match Hashtbl.find_opt seen code with
-                  | Some g when g = nid -> ()
-                  | _ ->
-                    Hashtbl.replace seen code nid;
-                    iv_push cv code)
-            end;
-            let touched = gp.gp_touched.(v) in
-            let n_touched = Array.length touched in
-            (* save the pre-candidate row-set slots, restored per candidate *)
-            let sb = sv_buf.(v) and sl = sv_lo.(v) and sh = sv_hi.(v) in
-            for i = 0 to n_touched - 1 do
-              let a = touched.(i) in
-              sb.(i) <- rs_buf.(a);
-              sl.(i) <- rs_lo.(a);
-              sh.(i) <- rs_hi.(a)
-            done;
-            assigned.(v) <- true;
-            for ci = 0 to cv.iv_len - 1 do
-              let code = cv.iv_buf.(ci) in
-              let ok = ref true in
-              let k = ref 0 in
-              let ibufs = gs.gs_ibuf.(v) in
-              while !ok && !k < n_occs do
-                let a, c = occs.(!k) in
-                if small && a = da && c = dc then begin
-                  (* driver occurrence over a small row set: filter the rows
-                     we just enumerated directly — cheaper than probing the
-                     column index and intersecting *)
-                  let tbl = tables.(a) in
-                  let cap = rs_size a in
-                  let buf =
-                    let o = ibufs.(!k) in
-                    if Array.length o >= cap then o
-                    else begin
-                      let o = Array.make (max cap ((2 * Array.length o) + 8)) 0 in
-                      ibufs.(!k) <- o;
-                      o
-                    end
-                  in
-                  let n = ref 0 in
-                  if rs_buf.(a) == range_mark then
-                    for r = rs_lo.(a) to rs_hi.(a) - 1 do
-                      if
-                        (not (Arena.is_dead tbl r))
-                        && Arena.col_code tbl r c = code
-                      then begin
-                        buf.(!n) <- r;
-                        incr n
-                      end
-                    done
-                  else begin
-                    let arr = rs_buf.(a) in
-                    for t = rs_lo.(a) to rs_hi.(a) - 1 do
-                      let r = arr.(t) in
-                      if Arena.col_code tbl r c = code then begin
-                        buf.(!n) <- r;
-                        incr n
-                      end
-                    done
-                  end;
-                  rs_buf.(a) <- buf;
-                  rs_lo.(a) <- 0;
-                  rs_hi.(a) <- !n;
-                  if !n = 0 then ok := false
-                end
-                else if not (restrict a (bucket a c code) ibufs !k) then
-                  ok := false;
-                incr k
-              done;
-              if !ok then begin
-                assignment.(v) <- code;
-                elim (n_left - 1)
-              end;
-              for i = 0 to n_touched - 1 do
-                let a = touched.(i) in
-                rs_buf.(a) <- sb.(i);
-                rs_lo.(a) <- sl.(i);
-                rs_hi.(a) <- sh.(i)
-              done
-            done;
-            assigned.(v) <- false
-          end
-        in
-        elim gp.gp_join_vars
-      end
+      sc.sc_n <- sc.sc_n + 1
     end
+    else begin
+      let st = Array.unsafe_get steps k in
+      let a = st.st_atom in
+      let tbl = Array.unsafe_get tables a in
+      let lo = Array.unsafe_get lo a and hi = Array.unsafe_get hi a in
+      if st.st_mode = Distinct then begin
+        if sc.sc_seen.(a) == no_seen then
+          sc.sc_seen.(a) <-
+            { sn_rows = Array.make 16 0; sn_gens = Array.make 16 0; sn_gen = 0; sn_count = 0 };
+        let sn = sc.sc_seen.(a) in
+        sn.sn_gen <- sn.sn_gen + 1;
+        sn.sn_count <- 0
+      end;
+      match st.st_probe with
+      | Key ->
+        let key = Array.unsafe_get sc.sc_keys a and src = st.st_src in
+        for i = 0 to Array.length src - 1 do
+          Array.unsafe_set key i (Array.unsafe_get env (Array.unsafe_get src i))
+        done;
+        let r = Arena.find tbl key in
+        if r >= lo && r < hi then ignore (visit steps k st tbl r)
+      | Scan ->
+        let r = ref lo in
+        while !r < hi do
+          if (not (Arena.is_dead tbl !r)) && visit steps k st tbl !r then r := hi else incr r
+        done
+      | Col c ->
+        let cm = (Array.unsafe_get sc.sc_cidxs a).ci_cols.(c) in
+        if not (cm_fresh cm tbl) then cm_sync cm tbl c;
+        let b = im_find cm.cm_im (Array.unsafe_get env (Array.unsafe_get st.st_src 0)) in
+        let i = ref (bsearch_ge b.iv_buf 0 b.iv_len lo) in
+        while !i < b.iv_len && Array.unsafe_get b.iv_buf !i < hi do
+          if visit steps k st tbl (Array.unsafe_get b.iv_buf !i) then i := b.iv_len else incr i
+        done
+    end
+  (* one candidate row of step [k]: bind, check, go on; true when the
+     step needs no further rows *)
+  and visit steps k st tbl r =
+    let bind = st.st_bind and check = st.st_check in
+    let i = ref 0 in
+    while !i < Array.length bind do
+      Array.unsafe_set env
+        (Array.unsafe_get bind (!i + 1))
+        (Arena.col_code tbl r (Array.unsafe_get bind !i));
+      i := !i + 2
+    done;
+    let j = ref 0 in
+    while
+      !j < Array.length check
+      && Arena.col_code tbl r (Array.unsafe_get check !j)
+         = Array.unsafe_get env (Array.unsafe_get check (!j + 1))
+    do
+      j := !j + 2
+    done;
+    if !j < Array.length check then false
+    else
+      match st.st_mode with
+      | Each ->
+        go steps (k + 1);
+        false
+      | First ->
+        go steps (k + 1);
+        true
+      | Distinct ->
+        if sn_first sc.sc_seen.(st.st_atom) tbl r bind then go steps (k + 1);
+        false
   in
-  if n_atoms = 0 then (if since < 0 then flush out)
+  let n_atoms = Array.length gp.gp_atoms in
+  if n_atoms = 0 then (if since < 0 then go [||] 0)
   else
     for t = 0 to n_atoms - 1 do
-      if funcs.(t).Egraph.last_modified > since then solve_term t
-    done
+      let dn = Arena.n_rows tables.(t) in
+      let ds = Arena.delta_start tables.(t) ~since in
+      if sc.sc_funcs.(t).Egraph.last_modified > since && ds < dn then begin
+        (* atoms before [t] see only old rows, atoms after it every row *)
+        let empty = ref false in
+        for u = 0 to n_atoms - 1 do
+          lo.(u) <- (if u = t then ds else 0);
+          hi.(u) <-
+            (if u = t then dn
+             else if u < t then Arena.delta_start tables.(u) ~since
+             else Arena.n_rows tables.(u));
+          if hi.(u) <= lo.(u) then empty := true
+        done;
+        if not !empty then go (Lazy.force gp.gp_terms.(t)) 0
+      end
+    done;
+  sc
 
 (** The residual facts, in the order they run on each row. *)
 let gp_residuals gp = gp.gp_residuals
@@ -1196,69 +1108,58 @@ let gp_own_slots gp =
     output column -> the function's return sort); a residual-bound
     variable's is not known until its value is. *)
 let gp_slot_sorts idx gp =
-  Array.append
-    (Array.map
-       (fun v ->
-         let a, c = gp.gp_occs.(v).(0) in
-         let f = Egraph.find_func idx.eg gp.gp_atoms.(a).g_sym in
-         Some
-           (if c < Array.length f.Egraph.arg_sorts then f.Egraph.arg_sorts.(c)
-            else f.Egraph.ret_sort))
-       gp.gp_emit)
-    (Array.map (fun _ -> None) gp.gp_res_vars)
+  let is_v v = function G_var v' -> v' = v | _ -> false in
+  let sort_of v =
+    let a = find_index (fun ga -> Array.exists (is_v v) ga.g_slots) gp.gp_atoms in
+    let ga = gp.gp_atoms.(a) in
+    let c = find_index (is_v v) ga.g_slots in
+    let f = Egraph.find_func idx.eg ga.g_sym in
+    Some (if c < Array.length f.Egraph.arg_sorts then f.Egraph.arg_sorts.(c) else f.Egraph.ret_sort)
+  in
+  Array.append (Array.map sort_of gp.gp_emit) (Array.map (fun _ -> None) gp.gp_res_vars)
 
-(** Generic-join solve: every match of the plan that involves at least one
-    row newer than stamp [since] ([~since:-1] is the full naive join), as
-    a flat row of arena codes in {!gp_slot_names} order.  Per delta atom
-    [t], the term joins [t]'s delta {e suffix} against old {e prefixes}
-    (atoms before [t]) and full tables (after), so every combination of
-    rows is derived by exactly one term.  A plan with residuals gives each
-    join row one slot per residual-bound variable (initially [-1]) and
-    keeps it when [residual] — the caller's compiled residuals, which fill
-    those slots — returns true.  Rows equal on the join's codes are
-    dropped first when some atom has a wildcard column (rows differing in
-    an unbound column witness the same match), and rows equal on the
-    own variables last when aux variables were emitted, each time keeping
-    the first. *)
+(** Seminaive solve: every match of the plan that involves at least one
+    row newer than stamp [since] ([~since:-1] is the full join), as a flat
+    row of arena codes in {!gp_slot_names} order.  Per delta atom [t], the
+    term joins [t]'s delta {e suffix} against old {e prefixes} (atoms
+    before [t]) and full tables (after), so every combination of rows is
+    derived by exactly one term.  A plan with residuals gives each join
+    row one slot per residual-bound variable (initially [-1]) and keeps it
+    when [residual] — the caller's compiled residuals, which fill those
+    slots — returns true.  Rows equal on the join's codes are dropped
+    first when some atom has a wildcard column (rows differing in an
+    unbound column witness the same match), and rows equal on the own
+    variables last when aux variables were emitted, each time keeping the
+    first.  The rows live in the plan instance's scratch until its next
+    search. *)
 type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
 
 let gsolve_packed idx (gp : gplan) ~(since : int) ~(residual : int array -> bool) : packed =
-  let width = Array.length gp.gp_emit + Array.length gp.gp_res_vars in
-  let buf = ref (Array.make (max 1 (16 * width)) 0) in
-  let n = ref 0 in
-  let push row =
-    let need = (!n + 1) * width in
-    if need > Array.length !buf then begin
-      let b = Array.make (max need (2 * Array.length !buf)) 0 in
-      Array.blit !buf 0 b 0 (!n * width);
-      buf := b
-    end;
-    Array.blit row 0 !buf (!n * width) width;
-    incr n
-  in
+  let sc = join idx gp ~since in
+  let w = Array.length gp.gp_emit in
   if gp.gp_residuals = [] && not (gp.gp_may_dup || gp.gp_aux_emitted) then
-    gsolve_core idx gp ~since ~flush:push
+    { pk_buf = sc.sc_rows; pk_rows = sc.sc_n; pk_width = w }
   else begin
     (* the residuals run once the join is done, so a fault they raise
        cannot leave the join's scratch half-updated *)
-    let joined = ref [] in
-    gsolve_core idx gp ~since ~flush:(fun out -> joined := Array.copy out :: !joined);
+    let width = w + Array.length gp.gp_res_vars in
     let first seen key = (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true) in
     let seen_join = Hashtbl.create 16 and seen_own = Hashtbl.create 16 in
     let own = gp_own_slots gp in
     let row = Array.make width (-1) in
-    List.iter
-      (fun out ->
-        let w = Array.length out in
-        if (not gp.gp_may_dup) || first seen_join out then begin
-          Array.blit out 0 row 0 w;
-          Array.fill row w (width - w) (-1);
-          if
-            (gp.gp_residuals = [] || residual row)
-            && ((not gp.gp_aux_emitted)
-               || first seen_own (Array.map (Array.get row) own))
-          then push row
-        end)
-      (List.rev !joined)
-  end;
-  { pk_buf = !buf; pk_rows = !n; pk_width = width }
+    let n = ref 0 in
+    for i = 0 to sc.sc_n - 1 do
+      Array.blit sc.sc_rows (i * w) row 0 w;
+      Array.fill row w (width - w) (-1);
+      if
+        ((not gp.gp_may_dup) || first seen_join (Array.sub row 0 w))
+        && (gp.gp_residuals = [] || residual row)
+        && ((not gp.gp_aux_emitted) || first seen_own (Array.map (Array.get row) own))
+      then begin
+        sc.sc_packed <- reserve sc.sc_packed (!n * width) ((!n + 1) * width);
+        Array.blit row 0 sc.sc_packed (!n * width) width;
+        incr n
+      end
+    done;
+    { pk_buf = sc.sc_packed; pk_rows = !n; pk_width = width }
+  end

@@ -1,18 +1,23 @@
 (** E-matching: finding all substitutions under which a rule's premises
     hold in the current e-graph.
 
-    There is one matcher, the generic join.  {!compile} flattens a rule's
-    premises once; {!gcompile} turns the flattened premises into flat
-    table atoms — each column a variable, a literal, a global, or a
+    There is one matcher, a nested-loop join.  {!compile} flattens a
+    rule's premises once; {!gcompile} turns the flattened premises into
+    flat table atoms — each column a variable, a literal, a global, or a
     wildcard — plus residual facts over primitives only.  {!gsolve_packed}
-    joins the atoms variable by variable over per-(function, column)
-    indexes of the arena tables, seminaively: one term per atom, the
-    term's atom scans only the rows stamped after a given timestamp (the
-    delta), atoms before it only older rows and atoms after it the full
-    table, so every row combination is derived by exactly one term.  The
-    matches are rows of arena codes; the caller's compiled residuals run
-    on each row, in the order {!gp_residuals} gives (premise order unless
-    one binds what an earlier one reads). *)
+    joins the atoms seminaively: one term per atom, the term's atom reads
+    only the rows stamped after a given timestamp (the delta), atoms
+    before it only older rows and atoms after it the full table, so every
+    row combination is derived by exactly one term.  Each term walks its
+    atoms in an order fixed by the plan: the delta atom, then each atom
+    whose arguments are all bound (one lookup in the table's own key
+    hash), then atoms probed through a per-(function, column) index on a
+    bound column, the output column first, then scans.  The matches are
+    rows of arena codes: one per distinct assignment of the variables that
+    occur twice or more, times the rows of each atom that binds a variable
+    the consumer reads and no other atom mentions.  The caller's compiled
+    residuals run on each row, in the order {!gp_residuals} gives (premise
+    order unless one binds what an earlier one reads). *)
 
 exception Error of string
 
@@ -41,13 +46,12 @@ type plan
     when it first compiles it. *)
 val compile : Ast.fact list -> plan
 
-(** A rule body compiled for the worst-case-optimal generic join: flat
-    table atoms joined variable-by-variable over per-(function, column)
-    indexes of the arena tables, plus pure-primitive residual facts the
-    caller runs on each packed row. *)
+(** A rule body compiled for the join: flat table atoms, the atom order
+    of each seminaive term, plus pure-primitive residual facts the caller
+    runs on each packed row. *)
 type gplan
 
-(** Compile a plan for the generic join.  Every premise shape compiles:
+(** Compile a plan for the join.  Every premise shape compiles:
     the [pinned] bare names denote globals, pinned per search; primitive
     calls and [vec-of] in slots become residuals on fresh variables, table
     applications under primitives become atoms, and an equality over
@@ -58,10 +62,11 @@ val gcompile : ?keep:string list -> pinned:string list -> index -> plan -> gplan
 
 (** The same plan, with search scratch of its own.  A plan names tables
     by symbol and holds literal codes of the pool it was compiled
-    against; its scratch holds the tables and column indexes of the last
-    e-graph it searched.  So an engine that copied that pool (a fork)
-    searches its own instance, and the compiled plan holds no engine's
-    rows. *)
+    against, and its terms' atom orders, which every instance shares; its
+    scratch holds the tables and column indexes of the last e-graph it
+    searched, the binding array and the match buffers.  So an engine that
+    copied that pool (a fork) searches its own instance, and the compiled
+    plan holds no engine's rows. *)
 val gp_instance : gplan -> gplan
 
 (** {1 Search} *)
@@ -87,13 +92,15 @@ val gp_slot_sorts : index -> gplan -> Egraph.sort_kind option array
 val gp_own_slots : gplan -> int array
 
 (** Packed matches: [pk_rows] consecutive rows of [pk_width] arena
-    codes, row-major in [pk_buf], in discovery order. *)
+    codes, row-major in [pk_buf], in discovery order.  [pk_buf] is the
+    plan instance's own buffer, valid until its next search. *)
 type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
 
 (** Seminaive solve: the matches that involve at least one row stamped
     strictly after [since] ([~since:-1] is the full join), as rows of
-    arena codes in {!gp_slot_names} order, with no per-match allocation
-    on a plan without residuals or wildcard columns.  A plan with
+    arena codes in {!gp_slot_names} order, with no allocation per row or
+    match on a plan without residuals, wildcard columns or emitted aux
+    variables once its buffers have grown to fit.  A plan with
     residuals runs [residual] on each join row after the join; it fills
     the residual-bound slots (each [-1] until then) and says whether the
     row is kept.  Rows that repeat a kept row's join codes (possible

@@ -40,21 +40,21 @@ let fresh t =
   t.size <- id + 1;
   id
 
+(* the root of [x], halving the path: closed, so a call allocates nothing *)
+let rec root parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let gp = parent.(p) in
+    parent.(x) <- gp;
+    root parent gp
+  end
+
 (** [find t x] returns the canonical representative of [x]'s set.
     Raises [Invalid_argument] if [x] was never allocated. *)
 let find t x =
   if x < 0 || x >= t.size then invalid_arg "Union_find.find: id out of range";
-  let rec go x =
-    let p = t.parent.(x) in
-    if p = x then x
-    else begin
-      (* path halving *)
-      let gp = t.parent.(p) in
-      t.parent.(x) <- gp;
-      go gp
-    end
-  in
-  go x
+  root t.parent x
 
 (** [union t a b] merges the sets of [a] and [b] and returns the canonical
     representative of the merged set. *)

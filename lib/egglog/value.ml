@@ -28,13 +28,13 @@ let rec equal a b =
   | Str x, Str y -> String.equal x y
   | Bool x, Bool y -> Bool.equal x y
   | Unit, Unit -> true
-  | Vec x, Vec y ->
-    Array.length x = Array.length y
-    && (let ok = ref true in
-        Array.iteri (fun i xi -> if not (equal xi y.(i)) then ok := false) x;
-        !ok)
+  | Vec x, Vec y -> elems_equal x y
   | Eclass x, Eclass y -> Int.equal x y
   | _ -> false
+
+(* closed, so a comparison allocates nothing *)
+and elems_equal x y = Array.length x = Array.length y && elems_from x y 0
+and elems_from x y i = i = Array.length x || (equal x.(i) y.(i) && elems_from x y (i + 1))
 
 let rec hash v =
   match v with
@@ -102,12 +102,7 @@ end)
 module Args_tbl = Hashtbl.Make (struct
   type nonrec t = t array
 
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let ok = ref true in
-    Array.iteri (fun i ai -> if not (equal ai b.(i)) then ok := false) a;
-    !ok
+  let equal = elems_equal
 
   let hash a = Array.fold_left (fun acc v -> (acc * 31) + hash v) 17 a
 end)

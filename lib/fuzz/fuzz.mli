@@ -17,7 +17,7 @@
       byte-identical output disagreed (seminaive ≡ naive matching,
       batch ≡ sequential, warm cache ≡ cold run); after
       saturating the case's function, some rule's full match set through
-      the generic join differs from the brute-force {!Reference} matcher's
+      the join differs from the brute-force {!Reference} matcher's
       ([match-diff]), or some class extracts differently through
       {!Egglog.Extract} than through the reference extractor
       ([extract-diff]); or the optimized program computes different results

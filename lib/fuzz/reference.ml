@@ -1,5 +1,5 @@
 (* The brute-force reference matcher and extractor; see the interface for
-   the models.  Slow on purpose, sharing none of the generic join's code
+   the models.  Slow on purpose, sharing none of the join's code
    and none of the extractor's index. *)
 
 open Egglog
@@ -231,7 +231,7 @@ let matches eg ~globals (facts : Ast.fact list) : (string * Value.t) list list =
   loop Env.empty atoms;
   List.sort_uniq compare !found
 
-(** Every rule of [t] whose full match set through the generic join
+(** Every rule of [t] whose full match set through the join
     differs from {!matches} under the globals the rule pinned, with the
     join's and the reference's number of matches. *)
 let disagreements (t : Interp.t) : (string * int * int) list =

@@ -5,7 +5,7 @@
     plans.  Every table application, at any depth, is an atom enumerated
     by a nested loop over all rows of its table ([Egraph.iter_rows]);
     everything else is a constraint run once the atoms have bound what
-    they can.  The tests and the fuzzer compare the generic join
+    they can.  The tests and the fuzzer compare the join
     ({!Egglog.Matcher}) against it.
 
     The extractor is the naive algorithm {!Egglog.Extract} replaced: class
@@ -24,7 +24,7 @@ val matches :
   Egglog.Ast.fact list ->
   (string * Egglog.Value.t) list list
 
-(** Every rule of the engine whose full match set through the generic join
+(** Every rule of the engine whose full match set through the join
     ({!Egglog.Interp.query}, under the globals the rule pinned) differs
     from the reference's, as (rule name, join matches, reference
     matches). *)

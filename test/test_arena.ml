@@ -664,6 +664,25 @@ let test_empty_tables () =
   Arena.compact a;
   checki "a copy of a written table is its own" r (Arena.find c key)
 
+(* A vector interned by its element codes gets the code interning the
+   vector itself gives, in the pool it is interned in only. *)
+let test_encode_vec () =
+  let pool = Arena.create_pool () in
+  let three = Arena.encode pool (Value.I64 3L) and c5 = Arena.code_of_class 5 in
+  let v = Arena.encode_vec pool [| three; c5 |] in
+  checki "the vector's own code" (Arena.encode pool (Value.Vec [| I64 3L; Eclass 5 |])) v;
+  checki "found again by its codes" v (Arena.encode_vec pool [| three; c5 |]);
+  checkb "a vector interned by value first" true
+    (Arena.encode pool (Value.Vec [| Eclass 5 |]) = Arena.encode_vec pool [| c5 |]);
+  let copy = Arena.copy_pool pool in
+  let w = Arena.encode_vec copy [| c5; three |] in
+  let w' = Arena.encode_vec pool [| three; three |] in
+  checki "each pool appends its own" w w';
+  checkb "the copy's vector" true
+    (Value.equal (Arena.decode copy w) (Value.Vec [| Eclass 5; I64 3L |]));
+  checkb "the original's vector" true
+    (Value.equal (Arena.decode pool w') (Value.Vec [| I64 3L; I64 3L |]))
+
 let () =
   Alcotest.run "arena"
     [
@@ -689,5 +708,8 @@ let () =
       ( "stats",
         [ Alcotest.test_case "n_nodes cache" `Quick test_n_nodes_cache ] );
       ( "tables",
-        [ Alcotest.test_case "never-written tables" `Quick test_empty_tables ] );
+        [
+          Alcotest.test_case "never-written tables" `Quick test_empty_tables;
+          Alcotest.test_case "vectors interned by element codes" `Quick test_encode_vec;
+        ] );
     ]

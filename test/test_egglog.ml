@@ -1531,6 +1531,153 @@ let test_lazy_rule_global () =
 (check (W (B)))|};
   Alcotest.(check (list string)) "push/pop counts" [ "rule-1 2 2" ] (stat_rows t)
 
+(* The join's match multiset: one match per distinct assignment of the
+   variables that occur twice or more, times the rows of each atom that
+   binds a variable read nowhere else.  A plain row-by-row loop would
+   differ on every shape below. *)
+let test_join_match_counts () =
+  let counts src =
+    let t = Interp.create () in
+    Interp.run_string t src;
+    stat_rows t
+  in
+  let case name expected src = Alcotest.(check (list string)) name expected (counts src) in
+  (* no premise below leaves an output column free unless it says so: a
+     free column would let the wildcard dedupe hide the join's counts *)
+  let graph =
+    {|(datatype E (A) (B) (C) (Num i64) (S E) (P E E))
+(relation hit (E))
+(function val (E) i64)
+(let a (A))
+|}
+  in
+  (* P binds ?y and ?r, which no action reads: one match for ?x = a, not two *)
+  case "unread atom counts once" [ "rule-1 1 1" ]
+    (graph ^ "(P a (B)) (P a (C)) (S a)\n(rule ((= ?s (S ?x)) (= ?r (P ?x ?y))) ((hit ?x)))\n(run 2)");
+  (* the same rule when P's rows are the new ones: P comes first in the
+     join and counts once per distinct ?x (ten of them, three rows each) *)
+  case "unread atom first in its term" [ "rule-1 2 10" ]
+    (graph
+    ^ String.concat " " (List.init 10 (Printf.sprintf "(S (Num %d))"))
+    ^ "\n(rule ((= ?s (S ?x)) (= ?r (P ?x ?y))) ((hit ?x)))\n(run 1)\n"
+    ^ String.concat " "
+        (List.init 30 (fun i -> Printf.sprintf "(P (Num %d) (Num %d))" (i mod 10) (100 + i)))
+    ^ "\n(run 1)");
+  (* read, ?y makes one match per row *)
+  case "read atom counts per row" [ "rule-1 1 2" ]
+    (graph ^ "(P a (B)) (P a (C)) (S a)\n(rule ((= ?s (S ?x)) (= ?r (P ?x ?y))) ((hit ?y)))\n(run 2)");
+  (* ?x twice in one atom: only the rows whose two arguments agree *)
+  case "repeated variable" [ "rule-1 1 2"; "rule-2 1 2" ]
+    (graph
+    ^ {|(P a a) (P (B) (B)) (P a (B))
+(rule ((= ?r (P ?x ?x))) ((hit ?x)))
+(rule ((= ?r (P ?x ?x))) ((hit ?r)))
+(run 2)|});
+  (* a literal output column, and a literal under a nested constructor *)
+  case "literal columns" [ "rule-1 1 2"; "rule-2 1 1" ]
+    (graph
+    ^ {|(set (val a) 7) (set (val (B)) 7) (set (val (C)) 8)
+(P a (Num 1)) (P (B) (Num 2))
+(rule ((= (val ?x) 7)) ((hit ?x)))
+(rule ((= ?r (P ?x (Num 1)))) ((hit ?x)))
+(run 2)|});
+  (* a global column: after its class merges, the rule searches in full
+     and matches every row pinned to the merged class *)
+  case "global column, merged mid-run" [ "rule-1 2 5" ]
+    (graph
+    ^ {|(let g (A))
+(P g (Num 1)) (P g (Num 2)) (P (B) (Num 3))
+(rule ((= ?r (P g ?y))) ((hit ?y)))
+(run 1)
+(union (B) g)
+(run 1)|});
+  (* wildcard columns: rows differing only there witness one match, also
+     where the atom binds only a join variable *)
+  case "wildcard columns" [ "rule-1 1 1"; "rule-2 1 1" ]
+    (graph
+    ^ {|(P a (B)) (P a (C)) (S a)
+(rule ((= ?e (P ?x _))) ((hit ?x)))
+(rule ((= ?s (S ?x)) (P ?x _)) ((hit ?x)))
+(run 2)|})
+
+(* [(check ...)] and queries search in full, through the same join: the
+   query lists one binding per match of the premises' own variables *)
+let test_join_full_search () =
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (C) (P E E))
+(relation Q (E))
+(let a (A))
+(P a (B)) (P a (C)) (P (B) (B)) (Q a) (Q (B))
+(check (Q ?x) (P ?x ?y))
+(check (= ?r (P ?z ?z)))|};
+  checki "two checks passed" 2
+    (List.length (List.filter (( = ) Interp.O_checked) (Interp.outputs t)));
+  let n facts = List.length (Interp.query t (facts_of facts)) in
+  checki "per row of the read atom" 3 (n "((Q ?x) (P ?x ?y))");
+  checki "repeated variable" 1 (n "((= ?r (P ?z ?z)))");
+  checki "wildcard, deduplicated" 2 (n "((Q ?x) (P ?x _))");
+  checki "no match" 0 (n "((Q ?x) (P ?x ?x) (P ?x (C)))")
+
+(* An equality whose table call sits under a primitive has no shared
+   output column: the whole equality is a residual, and it binds ?x. *)
+let test_join_call_under_primitive () =
+  let _, outs =
+    run_ok
+      {|(datatype E (A) (B))
+(function val (E) i64)
+(relation hit (i64))
+(set (val (A)) 3)
+(rule ((= ?z (val ?y)) (= ?x (+ (val ?y) 1))) ((hit ?x)))
+(run 3)
+(check (hit 4))|}
+  in
+  checkb "the rule fired" true (List.mem Interp.O_checked outs)
+
+(* A search's minor-heap allocation does not grow with its matches: the
+   same join over 10 and over 1,000 rows allocates the same words, once
+   the plan's scratch exists. *)
+let test_join_allocation () =
+  let words n =
+    let t = Interp.create () in
+    Interp.run_string t
+      ("(datatype E (L i64) (P E E))\n"
+      ^ String.concat "\n" (List.init n (fun i -> Printf.sprintf "(P (L %d) (L %d))" i (i + 1))));
+    let eg = Interp.egraph t in
+    Egraph.rebuild eg;
+    let idx = Matcher.make_index eg (Hashtbl.create 1) in
+    let gp = Matcher.gcompile ~pinned:[] idx (Matcher.compile (facts_of "((= ?p (P ?x ?y)) (= ?x (L ?i)))")) in
+    let search () = Matcher.gsolve_packed idx gp ~since:(-1) ~residual:(fun _ -> true) in
+    ignore (search ());
+    let w0 = Gc.minor_words () in
+    let pk = search () in
+    let w1 = Gc.minor_words () in
+    checki (Printf.sprintf "%d matches" n) n pk.Matcher.pk_rows;
+    w1 -. w0
+  in
+  Alcotest.(check (float 0.)) "minor words, 10 vs 1,000 matches" (words 10) (words 1000)
+
+(* Congruence that collapses rows onto a survivor whose output does not
+   change leaves the survivor as it was: no rule reading the table finds
+   it again. *)
+let test_rebuild_unchanged_survivor () =
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (A) (B) (F E))
+(relation hit (E))
+(let a (A))
+(let b (B))
+(let fa (F a))
+(let fb (F b))
+(union fb fa)
+(rule ((= ?y (F ?x))) ((hit ?y)))
+(run 1)
+(union a b)
+(run 1)|};
+  checki "the rule's matches, both runs" 2
+    (List.fold_left (fun n (s : Interp.rule_stat) -> n + s.rs_matches) 0 (Interp.rule_stats t));
+  checki "matches in the run after the collapse" 0 (Option.get (Interp.last_stats t)).Interp.matches
+
 let () =
   Alcotest.run "egglog"
     [
@@ -1622,5 +1769,15 @@ let () =
           Alcotest.test_case "lazy rule naming a global" `Quick test_lazy_rule_global;
           Alcotest.test_case "malformed actions fault" `Quick test_action_faults;
           Alcotest.test_case "saturated state is stable" `Quick test_saturated_stays_stable;
+        ] );
+      ( "join",
+        [
+          Alcotest.test_case "match counts per shape" `Quick test_join_match_counts;
+          Alcotest.test_case "full search" `Quick test_join_full_search;
+          Alcotest.test_case "table call under a primitive" `Quick
+            test_join_call_under_primitive;
+          Alcotest.test_case "allocation independent of matches" `Quick test_join_allocation;
+          Alcotest.test_case "rebuild keeps an unchanged survivor" `Quick
+            test_rebuild_unchanged_survivor;
         ] );
     ]
