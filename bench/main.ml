@@ -737,10 +737,8 @@ let setup_bench ~rounds ~cases ~quick ~json_path ~baseline ~command () =
       command (List.length cases) r0.sr_funcs rounds measured parent
       (if baseline = None then ""
        else
-         ",\n  \"parent_note\": \"the same command on the parent tree, with the step functions \
-          and counters it calls (Pipeline.fork_base, load_rules, add_type_of, rules_read; \
-          Interp.compiled_rules, first_use_time) added to it as plain splits and counters \
-          of its own setup_function\"")
+         ",\n  \"parent_note\": \"the same command run on the parent tree, whose --json \
+          output is this run's --baseline\"")
   in
   Out_channel.with_open_text json_path (fun oc -> output_string oc json);
   fprintf "\nwrote %s\n\n" json_path;

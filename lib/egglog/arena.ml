@@ -22,7 +22,8 @@
 (* Value pool: primitive interning                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Int arrays by content: the element codes of pooled vectors. *)
+(* Int arrays by content: the element codes of pooled vectors, and the
+   e-graph's cost-override keys. *)
 module Codes_tbl = Hashtbl.Make (struct
   type t = int array
 
@@ -112,11 +113,15 @@ let code_canonical uf pool c =
     Bytes.get pool.has_class (c lsr 1) = '\000'
     || Value.is_canonical uf pool.vals.(c lsr 1)
 
-(** Canonicalize code [c] under [uf]. *)
+(** Canonicalize code [c] under [uf].  A pooled value is interned once,
+    so one that is already canonical keeps its code. *)
 let canon_code uf pool c =
   if c land 1 = 0 then Union_find.find uf (c lsr 1) * 2
   else if Bytes.get pool.has_class (c lsr 1) = '\000' then c
-  else encode pool (Value.canonicalize uf pool.vals.(c lsr 1))
+  else
+    let v = pool.vals.(c lsr 1) in
+    let v' = Value.canonicalize uf v in
+    if v' == v then c else encode pool v'
 
 let pool_memory_words pool = pool.n_vals * 4
 

@@ -6,6 +6,9 @@
 
 (** {1 Value pool} *)
 
+(** Hash tables keyed by code arrays, by content. *)
+module Codes_tbl : Hashtbl.S with type key = int array
+
 type pool
 
 val create_pool : unit -> pool

@@ -177,20 +177,3 @@ let sexp_of_command (c : command) : Sexp.t =
 
 let pp_expr ppf e = Sexp.pp ppf (sexp_of_expr e)
 let pp_fact ppf f = Sexp.pp ppf (sexp_of_fact f)
-let pp_action ppf a = Sexp.pp ppf (sexp_of_action a)
-
-(** Free pattern variables of an expression, left to right, without dups. *)
-let expr_vars e =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let rec go = function
-    | Var x ->
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
-        acc := x :: !acc
-      end
-    | Wildcard | Lit _ -> ()
-    | Call (_, args) -> List.iter go args
-  in
-  go e;
-  List.rev !acc

@@ -96,7 +96,3 @@ val sexp_of_command : command -> Sexp.t
 
 val pp_expr : Format.formatter -> expr -> unit
 val pp_fact : Format.formatter -> fact -> unit
-val pp_action : Format.formatter -> action -> unit
-
-(** Free pattern variables of an expression, left to right, without dups. *)
-val expr_vars : expr -> string list

@@ -844,10 +844,3 @@ let check_read ?file ~env (program : Parser.program) :
   (finish ctx, cmds)
 
 let check_program ?file ~env src = fst (check_read ?file ~env (Parser.read src))
-
-let check_commands ?file ~env (cmds : Ast.command list) : Diag.t list =
-  let ctx = { env; file; diags = []; next = 0 } in
-  List.iter
-    (fun cmd -> check_located_safe ctx cmd (Sexp.with_dummy_spans (Ast.sexp_of_command cmd)))
-    cmds;
-  finish ctx

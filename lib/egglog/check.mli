@@ -51,6 +51,3 @@ val check_read :
 (** The diagnostics of {!check_read} on a program read from source
     text. *)
 val check_program : ?file:string -> env:env -> string -> Diag.t list
-
-(** Check an already-parsed program.  Diagnostics carry no source spans. *)
-val check_commands : ?file:string -> env:env -> Ast.command list -> Diag.t list

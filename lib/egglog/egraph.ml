@@ -82,8 +82,8 @@ type t = {
   funcs : func Symbol.Tbl.t;
   mutable funcs_rev : Symbol.t list;  (** newest declaration first *)
   sorts : (string, sort_kind) Hashtbl.t;
-  costs : (int * Value.t) Value.Args_tbl.t Symbol.Tbl.t;
-      (** unstable-cost overrides: per function, canonical args -> (cost, output value at set time) *)
+  costs : int Arena.Codes_tbl.t Symbol.Tbl.t;
+      (** unstable-cost overrides: per function, canonical key codes -> cost *)
   mutable clock : int;  (** bumped on every mutation; used for fixpoint detection *)
   mutable n_unions : int;
   (* when [immediate_rebuild] is set, every union triggers a full rebuild
@@ -214,7 +214,6 @@ let find_func t sym =
   | None -> error "unknown function %s" (Symbol.name sym)
 
 let find_func_opt t sym = Symbol.Tbl.find_opt t.funcs sym
-let has_func t name = Symbol.Tbl.mem t.funcs (Symbol.intern name)
 
 (** All declared functions in declaration order. *)
 let functions t = List.rev_map (find_func t) t.funcs_rev
@@ -273,13 +272,6 @@ let encode_args t (args : Value.t array) : int array =
 let decode_row_args t (a : Arena.table) ~arity r : Value.t array =
   Array.init arity (fun i -> Arena.decode t.pool (Arena.arg_code a r i))
 
-(** [lookup t f args] finds the output for [args] if the row exists. *)
-let lookup t f args =
-  let args = canon_args t args in
-  let a = f.store in
-  let r = Arena.find a (encode_args t args) in
-  if r < 0 then None else Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
-
 (** Number of rows (e-nodes) across all tables.  O(1): the count is
     maintained incrementally on insert / delete / congruence merges, since
     the {!Limits} gauge polls it every saturation iteration. *)
@@ -296,13 +288,13 @@ let approx_memory_words t =
   let tables = Symbol.Tbl.fold (fun _ f acc -> acc + Arena.memory_words f.store) t.funcs 0 in
   let costs =
     Symbol.Tbl.fold
-      (fun _ tbl acc -> acc + (Value.Args_tbl.length tbl * 6))
+      (fun _ tbl acc -> acc + (Arena.Codes_tbl.length tbl * 6))
       t.costs 0
   in
   tables + costs + Arena.pool_memory_words t.pool + Union_find.size t.uf
 
 (* ------------------------------------------------------------------ *)
-(* Iteration (used by the matcher, extraction and statistics)          *)
+(* Iteration (statistics, printing and the reference implementations)  *)
 (* ------------------------------------------------------------------ *)
 
 (** Iterate over all rows of [f] as (canonical args, canonical output).
@@ -334,16 +326,21 @@ let n_classes t =
 (* Union + rebuild                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Two distinct canonical classes become one; congruence waits for the
+   next {!rebuild}.  Every union and every merge of two outputs comes
+   here. *)
+let merge_classes t x y =
+  t.n_unions <- t.n_unions + 1;
+  touched t;
+  t.pending_unions <- true;
+  Union_find.union t.uf x y
+
 let merge_outputs t f a b =
   let a = canon t a and b = canon t b in
   if Value.equal a b then a
   else
     match (a, b) with
-    | Eclass x, Eclass y ->
-      t.n_unions <- t.n_unions + 1;
-      touched t;
-      t.pending_unions <- true;
-      Value.Eclass (Union_find.union t.uf x y)
+    | Eclass x, Eclass y -> Value.Eclass (merge_classes t x y)
     | _ -> (
       match f.merge with
       | Some m ->
@@ -413,21 +410,18 @@ let rebuild_costs t =
   Symbol.Tbl.iter
     (fun _ tbl ->
       let stale =
-        Value.Args_tbl.fold
-          (fun args ((_, outv) as c) acc ->
-            if Array.for_all (Value.is_canonical t.uf) args && Value.is_canonical t.uf outv
-            then acc
-            else (args, c) :: acc)
+        Arena.Codes_tbl.fold
+          (fun key c acc ->
+            if Array.for_all (Arena.code_canonical t.uf t.pool) key then acc else (key, c) :: acc)
           tbl []
       in
-      List.iter (fun (args, _) -> Value.Args_tbl.remove tbl args) stale;
+      List.iter (fun (key, _) -> Arena.Codes_tbl.remove tbl key) stale;
       List.iter
-        (fun (args, (c, outv)) ->
-          let args' = canon_args t args in
-          let outv' = canon t outv in
-          match Value.Args_tbl.find_opt tbl args' with
-          | None -> Value.Args_tbl.replace tbl args' (c, outv')
-          | Some (c', _) -> if c < c' then Value.Args_tbl.replace tbl args' (c, outv'))
+        (fun (key, c) ->
+          let key' = Array.map (Arena.canon_code t.uf t.pool) key in
+          match Arena.Codes_tbl.find_opt tbl key' with
+          | Some c' when c' <= c -> ()
+          | _ -> Arena.Codes_tbl.replace tbl key' c)
         stale)
     t.costs
 
@@ -467,154 +461,91 @@ let rebuild t =
   end;
   Symbol.Tbl.iter (fun _ f -> Arena.compact f.store) t.funcs
 
-(** [union t a b] asserts that classes [a] and [b] are equal.  Deferred:
-    congruence is only restored at the next {!rebuild} (unless the
-    immediate-rebuild ablation flag is on). *)
-let union t a b =
-  let ra = find_class t a and rb = find_class t b in
-  if ra <> rb then begin
-    ignore (Union_find.union t.uf ra rb);
-    t.n_unions <- t.n_unions + 1;
-    touched t;
-    t.pending_unions <- true;
-    if t.immediate_rebuild then rebuild t
-  end
-
-(** [union_values t a b] unions two values; both must be e-class refs, or
-    equal primitives. *)
-let union_values t a b =
-  match (canon t a, canon t b) with
-  | Value.Eclass x, Value.Eclass y -> union t x y
-  | a', b' ->
-    if not (Value.equal a' b') then
-      error "cannot union distinct primitive values %a and %a" Value.pp a' Value.pp b'
-
-(** Constructor/table application: look up [args]; on a miss, constructors
-    allocate a fresh e-class and insert the row.  Non-constructor misses
-    return [None] (the caller decides whether that is an error). *)
-let apply t f args =
-  check_args t f args;
-  let args = canon_args t args in
-  let a = f.store in
-  (* the key codes are computed once and shared by the probe and the
-     miss-path insert (the miss path is the common one while a rule is
-     still growing the graph) *)
-  let key = encode_args t args in
-  let r = Arena.find a key in
-  if r >= 0 then Some (canon t (Arena.decode t.pool (Arena.out_code a r)))
-  else
-    let insert out =
-      let stamp = next_stamp t in
-      ignore (Arena.append a key (Arena.encode t.pool out) stamp);
-      f.last_modified <- stamp;
-      t.n_rows_cache <- t.n_rows_cache + 1;
-      Some out
-    in
-    if is_constructor f then insert (Value.Eclass (fresh_class t))
-    else if f.ret_sort = S_unit then (* relations: applying one asserts the fact *)
-      insert Value.Unit
-    else None
-
-(** [set t f args out] inserts or merges a row ([(set (f args) out)]). *)
-let set t f args out =
-  check_args t f args;
-  if not (value_matches_sort t f.ret_sort out) then
-    error "%s: output has wrong sort (expected %a, got %a)" (Symbol.name f.sym)
-      pp_sort_kind f.ret_sort Value.pp out;
-  let args = canon_args t args in
-  let out = canon t out in
-  let a = f.store in
-  let key = encode_args t args in
-  (match Arena.find a key with
-  | -1 ->
-    let stamp = next_stamp t in
-    ignore (Arena.append a key (Arena.encode t.pool out) stamp);
-    f.last_modified <- stamp;
-    t.n_rows_cache <- t.n_rows_cache + 1
-  | r ->
-    let old_out = Arena.decode t.pool (Arena.out_code a r) in
-    let merged = merge_outputs t f old_out out in
-    if not (Value.equal merged old_out) then begin
-      let stamp = next_stamp t in
-      ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
-      f.last_modified <- stamp
-    end);
-  if t.immediate_rebuild then rebuild t
-
 (* ------------------------------------------------------------------ *)
-(* Code-level operations (compiled appliers)                           *)
+(* Writes                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Each write has one implementation, on arena codes: the compiled
+   appliers call it directly, and each value-level entry point below is a
+   wrapper that checks sorts, canonicalizes and encodes its arguments,
+   calls it, and decodes the result. *)
 
 let canon_code t c = Arena.canon_code t.uf t.pool c
 let code_matches_sort t k c = value_matches_sort t k (Arena.decode t.pool c)
 
-(** Code-level {!apply} for compiled appliers: [key]'s codes are
-    canonicalized {e in place}, and the result is the output code, or [-1]
-    when the function has no defined output for [key].  Identical
-    semantics to {!apply} — misses insert for constructors and relations —
-    minus every intermediate [Value.t]. *)
-let apply_codes t f (key : int array) : int =
-  let a = f.store in
+(* [key]'s codes canonicalized in place *)
+let canon_key t (key : int array) =
   for i = 0 to Array.length key - 1 do
-    key.(i) <- Arena.canon_code t.uf t.pool key.(i)
-  done;
-  let r = Arena.find a key in
-  if r >= 0 then Arena.canon_code t.uf t.pool (Arena.out_code a r)
-  else
-    let insert out =
-      let stamp = next_stamp t in
-      ignore (Arena.append a key out stamp);
-      f.last_modified <- stamp;
-      t.n_rows_cache <- t.n_rows_cache + 1;
-      out
-    in
-    if is_constructor f then insert (Arena.code_of_class (fresh_class t))
-    else if f.ret_sort = S_unit then insert (Arena.encode t.pool Value.Unit)
-    else -1
+    key.(i) <- canon_code t key.(i)
+  done
 
-(** Code-level {!set}; [key] canonicalized in place. *)
+(* the one insert: [key] (copied) must not be live in [f]'s table *)
+let insert t f key out =
+  let stamp = next_stamp t in
+  ignore (Arena.append f.store key out stamp);
+  f.last_modified <- stamp;
+  t.n_rows_cache <- t.n_rows_cache + 1
+
+(** Table application on codes: [key]'s codes are canonicalized {e in
+    place}; a miss inserts a fresh class for a constructor and asserts
+    the fact for a relation.  The output code, or [-1] when the function
+    has no defined output for [key]. *)
+let apply_codes t f (key : int array) : int =
+  canon_key t key;
+  let r = Arena.find f.store key in
+  if r >= 0 then canon_code t (Arena.out_code f.store r)
+  else
+    let out =
+      if is_constructor f then Arena.code_of_class (fresh_class t)
+      else if f.ret_sort = S_unit then Arena.encode t.pool Value.Unit
+      else -1
+    in
+    if out >= 0 then insert t f key out;
+    out
+
+(** [(set (f key) out)] on codes, [key] canonicalized in place: insert,
+    or merge with the row's output (only a conflict decodes, since merge
+    functions work on values).  Under the immediate-rebuild ablation,
+    congruence is restored before it returns. *)
 let set_codes t f (key : int array) (out : int) =
-  let a = f.store in
-  for i = 0 to Array.length key - 1 do
-    key.(i) <- Arena.canon_code t.uf t.pool key.(i)
-  done;
-  let out = Arena.canon_code t.uf t.pool out in
-  match Arena.find a key with
-  | -1 ->
-    let stamp = next_stamp t in
-    ignore (Arena.append a key out stamp);
-    f.last_modified <- stamp;
-    t.n_rows_cache <- t.n_rows_cache + 1
+  canon_key t key;
+  let out = canon_code t out in
+  (match Arena.find f.store key with
+  | -1 -> insert t f key out
   | r ->
-    let old_code = Arena.out_code a r in
+    let old_code = Arena.out_code f.store r in
     if old_code <> out then begin
-      (* merge functions are value-level; only conflicts pay the decode *)
       let old_out = Arena.decode t.pool old_code in
       let merged = merge_outputs t f old_out (Arena.decode t.pool out) in
       if not (Value.equal merged old_out) then begin
         let stamp = next_stamp t in
-        ignore (Arena.rewrite a r (Arena.encode t.pool merged) stamp);
+        ignore (Arena.rewrite f.store r (Arena.encode t.pool merged) stamp);
         f.last_modified <- stamp
       end
-    end
+    end);
+  if t.immediate_rebuild then rebuild t
 
-(** Code-level {!union_values}. *)
+(** Union of two codes: two classes merge (congruence deferred to the
+    next {!rebuild}, unless the immediate-rebuild ablation flag is on);
+    anything else must already be equal. *)
 let union_codes t a b =
-  if Arena.is_class_code a && Arena.is_class_code b then
-    union t (Arena.class_of_code a) (Arena.class_of_code b)
-  else union_values t (Arena.decode t.pool a) (Arena.decode t.pool b)
+  let a = canon_code t a and b = canon_code t b in
+  if a <> b then
+    if Arena.is_class_code a && Arena.is_class_code b then begin
+      ignore (merge_classes t (Arena.class_of_code a) (Arena.class_of_code b));
+      if t.immediate_rebuild then rebuild t
+    end
+    else
+      error "cannot union distinct primitive values %a and %a" Value.pp
+        (Arena.decode t.pool a) Value.pp (Arena.decode t.pool b)
 
-(** [delete t f args] removes a row if present. *)
-let delete t f args =
-  let args = canon_args t args in
-  if Arena.remove f.store (encode_args t args) then begin
+(** Remove the row with key [key] (canonicalized in place), if present. *)
+let delete_codes t f (key : int array) =
+  canon_key t key;
+  if Arena.remove f.store key then begin
     f.last_modified <- next_stamp t;
     t.n_rows_cache <- t.n_rows_cache - 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* unstable-cost overrides                                             *)
-(* ------------------------------------------------------------------ *)
 
 (* extraction's cost fixpoint terminates only on costs >= 0; a negative
    override (e.g. an i64 product that overflowed in a cost rule) would
@@ -626,60 +557,84 @@ let check_cost f cost =
     error "cost-overflow: the unstable-cost %d of (%s ...) is at or above the extraction cap %d"
       cost (Symbol.name f.sym) cost_cap
 
+(** Record [cost] as the extraction cost of the e-node of [f] whose
+    canonical key codes are [key] (a live row), unless a cost no higher
+    is recorded already; [key] is copied only when a cost is recorded. *)
+let set_cost_codes t f (key : int array) cost =
+  check_cost f cost;
+  let tbl =
+    match Symbol.Tbl.find_opt t.costs f.sym with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Arena.Codes_tbl.create 8 in
+      Symbol.Tbl.replace t.costs f.sym tbl;
+      tbl
+  in
+  match Arena.Codes_tbl.find_opt tbl key with
+  | Some c when c <= cost -> ()
+  | _ ->
+    Arena.Codes_tbl.replace tbl (Array.copy key) cost;
+    touched t
+
+(** The cost override of the e-node of [f] with canonical key codes
+    [key], if any. *)
+let cost_override_codes t f (key : int array) =
+  match Symbol.Tbl.find_opt t.costs f.sym with
+  | None -> None
+  | Some tbl -> Arena.Codes_tbl.find_opt tbl key
+
+(* ------------------------------------------------------------------ *)
+(* Value-level wrappers                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* canonical codes of [args], interned in order *)
+let key_of t args = encode_args t (canon_args t args)
+
+(** [lookup t f args] finds the output for [args] if the row exists. *)
+let lookup t f args =
+  let r = Arena.find f.store (key_of t args) in
+  if r < 0 then None else Some (canon t (Arena.decode t.pool (Arena.out_code f.store r)))
+
+(** Constructor/table application: look up [args]; on a miss, constructors
+    allocate a fresh e-class and insert the row.  Non-constructor misses
+    return [None] (the caller decides whether that is an error). *)
+let apply t f args =
+  check_args t f args;
+  match apply_codes t f (key_of t args) with -1 -> None | c -> Some (Arena.decode t.pool c)
+
+(** [set t f args out] inserts or merges a row ([(set (f args) out)]). *)
+let set t f args out =
+  check_args t f args;
+  if not (value_matches_sort t f.ret_sort out) then
+    error "%s: output has wrong sort (expected %a, got %a)" (Symbol.name f.sym)
+      pp_sort_kind f.ret_sort Value.pp out;
+  let key = key_of t args in
+  set_codes t f key (Arena.encode t.pool (canon t out))
+
+(** [union t a b] asserts that classes [a] and [b] are equal. *)
+let union t a b = union_codes t (Arena.code_of_class a) (Arena.code_of_class b)
+
+(** [union_values t a b] unions two values; both must be e-class refs, or
+    equal primitives. *)
+let union_values t a b =
+  let a = Arena.encode t.pool (canon t a) in
+  union_codes t a (Arena.encode t.pool (canon t b))
+
+(** [delete t f args] removes a row if present. *)
+let delete t f args = delete_codes t f (key_of t args)
+
 (** [set_cost t f args cost] overrides the extraction cost of the e-node
     [(f args)] — the paper's [unstable-cost] command.  The node must exist. *)
 let set_cost t f args cost =
+  (* a bad cost is reported before a missing node *)
   check_cost f cost;
-  let args = canon_args t args in
-  let out =
-    match lookup t f args with
-    | Some v -> v
-    | None -> error "unstable-cost: e-node (%s ...) not present" (Symbol.name f.sym)
-  in
-  let tbl =
-    match Symbol.Tbl.find_opt t.costs f.sym with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Value.Args_tbl.create 8 in
-      Symbol.Tbl.replace t.costs f.sym tbl;
-      tbl
-  in
-  (match Value.Args_tbl.find_opt tbl args with
-  | Some (c, _) when c <= cost -> () (* keep the cheaper override *)
-  | _ ->
-    Value.Args_tbl.replace tbl args (cost, out);
-    touched t)
-
-(** [set_cost_codes t f key out cost] — code-level fast path for
-    [unstable-cost].  [key] must hold canonical codes for a row that is
-    already present with output code [out] (e.g. both fresh out of
-    {!apply_codes}), so the canonicalization and existence lookup of
-    {!set_cost} can be skipped. *)
-let set_cost_codes t f (key : int array) (out : int) cost =
-  check_cost f cost;
-  let args = Array.map (fun c -> Arena.decode t.pool c) key in
-  let tbl =
-    match Symbol.Tbl.find_opt t.costs f.sym with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Value.Args_tbl.create 8 in
-      Symbol.Tbl.replace t.costs f.sym tbl;
-      tbl
-  in
-  match Value.Args_tbl.find_opt tbl args with
-  | Some (c, _) when c <= cost -> ()
-  | _ ->
-    Value.Args_tbl.replace tbl args (cost, Arena.decode t.pool out);
-    touched t
+  let key = key_of t args in
+  if Arena.find f.store key < 0 then
+    error "unstable-cost: e-node (%s ...) not present" (Symbol.name f.sym);
+  set_cost_codes t f key cost
 
 (** Cost override for node [(f args)], if any. *)
-let cost_override t f args =
-  match Symbol.Tbl.find_opt t.costs f.sym with
-  | None -> None
-  | Some tbl -> (
-    match Value.Args_tbl.find_opt tbl (canon_args t args) with
-    | Some (c, _) -> Some c
-    | None -> None)
+let cost_override t f args = cost_override_codes t f (key_of t args)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (push/pop)                                                *)
@@ -698,7 +653,7 @@ let copy t : t =
   let funcs = Symbol.Tbl.copy t.funcs in
   Symbol.Tbl.filter_map_inplace (fun _ f -> Some { f with store = Arena.copy f.store }) funcs;
   let costs = Symbol.Tbl.copy t.costs in
-  Symbol.Tbl.filter_map_inplace (fun _ tbl -> Some (Value.Args_tbl.copy tbl)) costs;
+  Symbol.Tbl.filter_map_inplace (fun _ tbl -> Some (Arena.Codes_tbl.copy tbl)) costs;
   {
     uf = Union_find.copy t.uf;
     pool = Arena.copy_pool t.pool;

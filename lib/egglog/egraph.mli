@@ -60,7 +60,10 @@ type t = {
       (** newest declaration first; a declaration conses onto it, so a
           {!copy} that declared nothing still has the original's list *)
   sorts : (string, sort_kind) Hashtbl.t;
-  costs : (int * Value.t) Value.Args_tbl.t Symbol.Tbl.t;
+  costs : int Arena.Codes_tbl.t Symbol.Tbl.t;
+      (** unstable-cost overrides: per function, the canonical key codes
+          of an e-node -> its cost; re-canonicalized by {!rebuild}, which
+          keeps the cheaper cost when two keys collide *)
   mutable clock : int;
   mutable n_unions : int;
   mutable immediate_rebuild : bool;
@@ -116,7 +119,6 @@ val declare_function :
 
 val find_func : t -> Symbol.t -> func
 val find_func_opt : t -> Symbol.t -> func option
-val has_func : t -> string -> bool
 
 (** All declared functions, in declaration order. *)
 val functions : t -> func list
@@ -131,6 +133,64 @@ val find_class : t -> int -> int
 
 (** Allocate a fresh, empty e-class. *)
 val fresh_class : t -> int
+
+(** Restore congruence: re-canonicalize all tables to a fixed point, then
+    compact arena tables so searches only see dense live rows.  O(1) when
+    no union is pending. *)
+val rebuild : t -> unit
+
+(** {1 Writes on codes}
+
+    Each write has one implementation, on arena codes: the compiled
+    appliers call these directly, with no [Value.t] on the hot path.
+    Insert, merge, delete and cost recording happen here and nowhere
+    else. *)
+
+(** Canonicalize an arena code under the current union-find. *)
+val canon_code : t -> int -> int
+
+(** Does the value behind a code inhabit the sort? *)
+val code_matches_sort : t -> sort_kind -> int -> bool
+
+(** Table application: the key codes are canonicalized {e in place}; a
+    miss allocates a fresh class for a constructor and asserts the fact
+    for a relation.  Returns the output code, or [-1] when the function
+    has no defined output. *)
+val apply_codes : t -> func -> int array -> int
+
+(** [(set (f key) out)]: insert, or merge with the row's output; the key
+    is canonicalized in place.  Under the immediate-rebuild ablation
+    flag, congruence is restored before it returns. *)
+val set_codes : t -> func -> int array -> int -> unit
+
+(** Union two codes: classes merge (deferred congruence, unless the
+    immediate-rebuild ablation flag is on); distinct primitives are an
+    error. *)
+val union_codes : t -> int -> int -> unit
+
+(** Remove the row with this key, if present; the key is canonicalized
+    in place. *)
+val delete_codes : t -> func -> int array -> unit
+
+(** [set_cost_codes t f key cost] overrides the extraction cost of an
+    e-node (the paper's [unstable-cost], §6.2).  [key] must be the
+    canonical codes of a row in [f]'s table (as {!apply_codes} leaves
+    them).  Overrides live in one table per function, keyed by canonical
+    codes; a cost no lower than one already recorded changes nothing, and
+    the key is copied only when a cost is recorded.
+    @raise Error if the cost is negative or at least {!cost_cap}. *)
+val set_cost_codes : t -> func -> int array -> int -> unit
+
+(** The override of the e-node with these canonical key codes, if any. *)
+val cost_override_codes : t -> func -> int array -> int option
+
+(** {1 Value-level wrappers}
+
+    Checked entry points for top-level commands, late-bound calls and
+    tests: each checks what it is given (arity and sorts for {!apply} and
+    {!set}; the cost and the node's existence for {!set_cost}),
+    canonicalizes and encodes its arguments, calls the write on codes,
+    and decodes the result. *)
 
 (** Output for the given key, if the row exists. *)
 val lookup : t -> func -> Value.t array -> Value.t option
@@ -152,45 +212,10 @@ val union : t -> int -> int -> unit
 (** Union two values: e-class refs are merged; distinct primitives error. *)
 val union_values : t -> Value.t -> Value.t -> unit
 
-(** {2 Code-level operations}
-
-    Used by the compiled (packed) apply path: arguments and results are
-    arena codes, so the hot path performs no [Value.t] allocation. *)
-
-(** Canonicalize an arena code under the current union-find. *)
-val canon_code : t -> int -> int
-
-(** Does the value behind a code inhabit the sort? *)
-val code_matches_sort : t -> sort_kind -> int -> bool
-
-(** Code-level {!apply}: the key codes are canonicalized {e in place};
-    returns the output code, or [-1] when the function has no defined
-    output. *)
-val apply_codes : t -> func -> int array -> int
-
-(** Code-level {!set}; key canonicalized in place. *)
-val set_codes : t -> func -> int array -> int -> unit
-
-(** Code-level {!union_values}. *)
-val union_codes : t -> int -> int -> unit
-
-(** Restore congruence: re-canonicalize all tables to a fixed point, then
-    compact arena tables so searches only see dense live rows.  O(1) when
-    no union is pending. *)
-val rebuild : t -> unit
-
-(** {1 unstable-cost overrides (paper §6.2)} *)
-
 (** Override the extraction cost of the e-node [(f args)]; the node must
-    exist.  Cheaper overrides win on conflict.
+    exist.
     @raise Error if the cost is negative or at least {!cost_cap}. *)
 val set_cost : t -> func -> Value.t array -> int -> unit
-
-(** Code-level {!set_cost}: [key]/[out] must be canonical codes of a row
-    already in the table (as returned by {!apply_codes}), skipping the
-    existence lookup.
-    @raise Error if the cost is negative or at least {!cost_cap}. *)
-val set_cost_codes : t -> func -> int array -> int -> int -> unit
 
 val cost_override : t -> func -> Value.t array -> int option
 

@@ -177,36 +177,43 @@ let child_classes eg (args : Value.t array) =
 
 (** Build an extractor: index every e-node under its class, then compute
     the best cost of every e-class by fixpoint.  The e-graph must be
-    rebuilt. *)
+    rebuilt.  Each row's [unstable-cost] override is found by the row's
+    canonical codes (as stored, on a clean graph). *)
 let make eg : t =
   let size = Union_find.size (Egraph.uf eg) in
+  let pool = Egraph.pool eg and clean = not eg.Egraph.pending_unions in
   let nodes = Array.make size [] in
   let walk = ref [] in
   List.iteri
     (fun fi (f : Egraph.func) ->
-      if Egraph.is_constructor f && not f.unextractable then
-        Egraph.iter_rows eg f (fun args out ->
-            match out with
-            | Eclass id ->
-              let cls = Egraph.find_class eg id in
-              let base =
-                match Egraph.cost_override eg f args with
-                | Some c -> c
-                | None -> Option.value f.cost ~default:1
-              in
-              let n =
-                {
-                  n_fi = fi;
-                  n_func = f;
-                  n_args = args;
-                  n_base = base;
-                  n_kids = child_classes eg args;
-                  n_class = cls;
-                }
-              in
-              nodes.(cls) <- n :: nodes.(cls);
-              walk := n :: !walk
-            | _ -> ()))
+      if Egraph.is_constructor f && not f.unextractable then begin
+        let a = f.store in
+        Arena.iter_live a (fun r ->
+            let key =
+              Array.init (Array.length f.arg_sorts) (fun i ->
+                  let c = Arena.arg_code a r i in
+                  if clean then c else Egraph.canon_code eg c)
+            in
+            let cls = Egraph.find_class eg (Arena.class_of_code (Arena.out_code a r)) in
+            let base =
+              match Egraph.cost_override_codes eg f key with
+              | Some c -> c
+              | None -> Option.value f.cost ~default:1
+            in
+            let args = Array.map (Arena.decode pool) key in
+            let n =
+              {
+                n_fi = fi;
+                n_func = f;
+                n_args = args;
+                n_base = base;
+                n_kids = child_classes eg args;
+                n_class = cls;
+              }
+            in
+            nodes.(cls) <- n :: nodes.(cls);
+            walk := n :: !walk)
+      end)
     (Egraph.functions eg);
   (* passes in walk order, which is roughly bottom-up: rows are appended
      after the rows their children came from *)

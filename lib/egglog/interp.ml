@@ -98,9 +98,8 @@ type rule_def = {
 type rule = {
   r_def : rule_def;
   mutable r_gplan : Matcher.gplan option;
-      (** the premises flattened and compiled for the join, made
-          at the first search (and again after a [pop], which restores an
-          older e-graph) *)
+      (** the premises compiled for the join, made at the first search
+          (and again after a [pop], which restores an older e-graph) *)
   mutable r_capply : capply option;
       (** the residuals and actions slot-compiled against [r_gplan]'s
           packed rows, made with it *)
@@ -226,12 +225,6 @@ type t = {
   mutable ck_every : int;
       (** checkpoint every n successful iterations (0 = only on demand) *)
   mutable best_ck : checkpoint option;
-  costs_applied : (int array, int) Hashtbl.t;
-      (** arena fast path: cheapest cost already applied per canonical
-          [sym id :: key codes] — dedupes the re-derived [unstable-cost]
-          actions seminaive matching keeps producing.  A stale (merged)
-          key never matches a freshly canonicalized probe, so hits are
-          always sound skips.  Cleared on [pop]. *)
 }
 
 and snapshot = {
@@ -274,7 +267,6 @@ let create ?(max_nodes = 200_000) ?timeout ?limits ?engine:(_ : Egraph.engine op
     ck_root = None;
     ck_every = 0;
     best_ck = None;
-    costs_applied = Hashtbl.create 256;
   }
 
 (* A rule in the state of one just registered: no plan, never scanned,
@@ -312,10 +304,9 @@ let portable r =
   | _ -> r.r_ready
 
 (** An engine that starts as [base] is now and changes on its own from
-    there (see the interface).  The matcher index and the applied-cost
-    memo start empty: both hold codes and rows of one e-graph.  The
-    rules' compiled plans and the rule keys are shared, not copied:
-    neither is written once made. *)
+    there (see the interface).  The matcher index starts empty: it holds
+    rows of one e-graph.  The rules' compiled plans and the rule keys are
+    shared, not copied: neither is written once made. *)
 let fork ~limits base =
   freeze_keys base;
   {
@@ -339,11 +330,9 @@ let fork ~limits base =
     ck_root = None;
     ck_every = 0;
     best_ck = None;
-    costs_applied = Hashtbl.create 256;
   }
 
 let set_disable_dirty_skip t b = t.disable_dirty_skip <- b
-let set_limits t l = t.limits <- l
 let limits t = t.limits
 let set_naive_matching t b = t.naive_matching <- b
 let set_backoff _ (_ : bool) = ()
@@ -758,27 +747,15 @@ let run_caction t (vals : int array) (a : caction) : unit =
       key.(i) <- ceval t vals args.(i)
     done;
     (* reading the node creates it, as on the late path below *)
-    let out = Egraph.apply_codes t.eg fn key in
-    if out = -1 then
+    if Egraph.apply_codes t.eg fn key = -1 then
       error "(%s ...) has no defined output (use set before reading it)"
         (Symbol.name fn.Egraph.sym);
-    let cost = cost_of_value fn (ceval_value ~cost:fn t vals c) in
-    let n = Array.length key in
-    let ck = Array.make (n + 1) (Symbol.id fn.Egraph.sym) in
-    Array.blit key 0 ck 1 n;
-    (match Hashtbl.find_opt t.costs_applied ck with
-    | Some c0 when c0 <= cost -> ()  (* set_cost would keep the cheaper *)
-    | _ ->
-      (* recorded only once applied: a rejected (negative) cost must be
-         rejected again when the rule re-fires *)
-      Egraph.set_cost_codes t.eg fn key out cost;
-      Hashtbl.replace t.costs_applied ck cost)
+    Egraph.set_cost_codes t.eg fn key (cost_of_value fn (ceval_value ~cost:fn t vals c))
   | KA_delete (fn, args, key) ->
-    let pool = Egraph.pool t.eg in
     for i = 0 to Array.length args - 1 do
       key.(i) <- ceval t vals args.(i)
     done;
-    Egraph.delete t.eg fn (Array.map (Arena.decode pool) key)
+    Egraph.delete_codes t.eg fn key
   | KA_late (op, f, args) -> (
     let fn = Egraph.find_func t.eg (Symbol.intern f) in
     let vs = Array.map (ceval_value t vals) args in
@@ -899,7 +876,7 @@ let action_vars (actions : Ast.action list) : string list =
 (* the join plan of [facts] and its slot-compiled residuals and
    [actions] *)
 let compile_plan t idx ?keep ~pinned facts actions =
-  let gp = Matcher.gcompile ?keep ~pinned idx (Matcher.compile facts) in
+  let gp = Matcher.gcompile ?keep ~pinned idx facts in
   ( gp,
     compile_rule t.eg ~pinned (Matcher.gp_slot_names gp) (Matcher.gp_slot_sorts idx gp)
       (Matcher.gp_residuals gp) actions )
@@ -1413,9 +1390,7 @@ let run_command t (c : Ast.command) : unit =
           r.r_gplan <- None;
           r.r_capply <- None;
           r.r_ready <- None)
-        t.rules_rev;
-      (* applied-cost memo refers to the discarded graph's codes *)
-      Hashtbl.reset t.costs_applied)
+        t.rules_rev)
 
 (** Execute a list of commands; outputs are appended to [t.outputs]. *)
 let run_commands t cmds = List.iter (run_command t) cmds

@@ -159,9 +159,6 @@ val prepare_rules : t -> Ast.command list -> prepared_rules
     the commands run. *)
 val add_prepared : t -> prepared_rules -> unit
 
-(** Replace the engine's resource budgets (applies to subsequent runs). *)
-val set_limits : t -> Limits.t -> unit
-
 val limits : t -> Limits.t
 
 (** {1 Anytime checkpoints} *)

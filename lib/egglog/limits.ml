@@ -41,12 +41,6 @@ let for_attempt t ~attempt =
 
 type hit = L_iterations | L_nodes | L_time | L_memory
 
-let hit_name = function
-  | L_iterations -> "iteration limit"
-  | L_nodes -> "node limit"
-  | L_time -> "time limit"
-  | L_memory -> "memory limit"
-
 type gauge = {
   g_iters : int;
   g_nodes : int;
@@ -81,14 +75,3 @@ type stopwatch = float  (* the start reading *)
 
 let start () : stopwatch = now_ms ()
 let elapsed_ms (s : stopwatch) = now_ms () -. s
-
-let pp ppf t =
-  let field name pp_v ppf = function
-    | None -> Fmt.pf ppf "%s=∞" name
-    | Some v -> Fmt.pf ppf "%s=%a" name pp_v v
-  in
-  Fmt.pf ppf "{%a %a %a %a}"
-    (field "iters" Fmt.int) t.max_iters
-    (field "nodes" Fmt.int) t.max_nodes
-    (field "time_ms" Fmt.float) t.max_time_ms
-    (field "mem_words" Fmt.int) t.max_memory_words

@@ -44,8 +44,6 @@ val for_attempt : t -> attempt:int -> t
 (** Which budget was exhausted. *)
 type hit = L_iterations | L_nodes | L_time | L_memory
 
-val hit_name : hit -> string
-
 (** A point-in-time reading of the quantities the budgets bound. *)
 type gauge = {
   g_iters : int;
@@ -69,5 +67,3 @@ type stopwatch
 
 val start : unit -> stopwatch
 val elapsed_ms : stopwatch -> float
-
-val pp : Format.formatter -> t -> unit

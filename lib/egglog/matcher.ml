@@ -2,15 +2,16 @@
     in the current e-graph.
 
     There is one matcher, a nested-loop join.  A rule's premises are
-    flattened once ({!compile}) and then compiled against the e-graph
-    ({!gcompile}) into flat table atoms — every column a variable, a
-    literal, a global, or a wildcard — plus {e residual} facts that only
-    involve primitives.  Each seminaive term (one per atom: that atom's
-    rows newer than a given stamp, joined with the others) gets an atom
-    order when the plan compiles: the delta atom first, then every atom
-    whose arguments are all bound (one lookup in the table's own key
-    hash), then atoms probed through a per-(function, column) index on a
-    bound column, the output column first, then full scans.
+    compiled against the e-graph in one pass ({!gcompile}) into flat table
+    atoms — every column a variable, a literal, a global, or a wildcard,
+    nested table applications hoisted into atoms of their own — plus
+    {e residual} facts that only involve primitives.  Each seminaive term
+    (one per atom: that atom's rows newer than a given stamp, joined with
+    the others) gets an atom order when the plan compiles: the delta atom
+    first, then every atom whose arguments are all bound (one lookup in
+    the table's own key hash), then atoms probed through a
+    per-(function, column) index on a bound column, the output column
+    first, then full scans.
     {!gsolve_packed} walks that order with one binding array into rows of
     arena codes; the caller's compiled residuals then filter each row and
     fill the slots they bind.
@@ -81,131 +82,8 @@ let value_of_lit : Ast.lit -> Value.t = function
   | L_bool b -> Bool b
   | L_unit -> Unit
 
-(* ------------------------------------------------------------------ *)
-(* Premise flattening                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** A flattened rule body.  [p_facts] is the premise list with every
-    declared-function application nested inside another pattern hoisted
-    into its own [(= ?aux (f ...))] fact, placed next to its parent so
-    later guards still see its variables bound.  The fact order and the
-    aux-variable names fix the join's atom and variable order. *)
-type plan = { p_facts : Ast.fact list }
-
-(** Hoist nested declared-function applications out of pattern positions.
-
-    Placement matters for join cost, so two regimes are used, keyed on
-    whether the subtree's variables are all bound by {e earlier} facts:
-    - a {e ground} subtree (e.g. [(type-of ?y)] with [?y] bound above)
-      becomes O(1) lookups, so its facts go {e before} the parent fact,
-      innermost first;
-    - a {e binding} subtree (a destructuring pattern like the inner matmul
-      of [(linalg_matmul (linalg_matmul ...) ...)]) goes {e after} the
-      parent fact, outermost first, so each child's aux var is already
-      bound (by the parent's args) and its rows are found through the
-      output column's index rather than a full table scan. *)
-let compile (facts : Ast.fact list) : plan =
-  let counter = ref 0 in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "?__sn%d" !counter
-  in
-  (* variables bound by the facts already emitted *)
-  let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* ground subtrees already hoisted, keyed syntactically: a repeated
-     occurrence (e.g. [(type-of ?x)] under both [nrows] and [ncols])
-     reuses the first aux var instead of emitting a duplicate fact *)
-  let cse : (Ast.expr, string) Hashtbl.t = Hashtbl.create 16 in
-  let rec add_vars (e : Ast.expr) =
-    match e with
-    | Ast.Var x -> Hashtbl.replace bound x ()
-    | Ast.Call (_, args) -> List.iter add_vars args
-    | Wildcard | Lit _ -> ()
-  in
-  let rec is_ground_subtree (e : Ast.expr) =
-    match e with
-    | Ast.Var x -> Hashtbl.mem bound x
-    | Ast.Wildcard -> false
-    | Ast.Lit _ -> true
-    | Ast.Call (_, args) -> List.for_all is_ground_subtree args
-  in
-  (* ground regime: child facts accumulate onto [pre], innermost first *)
-  let rec flatten_ground pre (e : Ast.expr) : Ast.expr =
-    match e with
-    | Ast.Call (f, _) when Primitives.is_primitive f -> e
-    | Ast.Call (f, args) ->
-      let args' =
-        List.map
-          (fun a ->
-            match a with
-            | Ast.Call (g, _) when not (Primitives.is_primitive g) -> (
-              match Hashtbl.find_opt cse a with
-              | Some aux -> Ast.Var aux
-              | None ->
-                let a' = flatten_ground pre a in
-                let aux = fresh () in
-                pre := !pre @ [ Ast.F_eq [ Ast.Var aux; a' ] ];
-                Hashtbl.add cse a aux;
-                Ast.Var aux)
-            | _ -> flatten_ground pre a)
-          args
-      in
-      Ast.Call (f, args')
-    | Var _ | Wildcard | Lit _ -> e
-  in
-  (* binding regime: ground children onto [pre]; binding children onto
-     [suf], each parent before its own children *)
-  let rec flatten_pat pre suf (e : Ast.expr) : Ast.expr =
-    match e with
-    | Ast.Call (f, _) when Primitives.is_primitive f -> e
-    | Ast.Call (f, args) ->
-      let args' =
-        List.map
-          (fun a ->
-            match a with
-            | Ast.Call (g, _) when not (Primitives.is_primitive g) ->
-              if is_ground_subtree a then
-                match Hashtbl.find_opt cse a with
-                | Some aux -> Ast.Var aux
-                | None ->
-                  let a' = flatten_ground pre a in
-                  let aux = fresh () in
-                  pre := !pre @ [ Ast.F_eq [ Ast.Var aux; a' ] ];
-                  Hashtbl.add cse a aux;
-                  Ast.Var aux
-              else begin
-                let aux = fresh () in
-                let sub_suf = ref [] in
-                let a' = flatten_pat pre sub_suf a in
-                suf := !suf @ (Ast.F_eq [ Ast.Var aux; a' ] :: !sub_suf);
-                Ast.Var aux
-              end
-            | _ -> flatten_pat pre suf a)
-          args
-      in
-      Ast.Call (f, args')
-    | Var _ | Wildcard | Lit _ -> e
-  in
-  let flatten_fact (fact : Ast.fact) : Ast.fact list =
-    let pre = ref [] and suf = ref [] in
-    let fact' =
-      match fact with
-      | Ast.F_expr e -> Ast.F_expr (flatten_pat pre suf e)
-      | Ast.F_eq es -> Ast.F_eq (List.map (flatten_pat pre suf) es)
-    in
-    let group = !pre @ (fact' :: !suf) in
-    (* everything this group can bind is bound for the facts that follow *)
-    List.iter
-      (function Ast.F_eq es -> List.iter add_vars es | Ast.F_expr e -> add_vars e)
-      group;
-    group
-  in
-  { p_facts = List.concat_map flatten_fact facts }
-
-(** Compiler-generated auxiliary variable? ({!compile} and {!gcompile}
-    name theirs [?__sn...]) *)
-let is_aux_var x = String.length x >= 5 && String.sub x 0 5 = "?__sn"
-
+(** Compiler-made variable?  Every name {!gcompile} makes starts [?__sn]. *)
+let is_aux_var x = String.starts_with ~prefix:"?__sn" x
 
 (* ------------------------------------------------------------------ *)
 (* Column indexes                                                      *)
@@ -467,8 +345,10 @@ type gplan = {
       (* every global the premises name (pinned columns index into it);
          {!pins} reads their canonical codes *)
   gp_may_dup : bool;
-      (* some atom has a wildcard column, so distinct witnessing rows can
-         yield the same emitted codes and results need deduplication *)
+      (* some atom has a wildcard argument column, so distinct witnessing
+         rows can yield the same emitted codes and results need
+         deduplication (a free output column cannot: rows are unique by
+         key) *)
   gp_aux_emitted : bool;
       (* some emitted variable is a compiler aux var (a residual reads it,
          or the consumer asked for everything) *)
@@ -597,13 +477,20 @@ let join_orders atoms ~n_vars ~(emitted : bool array) ~(env_slot : gslot -> int)
   in
   Array.init n_atoms (fun t -> lazy (term t))
 
-(** Compile a flattened plan for the join.  Every premise shape compiles:
+(** Compile a premise list for the join.  Every premise shape compiles:
     - a table application is an atom whose columns hold variables,
       literals, globals or wildcards;
+    - a table application nested in another one's column is an atom of
+      its own on a fresh output variable.  When every variable in it
+      occurs in an earlier premise it is {e ground}: its atom goes before
+      its parent's, innermost first, and every syntactically equal ground
+      application shares it (lookups by key).  Any other nested
+      application goes after its parent, each parent before its own
+      children, siblings left to right (probes of the output column);
     - a primitive call or [vec-of] in a column is hoisted into a residual
       [(= ?aux e)] on a fresh variable;
     - a table application inside a primitive call is hoisted into an atom
-      on a fresh output variable;
+      on a fresh output variable, before the atom it sits in;
     - an equality over several table applications becomes one atom each,
       all sharing one output column;
     - a fact with no table application is a residual, run after the join
@@ -611,7 +498,8 @@ let join_orders atoms ~n_vars ~(emitted : bool array) ~(env_slot : gslot -> int)
     [pinned] are the bare names that denote globals; [keep] names the
     variables the consumer reads (default: all).  Raises {!Error} on an
     unknown function or an arity mismatch. *)
-let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan) : gplan =
+let gcompile ?(keep : string list option) ~(pinned : string list) idx (facts : Ast.fact list) :
+    gplan =
   let pool = Egraph.pool idx.eg in
   let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let var_names = ref [] in
@@ -639,11 +527,11 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     | Ast.Call (_, args) -> List.iter scan_globals args
     | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> ()
   in
-  List.iter (fun f -> List.iter scan_globals (exprs_of f)) p.p_facts;
+  List.iter (fun f -> List.iter scan_globals (exprs_of f)) facts;
   let n_aux = ref 0 in
   let fresh_aux () =
     incr n_aux;
-    Printf.sprintf "?__snj%d" !n_aux
+    "?__sn" ^ string_of_int !n_aux
   in
   let atoms = ref [] and residuals = ref [] in
   let is_table_call = function Ast.Call (f, _) -> is_table f | _ -> false in
@@ -652,8 +540,28 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     | Ast.Call (f, args) -> is_table f || List.exists has_table_call args
     | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> false
   in
-  (* the column slot for [e], hoisting what a column cannot hold *)
-  let rec slot_of (e : Ast.expr) : gslot =
+  (* the variables of the premises before the current one, and the ground
+     applications hoisted so far, by syntax, with their output variables *)
+  let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let ground : (Ast.expr, string) Hashtbl.t = Hashtbl.create 8 in
+  let rec add_vars (e : Ast.expr) =
+    match e with
+    | Ast.Var x -> Hashtbl.replace bound x ()
+    | Ast.Call (_, args) -> List.iter add_vars args
+    | Ast.Wildcard | Ast.Lit _ -> ()
+  in
+  let rec is_ground (e : Ast.expr) =
+    match e with
+    | Ast.Var x -> Hashtbl.mem bound x
+    | Ast.Wildcard -> false
+    | Ast.Lit _ -> true
+    | Ast.Call (_, args) -> List.for_all is_ground args
+  in
+  (* the column slot for [e], hoisting what a column cannot hold.  In a
+     pattern ([later] given) a nested table application is a ground one's
+     output variable, or a fresh variable whose atom [later] places after
+     the parent's; under a primitive its atom comes first. *)
+  let rec slot_of later (e : Ast.expr) : gslot =
     match e with
     | Ast.Wildcard -> G_free
     | Ast.Lit l -> G_lit (Arena.encode pool (value_of_lit l))
@@ -661,16 +569,25 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
       match Hashtbl.find_opt globals x with
       | Some g -> G_global g
       | None -> G_var (var_id x))
-    | Ast.Call (f, args) when is_table f ->
-      let out = G_var (var_id (fresh_aux ())) in
-      add_atom f args out;
-      out
+    | Ast.Call (f, args) when is_table f -> (
+      match later with
+      | None ->
+        let out = G_var (var_id (fresh_aux ())) in
+        add_atom None f args out;
+        out
+      | Some later -> (
+        match Hashtbl.find_opt ground e with
+        | Some aux -> G_var (var_id aux)
+        | None ->
+          let aux = fresh_aux () in
+          later := (aux, f, args) :: !later;
+          G_var (var_id aux)))
     | Ast.Call _ ->
       let aux = fresh_aux () in
       let out = G_var (var_id aux) in
       residuals := Ast.F_eq [ Ast.Var aux; hoist e ] :: !residuals;
       out
-  and add_atom f args (out : gslot) =
+  and add_atom later f args (out : gslot) =
     let fn =
       match Egraph.find_func_opt idx.eg (Symbol.intern f) with
       | Some fn -> fn
@@ -680,7 +597,7 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     if List.length args <> arity then
       error "%s expects %d arguments in a pattern, got %d" f arity (List.length args);
     let slots = Array.make (arity + 1) G_free in
-    List.iteri (fun i a -> slots.(i) <- slot_of a) args;
+    List.iteri (fun i a -> slots.(i) <- slot_of later a) args;
     slots.(arity) <- out;
     atoms := { g_sym = fn.Egraph.sym; g_slots = slots } :: !atoms
   (* an evaluated expression: its table applications become atoms *)
@@ -688,62 +605,97 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     match e with
     | Ast.Call (f, args) when is_table f ->
       let aux = fresh_aux () in
-      add_atom f args (G_var (var_id aux));
+      add_atom None f args (G_var (var_id aux));
       Ast.Var aux
     | Ast.Call (f, args) -> Ast.Call (f, List.map hoist args)
     | Ast.Var _ | Ast.Wildcard | Ast.Lit _ -> e
   in
+  (* a ground application's atom, after those of the applications nested
+     in it; once per syntax *)
+  let rec hoist_ground (e : Ast.expr) =
+    match e with
+    | Ast.Call (f, args) when is_table f && not (Hashtbl.mem ground e) ->
+      List.iter hoist_ground args;
+      let aux = fresh_aux () in
+      add_atom (Some (ref [])) f args (G_var (var_id aux));
+      Hashtbl.add ground e aux
+    | _ -> ()
+  in
+  (* the ground applications nested in a pattern, in the order it lists
+     them *)
+  let rec hoist_nested (e : Ast.expr) =
+    match e with
+    | Ast.Call (f, args) when is_table f ->
+      List.iter
+        (fun a -> if is_table_call a then if is_ground a then hoist_ground a else hoist_nested a)
+        args
+    | _ -> ()
+  in
+  (* the atoms [later] collected, in reverse: each after its parent, a
+     parent before its own children *)
+  let rec place later =
+    List.iter
+      (fun (aux, f, args) ->
+        let kids = ref [] in
+        add_atom (Some kids) f args (G_var (var_id aux));
+        place !kids)
+      (List.rev later)
+  in
   List.iter
     (fun (fact : Ast.fact) ->
-      if not (List.exists has_table_call (exprs_of fact)) then
-        residuals := fact :: !residuals
-      else
-        match fact with
-        | Ast.F_expr (Ast.Call (f, args)) when is_table f ->
-          (* bare table application: a bool-returning table is a guard
-             (output pinned to true); anything else is unconstrained *)
-          let out =
-            match Egraph.find_func_opt idx.eg (Symbol.intern f) with
-            | Some fn when fn.Egraph.ret_sort = Egraph.S_bool ->
-              G_lit (Arena.encode pool (Value.Bool true))
-            | _ -> G_free
-          in
-          add_atom f args out
-        | Ast.F_expr e -> residuals := Ast.F_expr (hoist e) :: !residuals
-        | Ast.F_eq es when not (List.exists is_table_call es) ->
-          (* table applications only under primitives: no shared output
-             column, the whole equality is a residual over their values *)
-          residuals := Ast.F_eq (List.map hoist es) :: !residuals
-        | Ast.F_eq es ->
-          let calls, others = List.partition is_table_call es in
-          (* one output column shared by every application: the first
-             variable or literal conjunct, else nothing for a lone
-             application among wildcards, else a fresh variable; every
-             other conjunct must equal it *)
-          let binder, out, rest =
-            match
-              List.find_opt (function Ast.Var _ | Ast.Lit _ -> true | _ -> false) others
-            with
-            | Some b ->
-              let out = slot_of b in
-              (Some b, out, remove_first b others)
-            | None when List.length calls = 1 && List.for_all (( = ) Ast.Wildcard) others ->
-              (None, G_free, [])
-            | None ->
-              let b = Ast.Var (fresh_aux ()) in
-              let out = slot_of b in
-              (Some b, out, others)
-          in
-          List.iter
-            (function Ast.Call (f, args) -> add_atom f args out | _ -> ())
-            calls;
-          List.iter
-            (fun e ->
-              match (e, binder) with
-              | Ast.Wildcard, _ | _, None -> ()
-              | e, Some b -> residuals := Ast.F_eq [ b; hoist e ] :: !residuals)
-            rest)
-    p.p_facts;
+      let es = exprs_of fact in
+      List.iter hoist_nested es;
+      let later = ref [] in
+      (if not (List.exists has_table_call es) then residuals := fact :: !residuals
+       else
+         match fact with
+         | Ast.F_expr (Ast.Call (f, args)) when is_table f ->
+           (* bare table application: a bool-returning table is a guard
+              (output pinned to true); anything else is unconstrained *)
+           let out =
+             match Egraph.find_func_opt idx.eg (Symbol.intern f) with
+             | Some fn when fn.Egraph.ret_sort = Egraph.S_bool ->
+               G_lit (Arena.encode pool (Value.Bool true))
+             | _ -> G_free
+           in
+           add_atom (Some later) f args out
+         | Ast.F_expr e -> residuals := Ast.F_expr (hoist e) :: !residuals
+         | Ast.F_eq es when not (List.exists is_table_call es) ->
+           (* table applications only under primitives: no shared output
+              column, the whole equality is a residual over their values *)
+           residuals := Ast.F_eq (List.map hoist es) :: !residuals
+         | Ast.F_eq es ->
+           let calls, others = List.partition is_table_call es in
+           (* one output column shared by every application: the first
+              variable or literal conjunct, else nothing for a lone
+              application among wildcards, else a fresh variable; every
+              other conjunct must equal it *)
+           let binder, out, rest =
+             match
+               List.find_opt (function Ast.Var _ | Ast.Lit _ -> true | _ -> false) others
+             with
+             | Some b ->
+               let out = slot_of None b in
+               (Some b, out, remove_first b others)
+             | None when List.length calls = 1 && List.for_all (( = ) Ast.Wildcard) others ->
+               (None, G_free, [])
+             | None ->
+               let b = Ast.Var (fresh_aux ()) in
+               let out = slot_of None b in
+               (Some b, out, others)
+           in
+           List.iter
+             (function Ast.Call (f, args) -> add_atom (Some later) f args out | _ -> ())
+             calls;
+           List.iter
+             (fun e ->
+               match (e, binder) with
+               | Ast.Wildcard, _ | _, None -> ()
+               | e, Some b -> residuals := Ast.F_eq [ b; hoist e ] :: !residuals)
+             rest);
+      place !later;
+      List.iter add_vars es)
+    facts;
   let gp_atoms = Array.of_list (List.rev !atoms) in
   let gp_var_names = Array.of_list (List.rev !var_names) in
   let gp_globals = Array.of_list (List.rev !global_names) in
@@ -856,7 +808,10 @@ let gcompile ?(keep : string list option) ~(pinned : string list) idx (p : plan)
     gp_globals;
     gp_may_dup =
       Array.exists
-        (fun ga -> Array.exists (function G_free -> true | _ -> false) ga.g_slots)
+        (fun ga ->
+          let s = ga.g_slots in
+          let rec free c = c < Array.length s - 1 && (s.(c) = G_free || free (c + 1)) in
+          free 0)
         gp_atoms;
     gp_aux_emitted = Array.exists (fun v -> is_aux_var gp_var_names.(v)) gp_emit;
     gp_emit;
@@ -1127,8 +1082,8 @@ let gp_slot_sorts idx gp =
     row one slot per residual-bound variable (initially [-1]) and keeps it
     when [residual] — the caller's compiled residuals, which fill those
     slots — returns true.  Rows equal on the join's codes are dropped
-    first when some atom has a wildcard column (rows differing in an
-    unbound column witness the same match), and rows equal on the own
+    first when some atom has a wildcard argument column (rows differing
+    in an unbound column witness the same match), and rows equal on the own
     variables last when aux variables were emitted, each time keeping the
     first.  The rows live in the plan instance's scratch until its next
     search. *)

@@ -1,14 +1,15 @@
 (** E-matching: finding all substitutions under which a rule's premises
     hold in the current e-graph.
 
-    There is one matcher, a nested-loop join.  {!compile} flattens a
-    rule's premises once; {!gcompile} turns the flattened premises into
-    flat table atoms — each column a variable, a literal, a global, or a
-    wildcard — plus residual facts over primitives only.  {!gsolve_packed}
-    joins the atoms seminaively: one term per atom, the term's atom reads
-    only the rows stamped after a given timestamp (the delta), atoms
-    before it only older rows and atoms after it the full table, so every
-    row combination is derived by exactly one term.  Each term walks its
+    There is one matcher, a nested-loop join.  {!gcompile} compiles a
+    rule's premises in one pass into flat table atoms — each column a
+    variable, a literal, a global, or a wildcard, nested table
+    applications hoisted into atoms of their own — plus residual facts
+    over primitives only.  {!gsolve_packed} joins the atoms seminaively:
+    one term per atom, the term's atom reads only the rows stamped after
+    a given timestamp (the delta), atoms before it only older rows and
+    atoms after it the full table, so every row combination is derived by
+    exactly one term.  Each term walks its
     atoms in an order fixed by the plan: the delta atom, then each atom
     whose arguments are all bound (one lookup in the table's own key
     hash), then atoms probed through a per-(function, column) index on a
@@ -37,28 +38,25 @@ val is_pattern_var : string -> bool
 
 (** {1 Plans} *)
 
-(** A flattened rule body: nested table applications hoisted into facts
-    of their own.  The fact order and aux-variable names fix the join's
-    term order. *)
-type plan
-
-(** Flatten a premise list.  Total; the interpreter flattens a rule
-    when it first compiles it. *)
-val compile : Ast.fact list -> plan
-
 (** A rule body compiled for the join: flat table atoms, the atom order
     of each seminaive term, plus pure-primitive residual facts the caller
     runs on each packed row. *)
 type gplan
 
-(** Compile a plan for the join.  Every premise shape compiles:
-    the [pinned] bare names denote globals, pinned per search; primitive
-    calls and [vec-of] in slots become residuals on fresh variables, table
+(** Compile a premise list for the join, in one pass.  Every premise
+    shape compiles: the [pinned] bare names denote globals, pinned per
+    search; a table application nested in another's column becomes an
+    atom on a fresh variable, placed before its parent when every
+    variable in it occurs in an earlier premise (innermost first, one atom
+    per distinct such application) and after it otherwise (each parent
+    before its children, siblings left to right); primitive calls and
+    [vec-of] in columns become residuals on fresh variables, table
     applications under primitives become atoms, and an equality over
-    several table applications shares one output column.  [keep] names
-    the variables the consumer reads (default: all).  Raises {!Error} on
-    an unknown function or an arity mismatch. *)
-val gcompile : ?keep:string list -> pinned:string list -> index -> plan -> gplan
+    several table applications shares one output column.  The atom order
+    fixes the seminaive terms and so the order matches come out in.
+    [keep] names the variables the consumer reads (default: all).  Raises
+    {!Error} on an unknown function or an arity mismatch. *)
+val gcompile : ?keep:string list -> pinned:string list -> index -> Ast.fact list -> gplan
 
 (** The same plan, with search scratch of its own.  A plan names tables
     by symbol and holds literal codes of the pool it was compiled
@@ -99,12 +97,12 @@ type packed = { pk_buf : int array; pk_rows : int; pk_width : int }
 (** Seminaive solve: the matches that involve at least one row stamped
     strictly after [since] ([~since:-1] is the full join), as rows of
     arena codes in {!gp_slot_names} order, with no allocation per row or
-    match on a plan without residuals, wildcard columns or emitted aux
-    variables once its buffers have grown to fit.  A plan with
+    match on a plan without residuals, wildcard argument columns or
+    emitted aux variables once its buffers have grown to fit.  A plan with
     residuals runs [residual] on each join row after the join; it fills
     the residual-bound slots (each [-1] until then) and says whether the
     row is kept.  Rows that repeat a kept row's join codes (possible
-    through wildcard columns), or its own variables' codes once aux
+    through wildcard argument columns), or its own variables' codes once aux
     variables are emitted, are dropped.  A plan with no atoms has one
     (empty) join row, on the full search only. *)
 val gsolve_packed :

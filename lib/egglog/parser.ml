@@ -191,6 +191,3 @@ let commands = function
 
 (** Parse a whole Egglog program from source text. *)
 let parse_program (src : string) : Ast.command list = commands (read src)
-
-(** Parse a single expression from source text. *)
-let parse_expr (src : string) : Ast.expr = expr_of_sexp (Sexp.parse_one src)

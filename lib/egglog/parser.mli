@@ -31,9 +31,6 @@ val read : string -> program
     unreadable source). *)
 val commands : program -> Ast.command list
 
-(** Parse a single expression. *)
-val parse_expr : string -> Ast.expr
-
 (** Convert one parsed s-expression. *)
 val command_of_sexp : Sexp.t -> Ast.command
 

@@ -74,8 +74,6 @@ let match_pattern ~general (specific : expr) : binding list option =
     Some (Hashtbl.fold (fun k v acc -> (k, v) :: acc) bound [])
   else None
 
-let instance_of ~general specific = match_pattern ~general specific <> None
-
 (* ------------------------------------------------------------------ *)
 (* Unification                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -116,35 +114,6 @@ let unifiable ?(flex = fun (_ : string) -> false) (a : expr) (b : expr) : bool =
   uni a b
 
 (* ------------------------------------------------------------------ *)
-(* Anti-unification (least general generalization)                     *)
-(* ------------------------------------------------------------------ *)
-
-let anti_unify (a : expr) (b : expr) : expr =
-  (* the same disagreement pair always generalizes to the same variable,
-     so [anti_unify (f x x) (f y y)] is [(f ?au1 ?au1)], not [(f ?au1 ?au2)] *)
-  let tbl : (expr * expr, string) Hashtbl.t = Hashtbl.create 16 in
-  let counter = ref 0 in
-  let var_for key =
-    match Hashtbl.find_opt tbl key with
-    | Some x -> Var x
-    | None ->
-      incr counter;
-      let x = Printf.sprintf "?au%d" !counter in
-      Hashtbl.replace tbl key x;
-      Var x
-  in
-  let rec go a b =
-    if equal a b then a
-    else
-      match (a, b) with
-      | Call (f, xs), Call (g, ys) when String.equal f g && List.length xs = List.length ys
-        ->
-        Call (f, List.map2 go xs ys)
-      | _ -> var_for (a, b)
-  in
-  go a b
-
-(* ------------------------------------------------------------------ *)
 (* Alpha-equivalence                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -168,5 +137,3 @@ let alpha_bijection (a : expr) (b : expr) : binding list option =
     | _ -> false
   in
   if go a b then Some (Hashtbl.fold (fun x y acc -> (x, Var y) :: acc) ab []) else None
-
-let alpha_equal a b = alpha_bijection a b <> None

@@ -1,6 +1,5 @@
 (** First-order term utilities over {!Ast.expr} patterns: structural
-    equality, one-way matching, unification, anti-unification and
-    alpha-equivalence.
+    equality, one-way matching, unification and alpha-equivalence.
 
     These are purely syntactic (no e-graph, no sort information) and are
     the pattern-level primitives behind [Dialegg.Vet]'s rule-dependency,
@@ -39,22 +38,12 @@ val apply : binding list -> Ast.expr -> Ast.expr
     [s] with [apply s general = specific], in unspecified order. *)
 val match_pattern : general:Ast.expr -> Ast.expr -> binding list option
 
-(** [instance_of ~general specific]: [match_pattern] succeeds. *)
-val instance_of : general:Ast.expr -> Ast.expr -> bool
-
 (** Syntactic unifiability with occurs check.  [flex] marks heads whose
     applications are "computed" (Egglog primitives): a flexible
     application unifies with anything, over-approximating the values a
     primitive can produce. *)
 val unifiable : ?flex:(string -> bool) -> Ast.expr -> Ast.expr -> bool
 
-(** Least general generalization.  Disagreement positions become fresh
-    [?auN] variables; the same disagreement pair always maps to the same
-    variable, so shared structure survives. *)
-val anti_unify : Ast.expr -> Ast.expr -> Ast.expr
-
 (** [alpha_bijection a b]: if [a] and [b] are equal up to a consistent
     renaming of variables, the renaming as bindings over [a]'s variables. *)
 val alpha_bijection : Ast.expr -> Ast.expr -> binding list option
-
-val alpha_equal : Ast.expr -> Ast.expr -> bool

@@ -73,13 +73,6 @@ let rec is_canonical uf v =
   | Vec elems -> Array.for_all (is_canonical uf) elems
   | _ -> true
 
-(** E-class ids mentioned anywhere inside [v], in order. *)
-let rec eclasses v acc =
-  match v with
-  | Eclass id -> id :: acc
-  | Vec elems -> Array.fold_left (fun acc e -> eclasses e acc) acc elems
-  | _ -> acc
-
 let rec pp ppf = function
   | I64 x -> Fmt.pf ppf "%Ld" x
   | F64 x -> Fmt.pf ppf "%h" x
@@ -96,13 +89,4 @@ module Tbl = Hashtbl.Make (struct
 
   let equal = equal
   let hash = hash
-end)
-
-(** Hash table keyed by value arrays (function-table keys). *)
-module Args_tbl = Hashtbl.Make (struct
-  type nonrec t = t array
-
-  let equal = elems_equal
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + hash v) 17 a
 end)

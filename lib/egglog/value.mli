@@ -29,14 +29,7 @@ val canonicalize : Union_find.t -> t -> t
 (** Would {!canonicalize} be a no-op? *)
 val is_canonical : Union_find.t -> t -> bool
 
-(** E-class ids mentioned anywhere inside the value, prepended to the
-    accumulator. *)
-val eclasses : t -> int list -> int list
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Tbl : Hashtbl.S with type key = t
-
-(** Hash tables keyed by value arrays (function-table keys). *)
-module Args_tbl : Hashtbl.S with type key = t array

@@ -765,6 +765,20 @@ let test_immediate_rebuild_ablation () =
     (Egraph.n_nodes (Interp.egraph t1))
     (Egraph.n_nodes (Interp.egraph t2))
 
+(* The ablation flag acts in the code-level write: a compiled rule's
+   [set] that merges two classes rebuilds at once, as a top-level one
+   does. *)
+let test_immediate_rebuild_set_codes () =
+  let t = Interp.create () in
+  Interp.run_string t "(datatype E (A) (B) (F E))\n(let a (A))\n(let b (B))\n(let fa (F a))";
+  let eg = Interp.egraph t in
+  eg.Egraph.immediate_rebuild <- true;
+  let code x = Arena.encode (Egraph.pool eg) (Interp.global t x) in
+  Egraph.set_codes eg (Egraph.find_func eg (Symbol.intern "F")) [| code "a" |] (code "b");
+  checkb "no pending union" false eg.Egraph.pending_unions;
+  checkb "(F a) and b merged" true
+    (Egraph.canon eg (Interp.global t "fa") = Egraph.canon eg (Interp.global t "b"))
+
 let facts_of src =
   match Parser.parse_program ("(rule " ^ src ^ " ())") with
   | [ Ast.C_rule { facts; _ } ] -> facts
@@ -1057,6 +1071,49 @@ let test_push_pop_preserves_costs () =
   match Interp.last_extracted t with
   | Some (term, _) -> Alcotest.(check string) "B wins after pop" "(B)" (Extract.term_to_string term)
   | None -> Alcotest.fail "no extraction"
+
+(* Overrides whose nodes collide after a merge keep the cheaper cost,
+   whichever was set first, also where the merged class is an element of
+   a vector argument; push/pop and forks keep overrides apart. *)
+let test_overrides_under_merges () =
+  let decls =
+    {|(datatype E (A) (B) (C) (F E :cost 10))
+(sort Es (Vec E))
+(function H (Es) E :cost 10)
+(let a (A))
+(let b (B))
+|}
+  in
+  let cost t e =
+    Interp.run_string t ("(extract " ^ e ^ ")");
+    snd (Option.get (Interp.last_extracted t))
+  in
+  let engine src =
+    let t = Interp.create () in
+    Interp.run_string t (decls ^ src);
+    t
+  in
+  let fa5 = "(unstable-cost (F a) 5)" and fb3 = "(unstable-cost (F b) 3)" in
+  List.iter
+    (fun (name, src) -> checki name 4 (cost (engine (src ^ "(union a b)")) "(F a)"))
+    [ ("(F a) first", fa5 ^ fb3); ("(F b) first", fb3 ^ fa5) ];
+  let ha5 = "(unstable-cost (H (vec-of a (C))) 5)" and hb3 = "(unstable-cost (H (vec-of b (C))) 3)" in
+  List.iter
+    (fun (name, src) -> checki name 5 (cost (engine (src ^ "(union a b)")) "(H (vec-of a (C)))"))
+    [ ("vector, a first", ha5 ^ hb3); ("vector, b first", hb3 ^ ha5) ];
+  let t = engine (fa5 ^ fb3) in
+  Interp.run_string t "(push) (union a b)";
+  checki "merged inside the push" 4 (cost t "(F a)");
+  Interp.run_string t "(pop)";
+  checki "apart after the pop" 6 (cost t "(F a)");
+  let f = Interp.fork ~limits:(Interp.limits t) t in
+  Interp.run_string f "(unstable-cost (F a) 1)";
+  checki "the fork's own override" 2 (cost f "(F a)");
+  checki "the base keeps its own" 6 (cost t "(F a)");
+  Interp.run_string t "(union a b)";
+  checki "the base's merge" 4 (cost t "(F a)");
+  checki "the fork unmerged" 2 (cost f "(F a)");
+  checki "the fork's (F b)" 4 (cost f "(F b)")
 
 let test_extract_variants () =
   let _, outs =
@@ -1542,8 +1599,8 @@ let test_join_match_counts () =
     stat_rows t
   in
   let case name expected src = Alcotest.(check (list string)) name expected (counts src) in
-  (* no premise below leaves an output column free unless it says so: a
-     free column would let the wildcard dedupe hide the join's counts *)
+  (* no premise below has a wildcard argument column unless it says so:
+     one would let the wildcard dedupe hide the join's counts *)
   let graph =
     {|(datatype E (A) (B) (C) (Num i64) (S E) (P E E))
 (relation hit (E))
@@ -1560,6 +1617,16 @@ let test_join_match_counts () =
     (graph
     ^ String.concat " " (List.init 10 (Printf.sprintf "(S (Num %d))"))
     ^ "\n(rule ((= ?s (S ?x)) (= ?r (P ?x ?y))) ((hit ?x)))\n(run 1)\n"
+    ^ String.concat " "
+        (List.init 30 (fun i -> Printf.sprintf "(P (Num %d) (Num %d))" (i mod 10) (100 + i)))
+    ^ "\n(run 1)");
+  (* the same behind a bare relation: its free output column does not
+     turn on the post-join dedupe, which would hide a wrong count *)
+  case "unread atom first, after a relation" [ "rule-1 2 10" ]
+    (graph
+    ^ "(relation Q (E))\n"
+    ^ String.concat " " (List.init 10 (Printf.sprintf "(Q (Num %d))"))
+    ^ "\n(rule ((Q ?x) (= ?r (P ?x ?y))) ((hit ?x)))\n(run 1)\n"
     ^ String.concat " "
         (List.init 30 (fun i -> Printf.sprintf "(P (Num %d) (Num %d))" (i mod 10) (100 + i)))
     ^ "\n(run 1)");
@@ -1598,7 +1665,75 @@ let test_join_match_counts () =
     ^ {|(P a (B)) (P a (C)) (S a)
 (rule ((= ?e (P ?x _))) ((hit ?x)))
 (rule ((= ?s (S ?x)) (P ?x _)) ((hit ?x)))
-(run 2)|})
+(run 2)|});
+  (* a bare relation leaves its output column free, but its rows are
+     unique by key: F's two rows count twice with it as without it *)
+  case "free output column" [ "rule-1 1 2"; "rule-2 1 2" ]
+    {|(relation Q (i64))
+(function F (i64 i64) i64)
+(relation hit (i64 i64))
+(Q 1)
+(set (F 1 10) 5)
+(set (F 1 20) 5)
+(rule ((Q ?x) (= ?o (F ?x ?w))) ((hit ?x ?o)))
+(rule ((= ?o (F ?x ?w))) ((hit ?x ?o)))
+(run 1)|}
+
+(* The placement of nested applications: one atom per distinct ground
+   application, shared by every premise that names it.  With [keep] unset
+   the plan emits every variable, so matmul_assoc's cost rule has two
+   compiler-made slots, one per [(type-of ...)]. *)
+let test_plan_shared_ground () =
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(sort Op) (sort Type)
+(function linalg_matmul (Op Op Op Type) Op)
+(function type-of (Op) Type)
+(function nrows (Type) i64)
+(function ncols (Type) i64)|};
+  let idx = Matcher.make_index (Interp.egraph t) (Hashtbl.create 1) in
+  let gp =
+    Matcher.gcompile ~pinned:[] idx
+      (facts_of
+         "((= ?e (linalg_matmul ?x ?y ?xy ?t)) (= ?a (nrows (type-of ?x))) (= ?b (ncols (type-of \
+          ?x))) (= ?c (ncols (type-of ?y))))")
+  in
+  let names = Matcher.gp_slot_names gp and own = Matcher.gp_own_slots gp in
+  checki "compiler-made slots" 2 (Array.length names - Array.length own);
+  Alcotest.(check (list string)) "own slots"
+    [ "?a"; "?b"; "?c"; "?e"; "?t"; "?x"; "?xy"; "?y" ]
+    (List.sort compare (Array.to_list (Array.map (fun s -> names.(s)) own)))
+
+(* The atom order sets the order matches come out in: nested
+   associativity premises over a saturated chain. *)
+let test_join_match_order () =
+  let t = Interp.create () in
+  Interp.run_string t
+    {|(datatype E (V i64) (Mul E E))
+(let e (Mul (Mul (Mul (V 1) (V 2)) (V 3)) (V 4)))
+(rewrite (Mul (Mul ?a ?b) ?c) (Mul ?a (Mul ?b ?c)))
+(rewrite (Mul ?a (Mul ?b ?c)) (Mul (Mul ?a ?b) ?c))
+(run 10)|};
+  let show m = String.concat " " (List.map (fun (x, v) -> x ^ "=" ^ Value.to_string v) m) in
+  let matches facts = List.map show (Interp.query t (facts_of facts)) in
+  Alcotest.(check (list string)) "binding nested application"
+    [
+      "?a=$0 ?b=$1 ?c=$3 ?r=$4";
+      "?a=$2 ?b=$3 ?c=$5 ?r=$6";
+      "?a=$0 ?b=$7 ?c=$5 ?r=$6";
+      "?a=$0 ?b=$1 ?c=$9 ?r=$6";
+      "?a=$1 ?b=$3 ?c=$5 ?r=$13";
+    ]
+    (matches "((= ?r (Mul (Mul ?a ?b) ?c)))");
+  Alcotest.(check (list string)) "ground nested application"
+    [
+      "?r=$7 ?s=$4 ?x=$1 ?y=$3 ?z=$3";
+      "?r=$7 ?s=$6 ?x=$1 ?y=$3 ?z=$9";
+      "?r=$13 ?s=$6 ?x=$7 ?y=$5 ?z=$5";
+      "?r=$13 ?s=$4 ?x=$1 ?y=$9 ?z=$3";
+      "?r=$13 ?s=$6 ?x=$1 ?y=$9 ?z=$9";
+    ]
+    (matches "((= ?r (Mul ?x ?y)) (= ?s (Mul (Mul (V 1) ?x) ?z)))")
 
 (* [(check ...)] and queries search in full, through the same join: the
    query lists one binding per match of the premises' own variables *)
@@ -1646,7 +1781,7 @@ let test_join_allocation () =
     let eg = Interp.egraph t in
     Egraph.rebuild eg;
     let idx = Matcher.make_index eg (Hashtbl.create 1) in
-    let gp = Matcher.gcompile ~pinned:[] idx (Matcher.compile (facts_of "((= ?p (P ?x ?y)) (= ?x (L ?i)))")) in
+    let gp = Matcher.gcompile ~pinned:[] idx (facts_of "((= ?p (P ?x ?y)) (= ?x (L ?i)))") in
     let search () = Matcher.gsolve_packed idx gp ~since:(-1) ~residual:(fun _ -> true) in
     ignore (search ());
     let w0 = Gc.minor_words () in
@@ -1737,6 +1872,8 @@ let () =
           Alcotest.test_case "no variable capture by globals" `Quick test_global_shadowing_safe;
           Alcotest.test_case "wildcard patterns" `Quick test_wildcard_pattern;
           Alcotest.test_case "rebuild-strategy ablation agrees" `Quick test_immediate_rebuild_ablation;
+          Alcotest.test_case "immediate rebuild in set_codes" `Quick
+            test_immediate_rebuild_set_codes;
           Alcotest.test_case "parser rejects garbage" `Quick test_parser_rejects_garbage;
           Alcotest.test_case "redeclaration" `Quick test_redeclaration;
         ] );
@@ -1751,6 +1888,7 @@ let () =
           Alcotest.test_case "prepared rules splice as registered" `Quick test_prepared_rules;
           Alcotest.test_case "push/pop restores cost overrides" `Quick
             test_push_pop_preserves_costs;
+          Alcotest.test_case "overrides under merges" `Quick test_overrides_under_merges;
           Alcotest.test_case "extract variants" `Quick test_extract_variants;
           Alcotest.test_case "lattice analysis" `Quick test_lattice_analysis;
         ] );
@@ -1777,6 +1915,8 @@ let () =
           Alcotest.test_case "table call under a primitive" `Quick
             test_join_call_under_primitive;
           Alcotest.test_case "allocation independent of matches" `Quick test_join_allocation;
+          Alcotest.test_case "ground applications shared" `Quick test_plan_shared_ground;
+          Alcotest.test_case "match order" `Quick test_join_match_order;
           Alcotest.test_case "rebuild keeps an unchanged survivor" `Quick
             test_rebuild_unchanged_survivor;
         ] );
